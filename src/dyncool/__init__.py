@@ -10,8 +10,8 @@ from .dynamics import (Distribution, McEnsembleResult, TimeSeries,
                        propagate_pulse, run_protocol, thermal_distribution)
 from .errors import (ConfigError, DomainError, ResourceLimitError,
                      SimulationError, SingularRatioError, ValidityError)
-from .fc import (DarkDesign, FcAmplitude, LambDicke, dark_eta_for_level,
-                 dark_ratio_A, fc_factor, fc_row, laguerre_assoc)
+from .fc import (FcAmplitude, dark_eta_for_level, dark_ratio_A, fc_factor,
+                 fc_row, laguerre_assoc)
 from .protocols import (Protocol, RunSpec, ValidationReport,
                         design_excited_protocol, parse_config, preset,
                         preset_runspec, validate_protocol, write_config,
@@ -23,8 +23,8 @@ from .rates import (Pulse, RateMatrix, TrapConfig, angular_quadrature,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DarkDesign", "Distribution", "DomainError", "FcAmplitude",
-    "LambDicke", "McEnsembleResult", "PRESET_NAMES", "Protocol", "Pulse",
+    "ConfigError", "Distribution", "DomainError", "FcAmplitude",
+    "McEnsembleResult", "PRESET_NAMES", "Protocol", "Pulse",
     "RateMatrix", "ResourceLimitError", "RunSpec", "SimulationError",
     "SingularRatioError", "TimeSeries", "TrapConfig", "ValidationReport",
     "ValidityError", "angular_quadrature", "dark_eta_for_level",

@@ -172,7 +172,7 @@ def _cmd_run(args) -> int:
 
     if args.final_distribution and spec.mode == "master":
         fd_path = out_dir / "distribution_final.csv"
-        _write_final_distribution(fd_path, init, protocol, spec)
+        _write_final_distribution(fd_path, series)
         outputs["distribution_final"] = fd_path.name
 
     if args.plot:
@@ -199,15 +199,12 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_final_distribution(path, init, protocol, spec) -> None:
-    dist = init
-    mats = [rates.rate_matrix(spec.trap, p, "resonant") for p in protocol.pulses]
-    for _ in range(protocol.cycles):
-        for pulse, mat in zip(protocol.pulses, mats):
-            dist = dynamics.propagate_pulse(dist, mat, pulse.duration)
-    lines = [f"# final distribution after {protocol.cycles} cycles; "
+def _write_final_distribution(path, series) -> None:
+    """The distribution the run stopped at, after the cycle of its last sample."""
+    dist = series.final_distribution
+    lines = [f"# final distribution after {series.final().cycle} cycles; "
              f"leak = {ff(dist.leak)}"]
-    if spec.trap.dims == 1:
+    if len(dist.shape) == 1:
         lines.append("n,probability")
         for n, p in enumerate(dist.probs):
             lines.append(f"{n},{ff(p)}")

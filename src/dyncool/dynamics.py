@@ -61,13 +61,18 @@ class Sample:
 
 @dataclass
 class TimeSeries:
-    """Observables recorded at pulse boundaries of a protocol run."""
+    """Observables recorded at pulse boundaries of a protocol run.
+
+    A master run also keeps the distribution it stopped at, the state
+    behind the last sample, as ``final_distribution``.
+    """
 
     samples: list[Sample] = field(default_factory=list)
     target: int | tuple[int, int] | None = None
     mode: str = "master"
     extra_targets: tuple = ()
     extra_probs: list[tuple[float, ...]] = field(default_factory=list)
+    final_distribution: Distribution | None = field(default=None, init=False, repr=False)
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -252,6 +257,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
         if stop_tol and abs(p_now - prev_p) < stop_tol:
             break
         prev_p = p_now
+    series.final_distribution = dist
     return series
 
 

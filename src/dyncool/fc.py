@@ -32,22 +32,6 @@ _LOG_FACTORIAL_SWITCH = 150
 
 
 @dataclass(frozen=True)
-class LambDicke:
-    """Recoil strength knob: eta = 2*pi*a0/lambda, eta^2 = recoil quanta."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.eta) or self.eta < 0:
-            raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
-
-    @property
-    def eta_hat2(self) -> int:
-        """Closest integer to eta^2 (sets confinement-pulse detunings)."""
-        return int(round(self.eta * self.eta))
-
-
-@dataclass(frozen=True)
 class FcAmplitude:
     """One recoil matrix element, with the projection it was evaluated at."""
 
@@ -55,21 +39,6 @@ class FcAmplitude:
     from_level: int
     to_level: int
     eta_effective: float
-
-
-@dataclass(frozen=True)
-class DarkDesign:
-    """Solved dark-state parameters for a target level.
-
-    eta_roots holds every eta > 0 closing the dark condition at the stored
-    detuning index; amplitude_ratio is the two-laser ratio of the
-    interference construction (2D targets only).
-    """
-
-    target_level: int | tuple[int, int]
-    detuning_index: int
-    eta_roots: tuple[float, ...]
-    amplitude_ratio: complex | None = None
 
 
 def laguerre_assoc(n: int, alpha: int, x: float,
@@ -227,18 +196,6 @@ def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int) -> np.ndarray:
     return out
 
 
-def displacement_table(eta_eff: float, n_max: int, l_max: int | None = None) -> np.ndarray:
-    """Full amplitude table D[n, l] = <n|exp(i*eta_eff*(a+a^dag))|l>.
-
-    Same kernel as fc_factor, evaluated band-wise; agrees with it to
-    rounding everywhere.
-    """
-    if l_max is None:
-        l_max = n_max
-    reduced = reduced_stack(np.array([float(eta_eff)]), n_max, l_max)[0]
-    return phase_table(n_max, l_max) * reduced
-
-
 def dark_eta_for_level(m: int, s: int) -> list[float]:
     """All eta > 0 making trap level m dark under detuning index s.
 
@@ -326,15 +283,3 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
             f"diagonal factor of level {my} vanishes at eta={eta}; "
             f"nearby dark etas for that level: {nearby}")
     return complex(-num / den)
-
-
-def dark_design_for_level(m: int, s: int) -> DarkDesign:
-    """Bundle the eta roots for a 1D target level/detuning pair."""
-    return DarkDesign(target_level=m, detuning_index=s,
-                      eta_roots=tuple(dark_eta_for_level(m, s)))
-
-
-def dark_design_for_ratio(eta: float, target: tuple[int, int]) -> DarkDesign:
-    """Bundle the interference ratio for a 2D target at zero detuning."""
-    return DarkDesign(target_level=target, detuning_index=0,
-                      eta_roots=(eta,), amplitude_ratio=dark_ratio_A(eta, target))

@@ -8,16 +8,16 @@ of fig7 is exposed separately.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fc
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ValidityError
 from .rates import (DEFAULT_QUAD_PHI, DEFAULT_QUAD_THETA, Pulse, TrapConfig,
-                    format_float)
+                    format_float, level_empty_rates)
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class Protocol:
     def __post_init__(self) -> None:
         if self.cycles < 0:
             raise DomainError(f"cycles must be >= 0, got {self.cycles}")
-
-    @property
-    def cycle_duration(self) -> float:
-        return sum(p.duration for p in self.pulses)
 
 
 @dataclass
@@ -126,28 +122,6 @@ def preset(name: str) -> PresetBundle:
     return PresetBundle(proto, trap, _MEAN)
 
 
-def _target_empty_rate(trap: TrapConfig, pulse: Pulse, target) -> float:
-    if trap.dims == 1:
-        m = int(target) if not isinstance(target, tuple) else int(target[0])
-        if pulse.s != int(pulse.s):
-            return math.inf
-        s = int(pulse.s)
-        if m + s < 0:
-            return 0.0
-        return fc.fc_reduced(trap.eta, m, m + s) ** 2
-    mx, my = target
-    if pulse.s != int(pulse.s):
-        return math.inf
-    s = int(pulse.s)
-    a = complex(pulse.amplitude_ratio)
-    fx = fc.fc_reduced(trap.eta, mx, mx + s) if mx + s >= 0 else 0.0
-    fy = fc.fc_reduced(trap.eta, my, my + s) if my + s >= 0 else 0.0
-    rate = fx * fx + abs(a) ** 2 * fy * fy
-    if s == 0:
-        rate += 2.0 * a.real * fx * fy
-    return max(rate, 0.0)
-
-
 def validate_protocol(protocol: Protocol, trap: TrapConfig,
                       mode: str = "resonant") -> ValidationReport:
     """Check a protocol against the cooling-regime rules.
@@ -164,13 +138,6 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
             "not resolved, red detuning no longer makes level 0 dark"))
     if not protocol.pulses:
         rep.errors.append(("empty-protocol", "protocol contains no pulses"))
-    if mode == "resonant":
-        for i, pulse in enumerate(protocol.pulses):
-            if pulse.s != int(pulse.s):
-                rep.errors.append((
-                    "integer-detuning",
-                    f"pulse {i + 1} has non-integer s={pulse.s}; resonant mode "
-                    "requires delta = s*omega with integer s"))
 
     d = trap.dims
     confinement_s = -d * trap.eta_hat2
@@ -192,33 +159,36 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
             "exp(-eta^2/2) L_m(eta^2) is suppressed on the lowest levels, so "
             "the interference dark-state mechanism no longer selects levels"))
 
-    if protocol.target is not None:
-        for i, pulse in enumerate(protocol.pulses):
-            if pulse.s == int(pulse.s) and _target_empty_rate(trap, pulse, protocol.target) < 1e-10:
-                if pulse.s < 0 and not _is_interference(pulse):
-                    continue  # trivially dark (m+s < 0), nothing to report
-                plus = _perturbed_rate(trap, pulse, protocol.target, 1.001)
-                minus = _perturbed_rate(trap, pulse, protocol.target, 0.999)
-                rep.notes.append((
-                    "dark-sensitivity",
-                    f"pulse {i + 1} (s={pulse.s:g}) darkens target "
-                    f"{protocol.target}; residual empty rate at eta*1.001: "
-                    f"{plus:.3e} Gamma0, at eta*0.999: {minus:.3e} Gamma0"))
+    target = protocol.target
+    for i, pulse in enumerate(protocol.pulses):
+        try:
+            s = pulse.s_int
+        except ValidityError:
+            if mode == "resonant":
+                rep.errors.append((
+                    "integer-detuning",
+                    f"pulse {i + 1} has non-integer s={pulse.s}; resonant mode "
+                    "requires delta = s*omega with integer s"))
+            continue
+        # a red pulse darkens low levels trivially (m+s < 0): nothing to report
+        if target is None or s < 0 or _target_rate(trap, pulse, target) >= 1e-10:
+            continue
+        plus = _perturbed_rate(trap, pulse, target, 1.001)
+        minus = _perturbed_rate(trap, pulse, target, 0.999)
+        rep.notes.append((
+            "dark-sensitivity",
+            f"pulse {i + 1} (s={pulse.s:g}) darkens target "
+            f"{target}; residual empty rate at eta*1.001: "
+            f"{plus:.3e} Gamma0, at eta*0.999: {minus:.3e} Gamma0"))
     return rep
 
 
-def _is_interference(pulse: Pulse) -> bool:
-    return pulse.s == 0
+def _target_rate(trap: TrapConfig, pulse: Pulse, target) -> float:
+    return float(level_empty_rates(trap, pulse, [target])[0])
 
 
 def _perturbed_rate(trap: TrapConfig, pulse: Pulse, target, factor: float) -> float:
-    perturbed = TrapConfig(eta=trap.eta * factor,
-                           gamma_over_omega=trap.gamma_over_omega,
-                           dims=trap.dims, n_max=trap.n_max,
-                           dipole=trap.dipole, quad_theta=trap.quad_theta,
-                           quad_phi=trap.quad_phi,
-                           allow_weak_confinement=trap.allow_weak_confinement)
-    return _target_empty_rate(perturbed, pulse, target)
+    return _target_rate(dataclasses.replace(trap, eta=trap.eta * factor), pulse, target)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +253,10 @@ def design_excited_protocol(target, trap: TrapConfig,
 
 def _dark_detuning_1d(m: int, trap: TrapConfig) -> int:
     """Integer s whose Laguerre-zero condition is met at the trap's eta."""
+    axis = dataclasses.replace(trap, dims=1)  # the condition holds per axis
     best: tuple[float, float] | None = None
     for s in range(1, 2 * trap.eta_hat2 + 8):
-        if fc.fc_reduced(trap.eta, m, m + s) ** 2 < _DARK_RATE_CAP:
+        if _target_rate(axis, Pulse(s=s, duration=1.0), m) < _DARK_RATE_CAP:
             return s
         for root in fc.dark_eta_for_level(m, s):
             gap = abs(root - trap.eta)
@@ -304,16 +275,16 @@ def _auxiliary_pulse(target, trap: TrapConfig, skeleton: list[Pulse]) -> Pulse:
     window = _design_window(target, trap)
     base = np.zeros(len(window))
     for p in skeleton:
-        base += np.array([_window_rate(trap, p, lvl) for lvl in window])
+        base += level_empty_rates(trap, p, window)
     best_s = None
     best_score = -1.0
     for s in range(-2 * e2 - 5, 2 * e2 + 6):
         if s in used:
             continue
         cand = Pulse(s=s, duration=1.0)
-        if _target_empty_rate(trap, cand, target) > _AUX_RATE_CAP:
+        if _target_rate(trap, cand, target) > _AUX_RATE_CAP:
             continue
-        rates = np.array([_window_rate(trap, cand, lvl) for lvl in window])
+        rates = level_empty_rates(trap, cand, window)
         score = float(np.min(base + rates)) if window else 0.0
         if score > best_score or (score == best_score and best_s is not None
                                   and abs(s) < abs(best_s)):
@@ -332,10 +303,6 @@ def _design_window(target, trap: TrapConfig):
     top = min(trap.n_max, trap.eta_hat2 // 2 + 2)
     return [(ax, ay) for ax in range(top + 1) for ay in range(top + 1)
             if (ax, ay) != tuple(target)]
-
-
-def _window_rate(trap: TrapConfig, pulse: Pulse, level) -> float:
-    return _target_empty_rate(trap, pulse, level)
 
 
 # ---------------------------------------------------------------------------

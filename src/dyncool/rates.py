@@ -73,10 +73,6 @@ class TrapConfig:
             raise DomainError("quadrature orders must be >= 4")
 
     @property
-    def lamb_dicke(self) -> fc.LambDicke:
-        return fc.LambDicke(self.eta)
-
-    @property
     def eta_hat2(self) -> int:
         """Closest integer to eta^2."""
         return int(round(self.eta * self.eta))
@@ -103,11 +99,6 @@ class TrapConfig:
         if not (0 <= mx <= self.n_max and 0 <= my <= self.n_max):
             raise DomainError(f"level {level} outside truncation 0..{self.n_max}")
         return mx * (self.n_max + 1) + my
-
-    def unflatten(self, index: int) -> tuple[int, ...]:
-        if self.dims == 1:
-            return (index,)
-        return divmod(index, self.n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -273,13 +264,25 @@ def clear_caches() -> None:
     _MATRICES.clear()
 
 
-def _reduced_absorption(eta: float, s: int, n_max: int) -> np.ndarray:
-    """F[m] = reduced <m+s|e^{ikx}|m>, zero where m+s < 0."""
-    out = np.zeros(n_max + 1)
-    for m in range(n_max + 1):
-        if m + s >= 0:
-            out[m] = fc.fc_reduced(eta, m, m + s)
-    return out
+def _reduced_absorption(eta: float, s: int, levels) -> np.ndarray:
+    """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where m+s < 0."""
+    return np.array([fc.fc_reduced(eta, m, m + s) if m + s >= 0 else 0.0
+                     for m in levels], dtype=float)
+
+
+def _empty_rate(fx, s: int, fy=0.0, a=0.0):
+    """The resonant empty rate, broadcast over arrays of reduced factors.
+
+    Gamma = F_x^2 + |A|^2 F_y^2 + 2 Re(A) F_x F_y [s = 0], with F the real
+    reduced absorption factor of each axis and A the y/x laser amplitude
+    ratio; 1D is the case F_y = 0.  The cross term is the two-laser
+    interference, alive only at zero detuning.  A level is dark exactly
+    where Gamma vanishes.
+    """
+    rate = fx * fx + abs(a) ** 2 * fy * fy
+    if s == 0:
+        rate = rate + 2.0 * a.real * fx * fy
+    return np.maximum(rate, 0.0)
 
 
 def empty_rates_1d(trap: TrapConfig, s: int) -> np.ndarray:
@@ -291,27 +294,26 @@ def empty_rates_1d(trap: TrapConfig, s: int) -> np.ndarray:
     if trap.dims != 1:
         raise DomainError("empty_rates_1d requires a 1D trap")
     s = int(s)
-    return _reduced_absorption(trap.eta, s, trap.n_max) ** 2
+    return _empty_rate(_reduced_absorption(trap.eta, s, range(trap.n_max + 1)), s)
 
 
 def empty_rates_2d(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
-    """Empty rates over (m_x, m_y) for the two-laser arrangement.
-
-    Gamma = |F_x|^2 + |A|^2 |F_y|^2 + 2 Re(A) F_x F_y [s = 0], with the
-    F's the real reduced diagonal-shift factors of each axis.  The
-    interference term is active only at zero detuning.
-    """
+    """Empty rates over (m_x, m_y) for the two-laser arrangement."""
     if trap.dims != 2:
         raise DomainError("empty_rates_2d requires a 2D trap")
     s = pulse.s_int
-    a = complex(pulse.amplitude_ratio)
-    f = _reduced_absorption(trap.eta, s, trap.n_max)
-    fx = f[:, None]
-    fy = f[None, :]
-    rates = fx ** 2 + abs(a) ** 2 * fy ** 2
-    if s == 0:
-        rates = rates + 2.0 * a.real * fx * fy
-    return np.maximum(rates, 0.0)
+    f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+    return _empty_rate(f[:, None], s, f[None, :], complex(pulse.amplitude_ratio))
+
+
+def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
+    """Empty rates of the listed levels: ints in 1D, (m_x, m_y) pairs in 2D."""
+    s = pulse.s_int
+    grid = np.asarray(levels, dtype=int).reshape(-1, trap.dims)
+    f = _reduced_absorption(trap.eta, s, grid.reshape(-1)).reshape(grid.shape)
+    if trap.dims == 1:
+        return _empty_rate(f[:, 0], s)
+    return _empty_rate(f[:, 0], s, f[:, 1], complex(pulse.amplitude_ratio))
 
 
 class RateMatrix:
@@ -350,26 +352,28 @@ class RateMatrix:
             self._propagators[duration] = cached
         return cached
 
-    def exit_rate(self, index: int) -> float:
-        """Total outflow (including leak) from one flattened level."""
-        return float(-self.generator[index, index])
-
     def jump_distribution(self, index: int):
-        """(total exit rate, destination indices, cumulative rates) for MC.
-
-        The last cumulative entry corresponds to absorption into the
-        truncation leak.  Cached per column.
-        """
+        """MC jump table of one flattened level, cached per column (see _jump_table)."""
         cached = self._column_cumsum.get(index)
         if cached is None:
             col = self.generator[:, index].copy()
             col[index] = 0.0
-            dest = np.nonzero(col > 0.0)[0]
-            cum = np.cumsum(col[dest])
-            total = (cum[-1] if cum.size else 0.0) + self.leak[index]
-            cached = (float(total), dest, cum)
+            cached = _jump_table(col, self.leak[index])
             self._column_cumsum[index] = cached
         return cached
+
+
+def _jump_table(col: np.ndarray, leak: float):
+    """(total exit rate, destination indices, cumulative rates) of one column.
+
+    ``col`` holds the non-negative rates out of the level, its own entry
+    zeroed.  Absorption into the truncation leak takes the rest of the
+    total beyond the last cumulative entry.
+    """
+    dest = np.nonzero(col > 0.0)[0]
+    cum = np.cumsum(col[dest])
+    total = (cum[-1] if cum.size else 0.0) + leak
+    return float(total), dest, cum
 
 
 def _assemble(columns: np.ndarray, closure: np.ndarray, mode: str,
@@ -425,12 +429,10 @@ def _rate_matrix_1d_resonant(trap: TrapConfig, pulse: Pulse) -> RateMatrix:
     tables = angular_tables(trap)
     l_needed = trap.n_max + max(s, 0)
     s1 = tables.emission_kernel(l_needed)
-    f = _reduced_absorption(trap.eta, s, trap.n_max)
+    closure = empty_rates_1d(trap, s)
     columns = np.zeros((trap.n_max + 1, trap.n_max + 1))
-    for m in range(trap.n_max + 1):
-        if m + s >= 0 and f[m] != 0.0:
-            columns[:, m] = (f[m] * f[m]) * s1[:, m + s]
-    closure = f ** 2
+    bright = np.nonzero(closure)[0]
+    columns[:, bright] = closure[bright] * s1[:, bright + s]
     return _assemble(columns, closure, "resonant", trap, pulse)
 
 
@@ -477,7 +479,7 @@ class _Resonant2d:
         self.s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
         self.tables = angular_tables(trap)
-        self.f = _reduced_absorption(trap.eta, self.s, trap.n_max)
+        self.f = _reduced_absorption(trap.eta, self.s, range(trap.n_max + 1))
         l_max = trap.n_max + max(self.s, 0)
         self.dx = self.tables.stack("x", l_max)
         self.dy = self.tables.stack("y", l_max)
@@ -485,11 +487,7 @@ class _Resonant2d:
         self._ns = np.arange(trap.n_max + 1)
 
     def closure(self, mx: int, my: int) -> float:
-        fx, fy = self.f[mx], self.f[my]
-        total = fx * fx + abs(self.a) ** 2 * fy * fy
-        if self.s == 0:
-            total += 2.0 * self.a.real * fx * fy
-        return max(total, 0.0)
+        return float(_empty_rate(self.f[mx], self.s, self.f[my], self.a))
 
     def column(self, mx: int, my: int) -> np.ndarray:
         """Gamma_{(nx,ny) <- (mx,my)} over the truncated grid, incl. self term."""
@@ -605,22 +603,17 @@ class ColumnSampler:
     def jump_distribution(self, index: int):
         cached = self._cache.get(index)
         if cached is None:
-            n1 = self.trap.n_max + 1
-            mx, my = divmod(index, n1)
-            col = self._provider.column(mx, my).reshape(-1)
-            col = np.maximum(col, 0.0)
+            mx, my = divmod(index, self.trap.n_max + 1)
+            col = np.maximum(self._provider.column(mx, my).reshape(-1), 0.0)
             self_rate = col[index]
             col[index] = 0.0
-            dest = np.nonzero(col > 0.0)[0]
-            cum = np.cumsum(col[dest])
-            inside = (cum[-1] if cum.size else 0.0)
+            # _assemble's leak; summed in index order like the dense column
+            # sum, so sampler and matrix agree bitwise
+            inside = np.cumsum(col)[-1]
             leak = max(self._provider.closure(mx, my) - inside - self_rate, 0.0)
-            cached = (float(inside + leak), dest, cum)
+            cached = _jump_table(col, leak)
             self._cache[index] = cached
         return cached
-
-    def exit_rate(self, index: int) -> float:
-        return self.jump_distribution(index)[0]
 
 
 def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant") -> RateMatrix:
@@ -683,36 +676,3 @@ def export_empty_rates_csv(path, trap: TrapConfig, rates: np.ndarray) -> None:
     """Empty-rate vector (1D) or grid (2D) in units Gamma0."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(empty_rates_csv_text(trap, rates))
-
-
-def export_rate_matrix_csv(path, matrix: RateMatrix) -> None:
-    """Off-diagonal transition rates in long format, units Gamma0."""
-    trap = matrix.trap
-    lines = []
-    if trap.dims == 1:
-        lines.append("# 1D transition rates Gamma_{n<-m}")
-        lines.append("n,m,gamma_over_Gamma0")
-        for m in range(trap.n_max + 1):
-            for n in range(trap.n_max + 1):
-                if n == m:
-                    continue
-                lines.append(f"{n},{m},{format_float(matrix.generator[n, m])}")
-    else:
-        n1 = trap.n_max + 1
-        lines.append("# 2D transition rates Gamma_{(nx,ny)<-(mx,my)}; levels "
-                     "flattened row-major in (mx, my): index = mx*(n_max+1) + my")
-        lines.append("nx,ny,mx,my,gamma_over_Gamma0")
-        for j in range(n1 * n1):
-            mx, my = divmod(j, n1)
-            col = matrix.generator[:, j]
-            for i in range(n1 * n1):
-                if i == j:
-                    continue
-                nx, ny = divmod(i, n1)
-                lines.append(f"{nx},{ny},{mx},{my},{format_float(col[i])}")
-    _write_lines(path, lines)
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

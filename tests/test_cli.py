@@ -168,6 +168,23 @@ class TestRun:
         rows = (out / "timeseries.csv").read_text().splitlines()
         assert rows[-1].startswith("7,1,")
 
+    def test_final_distribution_is_where_the_run_stopped(self, tmp_path, capsys):
+        cfg = tmp_path / "stop.cfg"
+        cfg.write_text("[trap]\neta = 1\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 20\n[init]\nthermal_mean = 1\n"
+                       "[[pulse]]\ns = -1\nduration_tau0 = 5\n"
+                       "[[pulse]]\ns = -2\nduration_tau0 = 5\n"
+                       "[run]\ncycles = 500\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out),
+                       "--final-distribution") == 0
+        last = (out / "timeseries.csv").read_text().splitlines()[-1].split(",")
+        cycle, p_target, leak = int(last[0]), last[3], last[7]
+        assert cycle < 500  # the early stop fired
+        lines = (out / "distribution_final.csv").read_text().splitlines()
+        assert lines[0] == f"# final distribution after {cycle} cycles; leak = {leak}"
+        assert lines[1:3] == ["n,probability", f"0,{p_target}"]
+
 
 def test_console_entry_point():
     import subprocess

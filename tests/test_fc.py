@@ -138,15 +138,7 @@ class TestFcRow:
             fc.fc_row(1.0, 5, 3)
 
 
-class TestDisplacementTable:
-    def test_agrees_with_fc_factor(self):
-        table = fc.displacement_table(3.0, 50, 60)
-        for m in (0, 3, 25, 50):
-            for l in (0, 10, 42, 60):
-                ref = fc.fc_factor(3.0, m, l).value
-                if abs(ref) > 1e-280:
-                    assert abs(table[m, l] - ref) <= 1e-12 * abs(ref)
-
+class TestReducedStack:
     def test_reduced_stack_many_etas(self):
         etas = np.array([-2.5, -0.3, 0.0, 0.9, 3.0])
         stack = fc.reduced_stack(etas, 20, 25)
@@ -155,6 +147,13 @@ class TestDisplacementTable:
                 for l in (0, 13, 25):
                     ref = fc.fc_reduced(float(eta), l, n)
                     assert stack[k, n, l] == pytest.approx(ref, rel=1e-12, abs=1e-280)
+        # with its i^|n-l| phases the stack is the full amplitude table
+        table = fc.phase_table(50, 60) * fc.reduced_stack(np.array([3.0]), 50, 60)[0]
+        for m in (0, 3, 25, 50):
+            for l in (0, 10, 42, 60):
+                ref = fc.fc_factor(3.0, m, l).value
+                if abs(ref) > 1e-280:
+                    assert abs(table[m, l] - ref) <= 1e-12 * abs(ref)
 
 
 class TestDarkSolvers:
@@ -205,10 +204,3 @@ class TestDarkRatio:
         with pytest.raises(SingularRatioError) as err:
             fc.dark_ratio_A(1.0, (0, 1))
         assert "1.0" in str(err.value)
-
-    def test_design_bundles(self):
-        d1 = fc.dark_design_for_level(2, 11)
-        assert d1.eta_roots == pytest.approx(
-            (math.sqrt(13 - math.sqrt(13)), math.sqrt(13 + math.sqrt(13))), rel=1e-10)
-        d2 = fc.dark_design_for_ratio(3.0, (0, 1))
-        assert d2.amplitude_ratio == pytest.approx(0.125 + 0j)

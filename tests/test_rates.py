@@ -41,7 +41,6 @@ class TestTrapConfig:
         assert trap.eta_hat2 == 9
         assert trap.n_states == 36
         assert trap.flat_index((2, 3)) == 15
-        assert trap.unflatten(15) == (2, 3)
         with pytest.raises(DomainError):
             trap.flat_index((6, 0))
 
@@ -385,12 +384,3 @@ class TestCsvExport:
         assert lines[1] == "mx,my,gamma_over_Gamma0"
         assert lines[2].startswith("0,0,")
         assert lines[3].startswith("0,1,")
-
-    def test_rate_matrix_csv(self, tmp_path):
-        trap = trap_1d(n_max=4)
-        mat = rate_matrix_1d(trap, Pulse(s=-1, duration=1.0))
-        path = tmp_path / "m.csv"
-        rates.export_rate_matrix_csv(path, mat)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "n,m,gamma_over_Gamma0"
-        assert len(lines) == 2 + 5 * 4
