@@ -82,15 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"run": _cmd_run, "rates": _cmd_rates, "dark": _cmd_dark,
+                "presets": _cmd_presets}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "rates":
-            return _cmd_rates(args)
-        if args.command == "dark":
-            return _cmd_dark(args)
-        if args.command == "presets":
-            return _cmd_presets(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -103,7 +98,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    raise AssertionError("unreachable")
 
 
 def _load_runspec(args) -> protocols.RunSpec:
@@ -135,6 +129,9 @@ def _cmd_run(args) -> int:
         spec.trajectories = args.trajectories
     if args.seed is not None:
         spec.seed = args.seed
+    if args.final_distribution and spec.mode != "master":
+        raise ConfigError("--final-distribution needs master mode; a Monte Carlo "
+                          "run keeps no final distribution")
     protocol = spec.protocol
     if args.cycles is not None:
         protocol = protocols.Protocol(protocol.pulses, args.cycles,
@@ -170,7 +167,7 @@ def _cmd_run(args) -> int:
     series.to_csv(ts_path)
     outputs = {"timeseries": ts_path.name}
 
-    if args.final_distribution and spec.mode == "master":
+    if args.final_distribution:
         fd_path = out_dir / "distribution_final.csv"
         _write_final_distribution(fd_path, series)
         outputs["distribution_final"] = fd_path.name

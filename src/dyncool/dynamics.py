@@ -74,12 +74,6 @@ class TimeSeries:
     extra_probs: list[tuple[float, ...]] = field(default_factory=list)
     final_distribution: Distribution | None = field(default=None, init=False, repr=False)
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def p_target(self) -> np.ndarray:
-        return np.array([s.obs.p_target for s in self.samples])
-
     def cycle_samples(self) -> list[Sample]:
         """Initial sample plus the end-of-cycle boundary samples."""
         last_pulse = max((s.pulse for s in self.samples), default=0)
@@ -214,11 +208,6 @@ def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> D
     return Distribution(new, dist.leak + max(lost, 0.0), dist.shape)
 
 
-def _protocol_matrices(protocol: Protocol, trap: TrapConfig,
-                       rate_mode: str = "resonant") -> list[RateMatrix]:
-    return [rate_matrix(trap, pulse, rate_mode) for pulse in protocol.pulses]
-
-
 def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
                  mode: str = "master", *, rate_mode: str = "resonant",
                  trajectories: int = 1000, seed: int = 12345,
@@ -240,7 +229,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     if mode != "master":
         raise DomainError(f"unknown run mode {mode!r}")
 
-    mats = _protocol_matrices(protocol, trap, rate_mode)
+    mats = [rate_matrix(trap, pulse, rate_mode) for pulse in protocol.pulses]
     series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
     dist = init.copy()
     t = 0.0

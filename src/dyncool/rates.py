@@ -11,10 +11,10 @@ Two modes are provided:
 * ``full`` sums every intermediate level with its Lorentzian weight and
   accepts non-integer detunings.
 
-Emission recoil is integrated over the photon direction with a
-Gauss-Legendre (cos theta) x trapezoid (phi) product rule; projected
-displacement amplitudes are cached per quadrature node and streamed in
-chunks so no full per-node tensor is ever materialized for matrix assembly.
+Emission recoil is integrated over the photon direction with one rule per
+geometry: 1D rates see it only through its projection u on the trap axis and
+use a Gauss-Legendre rule in u; 2D rates use a Gauss-Legendre (cos theta) x
+trapezoid (phi) sphere rule of orders ``quad_theta`` x ``quad_phi``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .errors import DomainError, ResourceLimitError, ValidityError
 
 DIPOLE_PATTERNS = ("isotropic", "dipole_z")
 
-# Converged to ~1e-14 (vs doubled orders) for levels up to ~90 at eta <= 4;
-# 32x64 leaves percent-level errors on near-top entries and is not used.
+# Sphere rule of 2D rates.  On the 1D kernel at eta = 3 it was measured to
+# err by 1.0e-10 at level 68, 1.6e-6 at level 90 and 1.35e-3 at level 120.
 DEFAULT_QUAD_THETA = 64
 DEFAULT_QUAD_PHI = 128
 
@@ -42,7 +42,10 @@ _NODE_CHUNK = 256
 
 @dataclass(frozen=True)
 class TrapConfig:
-    """Physical and numerical parameters of one trap/laser setup."""
+    """Physical and numerical parameters of one trap/laser setup.
+
+    ``quad_theta`` x ``quad_phi`` is the sphere rule of 2D rates only.
+    """
 
     eta: float
     gamma_over_omega: float
@@ -182,41 +185,54 @@ def _folded_quadrature(quad_theta: int, quad_phi: int):
     return th_grid, ph_grid, w_grid
 
 
-class AngularTables:
-    """Per-trap quadrature grids plus cached projected displacement stacks.
+def _line_order(eta: float, l_max: int) -> int:
+    """Even Gauss-Legendre order in u for 1D kernels reaching level ``l_max``,
+    above the smallest order (in steps of 16) within 1e-13 of order 1024:
+    64/96/128/160 at l_max 40/120/240/480 for eta = 3, 80/128/176/240 for
+    eta = 4.5."""
+    order = math.ceil(1.25 * eta * math.sqrt(4 * l_max + 2)) + 32
+    return order + order % 2
 
-    Resonant-mode integrands are even in both direction projections
-    u = sin(th)cos(ph) and v = sin(th)sin(ph), so they are integrated on an
-    8-fold folded grid; full mode (whose intermediate-level interference
-    breaks the parity) uses the complete sphere.  Stacks hold the real
-    reduced factors R[k, n, l] (phases applied by consumers) and grow
-    lazily in l; the 1D emission kernel S1[n, l] = sum_k w_k W_k R_k[n,l]^2
-    is accumulated in node chunks so no full per-node tensor is kept.
+
+def _line_rule(dipole: str, order: int):
+    """Nodes u in [-1, 1], the photon direction projected on the trap axis,
+    and weights times its density W1(u): 1/2 for isotropic emission
+    (Archimedes' hat-box theorem), (3/8)(1 + u^2) for a dipole along z."""
+    u, w = np.polynomial.legendre.leggauss(order)
+    return u, w * (0.5 if dipole == "isotropic" else 0.375 * (1.0 + u * u))
+
+
+class AngularTables:
+    """Per-trap 1D emission kernels, or 2D sphere grids and displacement stacks.
+
+    The 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du is even in u, so it
+    runs on the positive half of the line rule with doubled weights, in node
+    chunks so no full per-node tensor is kept.  2D resonant integrands are
+    even in both projections u = sin(th)cos(ph) and v = sin(th)sin(ph), so
+    they use an 8-fold folded grid; full mode (whose intermediate-level
+    interference breaks the parity) uses the complete sphere.  Stacks hold
+    the real reduced factors R[k, n, l] (phases applied by consumers) and
+    grow lazily in l.
     """
 
     _FULL_STACK_BUDGET = 512 << 20  # per-axis cap for full-grid stacks
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
-        theta, phi, w = angular_quadrature(trap.quad_theta, trap.quad_phi)
-        self.theta = theta
-        self.phi = phi
-        self.weights = w * dipole_pattern(trap.dipole, theta, phi)
-        self.proj = {"x": np.sin(theta) * np.cos(phi),
-                     "y": np.sin(theta) * np.sin(phi)}
-        if trap.quad_theta % 2 == 0 and trap.quad_phi % 4 == 0:
-            fth, fph, fw = _folded_quadrature(trap.quad_theta, trap.quad_phi)
-        else:
-            fth, fph, fw = theta, phi, w
-        self.fold_weights = fw * dipole_pattern(trap.dipole, fth, fph)
-        self.fold_proj = {"x": np.sin(fth) * np.cos(fph),
-                          "y": np.sin(fth) * np.sin(fph)}
         self._stacks: dict[tuple[str, bool], np.ndarray] = {}
-        self._s1: np.ndarray | None = None
-
-    @property
-    def n_nodes(self) -> int:
-        return self.theta.shape[0]
+        self._s1: dict[int, np.ndarray] = {}
+        if trap.dims == 2:
+            theta, phi, w = angular_quadrature(trap.quad_theta, trap.quad_phi)
+            self.weights = w * dipole_pattern(trap.dipole, theta, phi)
+            self.proj = {"x": np.sin(theta) * np.cos(phi),
+                         "y": np.sin(theta) * np.sin(phi)}
+            if trap.quad_theta % 2 == 0 and trap.quad_phi % 4 == 0:
+                fth, fph, fw = _folded_quadrature(trap.quad_theta, trap.quad_phi)
+            else:
+                fth, fph, fw = theta, phi, w
+            self.fold_weights = fw * dipole_pattern(trap.dipole, fth, fph)
+            self.fold_proj = {"x": np.sin(fth) * np.cos(fph),
+                              "y": np.sin(fth) * np.sin(fph)}
 
     def stack(self, axis: str, l_max: int, folded: bool = True) -> np.ndarray:
         cached = self._stacks.get((axis, folded))
@@ -232,17 +248,18 @@ class AngularTables:
         return cached
 
     def emission_kernel(self, l_max: int) -> np.ndarray:
-        """S1[n, l]: direction-averaged emission redistribution weights."""
-        if self._s1 is not None and self._s1.shape[1] > l_max:
-            return self._s1
-        n_max = self.trap.n_max
-        eta_proj = self.trap.eta * self.fold_proj["x"]
-        s1 = np.zeros((n_max + 1, l_max + 1))
-        for start in range(0, eta_proj.shape[0], _NODE_CHUNK):
-            sl = slice(start, start + _NODE_CHUNK)
-            chunk = fc.reduced_stack(eta_proj[sl], n_max, l_max)
-            s1 += np.einsum("k,knl->nl", self.fold_weights[sl], chunk ** 2)
-        self._s1 = s1
+        """S1[n, l]: direction-averaged emission redistribution weights (1D)."""
+        s1 = self._s1.get(l_max)
+        if s1 is None:
+            n_max = self.trap.n_max
+            u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, l_max))
+            eta_u, w = self.trap.eta * u[u > 0], 2.0 * w[u > 0]
+            s1 = np.zeros((n_max + 1, l_max + 1))
+            for start in range(0, eta_u.shape[0], _NODE_CHUNK):
+                sl = slice(start, start + _NODE_CHUNK)
+                chunk = fc.reduced_stack(eta_u[sl], n_max, l_max)
+                s1 += np.tensordot(w[sl], np.square(chunk, out=chunk), axes=1)
+            self._s1[l_max] = s1
         return s1
 
 
@@ -250,7 +267,7 @@ _TABLES: dict[tuple, AngularTables] = {}
 
 
 def angular_tables(trap: TrapConfig) -> AngularTables:
-    key = (trap.eta, trap.dipole, trap.quad_theta, trap.quad_phi, trap.n_max)
+    key = (trap.dims, trap.eta, trap.dipole, trap.quad_theta, trap.quad_phi, trap.n_max)
     tab = _TABLES.get(key)
     if tab is None:
         tab = AngularTables(trap)
@@ -293,7 +310,7 @@ def empty_rates_1d(trap: TrapConfig, s: int) -> np.ndarray:
     """
     if trap.dims != 1:
         raise DomainError("empty_rates_1d requires a 1D trap")
-    s = int(s)
+    s = Pulse(s=s, duration=1.0).s_int
     return _empty_rate(_reduced_absorption(trap.eta, s, range(trap.n_max + 1)), s)
 
 
@@ -426,9 +443,7 @@ def rate_matrix_1d(trap: TrapConfig, pulse: Pulse, mode: str = "resonant") -> Ra
 def _rate_matrix_1d_resonant(trap: TrapConfig, pulse: Pulse) -> RateMatrix:
     s = pulse.s_int
     _check_matrix_budget(trap.n_max + 1)
-    tables = angular_tables(trap)
-    l_needed = trap.n_max + max(s, 0)
-    s1 = tables.emission_kernel(l_needed)
+    s1 = angular_tables(trap).emission_kernel(trap.n_max + max(s, 0))
     closure = empty_rates_1d(trap, s)
     columns = np.zeros((trap.n_max + 1, trap.n_max + 1))
     bright = np.nonzero(closure)[0]
@@ -448,19 +463,17 @@ def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, m: int, l_max: int) -
 def _rate_matrix_1d_full(trap: TrapConfig, pulse: Pulse) -> RateMatrix:
     n_max = trap.n_max
     _check_matrix_budget(n_max + 1)
-    tables = angular_tables(trap)
     l_max = min(n_max + _level_headroom(trap.eta, n_max), fc._INTERNAL_MAX_DEGREE)
     coeffs = np.stack([_lorentzian_amplitudes(trap, pulse, m, l_max)
                        for m in range(n_max + 1)], axis=1)  # (l, m)
     phases = fc.phase_table(n_max, l_max)
+    # intermediate-level interference is odd in u: the whole line rule
+    u, w = _line_rule(trap.dipole, _line_order(trap.eta, l_max))
+    stack = fc.reduced_stack(trap.eta * u, n_max, l_max)  # (k, n, l)
     columns = np.zeros((n_max + 1, n_max + 1))
-    eta_proj = trap.eta * tables.proj["x"]
-    for start in range(0, tables.n_nodes, _NODE_CHUNK):
-        sl = slice(start, start + _NODE_CHUNK)
-        chunk = fc.reduced_stack(eta_proj[sl], n_max, l_max)  # (k, n, l)
-        for m in range(n_max + 1):
-            amp = np.einsum("knl,nl->kn", chunk, phases * coeffs[:, m])
-            columns[:, m] += tables.weights[sl] @ (amp.real ** 2 + amp.imag ** 2)
+    for m in range(n_max + 1):
+        amp = np.einsum("knl,nl->kn", stack, phases * coeffs[:, m])
+        columns[:, m] = w @ (amp.real ** 2 + amp.imag ** 2)
     closure = np.einsum("lm,lm->m", coeffs.real, coeffs.real) \
         + np.einsum("lm,lm->m", coeffs.imag, coeffs.imag)
     return _assemble(columns, closure, "full", trap, pulse)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from dyncool import fc, rates
 from dyncool.rates import ColumnSampler, Pulse, TrapConfig, rate_matrix
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -43,3 +44,17 @@ def test_column_caches_exist():
     matrix.jump_distribution(2)
     assert len(vars(sampler)["_cache"]) == 1
     assert len(vars(matrix)["_column_cumsum"]) == 1
+
+
+def test_1d_resonant_build_reaches_traced_layers(monkeypatch):
+    # fig3_deep's per-layer trace reads the emission-kernel and stack spans
+    calls = []
+    for owner, attr in ((rates.AngularTables, "emission_kernel"), (fc, "reduced_stack")):
+        def spy(*args, _inner=getattr(owner, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, spy)
+    rates.clear_caches()
+    rate_matrix(TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=10),
+                Pulse(s=8, duration=1.0))
+    assert {"emission_kernel", "reduced_stack"} <= set(calls)

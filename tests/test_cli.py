@@ -157,6 +157,20 @@ class TestRun:
         out = tmp_path / "o"
         assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 4
 
+    def test_final_distribution_refused_in_mc_mode(self, tmp_path, capsys):
+        # a Monte Carlo run keeps no distribution: refuse before any work,
+        # whether the mode comes from the flag or from the config
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("[trap]\neta = 0.5\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 30\n[[pulse]]\ns = -1\n[run]\ncycles = 3\n"
+                       "mode = mc\ntrajectories = 5\n")
+        out = tmp_path / "o"
+        for source in (["--preset", "fig2", "--mode", "mc"], ["--config", str(cfg)]):
+            assert run_cli("run", *source, "--cycles", "3", "--out-dir", str(out),
+                           "--final-distribution") == 2
+            assert "--final-distribution" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_cycles_in_config_respected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[trap]\neta = 0.5\ngamma_over_omega = 0.01\ndims = 1\n"

@@ -18,6 +18,18 @@ def trap_2d(eta=3.0, n_max=8, **kw):
     return TrapConfig(eta=eta, gamma_over_omega=0.01, dims=2, n_max=n_max, **kw)
 
 
+def at_doubled_line_order(monkeypatch, build):
+    """``build()`` evaluated with every 1D line rule at twice its order."""
+    order = rates._line_order
+    monkeypatch.setattr(rates, "_line_order", lambda eta, l_max: 2 * order(eta, l_max))
+    rates.clear_caches()
+    try:
+        return build()
+    finally:
+        monkeypatch.undo()
+        rates.clear_caches()
+
+
 class TestTrapConfig:
     def test_festina_lente_guard(self):
         with pytest.raises(ValidityError):
@@ -87,16 +99,48 @@ class TestAngularQuadrature:
         with pytest.raises(DomainError):
             angular_quadrature(3, 8)
 
-    def test_self_convergence_at_defaults(self):
-        # doubling both orders moves no significant entry by more than 1e-8
-        t1 = trap_1d()
-        t2 = trap_1d(quad_theta=128, quad_phi=256)
-        for s in (-9, 0, 8):
-            m1 = rate_matrix_1d(t1, Pulse(s=s, duration=1.0)).generator
-            m2 = rate_matrix_1d(t2, Pulse(s=s, duration=1.0)).generator
+    def test_self_convergence_at_defaults(self, monkeypatch):
+        # doubling the 1D line order moves no significant entry by more
+        # than 1e-8, in either rate mode
+        trap = trap_1d()
+        cases = [(s, "resonant") for s in (-9, 0, 8)] + [(-0.5, "full")]
+
+        def build():
+            return [rate_matrix_1d(trap, Pulse(s=s, duration=1.0), mode).generator
+                    for s, mode in cases]
+
+        for m1, m2 in zip(build(), at_doubled_line_order(monkeypatch, build)):
             mask = np.abs(m2) > 1e-12
             rel = (np.abs(m1 - m2)[mask] / np.abs(m2)[mask]).max()
             assert rel < 1e-8
+
+    @pytest.mark.parametrize("dipole", ["isotropic", "dipole_z"])
+    def test_line_rule_matches_sphere_rule(self, dipole):
+        # the 1D emission kernel on the line rule equals the sphere integral
+        # of angular_quadrature x dipole_pattern, which converges below
+        # level ~68 at eta = 3
+        trap = trap_1d(n_max=40, dipole=dipole)
+        l_max = 48
+        theta, phi, w = angular_quadrature(64, 128)
+        wgt = w * dipole_pattern(dipole, theta, phi)
+        eta_u = trap.eta * np.sin(theta) * np.cos(phi)
+        ref = np.zeros((trap.n_max + 1, l_max + 1))
+        for start in range(0, eta_u.shape[0], 1024):
+            sl = slice(start, start + 1024)
+            chunk = fc.reduced_stack(eta_u[sl], trap.n_max, l_max)
+            ref += np.tensordot(wgt[sl], chunk ** 2, axes=1)
+        kernel = rates.angular_tables(trap).emission_kernel(l_max)
+        assert np.abs(kernel - ref).max() <= 1e-14
+
+    def test_line_order_converged_deep(self, monkeypatch):
+        # N against 2N at the depth of the fig3 benchmark workload
+        trap = trap_1d(n_max=480)
+
+        def build():
+            return rates.angular_tables(trap).emission_kernel(480)
+
+        base = build()
+        assert np.abs(base - at_doubled_line_order(monkeypatch, build)).max() <= 1e-12
 
 
 class TestEmptyRates1d:
@@ -129,6 +173,10 @@ class TestEmptyRates1d:
     def test_requires_1d(self):
         with pytest.raises(DomainError):
             empty_rates_1d(trap_2d(), 0)
+
+    def test_non_integer_detuning_rejected(self):
+        with pytest.raises(ValidityError, match="not an integer"):
+            empty_rates_1d(trap_1d(), 8.5)
 
     def test_carrier_rate_decays_with_recoil(self):
         # the m=0 zero-detuning rate carries the full exp(-eta^2)
