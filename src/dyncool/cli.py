@@ -154,14 +154,14 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     init = dynamics.thermal_distribution(spec.thermal_mean, spec.trap)
     extra = tuple(targets[1:])
     series = dynamics.run_protocol(
         init, protocol, spec.trap, mode=spec.mode,
         trajectories=spec.trajectories, seed=spec.seed,
         extra_targets=extra, n_workers=max(1, args.threads))
-    elapsed = time.monotonic() - t0
+    elapsed = time.perf_counter() - t0
 
     ts_path = out_dir / "timeseries.csv"
     series.to_csv(ts_path)
@@ -184,9 +184,12 @@ def _cmd_run(args) -> int:
         "trajectories": spec.trajectories,
         "config": protocols.write_config(spec),
         "outputs": outputs,
-        "wall_clock_seconds": round(elapsed, 3),
+        "wall_clock_seconds": elapsed,  # unrounded: the phases sum to at most it
+        "phases": series.phases,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
+    if series.columns_built is not None:
+        manifest["columns_built"] = series.columns_built
     with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

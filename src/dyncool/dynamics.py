@@ -9,6 +9,7 @@ propagator (and vice versa).
 
 from __future__ import annotations
 
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError
 from .protocols import Protocol
-from .rates import ColumnSampler, RateMatrix, TrapConfig, rate_matrix
+from .rates import (ColumnSampler, RateMatrix, TrapConfig, _pulse_cache_key,
+                    rate_matrix, release_tables)
 
 LEAKED = "leaked"
 COMPLETED = "completed"
@@ -64,7 +66,8 @@ class TimeSeries:
     """Observables recorded at pulse boundaries of a protocol run.
 
     A master run also keeps the distribution it stopped at, the state
-    behind the last sample, as ``final_distribution``.
+    behind the last sample, as ``final_distribution``.  ``phases`` holds the
+    wall seconds of the run's phases, named as the benchmark's spans.
     """
 
     samples: list[Sample] = field(default_factory=list)
@@ -73,6 +76,8 @@ class TimeSeries:
     extra_targets: tuple = ()
     extra_probs: list[tuple[float, ...]] = field(default_factory=list)
     final_distribution: Distribution | None = field(default=None, init=False, repr=False)
+    phases: dict[str, float] = field(default_factory=dict, init=False, repr=False)
+    columns_built: int | None = field(default=None, init=False, repr=False)
 
     def cycle_samples(self) -> list[Sample]:
         """Initial sample plus the end-of-cycle boundary samples."""
@@ -125,6 +130,8 @@ class McEnsembleResult:
     leak_frac: np.ndarray
     leak_se: np.ndarray
     jump_counts: np.ndarray
+    phases: dict[str, float]
+    columns_built: int
 
 
 def thermal_distribution(mean_n: float, trap: TrapConfig) -> Distribution:
@@ -229,7 +236,10 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     if mode != "master":
         raise DomainError(f"unknown run mode {mode!r}")
 
+    t0 = time.perf_counter()
     mats = [rate_matrix(trap, pulse, rate_mode) for pulse in protocol.pulses]
+    release_tables()
+    t1 = time.perf_counter()
     series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
     dist = init.copy()
     t = 0.0
@@ -247,6 +257,8 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
             break
         prev_p = p_now
     series.final_distribution = dist
+    series.phases = {"rates.rate_matrix": t1 - t0,
+                     "dynamics.propagate": time.perf_counter() - t1}
     return series
 
 
@@ -266,11 +278,11 @@ def _samplers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
         if trap.dims == 1:
             out.append(rate_matrix(trap, pulse, rate_mode))
         else:
-            from .rates import _pulse_cache_key
             key = _pulse_cache_key(trap, pulse, rate_mode)
             if key not in shared:
                 shared[key] = ColumnSampler(trap, pulse, rate_mode)
             out.append(shared[key])
+    release_tables()
     return out
 
 
@@ -303,7 +315,7 @@ def _advance(sampler, level: int, t: float, duration: float,
     remaining = duration
     n_jumps = 0
     while True:
-        total, dest, cum = sampler.jump_distribution(level)
+        total, cum = sampler.jump_distribution(level)
         if total <= 0.0:
             return level, t + remaining, False, n_jumps
         dt = rng.exponential(1.0 / total)
@@ -314,11 +326,11 @@ def _advance(sampler, level: int, t: float, duration: float,
         n_jumps += 1
         u = rng.random() * total
         k = int(np.searchsorted(cum, u, side="right"))
-        if k >= dest.shape[0]:
+        if k == cum.size:
             if jumps is not None:
                 jumps.append((t, -1))
             return level, t, True, n_jumps
-        level = int(dest[k])
+        level = k
         if jumps is not None:
             jumps.append((t, level))
 
@@ -338,7 +350,9 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         raise DomainError("mc_ensemble requires an initial distribution")
     target = protocol.target if protocol.target is not None else _default_target(trap)
     target_flat = trap.flat_index(target)
+    t0 = time.perf_counter()
     samplers = _samplers(protocol, trap, rate_mode)
+    t1 = time.perf_counter()
     durations = [p.duration for p in protocol.pulses]
     cycle_len = float(sum(durations))
     n_rec = protocol.cycles + 1
@@ -405,6 +419,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     sn = sum(r[6] for r in results)
     sn2 = sum(r[7] for r in results)
     jump_counts = np.concatenate([r[8] for r in results])
+    build = "rates.column_sampler" if trap.dims == 2 else "rates.rate_matrix"
 
     n = float(n_traj)
     p = hits / n
@@ -421,7 +436,8 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         mean_ny=mean_y, mean_ny_se=se_y,
         mean_n=mean_t, mean_n_se=se_t,
         leak_frac=lf, leak_se=np.sqrt(lf * (1.0 - lf) / n),
-        jump_counts=jump_counts)
+        jump_counts=jump_counts, columns_built=sum(len(s._cache) for s in set(samplers)),
+        phases={build: t1 - t0, "dynamics.mc": time.perf_counter() - t1})
 
 
 def _mean_se(s: np.ndarray, s2: np.ndarray, n: float):
@@ -432,6 +448,7 @@ def _mean_se(s: np.ndarray, s2: np.ndarray, n: float):
 
 def _ensemble_to_series(ens: McEnsembleResult, protocol: Protocol, target) -> TimeSeries:
     series = TimeSeries(target=target, mode="mc")
+    series.phases, series.columns_built = ens.phases, ens.columns_built
     n_pulses = len(protocol.pulses)
     for rec in range(ens.cycles.shape[0]):
         obs = ObsSnapshot(float(ens.p_target[rec]), float(ens.mean_nx[rec]),

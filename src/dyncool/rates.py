@@ -15,6 +15,11 @@ Emission recoil is integrated over the photon direction with one rule per
 geometry: 1D rates see it only through its projection u on the trap axis and
 use a Gauss-Legendre rule in u; 2D rates use a Gauss-Legendre (cos theta) x
 trapezoid (phi) sphere rule of orders ``quad_theta`` x ``quad_phi``.
+
+The recoil integral is computed once per trap and depth: S1[n, l] in 1D, the
+tensor T[nx, l, ny, l'] in 2D.  Every resonant column is a slice and a scale
+of it, plus in 2D, for even s, a slice of one per-pulse cross-term tensor C_s
+(T itself at s = 0, where the column is the empty rate times a slice of T).
 """
 
 from __future__ import annotations
@@ -203,7 +208,7 @@ def _line_rule(dipole: str, order: int):
 
 
 class AngularTables:
-    """Per-trap 1D emission kernels, or 2D sphere grids and displacement stacks.
+    """Per-trap emission kernels, and the 2D sphere grids and displacement stacks.
 
     The 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du is even in u, so it
     runs on the positive half of the line rule with doubled weights, in node
@@ -212,7 +217,9 @@ class AngularTables:
     they use an 8-fold folded grid; full mode (whose intermediate-level
     interference breaks the parity) uses the complete sphere.  Stacks hold
     the real reduced factors R[k, n, l] (phases applied by consumers) and
-    grow lazily in l.
+    grow lazily in l.  The 2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2
+    Ry_k[ny, l']^2, one GEMM of the squared folded stacks, is the size of a
+    dense matrix.  Kernels are keyed by exact depth: build order cannot move them.
     """
 
     _FULL_STACK_BUDGET = 512 << 20  # per-axis cap for full-grid stacks
@@ -220,7 +227,7 @@ class AngularTables:
     def __init__(self, trap: TrapConfig):
         self.trap = trap
         self._stacks: dict[tuple[str, bool], np.ndarray] = {}
-        self._s1: dict[int, np.ndarray] = {}
+        self._kernels: dict[int, np.ndarray] = {}
         if trap.dims == 2:
             theta, phi, w = angular_quadrature(trap.quad_theta, trap.quad_phi)
             self.weights = w * dipole_pattern(trap.dipole, theta, phi)
@@ -248,19 +255,28 @@ class AngularTables:
         return cached
 
     def emission_kernel(self, l_max: int) -> np.ndarray:
-        """S1[n, l]: direction-averaged emission redistribution weights (1D)."""
-        s1 = self._s1.get(l_max)
-        if s1 is None:
-            n_max = self.trap.n_max
-            u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, l_max))
-            eta_u, w = self.trap.eta * u[u > 0], 2.0 * w[u > 0]
-            s1 = np.zeros((n_max + 1, l_max + 1))
-            for start in range(0, eta_u.shape[0], _NODE_CHUNK):
-                sl = slice(start, start + _NODE_CHUNK)
-                chunk = fc.reduced_stack(eta_u[sl], n_max, l_max)
-                s1 += np.tensordot(w[sl], np.square(chunk, out=chunk), axes=1)
-            self._s1[l_max] = s1
-        return s1
+        """Direction-averaged emission redistribution weights up to level
+        ``l_max``: S1[n, l] in 1D, T[nx, l, ny, l'] in 2D."""
+        kernel = self._kernels.get(l_max)
+        if kernel is None:
+            n1, l1 = self.trap.n_max + 1, l_max + 1
+            if self.trap.dims == 2:
+                _check_matrix_budget(n1 * l1, "2D recoil tensor")
+                # a deeper stack holds the same values; the slice fixes GEMM shapes
+                x2 = np.square(self.stack("x", l_max)[:, :, :l1]).reshape(-1, n1 * l1)
+                y2 = np.square(self.stack("y", l_max)[:, :, :l1]).reshape(-1, n1 * l1)
+                x2 *= self.fold_weights[:, None]
+                kernel = (x2.T @ y2).reshape(n1, l1, n1, l1)
+            else:
+                u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, l_max))
+                eta_u, w = self.trap.eta * u[u > 0], 2.0 * w[u > 0]
+                kernel = np.zeros((n1, l1))
+                for start in range(0, eta_u.shape[0], _NODE_CHUNK):
+                    sl = slice(start, start + _NODE_CHUNK)
+                    chunk = fc.reduced_stack(eta_u[sl], n1 - 1, l_max)
+                    kernel += np.tensordot(w[sl], np.square(chunk, out=chunk), axes=1)
+            self._kernels[l_max] = kernel
+        return kernel
 
 
 _TABLES: dict[tuple, AngularTables] = {}
@@ -275,9 +291,14 @@ def angular_tables(trap: TrapConfig) -> AngularTables:
     return tab
 
 
+def release_tables() -> None:
+    """Drop the build-time stacks and kernels, once generators or samplers exist."""
+    _TABLES.clear()
+
+
 def clear_caches() -> None:
     """Drop cached quadrature stacks and rate matrices (for tests/benchmarks)."""
-    _TABLES.clear()
+    release_tables()
     _MATRICES.clear()
 
 
@@ -354,7 +375,7 @@ class RateMatrix:
         self.trap = trap
         self.pulse = pulse
         self._propagators: dict[float, np.ndarray] = {}
-        self._column_cumsum: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+        self._cache: dict[int, tuple[float, np.ndarray]] = {}
 
     @property
     def n_states(self) -> int:
@@ -371,26 +392,20 @@ class RateMatrix:
 
     def jump_distribution(self, index: int):
         """MC jump table of one flattened level, cached per column (see _jump_table)."""
-        cached = self._column_cumsum.get(index)
+        cached = self._cache.get(index)
         if cached is None:
             col = self.generator[:, index].copy()
             col[index] = 0.0
-            cached = _jump_table(col, self.leak[index])
-            self._column_cumsum[index] = cached
+            cached = _jump_table(np.cumsum(col, out=col), self.leak[index])
+            self._cache[index] = cached
         return cached
 
 
-def _jump_table(col: np.ndarray, leak: float):
-    """(total exit rate, destination indices, cumulative rates) of one column.
-
-    ``col`` holds the non-negative rates out of the level, its own entry
-    zeroed.  Absorption into the truncation leak takes the rest of the
-    total beyond the last cumulative entry.
-    """
-    dest = np.nonzero(col > 0.0)[0]
-    cum = np.cumsum(col[dest])
-    total = (cum[-1] if cum.size else 0.0) + leak
-    return float(total), dest, cum
+def _jump_table(cum: np.ndarray, leak: float):
+    """(total exit rate, cumulative rates in index order) of one column, its
+    own entry zeroed.  A right-sided search of a draw never lands on a zero
+    rate; the truncation leak takes the rest of the total beyond ``cum[-1]``."""
+    return float(cum[-1] + leak), cum
 
 
 def _assemble(columns: np.ndarray, closure: np.ndarray, mode: str,
@@ -407,12 +422,12 @@ def _assemble(columns: np.ndarray, closure: np.ndarray, mode: str,
     return RateMatrix(generator, leak, closure.copy(), self_rates, mode, trap, pulse)
 
 
-def _check_matrix_budget(n_states: int) -> None:
-    need = n_states * n_states * 8
+def _check_matrix_budget(side: int, what: str = "dense rate matrix") -> None:
+    need = side * side * 8
     if need > MATRIX_MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"dense rate matrix would need {need / 2**30:.1f} GiB "
-            f"({n_states} states); lower n_max or use column-on-demand sampling")
+            f"{what} would need {need / 2**30:.1f} GiB ({side} x {side}); "
+            "lower n_max")
 
 
 def _level_headroom(eta: float, top_level: int, sigmas: float = 7.0) -> int:
@@ -484,51 +499,57 @@ def _rate_matrix_1d_full(trap: TrapConfig, pulse: Pulse) -> RateMatrix:
 
 
 class _Resonant2d:
-    """Column-on-demand resonant 2D rates; backs both dense assembly and MC."""
+    """Resonant 2D columns as slices and scales; backs dense assembly and MC.
+
+    Column (mx, my) is f_x^2 T[:, mx+s, :, my] + |A|^2 f_y^2 T[:, mx, :, my+s]
+    + 2 Re(A) f_x f_y C_s[:, mx, :, my], T the trap's emission kernel.  The
+    cross term is odd in both direction projections for odd s; for even s its
+    i^|n-l| phases factor into one sign per axis, so C_s is one GEMM, held
+    here.  At s = 0 C_s is T: the column is the empty rate times T[:, mx, :, my].
+    """
 
     def __init__(self, trap: TrapConfig, pulse: Pulse):
-        self.trap = trap
-        self.pulse = pulse
-        self.s = pulse.s_int
+        self.s = s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
-        self.tables = angular_tables(trap)
-        self.f = _reduced_absorption(trap.eta, self.s, range(trap.n_max + 1))
-        l_max = trap.n_max + max(self.s, 0)
-        self.dx = self.tables.stack("x", l_max)
-        self.dy = self.tables.stack("y", l_max)
-        self.wgt = self.tables.fold_weights
-        self._ns = np.arange(trap.n_max + 1)
+        self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+        tables = angular_tables(trap)
+        l_max = trap.n_max + max(s, 0)
+        # T is checked against the budget first; C_s has fewer entries
+        self.t = tables.emission_kernel(l_max)
+        self.cross = None
+        if s != 0 and s % 2 == 0 and self.a.real != 0.0:
+            x, y = (_cross_factor(tables.stack(axis, l_max), s) for axis in "xy")
+            x *= tables.fold_weights[:, None, None]
+            n1 = trap.n_max + 1
+            self.cross = (x.reshape(-1, n1 * n1).T @ y.reshape(-1, n1 * n1)
+                          ).reshape(n1, n1, n1, n1)
 
     def closure(self, mx: int, my: int) -> float:
         return float(_empty_rate(self.f[mx], self.s, self.f[my], self.a))
 
     def column(self, mx: int, my: int) -> np.ndarray:
         """Gamma_{(nx,ny) <- (mx,my)} over the truncated grid, incl. self term."""
-        n1 = self.trap.n_max + 1
-        s = self.s
+        s, t = self.s, self.t
+        if s == 0:
+            return self.closure(mx, my) * t[:, mx, :, my]
         fx, fy = self.f[mx], self.f[my]
-        out = np.zeros((n1, n1))
-        w = self.wgt
-        if fx != 0.0:
-            ux2 = self.dx[:, :, mx + s] ** 2
-            vy2 = self.dy[:, :, my] ** 2
-            out += (fx * fx) * ((w[:, None] * ux2).T @ vy2)
-        if fy != 0.0 and self.a != 0.0:
-            qx2 = self.dx[:, :, mx] ** 2
-            py2 = self.dy[:, :, my + s] ** 2
-            out += (abs(self.a) ** 2 * fy * fy) * ((w[:, None] * qx2).T @ py2)
-        if fx != 0.0 and fy != 0.0 and self.a.real != 0.0 and s % 2 == 0:
-            # Cross term; for odd s it is odd in both direction projections
-            # and integrates to exactly zero, hence the parity guard.  The
-            # i^|n-l| phases of the four factors collapse to a sign grid
-            # because both channels share s.
-            xr = self.dx[:, :, mx + s] * self.dx[:, :, mx]
-            yr = self.dy[:, :, my] * self.dy[:, :, my + s]
-            px = np.abs(self._ns - (mx + s)) - np.abs(self._ns - mx)
-            py = np.abs(self._ns - my) - np.abs(self._ns - (my + s))
-            sign = np.where(((px[:, None] + py[None, :]) % 4) == 0, 1.0, -1.0)
-            out += (2.0 * self.a.real * fx * fy) * sign * ((w[:, None] * xr).T @ yr)
+        # f is zero where m + s < 0, so the slice it scales there is immaterial
+        out = (fx * fx) * t[:, max(mx + s, 0), :, my]
+        out += (abs(self.a) ** 2 * fy * fy) * t[:, mx, :, max(my + s, 0)]
+        if self.cross is not None:
+            out += (2.0 * self.a.real * fx * fy) * self.cross[:, mx, :, my]
         return out
+
+
+def _cross_factor(stack: np.ndarray, s: int) -> np.ndarray:
+    """(-1)^(p/2) R_k[n, m+s] R_k[n, m], p = |n-m-s| - |n-m|, or 0 if m+s < 0."""
+    n1 = stack.shape[1]
+    ns = np.arange(n1)
+    shifted = np.maximum(ns + s, 0)
+    p = np.abs(ns[:, None] - shifted[None, :]) - np.abs(ns[:, None] - ns[None, :])
+    sign = np.where(p % 4 == 0, 1.0, -1.0)
+    sign[:, ns + s < 0] = 0.0
+    return stack[:, :, shifted] * stack[:, :, :n1] * sign
 
 
 class _Full2d:
@@ -587,9 +608,9 @@ def _provider_2d(trap: TrapConfig, pulse: Pulse, mode: str):
 
 def rate_matrix_2d(trap: TrapConfig, pulse: Pulse, mode: str = "resonant") -> RateMatrix:
     """Dense transition-rate generator for a 2D trap under one pulse."""
-    provider = _provider_2d(trap, pulse, mode)
     n1 = trap.n_max + 1
     _check_matrix_budget(n1 * n1)
+    provider = _provider_2d(trap, pulse, mode)
     columns = np.zeros((n1 * n1, n1 * n1))
     closure = np.zeros(n1 * n1)
     for mx in range(n1):
@@ -603,15 +624,15 @@ def rate_matrix_2d(trap: TrapConfig, pulse: Pulse, mode: str = "resonant") -> Ra
 class ColumnSampler:
     """Column-on-demand jump sampler for 2D Monte Carlo.
 
-    Serves exit rates and jump distributions for one pulse without ever
-    assembling the dense matrix; columns are cached as they are visited.
+    Serves jump tables for one pulse from the dense matrix's column function
+    without assembling it, caching columns as they are visited.
     """
 
     def __init__(self, trap: TrapConfig, pulse: Pulse, mode: str = "resonant"):
         self.trap = trap
         self.pulse = pulse
         self._provider = _provider_2d(trap, pulse, mode)
-        self._cache: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+        self._cache: dict[int, tuple[float, np.ndarray]] = {}
 
     def jump_distribution(self, index: int):
         cached = self._cache.get(index)
@@ -622,9 +643,9 @@ class ColumnSampler:
             col[index] = 0.0
             # _assemble's leak; summed in index order like the dense column
             # sum, so sampler and matrix agree bitwise
-            inside = np.cumsum(col)[-1]
-            leak = max(self._provider.closure(mx, my) - inside - self_rate, 0.0)
-            cached = _jump_table(col, leak)
+            cum = np.cumsum(col, out=col)
+            leak = max(self._provider.closure(mx, my) - cum[-1] - self_rate, 0.0)
+            cached = _jump_table(cum, leak)
             self._cache[index] = cached
         return cached
 

@@ -2,7 +2,7 @@
 
 ``perfbench/layers.py`` wraps every ``(module, class, attribute)`` in
 ``BOUNDARIES`` and, after a run, counts built columns through the
-``ColumnSampler._cache`` and ``RateMatrix._column_cumsum`` caches.  A
+``_cache`` column caches of ``ColumnSampler`` and ``RateMatrix``.  A
 rename or deletion in the program would otherwise surface only as a failed
 ``perfbench/run.py --trace 1``.
 """
@@ -43,7 +43,7 @@ def test_column_caches_exist():
     sampler.jump_distribution(5)
     matrix.jump_distribution(2)
     assert len(vars(sampler)["_cache"]) == 1
-    assert len(vars(matrix)["_column_cumsum"]) == 1
+    assert len(vars(matrix)["_cache"]) == 1
 
 
 def test_1d_resonant_build_reaches_traced_layers(monkeypatch):
@@ -58,3 +58,17 @@ def test_1d_resonant_build_reaches_traced_layers(monkeypatch):
     rate_matrix(TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=10),
                 Pulse(s=8, duration=1.0))
     assert {"emission_kernel", "reduced_stack"} <= set(calls)
+
+
+def test_2d_resonant_build_reaches_traced_layers(monkeypatch):
+    # the fig5 per-layer trace reads the stack spans of the recoil tensor
+    calls = []
+    for owner, attr in ((rates.AngularTables, "stack"), (fc, "reduced_stack")):
+        def spy(*args, _inner=getattr(owner, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, spy)
+    rates.clear_caches()
+    rate_matrix(TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4),
+                Pulse(s=-2, duration=1.0))
+    assert {"stack", "reduced_stack"} <= set(calls)

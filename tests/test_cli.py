@@ -141,6 +141,27 @@ class TestRun:
         # the embedded config is fully resolved
         assert "quad_theta" in manifest["config"]
 
+    @pytest.mark.parametrize("mode, phases", [
+        ("master", {"rates.rate_matrix", "dynamics.propagate"}),
+        ("mc", {"rates.column_sampler", "dynamics.mc"})])
+    def test_manifest_phases(self, tmp_path, capsys, mode, phases):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("[trap]\neta = 1\ngamma_over_omega = 0.01\ndims = 2\n"
+                       "n_max = 10\n[init]\nthermal_mean = 1\n"
+                       "[[pulse]]\ns = -2\nA_re = -1\n[[pulse]]\ns = 0\nA_re = -1\n"
+                       "[run]\ncycles = 4\ntarget = 0,0\n")
+        out = tmp_path / mode
+        assert run_cli("run", "--config", str(cfg), "--mode", mode,
+                       "--trajectories", "20", "--out-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["phases"]) == phases
+        assert all(v >= 0.0 for v in manifest["phases"].values())
+        assert sum(manifest["phases"].values()) <= manifest["wall_clock_seconds"]
+        if mode == "mc":
+            assert 0 < manifest["columns_built"] <= 2 * 121
+        else:
+            assert "columns_built" not in manifest
+
     def test_target_override(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert run_cli("run", "--preset", "fig2", "--cycles", "5",

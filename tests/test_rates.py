@@ -385,6 +385,20 @@ class TestRateMatrix2d:
         with pytest.raises(ResourceLimitError):
             rate_matrix_2d(trap_2d(n_max=300), Pulse(s=0, duration=1.0))
 
+    def test_independent_of_build_order(self):
+        # s = 8 needs a deeper recoil tensor than s = -4; building it first
+        # must not move the s = -4 rates
+        trap = trap_2d(n_max=8)
+        pulse = Pulse(s=-4, duration=1.0, amplitude_ratio=-1.0)
+        rates.clear_caches()
+        first = rate_matrix_2d(trap, pulse)
+        rates.clear_caches()
+        rate_matrix_2d(trap, Pulse(s=8, duration=1.0, amplitude_ratio=-1.0))
+        second = rate_matrix_2d(trap, pulse)
+        rates.clear_caches()
+        assert np.array_equal(first.generator, second.generator)
+        assert np.array_equal(first.leak, second.leak)
+
 
 class TestColumnSampler:
     def test_matches_dense_matrix(self):
@@ -393,11 +407,34 @@ class TestColumnSampler:
         dense = rate_matrix_2d(trap, pulse)
         sampler = rates.ColumnSampler(trap, pulse)
         for idx in (0, 5, 17, 30, 48):
-            total_d, dest_d, cum_d = dense.jump_distribution(idx)
-            total_s, dest_s, cum_s = sampler.jump_distribution(idx)
-            assert total_s == pytest.approx(total_d, rel=1e-12, abs=1e-15)
-            assert np.array_equal(dest_d, dest_s)
-            assert np.allclose(cum_d, cum_s, rtol=1e-12)
+            total_d, cum_d = dense.jump_distribution(idx)
+            total_s, cum_s = sampler.jump_distribution(idx)
+            assert total_s == total_d
+            assert np.array_equal(cum_d, cum_s)
+
+    @pytest.mark.parametrize("a", [-1.0, 0.125, 0.3 + 0.4j, 1j])
+    @pytest.mark.parametrize("s", [0, -2, 2, -3, 4])
+    def test_every_column_bitwise_equal_to_dense(self, s, a):
+        trap = trap_2d(eta=1.7, n_max=8)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
+        dense = rate_matrix_2d(trap, pulse)
+        sampler = rates.ColumnSampler(trap, pulse)
+        for idx in range(trap.n_states):
+            total_d, cum_d = dense.jump_distribution(idx)
+            total_s, cum_s = sampler.jump_distribution(idx)
+            assert total_s == total_d
+            assert np.array_equal(cum_d, cum_s)
+
+    def test_too_deep_refused_before_any_table(self, monkeypatch):
+        # the recoil tensor of n_max 160 needs 5.0 GiB; the tiny sphere rule
+        # keeps the stacks small, and the spy stops any build before it
+        def no_stack(*args, **kwargs):
+            raise AssertionError("displacement stack built before the budget check")
+        monkeypatch.setattr(rates.AngularTables, "stack", no_stack)
+        rates.clear_caches()
+        trap = trap_2d(n_max=160, quad_theta=4, quad_phi=4)
+        with pytest.raises(ResourceLimitError, match="recoil tensor"):
+            rates.ColumnSampler(trap, Pulse(s=-1, duration=1.0))
 
 
 class TestMatrixCache:
