@@ -186,10 +186,9 @@ def _cmd_run(args) -> int:
         "outputs": outputs,
         "wall_clock_seconds": elapsed,  # unrounded: the phases sum to at most it
         "phases": series.phases,
+        **series.diagnostics,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    if series.columns_built is not None:
-        manifest["columns_built"] = series.columns_built
     with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DomainError
 from .protocols import Protocol
-from .rates import (ColumnSampler, RateMatrix, TrapConfig, _pulse_cache_key,
-                    rate_matrix, release_tables)
+from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig,
+                    _pulse_cache_key, rate_matrix, release_tables)
 
 LEAKED = "leaked"
 COMPLETED = "completed"
@@ -27,14 +27,19 @@ COMPLETED = "completed"
 
 @dataclass
 class Distribution:
-    """Probability vector over flattened trap levels plus truncation leak."""
+    """Probability vector over flattened trap levels plus truncation leak.
+
+    ``clipped`` is the mass that propagation has set to zero so far, where
+    rounding left an entry below zero.
+    """
 
     probs: np.ndarray
     leak: float
     shape: tuple[int, ...]
+    clipped: float = 0.0
 
     def copy(self) -> "Distribution":
-        return Distribution(self.probs.copy(), self.leak, self.shape)
+        return Distribution(self.probs.copy(), self.leak, self.shape, self.clipped)
 
     @property
     def total(self) -> float:
@@ -67,7 +72,10 @@ class TimeSeries:
 
     A master run also keeps the distribution it stopped at, the state
     behind the last sample, as ``final_distribution``.  ``phases`` holds the
-    wall seconds of the run's phases, named as the benchmark's spans.
+    wall seconds of the run's phases, named as the benchmark's spans, and
+    ``diagnostics`` the run's counts for the manifest: in master mode the
+    state basis propagated, its state count and the clipped mass, in Monte
+    Carlo mode the columns built.
     """
 
     samples: list[Sample] = field(default_factory=list)
@@ -77,7 +85,7 @@ class TimeSeries:
     extra_probs: list[tuple[float, ...]] = field(default_factory=list)
     final_distribution: Distribution | None = field(default=None, init=False, repr=False)
     phases: dict[str, float] = field(default_factory=dict, init=False, repr=False)
-    columns_built: int | None = field(default=None, init=False, repr=False)
+    diagnostics: dict = field(default_factory=dict, init=False, repr=False)
 
     def cycle_samples(self) -> list[Sample]:
         """Initial sample plus the end-of-cycle boundary samples."""
@@ -211,8 +219,10 @@ def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> D
     lost = float(dist.probs.sum() - new.sum())
     if np.any(new < -1e-12):
         raise DomainError("propagation produced significantly negative occupation")
+    clipped = -float(np.minimum(new, 0.0).sum())
     np.maximum(new, 0.0, out=new)
-    return Distribution(new, dist.leak + max(lost, 0.0), dist.shape)
+    return Distribution(new, dist.leak + max(lost, 0.0), dist.shape,
+                        dist.clipped + clipped)
 
 
 def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
@@ -227,6 +237,13 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     seeded trajectory ensemble and records at cycle boundaries.  Early stop
     fires when the target occupation moves less than ``stop_tol`` over a
     cycle (None or 0 disables).
+
+    A master run propagates on the unordered level pairs (the ``swap``
+    basis of ``rates.StateBasis``) when the x <-> y swap commutes with every
+    generator and the start is swap-symmetric (``_swap_lumpable``), and on
+    the full grid otherwise.  In the swap basis p(a, b) = p(b, a) = q{a, b}/2
+    exactly, so every recorded value comes from the grid state recovered
+    from the lumped one.
     """
     target = protocol.target if protocol.target is not None else _default_target(trap)
     if mode == "mc":
@@ -236,11 +253,14 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     if mode != "master":
         raise DomainError(f"unknown run mode {mode!r}")
 
+    basis = StateBasis(trap, "swap" if _swap_lumpable(init, protocol, trap, rate_mode)
+                       else "full")
     t0 = time.perf_counter()
-    mats = [rate_matrix(trap, pulse, rate_mode) for pulse in protocol.pulses]
+    mats = [rate_matrix(trap, pulse, rate_mode, basis.kind) for pulse in protocol.pulses]
     release_tables()
     t1 = time.perf_counter()
     series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
+    state = Distribution(basis.lump(init.probs), init.leak, (basis.size,), init.clipped)
     dist = init.copy()
     t = 0.0
     series.samples.append(Sample(0, 0, t, observables(dist, target)))
@@ -248,7 +268,9 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     prev_p = series.samples[0].obs.p_target
     for cycle in range(1, protocol.cycles + 1):
         for j, (pulse, mat) in enumerate(zip(protocol.pulses, mats), start=1):
-            dist = propagate_pulse(dist, mat, pulse.duration)
+            state = propagate_pulse(state, mat, pulse.duration)
+            dist = Distribution(basis.unlump(state.probs), state.leak, trap.shape,
+                                state.clipped)
             t += pulse.duration
             series.samples.append(Sample(cycle, j, t, observables(dist, target)))
             series.extra_probs.append(_extra_probs(dist, extra_targets, trap))
@@ -259,7 +281,27 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     series.final_distribution = dist
     series.phases = {"rates.rate_matrix": t1 - t0,
                      "dynamics.propagate": time.perf_counter() - t1}
+    series.diagnostics = {"basis": basis.kind, "states": basis.size,
+                          "clipped_mass": state.clipped}
     return series
+
+
+def _swap_lumpable(init: Distribution, protocol: Protocol, trap: TrapConfig,
+                   rate_mode: str) -> bool:
+    """Whether every generator commutes with the x <-> y swap and the start
+    is swap-symmetric, so the run can propagate unordered level pairs.
+
+    Resonant 2D rates see the amplitude ratio A only through |A|^2 and
+    Re(A), and are swap-symmetric when |A| = 1; both emission patterns are.
+    The sphere rule maps onto itself under phi -> pi/2 - phi when its phi
+    order is a multiple of 4.  Full mode's cross term depends on Im(A).
+    """
+    if trap.dims != 2 or rate_mode != "resonant" or trap.quad_phi % 4:
+        return False
+    if any(abs(complex(p.amplitude_ratio)) != 1.0 for p in protocol.pulses):
+        return False
+    grid = init.grid()
+    return bool(np.array_equal(grid, grid.T))
 
 
 def _default_target(trap: TrapConfig):
@@ -448,7 +490,8 @@ def _mean_se(s: np.ndarray, s2: np.ndarray, n: float):
 
 def _ensemble_to_series(ens: McEnsembleResult, protocol: Protocol, target) -> TimeSeries:
     series = TimeSeries(target=target, mode="mc")
-    series.phases, series.columns_built = ens.phases, ens.columns_built
+    series.phases = ens.phases
+    series.diagnostics = {"columns_built": ens.columns_built}
     n_pulses = len(protocol.pulses)
     for rec in range(ens.cycles.shape[0]):
         obs = ObsSnapshot(float(ens.p_target[rec]), float(ens.mean_nx[rec]),

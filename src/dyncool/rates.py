@@ -20,6 +20,9 @@ The recoil integral is computed once per trap and depth: S1[n, l] in 1D, the
 tensor T[nx, l, ny, l'] in 2D.  Every resonant column is a slice and a scale
 of it, plus in 2D, for even s, a slice of one per-pulse cross-term tensor C_s
 (T itself at s = 0, where the column is the empty rate times a slice of T).
+
+A 2D generator acts on the states of a ``StateBasis``: the grid itself, or,
+where the rates commute with the x <-> y swap, the unordered level pairs.
 """
 
 from __future__ import annotations
@@ -199,6 +202,15 @@ def _line_order(eta: float, l_max: int) -> int:
     return order + order % 2
 
 
+def _line_depth(eta: float, n_max: int, l_max: int) -> int:
+    """Deepest level served by the line order of ``l_max``, capped at
+    n_max + 32 (as eta -> 0 the order stays at 32 at every depth)."""
+    order, depth = _line_order(eta, l_max), l_max
+    while depth < n_max + 32 and _line_order(eta, depth + 1) == order:
+        depth += 1
+    return depth
+
+
 def _line_rule(dipole: str, order: int):
     """Nodes u in [-1, 1], the photon direction projected on the trap axis,
     and weights times its density W1(u): 1/2 for isotropic emission
@@ -219,7 +231,8 @@ class AngularTables:
     the real reduced factors R[k, n, l] (phases applied by consumers) and
     grow lazily in l.  The 2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2
     Ry_k[ny, l']^2, one GEMM of the squared folded stacks, is the size of a
-    dense matrix.  Kernels are keyed by exact depth: build order cannot move them.
+    dense matrix.  Kernels are keyed by a build depth that depends on the trap
+    and the requested level alone: build order cannot move them.
     """
 
     _FULL_STACK_BUDGET = 512 << 20  # per-axis cap for full-grid stacks
@@ -256,27 +269,33 @@ class AngularTables:
 
     def emission_kernel(self, l_max: int) -> np.ndarray:
         """Direction-averaged emission redistribution weights up to level
-        ``l_max``: S1[n, l] in 1D, T[nx, l, ny, l'] in 2D."""
-        kernel = self._kernels.get(l_max)
+        ``l_max``: S1[n, l] in 1D, T[nx, l, ny, l'] in 2D.
+
+        A 1D kernel is built to the deepest level its line order serves
+        (``_line_depth``) and sliced, so depths that share an order share one
+        build; a 2D kernel is built to ``l_max`` itself."""
+        n1 = self.trap.n_max + 1
+        depth = l_max if self.trap.dims == 2 else _line_depth(self.trap.eta, n1 - 1, l_max)
+        kernel = self._kernels.get(depth)
         if kernel is None:
-            n1, l1 = self.trap.n_max + 1, l_max + 1
+            l1 = depth + 1
             if self.trap.dims == 2:
                 _check_matrix_budget(n1 * l1, "2D recoil tensor")
                 # a deeper stack holds the same values; the slice fixes GEMM shapes
-                x2 = np.square(self.stack("x", l_max)[:, :, :l1]).reshape(-1, n1 * l1)
-                y2 = np.square(self.stack("y", l_max)[:, :, :l1]).reshape(-1, n1 * l1)
+                x2 = np.square(self.stack("x", depth)[:, :, :l1]).reshape(-1, n1 * l1)
+                y2 = np.square(self.stack("y", depth)[:, :, :l1]).reshape(-1, n1 * l1)
                 x2 *= self.fold_weights[:, None]
                 kernel = (x2.T @ y2).reshape(n1, l1, n1, l1)
             else:
-                u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, l_max))
+                u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, depth))
                 eta_u, w = self.trap.eta * u[u > 0], 2.0 * w[u > 0]
                 kernel = np.zeros((n1, l1))
                 for start in range(0, eta_u.shape[0], _NODE_CHUNK):
                     sl = slice(start, start + _NODE_CHUNK)
-                    chunk = fc.reduced_stack(eta_u[sl], n1 - 1, l_max)
+                    chunk = fc.reduced_stack(eta_u[sl], n1 - 1, depth)
                     kernel += np.tensordot(w[sl], np.square(chunk, out=chunk), axes=1)
-            self._kernels[l_max] = kernel
-        return kernel
+            self._kernels[depth] = kernel
+        return kernel if self.trap.dims == 2 else kernel[:, :l_max + 1]
 
 
 _TABLES: dict[tuple, AngularTables] = {}
@@ -606,18 +625,56 @@ def _provider_2d(trap: TrapConfig, pulse: Pulse, mode: str):
     raise DomainError(f"unknown rate mode {mode!r}")
 
 
-def rate_matrix_2d(trap: TrapConfig, pulse: Pulse, mode: str = "resonant") -> RateMatrix:
-    """Dense transition-rate generator for a 2D trap under one pulse."""
-    n1 = trap.n_max + 1
-    _check_matrix_budget(n1 * n1)
+class StateBasis:
+    """The states a generator acts on, as classes of flattened grid levels.
+
+    ``full`` is the grid itself.  ``swap`` (2D only) takes the unordered
+    pairs {a, b}, a <= b, in row-major order: (n_max+1)(n_max+2)/2 states.
+    Where every rate commutes with the x <-> y swap, the chain is strongly
+    lumpable onto them (Kemeny & Snell 1960, Finite Markov Chains, 6.3): a
+    class's column is the column of its representative (a, b) with rows
+    (c, d) and (d, c) added, and the in-class move (a, b) -> (b, a) becomes
+    its diagonal self term.  A swap-symmetric state lumps to q{a, b} =
+    p(a, b) + p(b, a) and is recovered exactly as p(a, b) = p(b, a) = q/2.
+    """
+
+    def __init__(self, trap: TrapConfig, kind: str = "full"):
+        grid = np.indices(trap.shape).reshape(trap.dims, -1).T
+        if kind == "full":
+            self.class_of, self.levels = np.arange(trap.n_states), grid
+        elif kind == "swap" and trap.dims == 2:
+            a, b = np.triu_indices(trap.n_max + 1)
+            ids = np.empty(trap.shape, dtype=int)
+            ids[a, b] = ids[b, a] = np.arange(a.size)
+            self.class_of, self.levels = ids.reshape(-1), np.stack([a, b], axis=1)
+        else:
+            raise DomainError(f"no {kind!r} state basis for a {trap.dims}D trap")
+        self.kind = kind
+        self.size = self.levels.shape[0]
+        self._share = 1.0 / np.bincount(self.class_of)[self.class_of]
+
+    def lump(self, probs: np.ndarray) -> np.ndarray:
+        """Class totals of a grid vector (rows of a grid column, or a state)."""
+        return np.bincount(self.class_of, weights=probs, minlength=self.size)
+
+    def unlump(self, state: np.ndarray) -> np.ndarray:
+        """The grid state spread evenly over each class's levels."""
+        return state[self.class_of] * self._share
+
+
+def rate_matrix_2d(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
+                   basis: str = "full") -> RateMatrix:
+    """Dense transition-rate generator for a 2D trap under one pulse, on the
+    states of ``StateBasis(trap, basis)``; only the representative columns
+    are built."""
+    states = StateBasis(trap, basis)
+    _check_matrix_budget(states.size)
     provider = _provider_2d(trap, pulse, mode)
-    columns = np.zeros((n1 * n1, n1 * n1))
-    closure = np.zeros(n1 * n1)
-    for mx in range(n1):
-        for my in range(n1):
-            j = mx * n1 + my
-            columns[:, j] = provider.column(mx, my).reshape(-1)
-            closure[j] = provider.closure(mx, my)
+    columns = np.zeros((states.size, states.size))
+    closure = np.zeros(states.size)
+    for j, (mx, my) in enumerate(states.levels):
+        columns[:, j] = states.lump(provider.column(mx, my).reshape(-1))
+        closure[j] = provider.closure(mx, my)
     return _assemble(columns, closure, mode, trap, pulse)
 
 
@@ -650,15 +707,22 @@ class ColumnSampler:
         return cached
 
 
-def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant") -> RateMatrix:
-    """Dispatch on trap dimensionality; results cached per (trap, pulse, mode)."""
-    key = (trap, _pulse_cache_key(trap, pulse, mode))
+def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
+                basis: str = "full") -> RateMatrix:
+    """Dispatch on trap dimensionality; results cached per (trap, basis,
+    pulse, mode).  The cache holds one trap: a build for another trap drops
+    it, so sweeps over eta or n_max keep one trap's matrices and propagators."""
+    key = (trap, basis, _pulse_cache_key(trap, pulse, mode))
     cached = _MATRICES.get(key)
     if cached is None:
+        if any(other[0] != trap for other in _MATRICES):
+            _MATRICES.clear()
         if trap.dims == 1:
+            if basis != "full":
+                raise DomainError(f"no {basis!r} state basis for a 1D trap")
             cached = rate_matrix_1d(trap, pulse, mode)
         else:
-            cached = rate_matrix_2d(trap, pulse, mode)
+            cached = rate_matrix_2d(trap, pulse, mode, basis)
         _MATRICES[key] = cached
     return cached
 

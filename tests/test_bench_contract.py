@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from dyncool import fc, rates
+import scipy.linalg
+
+from dyncool import dynamics, fc, rates
+from dyncool.protocols import Protocol
 from dyncool.rates import ColumnSampler, Pulse, TrapConfig, rate_matrix
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -72,3 +75,22 @@ def test_2d_resonant_build_reaches_traced_layers(monkeypatch):
     rate_matrix(TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4),
                 Pulse(s=-2, duration=1.0))
     assert {"stack", "reduced_stack"} <= set(calls)
+
+
+def test_lumped_2d_master_run_reaches_traced_layers(monkeypatch):
+    # fig5_master runs on the swap basis; its per-layer trace reads the
+    # rate_matrix, expm and propagate spans
+    calls = []
+    for owner, attr in ((dynamics, "rate_matrix"), (scipy.linalg, "expm"),
+                        (dynamics, "propagate_pulse")):
+        def spy(*args, _inner=getattr(owner, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, spy)
+    rates.clear_caches()
+    trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4)
+    protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 2)
+    init = dynamics.level_distribution((0, 0), trap)
+    series = dynamics.run_protocol(init, protocol, trap)
+    assert series.diagnostics["basis"] == "swap"
+    assert {"rate_matrix", "expm", "propagate_pulse"} <= set(calls)

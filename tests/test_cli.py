@@ -159,8 +159,12 @@ class TestRun:
         assert sum(manifest["phases"].values()) <= manifest["wall_clock_seconds"]
         if mode == "mc":
             assert 0 < manifest["columns_built"] <= 2 * 121
+            assert not {"basis", "states", "clipped_mass"} & set(manifest)
         else:
             assert "columns_built" not in manifest
+            # |A| = 1 and a thermal start: the unordered level pairs of 11 x 11
+            assert manifest["basis"] == "swap" and manifest["states"] == 66
+            assert 0.0 <= manifest["clipped_mass"] < 1e-12
 
     def test_target_override(self, tmp_path, capsys):
         out = tmp_path / "t"

@@ -145,6 +145,18 @@ class TestPropagatePulse:
             assert dist.probs[1] >= prev - 1e-12
             prev = dist.probs[1]
 
+    def test_clipped_mass_is_counted(self):
+        trap = trap_1d(n_max=1)
+        mat = toy_matrix(np.zeros((2, 2)), trap)
+        # a propagator whose rounding leaves one entry just below zero
+        mat._propagators[1.0] = np.array([[1.0, 0.0], [-5e-13, 1.0]])
+        dist = Distribution(np.array([1.0, 0.0]), 0.0, trap.shape)
+        once = propagate_pulse(dist, mat, 1.0)
+        twice = propagate_pulse(once, mat, 1.0)
+        assert once.probs[1] == 0.0
+        assert once.clipped == 5e-13
+        assert twice.clipped == 1e-12
+
     def test_dimension_mismatch(self):
         trap = trap_1d(n_max=5)
         mat = rates.rate_matrix_1d(trap, Pulse(s=0, duration=1.0))
@@ -299,6 +311,73 @@ class TestMcTrajectory:
         assert series.mode == "mc"
         assert len(series.samples) == 11
         assert series.samples[0].obs.p_target == pytest.approx(0.14, abs=0.2)
+
+
+def preset_run(name, n_max=20, cycles=6):
+    """A 2D preset at basis depth ``n_max`` for ``cycles`` cycles, with its
+    thermal start."""
+    proto, trap0, mean = preset(name)
+    trap = TrapConfig(eta=trap0.eta, gamma_over_omega=trap0.gamma_over_omega,
+                      dims=2, n_max=n_max)
+    proto = Protocol(proto.pulses, cycles, proto.name, proto.target)
+    with pytest.warns(UserWarning):
+        init = thermal_distribution(mean, trap)
+    return init, proto, trap
+
+
+class TestLumpedBasis:
+    @pytest.mark.parametrize("name", ["fig5_A_minus", "fig5_A_plus", "fig6_solid"])
+    def test_matches_full_basis(self, name, monkeypatch):
+        init, proto, trap = preset_run(name)
+        extra = ((0, 1), (3, 1), (2, 2))
+        lumped = run_protocol(init, proto, trap, stop_tol=0.0, extra_targets=extra)
+        monkeypatch.setattr(dynamics, "_swap_lumpable", lambda *args: False)
+        full = run_protocol(init, proto, trap, stop_tol=0.0, extra_targets=extra)
+        n1 = trap.n_max + 1
+        assert lumped.diagnostics["basis"] == "swap"
+        assert lumped.diagnostics["states"] == n1 * (n1 + 1) // 2
+        assert full.diagnostics == {"basis": "full", "states": n1 * n1,
+                                    "clipped_mass": 0.0}
+        assert len(lumped.samples) == len(full.samples) == 1 + 6 * len(proto.pulses)
+        for a, b in zip(lumped.samples, full.samples):
+            assert (a.cycle, a.pulse, a.t) == (b.cycle, b.pulse, b.t)
+            for field in ("p_target", "mean_nx", "mean_ny", "mean_n", "leak"):
+                assert abs(getattr(a.obs, field) - getattr(b.obs, field)) <= 1e-12
+        assert np.abs(np.array(lumped.extra_probs) - np.array(full.extra_probs)).max() <= 1e-12
+        assert np.abs(lumped.final_distribution.probs
+                      - full.final_distribution.probs).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["fig7", "asymmetric_start", "full_rates"])
+    def test_full_basis_where_not_lumpable(self, case):
+        name = "fig7" if case == "fig7" else "fig5_A_minus"
+        init, proto, trap = preset_run(name, n_max=5, cycles=1)
+        if case == "asymmetric_start":
+            init = dynamics.level_distribution((0, 1), trap)
+        rate_mode = "resonant"
+        if case == "full_rates":
+            rate_mode, proto = "full", Protocol(proto.pulses[:1], 1, target=(0, 0))
+        series = run_protocol(init, proto, trap, stop_tol=0.0, rate_mode=rate_mode)
+        assert series.diagnostics["basis"] == "full"
+        assert series.diagnostics["states"] == 36
+
+    def test_written_final_distribution(self, tmp_path):
+        from dyncool import cli
+        cfg = tmp_path / "sym.cfg"
+        cfg.write_text("[trap]\neta = 1\ngamma_over_omega = 0.01\ndims = 2\n"
+                       "n_max = 10\n[init]\nthermal_mean = 1\n"
+                       "[[pulse]]\ns = -2\nA_re = -1\n[[pulse]]\ns = 0\nA_re = 1\n"
+                       "[run]\ncycles = 30\ntarget = 0,0\n")
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path),
+                         "--final-distribution"]) == 0
+        lines = (tmp_path / "distribution_final.csv").read_text().splitlines()
+        leak = float(lines[0].rsplit("=", 1)[1])
+        grid = np.zeros((11, 11))
+        for line in lines[2:]:
+            nx, ny, p = line.split(",")
+            grid[int(nx), int(ny)] = float(p)
+        assert np.array_equal(grid, grid.T)
+        assert leak > 1e-6
+        assert grid.sum() + leak == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTruncationRobustness:

@@ -142,6 +142,37 @@ class TestAngularQuadrature:
         base = build()
         assert np.abs(base - at_doubled_line_order(monkeypatch, build)).max() <= 1e-12
 
+    def test_shared_kernel_independent_of_build_order(self):
+        # at eta = 1, n_max = 32 the s = -9 and s = +8 kernels (levels 32
+        # and 40) share one line order, so both are slices of one build
+        trap = trap_1d(eta=1.0, n_max=32)
+        assert rates._line_depth(1.0, 32, 32) == rates._line_depth(1.0, 32, 40)
+        built = []
+        for order in ((8, -9), (-9, 8)):
+            rates.clear_caches()
+            built.append({s: rate_matrix_1d(trap, Pulse(s=s, duration=1.0))
+                          for s in order})
+        rates.clear_caches()
+        for s in (8, -9):
+            assert np.array_equal(built[0][s].generator, built[1][s].generator)
+            assert np.array_equal(built[0][s].leak, built[1][s].leak)
+
+    def test_fig3_pulses_build_one_kernel(self, monkeypatch):
+        # the fig3 benchmark pulses reach levels 480 (s < 0) and 488 (s = 8)
+        calls = []
+
+        def spy(*args, _inner=fc.reduced_stack, **kwargs):
+            calls.append(args[2] if len(args) > 2 else kwargs["l_max"])
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(fc, "reduced_stack", spy)
+        rates.clear_caches()
+        trap = trap_1d(n_max=480)
+        for s in (-9, 8, -10, -3):
+            rate_matrix(trap, Pulse(s=s, duration=1.0))
+        rates.clear_caches()
+        assert calls == [489]
+
 
 class TestEmptyRates1d:
     def test_dark_level_blue_pulse(self):
@@ -385,6 +416,32 @@ class TestRateMatrix2d:
         with pytest.raises(ResourceLimitError):
             rate_matrix_2d(trap_2d(n_max=300), Pulse(s=0, duration=1.0))
 
+    @pytest.mark.parametrize("s", [-3, -2, 0, 4])
+    def test_swap_basis_folds_full_generator(self, s):
+        # with |A| = 1 the generator commutes with the x <-> y swap, and the
+        # lumped generator is its representative columns with rows folded
+        trap = trap_2d(eta=1.7, n_max=6)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=-1.0)
+        full = rate_matrix_2d(trap, pulse)
+        swap = rate_matrix_2d(trap, pulse, basis="swap")
+        states = rates.StateBasis(trap, "swap")
+        n1 = trap.n_max + 1
+        assert swap.n_states == n1 * (n1 + 1) // 2
+        mirror = np.arange(n1 * n1).reshape(n1, n1).T.reshape(-1)
+        scale = np.abs(full.generator).max()
+        assert np.abs(full.generator[np.ix_(mirror, mirror)]
+                      - full.generator).max() <= 1e-15 * scale
+        reps = states.levels[:, 0] * n1 + states.levels[:, 1]
+        folded = np.stack([states.lump(full.generator[:, j]) for j in reps], axis=1)
+        assert np.abs(swap.generator - folded).max() <= 1e-14 * scale
+        assert np.abs(swap.leak - full.leak[reps]).max() <= 1e-14 * scale
+
+    def test_swap_basis_is_2d_only(self):
+        with pytest.raises(DomainError):
+            rate_matrix(trap_1d(n_max=4), Pulse(s=-1, duration=1.0), basis="swap")
+        with pytest.raises(DomainError):
+            rates.StateBasis(trap_1d(n_max=4), "swap")
+
     def test_independent_of_build_order(self):
         # s = 8 needs a deeper recoil tensor than s = -4; building it first
         # must not move the s = -4 rates
@@ -446,6 +503,18 @@ class TestMatrixCache:
         s0_minus = rate_matrix(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
         s0_plus = rate_matrix(trap, Pulse(s=0, duration=1.0, amplitude_ratio=1.0))
         assert s0_minus is not s0_plus
+
+    def test_holds_one_trap(self):
+        trap_a, trap_b = trap_2d(n_max=3), trap_2d(n_max=4)
+        rates.clear_caches()
+        pulse = Pulse(s=-2, duration=1.0)
+        rate_matrix(trap_a, pulse)
+        rate_matrix(trap_a, Pulse(s=0, duration=1.0))
+        rate_matrix(trap_a, pulse, basis="swap")
+        kept = rate_matrix(trap_b, pulse)
+        assert [key[0] for key in rates._MATRICES] == [trap_b]
+        assert rate_matrix(trap_b, pulse) is kept
+        rates.clear_caches()
 
 
 class TestCsvExport:
