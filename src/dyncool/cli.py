@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="MC base seed")
     run.add_argument("--cycles", type=int, help="override the cycle budget")
     run.add_argument("--threads", type=int, default=1,
-                     help="worker cap for MC trajectories")
+                     help="accepted for compatibility; has no effect")
     run.add_argument("--out-dir", default=".", help="output directory")
     run.add_argument("--plot", action="store_true",
                      help="also write plot.svg of the occupation dynamics")
@@ -128,7 +128,10 @@ def _cmd_run(args) -> int:
     if args.trajectories is not None:
         spec.trajectories = args.trajectories
     if args.seed is not None:
-        spec.seed = args.seed
+        try:
+            spec.seed = protocols._check_seed(args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     if args.final_distribution and spec.mode != "master":
         raise ConfigError("--final-distribution needs master mode; a Monte Carlo "
                           "run keeps no final distribution")
@@ -160,7 +163,7 @@ def _cmd_run(args) -> int:
     series = dynamics.run_protocol(
         init, protocol, spec.trap, mode=spec.mode,
         trajectories=spec.trajectories, seed=spec.seed,
-        extra_targets=extra, n_workers=max(1, args.threads))
+        extra_targets=extra)
     elapsed = time.perf_counter() - t0
 
     ts_path = out_dir / "timeseries.csv"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +74,8 @@ class TimeSeries:
     wall seconds of the run's phases, named as the benchmark's spans, and
     ``diagnostics`` the run's counts for the manifest: in master mode the
     state basis propagated, its state count and the clipped mass, in Monte
-    Carlo mode the columns built.
+    Carlo mode the columns built, the jumps made and the most jumps one
+    trajectory made.
     """
 
     samples: list[Sample] = field(default_factory=list)
@@ -117,10 +117,12 @@ class TrajectoryResult:
 
 @dataclass
 class McEnsembleResult:
-    """Seeded trajectory ensemble reduced to per-record-time estimates.
+    """Seeded trajectory ensemble reduced to cycle-boundary estimates.
 
-    Occupation estimates carry binomial standard errors
-    sqrt(p(1-p)/n_traj); level means carry sample standard errors.
+    Record r is the state after r cycles.  Occupation estimates carry
+    binomial standard errors sqrt(p(1-p)/n_traj); level means carry sample
+    standard errors.  ``jump_counts`` holds each trajectory's jumps, the
+    absorbing jump into the leak included.
     """
 
     n_traj: int
@@ -229,7 +231,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
                  mode: str = "master", *, rate_mode: str = "resonant",
                  trajectories: int = 1000, seed: int = 12345,
                  stop_tol: float | None = 1e-6,
-                 extra_targets: tuple = (), n_workers: int = 1) -> TimeSeries:
+                 extra_targets: tuple = ()) -> TimeSeries:
     """Run a pulse protocol and record observables at every pulse boundary.
 
     ``mode='master'`` propagates the rate equation exactly (matrix
@@ -248,7 +250,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     target = protocol.target if protocol.target is not None else _default_target(trap)
     if mode == "mc":
         ens = mc_ensemble(trajectories, protocol, trap, seed, init=init,
-                          rate_mode=rate_mode, n_workers=n_workers)
+                          rate_mode=rate_mode)
         return _ensemble_to_series(ens, protocol, target)
     if mode != "master":
         raise DomainError(f"unknown run mode {mode!r}")
@@ -333,58 +335,102 @@ def mc_trajectory(initial_level, protocol: Protocol, trap: TrapConfig,
                   rate_mode: str = "resonant") -> TrajectoryResult:
     """One continuous-time jump trajectory through the whole protocol.
 
-    In state m the exit clock runs at the column outflow (leak included);
-    pulse boundaries truncate waiting times, which is exact for exponential
-    clocks.  Absorption into the truncation leak ends the trajectory.
+    The n = 1 case of the ensemble's stepper (``_JumpStepper``), logging
+    (time, flat level) after each jump.  Absorption into the truncation
+    leak logs the level -1 and ends the trajectory.
     """
-    samplers = _samplers(protocol, trap, rate_mode)
-    level = trap.flat_index(initial_level)
-    jumps: list[tuple[float, int]] = [(0.0, level)]
+    stepper = _JumpStepper(_samplers(protocol, trap, rate_mode), trap.n_states,
+                           np.array([trap.flat_index(initial_level)]))
+    jumps: list[tuple[float, int]] = [(0.0, int(stepper.level[0]))]
     t = 0.0
-    leaked = False
     for _cycle in range(protocol.cycles):
-        for pulse, sampler in zip(protocol.pulses, samplers):
-            level, t, leaked, _ = _advance(sampler, level, t, pulse.duration,
-                                           rng_stream, jumps)
-            if leaked:
-                return TrajectoryResult(jumps, LEAKED, level)
-    return TrajectoryResult(jumps, COMPLETED, level)
+        for k, pulse in enumerate(protocol.pulses):
+            stepper.pulse(k, pulse.duration, rng_stream, t, jumps)
+            t += pulse.duration
+            if stepper.leaked[0]:
+                return TrajectoryResult(jumps, LEAKED, int(stepper.level[0]))
+    return TrajectoryResult(jumps, COMPLETED, int(stepper.level[0]))
 
 
-def _advance(sampler, level: int, t: float, duration: float,
-             rng: np.random.Generator, jumps=None):
-    """Jump process within one pulse; returns (level, time, leaked, n_jumps)."""
-    remaining = duration
-    n_jumps = 0
-    while True:
-        total, cum = sampler.jump_distribution(level)
-        if total <= 0.0:
-            return level, t + remaining, False, n_jumps
-        dt = rng.exponential(1.0 / total)
-        if dt >= remaining:
-            return level, t + remaining, False, n_jumps
-        remaining -= dt
-        t += dt
-        n_jumps += 1
-        u = rng.random() * total
-        k = int(np.searchsorted(cum, u, side="right"))
-        if k == cum.size:
-            if jumps is not None:
-                jumps.append((t, -1))
-            return level, t, True, n_jumps
-        level = k
-        if jumps is not None:
-            jumps.append((t, level))
+class _JumpStepper:
+    """Trajectories advanced together through pulses, on numpy arrays.
+
+    ``level`` holds each trajectory's flat level (the last one before
+    absorption, for a leaked trajectory), ``leaked`` whether the truncation
+    leak has absorbed it, and ``jumps`` its jump count, the absorbing jump
+    included.  Each distinct sampler gets an exit-rate vector, filled from
+    ``jump_distribution(level)[0]`` the first time a trajectory stands on
+    the level (NaN until then), so the sampler builds each column once.
+    """
+
+    def __init__(self, samplers, n_states: int, level: np.ndarray):
+        self.samplers = samplers
+        self.n_states = n_states
+        self.level = level
+        self.leaked = np.zeros(level.size, dtype=bool)
+        self.jumps = np.zeros(level.size, dtype=np.int64)
+        shared: dict[int, np.ndarray] = {}
+        self._rates = [shared.setdefault(id(s), np.full(n_states, np.nan))
+                       for s in samplers]
+
+    def _exit_rates(self, k: int, idx: np.ndarray) -> np.ndarray:
+        table = self._rates[k]
+        levels = self.level[idx]
+        rate = table[levels]
+        unseen = np.isnan(rate)
+        if unseen.any():
+            for m in np.unique(levels[unseen]).tolist():
+                table[m] = self.samplers[k].jump_distribution(m)[0]
+            rate = table[levels]
+        return rate
+
+    def pulse(self, k: int, duration: float, rng: np.random.Generator,
+              t0: float = 0.0, log: list | None = None) -> None:
+        """Advance every live trajectory through pulse ``k`` of ``duration``.
+
+        Exit clocks are exponential, so a trajectory whose exit time falls
+        beyond the time left in the pulse stays put until its end, and only
+        the ones that jumped draw again.  A jump's destination is the
+        right-sided search of u * total in its column's cumulative rates;
+        a search past the last level is absorption into the leak.  With
+        ``log``, append (t0 + elapsed, level) for every jump.
+        """
+        sampler = self.samplers[k]
+        idx = np.flatnonzero(~self.leaked)
+        left = np.full(idx.size, float(duration))
+        while idx.size:
+            rate = self._exit_rates(k, idx)
+            moving = rate > 0.0  # a zero exit rate never jumps
+            idx, rate, left = idx[moving], rate[moving], left[moving]
+            dt = rng.standard_exponential(idx.size) / rate
+            hit = dt < left
+            idx, rate, left = idx[hit], rate[hit], left[hit] - dt[hit]
+            if not idx.size:
+                return
+            self.jumps[idx] += 1
+            u = rng.random(idx.size) * rate
+            dest = np.array([sampler.jump_distribution(m)[1].searchsorted(x, side="right")
+                             for m, x in zip(self.level[idx].tolist(), u.tolist())],
+                            dtype=np.int64)
+            gone = dest == self.n_states
+            if log is not None:
+                log.extend(zip((t0 + duration - left).tolist(),
+                               np.where(gone, -1, dest).tolist()))
+            self.leaked[idx[gone]] = True
+            idx, left = idx[~gone], left[~gone]
+            self.level[idx] = dest[~gone]
 
 
 def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
                 *, init: Distribution | None = None,
-                rate_mode: str = "resonant", n_workers: int = 1) -> McEnsembleResult:
+                rate_mode: str = "resonant") -> McEnsembleResult:
     """Seeded trajectory ensemble with cycle-boundary occupation estimates.
 
-    Trajectory i draws from the stream seeded by (seed, i), so results are
-    bitwise reproducible and independent of how trajectories are
-    partitioned across workers (all accumulators are integers).
+    One ``np.random.default_rng(seed)`` stream draws the initial levels
+    from ``init`` and then drives ``_JumpStepper`` over all trajectories at
+    once, pulse by pulse, so a result depends only on (seed, n_traj,
+    protocol, trap) and is bitwise reproducible.  The statistics at each
+    cycle boundary are integer sums over the trajectories.
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
@@ -395,72 +441,28 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     t0 = time.perf_counter()
     samplers = _samplers(protocol, trap, rate_mode)
     t1 = time.perf_counter()
-    durations = [p.duration for p in protocol.pulses]
-    cycle_len = float(sum(durations))
+    cycle_len = float(sum(pulse.duration for pulse in protocol.pulses))
     n_rec = protocol.cycles + 1
     n1 = trap.n_max + 1
 
+    rng = np.random.default_rng(seed)
     init_cum = np.cumsum(init.probs)
     init_cum /= init_cum[-1]
-
-    def run_chunk(lo: int, hi: int):
-        hits = np.zeros(n_rec, dtype=np.int64)
-        leaks = np.zeros(n_rec, dtype=np.int64)
-        sx = np.zeros(n_rec, dtype=np.int64)
-        sx2 = np.zeros(n_rec, dtype=np.int64)
-        sy = np.zeros(n_rec, dtype=np.int64)
-        sy2 = np.zeros(n_rec, dtype=np.int64)
-        sn = np.zeros(n_rec, dtype=np.int64)
-        sn2 = np.zeros(n_rec, dtype=np.int64)
-        jumps = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(lo, hi):
-            rng = np.random.default_rng((seed, i))
-            level = int(np.searchsorted(init_cum, rng.random(), side="right"))
-            level = min(level, trap.n_states - 1)
-            leaked = False
-            n_jumps = 0
-            for rec in range(n_rec):
-                if rec > 0 and not leaked:
-                    for dur, sampler in zip(durations, samplers):
-                        level, _, leaked, nj = _advance(sampler, level, 0.0, dur, rng)
-                        n_jumps += nj
-                        if leaked:
-                            break
-                if leaked:
-                    leaks[rec] += 1
-                    continue
-                if trap.dims == 1:
-                    nx, ny = level, 0
-                else:
-                    nx, ny = divmod(level, n1)
-                hits[rec] += int(level == target_flat)
-                sx[rec] += nx
-                sx2[rec] += nx * nx
-                sy[rec] += ny
-                sy2[rec] += ny * ny
-                sn[rec] += nx + ny
-                sn2[rec] += (nx + ny) ** 2
-            jumps[i - lo] = n_jumps
-        return hits, leaks, sx, sx2, sy, sy2, sn, sn2, jumps
-
-    n_workers = max(1, int(n_workers))
-    bounds = np.linspace(0, n_traj, n_workers + 1, dtype=int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(chunks) <= 1:
-        results = [run_chunk(0, n_traj)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(lambda ab: run_chunk(*ab), chunks))
-
-    hits = sum(r[0] for r in results)
-    leaks = sum(r[1] for r in results)
-    sx = sum(r[2] for r in results)
-    sx2 = sum(r[3] for r in results)
-    sy = sum(r[4] for r in results)
-    sy2 = sum(r[5] for r in results)
-    sn = sum(r[6] for r in results)
-    sn2 = sum(r[7] for r in results)
-    jump_counts = np.concatenate([r[8] for r in results])
+    level = np.searchsorted(init_cum, rng.random(n_traj), side="right")
+    stepper = _JumpStepper(samplers, trap.n_states, np.minimum(level, trap.n_states - 1))
+    # per record: target hits, leaked, and sums of nx, nx^2, ny, ny^2, n, n^2
+    tally = np.zeros((8, n_rec), dtype=np.int64)
+    for rec in range(n_rec):
+        if rec:
+            for k, pulse in enumerate(protocol.pulses):
+                stepper.pulse(k, pulse.duration, rng)
+        here = stepper.level[~stepper.leaked]
+        nx, ny = divmod(here, n1) if trap.dims == 2 else (here, np.zeros_like(here))
+        nn = nx + ny
+        tally[:, rec] = (np.count_nonzero(here == target_flat),
+                         n_traj - here.size, nx.sum(), (nx * nx).sum(),
+                         ny.sum(), (ny * ny).sum(), nn.sum(), (nn * nn).sum())
+    hits, leaks, sx, sx2, sy, sy2, sn, sn2 = tally
     build = "rates.column_sampler" if trap.dims == 2 else "rates.rate_matrix"
 
     n = float(n_traj)
@@ -478,7 +480,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         mean_ny=mean_y, mean_ny_se=se_y,
         mean_n=mean_t, mean_n_se=se_t,
         leak_frac=lf, leak_se=np.sqrt(lf * (1.0 - lf) / n),
-        jump_counts=jump_counts, columns_built=sum(len(s._cache) for s in set(samplers)),
+        jump_counts=stepper.jumps, columns_built=sum(len(s._cache) for s in set(samplers)),
         phases={build: t1 - t0, "dynamics.mc": time.perf_counter() - t1})
 
 
@@ -491,7 +493,9 @@ def _mean_se(s: np.ndarray, s2: np.ndarray, n: float):
 def _ensemble_to_series(ens: McEnsembleResult, protocol: Protocol, target) -> TimeSeries:
     series = TimeSeries(target=target, mode="mc")
     series.phases = ens.phases
-    series.diagnostics = {"columns_built": ens.columns_built}
+    series.diagnostics = {"columns_built": ens.columns_built,
+                          "jumps": int(ens.jump_counts.sum()),
+                          "jumps_max": int(ens.jump_counts.max())}
     n_pulses = len(protocol.pulses)
     for rec in range(ens.cycles.shape[0]):
         obs = ObsSnapshot(float(ens.p_target[rec]), float(ens.mean_nx[rec]),

@@ -431,7 +431,14 @@ def parse_config(text: str) -> RunSpec:
         thermal_mean=get(init_kv, "thermal_mean", float, default=_MEAN),
         mode=mode,
         trajectories=get(run_kv, "trajectories", to_int, default=1000),
-        seed=get(run_kv, "seed", to_int, default=12345))
+        seed=get(run_kv, "seed", lambda v: _check_seed(to_int(v)), default=12345))
+
+
+def _check_seed(seed: int) -> int:
+    """A Monte Carlo seed: ``np.random.default_rng`` takes no negative one."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_target(value: str, dims: int):

@@ -60,3 +60,37 @@ def uniformization_expm(gen: np.ndarray, t: float, tol: float = 1e-14) -> np.nda
         if k > 10000:
             raise RuntimeError("uniformization did not converge")
     return np.exp(-c * t) * out
+
+
+def jump_trajectory(pulses, level: int, cycles: int, rng) -> list[tuple[float, int]]:
+    """One jump trajectory by the plain loop over jumps, from dense generators.
+
+    ``pulses`` holds (generator, leak, duration) per pulse of a cycle.  Each
+    jump draws an exponential exit time, then a uniform destination, from
+    ``rng``.  Returns (time, level) at the start and after each jump, with
+    level -1 for absorption into the leak, which ends the trajectory.
+    """
+    log = [(0.0, level)]
+    start = 0.0
+    for _ in range(cycles):
+        for gen, leak, duration in pulses:
+            left = duration
+            while True:
+                col = gen[:, level].copy()
+                col[level] = 0.0
+                cum = np.cumsum(col)
+                total = cum[-1] + leak[level]
+                if total <= 0.0:
+                    break
+                dt = rng.standard_exponential() / total
+                if dt >= left:
+                    break
+                left -= dt
+                k = int(np.searchsorted(cum, rng.random() * total, side="right"))
+                if k == cum.size:
+                    log.append((start + duration - left, -1))
+                    return log
+                level = k
+                log.append((start + duration - left, level))
+            start += duration
+    return log

@@ -94,3 +94,21 @@ def test_lumped_2d_master_run_reaches_traced_layers(monkeypatch):
     series = dynamics.run_protocol(init, protocol, trap)
     assert series.diagnostics["basis"] == "swap"
     assert {"rate_matrix", "expm", "propagate_pulse"} <= set(calls)
+
+
+def test_2d_mc_run_reaches_traced_layers(monkeypatch):
+    # fig5_mc's per-layer trace reads the mc, column_sampler and sampler spans
+    calls = []
+    for owner, attr in ((dynamics, "mc_ensemble"), (ColumnSampler, "__init__"),
+                        (ColumnSampler, "jump_distribution")):
+        def spy(*args, _inner=getattr(owner, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, spy)
+    rates.clear_caches()
+    trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4)
+    protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 2)
+    init = dynamics.level_distribution((2, 1), trap)
+    series = dynamics.run_protocol(init, protocol, trap, mode="mc", trajectories=20)
+    assert series.diagnostics["jumps"] > 0
+    assert {"mc_ensemble", "__init__", "jump_distribution"} <= set(calls)

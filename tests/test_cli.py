@@ -159,6 +159,8 @@ class TestRun:
         assert sum(manifest["phases"].values()) <= manifest["wall_clock_seconds"]
         if mode == "mc":
             assert 0 < manifest["columns_built"] <= 2 * 121
+            # 20 trajectories: the total jumps and the most one made
+            assert 0 < manifest["jumps_max"] <= manifest["jumps"] <= 20 * manifest["jumps_max"]
             assert not {"basis", "states", "clipped_mass"} & set(manifest)
         else:
             assert "columns_built" not in manifest
@@ -194,6 +196,20 @@ class TestRun:
             assert run_cli("run", *source, "--cycles", "3", "--out-dir", str(out),
                            "--final-distribution") == 2
             assert "--final-distribution" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # numpy seeds take no negative integer: refuse at parse time, before
+        # any sampler is built, from the flag and from the config alike
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("[trap]\neta = 0.5\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 30\n[[pulse]]\ns = -1\n[run]\ncycles = 3\n"
+                       "mode = mc\ntrajectories = 5\nseed = -3\n")
+        out = tmp_path / "o"
+        for source in (["--preset", "fig2", "--mode", "mc", "--seed", "-3"],
+                       ["--config", str(cfg)]):
+            assert run_cli("run", *source, "--out-dir", str(out)) == 2
+            assert "seed must be a non-negative integer" in capsys.readouterr().err
             assert not out.exists()
 
     def test_cycles_in_config_respected(self, tmp_path, capsys):
