@@ -11,7 +11,7 @@ from .dynamics import (Distribution, McEnsembleResult, TimeSeries,
 from .errors import (ConfigError, DomainError, ResourceLimitError,
                      SimulationError, SingularRatioError, ValidityError)
 from .fc import (FcAmplitude, dark_eta_for_level, dark_ratio_A, fc_factor,
-                 fc_row, laguerre_assoc)
+                 laguerre_assoc)
 from .protocols import (Protocol, RunSpec, ValidationReport,
                         design_excited_protocol, parse_config, preset,
                         preset_runspec, validate_protocol, write_config,
@@ -29,9 +29,9 @@ __all__ = [
     "SingularRatioError", "TimeSeries", "TrapConfig", "ValidationReport",
     "ValidityError", "angular_quadrature", "dark_eta_for_level",
     "dark_ratio_A", "design_excited_protocol", "dipole_pattern",
-    "empty_rates_1d", "empty_rates_2d", "fc_factor", "fc_row",
-    "laguerre_assoc", "mc_ensemble", "mc_trajectory", "observables",
-    "parse_config", "preset", "preset_runspec", "propagate_pulse",
+    "empty_rates_1d", "empty_rates_2d", "fc_factor", "laguerre_assoc",
+    "mc_ensemble", "mc_trajectory", "observables", "parse_config",
+    "preset", "preset_runspec", "propagate_pulse",
     "rate_matrix", "rate_matrix_1d", "rate_matrix_2d", "run_protocol",
     "thermal_distribution", "validate_protocol", "write_config",
 ]

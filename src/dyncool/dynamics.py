@@ -295,10 +295,10 @@ def _swap_lumpable(init: Distribution, protocol: Protocol, trap: TrapConfig,
 
     Resonant 2D rates see the amplitude ratio A only through |A|^2 and
     Re(A), and are swap-symmetric when |A| = 1; both emission patterns are.
-    The sphere rule maps onto itself under phi -> pi/2 - phi when its phi
+    The sphere rule maps onto itself under phi -> pi/2 - phi, since its phi
     order is a multiple of 4.  Full mode's cross term depends on Im(A).
     """
-    if trap.dims != 2 or rate_mode != "resonant" or trap.quad_phi % 4:
+    if trap.dims != 2 or rate_mode != "resonant":
         return False
     if any(abs(complex(p.amplitude_ratio)) != 1.0 for p in protocol.pulses):
         return False

@@ -45,14 +45,14 @@ DEFAULT_QUAD_PHI = 128
 # dense (states x states) matrices beyond this many bytes are refused
 MATRIX_MEMORY_BUDGET = 4 << 30
 
-_NODE_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class TrapConfig:
     """Physical and numerical parameters of one trap/laser setup.
 
-    ``quad_theta`` x ``quad_phi`` is the sphere rule of 2D rates only.
+    ``quad_theta`` x ``quad_phi`` is the sphere rule of 2D rates only; it is
+    folded by parity, so ``quad_theta`` must be even and ``quad_phi`` a
+    multiple of 4.
     """
 
     eta: float
@@ -82,6 +82,10 @@ class TrapConfig:
                               f"choose from {DIPOLE_PATTERNS}")
         if self.quad_theta < 4 or self.quad_phi < 4:
             raise DomainError("quadrature orders must be >= 4")
+        if self.quad_theta % 2 or self.quad_phi % 4:
+            raise DomainError(
+                f"quad_theta must be even and quad_phi a multiple of 4, got "
+                f"{self.quad_theta} x {self.quad_phi}")
 
     @property
     def eta_hat2(self) -> int:
@@ -177,7 +181,8 @@ def _folded_quadrature(quad_theta: int, quad_phi: int):
 
     Valid because sin(theta) is even in cos(theta) and the four phi-quadrant
     images realize all sign combinations of (u, v); requires an even
-    Gauss-Legendre order and a phi order divisible by 4.
+    Gauss-Legendre order and a phi order divisible by 4 (``TrapConfig``
+    checks both).
     """
     x, wx = np.polynomial.legendre.leggauss(quad_theta)
     pos = x > 0
@@ -224,9 +229,9 @@ class AngularTables:
 
     The 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du is even in u, so it
     runs on the positive half of the line rule with doubled weights, in node
-    chunks so no full per-node tensor is kept.  2D resonant integrands are
-    even in both projections u = sin(th)cos(ph) and v = sin(th)sin(ph), so
-    they use an 8-fold folded grid; full mode (whose intermediate-level
+    chunks whose stack fits ``_FULL_STACK_BUDGET``.  2D resonant integrands
+    are even in both projections u = sin(th)cos(ph) and v = sin(th)sin(ph),
+    so they use an 8-fold folded grid; full mode (whose intermediate-level
     interference breaks the parity) uses the complete sphere.  Stacks hold
     the real reduced factors R[k, n, l] (phases applied by consumers) and
     grow lazily in l.  The 2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2
@@ -235,7 +240,7 @@ class AngularTables:
     and the requested level alone: build order cannot move them.
     """
 
-    _FULL_STACK_BUDGET = 512 << 20  # per-axis cap for full-grid stacks
+    _FULL_STACK_BUDGET = 512 << 20  # cap on one stack (a 2D axis, a 1D node chunk)
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
@@ -246,10 +251,7 @@ class AngularTables:
             self.weights = w * dipole_pattern(trap.dipole, theta, phi)
             self.proj = {"x": np.sin(theta) * np.cos(phi),
                          "y": np.sin(theta) * np.sin(phi)}
-            if trap.quad_theta % 2 == 0 and trap.quad_phi % 4 == 0:
-                fth, fph, fw = _folded_quadrature(trap.quad_theta, trap.quad_phi)
-            else:
-                fth, fph, fw = theta, phi, w
+            fth, fph, fw = _folded_quadrature(trap.quad_theta, trap.quad_phi)
             self.fold_weights = fw * dipole_pattern(trap.dipole, fth, fph)
             self.fold_proj = {"x": np.sin(fth) * np.cos(fph),
                               "y": np.sin(fth) * np.sin(fph)}
@@ -287,11 +289,17 @@ class AngularTables:
                 x2 *= self.fold_weights[:, None]
                 kernel = (x2.T @ y2).reshape(n1, l1, n1, l1)
             else:
+                node_bytes = n1 * l1 * 8
+                if node_bytes > self._FULL_STACK_BUDGET:
+                    raise ResourceLimitError(
+                        f"one node of the 1D recoil stack would need "
+                        f"{node_bytes / 2**20:.0f} MiB; lower n_max")
+                chunk_nodes = self._FULL_STACK_BUDGET // node_bytes
                 u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, depth))
                 eta_u, w = self.trap.eta * u[u > 0], 2.0 * w[u > 0]
                 kernel = np.zeros((n1, l1))
-                for start in range(0, eta_u.shape[0], _NODE_CHUNK):
-                    sl = slice(start, start + _NODE_CHUNK)
+                for start in range(0, eta_u.shape[0], chunk_nodes):
+                    sl = slice(start, start + chunk_nodes)
                     chunk = fc.reduced_stack(eta_u[sl], n1 - 1, depth)
                     kernel += np.tensordot(w[sl], np.square(chunk, out=chunk), axes=1)
             self._kernels[depth] = kernel
@@ -322,9 +330,15 @@ def clear_caches() -> None:
 
 
 def _reduced_absorption(eta: float, s: int, levels) -> np.ndarray:
-    """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where m+s < 0."""
-    return np.array([fc.fc_reduced(eta, m, m + s) if m + s >= 0 else 0.0
-                     for m in levels], dtype=float)
+    """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where
+    m+s < 0: band s of one reduced-factor table."""
+    m = np.asarray(levels, dtype=int)
+    top = int(m.max(initial=0))
+    table = fc.reduced_stack(np.array([eta]), top, top + max(s, 0))[0]
+    live = m + s >= 0
+    out = np.zeros(m.shape)
+    out[live] = table[m[live], m[live] + s]
+    return out
 
 
 def _empty_rate(fx, s: int, fy=0.0, a=0.0):
@@ -485,21 +499,21 @@ def _rate_matrix_1d_resonant(trap: TrapConfig, pulse: Pulse) -> RateMatrix:
     return _assemble(columns, closure, "resonant", trap, pulse)
 
 
-def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, m: int, l_max: int) -> np.ndarray:
-    """c_l = <l|e^{ikx}|m> * gamma / (delta - omega(l - m) + i gamma), dimensionless."""
+def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.ndarray:
+    """c[l, m] = <l|e^{ikx}|m> * gamma / (delta - omega(l - m) + i gamma),
+    dimensionless, for l <= l_max and every trap level m."""
     gt = trap.gamma_over_omega
-    ls = np.arange(l_max + 1)
-    amps = fc.fc_row(trap.eta, m, l_max)
-    denom = (pulse.s - (ls - m)) + 1j * gt
-    return amps * gt / denom
+    n_max = trap.n_max
+    amps = fc.phase_table(l_max, n_max) * fc.reduced_stack(np.array([trap.eta]), l_max, n_max)[0]
+    shift = np.arange(l_max + 1)[:, None] - np.arange(n_max + 1)[None, :]
+    return amps * gt / ((pulse.s - shift) + 1j * gt)
 
 
 def _rate_matrix_1d_full(trap: TrapConfig, pulse: Pulse) -> RateMatrix:
     n_max = trap.n_max
     _check_matrix_budget(n_max + 1)
     l_max = min(n_max + _level_headroom(trap.eta, n_max), fc._INTERNAL_MAX_DEGREE)
-    coeffs = np.stack([_lorentzian_amplitudes(trap, pulse, m, l_max)
-                       for m in range(n_max + 1)], axis=1)  # (l, m)
+    coeffs = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
     phases = fc.phase_table(n_max, l_max)
     # intermediate-level interference is odd in u: the whole line rule
     u, w = _line_rule(trap.dipole, _line_order(trap.eta, l_max))
@@ -575,36 +589,27 @@ class _Full2d:
     """Column-on-demand full-mode 2D rates (all intermediate levels)."""
 
     def __init__(self, trap: TrapConfig, pulse: Pulse):
-        self.trap = trap
-        self.pulse = pulse
         self.a = complex(pulse.amplitude_ratio)
-        self.tables = angular_tables(trap)
-        self.l_max = min(trap.n_max + _level_headroom(trap.eta, trap.n_max),
-                         fc._INTERNAL_MAX_DEGREE)
+        tables = angular_tables(trap)
+        l_max = min(trap.n_max + _level_headroom(trap.eta, trap.n_max),
+                    fc._INTERNAL_MAX_DEGREE)
         # intermediate-level interference is direction-odd: full sphere grid
-        self.dx = self.tables.stack("x", self.l_max, folded=False)
-        self.dy = self.tables.stack("y", self.l_max, folded=False)
-        self.wgt = self.tables.weights
-        self.phases = fc.phase_table(trap.n_max, self.l_max)
-        self._coeffs: dict[int, np.ndarray] = {}
-
-    def _c(self, m: int) -> np.ndarray:
-        cached = self._coeffs.get(m)
-        if cached is None:
-            cached = _lorentzian_amplitudes(self.trap, self.pulse, m, self.l_max)
-            self._coeffs[m] = cached
-        return cached
+        self.dx = tables.stack("x", l_max, folded=False)
+        self.dy = tables.stack("y", l_max, folded=False)
+        self.wgt = tables.weights
+        self.phases = fc.phase_table(trap.n_max, l_max)
+        self.coeffs = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
 
     def closure(self, mx: int, my: int) -> float:
-        cx, cy = self._c(mx), self._c(my)
+        cx, cy = self.coeffs[:, mx], self.coeffs[:, my]
         total = float(np.vdot(cx, cx).real + abs(self.a) ** 2 * np.vdot(cy, cy).real)
         total += 2.0 * (np.conj(self.a) * cx[mx] * np.conj(cy[my])).real
         return max(total, 0.0)
 
     def column(self, mx: int, my: int) -> np.ndarray:
         w = self.wgt
-        gx = np.einsum("knl,nl->kn", self.dx, self.phases * self._c(mx))
-        gy = np.einsum("knl,nl->kn", self.dy, self.phases * self._c(my))
+        gx = np.einsum("knl,nl->kn", self.dx, self.phases * self.coeffs[:, mx])
+        gy = np.einsum("knl,nl->kn", self.dy, self.phases * self.coeffs[:, my])
         ex = self.phases[:, mx][None, :] * self.dx[:, :, mx]  # x spectator
         ey = self.phases[:, my][None, :] * self.dy[:, :, my]  # y spectator
         t1 = (w[:, None] * (gx.real ** 2 + gx.imag ** 2)).T @ (ey.real ** 2 + ey.imag ** 2)

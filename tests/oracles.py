@@ -1,10 +1,12 @@
 """Independent reference computations used by the test suite only.
 
 Everything here deliberately avoids the package's own evaluation paths:
-recoil matrix elements come from the explicit finite series in 50-digit
-arithmetic, expectations from brute-force sums, and propagators from a
+recoil matrix elements come from the explicit finite series in at least
+50-digit arithmetic, expectations from brute-force sums, and propagators from a
 uniformization series.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -13,22 +15,33 @@ mp.mp.dps = 50
 
 
 def fc_modulus_series(eta: float, m: int, n: int) -> float:
-    """|<n|exp(i*eta*(a+a^dag))|m>| from the exact finite sum.
+    """|<n|exp(i*eta*(a+a^dag))|m>| from the exact finite sum."""
+    return abs(fc_reduced_series(eta, m, n))
 
-    Uses e^{-x/2} sqrt(lo!/hi!) |sum_l (-1)^l C(hi, lo-l) x^l / l!| with
-    x = eta^2, lo = min(m, n), hi = max(m, n); every term exact at 50
-    digits.
+
+def fc_reduced_series(eta: float, m: int, n: int) -> float:
+    """Signed reduced factor: <n|exp(i*eta*(a+a^dag))|m> / i^|n-m|.
+
+    e^{-x/2} eta^(hi-lo) sqrt(lo!/hi!) sum_l (-1)^l C(hi, lo-l) x^l / l!,
+    x = eta^2, lo = min(m, n), hi = max(m, n), from the exact finite sum.
+    The working precision is 50 digits plus the digits the alternating sum
+    cancels (its largest term times the prefactor, estimated in floats), so
+    every entry above 1e-30 keeps at least 20 digits.
     """
     lo, hi = min(m, n), max(m, n)
-    x = mp.mpf(eta) ** 2
     if eta == 0:
         return 1.0 if lo == hi else 0.0
-    total = mp.mpf(0)
-    for l in range(lo + 1):
-        total += (-1) ** l * mp.binomial(hi, lo - l) * x ** l / mp.factorial(l)
-    pref = mp.e ** (-x / 2) * mp.sqrt(mp.factorial(lo) / mp.factorial(hi)) \
-        * mp.mpf(abs(eta)) ** (hi - lo)
-    return float(pref * abs(total))
+    lg, log_x = math.lgamma, 2.0 * math.log(abs(eta))
+    log_pref = -0.5 * eta * eta + 0.5 * (lg(lo + 1) - lg(hi + 1) + (hi - lo) * log_x)
+    log_term = max(lg(hi + 1) - lg(lo - l + 1) - lg(hi - lo + l + 1) + l * log_x - lg(l + 1)
+                   for l in range(lo + 1))
+    with mp.workdps(50 + max(0, math.ceil((log_pref + log_term) / math.log(10)))):
+        x = mp.mpf(eta) ** 2
+        total = mp.fsum((-1) ** l * mp.binomial(hi, lo - l) * x ** l / mp.factorial(l)
+                        for l in range(lo + 1))
+        pref = mp.e ** (-x / 2) * mp.sqrt(mp.factorial(lo) / mp.factorial(hi)) \
+            * mp.mpf(eta) ** (hi - lo)
+        return float(pref * total)
 
 
 def laguerre_series(n: int, alpha: int, x: float) -> float:

@@ -87,6 +87,15 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg)) == 3
         assert "integer" in capsys.readouterr().err
 
+    def test_unfoldable_quadrature_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 2\n"
+                       "n_max = 4\nquad_theta = 63\n[[pulse]]\ns = -2\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 3
+        assert "quad_theta must be even" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preset_run_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("run", "--preset", "fig2", "--cycles", "10",

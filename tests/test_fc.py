@@ -6,7 +6,7 @@ import pytest
 from dyncool import fc
 from dyncool.errors import DomainError, SingularRatioError
 
-from oracles import fc_modulus_series, laguerre_series
+from oracles import fc_modulus_series, fc_reduced_series, laguerre_series
 
 
 class TestLaguerre:
@@ -108,52 +108,91 @@ class TestFcFactor:
 
 
 class TestFcRow:
+    """Rows <n|exp(i*eta*(a+a^dag))|m>, n = 0..n_max, of the amplitude table
+    phase_table * reduced_stack, and the fc_factor entries they slice."""
+
+    @staticmethod
+    def row(eta, m, n_max):
+        return (fc.phase_table(n_max, m) * fc.reduced_stack(np.array([eta]), n_max, m)[0])[:, m]
+
     def test_zero_eta_unit_vector(self):
-        row = fc.fc_row(0.0, 5, 10)
+        row = self.row(0.0, 5, 10)
         expected = np.zeros(11, dtype=complex)
         expected[5] = 1.0
         assert np.array_equal(row, expected)
 
     def test_matches_fc_factor(self):
+        # the table row and the scalar slice both equal the signed series
         for eta in (0.7, 3.0, -2.1):
             for m in (0, 1, 7, 20):
-                row = fc.fc_row(eta, m, 60)
+                row = self.row(eta, m, 60)
                 for n in range(61):
-                    ref = fc.fc_factor(eta, m, n).value
+                    ref = 1j ** abs(n - m) * fc_reduced_series(eta, m, n)
+                    got = fc.fc_factor(eta, m, n).value
                     if abs(ref) > 1e-300:
-                        assert abs(row[n] - ref) <= 1e-14 * abs(ref)
+                        assert abs(row[n] - ref) <= 1e-13 * abs(ref)
+                        assert abs(got - ref) <= 1e-13 * abs(ref)
                     else:
-                        assert abs(row[n]) <= 1e-300
+                        assert abs(row[n]) <= 1e-300 and abs(got) <= 1e-300
 
     def test_unitarity_partial_sum(self):
-        row = fc.fc_row(3.0, 0, 60)
+        row = self.row(3.0, 0, 60)
         assert np.sum(np.abs(row) ** 2) >= 1.0 - 1e-10
 
     def test_dark_entry(self):
-        row = fc.fc_row(3.0, 1, 60)
-        assert abs(row[9]) < 1e-12
-
-    def test_rejects_small_n_max(self):
-        with pytest.raises(DomainError):
-            fc.fc_row(1.0, 5, 3)
+        # eta^2 = s + 1 with s = 8 darkens level 1
+        assert abs(self.row(3.0, 1, 60)[9]) < 1e-12
+        assert abs(fc.fc_reduced(3.0, 1, 9)) < 1e-12
 
 
 class TestReducedStack:
     def test_reduced_stack_many_etas(self):
         etas = np.array([-2.5, -0.3, 0.0, 0.9, 3.0])
-        stack = fc.reduced_stack(etas, 20, 25)
-        for k, eta in enumerate(etas):
-            for n in (0, 7, 20):
-                for l in (0, 13, 25):
-                    ref = fc.fc_reduced(float(eta), l, n)
-                    assert stack[k, n, l] == pytest.approx(ref, rel=1e-12, abs=1e-280)
+        for n_max, l_max in ((20, 25), (25, 20)):
+            stack = fc.reduced_stack(etas, n_max, l_max)
+            assert stack.shape == (5, n_max + 1, l_max + 1)
+            for k, eta in enumerate(etas):
+                for n in (0, 7, n_max):
+                    for l in (0, 13, l_max):
+                        ref = fc_reduced_series(float(eta), l, n)
+                        assert stack[k, n, l] == pytest.approx(ref, rel=1e-12, abs=1e-280)
+            # eta = 0 is the identity on the square part, zero elsewhere
+            identity = np.zeros((n_max + 1, l_max + 1))
+            np.fill_diagonal(identity, 1.0)
+            assert np.array_equal(stack[2], identity)
         # with its i^|n-l| phases the stack is the full amplitude table
         table = fc.phase_table(50, 60) * fc.reduced_stack(np.array([3.0]), 50, 60)[0]
         for m in (0, 3, 25, 50):
             for l in (0, 10, 42, 60):
-                ref = fc.fc_factor(3.0, m, l).value
+                ref = 1j ** abs(m - l) * fc_reduced_series(3.0, m, l)
                 if abs(ref) > 1e-280:
                     assert abs(table[m, l] - ref) <= 1e-12 * abs(ref)
+
+    def test_deep_levels_finite(self):
+        # 1060 levels: the unnormalised L_lo^d overflows from lo ~ d ~ 520
+        stack = fc.reduced_stack(np.array([0.05, 1.0, 3.0]), 1060, 1060)
+        assert np.all(np.isfinite(stack))
+        for k, eta in enumerate((0.05, 1.0, 3.0)):
+            for n, l in ((520, 540), (530, 530), (1000, 1055)):
+                ref = fc_modulus_series(eta, n, l)
+                assert abs(stack[k, n, l]) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_scaled_band_start(self):
+        # at eta = 3 the band d = 500 starts at 3^500 / sqrt(500!) e^-4.5,
+        # below the double range, and grows to 1e-34 by level 3500
+        stack = fc.reduced_stack(np.array([3.0]), 3500, 4000)
+        ref = fc_reduced_series(3.0, 3500, 4000)
+        assert 1e-35 < ref < 1e-33
+        assert stack[0, 3500, 4000] == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_level_checks_before_allocation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fc, "reduced_stack", lambda *args: calls.append(args))
+        for args in ((1.0, -1, 3), (float("nan"), 0, 1),
+                     (1.0, 0, fc._INTERNAL_MAX_DEGREE + 1)):
+            with pytest.raises(DomainError):
+                fc.fc_factor(*args)
+        assert calls == []
 
 
 class TestDarkSolvers:

@@ -48,6 +48,15 @@ class TestTrapConfig:
         with pytest.raises(DomainError):
             TrapConfig(eta=1.0, gamma_over_omega=0.1, quad_theta=2)
 
+    def test_unfoldable_sphere_rule_refused(self):
+        # the sphere rule is folded by parity: even theta order, phi order 4k
+        for theta, phi in ((63, 128), (64, 126), (9, 12), (8, 10)):
+            with pytest.raises(DomainError):
+                TrapConfig(eta=1.0, gamma_over_omega=0.1, dims=2,
+                           quad_theta=theta, quad_phi=phi)
+        trap = TrapConfig(eta=1.0, gamma_over_omega=0.1, dims=2, quad_theta=6, quad_phi=12)
+        assert (trap.quad_theta, trap.quad_phi) == (6, 12)
+
     def test_eta_hat2_and_indexing(self):
         trap = trap_2d(eta=3.065, n_max=5)
         assert trap.eta_hat2 == 9
@@ -158,12 +167,14 @@ class TestAngularQuadrature:
             assert np.array_equal(built[0][s].leak, built[1][s].leak)
 
     def test_fig3_pulses_build_one_kernel(self, monkeypatch):
-        # the fig3 benchmark pulses reach levels 480 (s < 0) and 488 (s = 8)
+        # the fig3 benchmark pulses reach levels 480 (s < 0) and 488 (s = 8);
+        # multi-node calls are kernel builds, single-eta ones absorption bands
         calls = []
 
-        def spy(*args, _inner=fc.reduced_stack, **kwargs):
-            calls.append(args[2] if len(args) > 2 else kwargs["l_max"])
-            return _inner(*args, **kwargs)
+        def spy(eta_proj, n_max, l_max, _inner=fc.reduced_stack):
+            if len(eta_proj) > 1:
+                calls.append(l_max)
+            return _inner(eta_proj, n_max, l_max)
 
         monkeypatch.setattr(fc, "reduced_stack", spy)
         rates.clear_caches()
@@ -172,6 +183,37 @@ class TestAngularQuadrature:
             rate_matrix(trap, Pulse(s=s, duration=1.0))
         rates.clear_caches()
         assert calls == [489]
+
+    def test_kernel_node_chunks_within_budget(self, monkeypatch):
+        trap = trap_1d(n_max=40)
+        rates.clear_caches()
+        whole = rates.angular_tables(trap).emission_kernel(48)
+        node_bytes = 41 * (rates._line_depth(trap.eta, 40, 48) + 1) * 8
+        budget = 5 * node_bytes + 100
+        chunks = []
+
+        def spy(eta_proj, n_max, l_max, _inner=fc.reduced_stack):
+            chunks.append(len(eta_proj) * (n_max + 1) * (l_max + 1) * 8)
+            return _inner(eta_proj, n_max, l_max)
+
+        monkeypatch.setattr(fc, "reduced_stack", spy)
+        monkeypatch.setattr(rates.AngularTables, "_FULL_STACK_BUDGET", budget)
+        rates.clear_caches()
+        chunked = rates.angular_tables(trap).emission_kernel(48)
+        rates.clear_caches()
+        assert len(chunks) >= 2 and max(chunks) <= budget
+        assert np.abs(chunked - whole).max() <= 1e-13
+
+    def test_kernel_node_over_budget_refused(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fc, "reduced_stack", lambda *args: calls.append(args))
+        node_bytes = 41 * (rates._line_depth(3.0, 40, 48) + 1) * 8
+        monkeypatch.setattr(rates.AngularTables, "_FULL_STACK_BUDGET", node_bytes - 1)
+        rates.clear_caches()
+        with pytest.raises(ResourceLimitError):
+            rates.angular_tables(trap_1d(n_max=40)).emission_kernel(48)
+        rates.clear_caches()
+        assert calls == []
 
 
 class TestEmptyRates1d:
