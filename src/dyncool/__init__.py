@@ -18,7 +18,7 @@ from .protocols import (Protocol, RunSpec, ValidationReport,
                         PRESET_NAMES)
 from .rates import (Pulse, RateMatrix, TrapConfig, angular_quadrature,
                     dipole_pattern, empty_rates_1d, empty_rates_2d,
-                    rate_matrix, rate_matrix_1d, rate_matrix_2d)
+                    rate_matrix)
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,6 @@ __all__ = [
     "empty_rates_1d", "empty_rates_2d", "fc_factor", "laguerre_assoc",
     "mc_ensemble", "mc_trajectory", "observables", "parse_config",
     "preset", "preset_runspec", "propagate_pulse",
-    "rate_matrix", "rate_matrix_1d", "rate_matrix_2d", "run_protocol",
+    "rate_matrix", "run_protocol",
     "thermal_distribution", "validate_protocol", "write_config",
 ]

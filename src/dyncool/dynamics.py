@@ -152,8 +152,8 @@ def thermal_distribution(mean_n: float, trap: TrapConfig) -> Distribution:
     n_x + n_y matches.  Tail mass beyond truncation is folded into the
     renormalization and warned about when it exceeds 1e-6.
     """
-    if not mean_n > 0:
-        raise DomainError(f"thermal mean must be positive, got {mean_n}")
+    if not 0.0 < mean_n < np.inf:
+        raise DomainError(f"thermal mean must be positive and finite, got {mean_n}")
     if trap.n_max < trap.recommended_n_max(mean_n):
         warnings.warn(
             f"n_max={trap.n_max} is below the recommended "

@@ -127,15 +127,11 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
     """Check a protocol against the cooling-regime rules.
 
     Errors make the protocol unrunnable (non-integer detuning in resonant
-    mode, weak confinement, no pulses).  Warnings flag setups that run but
-    are expected to cool badly; notes carry dark-state sensitivity numbers.
+    mode, no pulses); weak confinement never gets here, as ``TrapConfig``
+    refuses gamma >= omega.  Warnings flag setups that run but are expected
+    to cool badly; notes carry dark-state sensitivity numbers.
     """
     rep = ValidationReport()
-    if trap.gamma_over_omega >= 1.0:
-        rep.errors.append((
-            "festina-lente",
-            f"gamma/omega = {trap.gamma_over_omega} >= 1: trap sidebands are "
-            "not resolved, red detuning no longer makes level 0 dark"))
     if not protocol.pulses:
         rep.errors.append(("empty-protocol", "protocol contains no pulses"))
 
@@ -385,7 +381,7 @@ def parse_config(text: str) -> RunSpec:
         value, lineno = kv[key]
         try:
             return conv(value)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
     def to_int(value: str) -> int:

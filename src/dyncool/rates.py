@@ -3,26 +3,28 @@
 Rates are expressed in units Gamma0 = Omega^2/(2*gamma); pulse durations in
 tau0 = 2*gamma/Omega^2, so Gamma0*tau0 = 1 and propagation is dimensionless.
 
-Two modes are provided:
+Two rate modes are provided, each one column provider for both geometries:
 
-* ``resonant`` keeps only the intermediate level hit exactly by an integer
-  detuning delta = s*omega (dominant Lorentzian term for gamma << omega).
-  Column totals then close exactly onto the analytic empty rates.
-* ``full`` sums every intermediate level with its Lorentzian weight and
-  accepts non-integer detunings.
+* ``resonant`` (``_Resonant``) keeps only the intermediate level hit exactly
+  by an integer detuning delta = s*omega (dominant Lorentzian term for
+  gamma << omega).  Column totals then close exactly onto the analytic
+  empty rates.
+* ``full`` (``_Full``) sums every intermediate level with its Lorentzian
+  weight and accepts non-integer detunings.
 
 Emission recoil is integrated over the photon direction with one rule per
-geometry: 1D rates see it only through its projection u on the trap axis and
-use a Gauss-Legendre rule in u; 2D rates use a Gauss-Legendre (cos theta) x
-trapezoid (phi) sphere rule of orders ``quad_theta`` x ``quad_phi``.
+geometry, folded by parity: the u > 0 half of a Gauss-Legendre rule in the
+projection u on the trap axis in 1D, the u, v >= 0, z > 0 part of a
+Gauss-Legendre (cos theta) x trapezoid (phi) sphere rule of orders
+``quad_theta`` x ``quad_phi`` in 2D.  A folded node stands for its mirror
+images, reached through the parity R(-x)[n, l] = (-1)^(n+l) R(x)[n, l] of
+the recoil factors.  Resonant columns are slices and scales of one recoil
+integral per trap and depth (S1 in 1D, T in 2D); full-mode columns are
+computed on demand from the folded recoil stacks.
 
-The recoil integral is computed once per trap and depth: S1[n, l] in 1D, the
-tensor T[nx, l, ny, l'] in 2D.  Every resonant column is a slice and a scale
-of it, plus in 2D, for even s, a slice of one per-pulse cross-term tensor C_s
-(T itself at s = 0, where the column is the empty rate times a slice of T).
-
-A 2D generator acts on the states of a ``StateBasis``: the grid itself, or,
-where the rates commute with the x <-> y swap, the unordered level pairs.
+One builder assembles every dense generator from a provider's columns, on
+the states of a ``StateBasis``; ``ColumnSampler`` serves Monte Carlo jumps
+from the same providers.
 """
 
 from __future__ import annotations
@@ -62,17 +64,16 @@ class TrapConfig:
     dipole: str = "isotropic"
     quad_theta: int = DEFAULT_QUAD_THETA
     quad_phi: int = DEFAULT_QUAD_PHI
-    allow_weak_confinement: bool = False
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.eta) or self.eta < 0:
             raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
         if self.gamma_over_omega <= 0 or not math.isfinite(self.gamma_over_omega):
             raise DomainError(f"gamma/omega must be positive, got {self.gamma_over_omega}")
-        if self.gamma_over_omega >= 1.0 and not self.allow_weak_confinement:
+        if self.gamma_over_omega >= 1.0:
             raise ValidityError(
-                f"gamma/omega = {self.gamma_over_omega} >= 1 leaves the "
-                "strong-confinement regime; pass allow_weak_confinement=True to override")
+                f"gamma/omega = {self.gamma_over_omega} >= 1: trap sidebands are "
+                "not resolved, red detuning no longer makes level 0 dark")
         if self.dims not in (1, 2):
             raise DomainError(f"dims must be 1 or 2, got {self.dims}")
         if self.n_max < 1:
@@ -162,6 +163,8 @@ def angular_quadrature(quad_theta: int, quad_phi: int):
 
     Returns (theta, phi, w) flattened over the grid; weights carry the
     sin(theta) Jacobian through the cos(theta) substitution, so sum(w) = 4*pi.
+    2D rates run on its parity-folded part (``_folded_quadrature``); the
+    whole rule is the reference that folded results are checked against.
     """
     if quad_theta < 4 or quad_phi < 4:
         raise DomainError("quadrature orders must be >= 4")
@@ -176,11 +179,13 @@ def angular_quadrature(quad_theta: int, quad_phi: int):
 
 
 def _folded_quadrature(quad_theta: int, quad_phi: int):
-    """Quarter-phi, half-theta sphere grid for integrands even in both the
-    x and y direction projections.
+    """Quarter-phi, half-theta sphere grid: each node's weight counts its
+    mirror images (+-u, +-v, +-z) in the full rule.
 
-    Valid because sin(theta) is even in cos(theta) and the four phi-quadrant
-    images realize all sign combinations of (u, v); requires an even
+    Exact for integrands that depend on the direction through the x and y
+    projections u, v alone and are averaged over their sign images, because
+    sin(theta) is even in cos(theta) and the four phi-quadrant images
+    realize all sign combinations of (u, v); requires an even
     Gauss-Legendre order and a phi order divisible by 4 (``TrapConfig``
     checks both).
     """
@@ -225,48 +230,48 @@ def _line_rule(dipole: str, order: int):
 
 
 class AngularTables:
-    """Per-trap emission kernels, and the 2D sphere grids and displacement stacks.
+    """Per-trap emission kernels, and the 2D folded sphere rule and its stacks.
 
     The 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du is even in u, so it
     runs on the positive half of the line rule with doubled weights, in node
-    chunks whose stack fits ``_FULL_STACK_BUDGET``.  2D resonant integrands
-    are even in both projections u = sin(th)cos(ph) and v = sin(th)sin(ph),
-    so they use an 8-fold folded grid; full mode (whose intermediate-level
-    interference breaks the parity) uses the complete sphere.  Stacks hold
-    the real reduced factors R[k, n, l] (phases applied by consumers) and
-    grow lazily in l.  The 2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2
-    Ry_k[ny, l']^2, one GEMM of the squared folded stacks, is the size of a
-    dense matrix.  Kernels are keyed by a build depth that depends on the trap
-    and the requested level alone: build order cannot move them.
+    chunks whose stack fits ``_FULL_STACK_BUDGET``.  The 2D integrands of both
+    modes depend on the direction through u = sin(th)cos(ph) and
+    v = sin(th)sin(ph) alone, so they run on the 8-fold folded sphere grid
+    (u, v >= 0, z > 0); where an integrand is not even in u or v (full-mode
+    interference between intermediate levels), its consumer adds the mirror
+    images through the parity of R.  ``stack(axis, l_max)`` holds the real
+    reduced factors R[k, n, l] on that grid (phases applied by consumers) and
+    grows lazily in l: (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x
+    (l_max+1) doubles, 84 MB per axis for full mode at the fig5 depth.  The
+    2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2, one
+    GEMM of the squared stacks, is the size of a dense matrix.  Kernels are
+    keyed by a build depth that depends on the trap and the requested level
+    alone: build order cannot move them.
     """
 
     _FULL_STACK_BUDGET = 512 << 20  # cap on one stack (a 2D axis, a 1D node chunk)
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
-        self._stacks: dict[tuple[str, bool], np.ndarray] = {}
+        self._stacks: dict[str, np.ndarray] = {}
         self._kernels: dict[int, np.ndarray] = {}
         if trap.dims == 2:
-            theta, phi, w = angular_quadrature(trap.quad_theta, trap.quad_phi)
-            self.weights = w * dipole_pattern(trap.dipole, theta, phi)
-            self.proj = {"x": np.sin(theta) * np.cos(phi),
-                         "y": np.sin(theta) * np.sin(phi)}
             fth, fph, fw = _folded_quadrature(trap.quad_theta, trap.quad_phi)
             self.fold_weights = fw * dipole_pattern(trap.dipole, fth, fph)
             self.fold_proj = {"x": np.sin(fth) * np.cos(fph),
                               "y": np.sin(fth) * np.sin(fph)}
 
-    def stack(self, axis: str, l_max: int, folded: bool = True) -> np.ndarray:
-        cached = self._stacks.get((axis, folded))
+    def stack(self, axis: str, l_max: int) -> np.ndarray:
+        cached = self._stacks.get(axis)
         if cached is None or cached.shape[2] <= l_max:
-            proj = self.fold_proj[axis] if folded else self.proj[axis]
+            proj = self.fold_proj[axis]
             need = proj.shape[0] * (self.trap.n_max + 1) * (l_max + 1) * 8
             if need > self._FULL_STACK_BUDGET:
                 raise ResourceLimitError(
                     f"projected displacement stack would need {need / 2**20:.0f} "
                     "MiB; lower n_max or the quadrature orders")
             cached = fc.reduced_stack(self.trap.eta * proj, self.trap.n_max, l_max)
-            self._stacks[(axis, folded)] = cached
+            self._stacks[axis] = cached
         return cached
 
     def emission_kernel(self, l_max: int) -> np.ndarray:
@@ -341,18 +346,19 @@ def _reduced_absorption(eta: float, s: int, levels) -> np.ndarray:
     return out
 
 
-def _empty_rate(fx, s: int, fy=0.0, a=0.0):
-    """The resonant empty rate, broadcast over arrays of reduced factors.
+def _empty_rate(x2, dx=0.0, y2=0.0, dy=0.0, a=0.0):
+    """The rate at which a level is emptied, broadcast over arrays.
 
-    Gamma = F_x^2 + |A|^2 F_y^2 + 2 Re(A) F_x F_y [s = 0], with F the real
-    reduced absorption factor of each axis and A the y/x laser amplitude
-    ratio; 1D is the case F_y = 0.  The cross term is the two-laser
-    interference, alive only at zero detuning.  A level is dark exactly
-    where Gamma vanishes.
+    Gamma = |c_x|^2 + |A|^2 |c_y|^2 + 2 Re(A* c_x[m_x] c_y[m_y]*), with c an
+    axis's absorption amplitudes over the intermediate levels (``x2``,
+    ``y2`` their squared norms, ``dx``, ``dy`` their entries at the level
+    itself) and A the y/x laser amplitude ratio; 1D is the case c_y = 0.
+    The cross term is the two-laser interference.  Resonant absorption has
+    one amplitude, the real reduced factor F at level m + s, so |c|^2 = F^2
+    and c[m] = F [s = 0].  A level is dark exactly where Gamma vanishes.
     """
-    rate = fx * fx + abs(a) ** 2 * fy * fy
-    if s == 0:
-        rate = rate + 2.0 * a.real * fx * fy
+    rate = x2 + abs(a) ** 2 * y2
+    rate = rate + (2.0 * np.conj(a) * dx * np.conj(dy)).real
     return np.maximum(rate, 0.0)
 
 
@@ -364,27 +370,28 @@ def empty_rates_1d(trap: TrapConfig, s: int) -> np.ndarray:
     """
     if trap.dims != 1:
         raise DomainError("empty_rates_1d requires a 1D trap")
-    s = Pulse(s=s, duration=1.0).s_int
-    return _empty_rate(_reduced_absorption(trap.eta, s, range(trap.n_max + 1)), s)
+    return level_empty_rates(trap, Pulse(s=s, duration=1.0), range(trap.n_max + 1))
 
 
 def empty_rates_2d(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
     """Empty rates over (m_x, m_y) for the two-laser arrangement."""
     if trap.dims != 2:
         raise DomainError("empty_rates_2d requires a 2D trap")
-    s = pulse.s_int
-    f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
-    return _empty_rate(f[:, None], s, f[None, :], complex(pulse.amplitude_ratio))
+    levels = np.indices(trap.shape).reshape(2, -1).T
+    return level_empty_rates(trap, pulse, levels).reshape(trap.shape)
 
 
 def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
-    """Empty rates of the listed levels: ints in 1D, (m_x, m_y) pairs in 2D."""
+    """Resonant empty rates of the listed levels: ints in 1D, (m_x, m_y)
+    pairs in 2D."""
     s = pulse.s_int
     grid = np.asarray(levels, dtype=int).reshape(-1, trap.dims)
     f = _reduced_absorption(trap.eta, s, grid.reshape(-1)).reshape(grid.shape)
+    norm2, diag = f * f, f * (s == 0)
     if trap.dims == 1:
-        return _empty_rate(f[:, 0], s)
-    return _empty_rate(f[:, 0], s, f[:, 1], complex(pulse.amplitude_ratio))
+        return _empty_rate(norm2[:, 0])
+    return _empty_rate(norm2[:, 0], diag[:, 0], norm2[:, 1], diag[:, 1],
+                       complex(pulse.amplitude_ratio))
 
 
 class RateMatrix:
@@ -474,100 +481,62 @@ def _level_headroom(eta: float, top_level: int, sigmas: float = 7.0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# 1D construction
+# Column providers and the dense builder
+#
+# A provider serves one pulse's rates to the dense builder and to
+# ``ColumnSampler`` alike: ``column(*level)`` is Gamma_{n <- level} over the
+# truncated grid, self term included (a level is (m,) in 1D, (m_x, m_y) in
+# 2D), and ``closures`` holds the empty rate of every grid level, onto which
+# its untruncated column closes.
 
 
-def rate_matrix_1d(trap: TrapConfig, pulse: Pulse, mode: str = "resonant") -> RateMatrix:
-    """Transition rates Gamma_{n<-m} for a 1D trap under one pulse."""
-    if trap.dims != 1:
-        raise DomainError("rate_matrix_1d requires a 1D trap")
-    if mode == "resonant":
-        return _rate_matrix_1d_resonant(trap, pulse)
-    if mode == "full":
-        return _rate_matrix_1d_full(trap, pulse)
-    raise DomainError(f"unknown rate mode {mode!r}")
+def _closures(norm2: np.ndarray, diag: np.ndarray, a: complex, dims: int) -> np.ndarray:
+    """Empty rates of every grid level from |c|^2 and c[m] of each trap
+    level (see ``_empty_rate``)."""
+    if dims == 1:
+        return _empty_rate(norm2)
+    return _empty_rate(norm2[:, None], diag[:, None], norm2[None, :], diag[None, :], a)
 
 
-def _rate_matrix_1d_resonant(trap: TrapConfig, pulse: Pulse) -> RateMatrix:
-    s = pulse.s_int
-    _check_matrix_budget(trap.n_max + 1)
-    s1 = angular_tables(trap).emission_kernel(trap.n_max + max(s, 0))
-    closure = empty_rates_1d(trap, s)
-    columns = np.zeros((trap.n_max + 1, trap.n_max + 1))
-    bright = np.nonzero(closure)[0]
-    columns[:, bright] = closure[bright] * s1[:, bright + s]
-    return _assemble(columns, closure, "resonant", trap, pulse)
+class _Resonant:
+    """Resonant columns as slices and scales of the trap's emission kernel.
 
-
-def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.ndarray:
-    """c[l, m] = <l|e^{ikx}|m> * gamma / (delta - omega(l - m) + i gamma),
-    dimensionless, for l <= l_max and every trap level m."""
-    gt = trap.gamma_over_omega
-    n_max = trap.n_max
-    amps = fc.phase_table(l_max, n_max) * fc.reduced_stack(np.array([trap.eta]), l_max, n_max)[0]
-    shift = np.arange(l_max + 1)[:, None] - np.arange(n_max + 1)[None, :]
-    return amps * gt / ((pulse.s - shift) + 1j * gt)
-
-
-def _rate_matrix_1d_full(trap: TrapConfig, pulse: Pulse) -> RateMatrix:
-    n_max = trap.n_max
-    _check_matrix_budget(n_max + 1)
-    l_max = min(n_max + _level_headroom(trap.eta, n_max), fc._INTERNAL_MAX_DEGREE)
-    coeffs = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
-    phases = fc.phase_table(n_max, l_max)
-    # intermediate-level interference is odd in u: the whole line rule
-    u, w = _line_rule(trap.dipole, _line_order(trap.eta, l_max))
-    stack = fc.reduced_stack(trap.eta * u, n_max, l_max)  # (k, n, l)
-    columns = np.zeros((n_max + 1, n_max + 1))
-    for m in range(n_max + 1):
-        amp = np.einsum("knl,nl->kn", stack, phases * coeffs[:, m])
-        columns[:, m] = w @ (amp.real ** 2 + amp.imag ** 2)
-    closure = np.einsum("lm,lm->m", coeffs.real, coeffs.real) \
-        + np.einsum("lm,lm->m", coeffs.imag, coeffs.imag)
-    return _assemble(columns, closure, "full", trap, pulse)
-
-
-# ---------------------------------------------------------------------------
-# 2D construction
-
-
-class _Resonant2d:
-    """Resonant 2D columns as slices and scales; backs dense assembly and MC.
-
-    Column (mx, my) is f_x^2 T[:, mx+s, :, my] + |A|^2 f_y^2 T[:, mx, :, my+s]
-    + 2 Re(A) f_x f_y C_s[:, mx, :, my], T the trap's emission kernel.  The
-    cross term is odd in both direction projections for odd s; for even s its
-    i^|n-l| phases factor into one sign per axis, so C_s is one GEMM, held
-    here.  At s = 0 C_s is T: the column is the empty rate times T[:, mx, :, my].
+    In 1D column m is F_m^2 S1[:, m+s].  In 2D column (mx, my) is
+    f_x^2 T[:, mx+s, :, my] + |A|^2 f_y^2 T[:, mx, :, my+s]
+    + 2 Re(A) f_x f_y C_s[:, mx, :, my].  The cross term is odd in both
+    direction projections for odd s; for even s its i^|n-l| phases factor
+    into one sign per axis, so C_s is one GEMM, held here.  At s = 0 C_s is
+    T: the column is the empty rate times T[:, mx, :, my].
     """
 
     def __init__(self, trap: TrapConfig, pulse: Pulse):
         self.s = s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
         self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+        self.norm2 = self.f * self.f
+        self.closures = _closures(self.norm2, self.f * (s == 0), self.a, trap.dims)
         tables = angular_tables(trap)
         l_max = trap.n_max + max(s, 0)
         # T is checked against the budget first; C_s has fewer entries
         self.t = tables.emission_kernel(l_max)
         self.cross = None
-        if s != 0 and s % 2 == 0 and self.a.real != 0.0:
+        if trap.dims == 2 and s != 0 and s % 2 == 0 and self.a.real != 0.0:
             x, y = (_cross_factor(tables.stack(axis, l_max), s) for axis in "xy")
             x *= tables.fold_weights[:, None, None]
             n1 = trap.n_max + 1
             self.cross = (x.reshape(-1, n1 * n1).T @ y.reshape(-1, n1 * n1)
                           ).reshape(n1, n1, n1, n1)
 
-    def closure(self, mx: int, my: int) -> float:
-        return float(_empty_rate(self.f[mx], self.s, self.f[my], self.a))
-
-    def column(self, mx: int, my: int) -> np.ndarray:
-        """Gamma_{(nx,ny) <- (mx,my)} over the truncated grid, incl. self term."""
+    def column(self, *level) -> np.ndarray:
         s, t = self.s, self.t
-        if s == 0:
-            return self.closure(mx, my) * t[:, mx, :, my]
-        fx, fy = self.f[mx], self.f[my]
         # f is zero where m + s < 0, so the slice it scales there is immaterial
-        out = (fx * fx) * t[:, max(mx + s, 0), :, my]
+        if len(level) == 1:
+            return self.norm2[level[0]] * t[:, max(level[0] + s, 0)]
+        mx, my = level
+        if s == 0:
+            return self.closures[mx, my] * t[:, mx, :, my]
+        fx, fy = self.f[mx], self.f[my]
+        out = self.norm2[mx] * t[:, max(mx + s, 0), :, my]
         out += (abs(self.a) ** 2 * fy * fy) * t[:, mx, :, max(my + s, 0)]
         if self.cross is not None:
             out += (2.0 * self.a.real * fx * fy) * self.cross[:, mx, :, my]
@@ -585,48 +554,78 @@ def _cross_factor(stack: np.ndarray, s: int) -> np.ndarray:
     return stack[:, :, shifted] * stack[:, :, :n1] * sign
 
 
-class _Full2d:
-    """Column-on-demand full-mode 2D rates (all intermediate levels)."""
+def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.ndarray:
+    """c[l, m] = <l|e^{ikx}|m> * gamma / (delta - omega(l - m) + i gamma),
+    dimensionless, for l <= l_max and every trap level m."""
+    gt = trap.gamma_over_omega
+    n_max = trap.n_max
+    amps = fc.phase_table(l_max, n_max) * fc.reduced_stack(np.array([trap.eta]), l_max, n_max)[0]
+    shift = np.arange(l_max + 1)[:, None] - np.arange(n_max + 1)[None, :]
+    return amps * gt / ((pulse.s - shift) + 1j * gt)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real ** 2 + z.imag ** 2
+
+
+class _Full:
+    """Full-mode columns on demand, every intermediate level l with its
+    Lorentzian amplitude c[l, m], on the folded emission rule.
+
+    At folded node k an axis recoils from level m into n with amplitude
+    g[k, n] = sum_l R_k[n, l] i^|n-l| c[l, m] after absorbing on that axis,
+    and e[k, n] = i^|n-m| R_k[n, m] as a spectator.  Split g = P + Q into
+    the terms with l of m's parity (P) and of the other (Q).  At the mirror
+    image of the node on that axis, R(-x)[n, l] = (-1)^(n+l) R(x)[n, l]
+    turns g into (-1)^(n+m) (P - Q) and e into (-1)^(n+m) e.  Averaged over
+    the images, which the folded weights count, |g|^2 becomes
+    |P|^2 + |Q|^2 and g e* becomes P e*: the mixed-parity terms cancel.
+    """
 
     def __init__(self, trap: TrapConfig, pulse: Pulse):
         self.a = complex(pulse.amplitude_ratio)
-        tables = angular_tables(trap)
-        l_max = min(trap.n_max + _level_headroom(trap.eta, trap.n_max),
-                    fc._INTERNAL_MAX_DEGREE)
-        # intermediate-level interference is direction-odd: full sphere grid
-        self.dx = tables.stack("x", l_max, folded=False)
-        self.dy = tables.stack("y", l_max, folded=False)
-        self.wgt = tables.weights
-        self.phases = fc.phase_table(trap.n_max, l_max)
-        self.coeffs = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
+        n_max = trap.n_max
+        l_max = min(n_max + _level_headroom(trap.eta, n_max), fc._INTERNAL_MAX_DEGREE)
+        self.coeffs = c = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
+        norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
+        self.closures = _closures(norm2, c.diagonal(), self.a, trap.dims)
+        self.phases = fc.phase_table(n_max, l_max)
+        if trap.dims == 1:
+            # the u > 0 half of the line rule; its order is even, so no node at u = 0
+            u, w = _line_rule(trap.dipole, _line_order(trap.eta, l_max))
+            self.stacks = (fc.reduced_stack(trap.eta * u[u > 0], n_max, l_max),)
+            self.w = 2.0 * w[u > 0]
+        else:
+            tables = angular_tables(trap)
+            self.stacks = tuple(tables.stack(axis, l_max)[:, :, :l_max + 1]
+                                for axis in "xy")
+            self.w = tables.fold_weights
 
-    def closure(self, mx: int, my: int) -> float:
-        cx, cy = self.coeffs[:, mx], self.coeffs[:, my]
-        total = float(np.vdot(cx, cx).real + abs(self.a) ** 2 * np.vdot(cy, cy).real)
-        total += 2.0 * (np.conj(self.a) * cx[mx] * np.conj(cy[my])).real
-        return max(total, 0.0)
+    def _axis(self, stack: np.ndarray, m: int):
+        """(P, Q, e) of one axis for source level m, each (nodes, n)."""
+        b = self.phases * self.coeffs[:, m]
+        same, other = m % 2, 1 - m % 2
+        return (np.einsum("knl,nl->kn", stack[:, :, same::2], b[:, same::2]),
+                np.einsum("knl,nl->kn", stack[:, :, other::2], b[:, other::2]),
+                self.phases[:, m] * stack[:, :, m])
 
-    def column(self, mx: int, my: int) -> np.ndarray:
-        w = self.wgt
-        gx = np.einsum("knl,nl->kn", self.dx, self.phases * self.coeffs[:, mx])
-        gy = np.einsum("knl,nl->kn", self.dy, self.phases * self.coeffs[:, my])
-        ex = self.phases[:, mx][None, :] * self.dx[:, :, mx]  # x spectator
-        ey = self.phases[:, my][None, :] * self.dy[:, :, my]  # y spectator
-        t1 = (w[:, None] * (gx.real ** 2 + gx.imag ** 2)).T @ (ey.real ** 2 + ey.imag ** 2)
-        t2 = abs(self.a) ** 2 * (
-            (w[:, None] * (ex.real ** 2 + ex.imag ** 2)).T @ (gy.real ** 2 + gy.imag ** 2))
-        cross = np.conj(self.a) * ((w[:, None] * (gx * np.conj(ex))).T
-                                   @ (ey * np.conj(gy)))
-        return t1 + t2 + 2.0 * cross.real
+    def column(self, *level) -> np.ndarray:
+        px, qx, ex = self._axis(self.stacks[0], level[0])
+        if len(level) == 1:
+            return self.w @ (_abs2(px) + _abs2(qx))
+        py, qy, ey = self._axis(self.stacks[1], level[1])
+        w = self.w[:, None]
+        out = (w * (_abs2(px) + _abs2(qx))).T @ _abs2(ey)
+        out += abs(self.a) ** 2 * ((w * _abs2(ex)).T @ (_abs2(py) + _abs2(qy)))
+        cross = np.conj(self.a) * ((w * (px * np.conj(ex))).T @ (ey * np.conj(py)))
+        return out + 2.0 * cross.real
 
 
-def _provider_2d(trap: TrapConfig, pulse: Pulse, mode: str):
-    if trap.dims != 2:
-        raise DomainError("2D rates require a 2D trap")
+def _provider(trap: TrapConfig, pulse: Pulse, mode: str) -> _Resonant | _Full:
     if mode == "resonant":
-        return _Resonant2d(trap, pulse)
+        return _Resonant(trap, pulse)
     if mode == "full":
-        return _Full2d(trap, pulse)
+        return _Full(trap, pulse)
     raise DomainError(f"unknown rate mode {mode!r}")
 
 
@@ -667,46 +666,42 @@ class StateBasis:
         return state[self.class_of] * self._share
 
 
-def rate_matrix_2d(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
-                   basis: str = "full") -> RateMatrix:
-    """Dense transition-rate generator for a 2D trap under one pulse, on the
-    states of ``StateBasis(trap, basis)``; only the representative columns
-    are built."""
+def _build(trap: TrapConfig, pulse: Pulse, mode: str, basis: str) -> RateMatrix:
+    """The dense generator on the states of ``StateBasis(trap, basis)``:
+    the representative columns of the mode's provider, rows lumped."""
     states = StateBasis(trap, basis)
     _check_matrix_budget(states.size)
-    provider = _provider_2d(trap, pulse, mode)
+    provider = _provider(trap, pulse, mode)
     columns = np.zeros((states.size, states.size))
-    closure = np.zeros(states.size)
-    for j, (mx, my) in enumerate(states.levels):
-        columns[:, j] = states.lump(provider.column(mx, my).reshape(-1))
-        closure[j] = provider.closure(mx, my)
-    return _assemble(columns, closure, mode, trap, pulse)
+    for j, level in enumerate(states.levels):
+        columns[:, j] = states.lump(provider.column(*level).reshape(-1))
+    return _assemble(columns, provider.closures[tuple(states.levels.T)], mode, trap, pulse)
 
 
 class ColumnSampler:
-    """Column-on-demand jump sampler for 2D Monte Carlo.
+    """Column-on-demand jump sampler for Monte Carlo.
 
-    Serves jump tables for one pulse from the dense matrix's column function
-    without assembling it, caching columns as they are visited.
+    Serves jump tables for one pulse from the provider that backs the dense
+    matrix, without assembling it, caching columns as they are visited.
     """
 
     def __init__(self, trap: TrapConfig, pulse: Pulse, mode: str = "resonant"):
         self.trap = trap
         self.pulse = pulse
-        self._provider = _provider_2d(trap, pulse, mode)
+        self._provider = _provider(trap, pulse, mode)
         self._cache: dict[int, tuple[float, np.ndarray]] = {}
 
     def jump_distribution(self, index: int):
         cached = self._cache.get(index)
         if cached is None:
-            mx, my = divmod(index, self.trap.n_max + 1)
-            col = np.maximum(self._provider.column(mx, my).reshape(-1), 0.0)
+            level = np.unravel_index(index, self.trap.shape)
+            col = np.maximum(self._provider.column(*level).reshape(-1), 0.0)
             self_rate = col[index]
             col[index] = 0.0
             # _assemble's leak; summed in index order like the dense column
             # sum, so sampler and matrix agree bitwise
             cum = np.cumsum(col, out=col)
-            leak = max(self._provider.closure(mx, my) - cum[-1] - self_rate, 0.0)
+            leak = max(self._provider.closures[level] - cum[-1] - self_rate, 0.0)
             cached = _jump_table(cum, leak)
             self._cache[index] = cached
         return cached
@@ -714,20 +709,16 @@ class ColumnSampler:
 
 def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
                 basis: str = "full") -> RateMatrix:
-    """Dispatch on trap dimensionality; results cached per (trap, basis,
-    pulse, mode).  The cache holds one trap: a build for another trap drops
-    it, so sweeps over eta or n_max keep one trap's matrices and propagators."""
+    """Transition-rate generator of one pulse in a 1D or 2D trap, on the
+    states of ``StateBasis(trap, basis)``; cached per (trap, basis, pulse,
+    mode).  The cache holds one trap: a build for another trap drops it, so
+    sweeps over eta or n_max keep one trap's matrices and propagators."""
     key = (trap, basis, _pulse_cache_key(trap, pulse, mode))
     cached = _MATRICES.get(key)
     if cached is None:
         if any(other[0] != trap for other in _MATRICES):
             _MATRICES.clear()
-        if trap.dims == 1:
-            if basis != "full":
-                raise DomainError(f"no {basis!r} state basis for a 1D trap")
-            cached = rate_matrix_1d(trap, pulse, mode)
-        else:
-            cached = rate_matrix_2d(trap, pulse, mode, basis)
+        cached = _build(trap, pulse, mode, basis)
         _MATRICES[key] = cached
     return cached
 

@@ -2,24 +2,37 @@
 
 ``perfbench/layers.py`` wraps every ``(module, class, attribute)`` in
 ``BOUNDARIES`` and, after a run, counts built columns through the
-``_cache`` column caches of ``ColumnSampler`` and ``RateMatrix``.  A
-rename or deletion in the program would otherwise surface only as a failed
-``perfbench/run.py --trace 1``.
+``_cache`` column caches of ``ColumnSampler`` and ``RateMatrix``.
+``perfbench/job.py`` writes each workload's config from its preset (reading
+the trap's quadrature orders and state count), runs the CLI with
+``--threads 1`` and the workload's flags, and reads the Monte Carlo
+ensemble's standard errors and jump counts.  A rename or deletion in the
+program would otherwise surface only as a failed ``perfbench/run.py``.
 """
 
+import argparse
+import dataclasses
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import scipy.linalg
 
-from dyncool import dynamics, fc, rates
-from dyncool.protocols import Protocol
+from dyncool import cli, dynamics, fc, rates
+from dyncool.protocols import Protocol, parse_config
 from dyncool.rates import ColumnSampler, Pulse, TrapConfig, rate_matrix
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+WORKLOADS = ("fig3_deep", "fig5_master", "fig5_mc")
+
+
+def _perfbench_module(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # job.py imports workloads
+    return importlib.import_module(name)
 
 
 def _boundaries():
@@ -112,3 +125,35 @@ def test_2d_mc_run_reaches_traced_layers(monkeypatch):
     series = dynamics.run_protocol(init, protocol, trap, mode="mc", trajectories=20)
     assert series.diagnostics["jumps"] > 0
     assert {"mc_ensemble", "__init__", "jump_distribution"} <= set(calls)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_prepared_config_parses_back(workload, tmp_path, monkeypatch, capsys):
+    job = _perfbench_module("job", monkeypatch)
+    cfg = tmp_path / "w.cfg"
+    job.cmd_prepare(argparse.Namespace(workload=workload, seed=7, config=str(cfg)))
+    sizes = json.loads(capsys.readouterr().out)["sizes"]
+    spec = parse_config(cfg.read_text(encoding="utf-8"))
+    assert sizes["n_states"] == spec.trap.n_states
+    assert sizes["quad"] == [spec.trap.quad_theta, spec.trap.quad_phi]
+    assert (sizes["n_max"], sizes["cycles"]) == (spec.trap.n_max, spec.protocol.cycles)
+    assert spec.seed == 7
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_job_command_line_parses(workload, monkeypatch):
+    flags = _perfbench_module("workloads", monkeypatch).cli_flags(workload, 7)
+    args = cli._build_parser().parse_args(
+        ["run", "--config", "w.cfg", "--out-dir", "o", "--threads", "1", *flags])
+    assert (args.command, args.threads) == ("run", 1)
+
+
+def test_mc_result_has_the_fields_job_reads():
+    trap = TrapConfig(eta=0.5, gamma_over_omega=0.01, dims=1, n_max=6)
+    protocol = Protocol((Pulse(s=-1, duration=1.0),), 2)
+    ens = dynamics.mc_ensemble(4, protocol, trap, seed=1,
+                               init=dynamics.level_distribution(3, trap))
+    names = {f.name for f in dataclasses.fields(ens)}
+    assert {"n_traj", "cycles", "mean_n_se", "mean_nx_se", "jump_counts"} <= names
+    assert len(ens.cycles.tolist()) == len(ens.mean_n_se.tolist()) == 3
+    assert int(ens.jump_counts.sum()) >= 0

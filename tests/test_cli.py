@@ -87,6 +87,34 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg)) == 3
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("n_max", "1e400", 2), ("cycles", "1e400", 2), ("seed", "1e400", 2),
+        ("trajectories", "-1e400", 2), ("thermal_mean", "inf", 3),
+        ("thermal_mean", "1e400", 3)])
+    def test_overflowing_number_refused(self, tmp_path, capsys, key, value, code):
+        # an integer key that overflows is a config error naming its key and
+        # line; an infinite thermal mean is outside the thermal state's domain
+        lines = ["[trap]", "eta = 0.5", "gamma_over_omega = 0.01", "dims = 1",
+                 "n_max = 30", "[init]", "thermal_mean = 1", "[[pulse]]", "s = -1",
+                 "[run]", "cycles = 3", "trajectories = 5", "seed = 1"]
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(key))
+        lines[lineno - 1] = f"{key} = {value}"
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert f"line {lineno}: bad value for {key!r}" in err
+        else:
+            assert "thermal mean must be positive and finite" in err
+
+    def test_weak_confinement_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 1.5\ndims = 1\n"
+                       "n_max = 40\n[[pulse]]\ns = -9\n")
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 3
+        assert "not resolved" in capsys.readouterr().err
+
     def test_unfoldable_quadrature_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "q.cfg"
         cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 2\n"

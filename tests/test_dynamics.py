@@ -113,14 +113,14 @@ class TestPropagatePulse:
 
     def test_sideband_ladder_absorbs_into_ground(self):
         trap = trap_1d(eta=1e-3, n_max=10)
-        mat = rates.rate_matrix_1d(trap, Pulse(s=-1, duration=1.0))
+        mat = rates.rate_matrix(trap, Pulse(s=-1, duration=1.0))
         dist = dynamics.level_distribution(7, trap)
         out = propagate_pulse(dist, mat, 1e8)
         assert out.probs[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_uniformization_oracle(self):
         trap = trap_1d(n_max=60)
-        mat = rates.rate_matrix_1d(trap, Pulse(s=-9, duration=1.0))
+        mat = rates.rate_matrix(trap, Pulse(s=-9, duration=1.0))
         ref = uniformization_expm(mat.generator, 1.0)
         dist = thermal_distribution(6.0, trap)
         out = propagate_pulse(dist, mat, 1.0)
@@ -128,7 +128,7 @@ class TestPropagatePulse:
 
     def test_semigroup_split(self):
         trap = trap_1d(n_max=60)
-        mat = rates.rate_matrix_1d(trap, Pulse(s=0, duration=1.0))
+        mat = rates.rate_matrix(trap, Pulse(s=0, duration=1.0))
         dist = thermal_distribution(6.0, trap)
         once = propagate_pulse(dist, mat, 1.0)
         twice = propagate_pulse(propagate_pulse(dist, mat, 0.5), mat, 0.5)
@@ -137,7 +137,7 @@ class TestPropagatePulse:
 
     def test_dark_state_monotonicity(self):
         trap = trap_1d(n_max=40)
-        mat = rates.rate_matrix_1d(trap, Pulse(s=8, duration=1.0))  # level 1 dark
+        mat = rates.rate_matrix(trap, Pulse(s=8, duration=1.0))  # level 1 dark
         dist = thermal_distribution(6.0, trap)
         prev = dist.probs[1]
         for _ in range(20):
@@ -159,7 +159,7 @@ class TestPropagatePulse:
 
     def test_dimension_mismatch(self):
         trap = trap_1d(n_max=5)
-        mat = rates.rate_matrix_1d(trap, Pulse(s=0, duration=1.0))
+        mat = rates.rate_matrix(trap, Pulse(s=0, duration=1.0))
         other = Distribution(np.ones(3) / 3, 0.0, (3,))
         with pytest.raises(DomainError):
             propagate_pulse(other, mat, 1.0)

@@ -110,13 +110,6 @@ class TestValidation:
         assert not validate_protocol(proto, trap, mode="resonant").ok
         assert validate_protocol(proto, trap, mode="full").ok
 
-    def test_weak_confinement_error(self):
-        trap = TrapConfig(eta=3.0, gamma_over_omega=2.0, dims=1, n_max=40,
-                          allow_weak_confinement=True)
-        proto = Protocol((Pulse(s=-9, duration=1.0),), cycles=1)
-        report = validate_protocol(proto, trap)
-        assert "festina-lente" in [r for r, _ in report.errors]
-
     def test_empty_protocol_error(self):
         trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=40)
         assert not validate_protocol(Protocol((), cycles=1), trap).ok

@@ -6,8 +6,7 @@ import pytest
 from dyncool import fc, rates
 from dyncool.errors import DomainError, ResourceLimitError, ValidityError
 from dyncool.rates import (Pulse, TrapConfig, angular_quadrature, dipole_pattern,
-                           empty_rates_1d, empty_rates_2d, rate_matrix,
-                           rate_matrix_1d, rate_matrix_2d)
+                           empty_rates_1d, empty_rates_2d, rate_matrix)
 
 
 def trap_1d(eta=3.0, n_max=40, **kw):
@@ -32,11 +31,11 @@ def at_doubled_line_order(monkeypatch, build):
 
 class TestTrapConfig:
     def test_festina_lente_guard(self):
-        with pytest.raises(ValidityError):
-            TrapConfig(eta=1.0, gamma_over_omega=1.5, dims=1, n_max=10)
-        trap = TrapConfig(eta=1.0, gamma_over_omega=1.5, dims=1, n_max=10,
-                          allow_weak_confinement=True)
-        assert trap.gamma_over_omega == 1.5
+        # gamma >= omega leaves the sideband-resolved regime, in either geometry
+        for g, dims in ((1.5, 1), (1.0, 2)):
+            with pytest.raises(ValidityError, match="not resolved"):
+                TrapConfig(eta=1.0, gamma_over_omega=g, dims=dims, n_max=10)
+        assert TrapConfig(eta=1.0, gamma_over_omega=0.99, n_max=10).gamma_over_omega == 0.99
 
     def test_basic_validation(self):
         with pytest.raises(DomainError):
@@ -115,7 +114,7 @@ class TestAngularQuadrature:
         cases = [(s, "resonant") for s in (-9, 0, 8)] + [(-0.5, "full")]
 
         def build():
-            return [rate_matrix_1d(trap, Pulse(s=s, duration=1.0), mode).generator
+            return [rate_matrix(trap, Pulse(s=s, duration=1.0), mode).generator
                     for s, mode in cases]
 
         for m1, m2 in zip(build(), at_doubled_line_order(monkeypatch, build)):
@@ -159,7 +158,7 @@ class TestAngularQuadrature:
         built = []
         for order in ((8, -9), (-9, 8)):
             rates.clear_caches()
-            built.append({s: rate_matrix_1d(trap, Pulse(s=s, duration=1.0))
+            built.append({s: rate_matrix(trap, Pulse(s=s, duration=1.0))
                           for s in order})
         rates.clear_caches()
         for s in (8, -9):
@@ -315,20 +314,42 @@ def brute_column_2d(trap, pulse, mx, my):
     return out
 
 
+def brute_full_column_2d(trap, pulse, mx, my, l_max=40):
+    """Full-mode column as the literal sum over every node of the unfolded
+    sphere rule of |both lasers' amplitudes, summed over intermediate
+    levels l <= l_max|^2, self term included; and the same sum without the
+    two lasers' interference, the scale its rounding is set by."""
+    gt, a, n1 = trap.gamma_over_omega, complex(pulse.amplitude_ratio), trap.n_max + 1
+    theta, phi, w = angular_quadrature(trap.quad_theta, trap.quad_phi)
+    wgt = w * dipole_pattern(trap.dipole, theta, phi)
+
+    def recoil(eta_proj, rows, cols):  # <n|exp(i eta_proj (a + a^dag))|l>
+        return fc.phase_table(rows, cols) * fc.reduced_stack(eta_proj, rows, cols)
+
+    shift = np.arange(l_max + 1)[:, None] - np.arange(n1)[None, :]
+    c = recoil(np.array([trap.eta]), l_max, trap.n_max)[0] * gt / (pulse.s - shift + 1j * gt)
+    rx = recoil(trap.eta * np.sin(theta) * np.cos(phi), trap.n_max, l_max)
+    ry = recoil(trap.eta * np.sin(theta) * np.sin(phi), trap.n_max, l_max)
+    x_laser = (rx @ c[:, mx])[:, :, None] * ry[:, None, :, my]
+    y_laser = a * rx[:, :, mx, None] * (ry @ c[:, my])[:, None, :]
+    return (np.einsum("k,kij->ij", wgt, np.abs(x_laser + y_laser) ** 2),
+            np.einsum("k,kij->ij", wgt, np.abs(x_laser) ** 2 + np.abs(y_laser) ** 2))
+
+
 class TestRateMatrix1d:
     def test_dark_column_exact(self):
-        mat = rate_matrix_1d(trap_1d(n_max=30), Pulse(s=8, duration=1.0))
+        mat = rate_matrix(trap_1d(n_max=30), Pulse(s=8, duration=1.0))
         assert np.all(mat.generator[:, 1] == 0.0)
         assert mat.leak[1] == 0.0
 
     def test_nonnegative_off_diagonal(self):
-        mat = rate_matrix_1d(trap_1d(n_max=30), Pulse(s=-9, duration=1.0))
+        mat = rate_matrix(trap_1d(n_max=30), Pulse(s=-9, duration=1.0))
         off = mat.generator.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off >= 0.0)
 
     def test_column_sums_equal_minus_leak(self):
-        mat = rate_matrix_1d(trap_1d(n_max=30), Pulse(s=0, duration=1.0))
+        mat = rate_matrix(trap_1d(n_max=30), Pulse(s=0, duration=1.0))
         assert np.allclose(mat.generator.sum(axis=0), -mat.leak, atol=1e-15)
 
     def test_closure_against_analytic_empty_rates(self):
@@ -338,7 +359,7 @@ class TestRateMatrix1d:
         head = math.ceil(eta * eta + 7.0 * eta * math.sqrt(2 * (top + 8) + 1))
         trap = trap_1d(n_max=top + 8 + head)
         for s in (-9, 0, 8):
-            mat = rate_matrix_1d(trap, Pulse(s=s, duration=1.0))
+            mat = rate_matrix(trap, Pulse(s=s, duration=1.0))
             target = empty_rates_1d(trap, s)
             off = mat.generator.copy()
             np.fill_diagonal(off, 0.0)
@@ -350,7 +371,7 @@ class TestRateMatrix1d:
     def test_lamb_dicke_limit_is_sideband_ladder(self):
         # eta -> 0 with s = -1: only |n=m-1 <- m| survives, rate eta^2 * m
         trap = trap_1d(eta=1e-3, n_max=12)
-        mat = rate_matrix_1d(trap, Pulse(s=-1, duration=1.0))
+        mat = rate_matrix(trap, Pulse(s=-1, duration=1.0))
         gen = mat.generator.copy()
         np.fill_diagonal(gen, 0.0)
         for m in range(1, 13):
@@ -361,17 +382,34 @@ class TestRateMatrix1d:
 
     def test_full_mode_accepts_fractional_detuning(self):
         trap = trap_1d(n_max=12)
-        mat = rate_matrix_1d(trap, Pulse(s=-0.5, duration=1.0), mode="full")
+        mat = rate_matrix(trap, Pulse(s=-0.5, duration=1.0), mode="full")
         assert mat.mode == "full"
         with pytest.raises(ValidityError):
-            rate_matrix_1d(trap, Pulse(s=-0.5, duration=1.0), mode="resonant")
+            rate_matrix(trap, Pulse(s=-0.5, duration=1.0), mode="resonant")
+
+    def test_full_column_matches_whole_line_sum(self):
+        # the u > 0 half and its parity images against every node of the line
+        trap = trap_1d(eta=1.7, n_max=10)
+        l_max = trap.n_max + rates._level_headroom(trap.eta, trap.n_max)
+        u, w = rates._line_rule(trap.dipole, rates._line_order(trap.eta, l_max))
+        recoil = fc.phase_table(trap.n_max, l_max) \
+            * fc.reduced_stack(trap.eta * u, trap.n_max, l_max)
+        for s in (-2, 0.5):
+            pulse = Pulse(s=s, duration=1.0)
+            mat = rate_matrix(trap, pulse, mode="full")
+            c = rates._lorentzian_amplitudes(trap, pulse, l_max)
+            for m in (0, 3, 10):
+                ref = w @ np.abs(recoil @ c[:, m]) ** 2
+                fast = mat.generator[:, m].copy()
+                fast[m] = mat.self_rates[m]
+                assert np.abs(fast - ref).max() <= 1e-13 * ref.max()
 
     def test_full_approaches_resonant_in_small_gamma(self):
         worst = []
         for g in (1e-2, 1e-3, 1e-4):
             trap = TrapConfig(eta=3.0, gamma_over_omega=g, dims=1, n_max=40)
             for s in (-9, 0, 8):
-                full = rate_matrix_1d(trap, Pulse(s=s, duration=1.0), mode="full")
+                full = rate_matrix(trap, Pulse(s=s, duration=1.0), mode="full")
                 res = empty_rates_1d(trap, s)
                 off = full.generator.copy()
                 np.fill_diagonal(off, 0.0)
@@ -389,7 +427,7 @@ class TestRateMatrix2d:
     def test_column_matches_brute_force(self, s, a):
         trap = trap_2d(eta=1.7, n_max=5, quad_theta=6, quad_phi=8)
         pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
-        mat = rate_matrix_2d(trap, pulse)
+        mat = rate_matrix(trap, pulse)
         n1 = trap.n_max + 1
         for mx, my in [(0, 0), (1, 0), (2, 3), (3, 3)]:
             fast = mat.generator[:, mx * n1 + my].copy().reshape(n1, n1)
@@ -401,7 +439,7 @@ class TestRateMatrix2d:
 
     def test_diagonal_dark_columns(self):
         trap = trap_2d(n_max=10)
-        mat = rate_matrix_2d(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
+        mat = rate_matrix(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
         for m in range(11):
             j = m * 11 + m
             assert np.all(mat.generator[:, j] == 0.0)
@@ -414,8 +452,8 @@ class TestRateMatrix2d:
         trap2 = trap_2d(eta=0.5, n_max=10)
         trap1 = trap_1d(eta=0.5, n_max=10)
         s = -1
-        m2 = rate_matrix_2d(trap2, Pulse(s=s, duration=1.0, amplitude_ratio=0.0))
-        m1 = rate_matrix_1d(trap1, Pulse(s=s, duration=1.0))
+        m2 = rate_matrix(trap2, Pulse(s=s, duration=1.0, amplitude_ratio=0.0))
+        m1 = rate_matrix(trap1, Pulse(s=s, duration=1.0))
         n1 = 11
         for mx in range(n1):
             grid = m2.generator[:, mx * n1 + 0].reshape(n1, n1).copy()
@@ -431,7 +469,7 @@ class TestRateMatrix2d:
         head = math.ceil(eta * eta + 7.0 * eta * math.sqrt(2 * (top + 2) + 1))
         trap = trap_2d(eta=eta, n_max=top + 2 + head)
         pulse = Pulse(s=2, duration=1.0, amplitude_ratio=0.5 + 0.1j)
-        mat = rate_matrix_2d(trap, pulse)
+        mat = rate_matrix(trap, pulse)
         target = empty_rates_2d(trap, pulse).reshape(-1)
         off = mat.generator.copy()
         np.fill_diagonal(off, 0.0)
@@ -446,7 +484,7 @@ class TestRateMatrix2d:
     def test_full_mode_2d_column_positive_and_closes(self):
         trap = trap_2d(eta=1.2, n_max=4, quad_theta=8, quad_phi=8)
         pulse = Pulse(s=0, duration=1.0, amplitude_ratio=-1.0)
-        mat = rate_matrix_2d(trap, pulse, mode="full")
+        mat = rate_matrix(trap, pulse, mode="full")
         off = mat.generator.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off >= 0.0)
@@ -454,9 +492,55 @@ class TestRateMatrix2d:
         j = 1 * 5 + 1
         assert 0.0 < -mat.generator[j, j] < 1e-2
 
+    @pytest.mark.parametrize("a", [-1.0, 0.3 + 0.4j])
+    @pytest.mark.parametrize("s", [0, -1.5, 2])
+    def test_full_mode_column_matches_brute_force(self, s, a):
+        # the folded rule and its parity images against the whole sphere.
+        # At s = 0, A = -1 the diagonal levels are nearly dark: the lasers'
+        # terms cancel to 1e-4 of themselves, and rounding is relative to them
+        trap = trap_2d(eta=1.2, n_max=4, quad_theta=8, quad_phi=8)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
+        mat = rate_matrix(trap, pulse, mode="full")
+        for mx, my in [(0, 0), (1, 0), (2, 3), (4, 1), (3, 3)]:
+            j = mx * 5 + my
+            fast = mat.generator[:, j].copy()
+            fast[j] = mat.self_rates[j]
+            slow, incoherent = brute_full_column_2d(trap, pulse, mx, my)
+            scale = max(slow.max(), incoherent.max())
+            assert np.abs(fast - slow.reshape(-1)).max() <= 1e-12 * scale
+
+    def test_full_approaches_resonant_closures_in_small_gamma(self):
+        worst = []
+        for g in (1e-2, 1e-3, 1e-4):
+            trap = TrapConfig(eta=3.0, gamma_over_omega=g, dims=2, n_max=6,
+                              quad_theta=4, quad_phi=4)
+            for s, a in ((-2, -1.0), (0, -1.0), (0, 0.3 + 0.4j), (3, 0.125)):
+                pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
+                full = rate_matrix(trap, pulse, mode="full").empty_rates
+                res = empty_rates_2d(trap, pulse).reshape(-1)
+                mask = res > 1e-6
+                worst.append((np.abs(full - res)[mask] / res[mask]).max())
+        by_gamma = [max(worst[i:i + 4]) for i in range(0, 12, 4)]
+        assert by_gamma[1] < 1e-2  # the gamma/omega = 1e-3 comparison
+        assert by_gamma[0] > by_gamma[1] > by_gamma[2]
+
+    def test_full_mode_column_at_fig5_depth(self):
+        # the folded stacks of n_max 40 (84 MB per axis) fit the stack budget
+        trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=40)
+        pulse = Pulse(s=-9, duration=1.0)
+        rates.clear_caches()
+        sampler = rates.ColumnSampler(trap, pulse, "full")
+        total, cum = sampler.jump_distribution(9 * 41 + 1)
+        closure = sampler._provider.closures[9, 1]
+        rates.clear_caches()
+        assert np.all(np.diff(cum) >= 0.0)
+        assert total - cum[-1] <= 1e-6 * closure  # the leak
+        resonant = rates.level_empty_rates(trap, pulse, [(9, 1)])[0]
+        assert closure == pytest.approx(resonant, rel=1e-3)
+
     def test_memory_budget_guard(self):
         with pytest.raises(ResourceLimitError):
-            rate_matrix_2d(trap_2d(n_max=300), Pulse(s=0, duration=1.0))
+            rate_matrix(trap_2d(n_max=300), Pulse(s=0, duration=1.0))
 
     @pytest.mark.parametrize("s", [-3, -2, 0, 4])
     def test_swap_basis_folds_full_generator(self, s):
@@ -464,8 +548,8 @@ class TestRateMatrix2d:
         # lumped generator is its representative columns with rows folded
         trap = trap_2d(eta=1.7, n_max=6)
         pulse = Pulse(s=s, duration=1.0, amplitude_ratio=-1.0)
-        full = rate_matrix_2d(trap, pulse)
-        swap = rate_matrix_2d(trap, pulse, basis="swap")
+        full = rate_matrix(trap, pulse)
+        swap = rate_matrix(trap, pulse, basis="swap")
         states = rates.StateBasis(trap, "swap")
         n1 = trap.n_max + 1
         assert swap.n_states == n1 * (n1 + 1) // 2
@@ -490,10 +574,10 @@ class TestRateMatrix2d:
         trap = trap_2d(n_max=8)
         pulse = Pulse(s=-4, duration=1.0, amplitude_ratio=-1.0)
         rates.clear_caches()
-        first = rate_matrix_2d(trap, pulse)
+        first = rate_matrix(trap, pulse)
         rates.clear_caches()
-        rate_matrix_2d(trap, Pulse(s=8, duration=1.0, amplitude_ratio=-1.0))
-        second = rate_matrix_2d(trap, pulse)
+        rate_matrix(trap, Pulse(s=8, duration=1.0, amplitude_ratio=-1.0))
+        second = rate_matrix(trap, pulse)
         rates.clear_caches()
         assert np.array_equal(first.generator, second.generator)
         assert np.array_equal(first.leak, second.leak)
@@ -503,7 +587,7 @@ class TestColumnSampler:
     def test_matches_dense_matrix(self):
         trap = trap_2d(eta=1.7, n_max=6)
         pulse = Pulse(s=-1, duration=1.0, amplitude_ratio=-1.0)
-        dense = rate_matrix_2d(trap, pulse)
+        dense = rate_matrix(trap, pulse)
         sampler = rates.ColumnSampler(trap, pulse)
         for idx in (0, 5, 17, 30, 48):
             total_d, cum_d = dense.jump_distribution(idx)
@@ -516,7 +600,7 @@ class TestColumnSampler:
     def test_every_column_bitwise_equal_to_dense(self, s, a):
         trap = trap_2d(eta=1.7, n_max=8)
         pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
-        dense = rate_matrix_2d(trap, pulse)
+        dense = rate_matrix(trap, pulse)
         sampler = rates.ColumnSampler(trap, pulse)
         for idx in range(trap.n_states):
             total_d, cum_d = dense.jump_distribution(idx)
