@@ -16,9 +16,8 @@ from .protocols import (Protocol, RunSpec, ValidationReport,
                         design_excited_protocol, parse_config, preset,
                         preset_runspec, validate_protocol, write_config,
                         PRESET_NAMES)
-from .rates import (Pulse, RateMatrix, TrapConfig, angular_quadrature,
-                    dipole_pattern, empty_rates_1d, empty_rates_2d,
-                    rate_matrix)
+from .rates import (Pulse, RateMatrix, TrapConfig, dipole_pattern,
+                    empty_rates_1d, empty_rates_2d, rate_matrix)
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "McEnsembleResult", "PRESET_NAMES", "Protocol", "Pulse",
     "RateMatrix", "ResourceLimitError", "RunSpec", "SimulationError",
     "SingularRatioError", "TimeSeries", "TrapConfig", "ValidationReport",
-    "ValidityError", "angular_quadrature", "dark_eta_for_level",
+    "ValidityError", "dark_eta_for_level",
     "dark_ratio_A", "design_excited_protocol", "dipole_pattern",
     "empty_rates_1d", "empty_rates_2d", "fc_factor", "laguerre_assoc",
     "mc_ensemble", "mc_trajectory", "observables", "parse_config",

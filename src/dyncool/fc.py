@@ -75,12 +75,18 @@ def laguerre_assoc(n: int, alpha: int, x: float,
     return cur
 
 
+_memo = (math.nan, np.zeros((0, 0)))  # fc_reduced's last eta and its table
+_MEMO_ENTRIES = 1 << 20  # larger tables are not kept
+
+
 def fc_reduced(eta_eff: float, m: int, n: int) -> float:
     """Real reduced recoil factor: fc_factor with the i^|n-m| phase stripped.
 
     Signed, symmetric in (n, m); may be negative (Laguerre oscillation, or
-    odd powers of a negative projected eta).  One entry of ``reduced_stack``.
+    odd powers of a negative projected eta).  One entry of ``reduced_stack``,
+    read from the last eta's table, grown to each (lo, hi) asked for.
     """
+    global _memo
     if m < 0 or n < 0:
         raise DomainError(f"trap levels must be >= 0, got ({m}, {n})")
     if not math.isfinite(eta_eff):
@@ -88,7 +94,13 @@ def fc_reduced(eta_eff: float, m: int, n: int) -> float:
     lo, hi = (m, n) if m <= n else (n, m)
     if hi > _INTERNAL_MAX_DEGREE:
         raise DomainError(f"level {hi} exceeds maximum {_INTERNAL_MAX_DEGREE}")
-    return float(reduced_stack(np.array([eta_eff]), lo, hi)[0, lo, hi])
+    eta, table = _memo
+    rows, cols = table.shape if eta == eta_eff else (0, 0)
+    if lo >= rows or hi >= cols:
+        table = reduced_stack(np.array([eta_eff]), max(lo, rows - 1), max(hi, cols - 1))[0]
+        if table.size <= _MEMO_ENTRIES:
+            _memo = (eta_eff, table)
+    return float(table[lo, hi])
 
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)

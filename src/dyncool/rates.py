@@ -19,8 +19,8 @@ Gauss-Legendre (cos theta) x trapezoid (phi) sphere rule of orders
 ``quad_theta`` x ``quad_phi`` in 2D.  A folded node stands for its mirror
 images, reached through the parity R(-x)[n, l] = (-1)^(n+l) R(x)[n, l] of
 the recoil factors.  Resonant columns are slices and scales of one recoil
-integral per trap and depth (S1 in 1D, T in 2D); full-mode columns are
-computed on demand from the folded recoil stacks.
+integral per trap and depth (S1 in 1D; in 2D T and the cross terms C_s, as
+low-rank node factors); full-mode ones come from the folded recoil stacks.
 
 One builder assembles every dense generator from a provider's columns, on
 the states of a ``StateBasis``; ``ColumnSampler`` serves Monte Carlo jumps
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fc
-from .errors import DomainError, ResourceLimitError, ValidityError
+from .errors import DomainError, ResourceLimitError, SimulationError, ValidityError
 
 DIPOLE_PATTERNS = ("isotropic", "dipole_z")
 
@@ -46,6 +46,10 @@ DEFAULT_QUAD_PHI = 128
 
 # dense (states x states) matrices beyond this many bytes are refused
 MATRIX_MEMORY_BUDGET = 4 << 30
+
+# 2D recoil factors drop sketch directions below _RANK_TOL of the largest, and
+# check ||X - Q Q^T X||_F <= 10 _RANK_TOL ||X||_F (margin for the check's rounding)
+_RANK_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -158,26 +162,6 @@ def dipole_pattern(tag: str, theta: float | np.ndarray, phi: float | np.ndarray)
     return out if out.ndim else float(out)
 
 
-def angular_quadrature(quad_theta: int, quad_phi: int):
-    """Sphere product rule: Gauss-Legendre in cos(theta), trapezoid in phi.
-
-    Returns (theta, phi, w) flattened over the grid; weights carry the
-    sin(theta) Jacobian through the cos(theta) substitution, so sum(w) = 4*pi.
-    2D rates run on its parity-folded part (``_folded_quadrature``); the
-    whole rule is the reference that folded results are checked against.
-    """
-    if quad_theta < 4 or quad_phi < 4:
-        raise DomainError("quadrature orders must be >= 4")
-    x, wx = np.polynomial.legendre.leggauss(quad_theta)
-    theta = np.arccos(x)
-    phi = 2.0 * math.pi * np.arange(quad_phi) / quad_phi
-    wphi = 2.0 * math.pi / quad_phi
-    th_grid = np.repeat(theta, quad_phi)
-    ph_grid = np.tile(phi, quad_theta)
-    w_grid = np.repeat(wx, quad_phi) * wphi
-    return th_grid, ph_grid, w_grid
-
-
 def _folded_quadrature(quad_theta: int, quad_phi: int):
     """Quarter-phi, half-theta sphere grid: each node's weight counts its
     mirror images (+-u, +-v, +-z) in the full rule.
@@ -243,10 +227,12 @@ class AngularTables:
     reduced factors R[k, n, l] on that grid (phases applied by consumers) and
     grows lazily in l: (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x
     (l_max+1) doubles, 84 MB per axis for full mode at the fig5 depth.  The
-    2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2, one
-    GEMM of the squared stacks, is the size of a dense matrix.  Kernels are
-    keyed by a build depth that depends on the trap and the requested level
-    alone: build order cannot move them.
+    2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2 is held
+    in the low-rank form of ``factors``: R[n, l]^2 is e^{-x^2} times a
+    polynomial in x^2, so the squared stack has rank 37, 50, 64 and 76 over
+    the 1056 fig5 nodes at n_max 40, 80, 120 and 160.  Kernels are keyed by
+    a build depth that depends on the trap and the requested level alone:
+    build order cannot move them.
     """
 
     _FULL_STACK_BUDGET = 512 << 20  # cap on one stack (a 2D axis, a 1D node chunk)
@@ -254,7 +240,7 @@ class AngularTables:
     def __init__(self, trap: TrapConfig):
         self.trap = trap
         self._stacks: dict[str, np.ndarray] = {}
-        self._kernels: dict[int, np.ndarray] = {}
+        self._kernels: dict[int, np.ndarray | tuple] = {}
         if trap.dims == 2:
             fth, fph, fw = _folded_quadrature(trap.quad_theta, trap.quad_phi)
             self.fold_weights = fw * dipole_pattern(trap.dipole, fth, fph)
@@ -274,9 +260,34 @@ class AngularTables:
             self._stacks[axis] = cached
         return cached
 
-    def emission_kernel(self, l_max: int) -> np.ndarray:
+    def factors(self, x: np.ndarray, y: np.ndarray, q: np.ndarray | None = None):
+        """Low-rank form (q, a, b) of the folded node sum sum_k w_k x[k] (x) y[k]
+        of node arrays (nodes, n, p), scaled in place: its (n x n) slice at
+        (i, j) is a[i].T @ b[j], with a, b = q^T sqrt(w) x, q^T sqrt(w) y as
+        (p, r, n).  q spans sqrt(w) y (checked); unless given, it comes from a
+        Gaussian sketch with a fixed seed (Halko, Martinsson & Tropp 2011) of
+        width n + p + 9: R[n, l]^2 is e^{-x^2} times a polynomial of degree
+        n + l in x^2, so squared stacks span at most n + p - 1 node vectors."""
+        k, n, p = y.shape
+        w_root = np.sqrt(self.fold_weights)[:, None]
+        x, y = (np.multiply(v.reshape(k, -1), w_root, out=v.reshape(k, -1)) for v in (x, y))
+        if q is None:
+            u, sv, _ = np.linalg.svd(y @ np.random.default_rng(0).standard_normal(
+                (y.shape[1], min(k, n + p + 9))), full_matrices=False)
+            q = u[:, :np.count_nonzero(sv > _RANK_TOL * sv[0])]
+        b = q.T @ y
+        resid = q @ b
+        resid -= y
+        if np.linalg.norm(resid) > 10 * _RANK_TOL * np.linalg.norm(y):
+            raise SimulationError(f"rank-{q.shape[1]} node basis misses part of a "
+                                  "2D recoil integrand")
+        return q, *(np.ascontiguousarray(f.reshape(-1, n, p).transpose(2, 0, 1))
+                    for f in (q.T @ x, b))
+
+    def emission_kernel(self, l_max: int) -> np.ndarray | tuple:
         """Direction-averaged emission redistribution weights up to level
-        ``l_max``: S1[n, l] in 1D, T[nx, l, ny, l'] in 2D.
+        ``l_max``: S1[n, l] in 1D; in 2D the factors (q, a, b) of
+        T[nx, l, ny, l'] = (a[l].T @ b[l'])[nx, ny].
 
         A 1D kernel is built to the deepest level its line order serves
         (``_line_depth``) and sliced, so depths that share an order share one
@@ -287,12 +298,9 @@ class AngularTables:
         if kernel is None:
             l1 = depth + 1
             if self.trap.dims == 2:
-                _check_matrix_budget(n1 * l1, "2D recoil tensor")
-                # a deeper stack holds the same values; the slice fixes GEMM shapes
-                x2 = np.square(self.stack("x", depth)[:, :, :l1]).reshape(-1, n1 * l1)
-                y2 = np.square(self.stack("y", depth)[:, :, :l1]).reshape(-1, n1 * l1)
-                x2 *= self.fold_weights[:, None]
-                kernel = (x2.T @ y2).reshape(n1, l1, n1, l1)
+                # a deeper stack holds the same values; the slice fixes the shapes
+                kernel = self.factors(*(np.square(self.stack(axis, depth)[:, :, :l1])
+                                        for axis in "xy"))
             else:
                 node_bytes = n1 * l1 * 8
                 if node_bytes > self._FULL_STACK_BUDGET:
@@ -462,11 +470,11 @@ def _assemble(columns: np.ndarray, closure: np.ndarray, mode: str,
     return RateMatrix(generator, leak, closure.copy(), self_rates, mode, trap, pulse)
 
 
-def _check_matrix_budget(side: int, what: str = "dense rate matrix") -> None:
+def _check_matrix_budget(side: int) -> None:
     need = side * side * 8
     if need > MATRIX_MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"{what} would need {need / 2**30:.1f} GiB ({side} x {side}); "
+            f"dense rate matrix would need {need / 2**30:.1f} GiB ({side} x {side}); "
             "lower n_max")
 
 
@@ -505,8 +513,10 @@ class _Resonant:
     f_x^2 T[:, mx+s, :, my] + |A|^2 f_y^2 T[:, mx, :, my+s]
     + 2 Re(A) f_x f_y C_s[:, mx, :, my].  The cross term is odd in both
     direction projections for odd s; for even s its i^|n-l| phases factor
-    into one sign per axis, so C_s is one GEMM, held here.  At s = 0 C_s is
-    T: the column is the empty rate times T[:, mx, :, my].
+    into one sign per axis, so C_s is a folded node sum like T, held as
+    factors on T's node basis.  A column is then one GEMM of the three scaled
+    left factor slices, stacked, against their right slices.  At s = 0 C_s is
+    T: the column is the empty rate times T[:, mx, :, my], exactly 0 if dark.
     """
 
     def __init__(self, trap: TrapConfig, pulse: Pulse):
@@ -517,30 +527,28 @@ class _Resonant:
         self.closures = _closures(self.norm2, self.f * (s == 0), self.a, trap.dims)
         tables = angular_tables(trap)
         l_max = trap.n_max + max(s, 0)
-        # T is checked against the budget first; C_s has fewer entries
-        self.t = tables.emission_kernel(l_max)
+        self.kernel = tables.emission_kernel(l_max)
         self.cross = None
         if trap.dims == 2 and s != 0 and s % 2 == 0 and self.a.real != 0.0:
             x, y = (_cross_factor(tables.stack(axis, l_max), s) for axis in "xy")
-            x *= tables.fold_weights[:, None, None]
-            n1 = trap.n_max + 1
-            self.cross = (x.reshape(-1, n1 * n1).T @ y.reshape(-1, n1 * n1)
-                          ).reshape(n1, n1, n1, n1)
+            self.cross = tables.factors(x, y, self.kernel[0])[1:]
 
     def column(self, *level) -> np.ndarray:
-        s, t = self.s, self.t
+        s = self.s
         # f is zero where m + s < 0, so the slice it scales there is immaterial
         if len(level) == 1:
-            return self.norm2[level[0]] * t[:, max(level[0] + s, 0)]
+            return self.norm2[level[0]] * self.kernel[:, max(level[0] + s, 0)]
         mx, my = level
+        _, a, b = self.kernel
         if s == 0:
-            return self.closures[mx, my] * t[:, mx, :, my]
+            return self.closures[mx, my] * (a[mx].T @ b[my])
         fx, fy = self.f[mx], self.f[my]
-        out = self.norm2[mx] * t[:, max(mx + s, 0), :, my]
-        out += (abs(self.a) ** 2 * fy * fy) * t[:, mx, :, max(my + s, 0)]
+        left = [self.norm2[mx] * a[max(mx + s, 0)], (abs(self.a) ** 2 * fy * fy) * a[mx]]
+        right = [b[my], b[max(my + s, 0)]]
         if self.cross is not None:
-            out += (2.0 * self.a.real * fx * fy) * self.cross[:, mx, :, my]
-        return out
+            left.append((2.0 * self.a.real * fx * fy) * self.cross[0][mx])
+            right.append(self.cross[1][my])
+        return np.concatenate(left).T @ np.concatenate(right)
 
 
 def _cross_factor(stack: np.ndarray, s: int) -> np.ndarray:

@@ -11,7 +11,60 @@ import math
 import mpmath as mp
 import numpy as np
 
+from dyncool.errors import DomainError
+
 mp.mp.dps = 50
+
+
+def angular_quadrature(quad_theta: int, quad_phi: int):
+    """Whole-sphere product rule: Gauss-Legendre in cos(theta), trapezoid in phi.
+
+    Returns (theta, phi, w) flattened over the grid; weights carry the
+    sin(theta) Jacobian through the cos(theta) substitution, so sum(w) = 4*pi.
+    The package runs on its parity-folded part; this is the reference rule
+    that folded results are checked against.
+    """
+    if quad_theta < 4 or quad_phi < 4:
+        raise DomainError("quadrature orders must be >= 4")
+    x, wx = np.polynomial.legendre.leggauss(quad_theta)
+    theta = np.arccos(x)
+    phi = 2.0 * math.pi * np.arange(quad_phi) / quad_phi
+    w_grid = np.repeat(wx, quad_phi) * (2.0 * math.pi / quad_phi)
+    return np.repeat(theta, quad_phi), np.tile(phi, quad_theta), w_grid
+
+
+def folded_resonant_column_2d(rx, ry, w, fx, fy, s: int, a: complex, mx: int, my: int):
+    """Resonant 2D column (mx, my) as the direct sum over folded nodes k of
+    w_k x[k] (x) y[k], averaged over each node's four mirror images.
+
+    ``rx``, ``ry`` are the real reduced recoil stacks (nodes, n, l) of the
+    folded nodes on each axis, ``w`` their weights, ``fx``, ``fy`` the
+    reduced absorption factors of mx and my (zero where m + s < 0).  At
+    each image (+-u, +-v) the stacks take the parity (-1)^(n+l) per
+    flipped axis, the amplitudes their phases i^|n-l|, and the column is
+    |x-laser + A y-laser|^2 expanded into its three node sums.
+    """
+    n1 = rx.shape[1]
+    ns = np.arange(n1)
+
+    def axis(stack, level, sign):
+        if level < 0:
+            return np.zeros((stack.shape[0], n1), dtype=complex)
+        parity = sign ** ((ns + level) % 2)
+        return stack[:, :, level] * parity * 1j ** np.abs(ns - level)
+
+    out = np.zeros((n1, n1))
+    for sx in (1, -1):
+        for sy in (1, -1):
+            x_hit, x_spec = axis(rx, mx + s, sx), axis(rx, mx, sx)
+            y_hit, y_spec = axis(ry, my + s, sy), axis(ry, my, sy)
+            xl, yl = fx * x_hit, a * fy * x_spec  # x-axis parts of each laser
+            xr, yr = y_spec, y_hit                # y-axis parts
+            out += 0.25 * (np.einsum("k,ki,kj->ij", w, np.abs(xl) ** 2, np.abs(xr) ** 2)
+                           + np.einsum("k,ki,kj->ij", w, np.abs(yl) ** 2, np.abs(yr) ** 2)
+                           + 2.0 * np.einsum("k,ki,kj->ij", w, xl * np.conj(yl),
+                                             xr * np.conj(yr)).real)
+    return out
 
 
 def fc_modulus_series(eta: float, m: int, n: int) -> float:

@@ -395,6 +395,30 @@ class TestLumpedBasis:
         assert grid.sum() + leak == pytest.approx(1.0, abs=1e-12)
 
 
+class TestRecordedRun:
+    def test_fig5_master_matches_recorded_values(self):
+        # fig5_A_minus at n_max 16 after 30 cycles, as recorded at commit
+        # 26db19c, which summed the dense recoil tensors of every 2D column
+        init, proto, trap = preset_run("fig5_A_minus", n_max=16, cycles=30)
+        series = run_protocol(init, proto, trap, stop_tol=0.0)
+        final = series.final().obs
+        got = [final.p_target, final.mean_nx, final.mean_ny, final.mean_n, final.leak]
+        want = [0.10380574812648555, 1.4765702752263716, 1.4765702752263712,
+                2.953140550452743, 0.39256030989733537]
+        assert np.abs(np.array(got) - want).max() <= 1e-12
+        cycle10 = series.cycle_samples()[10].obs
+        assert np.abs(np.array([cycle10.p_target, cycle10.mean_n, cycle10.leak])
+                      - [0.08269649812519358, 5.066611291410081, 0.17154505944284304]
+                      ).max() <= 1e-12
+        grid = series.final_distribution.grid()
+        levels = ((0, 0), (1, 0), (1, 1), (2, 0), (3, 5), (8, 8), (16, 16))
+        want = [0.10380574812648555, 0.06515689172481852, 0.06658993881207262,
+                0.011451251841032926, 0.000485058515004156, 0.0011090410744642545,
+                5.7992179364393194e-05]
+        assert np.abs(np.array([grid[lv] for lv in levels]) - want).max() <= 1e-12
+        assert abs(grid.sum() - 0.6074396901026645) <= 1e-12
+
+
 class TestTruncationRobustness:
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
     def test_raising_n_max_leaves_endpoint(self, name):

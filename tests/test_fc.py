@@ -194,6 +194,20 @@ class TestReducedStack:
                 fc.fc_factor(*args)
         assert calls == []
 
+    def test_fc_reduced_memo(self, monkeypatch):
+        # fc_reduced grows one table per eta and reads each entry from it,
+        # bitwise as a table built for that entry alone; a table above the
+        # memo's size is used once and not kept
+        monkeypatch.setattr(fc, "_memo", (math.nan, np.zeros((0, 0))))
+        monkeypatch.setattr(fc, "_MEMO_ENTRIES", 200)
+        for m, n in ((0, 4), (7, 2), (3, 12), (9, 9), (5, 40)):
+            lo, hi = min(m, n), max(m, n)
+            alone = fc.reduced_stack(np.array([2.3]), lo, hi)[0, lo, hi]
+            assert fc.fc_reduced(2.3, m, n) == alone
+        assert fc._memo[0] == 2.3 and fc._memo[1].shape == (10, 13)
+        fc.fc_reduced(0.7, 1, 2)
+        assert fc._memo[0] == 0.7 and fc._memo[1].shape == (2, 3)
+
 
 class TestDarkSolvers:
     def test_level1_closed_form(self):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dyncool import fc, rates
-from dyncool.errors import DomainError, ResourceLimitError, ValidityError
-from dyncool.rates import (Pulse, TrapConfig, angular_quadrature, dipole_pattern,
-                           empty_rates_1d, empty_rates_2d, rate_matrix)
+from dyncool.errors import DomainError, ResourceLimitError, SimulationError, ValidityError
+from dyncool.rates import (Pulse, TrapConfig, dipole_pattern, empty_rates_1d,
+                           empty_rates_2d, rate_matrix)
+from oracles import angular_quadrature, fc_reduced_series, folded_resonant_column_2d
 
 
 def trap_1d(eta=3.0, n_max=40, **kw):
@@ -608,16 +609,84 @@ class TestColumnSampler:
             assert total_s == total_d
             assert np.array_equal(cum_d, cum_s)
 
-    def test_too_deep_refused_before_any_table(self, monkeypatch):
-        # the recoil tensor of n_max 160 needs 5.0 GiB; the tiny sphere rule
-        # keeps the stacks small, and the spy stops any build before it
-        def no_stack(*args, **kwargs):
-            raise AssertionError("displacement stack built before the budget check")
-        monkeypatch.setattr(rates.AngularTables, "stack", no_stack)
+    def test_deep_column_builds(self):
+        # n_max 160 is past where a dense recoil tensor (5.0 GiB) fit the
+        # budget; the factors need none.  The tiny sphere rule keeps it fast
         rates.clear_caches()
         trap = trap_2d(n_max=160, quad_theta=4, quad_phi=4)
-        with pytest.raises(ResourceLimitError, match="recoil tensor"):
-            rates.ColumnSampler(trap, Pulse(s=-1, duration=1.0))
+        pulse = Pulse(s=-2, duration=1.0, amplitude_ratio=-1.0)
+        sampler = rates.ColumnSampler(trap, pulse)
+        tables = rates.angular_tables(trap)
+        rx, ry = (tables.stack(axis, 160) for axis in "xy")
+        rates.clear_caches()
+        f = sampler._provider.f
+        for mx, my in ((2, 2), (3, 150), (160, 79)):
+            col = sampler._provider.column(mx, my)
+            ref = folded_resonant_column_2d(rx, ry, tables.fold_weights, f[mx], f[my],
+                                            -2, -1.0, mx, my)
+            assert np.abs(col - ref).max() <= 1e-13 * ref.max()
+
+
+class TestResonantFactors:
+    FIG5 = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=40)
+
+    @pytest.mark.parametrize("a", [-1.0, 1.0])
+    @pytest.mark.parametrize("s", [-18, -9, -4, 0, -19, -10, -5, -1, 8])
+    def test_column_matches_folded_node_sum(self, s, a):
+        # every fig5 pulse, and fig6's s = 8, whose levels reach past n_max
+        trap = self.FIG5
+        rates.clear_caches()
+        provider = rates._Resonant(trap, Pulse(s=s, duration=1.0, amplitude_ratio=a))
+        tables = rates.angular_tables(trap)
+        rx, ry = (tables.stack(axis, trap.n_max + max(s, 0)) for axis in "xy")
+        rates.clear_caches()
+
+        def absorb(m):
+            return fc_reduced_series(trap.eta, m, m + s) if m + s >= 0 else 0.0
+
+        for mx, my in ((0, 0), (9, 1), (20, 20), (40, 7), (3, 36)):
+            ref = folded_resonant_column_2d(rx, ry, tables.fold_weights, absorb(mx),
+                                            absorb(my), s, a, mx, my)
+            col = provider.column(mx, my)
+            assert np.abs(col - ref).max() <= 1e-13 * max(ref.max(), 1e-300)
+
+    def test_no_array_of_n1_to_the_fourth(self):
+        # with fewer folded nodes (72) than (n_max+1)^2 = 169, only an array
+        # that scales as (n_max+1)^4, such as a dense recoil tensor, reaches
+        # (n_max+1)^4 entries
+        trap = trap_2d(n_max=12, quad_theta=16, quad_phi=32)
+        n1 = trap.n_max + 1
+        rates.clear_caches()
+        providers = [rates._Resonant(trap, Pulse(s=s, duration=1.0, amplitude_ratio=a))
+                     for s, a in ((-4, -1.0), (8, 1.0), (0, -1.0), (-9, 0.125))]
+        tables = rates.angular_tables(trap)
+        rates.clear_caches()
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+            elif isinstance(obj, dict):
+                for item in obj.values():
+                    yield from arrays(item)
+            elif hasattr(obj, "__dict__"):
+                yield from arrays(vars(obj))
+
+        held = list(arrays([providers, tables]))
+        assert any(p.cross is not None for p in providers)
+        assert len(held) > 10
+        assert max(arr.size for arr in held) < n1 ** 4
+
+    def test_node_basis_residual_checked(self):
+        # a basis that misses part of the integrand is refused, not used
+        tables = rates.AngularTables(trap_2d(n_max=6))
+        x, y = (np.square(tables.stack(axis, 6)) for axis in "xy")
+        q, a, b = tables.factors(x.copy(), y.copy())
+        assert 10 < q.shape[1] < q.shape[0] and a.shape == b.shape == (7, q.shape[1], 7)
+        with pytest.raises(SimulationError, match="node basis"):
+            tables.factors(x, y, q[:, :-1])
 
 
 class TestMatrixCache:
