@@ -182,33 +182,41 @@ def level_distribution(level, trap: TrapConfig) -> Distribution:
     return Distribution(probs, 0.0, trap.shape)
 
 
+def _obs_rows(shape: tuple[int, ...], target, extra_targets=()) -> np.ndarray:
+    """The recorded values as rows over the flattened grid levels.
+
+    Row 0 is the mass, rows 1 and 2 the n_x and n_y weights (n and 0 in
+    1D), row 3 the target indicator and the rows after it one indicator per
+    extra target, so a grid distribution's values are ``rows @ probs``.
+    """
+    levels = np.indices(shape).reshape(len(shape), -1)
+    rows = np.zeros((4 + len(extra_targets), levels.shape[1]))
+    rows[0] = 1.0
+    rows[1:1 + len(shape)] = levels
+    for row, level in zip(rows[3:], (target, *extra_targets)):
+        idx = tuple(int(v) for v in np.atleast_1d(level))[:len(shape)]
+        if len(idx) != len(shape) or not all(0 <= v < n for v, n in zip(idx, shape)):
+            raise DomainError(f"target {level} outside truncation")
+        row[np.ravel_multi_index(idx, shape)] = 1.0
+    return rows
+
+
+def _snapshot(values, leak: float) -> ObsSnapshot:
+    """The snapshot of one row-product vector of ``_obs_rows``."""
+    return ObsSnapshot(values[3], values[1], values[2], values[1] + values[2], leak)
+
+
 def observables(dist: Distribution, target) -> ObsSnapshot:
     """Target occupation, per-axis and total mean level, and leak."""
-    shape = dist.shape
-    grid = dist.grid()
-    if len(shape) == 1:
-        (n1,) = shape
-        tgt = int(target) if not isinstance(target, tuple) else int(target[0])
-        if not 0 <= tgt < n1:
-            raise DomainError(f"target {target} outside truncation")
-        ns = np.arange(n1)
-        mean = float(ns @ grid)
-        return ObsSnapshot(float(grid[tgt]), mean, 0.0, mean, dist.leak)
-    tx, ty = target
-    n1 = shape[0]
-    if not (0 <= tx < n1 and 0 <= ty < shape[1]):
-        raise DomainError(f"target {target} outside truncation")
-    ns = np.arange(n1)
-    px = grid.sum(axis=1)
-    py = grid.sum(axis=0)
-    mean_nx = float(ns @ px)
-    mean_ny = float(np.arange(shape[1]) @ py)
-    return ObsSnapshot(float(grid[tx, ty]), mean_nx, mean_ny,
-                       mean_nx + mean_ny, dist.leak)
+    return _snapshot((_obs_rows(dist.shape, target) @ dist.probs).tolist(), dist.leak)
 
 
 def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> Distribution:
-    """Evolve a distribution under one pulse's generator for ``duration`` tau0."""
+    """Evolve a distribution under one pulse's generator for ``duration`` tau0.
+
+    ``rates`` is anything with ``n_states`` and ``propagator(duration)``: a
+    pulse's ``RateMatrix``, or the cycle map of a master run.
+    """
     if duration < 0:
         raise DomainError(f"duration must be >= 0, got {duration}")
     if rates.n_states != dist.probs.shape[0]:
@@ -225,6 +233,41 @@ def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> D
     np.maximum(new, 0.0, out=new)
     return Distribution(new, dist.leak + max(lost, 0.0), dist.shape,
                         dist.clipped + clipped)
+
+
+class _CycleMap:
+    """One pulse cycle as one step on a state basis.
+
+    From the pulses' cached propagators P_j it forms the partial products
+    Z_j = P_j ... P_1 (K - 1 GEMMs) and the cycle map M = Z_K, which
+    ``propagate_pulse`` applies.  ``inner`` stacks ``rows @ Z_j`` for
+    j < K, so ``inner @ y`` holds the row values after every pulse but the
+    last of a cycle that starts at y.  min(Z_j) >= -1e-12 for j < K keeps
+    every state inside a cycle above -1e-12 for any start of mass <= 1;
+    ``propagate_pulse`` checks the state M leaves.
+    """
+
+    def __init__(self, mats, pulses, rows: np.ndarray):
+        self.duration = sum(pulse.duration for pulse in pulses)
+        # every expm first, so no partial product is held while expm's
+        # temporaries are, which would raise the run's peak memory
+        z, *later = [mat.propagator(pulse.duration) for mat, pulse in zip(mats, pulses)]
+        inner = []
+        for prop in later:
+            if z.min() < -1e-12:
+                raise DomainError("propagation produced significantly negative occupation")
+            inner.append(rows @ z)
+            z = prop @ z
+        self.matrix = z
+        self.inner = np.concatenate(inner) if inner else np.zeros((0, z.shape[0]))
+
+    @property
+    def n_states(self) -> int:
+        return self.matrix.shape[0]
+
+    def propagator(self, duration: float) -> np.ndarray:
+        """M; the map has one duration, the cycle's (``self.duration``)."""
+        return self.matrix
 
 
 def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
@@ -244,8 +287,14 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     basis of ``rates.StateBasis``) when the x <-> y swap commutes with every
     generator and the start is swap-symmetric (``_swap_lumpable``), and on
     the full grid otherwise.  In the swap basis p(a, b) = p(b, a) = q{a, b}/2
-    exactly, so every recorded value comes from the grid state recovered
-    from the lumped one.
+    exactly, so each grid row of ``_obs_rows`` carries over to the states
+    as ``basis.lump(row * share)``, share being the weight ``unlump`` gives
+    each level.  The run steps one cycle at a time through ``_CycleMap``.
+    The leak is chained pulse by pulse, leak_j = leak_{j-1} +
+    max(m_{j-1} - m_j, 0) with m the mass row (read after clipping at a
+    cycle's end), so it never decreases; t accumulates pulse by pulse.  The
+    grid state is recovered once, at the end.  An empty protocol or zero
+    cycles records the initial sample only and computes no propagator.
     """
     target = protocol.target if protocol.target is not None else _default_target(trap)
     if mode == "mc":
@@ -262,25 +311,34 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     release_tables()
     t1 = time.perf_counter()
     series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
+    share = basis.unlump(np.ones(basis.size))
+    rows = np.array([basis.lump(row) for row in
+                     _obs_rows(trap.shape, target, extra_targets) * share])
     state = Distribution(basis.lump(init.probs), init.leak, (basis.size,), init.clipped)
-    dist = init.copy()
-    t = 0.0
-    series.samples.append(Sample(0, 0, t, observables(dist, target)))
-    series.extra_probs.append(_extra_probs(dist, extra_targets, trap))
-    prev_p = series.samples[0].obs.p_target
-    for cycle in range(1, protocol.cycles + 1):
-        for j, (pulse, mat) in enumerate(zip(protocol.pulses, mats), start=1):
-            state = propagate_pulse(state, mat, pulse.duration)
-            dist = Distribution(basis.unlump(state.probs), state.leak, trap.shape,
-                                state.clipped)
+    values = (rows @ state.probs).tolist()
+    t, leak = 0.0, state.leak
+    series.samples.append(Sample(0, 0, t, _snapshot(values, leak)))
+    series.extra_probs.append(tuple(values[4:]))
+    cycles = protocol.cycles if protocol.pulses else 0
+    if cycles:
+        cycle_map = _CycleMap(mats, protocol.pulses, rows)
+    for cycle in range(1, cycles + 1):
+        start = values
+        inner = (cycle_map.inner @ state.probs).reshape(-1, len(rows)).tolist()
+        state = propagate_pulse(state, cycle_map, cycle_map.duration)
+        values = (rows @ state.probs).tolist()
+        mass = start[0]
+        for j, (pulse, vals) in enumerate(zip(protocol.pulses, [*inner, values]), start=1):
+            leak += max(mass - vals[0], 0.0)
+            mass = vals[0]
             t += pulse.duration
-            series.samples.append(Sample(cycle, j, t, observables(dist, target)))
-            series.extra_probs.append(_extra_probs(dist, extra_targets, trap))
-        p_now = series.samples[-1].obs.p_target
-        if stop_tol and abs(p_now - prev_p) < stop_tol:
+            series.samples.append(Sample(cycle, j, t, _snapshot(vals, leak)))
+            series.extra_probs.append(tuple(vals[4:]))
+        state.leak = leak
+        if stop_tol and abs(values[3] - start[3]) < stop_tol:
             break
-        prev_p = p_now
-    series.final_distribution = dist
+    series.final_distribution = Distribution(basis.unlump(state.probs), state.leak,
+                                             trap.shape, state.clipped)
     series.phases = {"rates.rate_matrix": t1 - t0,
                      "dynamics.propagate": time.perf_counter() - t1}
     series.diagnostics = {"basis": basis.kind, "states": basis.size,
@@ -308,10 +366,6 @@ def _swap_lumpable(init: Distribution, protocol: Protocol, trap: TrapConfig,
 
 def _default_target(trap: TrapConfig):
     return 0 if trap.dims == 1 else (0, 0)
-
-
-def _extra_probs(dist: Distribution, extra_targets, trap: TrapConfig) -> tuple[float, ...]:
-    return tuple(float(dist.probs[trap.flat_index(tg)]) for tg in extra_targets)
 
 
 def _samplers(protocol: Protocol, trap: TrapConfig, rate_mode: str):

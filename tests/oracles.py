@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own evaluation paths:
 recoil matrix elements come from the explicit finite series in at least
 50-digit arithmetic, expectations from brute-force sums, and propagators from a
-uniformization series.
+uniformization series.  The one exception is ``per_pulse_run``, the master
+run stepped pulse by pulse on the package's own propagators, which is the
+reference for the cycle-at-a-time stepping of ``run_protocol``.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from dyncool import dynamics, rates
 from dyncool.errors import DomainError
 
 mp.mp.dps = 50
@@ -160,3 +163,48 @@ def jump_trajectory(pulses, level: int, cycles: int, rng) -> list[tuple[float, i
                 log.append((start + duration - left, level))
             start += duration
     return log
+
+
+def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
+                  extra_targets=()):
+    """A master run stepped one pulse at a time, as ``run_protocol`` once did.
+
+    Each pulse is one ``propagate_pulse`` with the pulse's own propagator,
+    on the same state basis as ``run_protocol``.  After every pulse the grid
+    state is recovered and ``observables`` read from it, and each extra
+    target's occupation taken as its grid entry.  Early stop compares the
+    target occupation at consecutive cycle ends.  Returns a master
+    ``TimeSeries`` with its final distribution and ``clipped_mass``.
+    """
+    target = protocol.target if protocol.target is not None else dynamics._default_target(trap)
+    lumped = dynamics._swap_lumpable(init, protocol, trap, rate_mode)
+    basis = rates.StateBasis(trap, "swap" if lumped else "full")
+    mats = [rates.rate_matrix(trap, pulse, rate_mode, basis.kind) for pulse in protocol.pulses]
+    series = dynamics.TimeSeries(target=target, extra_targets=tuple(extra_targets))
+    state = dynamics.Distribution(basis.lump(init.probs), init.leak, (basis.size,),
+                                  init.clipped)
+    dist = init.copy()
+    t = 0.0
+
+    def record(cycle, pulse):
+        series.samples.append(dynamics.Sample(cycle, pulse, t,
+                                              dynamics.observables(dist, target)))
+        series.extra_probs.append(tuple(float(dist.probs[trap.flat_index(tg)])
+                                        for tg in extra_targets))
+
+    record(0, 0)
+    prev_p = series.samples[0].obs.p_target
+    for cycle in range(1, protocol.cycles + 1):
+        for j, (pulse, mat) in enumerate(zip(protocol.pulses, mats), start=1):
+            state = dynamics.propagate_pulse(state, mat, pulse.duration)
+            dist = dynamics.Distribution(basis.unlump(state.probs), state.leak,
+                                         trap.shape, state.clipped)
+            t += pulse.duration
+            record(cycle, j)
+        p_now = series.samples[-1].obs.p_target
+        if stop_tol and abs(p_now - prev_p) < stop_tol:
+            break
+        prev_p = p_now
+    series.final_distribution = dist
+    series.diagnostics = {"basis": basis.kind, "clipped_mass": state.clipped}
+    return series

@@ -11,7 +11,7 @@ from dyncool.errors import DomainError
 from dyncool.protocols import Protocol, preset
 from dyncool.rates import Pulse, RateMatrix, TrapConfig
 
-from oracles import jump_trajectory, uniformization_expm
+from oracles import jump_trajectory, per_pulse_run, uniformization_expm
 
 
 def trap_1d(eta=3.0, n_max=60, **kw):
@@ -393,6 +393,112 @@ class TestLumpedBasis:
         assert np.array_equal(grid, grid.T)
         assert leak > 1e-6
         assert grid.sum() + leak == pytest.approx(1.0, abs=1e-12)
+
+
+def _sample_table(series):
+    return np.array([[s.cycle, s.pulse, s.t, s.obs.p_target, s.obs.mean_nx,
+                      s.obs.mean_ny, s.obs.mean_n, s.obs.leak] for s in series.samples])
+
+
+def _fig2_run(cycles):
+    proto, trap, mean = preset("fig2")
+    return (thermal_distribution(mean, trap),
+            Protocol(proto.pulses, cycles, proto.name, proto.target), trap)
+
+
+class TestCycleStepping:
+    """The cycle-at-a-time master run against the per-pulse oracle."""
+
+    @pytest.mark.parametrize("case", ["fig2", "fig2_early_stop", "fig5_swap", "fig7_full"])
+    def test_matches_per_pulse_oracle(self, case):
+        if case.startswith("fig2"):
+            (init, proto, trap), extra = _fig2_run(40), (1, 2, 7)
+        elif case == "fig5_swap":
+            init, proto, trap = preset_run("fig5_A_minus", n_max=12, cycles=10)
+            extra = ((0, 1), (1, 0), (3, 2))
+        else:
+            init, proto, trap = preset_run("fig7", n_max=8, cycles=10)
+            extra = ((0, 0), (1, 0), (2, 5))
+        stop_tol = 4e-3 if case == "fig2_early_stop" else 0.0
+        got = run_protocol(init, proto, trap, stop_tol=stop_tol, extra_targets=extra)
+        want = per_pulse_run(init, proto, trap, stop_tol=stop_tol, extra_targets=extra)
+        assert got.diagnostics["basis"] == want.diagnostics["basis"] == (
+            "swap" if case == "fig5_swap" else "full")
+        assert got.final().cycle == want.final().cycle
+        assert got.final().cycle == (14 if case == "fig2_early_stop" else proto.cycles)
+        a, b = _sample_table(got), _sample_table(want)
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-13
+        assert np.abs(np.array(got.extra_probs) - want.extra_probs).max() <= 1e-13
+        fa, fb = got.final_distribution, want.final_distribution
+        assert fa.shape == fb.shape == trap.shape
+        assert np.abs(fa.probs - fb.probs).max() <= 1e-13
+        assert abs(fa.leak - fb.leak) <= 1e-13
+        assert fa.clipped == fb.clipped == 0.0
+        assert got.diagnostics["clipped_mass"] == want.diagnostics["clipped_mass"] == 0.0
+
+    def test_early_stop_at_first_quiet_cycle(self):
+        init, proto, trap = _fig2_run(40)
+        series = run_protocol(init, proto, trap, stop_tol=4e-3)
+        ends = [s.obs.p_target for s in series.cycle_samples()]
+        moves = np.abs(np.diff(ends))
+        assert moves[-1] < 4e-3 and np.all(moves[:-1] >= 4e-3)
+
+    def test_sample_times_equal_oracle(self):
+        # durations whose running sum rounds differently from cycle multiples
+        trap = trap_1d(n_max=20)
+        pulses = (Pulse(s=-9, duration=0.1), Pulse(s=0, duration=0.7),
+                  Pulse(s=-1, duration=0.3))
+        proto = Protocol(pulses, 25, target=0)
+        init = dynamics.level_distribution(3, trap)
+        got = [s.t for s in run_protocol(init, proto, trap, stop_tol=0.0).samples]
+        want = [s.t for s in per_pulse_run(init, proto, trap, stop_tol=0.0).samples]
+        assert got == want
+        assert got[-1] != 25 * (0.1 + 0.7 + 0.3)
+
+    def test_negative_partial_product_refused_before_first_cycle(self, monkeypatch):
+        trap = trap_1d(n_max=1)
+        first, second = toy_matrix(np.zeros((2, 2)), trap), toy_matrix(np.zeros((2, 2)), trap)
+        first._propagators[1.0] = np.array([[1.0, 0.0], [-5e-12, 1.0]])
+        mats = iter((first, second))
+        monkeypatch.setattr(dynamics, "rate_matrix", lambda *args: next(mats))
+        stepped = []
+        monkeypatch.setattr(dynamics, "propagate_pulse",
+                            lambda *args: stepped.append(args))
+        proto = Protocol((Pulse(s=-1, duration=1.0), Pulse(s=0, duration=1.0)), 3,
+                         target=0)
+        with pytest.raises(DomainError, match="significantly negative occupation"):
+            run_protocol(dynamics.level_distribution(0, trap), proto, trap)
+        assert stepped == []
+
+    @pytest.mark.parametrize("n_max,cycles", [(120, 200), (480, 1000)])
+    def test_leak_nondecreasing_every_pulse(self, n_max, cycles):
+        # at depth 480 a cycle-end leak taken from the cycle map's output
+        # alone, not chained pulse by pulse, drops below the chained
+        # leak of the pulse before it at 17 rows
+        proto, trap, mean = preset("fig3")
+        trap = TrapConfig(eta=trap.eta, gamma_over_omega=trap.gamma_over_omega,
+                          dims=1, n_max=n_max)
+        proto = Protocol(proto.pulses, cycles, proto.name, proto.target)
+        series = run_protocol(thermal_distribution(mean, trap), proto, trap, stop_tol=0.0)
+        leaks = [s.obs.leak for s in series.samples]
+        assert len(leaks) == 1 + cycles * 4
+        assert all(b >= a for a, b in zip(leaks, leaks[1:]))
+
+    @pytest.mark.parametrize("pulses,cycles", [((), 5), ((Pulse(s=-1, duration=1.0),), 0)])
+    def test_no_cycle_computes_nothing(self, pulses, cycles, monkeypatch):
+        import scipy.linalg
+
+        def refuse(*args):
+            raise AssertionError("a propagator or cycle map was computed")
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        monkeypatch.setattr(dynamics, "_CycleMap", refuse)
+        trap = trap_1d(n_max=20)
+        init = dynamics.level_distribution(3, trap)
+        series = run_protocol(init, Protocol(pulses, cycles, target=0), trap, stop_tol=0.0)
+        assert len(series.samples) == len(series.extra_probs) == 1
+        assert series.samples[0].t == 0.0
+        assert np.array_equal(series.final_distribution.probs, init.probs)
 
 
 class TestRecordedRun:
