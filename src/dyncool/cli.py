@@ -189,6 +189,7 @@ def _cmd_run(args) -> int:
         "outputs": outputs,
         "wall_clock_seconds": elapsed,  # unrounded: the phases sum to at most it
         "phases": series.phases,
+        "cache": series.cache,
         **series.diagnostics,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .protocols import Protocol
 from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig,
-                    _pulse_cache_key, rate_matrix, release_tables)
+                    _pulse_cache_key, cache_counts, rate_matrix, release_tables)
 
 LEAKED = "leaked"
 COMPLETED = "completed"
@@ -71,11 +71,13 @@ class TimeSeries:
 
     A master run also keeps the distribution it stopped at, the state
     behind the last sample, as ``final_distribution``.  ``phases`` holds the
-    wall seconds of the run's phases, named as the benchmark's spans, and
-    ``diagnostics`` the run's counts for the manifest: in master mode the
-    state basis propagated, its state count and the clipped mass, in Monte
-    Carlo mode the columns built, the jumps made and the most jumps one
-    trajectory made.
+    wall seconds of the run's phases, named as the benchmark's spans,
+    ``cache`` the builds and hits of the emission-kernel and rate-matrix
+    caches during the run (``rates.cache_counts``), and ``diagnostics`` the
+    run's counts for the manifest: in master mode the state basis
+    propagated, its state count and the clipped mass, in Monte Carlo mode
+    the columns built, the jumps made and the most jumps one trajectory
+    made.
     """
 
     samples: list[Sample] = field(default_factory=list)
@@ -85,6 +87,7 @@ class TimeSeries:
     extra_probs: list[tuple[float, ...]] = field(default_factory=list)
     final_distribution: Distribution | None = field(default=None, init=False, repr=False)
     phases: dict[str, float] = field(default_factory=dict, init=False, repr=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False)
     diagnostics: dict = field(default_factory=dict, init=False, repr=False)
 
     def cycle_samples(self) -> list[Sample]:
@@ -297,10 +300,13 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     cycles records the initial sample only and computes no propagator.
     """
     target = protocol.target if protocol.target is not None else _default_target(trap)
+    before = cache_counts()
     if mode == "mc":
         ens = mc_ensemble(trajectories, protocol, trap, seed, init=init,
                           rate_mode=rate_mode)
-        return _ensemble_to_series(ens, protocol, target)
+        series = _ensemble_to_series(ens, protocol, target)
+        series.cache = cache_counts(before)
+        return series
     if mode != "master":
         raise DomainError(f"unknown run mode {mode!r}")
 
@@ -341,6 +347,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
                                              trap.shape, state.clipped)
     series.phases = {"rates.rate_matrix": t1 - t0,
                      "dynamics.propagate": time.perf_counter() - t1}
+    series.cache = cache_counts(before)
     series.diagnostics = {"basis": basis.kind, "states": basis.size,
                           "clipped_mass": state.clipped}
     return series

@@ -119,7 +119,8 @@ def phase_table(n_max: int, l_max: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[d % 4]
 
 
-def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int) -> np.ndarray:
+def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int, *,
+                  weights: np.ndarray | None = None) -> np.ndarray:
     """Reduced factors R[k, n, l] at many projected etas at once.
 
     Steps the degree lo = min(n, l) once for every band d = |n - l| and eta
@@ -136,11 +137,19 @@ def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int) -> np.ndarray:
     band's largest value.  The tests check entries against the exact series
     to 1e-10 relative up to level 1060 (eta = 0.05, 1, 3) and at levels
     3500/4000 (eta = 3), where the band starts below the double range.
+
+    With ``weights`` w, one per eta, it returns sum_k w_k R[k, n, l]^2 as one
+    (n_max+1, l_max+1) table instead, adding each degree's entries as they
+    are stepped, so no stack is held.
     """
     eta = np.asarray(eta_proj, dtype=np.float64)
     zero = eta == 0.0
     eta = np.where(zero, 1.0, eta)  # rows reset to the identity below
-    out = np.zeros((eta.shape[0], n_max + 1, l_max + 1))
+    if weights is None:
+        out = np.zeros((eta.shape[0], n_max + 1, l_max + 1))
+    else:
+        w = np.where(zero, 0.0, weights)  # identity rows are added at the end
+        out = np.zeros((n_max + 1, l_max + 1))
     top = max(n_max, l_max)
     d = np.arange(top + 1.0)
     x = (eta * eta)[:, None]
@@ -169,10 +178,15 @@ def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int) -> np.ndarray:
                 expo = expo[:, :nb] + shift
                 scale = np.ldexp(1.0, expo)
         val = cur * scale[:, :nb]
-        out[:, lo, lo:] = val[:, :l_max + 1 - lo]
-        out[:, lo + 1:, lo] = val[:, 1:n_max + 1 - lo]
+        if weights is not None:
+            val = w @ (val * val)
+        out[..., lo, lo:] = val[..., :l_max + 1 - lo]
+        out[..., lo + 1:, lo] = val[..., 1:n_max + 1 - lo]
     if np.any(zero):
         rows, diag = np.flatnonzero(zero), np.arange(min(n_max, l_max) + 1)
+        if weights is not None:
+            out[diag, diag] += np.sum(np.asarray(weights)[rows])
+            return out
         out[rows] = 0.0
         out[rows[:, None], diag, diag] = 1.0
     return out

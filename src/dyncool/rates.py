@@ -29,7 +29,9 @@ from the same providers.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,10 @@ MATRIX_MEMORY_BUDGET = 4 << 30
 # 2D recoil factors drop sketch directions below _RANK_TOL of the largest, and
 # check ||X - Q Q^T X||_F <= 10 _RANK_TOL ||X||_F (margin for the check's rounding)
 _RANK_TOL = 1e-14
+
+# 2D recoil factors form their node arrays from the stacks this many bytes of
+# stack at a time; the fig5 stacks (14-17 MB) are one chunk
+_FACTOR_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -217,25 +223,28 @@ class AngularTables:
     """Per-trap emission kernels, and the 2D folded sphere rule and its stacks.
 
     The 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du is even in u, so it
-    runs on the positive half of the line rule with doubled weights, in node
-    chunks whose stack fits ``_FULL_STACK_BUDGET``.  The 2D integrands of both
-    modes depend on the direction through u = sin(th)cos(ph) and
-    v = sin(th)sin(ph) alone, so they run on the 8-fold folded sphere grid
-    (u, v >= 0, z > 0); where an integrand is not even in u or v (full-mode
-    interference between intermediate levels), its consumer adds the mirror
-    images through the parity of R.  ``stack(axis, l_max)`` holds the real
-    reduced factors R[k, n, l] on that grid (phases applied by consumers) and
-    grows lazily in l: (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x
-    (l_max+1) doubles, 84 MB per axis for full mode at the fig5 depth.  The
+    runs on the positive half of the line rule with doubled weights;
+    ``fc.reduced_stack`` sums it as it steps, so no stack is held.  The 2D
+    integrands of both modes depend on the direction through
+    u = sin(th)cos(ph) and v = sin(th)sin(ph) alone, so they run on the
+    8-fold folded sphere grid (u, v >= 0, z > 0); where an integrand is not
+    even in u or v (full-mode interference between intermediate levels), its
+    consumer adds the mirror images through the parity of R.
+    ``stack(axis, l_max)`` holds the real reduced factors R[k, n, l] on that
+    grid (phases applied by consumers) and grows lazily in l:
+    (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1) doubles,
+    84 MB per axis for full mode at the fig5 depth.  The
     2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2 is held
     in the low-rank form of ``factors``: R[n, l]^2 is e^{-x^2} times a
-    polynomial in x^2, so the squared stack has rank 37, 50, 64 and 76 over
-    the 1056 fig5 nodes at n_max 40, 80, 120 and 160.  Kernels are keyed by
+    polynomial in x^2, so the squared stack has rank 37, 50, 64 and 75 over
+    the 1056 fig5 nodes at n_max 40, 80, 120 and 160.  ``factors`` forms its
+    squared or cross-term node arrays from the stacks in node chunks, so no
+    array of a stack's size is held beside the stacks.  Kernels are keyed by
     a build depth that depends on the trap and the requested level alone:
     build order cannot move them.
     """
 
-    _FULL_STACK_BUDGET = 512 << 20  # cap on one stack (a 2D axis, a 1D node chunk)
+    _FULL_STACK_BUDGET = 512 << 20  # cap on one stack (a 2D axis, 1D full mode) or 1D kernel
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
@@ -251,38 +260,60 @@ class AngularTables:
         cached = self._stacks.get(axis)
         if cached is None or cached.shape[2] <= l_max:
             proj = self.fold_proj[axis]
-            need = proj.shape[0] * (self.trap.n_max + 1) * (l_max + 1) * 8
-            if need > self._FULL_STACK_BUDGET:
-                raise ResourceLimitError(
-                    f"projected displacement stack would need {need / 2**20:.0f} "
-                    "MiB; lower n_max or the quadrature orders")
+            _check_stack_budget(proj.shape[0] * (self.trap.n_max + 1) * (l_max + 1),
+                                "projected displacement stack", " or the quadrature orders")
             cached = fc.reduced_stack(self.trap.eta * proj, self.trap.n_max, l_max)
             self._stacks[axis] = cached
         return cached
 
-    def factors(self, x: np.ndarray, y: np.ndarray, q: np.ndarray | None = None):
+    def factors(self, l_max: int, form, q: np.ndarray | None = None):
         """Low-rank form (q, a, b) of the folded node sum sum_k w_k x[k] (x) y[k]
-        of node arrays (nodes, n, p), scaled in place: its (n x n) slice at
-        (i, j) is a[i].T @ b[j], with a, b = q^T sqrt(w) x, q^T sqrt(w) y as
-        (p, r, n).  q spans sqrt(w) y (checked); unless given, it comes from a
-        Gaussian sketch with a fixed seed (Halko, Martinsson & Tropp 2011) of
-        width n + p + 9: R[n, l]^2 is e^{-x^2} times a polynomial of degree
-        n + l in x^2, so squared stacks span at most n + p - 1 node vectors."""
-        k, n, p = y.shape
+        of the node arrays x, y = form(Rx), form(Ry) (nodes, n, p) of the
+        stacks to ``l_max``: its (n x n) slice at (i, j) is a[i].T @ b[j], with
+        a, b = q^T sqrt(w) x, q^T sqrt(w) y as (p, r, n).  q spans sqrt(w) y
+        (checked); unless given, it comes from a Gaussian sketch with a fixed
+        seed (Halko, Martinsson & Tropp 2011) of width n + p + 9: R[n, l]^2 is
+        e^{-x^2} times a polynomial of degree n + l in x^2, so squared stacks
+        span at most n + p - 1 node vectors.
+
+        ``form`` maps a node chunk of a stack to its node arrays.  Each pass
+        (sketch, projection, residual) forms them chunk by chunk, at most
+        ``_FACTOR_CHUNK_BYTES`` of stack at a time; an axis's last chunk is
+        kept, so a stack in one chunk is formed once."""
+        stacks = {axis: self.stack(axis, l_max) for axis in "xy"}
+        k = self.fold_weights.shape[0]
+        step = max(1, _FACTOR_CHUNK_BYTES // stacks["x"][0].nbytes)
+        chunks = [slice(start, start + step) for start in range(0, k, step)]
         w_root = np.sqrt(self.fold_weights)[:, None]
-        x, y = (np.multiply(v.reshape(k, -1), w_root, out=v.reshape(k, -1)) for v in (x, y))
+        n, p = form(stacks["y"][:1]).shape[1:]
+        last = {}
+
+        def nodes(axis, sl):
+            # rows sqrt(w_k) form(R)[k] of one chunk; each axis keeps its last
+            if last.get(axis, (None,))[0] != sl.start:
+                v = form(stacks[axis][sl]).reshape(-1, n * p)
+                last[axis] = (sl.start, np.multiply(v, w_root[sl], out=v))
+            return last[axis][1]
+
         if q is None:
-            u, sv, _ = np.linalg.svd(y @ np.random.default_rng(0).standard_normal(
-                (y.shape[1], min(k, n + p + 9))), full_matrices=False)
+            omega = np.random.default_rng(0).standard_normal((n * p, min(k, n + p + 9)))
+            u, sv, _ = np.linalg.svd(np.concatenate([nodes("y", sl) @ omega for sl in chunks]),
+                                     full_matrices=False)
             q = u[:, :np.count_nonzero(sv > _RANK_TOL * sv[0])]
-        b = q.T @ y
-        resid = q @ b
-        resid -= y
-        if np.linalg.norm(resid) > 10 * _RANK_TOL * np.linalg.norm(y):
+        a, b = (functools.reduce(operator.iadd, (q[sl].T @ nodes(axis, sl) for sl in chunks))
+                for axis in "xy")
+        resid2 = norm2 = 0.0
+        for sl in chunks:
+            y = nodes("y", sl)
+            resid = q[sl] @ b
+            resid -= y
+            resid2 += np.vdot(resid, resid)
+            norm2 += np.vdot(y, y)
+        if math.sqrt(resid2) > 10 * _RANK_TOL * math.sqrt(norm2):
             raise SimulationError(f"rank-{q.shape[1]} node basis misses part of a "
                                   "2D recoil integrand")
         return q, *(np.ascontiguousarray(f.reshape(-1, n, p).transpose(2, 0, 1))
-                    for f in (q.T @ x, b))
+                    for f in (a, b))
 
     def emission_kernel(self, l_max: int) -> np.ndarray | tuple:
         """Direction-averaged emission redistribution weights up to level
@@ -295,31 +326,41 @@ class AngularTables:
         n1 = self.trap.n_max + 1
         depth = l_max if self.trap.dims == 2 else _line_depth(self.trap.eta, n1 - 1, l_max)
         kernel = self._kernels.get(depth)
+        _CACHE_COUNTS["emission_kernel"]["hits" if kernel is not None else "builds"] += 1
         if kernel is None:
             l1 = depth + 1
             if self.trap.dims == 2:
                 # a deeper stack holds the same values; the slice fixes the shapes
-                kernel = self.factors(*(np.square(self.stack(axis, depth)[:, :, :l1])
-                                        for axis in "xy"))
+                kernel = self.factors(depth, lambda r: np.square(r[:, :, :l1]))
             else:
-                node_bytes = n1 * l1 * 8
-                if node_bytes > self._FULL_STACK_BUDGET:
-                    raise ResourceLimitError(
-                        f"one node of the 1D recoil stack would need "
-                        f"{node_bytes / 2**20:.0f} MiB; lower n_max")
-                chunk_nodes = self._FULL_STACK_BUDGET // node_bytes
+                _check_stack_budget(n1 * l1, "the 1D emission kernel")
                 u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, depth))
-                eta_u, w = self.trap.eta * u[u > 0], 2.0 * w[u > 0]
-                kernel = np.zeros((n1, l1))
-                for start in range(0, eta_u.shape[0], chunk_nodes):
-                    sl = slice(start, start + chunk_nodes)
-                    chunk = fc.reduced_stack(eta_u[sl], n1 - 1, depth)
-                    kernel += np.tensordot(w[sl], np.square(chunk, out=chunk), axes=1)
+                kernel = fc.reduced_stack(self.trap.eta * u[u > 0], n1 - 1, depth,
+                                          weights=2.0 * w[u > 0])
             self._kernels[depth] = kernel
         return kernel if self.trap.dims == 2 else kernel[:, :l_max + 1]
 
 
+def _check_stack_budget(entries: int, what: str, remedy: str = "") -> None:
+    """Refuse an array of ``entries`` doubles above ``_FULL_STACK_BUDGET``,
+    before anything is allocated."""
+    need = 8 * entries
+    if need > AngularTables._FULL_STACK_BUDGET:
+        raise ResourceLimitError(f"{what} would need {need / 2**20:.0f} MiB; "
+                                 f"lower n_max{remedy}")
+
+
 _TABLES: dict[tuple, AngularTables] = {}
+
+# builds and hits of the emission-kernel and rate-matrix caches since import
+_CACHE_COUNTS = {name: {"builds": 0, "hits": 0} for name in ("emission_kernel", "rate_matrix")}
+
+
+def cache_counts(since: dict | None = None) -> dict:
+    """Builds and hits of the emission-kernel and rate-matrix caches since
+    import, or since ``since``, an earlier result of this function."""
+    return {name: {k: v - (since[name][k] if since else 0) for k, v in counts.items()}
+            for name, counts in _CACHE_COUNTS.items()}
 
 
 def angular_tables(trap: TrapConfig) -> AngularTables:
@@ -530,8 +571,8 @@ class _Resonant:
         self.kernel = tables.emission_kernel(l_max)
         self.cross = None
         if trap.dims == 2 and s != 0 and s % 2 == 0 and self.a.real != 0.0:
-            x, y = (_cross_factor(tables.stack(axis, l_max), s) for axis in "xy")
-            self.cross = tables.factors(x, y, self.kernel[0])[1:]
+            self.cross = tables.factors(l_max, lambda r: _cross_factor(r, s),
+                                        self.kernel[0])[1:]
 
     def column(self, *level) -> np.ndarray:
         s = self.s
@@ -594,13 +635,16 @@ class _Full:
         self.a = complex(pulse.amplitude_ratio)
         n_max = trap.n_max
         l_max = min(n_max + _level_headroom(trap.eta, n_max), fc._INTERNAL_MAX_DEGREE)
+        if trap.dims == 1:
+            order = _line_order(trap.eta, l_max)
+            _check_stack_budget(order // 2 * (n_max + 1) * (l_max + 1), "the 1D recoil stack")
         self.coeffs = c = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
         norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
         self.closures = _closures(norm2, c.diagonal(), self.a, trap.dims)
         self.phases = fc.phase_table(n_max, l_max)
         if trap.dims == 1:
             # the u > 0 half of the line rule; its order is even, so no node at u = 0
-            u, w = _line_rule(trap.dipole, _line_order(trap.eta, l_max))
+            u, w = _line_rule(trap.dipole, order)
             self.stacks = (fc.reduced_stack(trap.eta * u[u > 0], n_max, l_max),)
             self.w = 2.0 * w[u > 0]
         else:
@@ -723,6 +767,7 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
     sweeps over eta or n_max keep one trap's matrices and propagators."""
     key = (trap, basis, _pulse_cache_key(trap, pulse, mode))
     cached = _MATRICES.get(key)
+    _CACHE_COUNTS["rate_matrix"]["hits" if cached is not None else "builds"] += 1
     if cached is None:
         if any(other[0] != trap for other in _MATRICES):
             _MATRICES.clear()

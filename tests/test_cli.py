@@ -194,6 +194,10 @@ class TestRun:
         assert set(manifest["phases"]) == phases
         assert all(v >= 0.0 for v in manifest["phases"].values())
         assert sum(manifest["phases"].values()) <= manifest["wall_clock_seconds"]
+        # both pulses (s <= 0) share one kernel; Monte Carlo builds no matrix
+        assert manifest["cache"] == {
+            "emission_kernel": {"builds": 1, "hits": 1},
+            "rate_matrix": {"builds": 2 if mode == "master" else 0, "hits": 0}}
         if mode == "mc":
             assert 0 < manifest["columns_built"] <= 2 * 121
             # 20 trajectories: the total jumps and the most one made

@@ -185,6 +185,18 @@ class TestReducedStack:
         assert 1e-35 < ref < 1e-33
         assert stack[0, 3500, 4000] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("n_max, l_max", [(20, 25), (25, 20), (1060, 1060)])
+    def test_weighted_sum_of_squares(self, n_max, l_max):
+        # weights give sum_k w_k R_k^2 as one table, with the eta = 0 node's
+        # identity rows and eta = 0.05's bands, which start below the double
+        # range at the deep levels
+        etas = np.array([-2.5, -0.3, 0.0, 0.05, 0.9, 3.0])
+        w = np.array([0.3, 1.7, 0.2, 0.9, 1.1, 0.4])
+        got = fc.reduced_stack(etas, n_max, l_max, weights=w)
+        ref = np.tensordot(w, fc.reduced_stack(etas, n_max, l_max) ** 2, axes=1)
+        assert got.shape == (n_max + 1, l_max + 1)
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
     def test_level_checks_before_allocation(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fc, "reduced_stack", lambda *args: calls.append(args))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,40 +172,42 @@ class TestAngularQuadrature:
         # multi-node calls are kernel builds, single-eta ones absorption bands
         calls = []
 
-        def spy(eta_proj, n_max, l_max, _inner=fc.reduced_stack):
+        def spy(eta_proj, n_max, l_max, _inner=fc.reduced_stack, **kwargs):
             if len(eta_proj) > 1:
                 calls.append(l_max)
-            return _inner(eta_proj, n_max, l_max)
+            return _inner(eta_proj, n_max, l_max, **kwargs)
 
         monkeypatch.setattr(fc, "reduced_stack", spy)
         rates.clear_caches()
         trap = trap_1d(n_max=480)
+        before = rates.cache_counts()
         for s in (-9, 8, -10, -3):
             rate_matrix(trap, Pulse(s=s, duration=1.0))
         rates.clear_caches()
         assert calls == [489]
+        assert rates.cache_counts(before) == {"emission_kernel": {"builds": 1, "hits": 3},
+                                              "rate_matrix": {"builds": 4, "hits": 0}}
 
-    def test_kernel_node_chunks_within_budget(self, monkeypatch):
-        trap = trap_1d(n_max=40)
+    def test_kernel_build_holds_no_stack(self):
+        # the fig3 kernel at n_max 480 is summed as its stack is stepped: the
+        # build holds less than a quarter of that 186 MB stack
+        trap = trap_1d(n_max=480)
+        depth = rates._line_depth(trap.eta, 480, 480)
+        stack_bytes = rates._line_order(trap.eta, depth) // 2 * 481 * (depth + 1) * 8
+        assert stack_bytes > 180e6
         rates.clear_caches()
-        whole = rates.angular_tables(trap).emission_kernel(48)
-        node_bytes = 41 * (rates._line_depth(trap.eta, 40, 48) + 1) * 8
-        budget = 5 * node_bytes + 100
-        chunks = []
-
-        def spy(eta_proj, n_max, l_max, _inner=fc.reduced_stack):
-            chunks.append(len(eta_proj) * (n_max + 1) * (l_max + 1) * 8)
-            return _inner(eta_proj, n_max, l_max)
-
-        monkeypatch.setattr(fc, "reduced_stack", spy)
-        monkeypatch.setattr(rates.AngularTables, "_FULL_STACK_BUDGET", budget)
-        rates.clear_caches()
-        chunked = rates.angular_tables(trap).emission_kernel(48)
-        rates.clear_caches()
-        assert len(chunks) >= 2 and max(chunks) <= budget
-        assert np.abs(chunked - whole).max() <= 1e-13
+        tracemalloc.start()
+        try:
+            kernel = rates.angular_tables(trap).emission_kernel(480)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            rates.clear_caches()
+        assert kernel.shape == (481, 481)
+        assert peak < stack_bytes / 4
 
     def test_kernel_node_over_budget_refused(self, monkeypatch):
+        # a 1D kernel above the budget is refused before any recoil factor
         calls = []
         monkeypatch.setattr(fc, "reduced_stack", lambda *args: calls.append(args))
         node_bytes = 41 * (rates._line_depth(3.0, 40, 48) + 1) * 8
@@ -404,6 +407,24 @@ class TestRateMatrix1d:
                 fast = mat.generator[:, m].copy()
                 fast[m] = mat.self_rates[m]
                 assert np.abs(fast - ref).max() <= 1e-13 * ref.max()
+
+    @pytest.mark.parametrize("n_max, lowered", [(20, True), (480, False)])
+    def test_full_stack_over_budget_refused(self, monkeypatch, n_max, lowered):
+        # a 1D full-mode stack above the budget is refused before any recoil
+        # factor is computed: at n_max 480 it is 600 MiB against 512 MiB
+        trap = trap_1d(n_max=n_max)
+        l_max = n_max + rates._level_headroom(trap.eta, n_max)
+        need = rates._line_order(trap.eta, l_max) // 2 * (n_max + 1) * (l_max + 1) * 8
+        if lowered:
+            monkeypatch.setattr(rates.AngularTables, "_FULL_STACK_BUDGET", need - 1)
+        else:
+            assert need > rates.AngularTables._FULL_STACK_BUDGET
+        calls = []
+        monkeypatch.setattr(fc, "reduced_stack", lambda *args, **kw: calls.append(args))
+        rates.clear_caches()
+        with pytest.raises(ResourceLimitError, match="1D recoil stack"):
+            rate_matrix(trap, Pulse(s=-9, duration=1.0), mode="full")
+        assert calls == []
 
     def test_full_approaches_resonant_in_small_gamma(self):
         worst = []
@@ -609,6 +630,16 @@ class TestColumnSampler:
             assert total_s == total_d
             assert np.array_equal(cum_d, cum_s)
 
+    @pytest.mark.parametrize("s", [0, -2, 4])
+    def test_chunked_columns_bitwise_equal_to_dense(self, monkeypatch, s):
+        # with the factors formed in chunks of 7 of the 1056 nodes
+        trap = trap_2d(eta=1.7, n_max=8)
+        node_bytes = (trap.n_max + 1) * (trap.n_max + 1 + max(s, 0)) * 8
+        monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 7 * node_bytes)
+        rates.clear_caches()
+        self.test_every_column_bitwise_equal_to_dense(s, -1.0)
+        rates.clear_caches()
+
     def test_deep_column_builds(self):
         # n_max 160 is past where a dense recoil tensor (5.0 GiB) fit the
         # budget; the factors need none.  The tiny sphere rule keeps it fast
@@ -682,11 +713,31 @@ class TestResonantFactors:
     def test_node_basis_residual_checked(self):
         # a basis that misses part of the integrand is refused, not used
         tables = rates.AngularTables(trap_2d(n_max=6))
-        x, y = (np.square(tables.stack(axis, 6)) for axis in "xy")
-        q, a, b = tables.factors(x.copy(), y.copy())
+        q, a, b = tables.factors(6, np.square)
         assert 10 < q.shape[1] < q.shape[0] and a.shape == b.shape == (7, q.shape[1], 7)
         with pytest.raises(SimulationError, match="node basis"):
-            tables.factors(x, y, q[:, :-1])
+            tables.factors(6, np.square, q[:, :-1])
+
+    @pytest.mark.parametrize("s", [0, -4, 8])
+    def test_node_chunks_match_one_chunk(self, monkeypatch, s):
+        # factors formed over many node chunks give the sums of one chunk:
+        # the kernel T and, for even s != 0, the cross term C_s
+        trap = trap_2d(n_max=12, quad_theta=16, quad_phi=32)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=-1.0)
+
+        def sums():
+            rates.clear_caches()
+            p = rates._Resonant(trap, pulse)
+            rates.clear_caches()
+            return [np.einsum("irn,jrm->injm", a, b)
+                    for a, b in (p.kernel[1:], p.cross or p.kernel[1:])]
+
+        one = sums()
+        node_bytes = (trap.n_max + 1) * (trap.n_max + 1 + max(s, 0)) * 8
+        monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 5 * node_bytes)
+        many = sums()
+        for ref, got in zip(one, many):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestMatrixCache:
