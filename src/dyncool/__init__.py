@@ -10,14 +10,13 @@ from .dynamics import (Distribution, McEnsembleResult, TimeSeries,
                        propagate_pulse, run_protocol, thermal_distribution)
 from .errors import (ConfigError, DomainError, ResourceLimitError,
                      SimulationError, SingularRatioError, ValidityError)
-from .fc import (FcAmplitude, dark_eta_for_level, dark_ratio_A, fc_factor,
-                 laguerre_assoc)
+from .fc import FcAmplitude, dark_eta_for_level, dark_ratio_A, fc_factor
 from .protocols import (Protocol, RunSpec, ValidationReport,
                         design_excited_protocol, parse_config, preset,
                         preset_runspec, validate_protocol, write_config,
                         PRESET_NAMES)
 from .rates import (Pulse, RateMatrix, TrapConfig, dipole_pattern,
-                    empty_rates_1d, empty_rates_2d, rate_matrix)
+                    empty_rates, rate_matrix)
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "SingularRatioError", "TimeSeries", "TrapConfig", "ValidationReport",
     "ValidityError", "dark_eta_for_level",
     "dark_ratio_A", "design_excited_protocol", "dipole_pattern",
-    "empty_rates_1d", "empty_rates_2d", "fc_factor", "laguerre_assoc",
+    "empty_rates", "fc_factor",
     "mc_ensemble", "mc_trajectory", "observables", "parse_config",
     "preset", "preset_runspec", "propagate_pulse",
     "rate_matrix", "run_protocol",

@@ -241,11 +241,7 @@ def _cmd_rates(args) -> int:
     if not 0 <= args.pulse < len(pulses):
         raise ConfigError(
             f"pulse index {args.pulse} out of range (protocol has {len(pulses)})")
-    pulse = pulses[args.pulse]
-    if spec.trap.dims == 1:
-        vec = rates.empty_rates_1d(spec.trap, pulse.s_int)
-    else:
-        vec = rates.empty_rates_2d(spec.trap, pulse)
+    vec = rates.empty_rates(spec.trap, pulses[args.pulse])
     if args.out:
         rates.export_empty_rates_csv(args.out, spec.trap, vec)
     else:

@@ -14,12 +14,14 @@ built from it.  Dark states arise exactly at the Laguerre zeros.
 One evaluator computes every factor: ``reduced_stack`` steps the Laguerre
 degree recurrence for all bands |n - m| and projected etas at once, on the
 normalised factor, which is bounded by 1.  ``fc_reduced`` and ``fc_factor``
-are single entries of it.  ``laguerre_assoc`` serves the dark-state root
-solver only.
+are single entries of it.  The dark-state solver evaluates no Laguerre
+polynomial: the zeros are the singular values of a bidiagonal factor of
+their Jacobi matrix.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -27,6 +29,8 @@ import numpy as np
 
 from .errors import DomainError, SingularRatioError
 
+# cap on the level m asked for by outside input: dark_eta_for_level holds its
+# Jacobi factor as a dense m x m matrix
 MAX_LAGUERRE_DEGREE = 256
 
 # ceiling for internal callers (large simulation bases legitimately exceed
@@ -47,32 +51,6 @@ class FcAmplitude:
     from_level: int
     to_level: int
     eta_effective: float
-
-
-def laguerre_assoc(n: int, alpha: int, x: float,
-                   max_degree: int = MAX_LAGUERRE_DEGREE) -> float:
-    """Associated Laguerre L_n^alpha(x) by the three-term recurrence in n.
-
-    Requires alpha >= -n; smaller alpha corresponds to transitions into
-    negative trap levels and must be mapped to a zero rate by the caller.
-    Unnormalised, so it overflows at high degree; the dark-state solvers
-    use it at degrees <= MAX_LAGUERRE_DEGREE.
-    """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    if n > max_degree:
-        raise DomainError(f"degree {n} exceeds maximum {max_degree}")
-    if alpha < -n:
-        raise DomainError(f"alpha={alpha} < -n={-n}: matrix element undefined")
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
 
 
 _memo = (math.nan, np.zeros((0, 0)))  # fc_reduced's last eta and its table
@@ -196,8 +174,15 @@ def dark_eta_for_level(m: int, s: int) -> list[float]:
     """All eta > 0 making trap level m dark under detuning index s.
 
     These are the square roots of the zeros of L_m^s; there are exactly m of
-    them, returned ascending.  Level 0 is dark for any red detuning and has
-    no root-based condition.
+    them, returned ascending.  The zeros are the eigenvalues of the Jacobi
+    matrix of L^s (Golub & Welsch 1969): diagonal 2k + s + 1, off-diagonal
+    sqrt(k (k + s)).  It is U^T U for the upper bidiagonal U with diagonal
+    sqrt(k + s + 1) and superdiagonal sqrt(k), k < m, so the etas are the
+    singular values of U: within 1.5e-15 relative of 80-digit roots for
+    m <= 256 and s up to 1e5, and the tests see L_m^s change sign across
+    eta^2 (1 +- 1e-14) at each.  U is held dense, which is what the cap on
+    m bounds.  Level 0 is dark for any red detuning and has no root-based
+    condition.
     """
     if m < 1:
         raise DomainError("level 0 has no dark-state condition (m >= 1 required)")
@@ -205,59 +190,9 @@ def dark_eta_for_level(m: int, s: int) -> list[float]:
         raise DomainError(f"detuning index must be >= 0, got {s}")
     if m > MAX_LAGUERRE_DEGREE:
         raise DomainError(f"m={m} exceeds maximum degree {MAX_LAGUERRE_DEGREE}")
-    roots = _laguerre_zeros(m, s)
-    return [math.sqrt(x) for x in roots]
-
-
-def _laguerre_zeros(m: int, s: int) -> list[float]:
-    """Zeros of L_m^s by degree-interlacing brackets + bisection/Newton."""
-    zeros: list[float] = []
-    for k in range(1, m + 1):
-        upper = 4.0 * k + 2.0 * s + 4.0  # above the largest zero of L_k^s
-        brackets = [0.0] + zeros + [upper]
-        new: list[float] = []
-        for a, b in zip(brackets[:-1], brackets[1:]):
-            new.append(_refine_zero(k, s, a, b))
-        zeros = new
-    return zeros
-
-
-def _refine_zero(k: int, s: int, a: float, b: float) -> float:
-    fa = laguerre_assoc(k, s, a)
-    fb = laguerre_assoc(k, s, b)
-    if fa == 0.0:
-        # interlacing gives open brackets; nudge off the shared endpoint
-        a = math.nextafter(a, b)
-        fa = laguerre_assoc(k, s, a)
-    if fa * fb > 0:
-        raise DomainError(f"no sign change in bracket ({a}, {b}) for L_{k}^{s}")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = laguerre_assoc(k, s, mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if b - a <= 1e-14 * max(1.0, abs(mid)):
-            break
-    x = 0.5 * (a + b)
-    # Newton polish; d/dx L_k^s = -L_{k-1}^{s+1}
-    for _ in range(6):
-        f = laguerre_assoc(k, s, x)
-        df = -laguerre_assoc(k - 1, s + 1, x) if k >= 1 else 0.0
-        if df == 0.0:
-            break
-        step = f / df
-        x_new = x - step
-        if not (a - 1e-9 <= x_new <= b + 1e-9):
-            break
-        x = x_new
-        if abs(step) <= 1e-15 * max(1.0, abs(x)):
-            break
-    return x
+    k = np.arange(m, dtype=np.float64)
+    u = np.diag(np.sqrt(k + s + 1.0)) + np.diag(np.sqrt(k[1:]), 1)
+    return np.linalg.svd(u, compute_uv=False)[::-1].tolist()
 
 
 def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
@@ -266,7 +201,8 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
     A = -<mx|e^{ikx}|mx> / <my|e^{iky}|my>; substituting into the
     zero-detuning empty rate cancels the target exactly.  Raises when the
     y-axis diagonal factor vanishes (eta at a Laguerre zero of the target's
-    y level).
+    y level); the message lists that level's dark etas nearest to eta on
+    each side, where the level is within MAX_LAGUERRE_DEGREE.
     """
     mx, my = target
     if mx < 0 or my < 0:
@@ -274,8 +210,11 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
     num = fc_reduced(eta, mx, mx)
     den = fc_reduced(eta, my, my)
     if abs(den) <= 1e-14:
-        nearby = dark_eta_for_level(my, 0) if my >= 1 else []
+        nearby = ""
+        if 1 <= my <= MAX_LAGUERRE_DEGREE:
+            roots = dark_eta_for_level(my, 0)
+            i = bisect.bisect_left(roots, abs(eta))
+            nearby = f"; nearest dark etas for that level: {roots[max(i - 1, 0):i + 1]}"
         raise SingularRatioError(
-            f"diagonal factor of level {my} vanishes at eta={eta}; "
-            f"nearby dark etas for that level: {nearby}")
+            f"diagonal factor of level {my} vanishes at eta={eta}{nearby}")
     return complex(-num / den)

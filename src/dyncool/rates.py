@@ -411,22 +411,14 @@ def _empty_rate(x2, dx=0.0, y2=0.0, dy=0.0, a=0.0):
     return np.maximum(rate, 0.0)
 
 
-def empty_rates_1d(trap: TrapConfig, s: int) -> np.ndarray:
-    """Total rate (units Gamma0) at which each 1D level is emptied.
+def empty_rates(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
+    """Total rate (units Gamma0) at which each level is emptied, over trap.shape.
 
-    Gamma_m = |<m+s|e^{ikx}|m>|^2 for m+s >= 0, else 0; the level is dark
-    exactly where the Franck-Condon factor vanishes.
+    In 1D Gamma_m = |<m+s|e^{ikx}|m>|^2 for m+s >= 0, else 0; in 2D it is the
+    two-laser form of ``_empty_rate``.  A level is dark exactly where its
+    rate vanishes.
     """
-    if trap.dims != 1:
-        raise DomainError("empty_rates_1d requires a 1D trap")
-    return level_empty_rates(trap, Pulse(s=s, duration=1.0), range(trap.n_max + 1))
-
-
-def empty_rates_2d(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
-    """Empty rates over (m_x, m_y) for the two-laser arrangement."""
-    if trap.dims != 2:
-        raise DomainError("empty_rates_2d requires a 2D trap")
-    levels = np.indices(trap.shape).reshape(2, -1).T
+    levels = np.indices(trap.shape).reshape(trap.dims, -1).T
     return level_empty_rates(trap, pulse, levels).reshape(trap.shape)
 
 

@@ -33,8 +33,7 @@ from dyncool import fc
 from dyncool.dynamics import (mc_ensemble, propagate_pulse, run_protocol,
                               thermal_distribution)
 from dyncool.protocols import PRESET_NAMES, Protocol, preset, validate_protocol
-from dyncool.rates import (Pulse, TrapConfig, empty_rates_1d, empty_rates_2d,
-                           rate_matrix)
+from dyncool.rates import Pulse, TrapConfig, empty_rates, rate_matrix
 
 from oracles import fc_modulus_series
 
@@ -67,8 +66,8 @@ def fig5_runs():
 
 def test_criterion_01_dark_condition_level1():
     """Closed-form exactness: s = eta^2 - 1 darkens level 1."""
-    rate = empty_rates_1d(TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1,
-                                     n_max=40), 8)[1]
+    rate = empty_rates(TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1,
+                                  n_max=40), Pulse(s=8, duration=1.0))[1]
     roots_ok = all(
         abs(fc.dark_eta_for_level(1, s)[0] - math.sqrt(s + 1)) < 1e-10
         for s in range(1, 21))
@@ -85,7 +84,7 @@ def test_criterion_02_dark_condition_level2():
     lo, hi = 13 - math.sqrt(13), 13 + math.sqrt(13)
     root_err = max(abs(roots[0] ** 2 - lo), abs(roots[1] ** 2 - hi))
     trap = TrapConfig(eta=3.0650, gamma_over_omega=0.01, dims=1, n_max=40)
-    residual = empty_rates_1d(trap, 11)[2]
+    residual = empty_rates(trap, Pulse(s=11, duration=1.0))[2]
     ok = root_err < 1e-10 and residual < 1e-8
     report("2 (level-2 dark condition)", ok,
            f"root error {root_err:.1e} in eta^2; residual rate {residual:.2e} Gamma0")
@@ -96,10 +95,10 @@ def test_criterion_02_dark_condition_level2():
 def test_criterion_03_interference_dark_states():
     """Zero-detuning two-laser interference: diagonal and designed targets."""
     trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=12)
-    diag = empty_rates_2d(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
+    diag = empty_rates(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
     diag_worst = max(diag.reshape(13, 13)[m, m] for m in range(11))
-    designed = empty_rates_2d(trap, Pulse(s=0, duration=1.0,
-                                          amplitude_ratio=0.125)).reshape(13, 13)[0, 1]
+    designed = empty_rates(trap, Pulse(s=0, duration=1.0,
+                                       amplitude_ratio=0.125)).reshape(13, 13)[0, 1]
     ok = diag_worst < 1e-12 and designed < 1e-12
     report("3 (2D interference dark states)", ok,
            f"worst diagonal rate {diag_worst:.1e}; (0,1) rate at A=1/8 {designed:.1e}")
@@ -292,7 +291,7 @@ def test_criterion_10_conservation_and_closure():
     worst_closure = 0.0
     for s in (-9, 0, -10, -1, 8):
         mat = rate_matrix(trap, Pulse(s=s, duration=1.0), "resonant")
-        target = empty_rates_1d(trap, s)
+        target = empty_rates(trap, Pulse(s=s, duration=1.0))
         off = mat.generator.copy()
         np.fill_diagonal(off, 0.0)
         total = off.sum(axis=0) + mat.self_rates
@@ -321,7 +320,7 @@ def test_criterion_11_debye_waller_floor():
     """
     eta = 4.5
     trap = TrapConfig(eta=eta, gamma_over_omega=0.01, dims=1, n_max=20)
-    vec = empty_rates_1d(trap, 0)[:11]
+    vec = empty_rates(trap, Pulse(s=0, duration=1.0))[:11]
     carrier = float(vec[0])
     ref = np.array([fc_modulus_series(eta, m, m) ** 2 for m in range(11)])
     dev = np.abs(vec - ref) / ref

@@ -33,6 +33,27 @@ class TestDark:
     def test_singular_ratio_exits_3(self, capsys):
         assert run_cli("dark", "ratio", "--eta", "1", "--target", "0,1") == 3
 
+    @pytest.mark.parametrize("level, n_listed", [(100, 1), (300, 0)])
+    def test_singular_ratio_names_level(self, capsys, level, n_listed):
+        # eta = 40 is past every dark eta of level 100, so only the largest
+        # is listed; level 300 is above the solver's cap and lists none
+        assert run_cli("dark", "ratio", "--eta", "40", "--target", f"0,{level}") == 3
+        err = capsys.readouterr().err
+        assert f"diagonal factor of level {level} vanishes at eta=40.0" in err
+        listed = err.partition("dark etas for that level: ")[2]
+        nearest = json.loads(listed) if listed else []
+        assert len(nearest) == n_listed and all(eta < 40.0 for eta in nearest)
+
+    @pytest.mark.parametrize("s", [0, 1500])
+    def test_level_at_degree_cap(self, capsys, s):
+        assert run_cli("dark", "level", "--m", "256", "--s", str(s)) == 0
+        vals = [float(p) for p in capsys.readouterr().out.strip().split(", ")]
+        assert len(vals) == 256
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_level_above_degree_cap_exits_3(self, capsys):
+        assert run_cli("dark", "level", "--m", "257", "--s", "0") == 3
+
 
 class TestPresets:
     def test_list_has_nine(self, capsys):
@@ -280,6 +301,20 @@ class TestRun:
         lines = (out / "distribution_final.csv").read_text().splitlines()
         assert lines[0] == f"# final distribution after {cycle} cycles; leak = {leak}"
         assert lines[1:3] == ["n,probability", f"0,{p_target}"]
+
+
+def test_config_parse_imports_no_scipy():
+    # scipy is imported where a run needs it, not when the package loads
+    import subprocess
+    import sys
+    code = ("import sys, dyncool\n"
+            "from dyncool import protocols\n"
+            "protocols.parse_config(protocols.write_config("
+            "protocols.preset_runspec('fig5_A_minus')))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

@@ -1,51 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from dyncool import fc
 from dyncool.errors import DomainError, SingularRatioError
 
-from oracles import fc_modulus_series, fc_reduced_series, laguerre_series
-
-
-class TestLaguerre:
-    def test_degree_zero_is_one(self):
-        # any alpha within the domain rule alpha >= -n
-        for alpha in (0, 5, 40):
-            assert fc.laguerre_assoc(0, alpha, 7.3) == 1.0
-
-    def test_degree_one_closed_form(self):
-        # L_1^s(x) = 1 + s - x, zero at x = s + 1
-        assert fc.laguerre_assoc(1, 8, 9.0) == 0.0
-        assert fc.laguerre_assoc(1, 3, 1.5) == pytest.approx(2.5)
-
-    def test_degree_two_dark_roots(self):
-        # L_2^s zeros at x = (s+2)(1 +- (s+2)^{-1/2})
-        s = 11
-        for sign in (-1.0, 1.0):
-            x = (s + 2) * (1.0 + sign / math.sqrt(s + 2))
-            assert abs(fc.laguerre_assoc(2, s, x)) < 1e-12
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 9, 17, 33])
-    @pytest.mark.parametrize("alpha", [0, 1, 4, 11])
-    def test_against_series_oracle(self, n, alpha):
-        for x in (0.25, 1.0, 9.0, 16.61):
-            ref = laguerre_series(n, alpha, x)
-            got = fc.laguerre_assoc(n, alpha, x)
-            assert got == pytest.approx(ref, rel=1e-11, abs=1e-11 * abs(ref) + 1e-13)
-
-    def test_negative_alpha_allowed_to_minus_n(self):
-        # alpha = -n is fine; alpha < -n is outside the matrix-element domain
-        assert fc.laguerre_assoc(2, -2, 3.0) == pytest.approx(laguerre_series(2, -2, 3.0))
-        with pytest.raises(DomainError):
-            fc.laguerre_assoc(2, -3, 3.0)
-
-    def test_degree_cap(self):
-        with pytest.raises(DomainError):
-            fc.laguerre_assoc(fc.MAX_LAGUERRE_DEGREE + 1, 0, 1.0)
-        with pytest.raises(DomainError):
-            fc.laguerre_assoc(3, 0, float("inf"))
+from oracles import fc_modulus_series, fc_reduced_series, laguerre_recurrence
 
 
 class TestFcFactor:
@@ -245,10 +207,23 @@ class TestDarkSolvers:
         assert len(roots) == m
         assert all(b > a for a, b in zip(roots, roots[1:]))
         for eta in roots:
-            assert abs(fc.laguerre_assoc(m, s, eta * eta)) < 1e-10 * max(
-                1.0, abs(laguerre_series(m, s, eta * eta + 0.1)))
+            assert abs(laguerre_recurrence(m, s, eta * eta)) < 1e-10 * max(
+                1.0, abs(laguerre_recurrence(m, s, eta * eta + 0.1)))
             # the dark level really is dark
             assert abs(fc.fc_factor(eta, m, m + s).value) < 1e-10
+
+    @pytest.mark.parametrize("m, s", [(1, 8), (2, 11), (80, 0), (80, 1),
+                                      (256, 0), (256, 11), (256, 1500)])
+    def test_every_root_is_a_sign_change(self, m, s):
+        # L_m^s changes sign across eta^2 (1 +- 1e-14), evaluated at 60 digits
+        roots = fc.dark_eta_for_level(m, s)
+        assert len(roots) == m
+        assert all(b > a for a, b in zip(roots, roots[1:]))
+        for eta in roots:
+            with mp.workdps(60):
+                x = mp.mpf(eta) ** 2
+                below, above = x * (1 - mp.mpf("1e-14")), x * (1 + mp.mpf("1e-14"))
+            assert laguerre_recurrence(m, s, below) * laguerre_recurrence(m, s, above) < 0
 
     def test_level_zero_rejected(self):
         with pytest.raises(DomainError):

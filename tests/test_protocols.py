@@ -5,7 +5,7 @@ from dyncool.errors import ConfigError, DomainError, SingularRatioError
 from dyncool.protocols import (PRESET_NAMES, Protocol, design_excited_protocol,
                                parse_config, preset, preset_runspec,
                                validate_protocol, write_config)
-from dyncool.rates import Pulse, TrapConfig, empty_rates_1d, empty_rates_2d
+from dyncool.rates import Pulse, TrapConfig, empty_rates
 
 
 class TestPresets:
@@ -143,17 +143,17 @@ class TestDesign:
         trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=60)
         proto = design_excited_protocol(1, trap)
         for pulse in proto.pulses:
-            rate = empty_rates_1d(trap, int(pulse.s))[1]
+            rate = empty_rates(trap, pulse)[1]
             assert rate < 1e-6  # auxiliary cap; the dark pulse is exactly zero
         dark = [p for p in proto.pulses if p.s == 8][0]
-        assert empty_rates_1d(trap, int(dark.s))[1] < 1e-12
+        assert empty_rates(trap, dark)[1] < 1e-12
 
     def test_aux_never_exceeds_cap(self):
         for eta, target in ((3.0, 1), (fc.dark_eta_for_level(2, 11)[0], 2)):
             trap = TrapConfig(eta=eta, gamma_over_omega=0.01, dims=1, n_max=60)
             proto = design_excited_protocol(target, trap)
             aux = proto.pulses[-1]
-            assert empty_rates_1d(trap, int(aux.s))[target] <= 1e-6
+            assert empty_rates(trap, aux)[target] <= 1e-6
 
     def test_detuned_eta_errors_with_nearest(self):
         trap = TrapConfig(eta=3.05, gamma_over_omega=0.01, dims=1, n_max=60)
@@ -166,7 +166,7 @@ class TestDesign:
         proto = design_excited_protocol((0, 1), trap, style="interference")
         dark = [p for p in proto.pulses if p.s == 0][0]
         assert dark.amplitude_ratio == pytest.approx(0.125 + 0j)
-        grid = empty_rates_2d(trap, dark).reshape(21, 21)
+        grid = empty_rates(trap, dark).reshape(21, 21)
         assert grid[0, 1] == 0.0
         ss = [p.s for p in proto.pulses]
         assert -18 in ss and -19 in ss  # confinement pair

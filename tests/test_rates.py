@@ -6,8 +6,7 @@ import pytest
 
 from dyncool import fc, rates
 from dyncool.errors import DomainError, ResourceLimitError, SimulationError, ValidityError
-from dyncool.rates import (Pulse, TrapConfig, dipole_pattern, empty_rates_1d,
-                           empty_rates_2d, rate_matrix)
+from dyncool.rates import Pulse, TrapConfig, dipole_pattern, empty_rates, rate_matrix
 from oracles import angular_quadrature, fc_reduced_series, folded_resonant_column_2d
 
 
@@ -221,24 +220,25 @@ class TestAngularQuadrature:
 
 class TestEmptyRates1d:
     def test_dark_level_blue_pulse(self):
-        assert empty_rates_1d(trap_1d(), 8)[1] == 0.0
+        assert empty_rates(trap_1d(), Pulse(s=8, duration=1.0))[1] == 0.0
 
     def test_negative_levels_zero(self):
-        vec = empty_rates_1d(trap_1d(eta=1.7), -1)
+        vec = empty_rates(trap_1d(eta=1.7), Pulse(s=-1, duration=1.0))
         assert vec[0] == 0.0
-        vec9 = empty_rates_1d(trap_1d(), -9)
+        vec9 = empty_rates(trap_1d(), Pulse(s=-9, duration=1.0))
         assert np.all(vec9[:9] == 0.0)
 
     def test_carrier_ground_rate(self):
-        assert empty_rates_1d(trap_1d(), 0)[0] == pytest.approx(math.exp(-9.0), rel=1e-13)
+        rate = empty_rates(trap_1d(), Pulse(s=0, duration=1.0))[0]
+        assert rate == pytest.approx(math.exp(-9.0), rel=1e-13)
 
     def test_confinement_complementarity(self):
         # the two slightly detuned confinement pulses cover each other's
         # quasi-zero minima (frozen floor derived from this operation and
         # cross-checked against the high-precision series oracle)
         from oracles import fc_modulus_series
-        r9 = empty_rates_1d(trap_1d(), -9)
-        r10 = empty_rates_1d(trap_1d(), -10)
+        r9 = empty_rates(trap_1d(), Pulse(s=-9, duration=1.0))
+        r10 = empty_rates(trap_1d(), Pulse(s=-10, duration=1.0))
         combined = np.maximum(r9, r10)[10:41]
         assert combined.min() > 5e-3
         # each vector alone has at least one quasi-zero minimum
@@ -246,20 +246,21 @@ class TestEmptyRates1d:
         m9 = 10 + int(np.argmin(r9[10:41]))
         assert r9[m9] == pytest.approx(fc_modulus_series(3.0, m9, m9 - 9) ** 2, rel=1e-9)
 
-    def test_requires_1d(self):
-        with pytest.raises(DomainError):
-            empty_rates_1d(trap_2d(), 0)
+    def test_shape_follows_trap(self):
+        pulse = Pulse(s=0, duration=1.0)
+        assert empty_rates(trap_1d(n_max=12), pulse).shape == (13,)
+        assert empty_rates(trap_2d(n_max=6), pulse).shape == (7, 7)
 
     def test_non_integer_detuning_rejected(self):
         with pytest.raises(ValidityError, match="not an integer"):
-            empty_rates_1d(trap_1d(), 8.5)
+            empty_rates(trap_1d(), Pulse(s=8.5, duration=1.0))
 
     def test_carrier_rate_decays_with_recoil(self):
         # the m=0 zero-detuning rate carries the full exp(-eta^2)
         # suppression; it is what dies when eta grows past ~4
         prev = None
         for eta in (2.0, 3.0, 4.0, 4.5):
-            rate = empty_rates_1d(trap_1d(eta=eta, n_max=10), 0)[0]
+            rate = empty_rates(trap_1d(eta=eta, n_max=10), Pulse(s=0, duration=1.0))[0]
             assert rate == pytest.approx(math.exp(-eta * eta), rel=1e-12)
             if prev is not None:
                 assert rate < prev
@@ -268,29 +269,29 @@ class TestEmptyRates1d:
 
 class TestEmptyRates2d:
     def test_diagonal_dark_at_minus_one(self):
-        grid = empty_rates_2d(trap_2d(n_max=10), Pulse(s=0, duration=1, amplitude_ratio=-1))
+        grid = empty_rates(trap_2d(n_max=10), Pulse(s=0, duration=1, amplitude_ratio=-1))
         assert np.all(grid.reshape(11, 11).diagonal() == 0.0)
 
     def test_one_eighth_darkens_01(self):
-        grid = empty_rates_2d(trap_2d(), Pulse(s=0, duration=1, amplitude_ratio=0.125))
+        grid = empty_rates(trap_2d(), Pulse(s=0, duration=1, amplitude_ratio=0.125))
         assert grid.reshape(9, 9)[0, 1] == 0.0
         assert grid.reshape(9, 9)[1, 0] > 1e-3
 
     def test_blue_dark_level_11(self):
-        grid = empty_rates_2d(trap_2d(), Pulse(s=8, duration=1, amplitude_ratio=1.0))
+        grid = empty_rates(trap_2d(), Pulse(s=8, duration=1, amplitude_ratio=1.0))
         assert grid.reshape(9, 9)[1, 1] == 0.0
 
     def test_unit_ratio_is_square_of_sum(self):
         trap = trap_2d(eta=1.3, n_max=6)
-        grid = empty_rates_2d(trap, Pulse(s=0, duration=1, amplitude_ratio=1.0)).reshape(7, 7)
+        grid = empty_rates(trap, Pulse(s=0, duration=1, amplitude_ratio=1.0)).reshape(7, 7)
         f = np.array([fc.fc_reduced(1.3, m, m) for m in range(7)])
         ref = (f[:, None] + f[None, :]) ** 2
         assert np.allclose(grid, ref, rtol=1e-13, atol=1e-300)
 
     def test_cross_term_only_at_s_zero(self):
         trap = trap_2d(eta=1.3, n_max=6)
-        g_plus = empty_rates_2d(trap, Pulse(s=2, duration=1, amplitude_ratio=1.0))
-        g_minus = empty_rates_2d(trap, Pulse(s=2, duration=1, amplitude_ratio=-1.0))
+        g_plus = empty_rates(trap, Pulse(s=2, duration=1, amplitude_ratio=1.0))
+        g_minus = empty_rates(trap, Pulse(s=2, duration=1, amplitude_ratio=-1.0))
         assert np.array_equal(g_plus, g_minus)
 
 
@@ -364,7 +365,7 @@ class TestRateMatrix1d:
         trap = trap_1d(n_max=top + 8 + head)
         for s in (-9, 0, 8):
             mat = rate_matrix(trap, Pulse(s=s, duration=1.0))
-            target = empty_rates_1d(trap, s)
+            target = empty_rates(trap, Pulse(s=s, duration=1.0))
             off = mat.generator.copy()
             np.fill_diagonal(off, 0.0)
             total = off.sum(axis=0) + mat.self_rates
@@ -432,7 +433,7 @@ class TestRateMatrix1d:
             trap = TrapConfig(eta=3.0, gamma_over_omega=g, dims=1, n_max=40)
             for s in (-9, 0, 8):
                 full = rate_matrix(trap, Pulse(s=s, duration=1.0), mode="full")
-                res = empty_rates_1d(trap, s)
+                res = empty_rates(trap, Pulse(s=s, duration=1.0))
                 off = full.generator.copy()
                 np.fill_diagonal(off, 0.0)
                 total = off.sum(axis=0) + full.self_rates + full.leak
@@ -492,7 +493,7 @@ class TestRateMatrix2d:
         trap = trap_2d(eta=eta, n_max=top + 2 + head)
         pulse = Pulse(s=2, duration=1.0, amplitude_ratio=0.5 + 0.1j)
         mat = rate_matrix(trap, pulse)
-        target = empty_rates_2d(trap, pulse).reshape(-1)
+        target = empty_rates(trap, pulse).reshape(-1)
         off = mat.generator.copy()
         np.fill_diagonal(off, 0.0)
         total = off.sum(axis=0) + mat.self_rates
@@ -539,7 +540,7 @@ class TestRateMatrix2d:
             for s, a in ((-2, -1.0), (0, -1.0), (0, 0.3 + 0.4j), (3, 0.125)):
                 pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
                 full = rate_matrix(trap, pulse, mode="full").empty_rates
-                res = empty_rates_2d(trap, pulse).reshape(-1)
+                res = empty_rates(trap, pulse).reshape(-1)
                 mask = res > 1e-6
                 worst.append((np.abs(full - res)[mask] / res[mask]).max())
         by_gamma = [max(worst[i:i + 4]) for i in range(0, 12, 4)]
@@ -767,7 +768,8 @@ class TestCsvExport:
     def test_empty_rates_csv_1d(self, tmp_path):
         trap = trap_1d(n_max=12)
         path = tmp_path / "r.csv"
-        rates.export_empty_rates_csv(path, trap, empty_rates_1d(trap, -9))
+        vec = empty_rates(trap, Pulse(s=-9, duration=1.0))
+        rates.export_empty_rates_csv(path, trap, vec)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "m,gamma_over_Gamma0"
@@ -777,7 +779,7 @@ class TestCsvExport:
     def test_empty_rates_csv_2d_row_major(self, tmp_path):
         trap = trap_2d(n_max=2)
         path = tmp_path / "r.csv"
-        grid = empty_rates_2d(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
+        grid = empty_rates(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
         rates.export_empty_rates_csv(path, trap, grid)
         lines = path.read_text().splitlines()
         assert "row-major" in lines[0]
