@@ -10,6 +10,57 @@ from dyncool.errors import DomainError, SingularRatioError
 from oracles import fc_modulus_series, fc_reduced_series, laguerre_recurrence
 
 
+class TestLaguerre:
+    """L_n^alpha(x) as the one Laguerre evaluator, ``reduced_stack``, holds
+    it: the reduced factor of levels (n, n + alpha) at eta = sqrt(x), over
+    its prefactor eta^alpha * exp(-x/2) * sqrt(n!/(n + alpha)!)."""
+
+    @staticmethod
+    def laguerre(n, alpha, x):
+        value = fc.fc_reduced(math.sqrt(x), n, n + alpha)
+        log_norm = 0.5 * (math.lgamma(n + 1) - math.lgamma(n + alpha + 1))
+        return value / (math.sqrt(x) ** alpha * math.exp(log_norm - x / 2))
+
+    def test_degree_zero_is_one(self):
+        # any alpha within the domain rule alpha >= -n
+        for alpha in (0, 5, 40):
+            assert self.laguerre(0, alpha, 7.3) == pytest.approx(1.0, rel=1e-14)
+
+    def test_degree_one_closed_form(self):
+        # L_1^s(x) = 1 + s - x, zero at x = s + 1
+        assert self.laguerre(1, 8, 9.0) == 0.0
+        assert self.laguerre(1, 3, 1.5) == pytest.approx(2.5)
+
+    def test_degree_two_dark_roots(self):
+        # L_2^s zeros at x = (s+2)(1 +- (s+2)^{-1/2})
+        s = 11
+        for sign in (-1.0, 1.0):
+            x = (s + 2) * (1.0 + sign / math.sqrt(s + 2))
+            assert abs(self.laguerre(2, s, x)) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 9, 17, 33])
+    @pytest.mark.parametrize("alpha", [0, 1, 4, 11])
+    def test_against_series_oracle(self, n, alpha):
+        # the reference is the mpmath recurrence: the defining series loses
+        # its digits to cancellation from degree ~40
+        for x in (0.25, 1.0, 9.0, 16.61):
+            ref = float(laguerre_recurrence(n, alpha, x))
+            got = self.laguerre(n, alpha, x)
+            assert got == pytest.approx(ref, rel=1e-11, abs=1e-11 * abs(ref) + 1e-13)
+
+    def test_negative_alpha_allowed_to_minus_n(self):
+        # alpha = -n is fine; alpha < -n is outside the matrix-element domain
+        assert self.laguerre(2, -2, 3.0) == pytest.approx(float(laguerre_recurrence(2, -2, 3.0)))
+        with pytest.raises(DomainError):
+            self.laguerre(2, -3, 3.0)
+
+    def test_degree_cap(self):
+        with pytest.raises(DomainError):
+            fc.dark_eta_for_level(fc.MAX_LAGUERRE_DEGREE + 1, 0)
+        with pytest.raises(DomainError):
+            self.laguerre(3, 0, float("inf"))
+
+
 class TestFcFactor:
     def test_diagonal_ground_state(self):
         assert fc.fc_factor(3.0, 0, 0).value == pytest.approx(math.exp(-4.5), rel=1e-14)
