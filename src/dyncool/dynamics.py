@@ -252,8 +252,7 @@ class _CycleMap:
 
     def __init__(self, mats, pulses, rows: np.ndarray):
         self.duration = sum(pulse.duration for pulse in pulses)
-        # every expm first, so no partial product is held while expm's
-        # temporaries are, which would raise the run's peak memory
+        # every propagator first: no partial product is held beside their powers
         z, *later = [mat.propagator(pulse.duration) for mat, pulse in zip(mats, pulses)]
         inner = []
         for prop in later:

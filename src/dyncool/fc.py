@@ -201,15 +201,19 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
     A = -<mx|e^{ikx}|mx> / <my|e^{iky}|my>; substituting into the
     zero-detuning empty rate cancels the target exactly.  Raises when the
     y-axis diagonal factor vanishes (eta at a Laguerre zero of the target's
-    y level); the message lists that level's dark etas nearest to eta on
-    each side, where the level is within MAX_LAGUERRE_DEGREE.
+    y level) to rounding, relative to the largest diagonal factor up to my;
+    the message lists that level's dark etas nearest to eta on each side,
+    where the level is within MAX_LAGUERRE_DEGREE.
     """
     mx, my = target
     if mx < 0 or my < 0:
         raise DomainError(f"target levels must be >= 0, got {target}")
     num = fc_reduced(eta, mx, mx)
     den = fc_reduced(eta, my, my)
-    if abs(den) <= 1e-14:
+    # den's rounding grows with my, relative to its band's largest value (<= 1)
+    tol = 1e-14 * (my + 1)
+    if abs(den) <= tol and abs(den) <= tol * np.abs(
+            reduced_stack(np.array([eta]), my, my)[0].diagonal()).max():
         nearby = ""
         if 1 <= my <= MAX_LAGUERRE_DEGREE:
             roots = dark_eta_for_level(my, 0)

@@ -19,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import scipy.linalg
-
 from dyncool import cli, dynamics, fc, rates
 from dyncool.protocols import Protocol, parse_config
 from dyncool.rates import ColumnSampler, Pulse, TrapConfig, rate_matrix
@@ -92,9 +90,10 @@ def test_2d_resonant_build_reaches_traced_layers(monkeypatch):
 
 def test_lumped_2d_master_run_reaches_traced_layers(monkeypatch):
     # fig5_master runs on the swap basis; its per-layer trace reads the
-    # rate_matrix, expm and propagate spans
+    # rate_matrix, expm and propagate spans, where the expm span belongs on
+    # markov_expm (perfbench still wraps scipy's expm: ROADMAP item 4)
     calls = []
-    for owner, attr in ((dynamics, "rate_matrix"), (scipy.linalg, "expm"),
+    for owner, attr in ((dynamics, "rate_matrix"), (rates, "markov_expm"),
                         (dynamics, "propagate_pulse")):
         def spy(*args, _inner=getattr(owner, attr), _attr=attr, **kwargs):
             calls.append(_attr)
@@ -106,7 +105,7 @@ def test_lumped_2d_master_run_reaches_traced_layers(monkeypatch):
     init = dynamics.level_distribution((0, 0), trap)
     series = dynamics.run_protocol(init, protocol, trap)
     assert series.diagnostics["basis"] == "swap"
-    assert {"rate_matrix", "expm", "propagate_pulse"} <= set(calls)
+    assert {"rate_matrix", "markov_expm", "propagate_pulse"} <= set(calls)
 
 
 def test_2d_mc_run_reaches_traced_layers(monkeypatch):

@@ -1,10 +1,12 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 from dyncool import cli
 from dyncool.protocols import parse_config
+from oracles import laguerre_recurrence
 
 
 def run_cli(*argv):
@@ -33,16 +35,27 @@ class TestDark:
     def test_singular_ratio_exits_3(self, capsys):
         assert run_cli("dark", "ratio", "--eta", "1", "--target", "0,1") == 3
 
+    @pytest.mark.parametrize("eta", ["9", "30"])
+    def test_ground_target_far_from_zeros(self, capsys, eta):
+        # e^{-eta^2/2} is 2.6e-18 at eta = 9 and 1e-196 at 30, and it is the
+        # whole factor of level 0, which has no zero: the ratio is exactly -1
+        assert run_cli("dark", "ratio", "--eta", eta, "--target", "0,0") == 0
+        assert capsys.readouterr().out.strip() == "-1+0i"
+
     @pytest.mark.parametrize("level, n_listed", [(100, 1), (300, 0)])
     def test_singular_ratio_names_level(self, capsys, level, n_listed):
-        # eta = 40 is past every dark eta of level 100, so only the largest
-        # is listed; level 300 is above the solver's cap and lists none
-        assert run_cli("dark", "ratio", "--eta", "40", "--target", f"0,{level}") == 3
+        # eta at the smallest zero of L_level, from the 60-digit recurrence:
+        # level 100 lists that dark eta alone, and level 300 is above the
+        # solver's cap and lists none
+        x = mp.findroot(lambda x: laguerre_recurrence(level, 0, x), 5.78 / (4 * level + 2))
+        eta = float(mp.sqrt(x))
+        assert run_cli("dark", "ratio", "--eta", repr(eta), "--target", f"0,{level}") == 3
         err = capsys.readouterr().err
-        assert f"diagonal factor of level {level} vanishes at eta=40.0" in err
+        assert f"diagonal factor of level {level} vanishes at eta={eta}" in err
         listed = err.partition("dark etas for that level: ")[2]
         nearest = json.loads(listed) if listed else []
-        assert len(nearest) == n_listed and all(eta < 40.0 for eta in nearest)
+        assert len(nearest) == n_listed
+        assert all(e == pytest.approx(eta, rel=1e-14) for e in nearest)
 
     @pytest.mark.parametrize("s", [0, 1500])
     def test_level_at_degree_cap(self, capsys, s):
@@ -303,18 +316,26 @@ class TestRun:
         assert lines[1:3] == ["n,probability", f"0,{p_target}"]
 
 
-def test_config_parse_imports_no_scipy():
-    # scipy is imported where a run needs it, not when the package loads
+def test_config_parse_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: neither loading the package and
+    # parsing a config nor a master run, propagators included, imports it
     import subprocess
     import sys
-    code = ("import sys, dyncool\n"
-            "from dyncool import protocols\n"
-            "protocols.parse_config(protocols.write_config("
-            "protocols.preset_runspec('fig5_A_minus')))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    parse = ("import sys, dyncool\n"
+             "from dyncool import protocols\n"
+             "protocols.parse_config(protocols.write_config("
+             "protocols.preset_runspec('fig5_A_minus')))\n" + loaded)
+    run = ("import sys\n"
+           "from dyncool import cli\n"
+           "code = cli.main(['run', '--preset', 'fig3', '--cycles', '3', '--out-dir', "
+           f"{str(tmp_path)!r}, '--final-distribution'])\n"
+           "assert code == 0, code\n" + loaded)
+    for code in (parse, run):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "distribution_final.csv").exists()
 
 
 def test_console_entry_point():

@@ -487,11 +487,9 @@ class TestCycleStepping:
 
     @pytest.mark.parametrize("pulses,cycles", [((), 5), ((Pulse(s=-1, duration=1.0),), 0)])
     def test_no_cycle_computes_nothing(self, pulses, cycles, monkeypatch):
-        import scipy.linalg
-
         def refuse(*args):
             raise AssertionError("a propagator or cycle map was computed")
-        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        monkeypatch.setattr(rates, "markov_expm", refuse)
         monkeypatch.setattr(dynamics, "_CycleMap", refuse)
         trap = trap_1d(n_max=20)
         init = dynamics.level_distribution(3, trap)

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dyncool import fc, rates
 from dyncool.errors import DomainError, ResourceLimitError, SimulationError, ValidityError
+from dyncool.protocols import preset
 from dyncool.rates import Pulse, TrapConfig, dipole_pattern, empty_rates, rate_matrix
-from oracles import angular_quadrature, fc_reduced_series, folded_resonant_column_2d
+from oracles import (angular_quadrature, fc_reduced_series, folded_resonant_column_2d,
+                     uniformization_expm)
 
 
 def trap_1d(eta=3.0, n_max=40, **kw):
@@ -739,6 +743,50 @@ class TestResonantFactors:
         many = sums()
         for ref, got in zip(one, many):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestMarkovExpm:
+    """Pulse propagators against scipy's Pade expm and the series oracle."""
+
+    @staticmethod
+    def check(gen, t, oracle=True):
+        prop = rates.markov_expm(gen, t)
+        assert np.abs(prop - scipy.linalg.expm(gen * t)).max() <= 1e-14
+        if oracle:
+            assert np.abs(prop - uniformization_expm(gen, t)).max() <= 1e-14
+        assert prop.min() >= 0.0
+        # column sums summed exactly, so only the propagator's rounding counts
+        assert max(math.fsum(col) for col in prop.T) <= 1.0 + 1e-15
+        return prop
+
+    @pytest.mark.parametrize("name, n_max", [("fig3", 60), ("fig3", 120), ("fig5_A_minus", 12)])
+    def test_preset_generators(self, name, n_max):
+        proto, trap, _ = preset(name)
+        trap = dataclasses.replace(trap, n_max=n_max)
+        basis = "swap" if trap.dims == 2 else "full"
+        for pulse in proto.pulses:
+            self.check(rate_matrix(trap, pulse, basis=basis).generator, pulse.duration)
+
+    def test_long_pulse_squares(self):
+        # lam is about 1e3 here, so the series runs on 2^10 sub-steps; the
+        # oracle's single series would need e^{-lam}, which underflows
+        trap = trap_1d(eta=1e-3, n_max=10)
+        gen = rate_matrix(trap, Pulse(s=-1, duration=1.0)).generator
+        assert 512 < -gen.diagonal().min() * 1e8 <= 1024
+        prop = self.check(gen, 1e8, oracle=False)
+        assert prop[0] == pytest.approx(np.ones(11), abs=1e-6)
+
+    def test_no_rates_give_identity(self):
+        gen = rate_matrix(trap_1d(n_max=20), Pulse(s=-9, duration=1.0)).generator
+        for g, t in ((np.zeros((5, 5)), 3.0), (gen, 0.0)):
+            assert np.array_equal(rates.markov_expm(g, t), np.eye(len(g)))
+
+    def test_leak_only_column(self):
+        # level 0 only leaks, level 1 also feeds 0 and 2, level 2 is absorbing
+        gen = np.array([[-0.7, 0.2, 0.0], [0.0, -0.5, 0.0], [0.0, 0.1, 0.0]])
+        prop = self.check(gen, 2.0)
+        assert prop[:, 0] == pytest.approx([math.exp(-1.4), 0.0, 0.0], abs=1e-16)
+        assert prop[:, 2] == pytest.approx([0.0, 0.0, 1.0], abs=1e-16)
 
 
 class TestMatrixCache:
