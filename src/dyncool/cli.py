@@ -1,7 +1,7 @@
 """Command-line interface: run protocols, dump rate tables, solve dark states.
 
-Exit codes: 0 success, 2 usage/config errors, 3 validation or domain errors,
-4 resource limits.
+Exit codes: 0 success, 2 usage/config errors and unwritable outputs, 3
+validation or domain errors, 4 resource limits.
 """
 
 from __future__ import annotations
@@ -95,6 +95,9 @@ def main(argv=None) -> int:
     except (ValidityError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:  # configs are read as ConfigError: this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
@@ -226,11 +229,8 @@ def _write_plot(path, series, targets) -> None:
     xs = [s.cycle for s in samples]
     label0 = f"P{targets[0]}" if targets and targets[0] is not None else "P(target)"
     curves = [(label0, [s.obs.p_target for s in samples])]
-    if series.extra_targets:
-        last_pulse = max(s.pulse for s in series.samples)
-        keep = [i for i, s in enumerate(series.samples) if s.pulse in (0, last_pulse)]
-        for j, tgt in enumerate(series.extra_targets):
-            curves.append((f"P{tgt}", [series.extra_probs[i][j] for i in keep]))
+    curves += [(f"P{tgt}", [s.obs.extra[j] for s in samples])
+               for j, tgt in enumerate(series.extra_targets)]
     plot.line_plot(path, xs, curves, title="occupation dynamics",
                    xlabel="applied cycles", ylabel="occupation probability")
 

@@ -50,11 +50,14 @@ class Distribution:
 
 @dataclass(frozen=True)
 class ObsSnapshot:
+    """Values recorded at one boundary; ``extra`` holds the extra targets' occupations."""
+
     p_target: float
     mean_nx: float
     mean_ny: float
     mean_n: float
     leak: float
+    extra: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -69,22 +72,22 @@ class Sample:
 class TimeSeries:
     """Observables recorded at pulse boundaries of a protocol run.
 
-    A master run also keeps the distribution it stopped at, the state
-    behind the last sample, as ``final_distribution``.  ``phases`` holds the
-    wall seconds of the run's phases, named as the benchmark's spans,
-    ``cache`` the builds and hits of the emission-kernel and rate-matrix
-    caches during the run (``rates.cache_counts``), and ``diagnostics`` the
-    run's counts for the manifest: in master mode the state basis
-    propagated, its state count and the clipped mass, in Monte Carlo mode
-    the columns built, the jumps made and the most jumps one trajectory
-    made.
+    In both run modes every sample's ``obs.extra`` holds the occupations of
+    ``extra_targets``.  A master run also keeps the distribution it stopped
+    at, the state behind the last sample, as ``final_distribution``.
+    ``phases`` holds the wall seconds of the run's phases, named as the
+    benchmark's spans, ``cache`` the builds and hits of the emission-kernel
+    and rate-matrix caches during the run (``rates.cache_counts``), and
+    ``diagnostics`` the run's counts for the manifest: in master mode the
+    state basis propagated, its state count and the clipped mass, in Monte
+    Carlo mode the columns built, the jumps made and the most jumps one
+    trajectory made.
     """
 
     samples: list[Sample] = field(default_factory=list)
     target: int | tuple[int, int] | None = None
     mode: str = "master"
     extra_targets: tuple = ()
-    extra_probs: list[tuple[float, ...]] = field(default_factory=list)
     final_distribution: Distribution | None = field(default=None, init=False, repr=False)
     phases: dict[str, float] = field(default_factory=dict, init=False, repr=False)
     cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -122,10 +125,12 @@ class TrajectoryResult:
 class McEnsembleResult:
     """Seeded trajectory ensemble reduced to cycle-boundary estimates.
 
-    Record r is the state after r cycles.  Occupation estimates carry
-    binomial standard errors sqrt(p(1-p)/n_traj); level means carry sample
-    standard errors.  ``jump_counts`` holds each trajectory's jumps, the
-    absorbing jump into the leak included.
+    Record r is the state after r cycles.  Each estimate averages a row of
+    ``_obs_rows`` or the n = n_x + n_y row (the leak: 1 - the mass row) over
+    the trajectories, with standard error sqrt((<x^2> - <x>^2) / n_traj),
+    the binomial sqrt(p(1-p)/n_traj) for a 0/1 row.  ``extra`` and
+    ``extra_se`` hold one row per extra target.  ``jump_counts`` holds each
+    trajectory's jumps, the absorbing jump into the leak included.
     """
 
     n_traj: int
@@ -142,6 +147,8 @@ class McEnsembleResult:
     mean_n_se: np.ndarray
     leak_frac: np.ndarray
     leak_se: np.ndarray
+    extra: np.ndarray
+    extra_se: np.ndarray
     jump_counts: np.ndarray
     phases: dict[str, float]
     columns_built: int
@@ -178,40 +185,39 @@ def thermal_distribution(mean_n: float, trap: TrapConfig) -> Distribution:
     return Distribution(probs / probs.sum(), 0.0, trap.shape)
 
 
-def level_distribution(level, trap: TrapConfig) -> Distribution:
-    """Point distribution on one trap level."""
-    probs = np.zeros(trap.n_states)
-    probs[trap.flat_index(level)] = 1.0
-    return Distribution(probs, 0.0, trap.shape)
-
-
-def _obs_rows(shape: tuple[int, ...], target, extra_targets=()) -> np.ndarray:
-    """The recorded values as rows over the flattened grid levels.
+def _obs_rows(shape: tuple[int, ...], target, extra_targets=()):
+    """The recorded values as rows over the flattened grid levels, and the
+    row of each extra target.
 
     Row 0 is the mass, rows 1 and 2 the n_x and n_y weights (n and 0 in
-    1D), row 3 the target indicator and the rows after it one indicator per
-    extra target, so a grid distribution's values are ``rows @ probs``.
+    1D), and rows 3 on one indicator per distinct level of the target and
+    the extra targets, the target's first, so a grid distribution's values
+    are ``rows @ probs`` and a level named twice reads one row.
     """
-    levels = np.indices(shape).reshape(len(shape), -1)
-    rows = np.zeros((4 + len(extra_targets), levels.shape[1]))
-    rows[0] = 1.0
-    rows[1:1 + len(shape)] = levels
-    for row, level in zip(rows[3:], (target, *extra_targets)):
+    flat = []
+    for level in (target, *extra_targets):
         idx = tuple(int(v) for v in np.atleast_1d(level))[:len(shape)]
         if len(idx) != len(shape) or not all(0 <= v < n for v, n in zip(idx, shape)):
             raise DomainError(f"target {level} outside truncation")
-        row[np.ravel_multi_index(idx, shape)] = 1.0
-    return rows
+        flat.append(int(np.ravel_multi_index(idx, shape)))
+    distinct = list(dict.fromkeys(flat))
+    levels = np.indices(shape).reshape(len(shape), -1)
+    rows = np.zeros((3 + len(distinct), levels.shape[1]))
+    rows[0] = 1.0
+    rows[1:1 + len(shape)] = levels
+    rows[3 + np.arange(len(distinct)), distinct] = 1.0
+    return rows, [3 + distinct.index(f) for f in flat[1:]]
 
 
-def _snapshot(values, leak: float) -> ObsSnapshot:
+def _snapshot(values, leak: float, extra_rows=()) -> ObsSnapshot:
     """The snapshot of one row-product vector of ``_obs_rows``."""
-    return ObsSnapshot(values[3], values[1], values[2], values[1] + values[2], leak)
+    return ObsSnapshot(values[3], values[1], values[2], values[1] + values[2], leak,
+                       tuple(values[i] for i in extra_rows))
 
 
 def observables(dist: Distribution, target) -> ObsSnapshot:
     """Target occupation, per-axis and total mean level, and leak."""
-    return _snapshot((_obs_rows(dist.shape, target) @ dist.probs).tolist(), dist.leak)
+    return _snapshot((_obs_rows(dist.shape, target)[0] @ dist.probs).tolist(), dist.leak)
 
 
 def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> Distribution:
@@ -281,9 +287,11 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
 
     ``mode='master'`` propagates the rate equation exactly (matrix
     exponentials built once per distinct pulse); ``mode='mc'`` averages a
-    seeded trajectory ensemble and records at cycle boundaries.  Early stop
-    fires when the target occupation moves less than ``stop_tol`` over a
-    cycle (None or 0 disables).
+    seeded trajectory ensemble and records at cycle boundaries.  Both read
+    every recorded value, the ``extra_targets`` included, from the rows of
+    ``_obs_rows``, which refuses a target outside the truncation.  Early
+    stop fires when the target occupation moves less than ``stop_tol`` over
+    a cycle (None or 0 disables; Monte Carlo runs never stop early).
 
     A master run propagates on the unordered level pairs (the ``swap``
     basis of ``rates.StateBasis``) when the x <-> y swap commutes with every
@@ -300,30 +308,37 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     """
     target = protocol.target if protocol.target is not None else _default_target(trap)
     before = cache_counts()
+    series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
     if mode == "mc":
         ens = mc_ensemble(trajectories, protocol, trap, seed, init=init,
-                          rate_mode=rate_mode)
-        series = _ensemble_to_series(ens, protocol, target)
-        series.cache = cache_counts(before)
+                          rate_mode=rate_mode, extra_targets=extra_targets)
+        records = zip(ens.cycles.tolist(), ens.times.tolist(), ens.p_target.tolist(),
+                      ens.mean_nx.tolist(), ens.mean_ny.tolist(), ens.mean_n.tolist(),
+                      ens.leak_frac.tolist(), ens.extra.T.tolist())
+        for cycle, t, *obs, extra in records:
+            series.samples.append(Sample(cycle, min(cycle, 1) * len(protocol.pulses), t,
+                                         ObsSnapshot(*obs, tuple(extra))))
+        series.phases, series.cache = ens.phases, cache_counts(before)
+        series.diagnostics = {"columns_built": ens.columns_built,
+                              "jumps": int(ens.jump_counts.sum()),
+                              "jumps_max": int(ens.jump_counts.max())}
         return series
     if mode != "master":
         raise DomainError(f"unknown run mode {mode!r}")
 
+    grid_rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
     basis = StateBasis(trap, "swap" if _swap_lumpable(init, protocol, trap, rate_mode)
                        else "full")
     t0 = time.perf_counter()
     mats = [rate_matrix(trap, pulse, rate_mode, basis.kind) for pulse in protocol.pulses]
     release_tables()
     t1 = time.perf_counter()
-    series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
     share = basis.unlump(np.ones(basis.size))
-    rows = np.array([basis.lump(row) for row in
-                     _obs_rows(trap.shape, target, extra_targets) * share])
+    rows = np.array([basis.lump(row) for row in grid_rows * share])
     state = Distribution(basis.lump(init.probs), init.leak, (basis.size,), init.clipped)
     values = (rows @ state.probs).tolist()
     t, leak = 0.0, state.leak
-    series.samples.append(Sample(0, 0, t, _snapshot(values, leak)))
-    series.extra_probs.append(tuple(values[4:]))
+    series.samples.append(Sample(0, 0, t, _snapshot(values, leak, extra_rows)))
     cycles = protocol.cycles if protocol.pulses else 0
     if cycles:
         cycle_map = _CycleMap(mats, protocol.pulses, rows)
@@ -337,8 +352,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
             leak += max(mass - vals[0], 0.0)
             mass = vals[0]
             t += pulse.duration
-            series.samples.append(Sample(cycle, j, t, _snapshot(vals, leak)))
-            series.extra_probs.append(tuple(vals[4:]))
+            series.samples.append(Sample(cycle, j, t, _snapshot(vals, leak, extra_rows)))
         state.leak = leak
         if stop_tol and abs(values[3] - start[3]) < stop_tol:
             break
@@ -482,86 +496,56 @@ class _JumpStepper:
 
 
 def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
-                *, init: Distribution | None = None,
-                rate_mode: str = "resonant") -> McEnsembleResult:
+                *, init: Distribution | None = None, rate_mode: str = "resonant",
+                extra_targets: tuple = ()) -> McEnsembleResult:
     """Seeded trajectory ensemble with cycle-boundary occupation estimates.
 
     One ``np.random.default_rng(seed)`` stream draws the initial levels
     from ``init`` and then drives ``_JumpStepper`` over all trajectories at
     once, pulse by pulse, so a result depends only on (seed, n_traj,
-    protocol, trap) and is bitwise reproducible.  The statistics at each
-    cycle boundary are integer sums over the trajectories.
+    protocol, trap) and is bitwise reproducible.  At each cycle boundary
+    the live trajectories' level histogram is summed against the rows of
+    ``_obs_rows``, plus one n = n_x + n_y row, and against their squares;
+    the sums are integers, exact in floats.  The leak fraction is
+    (n_traj - live) / n_traj.
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     if init is None:
         raise DomainError("mc_ensemble requires an initial distribution")
     target = protocol.target if protocol.target is not None else _default_target(trap)
-    target_flat = trap.flat_index(target)
+    rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
+    rows = np.vstack([rows, rows[1] + rows[2]])
+    moments = np.concatenate([rows, rows * rows])
     t0 = time.perf_counter()
     samplers = _samplers(protocol, trap, rate_mode)
     t1 = time.perf_counter()
-    cycle_len = float(sum(pulse.duration for pulse in protocol.pulses))
     n_rec = protocol.cycles + 1
-    n1 = trap.n_max + 1
 
     rng = np.random.default_rng(seed)
     init_cum = np.cumsum(init.probs)
     init_cum /= init_cum[-1]
     level = np.searchsorted(init_cum, rng.random(n_traj), side="right")
     stepper = _JumpStepper(samplers, trap.n_states, np.minimum(level, trap.n_states - 1))
-    # per record: target hits, leaked, and sums of nx, nx^2, ny, ny^2, n, n^2
-    tally = np.zeros((8, n_rec), dtype=np.int64)
+    sums = np.zeros((len(moments), n_rec))
     for rec in range(n_rec):
         if rec:
             for k, pulse in enumerate(protocol.pulses):
                 stepper.pulse(k, pulse.duration, rng)
-        here = stepper.level[~stepper.leaked]
-        nx, ny = divmod(here, n1) if trap.dims == 2 else (here, np.zeros_like(here))
-        nn = nx + ny
-        tally[:, rec] = (np.count_nonzero(here == target_flat),
-                         n_traj - here.size, nx.sum(), (nx * nx).sum(),
-                         ny.sum(), (ny * ny).sum(), nn.sum(), (nn * nn).sum())
-    hits, leaks, sx, sx2, sy, sy2, sn, sn2 = tally
+        counts = np.bincount(stepper.level[~stepper.leaked], minlength=trap.n_states)
+        sums[:, rec] = moments @ counts
     build = "rates.column_sampler" if trap.dims == 2 else "rates.rate_matrix"
 
     n = float(n_traj)
-    p = hits / n
-    lf = leaks / n
-    mean_x, se_x = _mean_se(sx, sx2, n)
-    mean_y, se_y = _mean_se(sy, sy2, n)
-    mean_t, se_t = _mean_se(sn, sn2, n)
+    mean = sums[:len(rows)] / n
+    se = np.sqrt(np.maximum(sums[len(rows):] / n - mean ** 2, 0.0) / n)
     return McEnsembleResult(
-        n_traj=n_traj, seed=seed,
-        cycles=np.arange(n_rec),
-        times=np.arange(n_rec) * cycle_len,
-        p_target=p, p_target_se=np.sqrt(p * (1.0 - p) / n),
-        mean_nx=mean_x, mean_nx_se=se_x,
-        mean_ny=mean_y, mean_ny_se=se_y,
-        mean_n=mean_t, mean_n_se=se_t,
-        leak_frac=lf, leak_se=np.sqrt(lf * (1.0 - lf) / n),
+        n_traj=n_traj, seed=seed, cycles=np.arange(n_rec),
+        times=np.arange(n_rec) * float(sum(pulse.duration for pulse in protocol.pulses)),
+        p_target=mean[3], p_target_se=se[3], mean_nx=mean[1], mean_nx_se=se[1],
+        mean_ny=mean[2], mean_ny_se=se[2], mean_n=mean[-1], mean_n_se=se[-1],
+        leak_frac=(n - sums[0]) / n, leak_se=se[0],
+        extra=mean[extra_rows], extra_se=se[extra_rows],
         jump_counts=stepper.jumps, columns_built=sum(len(s._cache) for s in set(samplers)),
         phases={build: t1 - t0, "dynamics.mc": time.perf_counter() - t1})
 
-
-def _mean_se(s: np.ndarray, s2: np.ndarray, n: float):
-    mean = s / n
-    var = np.maximum(s2 / n - mean ** 2, 0.0)
-    return mean, np.sqrt(var / n)
-
-
-def _ensemble_to_series(ens: McEnsembleResult, protocol: Protocol, target) -> TimeSeries:
-    series = TimeSeries(target=target, mode="mc")
-    series.phases = ens.phases
-    series.diagnostics = {"columns_built": ens.columns_built,
-                          "jumps": int(ens.jump_counts.sum()),
-                          "jumps_max": int(ens.jump_counts.max())}
-    n_pulses = len(protocol.pulses)
-    for rec in range(ens.cycles.shape[0]):
-        obs = ObsSnapshot(float(ens.p_target[rec]), float(ens.mean_nx[rec]),
-                          float(ens.mean_ny[rec]), float(ens.mean_n[rec]),
-                          float(ens.leak_frac[rec]))
-        pulse = 0 if rec == 0 else n_pulses
-        series.samples.append(Sample(int(ens.cycles[rec]), pulse,
-                                     float(ens.times[rec]), obs))
-    return series

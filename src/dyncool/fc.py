@@ -41,6 +41,8 @@ _LN2 = math.log(2.0)
 # reduced_stack moves the growth of its band values into their exponents this
 # often; 32 steps grow a value by less than 1e42 for d <= 4096 and eta <= 10
 _RESCALE_EVERY = 32
+# e^{-eta^2/2}, a factor of every diagonal entry, is subnormal above this eta
+_RATIO_MAX_ETA = math.sqrt(-2.0 * math.log(np.finfo(np.float64).tiny))
 
 
 @dataclass(frozen=True)
@@ -199,15 +201,19 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
     """Two-laser amplitude ratio that darkens one 2D level at zero detuning.
 
     A = -<mx|e^{ikx}|mx> / <my|e^{iky}|my>; substituting into the
-    zero-detuning empty rate cancels the target exactly.  Raises when the
-    y-axis diagonal factor vanishes (eta at a Laguerre zero of the target's
-    y level) to rounding, relative to the largest diagonal factor up to my;
-    the message lists that level's dark etas nearest to eta on each side,
-    where the level is within MAX_LAGUERRE_DEGREE.
+    zero-detuning empty rate cancels the target exactly.  Refuses |eta| >
+    37.64, where e^{-eta^2/2} is subnormal and the ratio loses digits.
+    Raises when the y-axis diagonal factor vanishes (eta at a Laguerre zero
+    of the target's y level) to rounding, relative to the largest diagonal
+    factor up to my; the message lists that level's dark etas nearest to
+    eta on each side, where the level is within MAX_LAGUERRE_DEGREE.
     """
     mx, my = target
     if mx < 0 or my < 0:
         raise DomainError(f"target levels must be >= 0, got {target}")
+    if abs(eta) > _RATIO_MAX_ETA:
+        raise DomainError(f"eta={eta} exceeds {_RATIO_MAX_ETA:.4f}, above which "
+                          "e^(-eta^2/2) leaves the normal double range")
     num = fc_reduced(eta, mx, mx)
     den = fc_reduced(eta, my, my)
     # den's rounding grows with my, relative to its band's largest value (<= 1)

@@ -568,19 +568,11 @@ def _level_headroom(eta: float, top_level: int, sigmas: float = 7.0) -> int:
 # its untruncated column closes.
 
 
-def _closures(norm2: np.ndarray, diag: np.ndarray, a: complex, dims: int) -> np.ndarray:
-    """Empty rates of every grid level from |c|^2 and c[m] of each trap
-    level (see ``_empty_rate``)."""
-    if dims == 1:
-        return _empty_rate(norm2)
-    return _empty_rate(norm2[:, None], diag[:, None], norm2[None, :], diag[None, :], a)
-
-
 class _Resonant:
     """Resonant columns as slices and scales of the trap's emission kernel.
 
-    In 1D column m is F_m^2 S1[:, m+s].  In 2D column (mx, my) is
-    f_x^2 T[:, mx+s, :, my] + |A|^2 f_y^2 T[:, mx, :, my+s]
+    In 1D column m is its empty rate F_m^2 times S1[:, m+s].  In 2D column
+    (mx, my) is f_x^2 T[:, mx+s, :, my] + |A|^2 f_y^2 T[:, mx, :, my+s]
     + 2 Re(A) f_x f_y C_s[:, mx, :, my].  The cross term is odd in both
     direction projections for odd s; for even s its i^|n-l| phases factor
     into one sign per axis, so C_s is a folded node sum like T, held as
@@ -592,9 +584,9 @@ class _Resonant:
     def __init__(self, trap: TrapConfig, pulse: Pulse):
         self.s = s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
-        self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
-        self.norm2 = self.f * self.f
-        self.closures = _closures(self.norm2, self.f * (s == 0), self.a, trap.dims)
+        if trap.dims == 2:
+            self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+        self.closures = empty_rates(trap, pulse)
         tables = angular_tables(trap)
         l_max = trap.n_max + max(s, 0)
         self.kernel = tables.emission_kernel(l_max)
@@ -605,15 +597,15 @@ class _Resonant:
 
     def column(self, *level) -> np.ndarray:
         s = self.s
-        # f is zero where m + s < 0, so the slice it scales there is immaterial
+        # every scale is zero where m + s < 0, so its slice there is immaterial
         if len(level) == 1:
-            return self.norm2[level[0]] * self.kernel[:, max(level[0] + s, 0)]
+            return self.closures[level[0]] * self.kernel[:, max(level[0] + s, 0)]
         mx, my = level
         _, a, b = self.kernel
         if s == 0:
             return self.closures[mx, my] * (a[mx].T @ b[my])
         fx, fy = self.f[mx], self.f[my]
-        left = [self.norm2[mx] * a[max(mx + s, 0)], (abs(self.a) ** 2 * fy * fy) * a[mx]]
+        left = [(fx * fx) * a[max(mx + s, 0)], (abs(self.a) ** 2 * fy * fy) * a[mx]]
         right = [b[my], b[max(my + s, 0)]]
         if self.cross is not None:
             left.append((2.0 * self.a.real * fx * fy) * self.cross[0][mx])
@@ -669,7 +661,8 @@ class _Full:
             _check_stack_budget(order // 2 * (n_max + 1) * (l_max + 1), "the 1D recoil stack")
         self.coeffs = c = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
         norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
-        self.closures = _closures(norm2, c.diagonal(), self.a, trap.dims)
+        self.closures = _empty_rate(norm2) if trap.dims == 1 else _empty_rate(
+            norm2[:, None], c.diagonal()[:, None], norm2, c.diagonal(), self.a)
         self.phases = fc.phase_table(n_max, l_max)
         if trap.dims == 1:
             # the u > 0 half of the line rule; its order is even, so no node at u = 0

@@ -7,8 +7,10 @@ in 60-digit arithmetic, expectations from brute-force sums, and propagators from
 uniformization series.  The one exception is ``per_pulse_run``, the master
 run stepped pulse by pulse on the package's own propagators, which is the
 reference for the cycle-at-a-time stepping of ``run_protocol``.
+``level_distribution`` builds a test input: a point start on one level.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -178,6 +180,13 @@ def jump_trajectory(pulses, level: int, cycles: int, rng) -> list[tuple[float, i
     return log
 
 
+def level_distribution(level, trap):
+    """Point distribution on one trap level."""
+    probs = np.zeros(trap.n_states)
+    probs[trap.flat_index(level)] = 1.0
+    return dynamics.Distribution(probs, 0.0, trap.shape)
+
+
 def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
                   extra_targets=()):
     """A master run stepped one pulse at a time, as ``run_protocol`` once did.
@@ -200,10 +209,10 @@ def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
     t = 0.0
 
     def record(cycle, pulse):
+        obs = dynamics.observables(dist, target)
+        extra = tuple(float(dist.probs[trap.flat_index(tg)]) for tg in extra_targets)
         series.samples.append(dynamics.Sample(cycle, pulse, t,
-                                              dynamics.observables(dist, target)))
-        series.extra_probs.append(tuple(float(dist.probs[trap.flat_index(tg)])
-                                        for tg in extra_targets))
+                                              dataclasses.replace(obs, extra=extra)))
 
     record(0, 0)
     prev_p = series.samples[0].obs.p_target

@@ -23,6 +23,8 @@ from dyncool import cli, dynamics, fc, rates
 from dyncool.protocols import Protocol, parse_config
 from dyncool.rates import ColumnSampler, Pulse, TrapConfig, rate_matrix
 
+from oracles import level_distribution
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
 WORKLOADS = ("fig3_deep", "fig5_master", "fig5_mc")
@@ -102,7 +104,7 @@ def test_lumped_2d_master_run_reaches_traced_layers(monkeypatch):
     rates.clear_caches()
     trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4)
     protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 2)
-    init = dynamics.level_distribution((0, 0), trap)
+    init = level_distribution((0, 0), trap)
     series = dynamics.run_protocol(init, protocol, trap)
     assert series.diagnostics["basis"] == "swap"
     assert {"rate_matrix", "markov_expm", "propagate_pulse"} <= set(calls)
@@ -120,7 +122,7 @@ def test_2d_mc_run_reaches_traced_layers(monkeypatch):
     rates.clear_caches()
     trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4)
     protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 2)
-    init = dynamics.level_distribution((2, 1), trap)
+    init = level_distribution((2, 1), trap)
     series = dynamics.run_protocol(init, protocol, trap, mode="mc", trajectories=20)
     assert series.diagnostics["jumps"] > 0
     assert {"mc_ensemble", "__init__", "jump_distribution"} <= set(calls)
@@ -151,7 +153,7 @@ def test_mc_result_has_the_fields_job_reads():
     trap = TrapConfig(eta=0.5, gamma_over_omega=0.01, dims=1, n_max=6)
     protocol = Protocol((Pulse(s=-1, duration=1.0),), 2)
     ens = dynamics.mc_ensemble(4, protocol, trap, seed=1,
-                               init=dynamics.level_distribution(3, trap))
+                               init=level_distribution(3, trap))
     names = {f.name for f in dataclasses.fields(ens)}
     assert {"n_traj", "cycles", "mean_n_se", "mean_nx_se", "jump_counts"} <= names
     assert len(ens.cycles.tolist()) == len(ens.mean_n_se.tolist()) == 3

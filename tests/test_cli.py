@@ -42,6 +42,17 @@ class TestDark:
         assert run_cli("dark", "ratio", "--eta", eta, "--target", "0,0") == 0
         assert capsys.readouterr().out.strip() == "-1+0i"
 
+    @pytest.mark.parametrize("eta, target", [("38.5", "0,1"), ("40", "0,0"),
+                                             ("40", "0,100")])
+    def test_ratio_refused_where_factors_go_subnormal(self, capsys, eta, target):
+        # above eta = 37.64 e^{-eta^2/2} is subnormal: read from such factors
+        # (0, 1) came out 1.7% off at 38.5, (0, 0) as vanishing at 40 and
+        # (0, 100) as -0.0
+        assert run_cli("dark", "ratio", "--eta", eta, "--target", target) == 3
+        err = capsys.readouterr().err
+        assert f"eta={float(eta)} exceeds 37.6403" in err
+        assert "normal double range" in err
+
     @pytest.mark.parametrize("level, n_listed", [(100, 1), (300, 0)])
     def test_singular_ratio_names_level(self, capsys, level, n_listed):
         # eta at the smallest zero of L_level, from the 60-digit recurrence:
@@ -77,6 +88,11 @@ class TestPresets:
     def test_export_unknown_exits_2(self, capsys):
         assert run_cli("presets", "export", "nope") == 2
 
+    def test_export_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "p.cfg"
+        assert run_cli("presets", "export", "fig2", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+
     def test_export_round_trips(self, tmp_path, capsys):
         assert run_cli("presets", "export", "fig5_A_minus",
                        "--out", str(tmp_path / "p.cfg")) == 0
@@ -99,6 +115,11 @@ class TestRates:
         assert run_cli("rates", "--preset", "fig3", "--pulse", "1") == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[3] == "1,0"
+
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert run_cli("rates", "--preset", "fig2", "--pulse", "0", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
 
     def test_out_of_range_pulse_exits_2(self, capsys):
         assert run_cli("rates", "--preset", "fig2", "--pulse", "7") == 2
@@ -251,6 +272,28 @@ class TestRun:
         first = (out / "timeseries.csv").read_text().splitlines()[1]
         # initial p_target is the thermal occupation of level 1
         assert float(first.split(",")[3]) == pytest.approx(6.0 / 49.0, rel=1e-6)
+
+    def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert run_cli("run", "--preset", "fig2", "--cycles", "2", "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+
+    def test_mc_plot_draws_every_target(self, tmp_path, capsys):
+        out = tmp_path / "mc"
+        assert run_cli("run", "--preset", "fig2", "--mode", "mc", "--trajectories", "50",
+                       "--cycles", "5", "--out-dir", str(out), "--target", "0",
+                       "--target", "1", "--plot") == 0
+        svg = (out / "plot.svg").read_text()
+        assert svg.count("<polyline") == 2
+        assert ">P0</text>" in svg and ">P1</text>" in svg
+
+    @pytest.mark.parametrize("mode", ["master", "mc"])
+    def test_extra_target_outside_truncation_exits_3(self, tmp_path, capsys, mode):
+        assert run_cli("run", "--preset", "fig2", "--mode", mode, "--trajectories", "5",
+                       "--cycles", "2", "--out-dir", str(tmp_path), "--target", "0",
+                       "--target", "999") == 3
+        assert "target 999 outside truncation" in capsys.readouterr().err
 
     def test_resource_limit_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"

@@ -11,7 +11,8 @@ from dyncool.errors import DomainError
 from dyncool.protocols import Protocol, preset
 from dyncool.rates import Pulse, RateMatrix, TrapConfig
 
-from oracles import jump_trajectory, per_pulse_run, uniformization_expm
+from oracles import (jump_trajectory, level_distribution, per_pulse_run,
+                     uniformization_expm)
 
 
 def trap_1d(eta=3.0, n_max=60, **kw):
@@ -67,7 +68,7 @@ class TestThermalDistribution:
 class TestObservables:
     def test_ground_delta(self):
         trap = trap_1d(n_max=10)
-        dist = dynamics.level_distribution(0, trap)
+        dist = level_distribution(0, trap)
         obs = observables(dist, 0)
         assert obs.p_target == 1.0 and obs.mean_n == 0.0 and obs.leak == 0.0
 
@@ -81,14 +82,14 @@ class TestObservables:
 
     def test_2d_axis_means(self):
         trap = TrapConfig(eta=1.0, gamma_over_omega=0.01, dims=2, n_max=4)
-        dist = dynamics.level_distribution((2, 3), trap)
+        dist = level_distribution((2, 3), trap)
         obs = observables(dist, (2, 3))
         assert obs.p_target == 1.0
         assert (obs.mean_nx, obs.mean_ny, obs.mean_n) == (2.0, 3.0, 5.0)
 
     def test_target_outside_truncation(self):
         trap = trap_1d(n_max=10)
-        dist = dynamics.level_distribution(0, trap)
+        dist = level_distribution(0, trap)
         with pytest.raises(DomainError):
             observables(dist, 11)
 
@@ -114,7 +115,7 @@ class TestPropagatePulse:
     def test_sideband_ladder_absorbs_into_ground(self):
         trap = trap_1d(eta=1e-3, n_max=10)
         mat = rates.rate_matrix(trap, Pulse(s=-1, duration=1.0))
-        dist = dynamics.level_distribution(7, trap)
+        dist = level_distribution(7, trap)
         out = propagate_pulse(dist, mat, 1e8)
         assert out.probs[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -187,7 +188,7 @@ class TestRunProtocol:
     def test_early_stop(self):
         trap = trap_1d(eta=1e-3, n_max=10)
         proto = Protocol((Pulse(s=-1, duration=1.0),), cycles=500, target=0)
-        series = run_protocol(dynamics.level_distribution(2, trap), proto, trap,
+        series = run_protocol(level_distribution(2, trap), proto, trap,
                               stop_tol=1e-6)
         assert series.samples[-1].cycle < 500
 
@@ -196,8 +197,18 @@ class TestRunProtocol:
         proto = Protocol((Pulse(s=0, duration=1.0),), cycles=3, target=0)
         series = run_protocol(thermal_distribution(2.0, trap), proto, trap,
                               stop_tol=0.0, extra_targets=(1, 2))
-        assert len(series.extra_probs) == len(series.samples)
-        assert all(len(row) == 2 for row in series.extra_probs)
+        assert all(len(s.obs.extra) == 2 for s in series.samples)
+
+    @pytest.mark.parametrize("mode", ["master", "mc"])
+    def test_bad_extra_target_refused_before_any_rate(self, mode, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a rate matrix was built")
+        monkeypatch.setattr(dynamics, "rate_matrix", refuse)
+        trap = trap_1d(n_max=20)
+        proto = Protocol((Pulse(s=0, duration=1.0),), cycles=3, target=0)
+        with pytest.raises(DomainError, match="target 999 outside truncation"):
+            run_protocol(level_distribution(3, trap), proto, trap, mode=mode,
+                         trajectories=5, extra_targets=(999,))
 
     def test_csv_schema(self, tmp_path):
         trap = trap_1d(n_max=20)
@@ -259,7 +270,7 @@ class TestMcTrajectory:
                               dims=2, n_max=8)
             target = proto.target
             proto = Protocol(proto.pulses, 20, proto.name, target)
-        init = dynamics.level_distribution(target, trap)
+        init = level_distribution(target, trap)
         ens = mc_ensemble(50, proto, trap, seed=7, init=init)
         assert not ens.jump_counts.any()
         assert np.all(ens.p_target == 1.0)
@@ -317,6 +328,30 @@ class TestMcTrajectory:
             se = math.sqrt(max(truth.p_target * (1 - truth.p_target), 1e-12) / n)
             assert abs(ens.p_target[rec] - truth.p_target) < 4.0 * se + 1e-9
 
+    def test_ensemble_extra_targets_match_deterministic(self):
+        proto, trap, mean = preset("fig2")
+        proto = Protocol(proto.pulses, 60, proto.name, proto.target)
+        init = thermal_distribution(mean, trap)
+        det = run_protocol(init, proto, trap, stop_tol=0.0, extra_targets=(1, 2))
+        ens = mc_ensemble(1500, proto, trap, seed=2024, init=init, extra_targets=(1, 2))
+        det_cycle = det.cycle_samples()
+        assert ens.extra.shape == ens.extra_se.shape == (2, 61)
+        for rec in range(0, 61, 10):
+            for truth, got in zip(det_cycle[rec].obs.extra, ens.extra[:, rec]):
+                se = math.sqrt(max(truth * (1 - truth), 1e-12) / ens.n_traj)
+                assert abs(got - truth) < 4.0 * se + 1e-9
+
+    @pytest.mark.parametrize("mode", ["master", "mc"])
+    def test_extra_target_equal_to_target_reads_p_target(self, mode):
+        proto, trap, mean = preset("fig2")
+        proto = Protocol(proto.pulses, 20, proto.name, proto.target)
+        series = run_protocol(thermal_distribution(mean, trap), proto, trap, mode=mode,
+                              trajectories=200, stop_tol=0.0,
+                              extra_targets=(proto.target,))
+        assert len(series.samples) == (1 + 20 * len(proto.pulses) if mode == "master"
+                                       else 21)
+        assert all(s.obs.extra == (s.obs.p_target,) for s in series.samples)
+
     def test_mc_mode_timeseries(self):
         proto, trap, mean = preset("fig2")
         proto = Protocol(proto.pulses, 10, proto.name, proto.target)
@@ -358,7 +393,7 @@ class TestLumpedBasis:
             assert (a.cycle, a.pulse, a.t) == (b.cycle, b.pulse, b.t)
             for field in ("p_target", "mean_nx", "mean_ny", "mean_n", "leak"):
                 assert abs(getattr(a.obs, field) - getattr(b.obs, field)) <= 1e-12
-        assert np.abs(np.array(lumped.extra_probs) - np.array(full.extra_probs)).max() <= 1e-12
+        assert np.abs(_extra_table(lumped) - _extra_table(full)).max() <= 1e-12
         assert np.abs(lumped.final_distribution.probs
                       - full.final_distribution.probs).max() <= 1e-12
 
@@ -367,7 +402,7 @@ class TestLumpedBasis:
         name = "fig7" if case == "fig7" else "fig5_A_minus"
         init, proto, trap = preset_run(name, n_max=5, cycles=1)
         if case == "asymmetric_start":
-            init = dynamics.level_distribution((0, 1), trap)
+            init = level_distribution((0, 1), trap)
         rate_mode = "resonant"
         if case == "full_rates":
             rate_mode, proto = "full", Protocol(proto.pulses[:1], 1, target=(0, 0))
@@ -400,6 +435,10 @@ def _sample_table(series):
                       s.obs.mean_ny, s.obs.mean_n, s.obs.leak] for s in series.samples])
 
 
+def _extra_table(series):
+    return np.array([s.obs.extra for s in series.samples])
+
+
 def _fig2_run(cycles):
     proto, trap, mean = preset("fig2")
     return (thermal_distribution(mean, trap),
@@ -429,7 +468,7 @@ class TestCycleStepping:
         a, b = _sample_table(got), _sample_table(want)
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-13
-        assert np.abs(np.array(got.extra_probs) - want.extra_probs).max() <= 1e-13
+        assert np.abs(_extra_table(got) - _extra_table(want)).max() <= 1e-13
         fa, fb = got.final_distribution, want.final_distribution
         assert fa.shape == fb.shape == trap.shape
         assert np.abs(fa.probs - fb.probs).max() <= 1e-13
@@ -450,7 +489,7 @@ class TestCycleStepping:
         pulses = (Pulse(s=-9, duration=0.1), Pulse(s=0, duration=0.7),
                   Pulse(s=-1, duration=0.3))
         proto = Protocol(pulses, 25, target=0)
-        init = dynamics.level_distribution(3, trap)
+        init = level_distribution(3, trap)
         got = [s.t for s in run_protocol(init, proto, trap, stop_tol=0.0).samples]
         want = [s.t for s in per_pulse_run(init, proto, trap, stop_tol=0.0).samples]
         assert got == want
@@ -468,7 +507,7 @@ class TestCycleStepping:
         proto = Protocol((Pulse(s=-1, duration=1.0), Pulse(s=0, duration=1.0)), 3,
                          target=0)
         with pytest.raises(DomainError, match="significantly negative occupation"):
-            run_protocol(dynamics.level_distribution(0, trap), proto, trap)
+            run_protocol(level_distribution(0, trap), proto, trap)
         assert stepped == []
 
     @pytest.mark.parametrize("n_max,cycles", [(120, 200), (480, 1000)])
@@ -492,9 +531,9 @@ class TestCycleStepping:
         monkeypatch.setattr(rates, "markov_expm", refuse)
         monkeypatch.setattr(dynamics, "_CycleMap", refuse)
         trap = trap_1d(n_max=20)
-        init = dynamics.level_distribution(3, trap)
+        init = level_distribution(3, trap)
         series = run_protocol(init, Protocol(pulses, cycles, target=0), trap, stop_tol=0.0)
-        assert len(series.samples) == len(series.extra_probs) == 1
+        assert len(series.samples) == 1 and series.samples[0].obs.extra == ()
         assert series.samples[0].t == 0.0
         assert np.array_equal(series.final_distribution.probs, init.probs)
 

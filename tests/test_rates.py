@@ -8,7 +8,7 @@ import scipy.linalg
 
 from dyncool import fc, rates
 from dyncool.errors import DomainError, ResourceLimitError, SimulationError, ValidityError
-from dyncool.protocols import preset
+from dyncool.protocols import PRESET_NAMES, preset
 from dyncool.rates import Pulse, TrapConfig, dipole_pattern, empty_rates, rate_matrix
 from oracles import (angular_quadrature, fc_reduced_series, folded_resonant_column_2d,
                      uniformization_expm)
@@ -297,6 +297,20 @@ class TestEmptyRates2d:
         g_plus = empty_rates(trap, Pulse(s=2, duration=1, amplitude_ratio=1.0))
         g_minus = empty_rates(trap, Pulse(s=2, duration=1, amplitude_ratio=-1.0))
         assert np.array_equal(g_plus, g_minus)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_level_form_equals_grid_form(self, name):
+        # _Resonant closes onto empty_rates, formed level by level; _Full
+        # broadcasts _empty_rate over the per-axis factors as below
+        proto, trap, _ = preset(name)
+        for pulse in proto.pulses:
+            s = pulse.s_int
+            f = rates._reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+            norm2, diag = f * f, f * (s == 0)
+            grid = rates._empty_rate(norm2) if trap.dims == 1 else rates._empty_rate(
+                norm2[:, None], diag[:, None], norm2[None, :], diag[None, :],
+                complex(pulse.amplitude_ratio))
+            assert np.array_equal(empty_rates(trap, pulse), grid)
 
 
 def brute_column_2d(trap, pulse, mx, my):
