@@ -156,6 +156,8 @@ def _cmd_run(args) -> int:
         for rule, msg in report.errors:
             print(f"error [{rule}]: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
+    if protocol.target is not None:  # refused before the output directory exists
+        dynamics._obs_rows(spec.trap.shape, protocol.target, targets[1:])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -130,7 +130,8 @@ class McEnsembleResult:
     the trajectories, with standard error sqrt((<x^2> - <x>^2) / n_traj),
     the binomial sqrt(p(1-p)/n_traj) for a 0/1 row.  ``extra`` and
     ``extra_se`` hold one row per extra target.  ``jump_counts`` holds each
-    trajectory's jumps, the absorbing jump into the leak included.
+    trajectory's jumps, the absorbing jump into the leak included, and
+    ``columns_built`` one per distinct (sampler, level) a trajectory jumped from.
     """
 
     n_traj: int
@@ -432,9 +433,9 @@ class _JumpStepper:
     ``level`` holds each trajectory's flat level (the last one before
     absorption, for a leaked trajectory), ``leaked`` whether the truncation
     leak has absorbed it, and ``jumps`` its jump count, the absorbing jump
-    included.  Each distinct sampler gets an exit-rate vector, filled from
-    ``jump_distribution(level)[0]`` the first time a trajectory stands on
-    the level (NaN until then), so the sampler builds each column once.
+    included.  Exit clocks run at each sampler's ``exit_rates``, one array
+    per pulse, and ``jump_distribution`` is called once per jump, so a
+    sampler builds a column only for a level a trajectory jumps from.
     """
 
     def __init__(self, samplers, n_states: int, level: np.ndarray):
@@ -443,20 +444,6 @@ class _JumpStepper:
         self.level = level
         self.leaked = np.zeros(level.size, dtype=bool)
         self.jumps = np.zeros(level.size, dtype=np.int64)
-        shared: dict[int, np.ndarray] = {}
-        self._rates = [shared.setdefault(id(s), np.full(n_states, np.nan))
-                       for s in samplers]
-
-    def _exit_rates(self, k: int, idx: np.ndarray) -> np.ndarray:
-        table = self._rates[k]
-        levels = self.level[idx]
-        rate = table[levels]
-        unseen = np.isnan(rate)
-        if unseen.any():
-            for m in np.unique(levels[unseen]).tolist():
-                table[m] = self.samplers[k].jump_distribution(m)[0]
-            rate = table[levels]
-        return rate
 
     def pulse(self, k: int, duration: float, rng: np.random.Generator,
               t0: float = 0.0, log: list | None = None) -> None:
@@ -465,7 +452,7 @@ class _JumpStepper:
         Exit clocks are exponential, so a trajectory whose exit time falls
         beyond the time left in the pulse stays put until its end, and only
         the ones that jumped draw again.  A jump's destination is the
-        right-sided search of u * total in its column's cumulative rates;
+        right-sided search of u * exit rate in its column's cumulative rates;
         a search past the last level is absorption into the leak.  With
         ``log``, append (t0 + elapsed, level) for every jump.
         """
@@ -473,7 +460,7 @@ class _JumpStepper:
         idx = np.flatnonzero(~self.leaked)
         left = np.full(idx.size, float(duration))
         while idx.size:
-            rate = self._exit_rates(k, idx)
+            rate = sampler.exit_rates[self.level[idx]]
             moving = rate > 0.0  # a zero exit rate never jumps
             idx, rate, left = idx[moving], rate[moving], left[moving]
             dt = rng.standard_exponential(idx.size) / rate

@@ -13,10 +13,10 @@ built from it.  Dark states arise exactly at the Laguerre zeros.
 
 One evaluator computes every factor: ``reduced_stack`` steps the Laguerre
 degree recurrence for all bands |n - m| and projected etas at once, on the
-normalised factor, which is bounded by 1.  ``fc_reduced`` and ``fc_factor``
-are single entries of it.  The dark-state solver evaluates no Laguerre
-polynomial: the zeros are the singular values of a bidiagonal factor of
-their Jacobi matrix.
+normalised factor, which is bounded by 1.  ``fc_reduced``, ``fc_factor``
+and the resonant rates read it from one table per eta (``reduced_table``).
+The dark-state solver evaluates no Laguerre polynomial: the zeros are the
+singular values of a bidiagonal factor of their Jacobi matrix.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ def fc_reduced(eta_eff: float, m: int, n: int) -> float:
     odd powers of a negative projected eta).  One entry of ``reduced_stack``,
     read from the last eta's table, grown to each (lo, hi) asked for.
     """
-    global _memo
     if m < 0 or n < 0:
         raise DomainError(f"trap levels must be >= 0, got ({m}, {n})")
     if not math.isfinite(eta_eff):
@@ -74,13 +73,26 @@ def fc_reduced(eta_eff: float, m: int, n: int) -> float:
     lo, hi = (m, n) if m <= n else (n, m)
     if hi > _INTERNAL_MAX_DEGREE:
         raise DomainError(f"level {hi} exceeds maximum {_INTERNAL_MAX_DEGREE}")
-    eta, table = _memo
-    rows, cols = table.shape if eta == eta_eff else (0, 0)
+    return float(reduced_table(eta_eff, lo, hi)[lo, hi])
+
+
+def reduced_table(eta: float, lo: int, hi: int) -> np.ndarray:
+    """Read-only ``reduced_stack`` table at one eta to at least (lo, hi): the last
+    eta's, rebuilt larger if too small; an entry does not depend on the size."""
+    global _memo
+    memo_eta, table = _memo
+    rows, cols = table.shape if memo_eta == eta else (0, 0)
     if lo >= rows or hi >= cols:
-        table = reduced_stack(np.array([eta_eff]), max(lo, rows - 1), max(hi, cols - 1))[0]
+        table = reduced_stack(np.array([eta]), max(lo, rows - 1), max(hi, cols - 1))[0]
         if table.size <= _MEMO_ENTRIES:
-            _memo = (eta_eff, table)
-    return float(table[lo, hi])
+            _memo = (eta, table)
+    return table
+
+
+def release_table() -> None:
+    """Drop the table ``reduced_table`` keeps."""
+    global _memo
+    _memo = (math.nan, np.zeros((0, 0)))
 
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)

@@ -22,9 +22,9 @@ the recoil factors.  Resonant columns are slices and scales of one recoil
 integral per trap and depth (S1 in 1D; in 2D T and the cross terms C_s, as
 low-rank node factors); full-mode ones come from the folded recoil stacks.
 
-One builder assembles every dense generator from a provider's columns, on
-the states of a ``StateBasis``; ``ColumnSampler`` serves Monte Carlo jumps
-from the same providers.
+One builder assembles every dense generator from a provider's columns on the
+states of a ``StateBasis``, exit rates Gamma_empty - Gamma_{m<-m} on its diagonal;
+``ColumnSampler`` serves Monte Carlo jumps from the same providers.
 """
 
 from __future__ import annotations
@@ -373,8 +373,9 @@ def angular_tables(trap: TrapConfig) -> AngularTables:
 
 
 def release_tables() -> None:
-    """Drop the build-time stacks and kernels, once generators or samplers exist."""
+    """Drop the build-time stacks, kernels and factor table once generators or samplers exist."""
     _TABLES.clear()
+    fc.release_table()
 
 
 def clear_caches() -> None:
@@ -385,14 +386,11 @@ def clear_caches() -> None:
 
 def _reduced_absorption(eta: float, s: int, levels) -> np.ndarray:
     """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where
-    m+s < 0: band s of one reduced-factor table."""
+    m+s < 0: band s of the eta's reduced-factor table (``fc.reduced_table``)."""
     m = np.asarray(levels, dtype=int)
     top = int(m.max(initial=0))
-    table = fc.reduced_stack(np.array([eta]), top, top + max(s, 0))[0]
-    live = m + s >= 0
-    out = np.zeros(m.shape)
-    out[live] = table[m[live], m[live] + s]
-    return out
+    table = fc.reduced_table(eta, top, top + max(s, 0))
+    return np.where(m + s >= 0, table[m, np.maximum(m + s, 0)], 0.0)
 
 
 def _empty_rate(x2, dx=0.0, y2=0.0, dy=0.0, a=0.0):
@@ -438,11 +436,11 @@ def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
 class RateMatrix:
     """Generator of the rate equation for one pulse, on the truncated basis.
 
-    ``generator`` holds Gamma_{n<-m} off the diagonal and
-    -(column outflow + truncation leak) on it, so column sums equal -leak.
-    ``empty_rates`` are the untruncated closure totals; ``self_rates`` the
-    m<-m redistribution terms, which cancel in the dynamics and are kept
-    out of the generator.
+    ``generator`` holds Gamma_{n<-m} off the diagonal and -(Gamma_empty - Gamma_self)
+    on it; ``leak`` is max(exit - column outflow, 0), so column sums equal -leak up
+    to rounding.  ``empty_rates`` are the untruncated closure totals; ``self_rates``
+    the m<-m terms, which cancel in the dynamics and are kept out of the generator;
+    ``exit_rates`` is -diag, the Monte Carlo exit clocks, formed on first use.
     """
 
     def __init__(self, generator: np.ndarray, leak: np.ndarray,
@@ -456,11 +454,15 @@ class RateMatrix:
         self.trap = trap
         self.pulse = pulse
         self._propagators: dict[float, np.ndarray] = {}
-        self._cache: dict[int, tuple[float, np.ndarray]] = {}
+        self._cache: dict[int, np.ndarray] = {}
 
     @property
     def n_states(self) -> int:
         return self.generator.shape[0]
+
+    @functools.cached_property
+    def exit_rates(self) -> np.ndarray:
+        return -self.generator.diagonal()
 
     def propagator(self, duration: float) -> np.ndarray:
         """exp(G * duration) by ``markov_expm``, cached per duration."""
@@ -469,14 +471,14 @@ class RateMatrix:
         return self._propagators[duration]
 
     def jump_distribution(self, index: int):
-        """MC jump table of one flattened level, cached per column (see _jump_table)."""
-        cached = self._cache.get(index)
-        if cached is None:
-            col = self.generator[:, index].copy()
-            col[index] = 0.0
-            cached = _jump_table(np.cumsum(col, out=col), self.leak[index])
-            self._cache[index] = cached
-        return cached
+        """(exit rate, cached cumulative rates of the column, own entry zeroed):
+        a search of a draw below the exit rate past the last state is the leak."""
+        cum = self._cache.get(index)
+        if cum is None:
+            cum = self.generator[:, index].copy()
+            cum[index] = 0.0
+            self._cache[index] = cum = np.cumsum(cum, out=cum)
+        return float(self.exit_rates[index]), cum
 
 
 # Most expected jumps in one uniformization sub-step: near 1, doubling it
@@ -519,24 +521,15 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     return np.linalg.matrix_power(out, 2 ** squarings)  # s squarings
 
 
-def _jump_table(cum: np.ndarray, leak: float):
-    """(total exit rate, cumulative rates in index order) of one column, its
-    own entry zeroed.  A right-sided search of a draw never lands on a zero
-    rate; the truncation leak takes the rest of the total beyond ``cum[-1]``."""
-    return float(cum[-1] + leak), cum
-
-
-def _assemble(columns: np.ndarray, closure: np.ndarray, mode: str,
+def _assemble(columns: np.ndarray, closure: np.ndarray, exits: np.ndarray, mode: str,
               trap: TrapConfig, pulse: Pulse) -> RateMatrix:
-    """Package raw quadrature columns (including the m<-m entry) into a generator."""
-    n = columns.shape[0]
-    columns = np.maximum(columns, 0.0)
-    self_rates = columns.diagonal().copy()
-    generator = columns.copy()
+    """Package raw quadrature columns (including the m<-m entry) into a
+    generator with -exits on its diagonal."""
+    generator = np.maximum(columns, 0.0)
+    self_rates = generator.diagonal().copy()
     np.fill_diagonal(generator, 0.0)
-    colsum = generator.sum(axis=0)
-    leak = np.maximum(closure - colsum - self_rates, 0.0)
-    generator[np.arange(n), np.arange(n)] = -(colsum + leak)
+    leak = np.maximum(exits - generator.sum(axis=0), 0.0)
+    np.fill_diagonal(generator, -exits)
     return RateMatrix(generator, leak, closure.copy(), self_rates, mode, trap, pulse)
 
 
@@ -564,8 +557,9 @@ def _level_headroom(eta: float, top_level: int, sigmas: float = 7.0) -> int:
 # A provider serves one pulse's rates to the dense builder and to
 # ``ColumnSampler`` alike: ``column(*level)`` is Gamma_{n <- level} over the
 # truncated grid, self term included (a level is (m,) in 1D, (m_x, m_y) in
-# 2D), and ``closures`` holds the empty rate of every grid level, onto which
-# its untruncated column closes.
+# 2D), ``closures`` holds the empty rate of every grid level, onto which
+# its untruncated column closes, and ``exits`` max(closure - self term, 0),
+# formed for all levels at once when the provider is built, with no column.
 
 
 class _Resonant:
@@ -594,6 +588,7 @@ class _Resonant:
         if trap.dims == 2 and s != 0 and s % 2 == 0 and self.a.real != 0.0:
             self.cross = tables.factors(l_max, lambda r: _cross_factor(r, s),
                                         self.kernel[0])[1:]
+        self.exits = np.maximum(self.closures - self._self_rates(), 0.0)
 
     def column(self, *level) -> np.ndarray:
         s = self.s
@@ -611,6 +606,23 @@ class _Resonant:
             left.append((2.0 * self.a.real * fx * fy) * self.cross[0][mx])
             right.append(self.cross[1][my])
         return np.concatenate(left).T @ np.concatenate(right)
+
+    def _self_rates(self) -> np.ndarray:
+        """Gamma_{m<-m} of every level from the factors' diagonals (1D: bitwise)."""
+        m = np.arange(self.closures.shape[0])
+        up = np.maximum(m + self.s, 0)
+        if self.closures.ndim == 1:
+            return self.closures * self.kernel[m, up]
+        _, a, b = self.kernel
+        if self.s == 0:
+            return self.closures * (a[m, :, m] @ b[m, :, m].T)
+        f2 = self.f * self.f
+        out = f2[:, None] * (a[up, :, m] @ b[m, :, m].T)
+        out += (abs(self.a) ** 2 * f2) * (a[m, :, m] @ b[up, :, m].T)  # f_y^2, by m_y
+        if self.cross is not None:
+            ca, cb = self.cross
+            out += (2.0 * self.a.real * np.outer(self.f, self.f)) * (ca[m, :, m] @ cb[m, :, m].T)
+        return out
 
 
 def _cross_factor(stack: np.ndarray, s: int) -> np.ndarray:
@@ -674,6 +686,8 @@ class _Full:
             self.stacks = tuple(tables.stack(axis, l_max)[:, :, :l_max + 1]
                                 for axis in "xy")
             self.w = tables.fold_weights
+        self.exits = np.maximum(self.closures - self._node_sum(
+            *(self._diagonal(stack) for stack in self.stacks)), 0.0)
 
     def _axis(self, stack: np.ndarray, m: int):
         """(P, Q, e) of one axis for source level m, each (nodes, n)."""
@@ -683,11 +697,24 @@ class _Full:
                 np.einsum("knl,nl->kn", stack[:, :, other::2], b[:, other::2]),
                 self.phases[:, m] * stack[:, :, m])
 
+    def _diagonal(self, stack: np.ndarray):
+        """(P, Q, e) of one axis at n = m (e's phase is 1), for every source level m."""
+        m = np.arange(stack.shape[1])
+        b = self.phases * self.coeffs.T  # (m, l)
+        same = (m[:, None] - np.arange(b.shape[1])) % 2 == 0
+        p, q = (np.einsum("kml,ml->km", stack, c.real)
+                + 1j * np.einsum("kml,ml->km", stack, c.imag) for c in (b * same, b * ~same))
+        return p, q, stack[:, m, m]
+
     def column(self, *level) -> np.ndarray:
-        px, qx, ex = self._axis(self.stacks[0], level[0])
-        if len(level) == 1:
+        return self._node_sum(*(self._axis(stack, m) for stack, m in zip(self.stacks, level)))
+
+    def _node_sum(self, x, y=None) -> np.ndarray:
+        """The column's node sum on each axis's (P, Q, e)."""
+        px, qx, ex = x
+        if y is None:
             return self.w @ (_abs2(px) + _abs2(qx))
-        py, qy, ey = self._axis(self.stacks[1], level[1])
+        py, qy, ey = y
         w = self.w[:, None]
         out = (w * (_abs2(px) + _abs2(qx))).T @ _abs2(ey)
         out += abs(self.a) ** 2 * ((w * _abs2(ex)).T @ (_abs2(py) + _abs2(qy)))
@@ -741,44 +768,46 @@ class StateBasis:
 
 
 def _build(trap: TrapConfig, pulse: Pulse, mode: str, basis: str) -> RateMatrix:
-    """The dense generator on the states of ``StateBasis(trap, basis)``:
-    the representative columns of the mode's provider, rows lumped."""
+    """The dense generator on the states of ``StateBasis(trap, basis)``: the
+    representative columns of the provider, rows lumped, exits less the in-class move."""
     states = StateBasis(trap, basis)
     _check_matrix_budget(states.size)
     provider = _provider(trap, pulse, mode)
     columns = np.zeros((states.size, states.size))
+    exits = provider.exits[tuple(states.levels.T)]
     for j, level in enumerate(states.levels):
-        columns[:, j] = states.lump(provider.column(*level).reshape(-1))
-    return _assemble(columns, provider.closures[tuple(states.levels.T)], mode, trap, pulse)
+        col = provider.column(*level).reshape(-1)
+        if basis == "swap" and level[0] != level[1]:
+            exits[j] -= max(col[np.ravel_multi_index(level[::-1], trap.shape)], 0.0)
+        columns[:, j] = states.lump(col)
+    return _assemble(columns, provider.closures[tuple(states.levels.T)],
+                     np.maximum(exits, 0.0), mode, trap, pulse)
 
 
 class ColumnSampler:
     """Column-on-demand jump sampler for Monte Carlo.
 
-    Serves jump tables for one pulse from the provider that backs the dense
-    matrix, without assembling it, caching columns as they are visited.
+    Serves one pulse's jumps from the provider that backs the dense matrix,
+    without assembling it: ``exit_rates`` are the provider's exits, bitwise the
+    full-basis matrix's, and ``jump_distribution`` builds and caches a column.
     """
 
     def __init__(self, trap: TrapConfig, pulse: Pulse, mode: str = "resonant"):
         self.trap = trap
         self.pulse = pulse
         self._provider = _provider(trap, pulse, mode)
-        self._cache: dict[int, tuple[float, np.ndarray]] = {}
+        self.exit_rates = self._provider.exits.reshape(-1)
+        self._cache: dict[int, np.ndarray] = {}
 
     def jump_distribution(self, index: int):
-        cached = self._cache.get(index)
-        if cached is None:
-            level = np.unravel_index(index, self.trap.shape)
-            col = np.maximum(self._provider.column(*level).reshape(-1), 0.0)
-            self_rate = col[index]
-            col[index] = 0.0
-            # _assemble's leak; summed in index order like the dense column
-            # sum, so sampler and matrix agree bitwise
-            cum = np.cumsum(col, out=col)
-            leak = max(self._provider.closures[level] - cum[-1] - self_rate, 0.0)
-            cached = _jump_table(cum, leak)
-            self._cache[index] = cached
-        return cached
+        """``RateMatrix.jump_distribution``, bitwise: clipped and summed alike."""
+        cum = self._cache.get(index)
+        if cum is None:
+            cum = np.maximum(self._provider.column(
+                *np.unravel_index(index, self.trap.shape)).reshape(-1), 0.0)
+            cum[index] = 0.0
+            self._cache[index] = cum = np.cumsum(cum, out=cum)
+        return float(self.exit_rates[index]), cum
 
 
 def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",

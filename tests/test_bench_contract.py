@@ -2,7 +2,8 @@
 
 ``perfbench/layers.py`` wraps every ``(module, class, attribute)`` in
 ``BOUNDARIES`` and, after a run, counts built columns through the
-``_cache`` column caches of ``ColumnSampler`` and ``RateMatrix``.
+``_cache`` column caches of ``ColumnSampler`` and ``RateMatrix``; its
+``rates.sampler.calls`` counts jumps, one ``jump_distribution`` call each.
 ``perfbench/job.py`` writes each workload's config from its preset (reading
 the trap's quadrature orders and state count), runs the CLI with
 ``--threads 1`` and the workload's flags, and reads the Monte Carlo
@@ -126,6 +127,22 @@ def test_2d_mc_run_reaches_traced_layers(monkeypatch):
     series = dynamics.run_protocol(init, protocol, trap, mode="mc", trajectories=20)
     assert series.diagnostics["jumps"] > 0
     assert {"mc_ensemble", "__init__", "jump_distribution"} <= set(calls)
+
+
+def test_sampler_called_once_per_jump(monkeypatch):
+    # the traced rates.sampler.calls counts jumps, absorptions into the leak
+    # included: exit clocks read exit_rates, not jump_distribution
+    calls = []
+    inner = ColumnSampler.jump_distribution
+    monkeypatch.setattr(ColumnSampler, "jump_distribution",
+                        lambda self, index: calls.append(index) or inner(self, index))
+    rates.clear_caches()
+    trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4)
+    protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 3)
+    ens = dynamics.mc_ensemble(40, protocol, trap, seed=3,
+                               init=level_distribution((2, 1), trap))
+    assert ens.leak_frac[-1] > 0.0
+    assert len(calls) == int(ens.jump_counts.sum())
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -290,10 +290,13 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["master", "mc"])
     def test_extra_target_outside_truncation_exits_3(self, tmp_path, capsys, mode):
+        # refused before the output directory is made
+        out = tmp_path / "out"
         assert run_cli("run", "--preset", "fig2", "--mode", mode, "--trajectories", "5",
-                       "--cycles", "2", "--out-dir", str(tmp_path), "--target", "0",
+                       "--cycles", "2", "--out-dir", str(out), "--target", "0",
                        "--target", "999") == 3
         assert "target 999 outside truncation" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resource_limit_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"

@@ -241,6 +241,36 @@ class TestMcTrajectory:
         times = [t for t, _ in res.jumps]
         assert all(b > a for a, b in zip(times, times[1:]))
 
+    def test_pulse_without_jumps_builds_no_column(self):
+        # every (m, m) level is dark under s = 0, A = -1; exit clocks read
+        # the sampler's exit rates, so standing there builds nothing
+        trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=6)
+        sampler = rates.ColumnSampler(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
+        start = np.repeat([trap.flat_index((m, m)) for m in range(7)], 3)
+        stepper = dynamics._JumpStepper([sampler], trap.n_states, start.copy())
+        stepper.pulse(0, 1e3, np.random.default_rng(3))
+        assert np.all(sampler.exit_rates[start] == 0.0) and sampler.exit_rates.max() > 0.0
+        assert sampler._cache == {} and stepper.jumps.sum() == 0
+        assert np.array_equal(stepper.level, start)
+
+    def test_columns_built_only_at_jump_sources(self, monkeypatch):
+        sources = []
+        inner = rates.ColumnSampler.jump_distribution
+
+        def spy(sampler, index):
+            sources.append((id(sampler), index))
+            return inner(sampler, index)
+
+        monkeypatch.setattr(rates.ColumnSampler, "jump_distribution", spy)
+        rates.clear_caches()
+        trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=8)
+        proto = Protocol((Pulse(s=-2, duration=2.0, amplitude_ratio=-1.0),
+                          Pulse(s=0, duration=2.0, amplitude_ratio=-1.0),
+                          Pulse(s=-2, duration=2.0, amplitude_ratio=-1.0)), 6)
+        ens = mc_ensemble(60, proto, trap, seed=4, init=level_distribution((3, 2), trap))
+        assert len(sources) == ens.jump_counts.sum() > 0
+        assert ens.columns_built == len(set(sources)) < len(sources)
+
     def test_ensemble_single_matches_trajectory(self):
         # one stream: the initial draw, then the same pulse-by-pulse draws
         proto, trap, mean = preset("fig2")

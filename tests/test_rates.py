@@ -677,6 +677,52 @@ class TestColumnSampler:
             assert np.abs(col - ref).max() <= 1e-13 * ref.max()
 
 
+_EXIT_S = (-4, -3, 0, 2, 3)
+_EXIT_CASES = ([(1, s, -1.0) for s in _EXIT_S]
+               + [(2, s, a) for s in _EXIT_S for a in (-1.0, 0.125, 0.3 + 0.4j, 1j)])
+
+
+class TestExitRates:
+    """Each provider's exits are its closures less each column's own entry,
+    formed without a column; the dense generator and the sampler read them."""
+
+    @pytest.mark.parametrize("mode, tol", [("resonant", 1e-15), ("full", 1e-12)])
+    @pytest.mark.parametrize("dims, s, a", _EXIT_CASES)
+    def test_exits_are_closure_less_own_entry(self, mode, tol, dims, s, a):
+        trap = trap_1d(n_max=60) if dims == 1 else trap_2d(n_max=8)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
+        sampler = rates.ColumnSampler(trap, pulse, mode)
+        closures, exits = sampler._provider.closures.reshape(-1), sampler.exit_rates
+        dense = rate_matrix(trap, pulse, mode)  # self_rates: each column's own entry
+        assert np.all(np.abs(exits - (closures - dense.self_rates)) <= tol * closures)
+        assert np.all(exits[closures == 0.0] == 0.0)
+        assert np.array_equal(dense.exit_rates, -dense.generator.diagonal())
+        assert np.array_equal(exits, dense.exit_rates)
+
+    def test_dark_levels_exit_exactly_zero(self):
+        # below the band (m + s < 0) in 1D and 2D, and on the 2D diagonal
+        # at s = 0, A = -1, where both lasers' amplitudes cancel
+        exits = rates._Resonant(trap_1d(n_max=60), Pulse(s=-3, duration=1.0)).exits
+        assert np.all(exits[:3] == 0.0) and np.all(exits[3:] > 0.0)
+        exits = rates._Resonant(trap_2d(), Pulse(s=-3, duration=1.0)).exits
+        assert np.all(exits[:3, :3] == 0.0) and np.all(exits[3:, :] > 0.0)
+        exits = rates._Resonant(trap_2d(), Pulse(s=0, duration=1.0, amplitude_ratio=-1.0)).exits
+        assert np.all(exits.diagonal() == 0.0)
+        assert np.all(exits[~np.eye(9, dtype=bool)] > 0.0)
+
+    @pytest.mark.parametrize("s", [-3, 0, 2])
+    def test_swap_exit_is_full_exit_less_in_class_move(self, s):
+        trap = trap_2d(eta=1.7, n_max=6)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=-1.0)
+        full = rate_matrix(trap, pulse)
+        swap = rate_matrix(trap, pulse, basis="swap")
+        a, b = rates.StateBasis(trap, "swap").levels.T
+        move = np.where(a != b, full.generator[b * 7 + a, a * 7 + b], 0.0)
+        want = full.exit_rates[a * 7 + b] - move
+        assert np.abs(swap.exit_rates - want).max() <= 1e-15 * full.exit_rates.max()
+        assert np.array_equal(swap.exit_rates, -swap.generator.diagonal())
+
+
 class TestResonantFactors:
     FIG5 = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=40)
 
