@@ -1,8 +1,8 @@
 """Population dynamics under pulse protocols.
 
 The rate equation dN/dt = G N with the piecewise-constant generators from
-:mod:`dyncool.rates` is solved exactly per pulse by a cached matrix
-exponential; the same process is also unraveled as a continuous-time jump
+:mod:`dyncool.rates` is solved exactly per pulse by a matrix exponential;
+the same process is also unraveled as a continuous-time jump
 Monte Carlo, which serves as an independent statistical check of the
 propagator (and vice versa).
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rates
 from .errors import DomainError
 from .protocols import Protocol
 from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig,
@@ -248,25 +249,29 @@ def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> D
 class _CycleMap:
     """One pulse cycle as one step on a state basis.
 
-    From the pulses' cached propagators P_j it forms the partial products
-    Z_j = P_j ... P_1 (K - 1 GEMMs) and the cycle map M = Z_K, which
-    ``propagate_pulse`` applies.  ``inner`` stacks ``rows @ Z_j`` for
-    j < K, so ``inner @ y`` holds the row values after every pulse but the
-    last of a cycle that starts at y.  min(Z_j) >= -1e-12 for j < K keeps
-    every state inside a cycle above -1e-12 for any start of mass <= 1;
-    ``propagate_pulse`` checks the state M leaves.
+    It forms the partial products Z_j = P_j ... P_1 (K - 1 GEMMs) and the
+    cycle map M = Z_K, which ``propagate_pulse`` applies.  The propagators
+    P_j = ``rates.markov_expm`` (G_j, tau_j) are streamed: each is formed,
+    multiplied into Z and dropped, and none is cached on its ``RateMatrix``,
+    so the dense working set does not grow with the pulse count K.
+    ``inner`` stacks ``rows @ Z_j`` for j < K, so ``inner @ y`` holds the
+    row values after every pulse but the last of a cycle that starts at y.
+    min(Z_j) >= -1e-12 for j < K keeps every state inside a cycle above
+    -1e-12 for any start of mass <= 1; ``propagate_pulse`` checks the state
+    M leaves.
     """
 
     def __init__(self, mats, pulses, rows: np.ndarray):
         self.duration = sum(pulse.duration for pulse in pulses)
-        # every propagator first: no partial product is held beside their powers
-        z, *later = [mat.propagator(pulse.duration) for mat, pulse in zip(mats, pulses)]
-        inner = []
-        for prop in later:
-            if z.min() < -1e-12:
-                raise DomainError("propagation produced significantly negative occupation")
-            inner.append(rows @ z)
-            z = prop @ z
+        z, inner = None, []
+        for mat, pulse in zip(mats, pulses):
+            if z is not None:
+                if z.min() < -1e-12:
+                    raise DomainError("propagation produced significantly negative occupation")
+                inner.append(rows @ z)
+            prop = rates.markov_expm(mat.generator, pulse.duration)
+            z = prop if z is None else prop @ z
+            del prop  # no propagator is held while the next one is formed
         self.matrix = z
         self.inner = np.concatenate(inner) if inner else np.zeros((0, z.shape[0]))
 
@@ -286,8 +291,8 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
                  extra_targets: tuple = ()) -> TimeSeries:
     """Run a pulse protocol and record observables at every pulse boundary.
 
-    ``mode='master'`` propagates the rate equation exactly (matrix
-    exponentials built once per distinct pulse); ``mode='mc'`` averages a
+    ``mode='master'`` propagates the rate equation exactly (one matrix
+    exponential per pulse of the cycle); ``mode='mc'`` averages a
     seeded trajectory ensemble and records at cycle boundaries.  Both read
     every recorded value, the ``extra_targets`` included, from the rows of
     ``_obs_rows``, which refuses a target outside the truncation.  Early

@@ -54,8 +54,8 @@ MATRIX_MEMORY_BUDGET = 4 << 30
 _RANK_TOL = 1e-14
 
 # 2D recoil factors form their node arrays from the stacks this many bytes of
-# stack at a time; the fig5 stacks (14-17 MB) are one chunk
-_FACTOR_CHUNK_BYTES = 32 << 20
+# stack at a time: the fig5 stacks (14 MB) are 4 chunks
+_FACTOR_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -276,36 +276,50 @@ class AngularTables:
         e^{-x^2} times a polynomial of degree n + l in x^2, so squared stacks
         span at most n + p - 1 node vectors.
 
-        ``form`` maps a node chunk of a stack to its node arrays.  Each pass
+        ``form(r, out)`` writes the node arrays of a node chunk r of a stack
+        into ``out``, or into a new array if ``out`` is None.  Each pass
         (sketch, projection, residual) forms them chunk by chunk, at most
-        ``_FACTOR_CHUNK_BYTES`` of stack at a time; an axis's last chunk is
-        kept, so a stack in one chunk is formed once."""
+        ``_FACTOR_CHUNK_BYTES`` of stack at a time, into one buffer per
+        axis, so beside the stacks two chunks' node arrays are held.  An
+        axis keeps its last chunk and its next pass starts from it, running
+        the other way: a stack in one chunk is formed once, and a later pass
+        over c chunks forms c - 1 of them."""
         stacks = {axis: self.stack(axis, l_max) for axis in "xy"}
         k = self.fold_weights.shape[0]
         step = max(1, _FACTOR_CHUNK_BYTES // stacks["x"][0].nbytes)
         chunks = [slice(start, start + step) for start in range(0, k, step)]
         w_root = np.sqrt(self.fold_weights)[:, None]
         n, p = form(stacks["y"][:1]).shape[1:]
+        # every chunk of an axis is formed into one buffer: fresh chunk
+        # arrays each cost their pages' first-touch faults
+        bufs = {axis: np.empty((min(step, k), n, p)) for axis in "xy"}
         last = {}
 
-        def nodes(axis, sl):
-            # rows sqrt(w_k) form(R)[k] of one chunk; each axis keeps its last
-            if last.get(axis, (None,))[0] != sl.start:
-                v = form(stacks[axis][sl]).reshape(-1, n * p)
-                last[axis] = (sl.start, np.multiply(v, w_root[sl], out=v))
-            return last[axis][1]
+        def sweep(axis):
+            # (chunk, rows sqrt(w_k) form(R)[k] of its nodes) for every
+            # chunk, the kept one first
+            kept = last.pop(axis, (None, None))
+            for sl in chunks[::-1] if kept[0] == chunks[-1] else chunks:
+                if sl != kept[0]:
+                    r = stacks[axis][sl]
+                    v = form(r, bufs[axis][:len(r)]).reshape(-1, n * p)
+                    kept = (sl, np.multiply(v, w_root[sl], out=v))
+                yield kept
+            last[axis] = kept
 
         if q is None:
             omega = np.random.default_rng(0).standard_normal((n * p, min(k, n + p + 9)))
-            u, sv, _ = np.linalg.svd(np.concatenate([nodes("y", sl) @ omega for sl in chunks]),
-                                     full_matrices=False)
+            sketch = np.empty((k, omega.shape[1]))
+            for sl, y in sweep("y"):
+                np.matmul(y, omega, out=sketch[sl])
+            u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
             q = u[:, :np.count_nonzero(sv > _RANK_TOL * sv[0])]
-        a, b = (functools.reduce(operator.iadd, (q[sl].T @ nodes(axis, sl) for sl in chunks))
+        a, b = (functools.reduce(operator.iadd, (q[sl].T @ v for sl, v in sweep(axis)))
                 for axis in "xy")
         resid2 = norm2 = 0.0
-        for sl in chunks:
-            y = nodes("y", sl)
-            resid = q[sl] @ b
+        for sl, y in sweep("y"):
+            # into x's buffer, which the projection was the last to read
+            resid = np.matmul(q[sl], b, out=bufs["x"][:len(y)].reshape(y.shape))
             resid -= y
             resid2 += np.vdot(resid, resid)
             norm2 += np.vdot(y, y)
@@ -331,7 +345,7 @@ class AngularTables:
             l1 = depth + 1
             if self.trap.dims == 2:
                 # a deeper stack holds the same values; the slice fixes the shapes
-                kernel = self.factors(depth, lambda r: np.square(r[:, :, :l1]))
+                kernel = self.factors(depth, lambda r, out=None: np.square(r[:, :, :l1], out))
             else:
                 _check_stack_budget(n1 * l1, "the 1D emission kernel")
                 u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, depth))
@@ -413,11 +427,16 @@ def empty_rates(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
     """Total rate (units Gamma0) at which each level is emptied, over trap.shape.
 
     In 1D Gamma_m = |<m+s|e^{ikx}|m>|^2 for m+s >= 0, else 0; in 2D it is the
-    two-laser form of ``_empty_rate``.  A level is dark exactly where its
-    rate vanishes.
+    two-laser form of ``_empty_rate``, broadcast over the per-axis factors.
+    A level is dark exactly where its rate vanishes.
     """
-    levels = np.indices(trap.shape).reshape(trap.dims, -1).T
-    return level_empty_rates(trap, pulse, levels).reshape(trap.shape)
+    s = pulse.s_int
+    f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+    norm2, diag = f * f, f * (s == 0)
+    if trap.dims == 1:
+        return _empty_rate(norm2)
+    return _empty_rate(norm2[:, None], diag[:, None], norm2, diag,
+                       complex(pulse.amplitude_ratio))
 
 
 def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
@@ -465,7 +484,9 @@ class RateMatrix:
         return -self.generator.diagonal()
 
     def propagator(self, duration: float) -> np.ndarray:
-        """exp(G * duration) by ``markov_expm``, cached per duration."""
+        """exp(G * duration) by ``markov_expm``, cached per duration for
+        ``propagate_pulse`` callers; master runs stream their propagators
+        into the cycle map and cache none here."""
         if duration not in self._propagators:
             self._propagators[duration] = markov_expm(self.generator, duration)
         return self._propagators[duration]
@@ -496,29 +517,42 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     evaluated by Paterson-Stockmeyer (1973).  Entries of G t below
     2^-106 lam are zeroed first: that moves the result by at most
     n 2^-106 lam in the 1-norm, and keeps subnormals out of the GEMMs.
+
+    The working set is B^1 ... B^q (B scaled in place in the one copy of
+    G t), the sum and one scratch array.  Each group's terms are added in
+    place from the highest order down, the identity's weight last, on the
+    diagonal; added from the identity up, they lost 1.1e-13 of column sum
+    on a pulse of lam = 1e3 (10 squarings).
     """
-    a = generator * duration
-    lam = float(-a.diagonal().min(initial=0.0))
+    b = generator * duration
+    lam = float(-b.diagonal().min(initial=0.0))
     if lam == 0.0:
-        return np.eye(len(a))
-    a[np.abs(a) < 2.0 ** -106 * lam] = 0.0
+        return np.eye(len(b))
+    b[np.abs(b) < 2.0 ** -106 * lam] = 0.0
     squarings = max(0, math.ceil(math.log2(lam / _UNIFORM_STEP)))
     mu = lam / 2.0 ** squarings
-    b = a / lam
+    b /= lam
     b.flat[::len(b) + 1] += 1.0
     w = math.exp(-mu) * np.cumprod(np.r_[1.0, mu / np.arange(1.0, 32.0)])
     # the first order whose tail P(X > order) is below 2^-54; B^2 ... B^q
     # and one Horner product in B^q per further q terms cost ~ 2 sqrt(order)
     order = max(1, int(np.argmax(np.cumsum(w[::-1])[::-1][1:] < 2.0 ** -54)))
     q = math.isqrt(order)
-    powers = [np.eye(len(b)), b]
+    powers = [None, b]  # B^0 = I is added on the diagonal
     for _ in range(q - 1):
         powers.append(powers[-1] @ b)
     top = (-(-order // q) - 1) * q
-    out = sum(w[k] * powers[k - top] for k in range(top, order + 1))
-    for lo in range(top - q, -1, -q):
-        out = out @ powers[q] + sum(w[lo + j] * powers[j] for j in range(q))
-    return np.linalg.matrix_power(out, 2 ** squarings)  # s squarings
+    out, spare = np.zeros_like(b), np.empty_like(b)
+    for lo in range(top, -1, -q):
+        if lo < top:
+            out, spare = np.matmul(out, powers[q], out=spare), out
+        # out += w[k] B^(k - lo) over this group's orders k, the highest first
+        for k in range(order if lo == top else lo + q - 1, lo, -1):
+            out += np.multiply(powers[k - lo], w[k], out=spare)
+        out.flat[::len(b) + 1] += w[lo]
+    for _ in range(squarings):
+        out, spare = np.matmul(out, out, out=spare), out
+    return out
 
 
 def _assemble(columns: np.ndarray, closure: np.ndarray, exits: np.ndarray, mode: str,
@@ -586,7 +620,7 @@ class _Resonant:
         self.kernel = tables.emission_kernel(l_max)
         self.cross = None
         if trap.dims == 2 and s != 0 and s % 2 == 0 and self.a.real != 0.0:
-            self.cross = tables.factors(l_max, lambda r: _cross_factor(r, s),
+            self.cross = tables.factors(l_max, lambda r, out=None: _cross_factor(r, s, out),
                                         self.kernel[0])[1:]
         self.exits = np.maximum(self.closures - self._self_rates(), 0.0)
 
@@ -625,15 +659,21 @@ class _Resonant:
         return out
 
 
-def _cross_factor(stack: np.ndarray, s: int) -> np.ndarray:
-    """(-1)^(p/2) R_k[n, m+s] R_k[n, m], p = |n-m-s| - |n-m|, or 0 if m+s < 0."""
-    n1 = stack.shape[1]
-    ns = np.arange(n1)
-    shifted = np.maximum(ns + s, 0)
-    p = np.abs(ns[:, None] - shifted[None, :]) - np.abs(ns[:, None] - ns[None, :])
-    sign = np.where(p % 4 == 0, 1.0, -1.0)
-    sign[:, ns + s < 0] = 0.0
-    return stack[:, :, shifted] * stack[:, :, :n1] * sign
+def _cross_factor(stack: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(-1)^(p/2) R_k[n, m+s] R_k[n, m], p = |n-m-s| - |n-m|, or 0 if m+s < 0,
+    into ``out`` if given.
+
+    The levels m with m + s >= 0 multiply two slices of the stack, with no
+    gathered copy of it; the others are zeroed."""
+    k, n1 = stack.shape[:2]
+    lo = min(max(-s, 0), n1)
+    ns, ms = np.arange(n1)[:, None], np.arange(lo, n1)
+    p = np.abs(ns - ms - s) - np.abs(ns - ms)
+    out = np.empty((k, n1, n1)) if out is None else out
+    out[:, :, :lo] = 0.0
+    part = np.multiply(stack[:, :, lo + s:n1 + s], stack[:, :, lo:n1], out=out[:, :, lo:])
+    part *= np.where(p % 4 == 0, 1.0, -1.0)
+    return out
 
 
 def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,10 +528,9 @@ class TestCycleStepping:
 
     def test_negative_partial_product_refused_before_first_cycle(self, monkeypatch):
         trap = trap_1d(n_max=1)
-        first, second = toy_matrix(np.zeros((2, 2)), trap), toy_matrix(np.zeros((2, 2)), trap)
-        first._propagators[1.0] = np.array([[1.0, 0.0], [-5e-12, 1.0]])
-        mats = iter((first, second))
-        monkeypatch.setattr(dynamics, "rate_matrix", lambda *args: next(mats))
+        # the first pulse's propagator leaves an entry below -1e-12
+        props = iter((np.array([[1.0, 0.0], [-5e-12, 1.0]]), np.eye(2)))
+        monkeypatch.setattr(rates, "markov_expm", lambda *args: next(props))
         stepped = []
         monkeypatch.setattr(dynamics, "propagate_pulse",
                             lambda *args: stepped.append(args))
@@ -566,6 +566,49 @@ class TestCycleStepping:
         assert len(series.samples) == 1 and series.samples[0].obs.extra == ()
         assert series.samples[0].t == 0.0
         assert np.array_equal(series.final_distribution.probs, init.probs)
+
+    @pytest.mark.parametrize("case", ["1d", "2d_swap"])
+    def test_streamed_map_equals_product_of_propagators(self, case):
+        if case == "1d":
+            init, proto, trap = _fig2_run(1)
+        else:
+            init, proto, trap = preset_run("fig5_A_minus", n_max=8, cycles=1)
+        basis = "swap" if trap.dims == 2 else "full"
+        mats = [rates.rate_matrix(trap, pulse, basis=basis) for pulse in proto.pulses]
+        rows = np.random.default_rng(7).random((5, mats[0].n_states))
+        cycle_map = dynamics._CycleMap(mats, proto.pulses, rows)
+        props = [rates.markov_expm(mat.generator, pulse.duration)
+                 for mat, pulse in zip(mats, proto.pulses)]
+        z, inner = props[0], []
+        for prop in props[1:]:
+            inner.append(rows @ z)
+            z = prop @ z
+        assert np.array_equal(cycle_map.matrix, z)
+        assert np.array_equal(cycle_map.inner, np.concatenate(inner))
+        assert not any(mat._propagators for mat in mats)
+
+    def test_build_memory_independent_of_pulse_count(self):
+        # the propagators are streamed: the map holds one partial product
+        # and markov_expm's working set, whatever the pulse count.  Distinct
+        # durations of one pulse give distinct propagators of one series order
+        trap = trap_1d(n_max=100)
+        rows = dynamics._obs_rows(trap.shape, 0)[0]
+
+        def added(count):
+            pulses = [Pulse(s=-9, duration=1.0 + j / 100) for j in range(count)]
+            rates.clear_caches()
+            mats = [rates.rate_matrix(trap, pulse) for pulse in pulses]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                dynamics._CycleMap(mats, pulses, rows)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        two, eight = added(2), added(8)
+        assert two > 4 * 8 * trap.n_states ** 2
+        assert abs(eight - two) <= 8 * trap.n_states ** 2
 
 
 class TestRecordedRun:

@@ -300,8 +300,8 @@ class TestEmptyRates2d:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_level_form_equals_grid_form(self, name):
-        # _Resonant closes onto empty_rates, formed level by level; _Full
-        # broadcasts _empty_rate over the per-axis factors as below
+        # empty_rates broadcasts _empty_rate over the per-axis factors as
+        # below, as _Full does; level_empty_rates forms it level by level
         proto, trap, _ = preset(name)
         for pulse in proto.pulses:
             s = pulse.s_int
@@ -311,6 +311,9 @@ class TestEmptyRates2d:
                 norm2[:, None], diag[:, None], norm2[None, :], diag[None, :],
                 complex(pulse.amplitude_ratio))
             assert np.array_equal(empty_rates(trap, pulse), grid)
+            levels = np.indices(trap.shape).reshape(trap.dims, -1).T
+            by_level = rates.level_empty_rates(trap, pulse, levels)
+            assert np.array_equal(by_level.reshape(trap.shape), grid)
 
 
 def brute_column_2d(trap, pulse, mx, my):
@@ -804,6 +807,25 @@ class TestResonantFactors:
         for ref, got in zip(one, many):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("given_basis", [False, True])
+    def test_each_pass_starts_on_the_kept_chunk(self, monkeypatch, given_basis):
+        # c chunks: x is formed once per chunk; y's sketch pass forms c, and
+        # its projection and residual passes c - 1 each; one call probes the shapes
+        tables = rates.AngularTables(trap_2d(n_max=6))
+        q = tables.factors(6, np.square)[0] if given_basis else None
+        nodes = tables.fold_weights.shape[0]
+        monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 100 * tables.stack("x", 6)[0].nbytes)
+        chunks = -(-nodes // 100)
+        calls = []
+
+        def form(r, out=None):
+            calls.append(r.shape[0])
+            return np.square(r, out)
+
+        tables.factors(6, form, q)
+        y_passes = 2 if given_basis else 3
+        assert chunks > 2 and len(calls) == 1 + chunks + chunks + (y_passes - 1) * (chunks - 1)
+
 
 class TestMarkovExpm:
     """Pulse propagators against scipy's Pade expm and the series oracle."""
@@ -840,6 +862,15 @@ class TestMarkovExpm:
         gen = rate_matrix(trap_1d(n_max=20), Pulse(s=-9, duration=1.0)).generator
         for g, t in ((np.zeros((5, 5)), 3.0), (gen, 0.0)):
             assert np.array_equal(rates.markov_expm(g, t), np.eye(len(g)))
+
+    @pytest.mark.parametrize("t", [2.0, 1e3])
+    def test_input_generator_unchanged(self, t):
+        # B is scaled in place in markov_expm's copy of G t, and the 1e-300
+        # entries are zeroed in it, below 2^-106 lam
+        gen = np.array([[-0.7, 0.2, 1e-300], [0.0, -0.5, 0.0], [0.7, 0.3, -1e-300]])
+        before = gen.copy()
+        rates.markov_expm(gen, t)
+        assert np.array_equal(gen, before)
 
     def test_leak_only_column(self):
         # level 0 only leaks, level 1 also feeds 0 and 2, level 2 is absorbing
