@@ -128,13 +128,13 @@ def _cmd_run(args) -> int:
     spec = _load_runspec(args)
     if args.mode:
         spec.mode = args.mode
-    if args.trajectories is not None:
-        spec.trajectories = args.trajectories
-    if args.seed is not None:
-        try:
-            spec.seed = protocols._check_seed(args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"--seed: {exc}") from None
+    for flag, check in (("trajectories", protocols._check_trajectories),
+                        ("seed", protocols._check_seed)):
+        if getattr(args, flag) is not None:
+            try:
+                setattr(spec, flag, check(getattr(args, flag)))
+            except ValueError as exc:
+                raise ConfigError(f"--{flag}: {exc}") from None
     if args.final_distribution and spec.mode != "master":
         raise ConfigError("--final-distribution needs master mode; a Monte Carlo "
                           "run keeps no final distribution")
@@ -156,14 +156,15 @@ def _cmd_run(args) -> int:
         for rule, msg in report.errors:
             print(f"error [{rule}]: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    if protocol.target is not None:  # refused before the output directory exists
+    # bad targets and thermal means are refused before the output directory exists
+    if protocol.target is not None:
         dynamics._obs_rows(spec.trap.shape, protocol.target, targets[1:])
+    init = dynamics.thermal_distribution(spec.thermal_mean, spec.trap)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    init = dynamics.thermal_distribution(spec.thermal_mean, spec.trap)
     extra = tuple(targets[1:])
     series = dynamics.run_protocol(
         init, protocol, spec.trap, mode=spec.mode,

@@ -19,7 +19,7 @@ from . import rates
 from .errors import DomainError
 from .protocols import Protocol
 from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig,
-                    _pulse_cache_key, cache_counts, rate_matrix, release_tables)
+                    _pulse_cache_key, cache_counts, clear_caches, rate_matrix)
 
 LEAKED = "leaked"
 COMPLETED = "completed"
@@ -78,7 +78,7 @@ class TimeSeries:
     at, the state behind the last sample, as ``final_distribution``.
     ``phases`` holds the wall seconds of the run's phases, named as the
     benchmark's spans, ``cache`` the builds and hits of the emission-kernel
-    and rate-matrix caches during the run (``rates.cache_counts``), and
+    cache during the run (``rates.cache_counts``), and
     ``diagnostics`` the run's counts for the manifest: in master mode the
     state basis propagated, its state count and the clipped mass, in Monte
     Carlo mode the columns built, the jumps made and the most jumps one
@@ -250,10 +250,11 @@ class _CycleMap:
     """One pulse cycle as one step on a state basis.
 
     It forms the partial products Z_j = P_j ... P_1 (K - 1 GEMMs) and the
-    cycle map M = Z_K, which ``propagate_pulse`` applies.  The propagators
-    P_j = ``rates.markov_expm`` (G_j, tau_j) are streamed: each is formed,
-    multiplied into Z and dropped, and none is cached on its ``RateMatrix``,
-    so the dense working set does not grow with the pulse count K.
+    cycle map M = Z_K, which ``propagate_pulse`` applies.  ``mats`` yields
+    the pulses' ``RateMatrix`` objects in order, and is read one at a time:
+    given a lazy iterable, each G_j is built, exponentiated into
+    P_j = ``rates.markov_expm`` (G_j, tau_j), multiplied into Z and dropped
+    with P_j, so the dense working set does not grow with the pulse count K.
     ``inner`` stacks ``rows @ Z_j`` for j < K, so ``inner @ y`` holds the
     row values after every pulse but the last of a cycle that starts at y.
     min(Z_j) >= -1e-12 for j < K keeps every state inside a cycle above
@@ -263,15 +264,16 @@ class _CycleMap:
 
     def __init__(self, mats, pulses, rows: np.ndarray):
         self.duration = sum(pulse.duration for pulse in pulses)
-        z, inner = None, []
-        for mat, pulse in zip(mats, pulses):
+        z, inner, mats = None, [], iter(mats)
+        for pulse in pulses:
             if z is not None:
                 if z.min() < -1e-12:
                     raise DomainError("propagation produced significantly negative occupation")
                 inner.append(rows @ z)
-            prop = rates.markov_expm(mat.generator, pulse.duration)
+            # no name holds G_j past this call, nor P_j past the product
+            prop = rates.markov_expm(next(mats).generator, pulse.duration)
             z = prop if z is None else prop @ z
-            del prop  # no propagator is held while the next one is formed
+            del prop
         self.matrix = z
         self.inner = np.concatenate(inner) if inner else np.zeros((0, z.shape[0]))
 
@@ -305,12 +307,14 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     the full grid otherwise.  In the swap basis p(a, b) = p(b, a) = q{a, b}/2
     exactly, so each grid row of ``_obs_rows`` carries over to the states
     as ``basis.lump(row * share)``, share being the weight ``unlump`` gives
-    each level.  The run steps one cycle at a time through ``_CycleMap``.
+    each level.  The run steps one cycle at a time through ``_CycleMap``,
+    which it hands the generators lazily: each is built when the map needs
+    it, and the build tables are released once the last one exists.
     The leak is chained pulse by pulse, leak_j = leak_{j-1} +
     max(m_{j-1} - m_j, 0) with m the mass row (read after clipping at a
     cycle's end), so it never decreases; t accumulates pulse by pulse.  The
     grid state is recovered once, at the end.  An empty protocol or zero
-    cycles records the initial sample only and computes no propagator.
+    cycles records the initial sample only and builds no generator.
     """
     target = protocol.target if protocol.target is not None else _default_target(trap)
     before = cache_counts()
@@ -336,9 +340,16 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     basis = StateBasis(trap, "swap" if _swap_lumpable(init, protocol, trap, rate_mode)
                        else "full")
     t0 = time.perf_counter()
-    mats = [rate_matrix(trap, pulse, rate_mode, basis.kind) for pulse in protocol.pulses]
-    release_tables()
-    t1 = time.perf_counter()
+    builds = []  # wall seconds of each generator's build
+
+    def build(pulse):
+        start = time.perf_counter()
+        mat = rate_matrix(trap, pulse, rate_mode, basis.kind)
+        if len(builds) == len(protocol.pulses) - 1:
+            clear_caches()
+        builds.append(time.perf_counter() - start)
+        return mat
+
     share = basis.unlump(np.ones(basis.size))
     rows = np.array([basis.lump(row) for row in grid_rows * share])
     state = Distribution(basis.lump(init.probs), init.leak, (basis.size,), init.clipped)
@@ -347,7 +358,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     series.samples.append(Sample(0, 0, t, _snapshot(values, leak, extra_rows)))
     cycles = protocol.cycles if protocol.pulses else 0
     if cycles:
-        cycle_map = _CycleMap(mats, protocol.pulses, rows)
+        cycle_map = _CycleMap(map(build, protocol.pulses), protocol.pulses, rows)
     for cycle in range(1, cycles + 1):
         start = values
         inner = (cycle_map.inner @ state.probs).reshape(-1, len(rows)).tolist()
@@ -364,8 +375,8 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
             break
     series.final_distribution = Distribution(basis.unlump(state.probs), state.leak,
                                              trap.shape, state.clipped)
-    series.phases = {"rates.rate_matrix": t1 - t0,
-                     "dynamics.propagate": time.perf_counter() - t1}
+    series.phases = {"rates.rate_matrix": sum(builds),
+                     "dynamics.propagate": time.perf_counter() - t0 - sum(builds)}
     series.cache = cache_counts(before)
     series.diagnostics = {"basis": basis.kind, "states": basis.size,
                           "clipped_mass": state.clipped}
@@ -395,19 +406,16 @@ def _default_target(trap: TrapConfig):
 
 
 def _samplers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
-    """Per-pulse jump samplers: dense-backed in 1D, column-on-demand in 2D."""
+    """Per-pulse jump samplers, one per distinct ``_pulse_cache_key``:
+    dense-backed in 1D, column-on-demand in 2D."""
+    make = rate_matrix if trap.dims == 1 else ColumnSampler
     shared: dict = {}
-    out = []
     for pulse in protocol.pulses:
-        if trap.dims == 1:
-            out.append(rate_matrix(trap, pulse, rate_mode))
-        else:
-            key = _pulse_cache_key(trap, pulse, rate_mode)
-            if key not in shared:
-                shared[key] = ColumnSampler(trap, pulse, rate_mode)
-            out.append(shared[key])
-    release_tables()
-    return out
+        key = _pulse_cache_key(trap, pulse, rate_mode)
+        if key not in shared:
+            shared[key] = make(trap, pulse, rate_mode)
+    clear_caches()
+    return [shared[_pulse_cache_key(trap, pulse, rate_mode)] for pulse in protocol.pulses]
 
 
 def mc_trajectory(initial_level, protocol: Protocol, trap: TrapConfig,
@@ -510,7 +518,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     rows = np.vstack([rows, rows[1] + rows[2]])
     moments = np.concatenate([rows, rows * rows])
     t0 = time.perf_counter()
-    samplers = _samplers(protocol, trap, rate_mode)
+    samplers = _samplers(protocol, trap, rate_mode) if protocol.cycles else []
     t1 = time.perf_counter()
     n_rec = protocol.cycles + 1
 

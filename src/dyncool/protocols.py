@@ -426,7 +426,8 @@ def parse_config(text: str) -> RunSpec:
         trap=trap, protocol=protocol,
         thermal_mean=get(init_kv, "thermal_mean", float, default=_MEAN),
         mode=mode,
-        trajectories=get(run_kv, "trajectories", to_int, default=1000),
+        trajectories=get(run_kv, "trajectories", lambda v: _check_trajectories(to_int(v)),
+                         default=1000),
         seed=get(run_kv, "seed", lambda v: _check_seed(to_int(v)), default=12345))
 
 
@@ -435,6 +436,13 @@ def _check_seed(seed: int) -> int:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return seed
+
+
+def _check_trajectories(count: int) -> int:
+    """A Monte Carlo trajectory count: an ensemble needs at least one."""
+    if count < 1:
+        raise ValueError(f"trajectories must be >= 1, got {count}")
+    return count
 
 
 def _parse_target(value: str, dims: int):

@@ -366,13 +366,13 @@ def _check_stack_budget(entries: int, what: str, remedy: str = "") -> None:
 
 _TABLES: dict[tuple, AngularTables] = {}
 
-# builds and hits of the emission-kernel and rate-matrix caches since import
-_CACHE_COUNTS = {name: {"builds": 0, "hits": 0} for name in ("emission_kernel", "rate_matrix")}
+# builds and hits of the emission-kernel cache since import
+_CACHE_COUNTS = {"emission_kernel": {"builds": 0, "hits": 0}}
 
 
 def cache_counts(since: dict | None = None) -> dict:
-    """Builds and hits of the emission-kernel and rate-matrix caches since
-    import, or since ``since``, an earlier result of this function."""
+    """Builds and hits of the emission-kernel cache since import, or since
+    ``since``, an earlier result of this function."""
     return {name: {k: v - (since[name][k] if since else 0) for k, v in counts.items()}
             for name, counts in _CACHE_COUNTS.items()}
 
@@ -386,16 +386,10 @@ def angular_tables(trap: TrapConfig) -> AngularTables:
     return tab
 
 
-def release_tables() -> None:
+def clear_caches() -> None:
     """Drop the build-time stacks, kernels and factor table once generators or samplers exist."""
     _TABLES.clear()
     fc.release_table()
-
-
-def clear_caches() -> None:
-    """Drop cached quadrature stacks and rate matrices (for tests/benchmarks)."""
-    release_tables()
-    _MATRICES.clear()
 
 
 def _reduced_absorption(eta: float, s: int, levels) -> np.ndarray:
@@ -463,15 +457,12 @@ class RateMatrix:
     """
 
     def __init__(self, generator: np.ndarray, leak: np.ndarray,
-                 empty_rates: np.ndarray, self_rates: np.ndarray,
-                 mode: str, trap: TrapConfig, pulse: Pulse):
+                 empty_rates: np.ndarray, self_rates: np.ndarray, mode: str):
         self.generator = generator
         self.leak = leak
         self.empty_rates = empty_rates
         self.self_rates = self_rates
         self.mode = mode
-        self.trap = trap
-        self.pulse = pulse
         self._propagators: dict[float, np.ndarray] = {}
         self._cache: dict[int, np.ndarray] = {}
 
@@ -555,8 +546,8 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     return out
 
 
-def _assemble(columns: np.ndarray, closure: np.ndarray, exits: np.ndarray, mode: str,
-              trap: TrapConfig, pulse: Pulse) -> RateMatrix:
+def _assemble(columns: np.ndarray, closure: np.ndarray, exits: np.ndarray,
+              mode: str) -> RateMatrix:
     """Package raw quadrature columns (including the m<-m entry) into a
     generator with -exits on its diagonal."""
     generator = np.maximum(columns, 0.0)
@@ -564,7 +555,7 @@ def _assemble(columns: np.ndarray, closure: np.ndarray, exits: np.ndarray, mode:
     np.fill_diagonal(generator, 0.0)
     leak = np.maximum(exits - generator.sum(axis=0), 0.0)
     np.fill_diagonal(generator, -exits)
-    return RateMatrix(generator, leak, closure.copy(), self_rates, mode, trap, pulse)
+    return RateMatrix(generator, leak, closure.copy(), self_rates, mode)
 
 
 def _check_matrix_budget(side: int) -> None:
@@ -807,9 +798,12 @@ class StateBasis:
         return state[self.class_of] * self._share
 
 
-def _build(trap: TrapConfig, pulse: Pulse, mode: str, basis: str) -> RateMatrix:
-    """The dense generator on the states of ``StateBasis(trap, basis)``: the
-    representative columns of the provider, rows lumped, exits less the in-class move."""
+def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
+                basis: str = "full") -> RateMatrix:
+    """Transition-rate generator of one pulse in a 1D or 2D trap, on the
+    states of ``StateBasis(trap, basis)``: the representative columns of the
+    provider, rows lumped, exits less the in-class move.  Nothing caches it:
+    a master run exponentiates each generator and drops it."""
     states = StateBasis(trap, basis)
     _check_matrix_budget(states.size)
     provider = _provider(trap, pulse, mode)
@@ -821,7 +815,7 @@ def _build(trap: TrapConfig, pulse: Pulse, mode: str, basis: str) -> RateMatrix:
             exits[j] -= max(col[np.ravel_multi_index(level[::-1], trap.shape)], 0.0)
         columns[:, j] = states.lump(col)
     return _assemble(columns, provider.closures[tuple(states.levels.T)],
-                     np.maximum(exits, 0.0), mode, trap, pulse)
+                     np.maximum(exits, 0.0), mode)
 
 
 class ColumnSampler:
@@ -834,7 +828,6 @@ class ColumnSampler:
 
     def __init__(self, trap: TrapConfig, pulse: Pulse, mode: str = "resonant"):
         self.trap = trap
-        self.pulse = pulse
         self._provider = _provider(trap, pulse, mode)
         self.exit_rates = self._provider.exits.reshape(-1)
         self._cache: dict[int, np.ndarray] = {}
@@ -850,24 +843,9 @@ class ColumnSampler:
         return float(self.exit_rates[index]), cum
 
 
-def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
-                basis: str = "full") -> RateMatrix:
-    """Transition-rate generator of one pulse in a 1D or 2D trap, on the
-    states of ``StateBasis(trap, basis)``; cached per (trap, basis, pulse,
-    mode).  The cache holds one trap: a build for another trap drops it, so
-    sweeps over eta or n_max keep one trap's matrices and propagators."""
-    key = (trap, basis, _pulse_cache_key(trap, pulse, mode))
-    cached = _MATRICES.get(key)
-    _CACHE_COUNTS["rate_matrix"]["hits" if cached is not None else "builds"] += 1
-    if cached is None:
-        if any(other[0] != trap for other in _MATRICES):
-            _MATRICES.clear()
-        cached = _build(trap, pulse, mode, basis)
-        _MATRICES[key] = cached
-    return cached
-
-
 def _pulse_cache_key(trap: TrapConfig, pulse: Pulse, mode: str):
+    """What a pulse's rates depend on: pulses with equal keys have equal
+    generators, so a Monte Carlo run builds one sampler per key."""
     a = complex(pulse.amplitude_ratio)
     if trap.dims == 1:
         return (mode, pulse.s)
@@ -877,9 +855,6 @@ def _pulse_cache_key(trap: TrapConfig, pulse: Pulse, mode: str):
         cross = a.real if pulse.s % 2 == 0 else 0.0
         return (mode, pulse.s, abs(a) ** 2, cross)
     return (mode, pulse.s, a)
-
-
-_MATRICES: dict[tuple, RateMatrix] = {}
 
 
 # ---------------------------------------------------------------------------

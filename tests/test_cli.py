@@ -249,10 +249,8 @@ class TestRun:
         assert set(manifest["phases"]) == phases
         assert all(v >= 0.0 for v in manifest["phases"].values())
         assert sum(manifest["phases"].values()) <= manifest["wall_clock_seconds"]
-        # both pulses (s <= 0) share one kernel; Monte Carlo builds no matrix
-        assert manifest["cache"] == {
-            "emission_kernel": {"builds": 1, "hits": 1},
-            "rate_matrix": {"builds": 2 if mode == "master" else 0, "hits": 0}}
+        # both pulses (s <= 0) share one kernel
+        assert manifest["cache"] == {"emission_kernel": {"builds": 1, "hits": 1}}
         if mode == "mc":
             assert 0 < manifest["columns_built"] <= 2 * 121
             # 20 trajectories: the total jumps and the most one made
@@ -332,6 +330,30 @@ class TestRun:
             assert run_cli("run", *source, "--out-dir", str(out)) == 2
             assert "seed must be a non-negative integer" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_trajectories_below_one_exit_2(self, tmp_path, capsys):
+        # refused at parse time, before the output directory is made, from
+        # the flag and from the config, in either run mode
+        cfg = tmp_path / "traj.cfg"
+        cfg.write_text("[trap]\neta = 0.5\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 30\n[[pulse]]\ns = -1\n[run]\ncycles = 3\n"
+                       "mode = master\ntrajectories = 0\n")
+        out = tmp_path / "o"
+        for source in (["--preset", "fig2", "--mode", "mc", "--trajectories", "0"],
+                       ["--preset", "fig2", "--mode", "mc", "--trajectories", "-3"],
+                       ["--config", str(cfg)]):
+            assert run_cli("run", *source, "--out-dir", str(out)) == 2
+            assert "trajectories must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_zero_thermal_mean_exits_3_before_out_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "cold.cfg"
+        cfg.write_text("[trap]\neta = 0.5\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 30\n[init]\nthermal_mean = 0\n[[pulse]]\ns = -1\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 3
+        assert "thermal mean must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cycles_in_config_respected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

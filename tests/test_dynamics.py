@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,15 +21,14 @@ def trap_1d(eta=3.0, n_max=60, **kw):
     return TrapConfig(eta=eta, gamma_over_omega=0.01, dims=1, n_max=n_max, **kw)
 
 
-def toy_matrix(gen, trap, pulse=None):
+def toy_matrix(gen):
     """Wrap a hand-built generator (columns already summing to -leak)."""
     gen = np.asarray(gen, dtype=float)
     off = gen.copy()
     np.fill_diagonal(off, 0.0)
     leak = -(gen.sum(axis=0))
     closure = off.sum(axis=0) + leak
-    return RateMatrix(gen, leak, closure, np.zeros(gen.shape[0]),
-                      "resonant", trap, pulse or Pulse(s=0, duration=1.0))
+    return RateMatrix(gen, leak, closure, np.zeros(gen.shape[0]), "resonant")
 
 
 class TestThermalDistribution:
@@ -98,7 +98,7 @@ class TestObservables:
 class TestPropagatePulse:
     def test_zero_generator_is_identity(self):
         trap = trap_1d(n_max=3)
-        mat = toy_matrix(np.zeros((4, 4)), trap)
+        mat = toy_matrix(np.zeros((4, 4)))
         dist = Distribution(np.array([0.4, 0.3, 0.2, 0.1]), 0.0, trap.shape)
         out = propagate_pulse(dist, mat, 5.0)
         assert np.allclose(out.probs, dist.probs, atol=1e-15)
@@ -107,7 +107,7 @@ class TestPropagatePulse:
     def test_two_level_decay(self):
         trap = trap_1d(n_max=1)
         gen = np.array([[0.0, 1.0], [0.0, -1.0]])
-        mat = toy_matrix(gen, trap)
+        mat = toy_matrix(gen)
         dist = Distribution(np.array([0.0, 1.0]), 0.0, trap.shape)
         out = propagate_pulse(dist, mat, 1.0)
         assert out.probs[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -149,7 +149,7 @@ class TestPropagatePulse:
 
     def test_clipped_mass_is_counted(self):
         trap = trap_1d(n_max=1)
-        mat = toy_matrix(np.zeros((2, 2)), trap)
+        mat = toy_matrix(np.zeros((2, 2)))
         # a propagator whose rounding leaves one entry just below zero
         mat._propagators[1.0] = np.array([[1.0, 0.0], [-5e-13, 1.0]])
         dist = Distribution(np.array([1.0, 0.0]), 0.0, trap.shape)
@@ -556,16 +556,22 @@ class TestCycleStepping:
 
     @pytest.mark.parametrize("pulses,cycles", [((), 5), ((Pulse(s=-1, duration=1.0),), 0)])
     def test_no_cycle_computes_nothing(self, pulses, cycles, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a propagator or cycle map was computed")
-        monkeypatch.setattr(rates, "markov_expm", refuse)
-        monkeypatch.setattr(dynamics, "_CycleMap", refuse)
-        trap = trap_1d(n_max=20)
-        init = level_distribution(3, trap)
-        series = run_protocol(init, Protocol(pulses, cycles, target=0), trap, stop_tol=0.0)
-        assert len(series.samples) == 1 and series.samples[0].obs.extra == ()
-        assert series.samples[0].t == 0.0
-        assert np.array_equal(series.final_distribution.probs, init.probs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator, sampler, propagator or cycle map was computed")
+        for owner, attr in ((rates, "markov_expm"), (dynamics, "_CycleMap"),
+                            (dynamics, "rate_matrix"), (rates.ColumnSampler, "__init__")):
+            monkeypatch.setattr(owner, attr, refuse)
+        trap_2d = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=6)
+        for trap, level in ((trap_1d(n_max=20), 3), (trap_2d, (3, 3))):
+            init = level_distribution(level, trap)
+            protocol = Protocol(pulses, cycles, target=dynamics._default_target(trap))
+            series = run_protocol(init, protocol, trap, stop_tol=0.0)
+            assert len(series.samples) == 1 and series.samples[0].obs.extra == ()
+            assert series.samples[0].t == 0.0
+            assert np.array_equal(series.final_distribution.probs, init.probs)
+            if cycles == 0:  # a Monte Carlo ensemble records its start alike
+                ens = mc_ensemble(5, protocol, trap, seed=1, init=init)
+                assert ens.cycles.tolist() == [0] and ens.jump_counts.sum() == 0
 
     @pytest.mark.parametrize("case", ["1d", "2d_swap"])
     def test_streamed_map_equals_product_of_propagators(self, case):
@@ -609,6 +615,57 @@ class TestCycleStepping:
         two, eight = added(2), added(8)
         assert two > 4 * 8 * trap.n_states ** 2
         assert abs(eight - two) <= 8 * trap.n_states ** 2
+
+    @pytest.mark.parametrize("case", ["1d", "2d_swap"])
+    def test_run_holds_one_generator(self, case, monkeypatch):
+        # each generator is built when the cycle map needs it and dropped
+        # once exponentiated: no cache or name keeps an earlier one
+        if case == "1d":
+            init, proto, trap = _fig2_run(2)
+        else:
+            init, proto, trap = preset_run("fig5_A_minus", n_max=8, cycles=2)
+        built, alive_at_expm = [], []
+        inner_build, inner_expm = dynamics.rate_matrix, rates.markov_expm
+
+        def build(*args, **kwargs):
+            mat = inner_build(*args, **kwargs)
+            built.extend((weakref.ref(mat), weakref.ref(mat.generator)))
+            return mat
+
+        def expm(*args):
+            alive_at_expm.append(sum(ref() is not None for ref in built[1::2]))
+            assert sum(ref() is not None for ref in built[::2]) <= 1
+            return inner_expm(*args)
+
+        monkeypatch.setattr(dynamics, "rate_matrix", build)
+        monkeypatch.setattr(rates, "markov_expm", expm)
+        series = run_protocol(init, proto, trap, stop_tol=0.0)
+        assert series.diagnostics["basis"] == ("swap" if trap.dims == 2 else "full")
+        assert len(built) == 2 * len(proto.pulses) > 2
+        assert alive_at_expm == [1] * len(proto.pulses)
+        assert all(ref() is None for ref in built)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_samplers_one_per_key(self, dims, monkeypatch):
+        # pulses of equal _pulse_cache_key share one sampler: in 2D s = -9
+        # at A = +-1 (odd s: the cross term vanishes), s = -2 repeated
+        trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=dims, n_max=6)
+        pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a)
+                       for s, a in ((-2, -1.0), (0, -1.0), (-2, -1.0), (-9, 1.0), (-9, -1.0)))
+        made = []
+        if dims == 1:
+            inner = dynamics.rate_matrix
+            monkeypatch.setattr(dynamics, "rate_matrix",
+                                lambda *args: made.append(args) or inner(*args))
+        else:
+            inner = rates.ColumnSampler.__init__
+            monkeypatch.setattr(rates.ColumnSampler, "__init__",
+                                lambda self, *args: made.append(args) or inner(self, *args))
+        samplers = dynamics._samplers(Protocol(pulses, 1), trap, "resonant")
+        keys = [rates._pulse_cache_key(trap, pulse, "resonant") for pulse in pulses]
+        assert len(made) == len(set(keys)) == len(set(map(id, samplers))) == 3
+        assert all((samplers[i] is samplers[j]) == (keys[i] == keys[j])
+                   for i in range(len(pulses)) for j in range(len(pulses)))
 
 
 class TestRecordedRun:

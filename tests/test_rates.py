@@ -188,8 +188,7 @@ class TestAngularQuadrature:
             rate_matrix(trap, Pulse(s=s, duration=1.0))
         rates.clear_caches()
         assert calls == [489]
-        assert rates.cache_counts(before) == {"emission_kernel": {"builds": 1, "hits": 3},
-                                              "rate_matrix": {"builds": 4, "hits": 0}}
+        assert rates.cache_counts(before) == {"emission_kernel": {"builds": 1, "hits": 3}}
 
     def test_kernel_build_holds_no_stack(self):
         # the fig3 kernel at n_max 480 is summed as its stack is stepped: the
@@ -880,27 +879,20 @@ class TestMarkovExpm:
         assert prop[:, 2] == pytest.approx([0.0, 0.0, 1.0], abs=1e-16)
 
 
-class TestMatrixCache:
-    def test_resonant_cache_shares_a_sign(self):
+class TestPulseCacheKey:
+    def test_resonant_key_shares_a_sign(self):
+        # Monte Carlo runs share one sampler per key, so equal keys must mean
+        # equal rates: at odd s the cross term vanishes and A = +-1 differ
+        # only in its sign; at s = 0 the sign darkens different levels
         trap = trap_2d(n_max=4)
-        m_minus = rate_matrix(trap, Pulse(s=-9, duration=1.0, amplitude_ratio=-1.0))
-        m_plus = rate_matrix(trap, Pulse(s=-9, duration=1.0, amplitude_ratio=1.0))
-        assert m_minus is m_plus  # |A|^2 and the dead cross term coincide
-        s0_minus = rate_matrix(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
-        s0_plus = rate_matrix(trap, Pulse(s=0, duration=1.0, amplitude_ratio=1.0))
-        assert s0_minus is not s0_plus
-
-    def test_holds_one_trap(self):
-        trap_a, trap_b = trap_2d(n_max=3), trap_2d(n_max=4)
-        rates.clear_caches()
-        pulse = Pulse(s=-2, duration=1.0)
-        rate_matrix(trap_a, pulse)
-        rate_matrix(trap_a, Pulse(s=0, duration=1.0))
-        rate_matrix(trap_a, pulse, basis="swap")
-        kept = rate_matrix(trap_b, pulse)
-        assert [key[0] for key in rates._MATRICES] == [trap_b]
-        assert rate_matrix(trap_b, pulse) is kept
-        rates.clear_caches()
+        for s, shared in ((-9, True), (-3, True), (0, False)):
+            pulses = [Pulse(s=s, duration=1.0, amplitude_ratio=a) for a in (-1.0, 1.0)]
+            keys = [rates._pulse_cache_key(trap, p, "resonant") for p in pulses]
+            mats = [rate_matrix(trap, p) for p in pulses]
+            assert (keys[0] == keys[1]) == shared
+            for field in ("generator", "leak"):
+                a, b = (getattr(m, field) for m in mats)
+                assert np.array_equal(a, b) == shared, (s, field)
 
 
 class TestCsvExport:
