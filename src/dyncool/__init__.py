@@ -10,7 +10,7 @@ from .dynamics import (Distribution, McEnsembleResult, TimeSeries,
                        propagate_pulse, run_protocol, thermal_distribution)
 from .errors import (ConfigError, DomainError, ResourceLimitError,
                      SimulationError, SingularRatioError, ValidityError)
-from .fc import FcAmplitude, dark_eta_for_level, dark_ratio_A, fc_factor
+from .fc import dark_eta_for_level, dark_ratio_A, fc_factor
 from .protocols import (Protocol, RunSpec, ValidationReport,
                         design_excited_protocol, parse_config, preset,
                         preset_runspec, validate_protocol, write_config,
@@ -21,7 +21,7 @@ from .rates import (Pulse, RateMatrix, TrapConfig, dipole_pattern,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "Distribution", "DomainError", "FcAmplitude",
+    "ConfigError", "Distribution", "DomainError",
     "McEnsembleResult", "PRESET_NAMES", "Protocol", "Pulse",
     "RateMatrix", "ResourceLimitError", "RunSpec", "SimulationError",
     "SingularRatioError", "TimeSeries", "TrapConfig", "ValidationReport",

@@ -12,6 +12,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, dynamics, plot, protocols, rates
 from .errors import (ConfigError, ResourceLimitError, SimulationError,
                      ValidityError)
@@ -23,6 +25,12 @@ EXIT_VALIDATION = 3
 EXIT_RESOURCE = 4
 
 MANIFEST_NAME = "manifest.json"
+
+# per trap dimension: the axis suffixes of a grid table's level columns, and
+# the row order as the empty-rate table's comment states it
+_GRID_LAYOUT = {1: (("",), "m is the trap level"),
+                2: (("x", "y"), "rows flattened row-major in (mx, my): "
+                                "index = mx*(n_max+1) + my")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,7 +186,9 @@ def _cmd_run(args) -> int:
 
     if args.final_distribution:
         fd_path = out_dir / "distribution_final.csv"
-        _write_final_distribution(fd_path, series)
+        dist = series.final_distribution  # the state behind the last sample
+        _write_grid_table(fd_path, f"# final distribution after {series.final().cycle} "
+                          f"cycles; leak = {ff(dist.leak)}", "n", "probability", dist.grid())
         outputs["distribution_final"] = fd_path.name
 
     if args.plot:
@@ -208,23 +218,20 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_final_distribution(path, series) -> None:
-    """The distribution the run stopped at, after the cycle of its last sample."""
-    dist = series.final_distribution
-    lines = [f"# final distribution after {series.final().cycle} cycles; "
-             f"leak = {ff(dist.leak)}"]
-    if len(dist.shape) == 1:
-        lines.append("n,probability")
-        for n, p in enumerate(dist.probs):
-            lines.append(f"{n},{ff(p)}")
-    else:
-        lines.append("nx,ny,probability")
-        grid = dist.grid()
-        for nx in range(grid.shape[0]):
-            for ny in range(grid.shape[1]):
-                lines.append(f"{nx},{ny},{ff(grid[nx, ny])}")
+def _write_grid_table(path, comment: str, letter: str, value: str, grid) -> None:
+    """A CSV of one value per trap level, to ``path`` or, if it is None, to
+    stdout: ``comment``, the column names, then one row per level in
+    row-major order, the level's indices (columns ``letter`` and each axis
+    suffix) and its value."""
+    suffixes, _ = _GRID_LAYOUT[grid.ndim]
+    lines = [comment, ",".join([*(letter + axis for axis in suffixes), value])]
+    lines += [",".join([*map(str, idx), ff(grid[idx])]) for idx in np.ndindex(grid.shape)]
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _write_plot(path, series, targets) -> None:
@@ -244,11 +251,9 @@ def _cmd_rates(args) -> int:
     if not 0 <= args.pulse < len(pulses):
         raise ConfigError(
             f"pulse index {args.pulse} out of range (protocol has {len(pulses)})")
-    vec = rates.empty_rates(spec.trap, pulses[args.pulse])
-    if args.out:
-        rates.export_empty_rates_csv(args.out, spec.trap, vec)
-    else:
-        sys.stdout.write(rates.empty_rates_csv_text(spec.trap, vec))
+    dims = spec.trap.dims
+    _write_grid_table(args.out or None, f"# {dims}D empty rates; {_GRID_LAYOUT[dims][1]}", "m",
+                      "gamma_over_Gamma0", rates.empty_rates(spec.trap, pulses[args.pulse]))
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ propagator (and vice versa).
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import rates
 from .errors import DomainError
-from .protocols import Protocol
-from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig,
-                    _pulse_cache_key, cache_counts, clear_caches, rate_matrix)
+from .protocols import RUN_DEFAULTS, Protocol
+from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig, _pulse_cache_key,
+                    cache_counts, clear_caches, level_indices, rate_matrix)
 
 LEAKED = "leaked"
 COMPLETED = "completed"
@@ -159,8 +160,8 @@ class McEnsembleResult:
 def thermal_distribution(mean_n: float, trap: TrapConfig) -> Distribution:
     """Truncated thermal state with the given total mean quantum number.
 
-    1D: geometric occupation p_n = (1-q) q^n with q = mean/(mean+1).  2D: a
-    product of two geometrics carrying mean/2 each, so the total mean
+    A product of one geometric occupation p_n = (1-q) q^n per axis, with
+    q = mean/(mean+1) of the axis mean mean_n/dims, so the total mean
     n_x + n_y matches.  Tail mass beyond truncation is folded into the
     renormalization and warned about when it exceeds 1e-6.
     """
@@ -175,10 +176,7 @@ def thermal_distribution(mean_n: float, trap: TrapConfig) -> Distribution:
     axis_mean = mean_n / trap.dims
     q = axis_mean / (axis_mean + 1.0)
     axis = (1.0 - q) * q ** np.arange(trap.n_max + 1)
-    if trap.dims == 1:
-        probs = axis
-    else:
-        probs = np.outer(axis, axis).reshape(-1)
+    probs = functools.reduce(np.multiply.outer, [axis] * trap.dims).reshape(-1)
     tail = 1.0 - probs.sum()
     if tail > 1e-6:
         warnings.warn(
@@ -198,8 +196,8 @@ def _obs_rows(shape: tuple[int, ...], target, extra_targets=()):
     """
     flat = []
     for level in (target, *extra_targets):
-        idx = tuple(int(v) for v in np.atleast_1d(level))[:len(shape)]
-        if len(idx) != len(shape) or not all(0 <= v < n for v, n in zip(idx, shape)):
+        idx = level_indices(shape, [level])[0]
+        if not np.all((idx >= 0) & (idx < shape)):
             raise DomainError(f"target {level} outside truncation")
         flat.append(int(np.ravel_multi_index(idx, shape)))
     distinct = list(dict.fromkeys(flat))
@@ -316,7 +314,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     grid state is recovered once, at the end.  An empty protocol or zero
     cycles records the initial sample only and builds no generator.
     """
-    target = protocol.target if protocol.target is not None else _default_target(trap)
+    target = protocol.target if protocol.target is not None else RUN_DEFAULTS[trap.dims].target
     before = cache_counts()
     series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
     if mode == "mc":
@@ -401,19 +399,14 @@ def _swap_lumpable(init: Distribution, protocol: Protocol, trap: TrapConfig,
     return bool(np.array_equal(grid, grid.T))
 
 
-def _default_target(trap: TrapConfig):
-    return 0 if trap.dims == 1 else (0, 0)
-
-
 def _samplers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
-    """Per-pulse jump samplers, one per distinct ``_pulse_cache_key``:
-    dense-backed in 1D, column-on-demand in 2D."""
-    make = rate_matrix if trap.dims == 1 else ColumnSampler
+    """Per-pulse column-on-demand jump samplers, one per distinct
+    ``_pulse_cache_key``."""
     shared: dict = {}
     for pulse in protocol.pulses:
         key = _pulse_cache_key(trap, pulse, rate_mode)
         if key not in shared:
-            shared[key] = make(trap, pulse, rate_mode)
+            shared[key] = ColumnSampler(trap, pulse, rate_mode)
     clear_caches()
     return [shared[_pulse_cache_key(trap, pulse, rate_mode)] for pulse in protocol.pulses]
 
@@ -496,7 +489,7 @@ class _JumpStepper:
 
 
 def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
-                *, init: Distribution | None = None, rate_mode: str = "resonant",
+                *, init: Distribution, rate_mode: str = "resonant",
                 extra_targets: tuple = ()) -> McEnsembleResult:
     """Seeded trajectory ensemble with cycle-boundary occupation estimates.
 
@@ -511,9 +504,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
-    if init is None:
-        raise DomainError("mc_ensemble requires an initial distribution")
-    target = protocol.target if protocol.target is not None else _default_target(trap)
+    target = protocol.target if protocol.target is not None else RUN_DEFAULTS[trap.dims].target
     rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
     rows = np.vstack([rows, rows[1] + rows[2]])
     moments = np.concatenate([rows, rows * rows])
@@ -534,7 +525,6 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
                 stepper.pulse(k, pulse.duration, rng)
         counts = np.bincount(stepper.level[~stepper.leaked], minlength=trap.n_states)
         sums[:, rec] = moments @ counts
-    build = "rates.column_sampler" if trap.dims == 2 else "rates.rate_matrix"
 
     n = float(n_traj)
     mean = sums[:len(rows)] / n
@@ -547,5 +537,5 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         leak_frac=(n - sums[0]) / n, leak_se=se[0],
         extra=mean[extra_rows], extra_se=se[extra_rows],
         jump_counts=stepper.jumps, columns_built=sum(len(s._cache) for s in set(samplers)),
-        phases={build: t1 - t0, "dynamics.mc": time.perf_counter() - t1})
+        phases={"rates.column_sampler": t1 - t0, "dynamics.mc": time.perf_counter() - t1})
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +42,6 @@ _LN2 = math.log(2.0)
 _RESCALE_EVERY = 32
 # e^{-eta^2/2}, a factor of every diagonal entry, is subnormal above this eta
 _RATIO_MAX_ETA = math.sqrt(-2.0 * math.log(np.finfo(np.float64).tiny))
-
-
-@dataclass(frozen=True)
-class FcAmplitude:
-    """One recoil matrix element, with the projection it was evaluated at."""
-
-    value: complex
-    from_level: int
-    to_level: int
-    eta_effective: float
 
 
 _memo = (math.nan, np.zeros((0, 0)))  # fc_reduced's last eta and its table
@@ -98,11 +87,9 @@ def release_table() -> None:
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-def fc_factor(eta_eff: float, m: int, n: int) -> FcAmplitude:
-    """Matrix element <n|exp(i*eta_eff*(a+a^dag))|m>."""
-    value = _I_POWERS[abs(n - m) % 4] * fc_reduced(eta_eff, m, n)
-    return FcAmplitude(value=complex(value), from_level=m, to_level=n,
-                       eta_effective=eta_eff)
+def fc_factor(eta_eff: float, m: int, n: int) -> complex:
+    """Matrix element <n|exp(i*eta_eff*(a+a^dag))|m>, a complex number."""
+    return complex(_I_POWERS[abs(n - m) % 4] * fc_reduced(eta_eff, m, n))
 
 
 def phase_table(n_max: int, l_max: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from . import fc
 from .errors import ConfigError, DomainError, ValidityError
 from .rates import (DEFAULT_QUAD_PHI, DEFAULT_QUAD_THETA, Pulse, TrapConfig,
-                    format_float, level_empty_rates)
+                    format_float, level_empty_rates, level_indices)
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,18 @@ class PresetBundle(NamedTuple):
     thermal_mean: float
 
 
+class RunDefaults(NamedTuple):
+    n_max: int
+    cycles: int
+    target: int | tuple[int, int]
+
+
+# basis depth, cycle count and target of a run, by trap dimension: the
+# presets' values, and what configs and designed protocols get unless they
+# say otherwise
+RUN_DEFAULTS = {1: RunDefaults(n_max=120, cycles=200, target=0),
+                2: RunDefaults(n_max=40, cycles=300, target=(0, 0))}
+
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5_A_minus", "fig5_A_plus",
                 "fig6_solid", "fig6_dashed", "fig7", "fig7_caption_variant")
 
@@ -70,10 +82,6 @@ PRESET_DESCRIPTIONS = {
 
 _GAMMA = 0.01
 _MEAN = 6.0
-_NMAX_1D = 120
-_NMAX_2D = 40
-_CYCLES_1D = 200
-_CYCLES_2D = 300
 
 
 def _pulses(ss, durations=None, ratios=None) -> tuple[Pulse, ...]:
@@ -90,35 +98,32 @@ def preset(name: str) -> PresetBundle:
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if name == "fig2":
-        trap = TrapConfig(eta=3.0, gamma_over_omega=_GAMMA, dims=1, n_max=_NMAX_1D)
-        proto = Protocol(_pulses([-9, 0, -10, -1]), _CYCLES_1D, name, target=0)
+        eta, dims, target = 3.0, 1, 0
+        pulses = _pulses([-9, 0, -10, -1])
     elif name == "fig3":
-        trap = TrapConfig(eta=3.0, gamma_over_omega=_GAMMA, dims=1, n_max=_NMAX_1D)
-        proto = Protocol(_pulses([-9, 8, -10, -3]), _CYCLES_1D, name, target=1)
+        eta, dims, target = 3.0, 1, 1
+        pulses = _pulses([-9, 8, -10, -3])
     elif name == "fig4":
-        trap = TrapConfig(eta=3.065, gamma_over_omega=_GAMMA, dims=1, n_max=_NMAX_1D)
-        proto = Protocol(_pulses([-9, 11, -10, -5]), _CYCLES_1D, name, target=2)
+        eta, dims, target = 3.065, 1, 2
+        pulses = _pulses([-9, 11, -10, -5])
     elif name in ("fig5_A_minus", "fig5_A_plus"):
-        a = -1.0 if name == "fig5_A_minus" else 1.0
-        trap = TrapConfig(eta=3.0, gamma_over_omega=_GAMMA, dims=2, n_max=_NMAX_2D)
-        proto = Protocol(_pulses([-18, -9, -4, 0, -19, -10, -5, -1],
-                                 ratios=[a] * 8),
-                         _CYCLES_2D, name, target=(0, 0))
+        eta, dims, target = 3.0, 2, (0, 0)
+        pulses = _pulses([-18, -9, -4, 0, -19, -10, -5, -1],
+                         ratios=[-1.0 if name == "fig5_A_minus" else 1.0] * 8)
     elif name == "fig6_solid":
-        trap = TrapConfig(eta=3.0, gamma_over_omega=_GAMMA, dims=2, n_max=_NMAX_2D)
-        proto = Protocol(_pulses([-18, -9, -4, 8, -19, -10, -5, -3]),
-                         _CYCLES_2D, name, target=(1, 1))
+        eta, dims, target = 3.0, 2, (1, 1)
+        pulses = _pulses([-18, -9, -4, 8, -19, -10, -5, -3])
     elif name == "fig6_dashed":
-        trap = TrapConfig(eta=3.065, gamma_over_omega=_GAMMA, dims=2, n_max=_NMAX_2D)
-        proto = Protocol(_pulses([-18, -9, -4, 11, -19, -10, -5]),
-                         _CYCLES_2D, name, target=(2, 2))
+        eta, dims, target = 3.065, 2, (2, 2)
+        pulses = _pulses([-18, -9, -4, 11, -19, -10, -5])
     else:  # fig7 and its caption variant
-        last = -2 if name == "fig7" else -1
-        trap = TrapConfig(eta=3.0, gamma_over_omega=_GAMMA, dims=2, n_max=_NMAX_2D)
-        proto = Protocol(_pulses([-18, -9, -4, 0, -19, -10, -5, last],
-                                 durations=[1, 1, 1, 8, 1, 1, 1, 1],
-                                 ratios=[-1, -1, -1, 0.125, -1, -1, -1, -1]),
-                         _CYCLES_2D, name, target=(0, 1))
+        eta, dims, target = 3.0, 2, (0, 1)
+        pulses = _pulses([-18, -9, -4, 0, -19, -10, -5, -2 if name == "fig7" else -1],
+                         durations=[1, 1, 1, 8, 1, 1, 1, 1],
+                         ratios=[-1, -1, -1, 0.125, -1, -1, -1, -1])
+    defaults = RUN_DEFAULTS[dims]
+    trap = TrapConfig(eta=eta, gamma_over_omega=_GAMMA, dims=dims, n_max=defaults.n_max)
+    proto = Protocol(pulses, defaults.cycles, name, target=target)
     return PresetBundle(proto, trap, _MEAN)
 
 
@@ -129,7 +134,9 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
     Errors make the protocol unrunnable (non-integer detuning in resonant
     mode, no pulses); weak confinement never gets here, as ``TrapConfig``
     refuses gamma >= omega.  Warnings flag setups that run but are expected
-    to cool badly; notes carry dark-state sensitivity numbers.
+    to cool badly; notes carry dark-state sensitivity numbers.  A target
+    that is not a level of the trap (``rates.level_indices``) raises
+    ``DomainError``.
     """
     rep = ValidationReport()
     if not protocol.pulses:
@@ -156,6 +163,8 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
             "the interference dark-state mechanism no longer selects levels"))
 
     target = protocol.target
+    if target is not None:
+        level_indices(trap.shape, [target])
     for i, pulse in enumerate(protocol.pulses):
         try:
             s = pulse.s_int
@@ -202,22 +211,23 @@ def design_excited_protocol(target, trap: TrapConfig,
     2D diagonal targets); style='interference' uses the two-laser amplitude
     ratio at zero detuning (any 2D target with a nonsingular ratio).
     """
+    idx = tuple(level_indices(trap.shape, [target])[0].tolist())
     if trap.dims == 1:
         if style != "fc":
             raise DomainError("1D targets support only the 'fc' style")
-        m = int(target) if not isinstance(target, tuple) else int(target[0])
-        if m not in (1, 2):
+        (tgt,) = idx
+        if tgt not in (1, 2):
             raise DomainError(
-                f"closed-form dark conditions exist for levels 1 and 2, got {m}")
-        dark = Pulse(s=_dark_detuning_1d(m, trap), duration=1.0)
+                f"closed-form dark conditions exist for levels 1 and 2, got {tgt}")
+        dark = Pulse(s=_dark_detuning_1d(tgt, trap), duration=1.0)
         skeleton = [Pulse(s=-trap.eta_hat2, duration=1.0), dark,
                     Pulse(s=-trap.eta_hat2 - 1, duration=1.0)]
-        tgt = m
     else:
         e2 = trap.eta_hat2
         pseudo = e2 // 2
+        tgt = idx
         if style == "fc":
-            mx, my = target
+            mx, my = idx
             if mx != my or mx < 1:
                 raise DomainError(
                     "the Franck-Condon dark condition darkens both axes only "
@@ -227,7 +237,7 @@ def design_excited_protocol(target, trap: TrapConfig,
                     f"closed-form dark conditions exist for levels 1 and 2, got {mx}")
             dark = Pulse(s=_dark_detuning_1d(mx, trap), duration=1.0)
         elif style == "interference":
-            ratio = fc.dark_ratio_A(trap.eta, tuple(target))
+            ratio = fc.dark_ratio_A(trap.eta, tgt)
             dark = Pulse(s=0, duration=8.0, amplitude_ratio=ratio)
         else:
             raise DomainError(f"unknown design style {style!r}")
@@ -238,12 +248,11 @@ def design_excited_protocol(target, trap: TrapConfig,
                     Pulse(s=-2 * e2 - 1, duration=1.0),
                     Pulse(s=-e2 - 1, duration=1.0),
                     Pulse(s=-pseudo - 1, duration=1.0)]
-        tgt = tuple(target)
 
-    aux = _auxiliary_pulse(tgt, trap, skeleton)
+    aux = _auxiliary_pulse(idx, trap, skeleton)
     pulses = tuple(skeleton + [aux])
     if cycles is None:
-        cycles = _CYCLES_1D if trap.dims == 1 else _CYCLES_2D
+        cycles = RUN_DEFAULTS[trap.dims].cycles
     return Protocol(pulses, cycles, name=f"designed_{style}", target=tgt)
 
 
@@ -264,11 +273,14 @@ def _dark_detuning_1d(m: int, trap: TrapConfig) -> int:
         f"eta is {nearest:.10f}")
 
 
-def _auxiliary_pulse(target, trap: TrapConfig, skeleton: list[Pulse]) -> Pulse:
-    """Detuning that spares the target but empties its surviving neighbors."""
+def _auxiliary_pulse(idx: tuple, trap: TrapConfig, skeleton: list[Pulse]) -> Pulse:
+    """Detuning that spares the target, at index tuple ``idx``, but empties
+    its surviving neighbors."""
     e2 = trap.eta_hat2
     used = {p.s for p in skeleton}
-    window = _design_window(target, trap)
+    # the levels up to eta_hat^2 + 2 per axis (eta_hat^2 // 2 + 2 in 2D) but the target
+    top = min(trap.n_max, e2 // trap.dims + 2)
+    window = [lvl for lvl in np.ndindex((top + 1,) * trap.dims) if lvl != idx]
     base = np.zeros(len(window))
     for p in skeleton:
         base += level_empty_rates(trap, p, window)
@@ -278,7 +290,7 @@ def _auxiliary_pulse(target, trap: TrapConfig, skeleton: list[Pulse]) -> Pulse:
         if s in used:
             continue
         cand = Pulse(s=s, duration=1.0)
-        if _target_rate(trap, cand, target) > _AUX_RATE_CAP:
+        if _target_rate(trap, cand, idx) > _AUX_RATE_CAP:
             continue
         rates = level_empty_rates(trap, cand, window)
         score = float(np.min(base + rates)) if window else 0.0
@@ -289,16 +301,6 @@ def _auxiliary_pulse(target, trap: TrapConfig, skeleton: list[Pulse]) -> Pulse:
     if best_s is None:
         raise DomainError("no auxiliary detuning spares the target in the scan range")
     return Pulse(s=best_s, duration=1.0)
-
-
-def _design_window(target, trap: TrapConfig):
-    if trap.dims == 1:
-        m = int(target)
-        top = min(trap.n_max, trap.eta_hat2 + 2)
-        return [lvl for lvl in range(top + 1) if lvl != m]
-    top = min(trap.n_max, trap.eta_hat2 // 2 + 2)
-    return [(ax, ay) for ax in range(top + 1) for ay in range(top + 1)
-            if (ax, ay) != tuple(target)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +393,14 @@ def parse_config(text: str) -> RunSpec:
         return int(as_float)
 
     dims = get(trap_kv, "dims", to_int, required=True)
-    if dims not in (1, 2):
+    if dims not in RUN_DEFAULTS:
         raise ConfigError(f"dims must be 1 or 2, got {dims}")
+    defaults = RUN_DEFAULTS[dims]
     trap = TrapConfig(
         eta=get(trap_kv, "eta", float, required=True),
         gamma_over_omega=get(trap_kv, "gamma_over_omega", float, required=True),
         dims=dims,
-        n_max=get(trap_kv, "n_max", to_int,
-                  default=_NMAX_1D if dims == 1 else _NMAX_2D),
+        n_max=get(trap_kv, "n_max", to_int, default=defaults.n_max),
         dipole=get(trap_kv, "dipole", str, default="isotropic"),
         quad_theta=get(trap_kv, "quad_theta", to_int, default=DEFAULT_QUAD_THETA),
         quad_phi=get(trap_kv, "quad_phi", to_int, default=DEFAULT_QUAD_PHI))
@@ -415,11 +417,9 @@ def parse_config(text: str) -> RunSpec:
     mode = get(run_kv, "mode", str, default="master")
     if mode not in ("master", "mc"):
         raise ConfigError(f"mode must be 'master' or 'mc', got {mode!r}")
-    target = get(run_kv, "target", lambda v: _parse_target(v, dims),
-                 default=(0 if dims == 1 else (0, 0)))
+    target = get(run_kv, "target", lambda v: _parse_target(v, dims), default=defaults.target)
     protocol = Protocol(tuple(pulse_objs),
-                        cycles=get(run_kv, "cycles", to_int,
-                                   default=_CYCLES_1D if dims == 1 else _CYCLES_2D),
+                        cycles=get(run_kv, "cycles", to_int, default=defaults.cycles),
                         target=target)
     init_kv = sections.get("[init]", {})
     return RunSpec(
@@ -482,9 +482,8 @@ def write_config(spec: RunSpec) -> str:
                   f"A_im = {ff(a.imag)}"]
     target = spec.protocol.target
     if target is None:
-        target = 0 if spec.trap.dims == 1 else (0, 0)
-    target_str = str(target) if not isinstance(target, tuple) \
-        else f"{target[0]},{target[1]}"
+        target = RUN_DEFAULTS[spec.trap.dims].target
+    target_str = ",".join(map(str, level_indices(spec.trap.shape, [target])[0].tolist()))
     lines += ["",
               "[run]",
               f"cycles = {spec.protocol.cycles}",

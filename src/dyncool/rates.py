@@ -116,15 +116,30 @@ class TrapConfig:
         return math.ceil(2 * self.eta ** 2 + thermal_mean + 6.0 * math.sqrt(thermal_mean))
 
     def flat_index(self, level: int | tuple[int, int]) -> int:
-        if self.dims == 1:
-            m = int(level) if not isinstance(level, tuple) else int(level[0])
-            if not 0 <= m <= self.n_max:
-                raise DomainError(f"level {m} outside truncation 0..{self.n_max}")
-            return m
-        mx, my = level  # type: ignore[misc]
-        if not (0 <= mx <= self.n_max and 0 <= my <= self.n_max):
+        idx = level_indices(self.shape, [level])[0]
+        if not np.all((idx >= 0) & (idx <= self.n_max)):
             raise DomainError(f"level {level} outside truncation 0..{self.n_max}")
-        return mx * (self.n_max + 1) + my
+        return int(np.ravel_multi_index(idx, self.shape))
+
+
+def level_indices(shape: tuple[int, ...], levels) -> np.ndarray:
+    """The listed trap levels of a grid of ``shape`` as a (count, dims) int
+    array: each level is an int m in 1D and a pair (m_x, m_y) in 2D.
+
+    This is the one check of what a level is; any other arity, or a
+    non-integer index, is refused with ``DomainError``.  Range checks stay
+    where the grid is indexed."""
+    try:
+        grid = np.asarray(levels)
+    except ValueError:  # levels of mixed arity
+        grid = np.empty((0, 0))
+    if grid.ndim == 1:  # one index per level
+        grid = grid[:, None]
+    if grid.ndim != 2 or grid.shape[1] != len(shape) or (
+            grid.size and not np.issubdtype(grid.dtype, np.integer)):
+        raise DomainError(f"a level of a {len(shape)}D trap is "
+                          f"{('an int m', 'a pair (m_x, m_y)')[len(shape) - 1]}; got {levels}")
+    return grid.astype(int, copy=False)
 
 
 @dataclass(frozen=True)
@@ -144,6 +159,8 @@ class Pulse:
             raise DomainError(f"detuning index must be finite, got {self.s}")
         if not (self.duration > 0) or not math.isfinite(self.duration):
             raise DomainError(f"pulse duration must be positive, got {self.duration}")
+        if not np.isfinite(complex(self.amplitude_ratio)):
+            raise DomainError(f"amplitude ratio must be finite, got {self.amplitude_ratio}")
 
     @property
     def s_int(self) -> int:
@@ -418,32 +435,23 @@ def _empty_rate(x2, dx=0.0, y2=0.0, dy=0.0, a=0.0):
 
 
 def empty_rates(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
-    """Total rate (units Gamma0) at which each level is emptied, over trap.shape.
-
-    In 1D Gamma_m = |<m+s|e^{ikx}|m>|^2 for m+s >= 0, else 0; in 2D it is the
-    two-laser form of ``_empty_rate``, broadcast over the per-axis factors.
-    A level is dark exactly where its rate vanishes.
-    """
-    s = pulse.s_int
-    f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
-    norm2, diag = f * f, f * (s == 0)
-    if trap.dims == 1:
-        return _empty_rate(norm2)
-    return _empty_rate(norm2[:, None], diag[:, None], norm2, diag,
-                       complex(pulse.amplitude_ratio))
+    """``level_empty_rates`` of every grid level, over trap.shape."""
+    levels = np.indices(trap.shape).reshape(trap.dims, -1).T
+    return level_empty_rates(trap, pulse, levels).reshape(trap.shape)
 
 
 def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
-    """Resonant empty rates of the listed levels: ints in 1D, (m_x, m_y)
-    pairs in 2D."""
+    """Resonant empty rates (units Gamma0) of the listed levels (``level_indices``).
+
+    Each axis's absorption amplitude at level m is the reduced factor F at
+    m + s, zero where m + s < 0, and ``_empty_rate`` combines the axes; a
+    level is dark exactly where its rate vanishes.
+    """
     s = pulse.s_int
-    grid = np.asarray(levels, dtype=int).reshape(-1, trap.dims)
+    grid = level_indices(trap.shape, levels)
     f = _reduced_absorption(trap.eta, s, grid.reshape(-1)).reshape(grid.shape)
-    norm2, diag = f * f, f * (s == 0)
-    if trap.dims == 1:
-        return _empty_rate(norm2[:, 0])
-    return _empty_rate(norm2[:, 0], diag[:, 0], norm2[:, 1], diag[:, 1],
-                       complex(pulse.amplitude_ratio))
+    axes = [v for axis in f.T for v in (axis * axis, axis * (s == 0))]
+    return _empty_rate(*axes, a=complex(pulse.amplitude_ratio))
 
 
 class RateMatrix:
@@ -603,8 +611,7 @@ class _Resonant:
     def __init__(self, trap: TrapConfig, pulse: Pulse):
         self.s = s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
-        if trap.dims == 2:
-            self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+        self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
         self.closures = empty_rates(trap, pulse)
         tables = angular_tables(trap)
         l_max = trap.n_max + max(s, 0)
@@ -700,15 +707,9 @@ class _Full:
         n_max = trap.n_max
         l_max = min(n_max + _level_headroom(trap.eta, n_max), fc._INTERNAL_MAX_DEGREE)
         if trap.dims == 1:
+            # the u > 0 half of the line rule; its order is even, so no node at u = 0
             order = _line_order(trap.eta, l_max)
             _check_stack_budget(order // 2 * (n_max + 1) * (l_max + 1), "the 1D recoil stack")
-        self.coeffs = c = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
-        norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
-        self.closures = _empty_rate(norm2) if trap.dims == 1 else _empty_rate(
-            norm2[:, None], c.diagonal()[:, None], norm2, c.diagonal(), self.a)
-        self.phases = fc.phase_table(n_max, l_max)
-        if trap.dims == 1:
-            # the u > 0 half of the line rule; its order is even, so no node at u = 0
             u, w = _line_rule(trap.dipole, order)
             self.stacks = (fc.reduced_stack(trap.eta * u[u > 0], n_max, l_max),)
             self.w = 2.0 * w[u > 0]
@@ -717,6 +718,11 @@ class _Full:
             self.stacks = tuple(tables.stack(axis, l_max)[:, :, :l_max + 1]
                                 for axis in "xy")
             self.w = tables.fold_weights
+        self.coeffs = c = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
+        norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
+        self.closures = _empty_rate(*(v for m in np.indices(trap.shape)
+                                      for v in (norm2[m], c.diagonal()[m])), a=self.a)
+        self.phases = fc.phase_table(n_max, l_max)
         self.exits = np.maximum(self.closures - self._node_sum(
             *(self._diagonal(stack) for stack in self.stacks)), 0.0)
 
@@ -857,35 +863,6 @@ def _pulse_cache_key(trap: TrapConfig, pulse: Pulse, mode: str):
     return (mode, pulse.s, a)
 
 
-# ---------------------------------------------------------------------------
-# CSV export
-
-
 def format_float(x: float) -> str:
     """Round-trip decimal formatting used by every CSV/CLI emitter."""
     return format(float(x), ".17g")
-
-
-def empty_rates_csv_text(trap: TrapConfig, rates: np.ndarray) -> str:
-    """CSV text for an empty-rate vector (1D) or grid (2D), units Gamma0."""
-    lines = []
-    if trap.dims == 1:
-        lines.append("# 1D empty rates; m is the trap level")
-        lines.append("m,gamma_over_Gamma0")
-        for m, val in enumerate(np.asarray(rates).reshape(-1)):
-            lines.append(f"{m},{format_float(val)}")
-    else:
-        lines.append("# 2D empty rates; rows flattened row-major in (mx, my): "
-                     "index = mx*(n_max+1) + my")
-        lines.append("mx,my,gamma_over_Gamma0")
-        grid = np.asarray(rates).reshape(trap.shape)
-        for mx in range(trap.n_max + 1):
-            for my in range(trap.n_max + 1):
-                lines.append(f"{mx},{my},{format_float(grid[mx, my])}")
-    return "\n".join(lines) + "\n"
-
-
-def export_empty_rates_csv(path, trap: TrapConfig, rates: np.ndarray) -> None:
-    """Empty-rate vector (1D) or grid (2D) in units Gamma0."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(empty_rates_csv_text(trap, rates))

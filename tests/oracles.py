@@ -18,6 +18,7 @@ import numpy as np
 
 from dyncool import dynamics, rates
 from dyncool.errors import DomainError
+from dyncool.protocols import RUN_DEFAULTS
 
 mp.mp.dps = 50
 
@@ -198,7 +199,7 @@ def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
     target occupation at consecutive cycle ends.  Returns a master
     ``TimeSeries`` with its final distribution and ``clipped_mass``.
     """
-    target = protocol.target if protocol.target is not None else dynamics._default_target(trap)
+    target = protocol.target if protocol.target is not None else RUN_DEFAULTS[trap.dims].target
     lumped = dynamics._swap_lumpable(init, protocol, trap, rate_mode)
     basis = rates.StateBasis(trap, "swap" if lumped else "full")
     mats = [rates.rate_matrix(trap, pulse, rate_mode, basis.kind) for pulse in protocol.pulses]

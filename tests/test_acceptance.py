@@ -223,7 +223,7 @@ def test_criterion_08_fc_oracle_equivalence():
                 ref = fc_modulus_series(eta, m, n)
                 if ref <= 1e-30:
                     continue
-                got = abs(fc.fc_factor(eta, m, n).value)
+                got = abs(fc.fc_factor(eta, m, n))
                 worst = max(worst, abs(got - ref) / ref)
                 count += 1
     ok = worst < 1e-10

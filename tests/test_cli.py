@@ -236,12 +236,16 @@ class TestRun:
     @pytest.mark.parametrize("mode, phases", [
         ("master", {"rates.rate_matrix", "dynamics.propagate"}),
         ("mc", {"rates.column_sampler", "dynamics.mc"})])
-    def test_manifest_phases(self, tmp_path, capsys, mode, phases):
+    @pytest.mark.parametrize("dims, target, basis, states", [
+        (2, "0,0", "swap", 66),  # |A| = 1, thermal start: the level pairs of 11 x 11
+        (1, "0", "full", 11)], ids=["2d", "1d"])
+    def test_manifest_phases(self, tmp_path, capsys, mode, phases, dims, target, basis,
+                             states):
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("[trap]\neta = 1\ngamma_over_omega = 0.01\ndims = 2\n"
+        cfg.write_text(f"[trap]\neta = 1\ngamma_over_omega = 0.01\ndims = {dims}\n"
                        "n_max = 10\n[init]\nthermal_mean = 1\n"
                        "[[pulse]]\ns = -2\nA_re = -1\n[[pulse]]\ns = 0\nA_re = -1\n"
-                       "[run]\ncycles = 4\ntarget = 0,0\n")
+                       f"[run]\ncycles = 4\ntarget = {target}\n")
         out = tmp_path / mode
         assert run_cli("run", "--config", str(cfg), "--mode", mode,
                        "--trajectories", "20", "--out-dir", str(out)) == 0
@@ -258,8 +262,7 @@ class TestRun:
             assert not {"basis", "states", "clipped_mass"} & set(manifest)
         else:
             assert "columns_built" not in manifest
-            # |A| = 1 and a thermal start: the unordered level pairs of 11 x 11
-            assert manifest["basis"] == "swap" and manifest["states"] == 66
+            assert manifest["basis"] == basis and manifest["states"] == states
             assert 0.0 <= manifest["clipped_mass"] < 1e-12
 
     def test_target_override(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from dyncool.dynamics import (Distribution, mc_ensemble, mc_trajectory,
                               observables, propagate_pulse, run_protocol,
                               thermal_distribution)
 from dyncool.errors import DomainError
-from dyncool.protocols import Protocol, preset
+from dyncool.protocols import RUN_DEFAULTS, Protocol, preset
 from dyncool.rates import Pulse, RateMatrix, TrapConfig
 
 from oracles import (jump_trajectory, level_distribution, per_pulse_run,
@@ -564,7 +564,7 @@ class TestCycleStepping:
         trap_2d = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=6)
         for trap, level in ((trap_1d(n_max=20), 3), (trap_2d, (3, 3))):
             init = level_distribution(level, trap)
-            protocol = Protocol(pulses, cycles, target=dynamics._default_target(trap))
+            protocol = Protocol(pulses, cycles, target=RUN_DEFAULTS[trap.dims].target)
             series = run_protocol(init, protocol, trap, stop_tol=0.0)
             assert len(series.samples) == 1 and series.samples[0].obs.extra == ()
             assert series.samples[0].t == 0.0
@@ -653,19 +653,62 @@ class TestCycleStepping:
         pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a)
                        for s, a in ((-2, -1.0), (0, -1.0), (-2, -1.0), (-9, 1.0), (-9, -1.0)))
         made = []
-        if dims == 1:
-            inner = dynamics.rate_matrix
-            monkeypatch.setattr(dynamics, "rate_matrix",
-                                lambda *args: made.append(args) or inner(*args))
-        else:
-            inner = rates.ColumnSampler.__init__
-            monkeypatch.setattr(rates.ColumnSampler, "__init__",
-                                lambda self, *args: made.append(args) or inner(self, *args))
+        inner = rates.ColumnSampler.__init__
+        monkeypatch.setattr(rates.ColumnSampler, "__init__",
+                            lambda self, *args: made.append(args) or inner(self, *args))
         samplers = dynamics._samplers(Protocol(pulses, 1), trap, "resonant")
         keys = [rates._pulse_cache_key(trap, pulse, "resonant") for pulse in pulses]
         assert len(made) == len(set(keys)) == len(set(map(id, samplers))) == 3
         assert all((samplers[i] is samplers[j]) == (keys[i] == keys[j])
                    for i in range(len(pulses)) for j in range(len(pulses)))
+
+    def test_1d_ensemble_builds_column_samplers(self, monkeypatch):
+        # a 1D ensemble samples jumps from columns built on demand, as a 2D
+        # one does: one ColumnSampler per key and no dense generator
+        trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=1, n_max=12)
+        pulses = tuple(Pulse(s=s, duration=1.0) for s in (-2, 0, -2, -3))
+        keys = {rates._pulse_cache_key(trap, pulse, "resonant") for pulse in pulses}
+        made, dense = [], []
+        inner = rates.ColumnSampler.__init__
+        monkeypatch.setattr(rates.ColumnSampler, "__init__",
+                            lambda self, *args: made.append(args) or inner(self, *args))
+        monkeypatch.setattr(dynamics, "rate_matrix", lambda *args: dense.append(args))
+        ens = mc_ensemble(50, Protocol(pulses, 3), trap, seed=2,
+                          init=level_distribution(6, trap))
+        assert len(made) == len(keys) == 3
+        assert dense == []
+        assert ens.jump_counts.sum() > 0 and set(ens.phases) == {"rates.column_sampler",
+                                                                 "dynamics.mc"}
+
+
+class TestLevelArity:
+    """A level is an int on a 1D trap and a pair on a 2D one; every entry
+    point refuses another arity with DomainError."""
+
+    CASES = ((1, (0, 1)), (2, 0), (2, (0,)), (2, (0, 1, 2)))
+
+    @staticmethod
+    def trap(dims):
+        return TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=dims, n_max=4)
+
+    @pytest.mark.parametrize("mode", ["master", "mc"])
+    def test_run_protocol_refuses_wrong_arity(self, mode):
+        for dims, level in self.CASES:
+            trap = self.trap(dims)
+            init = level_distribution(RUN_DEFAULTS[dims].target, trap)
+            pulses = (Pulse(s=-1, duration=1.0),)
+            with pytest.raises(DomainError, match=f"{dims}D trap"):
+                run_protocol(init, Protocol(pulses, 1, target=level), trap, mode=mode,
+                             trajectories=5)
+            with pytest.raises(DomainError, match=f"{dims}D trap"):
+                run_protocol(init, Protocol(pulses, 1), trap, mode=mode, trajectories=5,
+                             extra_targets=(level,))
+
+    def test_observables_refuse_wrong_arity(self):
+        for dims, level in self.CASES:
+            trap = self.trap(dims)
+            with pytest.raises(DomainError, match=f"{dims}D trap"):
+                observables(level_distribution(RUN_DEFAULTS[dims].target, trap), level)
 
 
 class TestRecordedRun:

@@ -124,6 +124,26 @@ class TestValidation:
         assert "1.001" in text and "0.999" in text
 
 
+class TestLevelArity:
+    # a level is an int in 1D and a pair in 2D: validation and design refuse
+    # another arity
+    CASES = ((1, (1, 1)), (2, 1), (2, (1,)), (2, (1, 1, 1)))
+
+    def test_validate_refuses_wrong_arity(self):
+        for dims, level in self.CASES:
+            trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=dims, n_max=20)
+            protocol = Protocol((Pulse(s=-9, duration=1.0), Pulse(s=8, duration=1.0)), 1,
+                                target=level)
+            with pytest.raises(DomainError, match=f"{dims}D trap"):
+                validate_protocol(protocol, trap)
+
+    def test_design_refuses_wrong_arity(self):
+        for dims, level in self.CASES:
+            trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=dims, n_max=20)
+            with pytest.raises(DomainError, match=f"{dims}D trap"):
+                design_excited_protocol(level, trap)
+
+
 class TestDesign:
     def test_1d_level1_uses_s8(self):
         trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=60)

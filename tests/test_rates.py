@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dyncool import fc, rates
+from dyncool import cli, fc, rates
 from dyncool.errors import DomainError, ResourceLimitError, SimulationError, ValidityError
 from dyncool.protocols import PRESET_NAMES, preset
 from dyncool.rates import Pulse, TrapConfig, dipole_pattern, empty_rates, rate_matrix
@@ -68,6 +68,18 @@ class TestTrapConfig:
         assert trap.flat_index((2, 3)) == 15
         with pytest.raises(DomainError):
             trap.flat_index((6, 0))
+
+    def test_wrong_arity_levels_refused(self):
+        # a level is an int in 1D and a pair in 2D, in flat_index and in
+        # level_empty_rates alike
+        pulse = Pulse(s=-1, duration=1.0)
+        for trap, level in ((trap_1d(n_max=5), (0, 1)), (trap_2d(n_max=5), 0),
+                            (trap_2d(n_max=5), (0,)), (trap_2d(n_max=5), (0, 1, 2))):
+            with pytest.raises(DomainError, match=f"{trap.dims}D trap"):
+                trap.flat_index(level)
+            with pytest.raises(DomainError, match=f"{trap.dims}D trap"):
+                rates.level_empty_rates(trap, pulse, [level])
+        assert trap_1d(n_max=5).flat_index(4) == 4
 
     def test_recommended_n_max(self):
         trap = trap_1d(eta=3.0)
@@ -323,12 +335,12 @@ def brute_column_2d(trap, pulse, mx, my):
     wgt = w * dipole_pattern(trap.dipole, theta, phi)
     n1 = trap.n_max + 1
     out = np.zeros((n1, n1))
-    c1 = fc.fc_factor(trap.eta, mx, mx + s).value if mx + s >= 0 else 0.0
-    c2 = a * (fc.fc_factor(trap.eta, my, my + s).value if my + s >= 0 else 0.0)
+    c1 = fc.fc_factor(trap.eta, mx, mx + s) if mx + s >= 0 else 0.0
+    c2 = a * (fc.fc_factor(trap.eta, my, my + s) if my + s >= 0 else 0.0)
     def row_from(eta_eff, level):
         if level < 0:
             return np.zeros(n1, dtype=complex)
-        return np.array([fc.fc_factor(eta_eff, level, n).value for n in range(n1)])
+        return np.array([fc.fc_factor(eta_eff, level, n) for n in range(n1)])
 
     for k in range(theta.shape[0]):
         ex = trap.eta * math.sin(theta[k]) * math.cos(phi[k])
@@ -651,6 +663,20 @@ class TestColumnSampler:
             assert total_s == total_d
             assert np.array_equal(cum_d, cum_s)
 
+    @pytest.mark.parametrize("mode", ["resonant", "full"])
+    @pytest.mark.parametrize("s", [0, -2, 2, -3, 4])
+    def test_every_column_bitwise_equal_to_dense_1d(self, s, mode):
+        # 1D Monte Carlo samples from a ColumnSampler, as 2D does
+        trap = trap_1d(eta=1.7, n_max=30)
+        pulse = Pulse(s=s, duration=1.0)
+        dense = rate_matrix(trap, pulse, mode)
+        sampler = rates.ColumnSampler(trap, pulse, mode)
+        for idx in range(trap.n_states):
+            total_d, cum_d = dense.jump_distribution(idx)
+            total_s, cum_s = sampler.jump_distribution(idx)
+            assert total_s == total_d
+            assert np.array_equal(cum_d, cum_s)
+
     @pytest.mark.parametrize("s", [0, -2, 4])
     def test_chunked_columns_bitwise_equal_to_dense(self, monkeypatch, s):
         # with the factors formed in chunks of 7 of the 1056 nodes
@@ -897,10 +923,12 @@ class TestPulseCacheKey:
 
 class TestCsvExport:
     def test_empty_rates_csv_1d(self, tmp_path):
-        trap = trap_1d(n_max=12)
         path = tmp_path / "r.csv"
-        vec = empty_rates(trap, Pulse(s=-9, duration=1.0))
-        rates.export_empty_rates_csv(path, trap, vec)
+        config = tmp_path / "p.cfg"
+        config.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 1\n"
+                          "n_max = 12\n[[pulse]]\ns = -9\n")
+        assert cli.main(["rates", "--config", str(config), "--pulse", "0",
+                         "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "m,gamma_over_Gamma0"
@@ -908,10 +936,12 @@ class TestCsvExport:
         assert len(lines) == 2 + 13
 
     def test_empty_rates_csv_2d_row_major(self, tmp_path):
-        trap = trap_2d(n_max=2)
         path = tmp_path / "r.csv"
-        grid = empty_rates(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
-        rates.export_empty_rates_csv(path, trap, grid)
+        config = tmp_path / "p.cfg"
+        config.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 2\n"
+                          "n_max = 2\n[[pulse]]\ns = 0\nA_re = -1\n")
+        assert cli.main(["rates", "--config", str(config), "--pulse", "0",
+                         "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert "row-major" in lines[0]
         assert lines[1] == "mx,my,gamma_over_Gamma0"
