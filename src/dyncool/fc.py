@@ -92,12 +92,6 @@ def fc_factor(eta_eff: float, m: int, n: int) -> complex:
     return complex(_I_POWERS[abs(n - m) % 4] * fc_reduced(eta_eff, m, n))
 
 
-def phase_table(n_max: int, l_max: int) -> np.ndarray:
-    """i^|n-l| over the (n, l) grid."""
-    d = np.abs(np.arange(n_max + 1)[:, None] - np.arange(l_max + 1)[None, :])
-    return np.array([1.0, 1.0j, -1.0, -1.0j])[d % 4]
-
-
 def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int, *,
                   weights: np.ndarray | None = None) -> np.ndarray:
     """Reduced factors R[k, n, l] at many projected etas at once.

@@ -247,8 +247,8 @@ class AngularTables:
     8-fold folded sphere grid (u, v >= 0, z > 0); where an integrand is not
     even in u or v (full-mode interference between intermediate levels), its
     consumer adds the mirror images through the parity of R.
-    ``stack(axis, l_max)`` holds the real reduced factors R[k, n, l] on that
-    grid (phases applied by consumers) and grows lazily in l:
+    ``stack(axis, l_max)`` holds the signed reduced factors S[k, n, l]
+    (``_signed``) on that grid and grows lazily in l:
     (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1) doubles,
     84 MB per axis for full mode at the fig5 depth.  The
     2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2 is held
@@ -279,7 +279,7 @@ class AngularTables:
             proj = self.fold_proj[axis]
             _check_stack_budget(proj.shape[0] * (self.trap.n_max + 1) * (l_max + 1),
                                 "projected displacement stack", " or the quadrature orders")
-            cached = fc.reduced_stack(self.trap.eta * proj, self.trap.n_max, l_max)
+            cached = _signed(fc.reduced_stack(self.trap.eta * proj, self.trap.n_max, l_max))
             self._stacks[axis] = cached
         return cached
 
@@ -372,6 +372,17 @@ class AngularTables:
         return kernel if self.trap.dims == 2 else kernel[:, :l_max + 1]
 
 
+def _signed(stack: np.ndarray) -> np.ndarray:
+    """Reduced factors R[..., n, l] times (-1)^floor(|n-l|/2), in place: the
+    phase i^|n-l| of the recoil amplitude up to the unit i^((n-l) mod 2),
+    which is fixed for each n within one parity class of l and cancels in
+    every product the rates take (squares, the even-s cross term, full
+    mode's |P|^2, |Q|^2 and P e*)."""
+    n, l = stack.shape[-2:]
+    d = np.abs(np.arange(n)[:, None] - np.arange(l))
+    return np.multiply(stack, np.where(d % 4 > 1, -1.0, 1.0), out=stack)
+
+
 def _check_stack_budget(entries: int, what: str, remedy: str = "") -> None:
     """Refuse an array of ``entries`` doubles above ``_FULL_STACK_BUDGET``,
     before anything is allocated."""
@@ -459,16 +470,14 @@ class RateMatrix:
 
     ``generator`` holds Gamma_{n<-m} off the diagonal and -(Gamma_empty - Gamma_self)
     on it; ``leak`` is max(exit - column outflow, 0), so column sums equal -leak up
-    to rounding.  ``empty_rates`` are the untruncated closure totals; ``self_rates``
-    the m<-m terms, which cancel in the dynamics and are kept out of the generator;
-    ``exit_rates`` is -diag, the Monte Carlo exit clocks, formed on first use.
+    to rounding.  ``self_rates`` are the m<-m terms, kept out of the generator as
+    they cancel in the dynamics; ``exit_rates`` is -diag, the Monte Carlo exit clocks.
     """
 
     def __init__(self, generator: np.ndarray, leak: np.ndarray,
-                 empty_rates: np.ndarray, self_rates: np.ndarray, mode: str):
+                 self_rates: np.ndarray, mode: str):
         self.generator = generator
         self.leak = leak
-        self.empty_rates = empty_rates
         self.self_rates = self_rates
         self.mode = mode
         self._propagators: dict[float, np.ndarray] = {}
@@ -554,8 +563,7 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     return out
 
 
-def _assemble(columns: np.ndarray, closure: np.ndarray, exits: np.ndarray,
-              mode: str) -> RateMatrix:
+def _assemble(columns: np.ndarray, exits: np.ndarray, mode: str) -> RateMatrix:
     """Package raw quadrature columns (including the m<-m entry) into a
     generator with -exits on its diagonal."""
     generator = np.maximum(columns, 0.0)
@@ -563,7 +571,7 @@ def _assemble(columns: np.ndarray, closure: np.ndarray, exits: np.ndarray,
     np.fill_diagonal(generator, 0.0)
     leak = np.maximum(exits - generator.sum(axis=0), 0.0)
     np.fill_diagonal(generator, -exits)
-    return RateMatrix(generator, leak, closure.copy(), self_rates, mode)
+    return RateMatrix(generator, leak, self_rates, mode)
 
 
 def _check_matrix_budget(side: int) -> None:
@@ -601,8 +609,8 @@ class _Resonant:
     In 1D column m is its empty rate F_m^2 times S1[:, m+s].  In 2D column
     (mx, my) is f_x^2 T[:, mx+s, :, my] + |A|^2 f_y^2 T[:, mx, :, my+s]
     + 2 Re(A) f_x f_y C_s[:, mx, :, my].  The cross term is odd in both
-    direction projections for odd s; for even s its i^|n-l| phases factor
-    into one sign per axis, so C_s is a folded node sum like T, held as
+    direction projections for odd s; for even s its phases are the signs of
+    the signed stacks, so C_s is a folded node sum like T, held as
     factors on T's node basis.  A column is then one GEMM of the three scaled
     left factor slices, stacked, against their right slices.  At s = 0 C_s is
     T: the column is the empty rate times T[:, mx, :, my], exactly 0 if dark.
@@ -658,28 +666,23 @@ class _Resonant:
 
 
 def _cross_factor(stack: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(-1)^(p/2) R_k[n, m+s] R_k[n, m], p = |n-m-s| - |n-m|, or 0 if m+s < 0,
-    into ``out`` if given.
-
-    The levels m with m + s >= 0 multiply two slices of the stack, with no
-    gathered copy of it; the others are zeroed."""
+    """S_k[n, m+s] S_k[n, m] of a signed stack, or 0 if m+s < 0, into ``out``
+    if given: two slices of the stack multiplied, with no gathered copy."""
     k, n1 = stack.shape[:2]
     lo = min(max(-s, 0), n1)
-    ns, ms = np.arange(n1)[:, None], np.arange(lo, n1)
-    p = np.abs(ns - ms - s) - np.abs(ns - ms)
     out = np.empty((k, n1, n1)) if out is None else out
     out[:, :, :lo] = 0.0
-    part = np.multiply(stack[:, :, lo + s:n1 + s], stack[:, :, lo:n1], out=out[:, :, lo:])
-    part *= np.where(p % 4 == 0, 1.0, -1.0)
+    np.multiply(stack[:, :, lo + s:n1 + s], stack[:, :, lo:n1], out=out[:, :, lo:])
     return out
 
 
 def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.ndarray:
     """c[l, m] = <l|e^{ikx}|m> * gamma / (delta - omega(l - m) + i gamma),
-    dimensionless, for l <= l_max and every trap level m."""
+    dimensionless, for l <= l_max and every trap level m, up to the unit
+    phase i^((l-m) mod 2) (``_signed``)."""
     gt = trap.gamma_over_omega
     n_max = trap.n_max
-    amps = fc.phase_table(l_max, n_max) * fc.reduced_stack(np.array([trap.eta]), l_max, n_max)[0]
+    amps = _signed(fc.reduced_stack(np.array([trap.eta]), l_max, n_max)[0])
     shift = np.arange(l_max + 1)[:, None] - np.arange(n_max + 1)[None, :]
     return amps * gt / ((pulse.s - shift) + 1j * gt)
 
@@ -700,6 +703,8 @@ class _Full:
     turns g into (-1)^(n+m) (P - Q) and e into (-1)^(n+m) e.  Averaged over
     the images, which the folded weights count, |g|^2 becomes
     |P|^2 + |Q|^2 and g e* becomes P e*: the mixed-parity terms cancel.
+    On signed stacks (``_signed``) P and Q are one real product of the stack
+    with c[:, m] split by the parity of l, and e is a slice of the stack.
     """
 
     def __init__(self, trap: TrapConfig, pulse: Pulse):
@@ -711,7 +716,7 @@ class _Full:
             order = _line_order(trap.eta, l_max)
             _check_stack_budget(order // 2 * (n_max + 1) * (l_max + 1), "the 1D recoil stack")
             u, w = _line_rule(trap.dipole, order)
-            self.stacks = (fc.reduced_stack(trap.eta * u[u > 0], n_max, l_max),)
+            self.stacks = (_signed(fc.reduced_stack(trap.eta * u[u > 0], n_max, l_max)),)
             self.w = 2.0 * w[u > 0]
         else:
             tables = angular_tables(trap)
@@ -722,26 +727,26 @@ class _Full:
         norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
         self.closures = _empty_rate(*(v for m in np.indices(trap.shape)
                                       for v in (norm2[m], c.diagonal()[m])), a=self.a)
-        self.phases = fc.phase_table(n_max, l_max)
         self.exits = np.maximum(self.closures - self._node_sum(
             *(self._diagonal(stack) for stack in self.stacks)), 0.0)
 
+    def _operand(self, m):
+        """c[:, m] split by the parity of l (m's, the other) as real columns
+        (Re, Im) of each: (l, 4) for one level m, (levels, l, 4) for an array."""
+        c = self.coeffs.T[m]
+        other = np.arange(c.shape[-1]) % 2 != np.asarray(m)[..., None] % 2
+        return (c[..., None] * np.stack([~other, other], axis=-1)).view(float)
+
     def _axis(self, stack: np.ndarray, m: int):
         """(P, Q, e) of one axis for source level m, each (nodes, n)."""
-        b = self.phases * self.coeffs[:, m]
-        same, other = m % 2, 1 - m % 2
-        return (np.einsum("knl,nl->kn", stack[:, :, same::2], b[:, same::2]),
-                np.einsum("knl,nl->kn", stack[:, :, other::2], b[:, other::2]),
-                self.phases[:, m] * stack[:, :, m])
+        pq = np.matmul(stack, self._operand(m)).view(complex)
+        return pq[..., 0], pq[..., 1], stack[:, :, m]
 
     def _diagonal(self, stack: np.ndarray):
-        """(P, Q, e) of one axis at n = m (e's phase is 1), for every source level m."""
+        """(P, Q, e) of one axis at n = m, for every source level m."""
         m = np.arange(stack.shape[1])
-        b = self.phases * self.coeffs.T  # (m, l)
-        same = (m[:, None] - np.arange(b.shape[1])) % 2 == 0
-        p, q = (np.einsum("kml,ml->km", stack, c.real)
-                + 1j * np.einsum("kml,ml->km", stack, c.imag) for c in (b * same, b * ~same))
-        return p, q, stack[:, m, m]
+        pq = np.matmul(stack.transpose(1, 0, 2), self._operand(m)).view(complex)
+        return pq[..., 0].T, pq[..., 1].T, stack[:, m, m]
 
     def column(self, *level) -> np.ndarray:
         return self._node_sum(*(self._axis(stack, m) for stack, m in zip(self.stacks, level)))
@@ -753,9 +758,9 @@ class _Full:
             return self.w @ (_abs2(px) + _abs2(qx))
         py, qy, ey = y
         w = self.w[:, None]
-        out = (w * (_abs2(px) + _abs2(qx))).T @ _abs2(ey)
-        out += abs(self.a) ** 2 * ((w * _abs2(ex)).T @ (_abs2(py) + _abs2(qy)))
-        cross = np.conj(self.a) * ((w * (px * np.conj(ex))).T @ (ey * np.conj(py)))
+        out = (w * (_abs2(px) + _abs2(qx))).T @ (ey * ey)
+        out += abs(self.a) ** 2 * ((w * (ex * ex)).T @ (_abs2(py) + _abs2(qy)))
+        cross = np.conj(self.a) * ((w * (px * ex)).T @ (ey * np.conj(py)))
         return out + 2.0 * cross.real
 
 
@@ -820,8 +825,7 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
         if basis == "swap" and level[0] != level[1]:
             exits[j] -= max(col[np.ravel_multi_index(level[::-1], trap.shape)], 0.0)
         columns[:, j] = states.lump(col)
-    return _assemble(columns, provider.closures[tuple(states.levels.T)],
-                     np.maximum(exits, 0.0), mode)
+    return _assemble(columns, np.maximum(exits, 0.0), mode)
 
 
 class ColumnSampler:

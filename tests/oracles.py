@@ -74,6 +74,13 @@ def folded_resonant_column_2d(rx, ry, w, fx, fy, s: int, a: complex, mx: int, my
     return out
 
 
+def recoil_phases(n_max: int, l_max: int) -> np.ndarray:
+    """i^|n-l| over the (n, l) grid: the phases of the recoil amplitudes
+    <n|exp(i*eta*(a+a^dag))|l> over their real reduced factors."""
+    d = np.abs(np.arange(n_max + 1)[:, None] - np.arange(l_max + 1)[None, :])
+    return np.array([1.0, 1.0j, -1.0, -1.0j])[d % 4]
+
+
 def fc_modulus_series(eta: float, m: int, n: int) -> float:
     """|<n|exp(i*eta*(a+a^dag))|m>| from the exact finite sum."""
     return abs(fc_reduced_series(eta, m, n))

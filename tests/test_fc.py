@@ -7,7 +7,7 @@ import pytest
 from dyncool import fc
 from dyncool.errors import DomainError, SingularRatioError
 
-from oracles import fc_modulus_series, fc_reduced_series, laguerre_recurrence
+from oracles import fc_modulus_series, fc_reduced_series, laguerre_recurrence, recoil_phases
 
 
 class TestLaguerre:
@@ -122,11 +122,11 @@ class TestFcFactor:
 
 class TestFcRow:
     """Rows <n|exp(i*eta*(a+a^dag))|m>, n = 0..n_max, of the amplitude table
-    phase_table * reduced_stack, and the fc_factor entries they slice."""
+    recoil_phases * reduced_stack, and the fc_factor entries they slice."""
 
     @staticmethod
     def row(eta, m, n_max):
-        return (fc.phase_table(n_max, m) * fc.reduced_stack(np.array([eta]), n_max, m)[0])[:, m]
+        return (recoil_phases(n_max, m) * fc.reduced_stack(np.array([eta]), n_max, m)[0])[:, m]
 
     def test_zero_eta_unit_vector(self):
         row = self.row(0.0, 5, 10)
@@ -174,7 +174,7 @@ class TestReducedStack:
             np.fill_diagonal(identity, 1.0)
             assert np.array_equal(stack[2], identity)
         # with its i^|n-l| phases the stack is the full amplitude table
-        table = fc.phase_table(50, 60) * fc.reduced_stack(np.array([3.0]), 50, 60)[0]
+        table = recoil_phases(50, 60) * fc.reduced_stack(np.array([3.0]), 50, 60)[0]
         for m in (0, 3, 25, 50):
             for l in (0, 10, 42, 60):
                 ref = 1j ** abs(m - l) * fc_reduced_series(3.0, m, l)

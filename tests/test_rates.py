@@ -11,7 +11,7 @@ from dyncool.errors import DomainError, ResourceLimitError, SimulationError, Val
 from dyncool.protocols import PRESET_NAMES, preset
 from dyncool.rates import Pulse, TrapConfig, dipole_pattern, empty_rates, rate_matrix
 from oracles import (angular_quadrature, fc_reduced_series, folded_resonant_column_2d,
-                     uniformization_expm)
+                     recoil_phases, uniformization_expm)
 
 
 def trap_1d(eta=3.0, n_max=40, **kw):
@@ -361,7 +361,7 @@ def brute_full_column_2d(trap, pulse, mx, my, l_max=40):
     wgt = w * dipole_pattern(trap.dipole, theta, phi)
 
     def recoil(eta_proj, rows, cols):  # <n|exp(i eta_proj (a + a^dag))|l>
-        return fc.phase_table(rows, cols) * fc.reduced_stack(eta_proj, rows, cols)
+        return recoil_phases(rows, cols) * fc.reduced_stack(eta_proj, rows, cols)
 
     shift = np.arange(l_max + 1)[:, None] - np.arange(n1)[None, :]
     c = recoil(np.array([trap.eta]), l_max, trap.n_max)[0] * gt / (pulse.s - shift + 1j * gt)
@@ -429,12 +429,15 @@ class TestRateMatrix1d:
         trap = trap_1d(eta=1.7, n_max=10)
         l_max = trap.n_max + rates._level_headroom(trap.eta, trap.n_max)
         u, w = rates._line_rule(trap.dipole, rates._line_order(trap.eta, l_max))
-        recoil = fc.phase_table(trap.n_max, l_max) \
+        recoil = recoil_phases(trap.n_max, l_max) \
             * fc.reduced_stack(trap.eta * u, trap.n_max, l_max)
+        absorb = recoil_phases(l_max, trap.n_max) \
+            * fc.reduced_stack(np.array([trap.eta]), l_max, trap.n_max)[0]
+        shift = np.arange(l_max + 1)[:, None] - np.arange(trap.n_max + 1)[None, :]
         for s in (-2, 0.5):
             pulse = Pulse(s=s, duration=1.0)
             mat = rate_matrix(trap, pulse, mode="full")
-            c = rates._lorentzian_amplitudes(trap, pulse, l_max)
+            c = absorb * trap.gamma_over_omega / (s - shift + 1j * trap.gamma_over_omega)
             for m in (0, 3, 10):
                 ref = w @ np.abs(recoil @ c[:, m]) ** 2
                 fast = mat.generator[:, m].copy()
@@ -571,7 +574,7 @@ class TestRateMatrix2d:
                               quad_theta=4, quad_phi=4)
             for s, a in ((-2, -1.0), (0, -1.0), (0, 0.3 + 0.4j), (3, 0.125)):
                 pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
-                full = rate_matrix(trap, pulse, mode="full").empty_rates
+                full = rates._provider(trap, pulse, "full").closures.reshape(-1)
                 res = empty_rates(trap, pulse).reshape(-1)
                 mask = res > 1e-6
                 worst.append((np.abs(full - res)[mask] / res[mask]).max())
@@ -650,13 +653,16 @@ class TestColumnSampler:
             assert total_s == total_d
             assert np.array_equal(cum_d, cum_s)
 
-    @pytest.mark.parametrize("a", [-1.0, 0.125, 0.3 + 0.4j, 1j])
-    @pytest.mark.parametrize("s", [0, -2, 2, -3, 4])
-    def test_every_column_bitwise_equal_to_dense(self, s, a):
+    @pytest.mark.parametrize("s, a, mode", [
+        *(pytest.param(s, a, "resonant", id=f"{s}-{a}")
+          for s in (0, -2, 2, -3, 4) for a in (-1.0, 0.125, 0.3 + 0.4j, 1j)),
+        *(pytest.param(s, a, "full", id=f"{s}-{a}-full")
+          for s, a in ((0, -1.0), (-2, 0.3 + 0.4j), (-3, 1j), (2.5, 0.125)))])
+    def test_every_column_bitwise_equal_to_dense(self, s, a, mode):
         trap = trap_2d(eta=1.7, n_max=8)
         pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
-        dense = rate_matrix(trap, pulse)
-        sampler = rates.ColumnSampler(trap, pulse)
+        dense = rate_matrix(trap, pulse, mode)
+        sampler = rates.ColumnSampler(trap, pulse, mode)
         for idx in range(trap.n_states):
             total_d, cum_d = dense.jump_distribution(idx)
             total_s, cum_s = sampler.jump_distribution(idx)
@@ -684,7 +690,7 @@ class TestColumnSampler:
         node_bytes = (trap.n_max + 1) * (trap.n_max + 1 + max(s, 0)) * 8
         monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 7 * node_bytes)
         rates.clear_caches()
-        self.test_every_column_bitwise_equal_to_dense(s, -1.0)
+        self.test_every_column_bitwise_equal_to_dense(s, -1.0, "resonant")
         rates.clear_caches()
 
     def test_deep_column_builds(self):
@@ -695,8 +701,9 @@ class TestColumnSampler:
         pulse = Pulse(s=-2, duration=1.0, amplitude_ratio=-1.0)
         sampler = rates.ColumnSampler(trap, pulse)
         tables = rates.angular_tables(trap)
-        rx, ry = (tables.stack(axis, 160) for axis in "xy")
         rates.clear_caches()
+        # unsigned stacks: the oracle applies the recoil phases itself
+        rx, ry = (fc.reduced_stack(trap.eta * tables.fold_proj[axis], 160, 160) for axis in "xy")
         f = sampler._provider.f
         for mx, my in ((2, 2), (3, 150), (160, 79)):
             col = sampler._provider.column(mx, my)
@@ -762,8 +769,10 @@ class TestResonantFactors:
         rates.clear_caches()
         provider = rates._Resonant(trap, Pulse(s=s, duration=1.0, amplitude_ratio=a))
         tables = rates.angular_tables(trap)
-        rx, ry = (tables.stack(axis, trap.n_max + max(s, 0)) for axis in "xy")
         rates.clear_caches()
+        # unsigned stacks: the oracle applies the recoil phases itself
+        rx, ry = (fc.reduced_stack(trap.eta * tables.fold_proj[axis], trap.n_max,
+                                   trap.n_max + max(s, 0)) for axis in "xy")
 
         def absorb(m):
             return fc_reduced_series(trap.eta, m, m + s) if m + s >= 0 else 0.0
@@ -850,6 +859,29 @@ class TestResonantFactors:
         tables.factors(6, form, q)
         y_passes = 2 if given_basis else 3
         assert chunks > 2 and len(calls) == 1 + chunks + chunks + (y_passes - 1) * (chunks - 1)
+
+
+class TestSignedStacks:
+    """Every recoil stack carries the phase of its amplitudes as the sign
+    (-1)^floor(|n-l|/2) of its reduced factors."""
+
+    @staticmethod
+    def signed(eta_proj, n_max, l_max):
+        d = np.abs(np.arange(n_max + 1)[:, None] - np.arange(l_max + 1))
+        return fc.reduced_stack(eta_proj, n_max, l_max) * (-1.0) ** (d // 2)
+
+    def test_stacks_are_signed_reduced_factors(self):
+        trap = trap_2d(eta=1.7, n_max=8, quad_theta=8, quad_phi=8)
+        tables = rates.AngularTables(trap)
+        for axis in "xy":
+            ref = self.signed(trap.eta * tables.fold_proj[axis], 8, 13)
+            assert np.array_equal(tables.stack(axis, 13).view(np.int64), ref.view(np.int64))
+        trap = trap_1d(eta=1.7, n_max=10)
+        stack = rates._Full(trap, Pulse(s=-2, duration=1.0)).stacks[0]
+        l_max = stack.shape[2] - 1
+        u, _ = rates._line_rule(trap.dipole, rates._line_order(trap.eta, l_max))
+        ref = self.signed(trap.eta * u[u > 0], trap.n_max, l_max)
+        assert np.array_equal(stack.view(np.int64), ref.view(np.int64))
 
 
 class TestMarkovExpm:
