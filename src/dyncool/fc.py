@@ -13,8 +13,8 @@ built from it.  Dark states arise exactly at the Laguerre zeros.
 
 One evaluator computes every factor: ``reduced_stack`` steps the Laguerre
 degree recurrence for all bands |n - m| and projected etas at once, on the
-normalised factor, which is bounded by 1.  ``fc_reduced``, ``fc_factor``
-and the resonant rates read it from one table per eta (``reduced_table``).
+normalised factor, which is bounded by 1.  Every single-eta table (the
+scalars, absorption bands, Lorentzian amplitudes) is one ``reduced_table``.
 The dark-state solver evaluates no Laguerre polynomial: the zeros are the
 singular values of a bidiagonal factor of their Jacobi matrix.
 """
@@ -212,7 +212,7 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
     # den's rounding grows with my, relative to its band's largest value (<= 1)
     tol = 1e-14 * (my + 1)
     if abs(den) <= tol and abs(den) <= tol * np.abs(
-            reduced_stack(np.array([eta]), my, my)[0].diagonal()).max():
+            reduced_table(eta, my, my).diagonal()[:my + 1]).max():
         nearby = ""
         if 1 <= my <= MAX_LAGUERRE_DEGREE:
             roots = dark_eta_for_level(my, 0)

@@ -446,16 +446,16 @@ def _check_trajectories(count: int) -> int:
 
 
 def _parse_target(value: str, dims: int):
-    parts = [p.strip() for p in value.split(",")]
+    """A target level, '3' or '0,1': an int, or a tuple of several (``level_indices``)."""
     try:
-        levels = [int(p) for p in parts]
+        levels = tuple(int(p) for p in value.split(","))
+        target = levels[0] if len(levels) == 1 else levels
+        level_indices((1,) * dims, [target])
     except ValueError:
         raise ValueError(f"target must be integer level(s), got {value!r}") from None
-    if dims == 1 and len(levels) == 1:
-        return levels[0]
-    if dims == 2 and len(levels) == 2:
-        return (levels[0], levels[1])
-    raise ValueError(f"target {value!r} does not match a {dims}D trap")
+    except DomainError as exc:
+        raise ValueError(f"target {value!r}: {exc}") from None
+    return target
 
 
 def write_config(spec: RunSpec) -> str:

@@ -41,8 +41,11 @@ from .errors import DomainError, ResourceLimitError, SimulationError, ValidityEr
 
 DIPOLE_PATTERNS = ("isotropic", "dipole_z")
 
-# Sphere rule of 2D rates.  On the 1D kernel at eta = 3 it was measured to
-# err by 1.0e-10 at level 68, 1.6e-6 at level 90 and 1.35e-3 at level 120.
+# Sphere rule of 2D rates.  On the 1D kernel at eta = 3 it errs by 1.0e-10 at
+# level 68, 1.6e-6 at 90 and 1.35e-3 at 120.  At the fig5 depth its 2D kernel T
+# (largest entry 0.059) is 4.9e-10 off a 192 x 384 rule, limited by theta:
+# 64 x 160 is 5.8e-10 off, 80 x 128 8.6e-11 and 72 x 144 (1332 nodes) 1.1e-14,
+# yet 72 x 144 moves fig5_A_minus's cycle-300 endpoint by at most 1.3e-13.
 DEFAULT_QUAD_THETA = 64
 DEFAULT_QUAD_PHI = 128
 
@@ -185,29 +188,24 @@ def dipole_pattern(tag: str, theta: float | np.ndarray, phi: float | np.ndarray)
     return out if out.ndim else float(out)
 
 
-def _folded_quadrature(quad_theta: int, quad_phi: int):
-    """Quarter-phi, half-theta sphere grid: each node's weight counts its
-    mirror images (+-u, +-v, +-z) in the full rule.
-
-    Exact for integrands that depend on the direction through the x and y
-    projections u, v alone and are averaged over their sign images, because
-    sin(theta) is even in cos(theta) and the four phi-quadrant images
-    realize all sign combinations of (u, v); requires an even
-    Gauss-Legendre order and a phi order divisible by 4 (``TrapConfig``
-    checks both).
-    """
-    x, wx = np.polynomial.legendre.leggauss(quad_theta)
+def _sphere_rule(trap: TrapConfig):
+    """Quarter-phi, half-theta sphere grid as (weights times W(theta, phi),
+    {axis: projection}): a node's weight counts its mirror images (+-u, +-v,
+    +-z) in the full rule.  Exact for integrands that depend on the direction
+    through u, v alone, averaged over their sign images: sin(theta) is even
+    in cos(theta), and the four phi quadrants realize every sign of (u, v),
+    given an even theta order and a phi order divisible by 4 (``TrapConfig``
+    checks both)."""
+    x, wx = np.polynomial.legendre.leggauss(trap.quad_theta)
     pos = x > 0
-    theta = np.arccos(x[pos])
-    wth = 2.0 * wx[pos]
-    q = quad_phi // 4
-    phi = 2.0 * math.pi * np.arange(q + 1) / quad_phi
-    wphi = np.full(q + 1, 4.0) * (2.0 * math.pi / quad_phi)
-    wphi[0] = wphi[-1] = 2.0 * (2.0 * math.pi / quad_phi)
-    th_grid = np.repeat(theta, q + 1)
-    ph_grid = np.tile(phi, theta.shape[0])
-    w_grid = np.repeat(wth, q + 1) * np.tile(wphi, theta.shape[0])
-    return th_grid, ph_grid, w_grid
+    q = trap.quad_phi // 4
+    phi = 2.0 * math.pi * np.arange(q + 1) / trap.quad_phi
+    wphi = np.full(q + 1, 4.0) * (2.0 * math.pi / trap.quad_phi)
+    wphi[0] = wphi[-1] = 2.0 * (2.0 * math.pi / trap.quad_phi)
+    th, ph = (g.ravel() for g in np.meshgrid(np.arccos(x[pos]), phi, indexing="ij"))
+    w = np.outer(2.0 * wx[pos], wphi).ravel()
+    return (w * dipole_pattern(trap.dipole, th, ph),
+            {"x": np.sin(th) * np.cos(ph), "y": np.sin(th) * np.sin(ph)})
 
 
 def _line_order(eta: float, l_max: int) -> int:
@@ -229,58 +227,69 @@ def _line_depth(eta: float, n_max: int, l_max: int) -> int:
 
 
 def _line_rule(dipole: str, order: int):
-    """Nodes u in [-1, 1], the photon direction projected on the trap axis,
-    and weights times its density W1(u): 1/2 for isotropic emission
+    """The u > 0 half of the Gauss-Legendre rule of even ``order`` in u, the
+    photon direction projected on the trap axis, as (doubled weights times
+    its density W1(u), {"x": u}): W1 is 1/2 for isotropic emission
     (Archimedes' hat-box theorem), (3/8)(1 + u^2) for a dipole along z."""
     u, w = np.polynomial.legendre.leggauss(order)
-    return u, w * (0.5 if dipole == "isotropic" else 0.375 * (1.0 + u * u))
+    w = w * (0.5 if dipole == "isotropic" else 0.375 * (1.0 + u * u))
+    return 2.0 * w[u > 0], {"x": u[u > 0]}
 
 
 class AngularTables:
-    """Per-trap emission kernels, and the 2D folded sphere rule and its stacks.
+    """Per-trap folded emission rules, their signed recoil stacks and the
+    emission kernels built on them, in 1D and 2D.
 
-    The 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du is even in u, so it
-    runs on the positive half of the line rule with doubled weights;
-    ``fc.reduced_stack`` sums it as it steps, so no stack is held.  The 2D
-    integrands of both modes depend on the direction through
-    u = sin(th)cos(ph) and v = sin(th)sin(ph) alone, so they run on the
-    8-fold folded sphere grid (u, v >= 0, z > 0); where an integrand is not
-    even in u or v (full-mode interference between intermediate levels), its
-    consumer adds the mirror images through the parity of R.
-    ``stack(axis, l_max)`` holds the signed reduced factors S[k, n, l]
-    (``_signed``) on that grid and grows lazily in l:
-    (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1) doubles,
-    84 MB per axis for full mode at the fig5 depth.  The
-    2D kernel T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2 is held
-    in the low-rank form of ``factors``: R[n, l]^2 is e^{-x^2} times a
-    polynomial in x^2, so the squared stack has rank 37, 50, 64 and 75 over
-    the 1056 fig5 nodes at n_max 40, 80, 120 and 160.  ``factors`` forms its
-    squared or cross-term node arrays from the stacks in node chunks, so no
-    array of a stack's size is held beside the stacks.  Kernels are keyed by
-    a build depth that depends on the trap and the requested level alone:
-    build order cannot move them.
+    ``rule(l_max)`` is the emission rule folded by parity: in 1D the u > 0 half
+    of the line rule (``_line_rule``), whose order grows with l_max; in 2D the
+    8-fold folded sphere grid (u, v >= 0, z > 0, ``_sphere_rule``).  The
+    integrands of both modes depend on the direction through the projections
+    u, v alone; where one is not even in u or v (full-mode interference
+    between intermediate levels), its consumer adds the mirror images through
+    the parity of R.  ``stack(axis, l_max)`` holds one axis's signed reduced
+    factors S[k, n, l] (``_signed``) on the nodes of ``rule(l_max)``: the
+    full-mode pulses of one trap share it, and 2D kernels grow it lazily in l.
+    A 2D axis is (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1)
+    doubles, 84 MB for full mode at the fig5 depth.  ``fc.reduced_stack`` sums
+    the 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du as it steps, so no
+    stack is held for it.  The 2D kernel
+    T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2 is held in the
+    low-rank form of ``factors``: R[n, l]^2 is e^{-x^2} times a polynomial in
+    x^2, so the squared stack has rank 37, 50, 64 and 75 over the 1056 fig5
+    nodes at n_max 40, 80, 120 and 160.
+    ``factors`` forms its squared or cross-term node arrays from the stacks in
+    node chunks, so no array of a stack's size is held beside the stacks.
+    Kernels are keyed by a build depth that depends on the trap and the
+    requested level alone: build order cannot move them.
     """
 
-    _FULL_STACK_BUDGET = 512 << 20  # cap on one stack (a 2D axis, 1D full mode) or 1D kernel
+    _FULL_STACK_BUDGET = 512 << 20  # cap on one stack (an axis, 1D or 2D) or 1D kernel
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
-        self._stacks: dict[str, np.ndarray] = {}
+        self._rules: dict[int, tuple] = {}
+        self._stacks: dict[str, tuple] = {}
         self._kernels: dict[int, np.ndarray | tuple] = {}
-        if trap.dims == 2:
-            fth, fph, fw = _folded_quadrature(trap.quad_theta, trap.quad_phi)
-            self.fold_weights = fw * dipole_pattern(trap.dipole, fth, fph)
-            self.fold_proj = {"x": np.sin(fth) * np.cos(fph),
-                              "y": np.sin(fth) * np.sin(fph)}
+
+    def rule(self, l_max: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """(weights, {axis: projection}) of the folded rule to ``l_max``, built once."""
+        order = _line_order(self.trap.eta, l_max) if self.trap.dims == 1 else 0
+        if order not in self._rules:
+            self._rules[order] = (_line_rule(self.trap.dipole, order) if order
+                                  else _sphere_rule(self.trap))
+        return self._rules[order]
 
     def stack(self, axis: str, l_max: int) -> np.ndarray:
-        cached = self._stacks.get(axis)
-        if cached is None or cached.shape[2] <= l_max:
-            proj = self.fold_proj[axis]
+        """The signed stack of ``axis`` on ``rule(l_max)`` to at least level
+        l_max: the held one if it was built on that rule and reaches l_max."""
+        proj = self.rule(l_max)[1][axis]
+        built_on, cached = self._stacks.get(axis, (None, None))
+        if built_on is not proj or cached.shape[2] <= l_max:
             _check_stack_budget(proj.shape[0] * (self.trap.n_max + 1) * (l_max + 1),
-                                "projected displacement stack", " or the quadrature orders")
+                                f"the {self.trap.dims}D recoil stack",
+                                " (in 2D, or the quadrature orders)")
             cached = _signed(fc.reduced_stack(self.trap.eta * proj, self.trap.n_max, l_max))
-            self._stacks[axis] = cached
+            self._stacks[axis] = (proj, cached)
         return cached
 
     def factors(self, l_max: int, form, q: np.ndarray | None = None):
@@ -301,11 +310,12 @@ class AngularTables:
         axis keeps its last chunk and its next pass starts from it, running
         the other way: a stack in one chunk is formed once, and a later pass
         over c chunks forms c - 1 of them."""
+        weights = self.rule(l_max)[0]
         stacks = {axis: self.stack(axis, l_max) for axis in "xy"}
-        k = self.fold_weights.shape[0]
+        k = weights.shape[0]
         step = max(1, _FACTOR_CHUNK_BYTES // stacks["x"][0].nbytes)
         chunks = [slice(start, start + step) for start in range(0, k, step)]
-        w_root = np.sqrt(self.fold_weights)[:, None]
+        w_root = np.sqrt(weights)[:, None]
         n, p = form(stacks["y"][:1]).shape[1:]
         # every chunk of an axis is formed into one buffer: fresh chunk
         # arrays each cost their pages' first-touch faults
@@ -365,9 +375,8 @@ class AngularTables:
                 kernel = self.factors(depth, lambda r, out=None: np.square(r[:, :, :l1], out))
             else:
                 _check_stack_budget(n1 * l1, "the 1D emission kernel")
-                u, w = _line_rule(self.trap.dipole, _line_order(self.trap.eta, depth))
-                kernel = fc.reduced_stack(self.trap.eta * u[u > 0], n1 - 1, depth,
-                                          weights=2.0 * w[u > 0])
+                w, proj = self.rule(depth)
+                kernel = fc.reduced_stack(self.trap.eta * proj["x"], n1 - 1, depth, weights=w)
             self._kernels[depth] = kernel
         return kernel if self.trap.dims == 2 else kernel[:, :l_max + 1]
 
@@ -682,7 +691,7 @@ def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.nda
     phase i^((l-m) mod 2) (``_signed``)."""
     gt = trap.gamma_over_omega
     n_max = trap.n_max
-    amps = _signed(fc.reduced_stack(np.array([trap.eta]), l_max, n_max)[0])
+    amps = _signed(fc.reduced_table(trap.eta, n_max, l_max)[:n_max + 1, :l_max + 1].T.copy())
     shift = np.arange(l_max + 1)[:, None] - np.arange(n_max + 1)[None, :]
     return amps * gt / ((pulse.s - shift) + 1j * gt)
 
@@ -711,18 +720,9 @@ class _Full:
         self.a = complex(pulse.amplitude_ratio)
         n_max = trap.n_max
         l_max = min(n_max + _level_headroom(trap.eta, n_max), fc._INTERNAL_MAX_DEGREE)
-        if trap.dims == 1:
-            # the u > 0 half of the line rule; its order is even, so no node at u = 0
-            order = _line_order(trap.eta, l_max)
-            _check_stack_budget(order // 2 * (n_max + 1) * (l_max + 1), "the 1D recoil stack")
-            u, w = _line_rule(trap.dipole, order)
-            self.stacks = (_signed(fc.reduced_stack(trap.eta * u[u > 0], n_max, l_max)),)
-            self.w = 2.0 * w[u > 0]
-        else:
-            tables = angular_tables(trap)
-            self.stacks = tuple(tables.stack(axis, l_max)[:, :, :l_max + 1]
-                                for axis in "xy")
-            self.w = tables.fold_weights
+        tables = angular_tables(trap)
+        self.w, proj = tables.rule(l_max)
+        self.stacks = tuple(tables.stack(axis, l_max)[:, :, :l_max + 1] for axis in proj)
         self.coeffs = c = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
         norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
         self.closures = _empty_rate(*(v for m in np.indices(trap.shape)

@@ -163,6 +163,18 @@ class TestRun:
         else:
             assert "thermal mean must be positive and finite" in err
 
+    @pytest.mark.parametrize("dims, target", [(1, "0,1"), (2, "3"), (2, "1,2,3")])
+    def test_target_of_wrong_arity_names_its_line(self, tmp_path, capsys, dims, target):
+        # a target that is not a level of the trap is a config error on its line
+        lines = ["[trap]", "eta = 0.5", "gamma_over_omega = 0.01", f"dims = {dims}",
+                 "n_max = 4", "[[pulse]]", "s = -1", "[run]", f"target = {target}"]
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 2
+        assert f"line {len(lines)}: bad value for 'target'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weak_confinement_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "w.cfg"
         cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 1.5\ndims = 1\n"
@@ -288,6 +300,13 @@ class TestRun:
         svg = (out / "plot.svg").read_text()
         assert svg.count("<polyline") == 2
         assert ">P0</text>" in svg and ">P1</text>" in svg
+
+    def test_pair_target_on_1d_preset_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "fig2", "--cycles", "2", "--out-dir", str(out),
+                       "--target", "0,1") == 2
+        assert "0,1" in (err := capsys.readouterr().err) and "1D trap" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["master", "mc"])
     def test_extra_target_outside_truncation_exits_3(self, tmp_path, capsys, mode):

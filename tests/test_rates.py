@@ -425,10 +425,12 @@ class TestRateMatrix1d:
             rate_matrix(trap, Pulse(s=-0.5, duration=1.0), mode="resonant")
 
     def test_full_column_matches_whole_line_sum(self):
-        # the u > 0 half and its parity images against every node of the line
+        # the u > 0 half and its parity images against every node of the
+        # unfolded line rule, weighted by the isotropic density W1(u) = 1/2
         trap = trap_1d(eta=1.7, n_max=10)
         l_max = trap.n_max + rates._level_headroom(trap.eta, trap.n_max)
-        u, w = rates._line_rule(trap.dipole, rates._line_order(trap.eta, l_max))
+        u, w = np.polynomial.legendre.leggauss(rates._line_order(trap.eta, l_max))
+        w = 0.5 * w
         recoil = recoil_phases(trap.n_max, l_max) \
             * fc.reduced_stack(trap.eta * u, trap.n_max, l_max)
         absorb = recoil_phases(l_max, trap.n_max) \
@@ -700,14 +702,14 @@ class TestColumnSampler:
         trap = trap_2d(n_max=160, quad_theta=4, quad_phi=4)
         pulse = Pulse(s=-2, duration=1.0, amplitude_ratio=-1.0)
         sampler = rates.ColumnSampler(trap, pulse)
-        tables = rates.angular_tables(trap)
+        weights, proj = rates.angular_tables(trap).rule(160)
         rates.clear_caches()
         # unsigned stacks: the oracle applies the recoil phases itself
-        rx, ry = (fc.reduced_stack(trap.eta * tables.fold_proj[axis], 160, 160) for axis in "xy")
+        rx, ry = (fc.reduced_stack(trap.eta * proj[axis], 160, 160) for axis in "xy")
         f = sampler._provider.f
         for mx, my in ((2, 2), (3, 150), (160, 79)):
             col = sampler._provider.column(mx, my)
-            ref = folded_resonant_column_2d(rx, ry, tables.fold_weights, f[mx], f[my],
+            ref = folded_resonant_column_2d(rx, ry, weights, f[mx], f[my],
                                             -2, -1.0, mx, my)
             assert np.abs(col - ref).max() <= 1e-13 * ref.max()
 
@@ -768,17 +770,17 @@ class TestResonantFactors:
         trap = self.FIG5
         rates.clear_caches()
         provider = rates._Resonant(trap, Pulse(s=s, duration=1.0, amplitude_ratio=a))
-        tables = rates.angular_tables(trap)
+        weights, proj = rates.angular_tables(trap).rule(trap.n_max + max(s, 0))
         rates.clear_caches()
         # unsigned stacks: the oracle applies the recoil phases itself
-        rx, ry = (fc.reduced_stack(trap.eta * tables.fold_proj[axis], trap.n_max,
+        rx, ry = (fc.reduced_stack(trap.eta * proj[axis], trap.n_max,
                                    trap.n_max + max(s, 0)) for axis in "xy")
 
         def absorb(m):
             return fc_reduced_series(trap.eta, m, m + s) if m + s >= 0 else 0.0
 
         for mx, my in ((0, 0), (9, 1), (20, 20), (40, 7), (3, 36)):
-            ref = folded_resonant_column_2d(rx, ry, tables.fold_weights, absorb(mx),
+            ref = folded_resonant_column_2d(rx, ry, weights, absorb(mx),
                                             absorb(my), s, a, mx, my)
             col = provider.column(mx, my)
             assert np.abs(col - ref).max() <= 1e-13 * max(ref.max(), 1e-300)
@@ -847,7 +849,7 @@ class TestResonantFactors:
         # its projection and residual passes c - 1 each; one call probes the shapes
         tables = rates.AngularTables(trap_2d(n_max=6))
         q = tables.factors(6, np.square)[0] if given_basis else None
-        nodes = tables.fold_weights.shape[0]
+        nodes = tables.rule(6)[0].shape[0]
         monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 100 * tables.stack("x", 6)[0].nbytes)
         chunks = -(-nodes // 100)
         calls = []
@@ -874,14 +876,29 @@ class TestSignedStacks:
         trap = trap_2d(eta=1.7, n_max=8, quad_theta=8, quad_phi=8)
         tables = rates.AngularTables(trap)
         for axis in "xy":
-            ref = self.signed(trap.eta * tables.fold_proj[axis], 8, 13)
+            ref = self.signed(trap.eta * tables.rule(13)[1][axis], 8, 13)
             assert np.array_equal(tables.stack(axis, 13).view(np.int64), ref.view(np.int64))
         trap = trap_1d(eta=1.7, n_max=10)
-        stack = rates._Full(trap, Pulse(s=-2, duration=1.0)).stacks[0]
-        l_max = stack.shape[2] - 1
-        u, _ = rates._line_rule(trap.dipole, rates._line_order(trap.eta, l_max))
-        ref = self.signed(trap.eta * u[u > 0], trap.n_max, l_max)
-        assert np.array_equal(stack.view(np.int64), ref.view(np.int64))
+        tables = rates.AngularTables(trap)
+        l_max = trap.n_max + rates._level_headroom(trap.eta, trap.n_max)
+        ref = self.signed(trap.eta * tables.rule(l_max)[1]["x"], trap.n_max, l_max)
+        assert np.array_equal(tables.stack("x", l_max).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_full_pulses_share_one_stack(self, dims):
+        # every full-mode provider and sampler of one trap reads the stacks
+        # its tables hold, in 1D as in 2D
+        trap = trap_1d(eta=1.7, n_max=10) if dims == 1 else trap_2d(eta=1.7, n_max=4)
+        rates.clear_caches()
+        users = [rates._Full(trap, Pulse(s=-2, duration=1.0)),
+                 rates._Full(trap, Pulse(s=0.5, duration=1.0, amplitude_ratio=0.3)),
+                 rates.ColumnSampler(trap, Pulse(s=-9, duration=1.0), "full")._provider]
+        tables = rates.angular_tables(trap)
+        rates.clear_caches()
+        for k, axis in enumerate("xy"[:dims]):
+            first = users[0].stacks[k]
+            assert all(np.shares_memory(user.stacks[k], first) for user in users[1:])
+            assert np.shares_memory(tables.stack(axis, first.shape[2] - 1), first)
 
 
 class TestMarkovExpm:
