@@ -45,11 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", help="published preset name (see 'presets list')")
     src.add_argument("--config", help="protocol config file, or '-' for stdin")
-    run.add_argument("--mode", choices=("master", "mc"),
-                     help="deterministic rate-equation or Monte Carlo run")
-    run.add_argument("--trajectories", type=int, help="MC trajectory count")
-    run.add_argument("--seed", type=int, help="MC base seed")
-    run.add_argument("--cycles", type=int, help="override the cycle budget")
+    run.add_argument("--mode", help="'master' (deterministic rate equation) or 'mc' "
+                                    "(Monte Carlo)")
+    run.add_argument("--trajectories", help="MC trajectory count")
+    run.add_argument("--seed", help="MC base seed")
+    run.add_argument("--cycles", help="override the cycle budget")
     run.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility; has no effect")
     run.add_argument("--out-dir", default=".", help="output directory")
@@ -111,18 +111,19 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
 
 
-def _load_runspec(args) -> protocols.RunSpec:
+def _load_runspec(args, run: dict[str, str] | None = None) -> protocols.RunSpec:
+    """The run of ``args.preset`` (as its exported config) or ``args.config``,
+    with the [run] keys of ``run`` set from their text."""
     if getattr(args, "preset", None):
-        return protocols.preset_runspec(args.preset)
-    path = args.config
-    if path == "-":
+        text = protocols.write_config(protocols.preset_runspec(args.preset))
+    elif args.config == "-":
         text = sys.stdin.read()
     else:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    return protocols.parse_config(text)
+            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+    return protocols.parse_config(text, run)
 
 
 def _parse_target_arg(value: str, dims: int):
@@ -133,29 +134,15 @@ def _parse_target_arg(value: str, dims: int):
 
 
 def _cmd_run(args) -> int:
-    spec = _load_runspec(args)
-    if args.mode:
-        spec.mode = args.mode
-    for flag, check in (("trajectories", protocols._check_trajectories),
-                        ("seed", protocols._check_seed)):
-        if getattr(args, flag) is not None:
-            try:
-                setattr(spec, flag, check(getattr(args, flag)))
-            except ValueError as exc:
-                raise ConfigError(f"--{flag}: {exc}") from None
+    # the flags set their [run] keys, the first --target the target
+    run = {key: getattr(args, key) for key in ("mode", "trajectories", "seed", "cycles")}
+    run["target"] = args.target[0] if args.target else None
+    spec = _load_runspec(args, {key: text for key, text in run.items() if text is not None})
     if args.final_distribution and spec.mode != "master":
         raise ConfigError("--final-distribution needs master mode; a Monte Carlo "
                           "run keeps no final distribution")
     protocol = spec.protocol
-    if args.cycles is not None:
-        protocol = protocols.Protocol(protocol.pulses, args.cycles,
-                                      protocol.name, protocol.target)
-    targets = []
-    if args.target:
-        targets = [_parse_target_arg(t, spec.trap.dims) for t in args.target]
-        protocol = protocols.Protocol(protocol.pulses, protocol.cycles,
-                                      protocol.name, targets[0])
-    spec.protocol = protocol
+    extra = tuple(_parse_target_arg(t, spec.trap.dims) for t in (args.target or [])[1:])
 
     report = protocols.validate_protocol(protocol, spec.trap, mode="resonant")
     for rule, msg in report.warnings:
@@ -164,16 +151,16 @@ def _cmd_run(args) -> int:
         for rule, msg in report.errors:
             print(f"error [{rule}]: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    # bad targets and thermal means are refused before the output directory exists
-    if protocol.target is not None:
-        dynamics._obs_rows(spec.trap.shape, protocol.target, targets[1:])
+    # oversized runs, bad targets and thermal means are refused before
+    # anything grid-sized is built and before the output directory exists
+    dynamics.check_budgets(protocol, spec.trap, spec.mode)
+    dynamics._obs_rows(spec.trap.shape, protocol.target, extra)
     init = dynamics.thermal_distribution(spec.thermal_mean, spec.trap)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    extra = tuple(targets[1:])
     series = dynamics.run_protocol(
         init, protocol, spec.trap, mode=spec.mode,
         trajectories=spec.trajectories, seed=spec.seed,
@@ -193,7 +180,7 @@ def _cmd_run(args) -> int:
 
     if args.plot:
         plot_path = out_dir / "plot.svg"
-        _write_plot(plot_path, series, targets or [protocol.target])
+        _write_plot(plot_path, series)
         outputs["plot"] = plot_path.name
 
     manifest = {
@@ -234,11 +221,10 @@ def _write_grid_table(path, comment: str, letter: str, value: str, grid) -> None
         fh.write(text)
 
 
-def _write_plot(path, series, targets) -> None:
+def _write_plot(path, series) -> None:
     samples = series.cycle_samples()
     xs = [s.cycle for s in samples]
-    label0 = f"P{targets[0]}" if targets and targets[0] is not None else "P(target)"
-    curves = [(label0, [s.obs.p_target for s in samples])]
+    curves = [(f"P{series.target}", [s.obs.p_target for s in samples])]
     curves += [(f"P{tgt}", [s.obs.extra[j] for s in samples])
                for j, tgt in enumerate(series.extra_targets)]
     plot.line_plot(path, xs, curves, title="occupation dynamics",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rates
 from .errors import DomainError
-from .protocols import RUN_DEFAULTS, Protocol
+from .protocols import Protocol
 from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig, _pulse_cache_key,
                     cache_counts, clear_caches, level_indices, rate_matrix)
 
@@ -314,7 +314,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     grid state is recovered once, at the end.  An empty protocol or zero
     cycles records the initial sample only and builds no generator.
     """
-    target = protocol.target if protocol.target is not None else RUN_DEFAULTS[trap.dims].target
+    target = protocol.target_in(trap.dims)
     before = cache_counts()
     series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
     if mode == "mc":
@@ -335,8 +335,9 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
         raise DomainError(f"unknown run mode {mode!r}")
 
     grid_rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
-    basis = StateBasis(trap, "swap" if _swap_lumpable(init, protocol, trap, rate_mode)
-                       else "full")
+    grid = init.grid()
+    lumped = _swap_lumpable(protocol, trap, rate_mode) and np.array_equal(grid, grid.T)
+    basis = StateBasis(trap, "swap" if lumped else "full")
     t0 = time.perf_counter()
     builds = []  # wall seconds of each generator's build
 
@@ -381,10 +382,9 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     return series
 
 
-def _swap_lumpable(init: Distribution, protocol: Protocol, trap: TrapConfig,
-                   rate_mode: str) -> bool:
-    """Whether every generator commutes with the x <-> y swap and the start
-    is swap-symmetric, so the run can propagate unordered level pairs.
+def _swap_lumpable(protocol: Protocol, trap: TrapConfig, rate_mode: str) -> bool:
+    """Whether every generator commutes with the x <-> y swap, so a run from
+    a swap-symmetric start can propagate unordered level pairs.
 
     Resonant 2D rates see the amplitude ratio A only through |A|^2 and
     Re(A), and are swap-symmetric when |A| = 1; both emission patterns are.
@@ -393,10 +393,20 @@ def _swap_lumpable(init: Distribution, protocol: Protocol, trap: TrapConfig,
     """
     if trap.dims != 2 or rate_mode != "resonant":
         return False
-    if any(abs(complex(p.amplitude_ratio)) != 1.0 for p in protocol.pulses):
-        return False
-    grid = init.grid()
-    return bool(np.array_equal(grid, grid.T))
+    return all(abs(complex(p.amplitude_ratio)) == 1.0 for p in protocol.pulses)
+
+
+def check_budgets(protocol: Protocol, trap: TrapConfig, mode: str = "master") -> None:
+    """Refuse a resonant run too large for its memory budgets from the trap
+    alone, before anything grid-sized exists: in master mode its dense
+    generators, on the basis a swap-symmetric (say thermal) start propagates,
+    and the emission kernel of its deepest pulse (``kernel_depth``)."""
+    if mode == "master":  # the swap basis holds the unordered level pairs
+        lumped = _swap_lumpable(protocol, trap, "resonant")
+        rates._check_matrix_budget((trap.n_states + trap.n_max + 1) // 2 if lumped
+                                   else trap.n_states)
+    deepest = max([0, *(pulse.s_int for pulse in protocol.pulses)])
+    rates.angular_tables(trap).kernel_depth(trap.n_max + deepest)
 
 
 def _samplers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
@@ -504,7 +514,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
-    target = protocol.target if protocol.target is not None else RUN_DEFAULTS[trap.dims].target
+    target = protocol.target_in(trap.dims)
     rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
     rows = np.vstack([rows, rows[1] + rows[2]])
     moments = np.concatenate([rows, rows * rows])

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import fc
 from .errors import ConfigError, DomainError, ValidityError
-from .rates import (DEFAULT_QUAD_PHI, DEFAULT_QUAD_THETA, Pulse, TrapConfig,
-                    format_float, level_empty_rates, level_indices)
+from .rates import (Pulse, TrapConfig, format_float, level_empty_rates,
+                    level_indices)
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,10 @@ class Protocol:
     def __post_init__(self) -> None:
         if self.cycles < 0:
             raise DomainError(f"cycles must be >= 0, got {self.cycles}")
+
+    def target_in(self, dims: int):
+        """The target level, or the default one of a ``dims``-dimensional trap."""
+        return RUN_DEFAULTS[dims].target if self.target is None else self.target
 
 
 @dataclass
@@ -65,66 +69,51 @@ class RunDefaults(NamedTuple):
 RUN_DEFAULTS = {1: RunDefaults(n_max=120, cycles=200, target=0),
                 2: RunDefaults(n_max=40, cycles=300, target=(0, 0))}
 
-PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5_A_minus", "fig5_A_plus",
-                "fig6_solid", "fig6_dashed", "fig7", "fig7_caption_variant")
-
-PRESET_DESCRIPTIONS = {
-    "fig2": "1D ground-state cooling, eta=3, pulses s=(-9,0,-10,-1)",
-    "fig3": "1D confinement into level 1, eta=3, pulses s=(-9,8,-10,-3)",
-    "fig4": "1D confinement into level 2, eta=3.065, pulses s=(-9,11,-10,-5)",
-    "fig5_A_minus": "2D ground-state cooling with interference dark states (A=-1)",
-    "fig5_A_plus": "2D ground-state cooling without the interference boost (A=+1)",
-    "fig6_solid": "2D confinement into (1,1), eta=3, dark pulse s=8",
-    "fig6_dashed": "2D confinement into (2,2), eta=3.065, dark pulse s=11",
-    "fig7": "2D confinement into (0,1) via A=1/8 interference pulse, final s=-2",
-    "fig7_caption_variant": "fig7 with the final detuning -1 from the figure caption",
+# the published presets: description, eta, target and the cycle as (s, tau,
+# A) per pulse; a preset's trap has the dims of its target and gamma/omega 0.01
+_PRESETS = {
+    "fig2": ("1D ground-state cooling, eta=3, pulses s=(-9,0,-10,-1)", 3.0, 0,
+             ((-9, 1, -1), (0, 1, -1), (-10, 1, -1), (-1, 1, -1))),
+    "fig3": ("1D confinement into level 1, eta=3, pulses s=(-9,8,-10,-3)", 3.0, 1,
+             ((-9, 1, -1), (8, 1, -1), (-10, 1, -1), (-3, 1, -1))),
+    "fig4": ("1D confinement into level 2, eta=3.065, pulses s=(-9,11,-10,-5)", 3.065, 2,
+             ((-9, 1, -1), (11, 1, -1), (-10, 1, -1), (-5, 1, -1))),
+    "fig5_A_minus": ("2D ground-state cooling with interference dark states (A=-1)", 3.0,
+                     (0, 0), ((-18, 1, -1), (-9, 1, -1), (-4, 1, -1), (0, 1, -1),
+                              (-19, 1, -1), (-10, 1, -1), (-5, 1, -1), (-1, 1, -1))),
+    "fig5_A_plus": ("2D ground-state cooling without the interference boost (A=+1)", 3.0,
+                    (0, 0), ((-18, 1, 1), (-9, 1, 1), (-4, 1, 1), (0, 1, 1),
+                             (-19, 1, 1), (-10, 1, 1), (-5, 1, 1), (-1, 1, 1))),
+    "fig6_solid": ("2D confinement into (1,1), eta=3, dark pulse s=8", 3.0, (1, 1),
+                   ((-18, 1, -1), (-9, 1, -1), (-4, 1, -1), (8, 1, -1),
+                    (-19, 1, -1), (-10, 1, -1), (-5, 1, -1), (-3, 1, -1))),
+    "fig6_dashed": ("2D confinement into (2,2), eta=3.065, dark pulse s=11", 3.065, (2, 2),
+                    ((-18, 1, -1), (-9, 1, -1), (-4, 1, -1), (11, 1, -1),
+                     (-19, 1, -1), (-10, 1, -1), (-5, 1, -1))),
+    "fig7": ("2D confinement into (0,1) via A=1/8 interference pulse, final s=-2", 3.0,
+             (0, 1), ((-18, 1, -1), (-9, 1, -1), (-4, 1, -1), (0, 8, 0.125),
+                      (-19, 1, -1), (-10, 1, -1), (-5, 1, -1), (-2, 1, -1))),
+    "fig7_caption_variant": ("fig7 with the final detuning -1 from the figure caption", 3.0,
+                             (0, 1), ((-18, 1, -1), (-9, 1, -1), (-4, 1, -1), (0, 8, 0.125),
+                                      (-19, 1, -1), (-10, 1, -1), (-5, 1, -1), (-1, 1, -1))),
 }
 
-_GAMMA = 0.01
-_MEAN = 6.0
+PRESET_NAMES = tuple(_PRESETS)
 
-
-def _pulses(ss, durations=None, ratios=None) -> tuple[Pulse, ...]:
-    if durations is None:
-        durations = [1.0] * len(ss)
-    if ratios is None:
-        ratios = [complex(-1.0)] * len(ss)
-    return tuple(Pulse(s=s, duration=d, amplitude_ratio=complex(a))
-                 for s, d, a in zip(ss, durations, ratios))
+PRESET_DESCRIPTIONS = {name: entry[0] for name, entry in _PRESETS.items()}
 
 
 def preset(name: str) -> PresetBundle:
     """Published protocol + trap configuration for one figure."""
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    if name == "fig2":
-        eta, dims, target = 3.0, 1, 0
-        pulses = _pulses([-9, 0, -10, -1])
-    elif name == "fig3":
-        eta, dims, target = 3.0, 1, 1
-        pulses = _pulses([-9, 8, -10, -3])
-    elif name == "fig4":
-        eta, dims, target = 3.065, 1, 2
-        pulses = _pulses([-9, 11, -10, -5])
-    elif name in ("fig5_A_minus", "fig5_A_plus"):
-        eta, dims, target = 3.0, 2, (0, 0)
-        pulses = _pulses([-18, -9, -4, 0, -19, -10, -5, -1],
-                         ratios=[-1.0 if name == "fig5_A_minus" else 1.0] * 8)
-    elif name == "fig6_solid":
-        eta, dims, target = 3.0, 2, (1, 1)
-        pulses = _pulses([-18, -9, -4, 8, -19, -10, -5, -3])
-    elif name == "fig6_dashed":
-        eta, dims, target = 3.065, 2, (2, 2)
-        pulses = _pulses([-18, -9, -4, 11, -19, -10, -5])
-    else:  # fig7 and its caption variant
-        eta, dims, target = 3.0, 2, (0, 1)
-        pulses = _pulses([-18, -9, -4, 0, -19, -10, -5, -2 if name == "fig7" else -1],
-                         durations=[1, 1, 1, 8, 1, 1, 1, 1],
-                         ratios=[-1, -1, -1, 0.125, -1, -1, -1, -1])
+    _, eta, target, cycle = _PRESETS[name]
+    dims = np.size(target)
     defaults = RUN_DEFAULTS[dims]
-    trap = TrapConfig(eta=eta, gamma_over_omega=_GAMMA, dims=dims, n_max=defaults.n_max)
-    proto = Protocol(pulses, defaults.cycles, name, target=target)
-    return PresetBundle(proto, trap, _MEAN)
+    trap = TrapConfig(eta=eta, gamma_over_omega=0.01, dims=dims, n_max=defaults.n_max)
+    pulses = tuple(Pulse(s, tau, complex(a)) for s, tau, a in cycle)
+    return PresetBundle(Protocol(pulses, defaults.cycles, name, target), trap,
+                        RunSpec.thermal_mean)
 
 
 def validate_protocol(protocol: Protocol, trap: TrapConfig,
@@ -319,130 +308,27 @@ class RunSpec:
     seed: int = 12345
 
 
-_TRAP_KEYS = ("eta", "gamma_over_omega", "dims", "n_max", "dipole",
-              "quad_theta", "quad_phi")
-_INIT_KEYS = ("thermal_mean",)
-_PULSE_KEYS = ("s", "duration_tau0", "A_re", "A_im")
-_RUN_KEYS = ("cycles", "mode", "trajectories", "seed", "target")
+def _to_int(value: str) -> int:
+    as_float = float(value)
+    if as_float != int(as_float):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(as_float)
 
 
-def parse_config(text: str) -> RunSpec:
-    """Parse the sectioned key-value protocol format.
-
-    Sections: [trap], [init], repeated [[pulse]], [run].  Errors name the
-    offending key and line.
-    """
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    pulses: list[dict[str, tuple[str, int]]] = []
-    current: dict[str, tuple[str, int]] | None = None
-    current_name = ""
-    known = {"[trap]": _TRAP_KEYS, "[init]": _INIT_KEYS, "[run]": _RUN_KEYS,
-             "[[pulse]]": _PULSE_KEYS}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if line == "[[pulse]]":
-                current = {}
-                pulses.append(current)
-                current_name = line
-            elif line in ("[trap]", "[init]", "[run]"):
-                if line in sections:
-                    raise ConfigError(f"line {lineno}: duplicate section {line}")
-                current = {}
-                sections[line] = current
-                current_name = line
-            else:
-                raise ConfigError(f"line {lineno}: unknown section {line}")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if current is None:
-            raise ConfigError(f"line {lineno}: key {key!r} outside any section")
-        if key not in known[current_name]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in {current_name}")
-        if key in current:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} in {current_name}")
-        current[key] = (value, lineno)
-
-    trap_kv = sections.get("[trap]")
-    if trap_kv is None:
-        raise ConfigError("missing required section [trap]")
-    if not pulses:
-        raise ConfigError("config declares no [[pulse]] sections")
-
-    def get(kv, key, conv, default=None, required=False):
-        if key not in kv:
-            if required:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        value, lineno = kv[key]
-        try:
-            return conv(value)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-
-    def to_int(value: str) -> int:
-        as_float = float(value)
-        if as_float != int(as_float):
-            raise ValueError(f"{value!r} is not an integer")
-        return int(as_float)
-
-    dims = get(trap_kv, "dims", to_int, required=True)
-    if dims not in RUN_DEFAULTS:
-        raise ConfigError(f"dims must be 1 or 2, got {dims}")
-    defaults = RUN_DEFAULTS[dims]
-    trap = TrapConfig(
-        eta=get(trap_kv, "eta", float, required=True),
-        gamma_over_omega=get(trap_kv, "gamma_over_omega", float, required=True),
-        dims=dims,
-        n_max=get(trap_kv, "n_max", to_int, default=defaults.n_max),
-        dipole=get(trap_kv, "dipole", str, default="isotropic"),
-        quad_theta=get(trap_kv, "quad_theta", to_int, default=DEFAULT_QUAD_THETA),
-        quad_phi=get(trap_kv, "quad_phi", to_int, default=DEFAULT_QUAD_PHI))
-
-    pulse_objs = []
-    for kv in pulses:
-        pulse_objs.append(Pulse(
-            s=get(kv, "s", float, required=True),
-            duration=get(kv, "duration_tau0", float, default=1.0),
-            amplitude_ratio=complex(get(kv, "A_re", float, default=-1.0),
-                                    get(kv, "A_im", float, default=0.0))))
-
-    run_kv = sections.get("[run]", {})
-    mode = get(run_kv, "mode", str, default="master")
-    if mode not in ("master", "mc"):
-        raise ConfigError(f"mode must be 'master' or 'mc', got {mode!r}")
-    target = get(run_kv, "target", lambda v: _parse_target(v, dims), default=defaults.target)
-    protocol = Protocol(tuple(pulse_objs),
-                        cycles=get(run_kv, "cycles", to_int, default=defaults.cycles),
-                        target=target)
-    init_kv = sections.get("[init]", {})
-    return RunSpec(
-        trap=trap, protocol=protocol,
-        thermal_mean=get(init_kv, "thermal_mean", float, default=_MEAN),
-        mode=mode,
-        trajectories=get(run_kv, "trajectories", lambda v: _check_trajectories(to_int(v)),
-                         default=1000),
-        seed=get(run_kv, "seed", lambda v: _check_seed(to_int(v)), default=12345))
+def _mode(value: str) -> str:
+    if value not in ("master", "mc"):
+        raise ValueError(f"mode must be 'master' or 'mc', got {value!r}")
+    return value
 
 
-def _check_seed(seed: int) -> int:
-    """A Monte Carlo seed: ``np.random.default_rng`` takes no negative one."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _check_trajectories(count: int) -> int:
-    """A Monte Carlo trajectory count: an ensemble needs at least one."""
-    if count < 1:
-        raise ValueError(f"trajectories must be >= 1, got {count}")
-    return count
+def _at_least(low: int, message: str):
+    """The conversion of an integer that ``message`` refuses below ``low``."""
+    def convert(value: str) -> int:
+        number = _to_int(value)
+        if number < low:
+            raise ValueError(f"{message}, got {number}")
+        return number
+    return convert
 
 
 def _parse_target(value: str, dims: int):
@@ -458,41 +344,125 @@ def _parse_target(value: str, dims: int):
     return target
 
 
+# The keys of each config section in file order, with the conversion of their
+# text.  A [trap], [init] or [run] key sets the TrapConfig, RunSpec or Protocol
+# field of its name, and one left out takes that field's default, or the
+# RUN_DEFAULTS entry of the trap's dims; eta, gamma_over_omega and dims have
+# none.  A [[pulse]] is Pulse(s, duration_tau0, A_re + i A_im), and its keys
+# left out read as _PULSE_DEFAULTS.
+_SCHEMA = {
+    "[trap]": {"eta": float, "gamma_over_omega": float, "dims": _to_int, "n_max": _to_int,
+               "dipole": str, "quad_theta": _to_int, "quad_phi": _to_int},
+    "[init]": {"thermal_mean": float},
+    "[[pulse]]": {"s": float, "duration_tau0": float, "A_re": float, "A_im": float},
+    # an ensemble needs a trajectory, and np.random.default_rng no negative seed
+    "[run]": {"cycles": _to_int, "mode": _mode,
+              "trajectories": _at_least(1, "trajectories must be >= 1"),
+              "seed": _at_least(0, "seed must be a non-negative integer"),
+              "target": _parse_target},
+}
+
+# the [[pulse]] keys' defaults in file order: s has none, A is Pulse's
+_PULSE_DEFAULTS = (None, 1.0, Pulse.amplitude_ratio.real, Pulse.amplitude_ratio.imag)
+
+
+def parse_config(text: str, run: dict[str, str] | None = None) -> RunSpec:
+    """Parse the sectioned key-value protocol format.
+
+    Sections: [trap], [init], repeated [[pulse]], [run], with the keys of
+    ``_SCHEMA``.  ``run`` maps [run] keys to text that takes the place of
+    the file's, as the command line's flags do.  Errors name the offending
+    key and its line, or its flag ("--key") for a key from ``run``.
+    """
+    sections: dict[str, list[dict[str, tuple[str, str]]]] = {}
+    name, current = "", None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            if line not in _SCHEMA:
+                raise ConfigError(f"line {lineno}: unknown section {line}")
+            if line in sections and line != "[[pulse]]":
+                raise ConfigError(f"line {lineno}: duplicate section {line}")
+            name, current = line, {}
+            sections.setdefault(name, []).append(current)
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if current is None:
+            raise ConfigError(f"line {lineno}: key {key!r} outside any section")
+        if key not in _SCHEMA[name]:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in {name}")
+        if key in current:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in {name}")
+        current[key] = (value, f"line {lineno}")
+
+    if "[trap]" not in sections:
+        raise ConfigError("missing required section [trap]")
+    if "[[pulse]]" not in sections:
+        raise ConfigError("config declares no [[pulse]] sections")
+    # the keys of the sections other than [[pulse]], which are unique
+    given = {key: entry for section in ("[trap]", "[init]", "[run]")
+             for kv in sections.get(section, ()) for key, entry in kv.items()}
+    given.update((key, (value, f"--{key}")) for key, value in (run or {}).items())
+
+    def get(kv, key, conv, default):
+        if key not in kv:
+            if default is None:  # no default: the key is required
+                raise ConfigError(f"missing required key {key!r}")
+            return default
+        value, place = kv[key]
+        try:
+            # a target is a level of the trap's dims
+            return conv(value, dims) if conv is _parse_target else conv(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"{place}: bad value for {key!r}: {exc}") from None
+
+    dims = get(given, "dims", _SCHEMA["[trap]"]["dims"], None)
+    if dims not in RUN_DEFAULTS:
+        raise ConfigError(f"dims must be 1 or 2, got {dims}")
+    defaults = {f.name: f.default for cls in (TrapConfig, Protocol, RunSpec)
+                for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    defaults.update(RUN_DEFAULTS[dims]._asdict())
+    values = {key: get(given, key, conv, defaults.get(key))
+              for section in ("[trap]", "[init]", "[run]")
+              for key, conv in _SCHEMA[section].items()}
+    pulses = []
+    for kv in sections["[[pulse]]"]:
+        s, tau, a_re, a_im = (get(kv, key, conv, default) for (key, conv), default
+                              in zip(_SCHEMA["[[pulse]]"].items(), _PULSE_DEFAULTS))
+        pulses.append(Pulse(s, tau, complex(a_re, a_im)))
+
+    def fields(cls) -> dict:
+        return {f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}
+
+    return RunSpec(TrapConfig(**fields(TrapConfig)),
+                   Protocol(tuple(pulses), **fields(Protocol)), **fields(RunSpec))
+
+
 def write_config(spec: RunSpec) -> str:
     """Canonical text form; parse(write(spec)) round-trips byte-identically."""
-    ff = format_float
-    lines = ["[trap]",
-             f"eta = {ff(spec.trap.eta)}",
-             f"gamma_over_omega = {ff(spec.trap.gamma_over_omega)}",
-             f"dims = {spec.trap.dims}",
-             f"n_max = {spec.trap.n_max}",
-             f"dipole = {spec.trap.dipole}",
-             f"quad_theta = {spec.trap.quad_theta}",
-             f"quad_phi = {spec.trap.quad_phi}",
-             "",
-             "[init]",
-             f"thermal_mean = {ff(spec.thermal_mean)}"]
+    protocol = dataclasses.replace(spec.protocol,
+                                   target=spec.protocol.target_in(spec.trap.dims))
+    values = {**vars(spec), **vars(spec.trap), **vars(protocol)}
+    blocks = [("[trap]", values), ("[init]", values)]
     for pulse in spec.protocol.pulses:
         a = complex(pulse.amplitude_ratio)
-        lines += ["",
-                  "[[pulse]]",
-                  f"s = {ff(pulse.s)}",
-                  f"duration_tau0 = {ff(pulse.duration)}",
-                  f"A_re = {ff(a.real)}",
-                  f"A_im = {ff(a.imag)}"]
-    target = spec.protocol.target
-    if target is None:
-        target = RUN_DEFAULTS[spec.trap.dims].target
-    target_str = ",".join(map(str, level_indices(spec.trap.shape, [target])[0].tolist()))
-    lines += ["",
-              "[run]",
-              f"cycles = {spec.protocol.cycles}",
-              f"mode = {spec.mode}",
-              f"trajectories = {spec.trajectories}",
-              f"seed = {spec.seed}",
-              f"target = {target_str}",
-              ""]
-    return "\n".join(lines)
+        blocks.append(("[[pulse]]", dict(zip(_SCHEMA["[[pulse]]"],
+                                             (pulse.s, pulse.duration, a.real, a.imag)))))
+    blocks.append(("[run]", values))
+    return "\n\n".join("\n".join([section, *(f"{key} = {_text(conv, kv[key])}"
+                                             for key, conv in _SCHEMA[section].items())])
+                       for section, kv in blocks) + "\n"
+
+
+def _text(conv, value) -> str:
+    """A config value as ``conv`` reads it back: a float in round-trip
+    decimals, anything else, a level included, as its indices."""
+    return format_float(value) if conv is float else ",".join(map(str, np.ravel(value)))
 
 
 def preset_runspec(name: str) -> RunSpec:

@@ -42,10 +42,13 @@ from .errors import DomainError, ResourceLimitError, SimulationError, ValidityEr
 DIPOLE_PATTERNS = ("isotropic", "dipole_z")
 
 # Sphere rule of 2D rates.  On the 1D kernel at eta = 3 it errs by 1.0e-10 at
-# level 68, 1.6e-6 at 90 and 1.35e-3 at 120.  At the fig5 depth its 2D kernel T
-# (largest entry 0.059) is 4.9e-10 off a 192 x 384 rule, limited by theta:
-# 64 x 160 is 5.8e-10 off, 80 x 128 8.6e-11 and 72 x 144 (1332 nodes) 1.1e-14,
-# yet 72 x 144 moves fig5_A_minus's cycle-300 endpoint by at most 1.3e-13.
+# level 68, 1.6e-6 at 90 and 1.35e-3 at 120.  Its 2D kernel T (largest entry
+# 0.059) is off a 192 x 384 rule at eta = 3 by 1.1e-14, 4.9e-10 and 2.3e-5 at
+# n_max 20, 40 and 60 (80 x 160: 4.1e-12 at 60), at eta = 3.065 by 5.2e-7 at
+# n_max 48, and by 6.9e-10 and 3.0e-9 on fig6's s > 0 pulses.  At n_max 40 the
+# theta order limits it: 70 x 140 (1260 nodes against 1056) is 1.2e-13 off and
+# 72 x 140 (1296) 1.9e-14, and 72 x 144 moves fig5_A_minus's cycle-300 endpoint
+# by at most 1.3e-13 and adds 7 MB to its peak RSS.
 DEFAULT_QUAD_THETA = 64
 DEFAULT_QUAD_PHI = 128
 
@@ -285,12 +288,15 @@ class AngularTables:
         proj = self.rule(l_max)[1][axis]
         built_on, cached = self._stacks.get(axis, (None, None))
         if built_on is not proj or cached.shape[2] <= l_max:
-            _check_stack_budget(proj.shape[0] * (self.trap.n_max + 1) * (l_max + 1),
-                                f"the {self.trap.dims}D recoil stack",
-                                " (in 2D, or the quadrature orders)")
+            self._check_stack(l_max)
             cached = _signed(fc.reduced_stack(self.trap.eta * proj, self.trap.n_max, l_max))
             self._stacks[axis] = (proj, cached)
         return cached
+
+    def _check_stack(self, l_max: int) -> None:
+        _check_stack_budget(len(self.rule(l_max)[0]) * (self.trap.n_max + 1) * (l_max + 1),
+                            f"the {self.trap.dims}D recoil stack",
+                            " (in 2D, or the quadrature orders)")
 
     def factors(self, l_max: int, form, q: np.ndarray | None = None):
         """Low-rank form (q, a, b) of the folded node sum sum_k w_k x[k] (x) y[k]
@@ -356,16 +362,27 @@ class AngularTables:
         return q, *(np.ascontiguousarray(f.reshape(-1, n, p).transpose(2, 0, 1))
                     for f in (a, b))
 
+    def kernel_depth(self, l_max: int) -> int:
+        """The build depth of the emission kernel to ``l_max``, refused over
+        budget before anything is built: in 2D l_max, to which it builds the
+        recoil stacks; in 1D the deepest level its line order serves
+        (``_line_depth``), to which it sums S1."""
+        if self.trap.dims == 2:
+            self._check_stack(l_max)
+            return l_max
+        n1 = self.trap.n_max + 1
+        depth = _line_depth(self.trap.eta, n1 - 1, l_max)
+        _check_stack_budget(n1 * (depth + 1), "the 1D emission kernel")
+        return depth
+
     def emission_kernel(self, l_max: int) -> np.ndarray | tuple:
         """Direction-averaged emission redistribution weights up to level
         ``l_max``: S1[n, l] in 1D; in 2D the factors (q, a, b) of
         T[nx, l, ny, l'] = (a[l].T @ b[l'])[nx, ny].
 
-        A 1D kernel is built to the deepest level its line order serves
-        (``_line_depth``) and sliced, so depths that share an order share one
-        build; a 2D kernel is built to ``l_max`` itself."""
-        n1 = self.trap.n_max + 1
-        depth = l_max if self.trap.dims == 2 else _line_depth(self.trap.eta, n1 - 1, l_max)
+        A kernel is built to its ``kernel_depth`` and sliced, so 1D depths
+        that share a line order share one build."""
+        depth = self.kernel_depth(l_max)
         kernel = self._kernels.get(depth)
         _CACHE_COUNTS["emission_kernel"]["hits" if kernel is not None else "builds"] += 1
         if kernel is None:
@@ -374,9 +391,9 @@ class AngularTables:
                 # a deeper stack holds the same values; the slice fixes the shapes
                 kernel = self.factors(depth, lambda r, out=None: np.square(r[:, :, :l1], out))
             else:
-                _check_stack_budget(n1 * l1, "the 1D emission kernel")
                 w, proj = self.rule(depth)
-                kernel = fc.reduced_stack(self.trap.eta * proj["x"], n1 - 1, depth, weights=w)
+                kernel = fc.reduced_stack(self.trap.eta * proj["x"], self.trap.n_max, depth,
+                                          weights=w)
             self._kernels[depth] = kernel
         return kernel if self.trap.dims == 2 else kernel[:, :l_max + 1]
 
@@ -628,10 +645,11 @@ class _Resonant:
     def __init__(self, trap: TrapConfig, pulse: Pulse):
         self.s = s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
-        self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
-        self.closures = empty_rates(trap, pulse)
         tables = angular_tables(trap)
         l_max = trap.n_max + max(s, 0)
+        tables.kernel_depth(l_max)  # refuses an over-budget kernel before any table
+        self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+        self.closures = empty_rates(trap, pulse)
         self.kernel = tables.emission_kernel(l_max)
         self.cross = None
         if trap.dims == 2 and s != 0 and s % 2 == 0 and self.a.real != 0.0:

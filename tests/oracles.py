@@ -18,7 +18,6 @@ import numpy as np
 
 from dyncool import dynamics, rates
 from dyncool.errors import DomainError
-from dyncool.protocols import RUN_DEFAULTS
 
 mp.mp.dps = 50
 
@@ -206,8 +205,9 @@ def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
     target occupation at consecutive cycle ends.  Returns a master
     ``TimeSeries`` with its final distribution and ``clipped_mass``.
     """
-    target = protocol.target if protocol.target is not None else RUN_DEFAULTS[trap.dims].target
-    lumped = dynamics._swap_lumpable(init, protocol, trap, rate_mode)
+    target = protocol.target_in(trap.dims)
+    grid = init.grid()
+    lumped = dynamics._swap_lumpable(protocol, trap, rate_mode) and np.array_equal(grid, grid.T)
     basis = rates.StateBasis(trap, "swap" if lumped else "full")
     mats = [rates.rate_matrix(trap, pulse, rate_mode, basis.kind) for pulse in protocol.pulses]
     series = dynamics.TimeSeries(target=target, extra_targets=tuple(extra_targets))

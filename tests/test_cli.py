@@ -325,6 +325,19 @@ class TestRun:
         out = tmp_path / "o"
         assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 4
 
+    @pytest.mark.parametrize("mode", ["master", "mc"])
+    def test_oversized_run_refused_from_the_trap(self, tmp_path, capsys, mode):
+        # three million levels: the dense generator (master) and the emission
+        # kernel (mc) are refused with their budget's message, before any
+        # grid-sized array and before the output directory exists
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 3000000\n[[pulse]]\ns = -1\n[run]\ncycles = 2\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--mode", mode, "--out-dir", str(out)) == 4
+        assert "would need" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_final_distribution_refused_in_mc_mode(self, tmp_path, capsys):
         # a Monte Carlo run keeps no distribution: refuse before any work,
         # whether the mode comes from the flag or from the config

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dyncool import fc, protocols
@@ -218,6 +220,22 @@ class TestConfigRoundTrip:
             again = write_config(parse_config(text))
             assert text == again, name
 
+    def test_preset_round_trip_gives_the_spec(self):
+        # the parsed spec is the preset's, all but the protocol's name
+        for name in PRESET_NAMES:
+            spec = preset_runspec(name)
+            unnamed = dataclasses.replace(spec, protocol=dataclasses.replace(spec.protocol,
+                                                                             name=None))
+            assert parse_config(write_config(spec)) == unnamed, name
+
+    @pytest.mark.parametrize("key", ["eta", "gamma_over_omega", "dims", "s"])
+    def test_parse_requires_key(self, key):
+        text = "[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 2\n[[pulse]]\ns = -18\n"
+        text = "".join(line + "\n" for line in text.splitlines()
+                       if not line.startswith(f"{key} ="))
+        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+            parse_config(text)
+
     def test_parse_rejects_unknown_key(self):
         spec = preset_runspec("fig2")
         text = write_config(spec).replace("eta =", "etaa =", 1)
@@ -267,3 +285,13 @@ class TestConfigRoundTrip:
         assert spec.protocol.pulses[0].amplitude_ratio == -1.0 + 0j
         assert spec.mode == "master"
         assert spec.protocol.target == 0
+
+    def test_defaults_materialize_2d(self):
+        spec = parse_config("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 2\n"
+                            "[[pulse]]\ns = -18\n")
+        assert spec.trap.n_max == 40
+        assert (spec.trap.quad_theta, spec.trap.quad_phi) == (64, 128)
+        assert spec.protocol.cycles == 300
+        assert spec.protocol.target == (0, 0)
+        assert spec.thermal_mean == 6.0
+        assert (spec.trajectories, spec.seed) == (1000, 12345)
