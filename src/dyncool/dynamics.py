@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rates
 from .errors import DomainError
-from .protocols import Protocol
+from .protocols import Protocol, RunSpec
 from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig, _pulse_cache_key,
                     cache_counts, clear_caches, level_indices, rate_matrix)
 
@@ -286,7 +286,7 @@ class _CycleMap:
 
 def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
                  mode: str = "master", *, rate_mode: str = "resonant",
-                 trajectories: int = 1000, seed: int = 12345,
+                 trajectories: int = RunSpec.trajectories, seed: int = RunSpec.seed,
                  stop_tol: float | None = 1e-6,
                  extra_targets: tuple = ()) -> TimeSeries:
     """Run a pulse protocol and record observables at every pulse boundary.

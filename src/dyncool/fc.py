@@ -13,10 +13,12 @@ built from it.  Dark states arise exactly at the Laguerre zeros.
 
 One evaluator computes every factor: ``reduced_stack`` steps the Laguerre
 degree recurrence for all bands |n - m| and projected etas at once, on the
-normalised factor, which is bounded by 1.  Every single-eta table (the
-scalars, absorption bands, Lorentzian amplitudes) is one ``reduced_table``.
-The dark-state solver evaluates no Laguerre polynomial: the zeros are the
-singular values of a bidiagonal factor of their Jacobi matrix.
+normalised factor, which is bounded by 1.  The module keeps no state: a
+scalar is read from a single-eta table built for its call, and a trap's
+single-eta table (absorption bands, Lorentzian amplitudes) is held by the
+trap's ``rates.AngularTables``.  The dark-state solver evaluates no
+Laguerre polynomial: the zeros are the singular values of a bidiagonal
+factor of their Jacobi matrix.
 """
 
 from __future__ import annotations
@@ -44,44 +46,26 @@ _RESCALE_EVERY = 32
 _RATIO_MAX_ETA = math.sqrt(-2.0 * math.log(np.finfo(np.float64).tiny))
 
 
-_memo = (math.nan, np.zeros((0, 0)))  # fc_reduced's last eta and its table
-_MEMO_ENTRIES = 1 << 20  # larger tables are not kept
-
-
 def fc_reduced(eta_eff: float, m: int, n: int) -> float:
     """Real reduced recoil factor: fc_factor with the i^|n-m| phase stripped.
 
     Signed, symmetric in (n, m); may be negative (Laguerre oscillation, or
-    odd powers of a negative projected eta).  One entry of ``reduced_stack``,
-    read from the last eta's table, grown to each (lo, hi) asked for.
+    odd powers of a negative projected eta).  One entry of ``reduced_stack``;
+    an entry does not depend on the size of the table it is read from.
     """
     if m < 0 or n < 0:
         raise DomainError(f"trap levels must be >= 0, got ({m}, {n})")
     if not math.isfinite(eta_eff):
         raise DomainError(f"eta_eff must be finite, got {eta_eff}")
     lo, hi = (m, n) if m <= n else (n, m)
+    return float(_table(eta_eff, lo, hi)[lo, hi])
+
+
+def _table(eta: float, lo: int, hi: int) -> np.ndarray:
+    """``reduced_stack`` at one eta to (lo, hi), refused above _INTERNAL_MAX_DEGREE."""
     if hi > _INTERNAL_MAX_DEGREE:
         raise DomainError(f"level {hi} exceeds maximum {_INTERNAL_MAX_DEGREE}")
-    return float(reduced_table(eta_eff, lo, hi)[lo, hi])
-
-
-def reduced_table(eta: float, lo: int, hi: int) -> np.ndarray:
-    """Read-only ``reduced_stack`` table at one eta to at least (lo, hi): the last
-    eta's, rebuilt larger if too small; an entry does not depend on the size."""
-    global _memo
-    memo_eta, table = _memo
-    rows, cols = table.shape if memo_eta == eta else (0, 0)
-    if lo >= rows or hi >= cols:
-        table = reduced_stack(np.array([eta]), max(lo, rows - 1), max(hi, cols - 1))[0]
-        if table.size <= _MEMO_ENTRIES:
-            _memo = (eta, table)
-    return table
-
-
-def release_table() -> None:
-    """Drop the table ``reduced_table`` keeps."""
-    global _memo
-    _memo = (math.nan, np.zeros((0, 0)))
+    return reduced_stack(np.array([eta]), lo, hi)[0]
 
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -194,8 +178,9 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
     """Two-laser amplitude ratio that darkens one 2D level at zero detuning.
 
     A = -<mx|e^{ikx}|mx> / <my|e^{iky}|my>; substituting into the
-    zero-detuning empty rate cancels the target exactly.  Refuses |eta| >
-    37.64, where e^{-eta^2/2} is subnormal and the ratio loses digits.
+    zero-detuning empty rate cancels the target exactly.  Refuses a
+    non-finite eta and |eta| > 37.64, where e^{-eta^2/2} is subnormal and
+    the ratio loses digits.
     Raises when the y-axis diagonal factor vanishes (eta at a Laguerre zero
     of the target's y level) to rounding, relative to the largest diagonal
     factor up to my; the message lists that level's dark etas nearest to
@@ -204,15 +189,16 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
     mx, my = target
     if mx < 0 or my < 0:
         raise DomainError(f"target levels must be >= 0, got {target}")
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
     if abs(eta) > _RATIO_MAX_ETA:
         raise DomainError(f"eta={eta} exceeds {_RATIO_MAX_ETA:.4f}, above which "
                           "e^(-eta^2/2) leaves the normal double range")
-    num = fc_reduced(eta, mx, mx)
-    den = fc_reduced(eta, my, my)
+    diagonal = _table(eta, max(target), max(target)).diagonal()
+    num, den = diagonal[mx], diagonal[my]
     # den's rounding grows with my, relative to its band's largest value (<= 1)
     tol = 1e-14 * (my + 1)
-    if abs(den) <= tol and abs(den) <= tol * np.abs(
-            reduced_table(eta, my, my).diagonal()[:my + 1]).max():
+    if abs(den) <= tol and abs(den) <= tol * np.abs(diagonal[:my + 1]).max():
         nearby = ""
         if 1 <= my <= MAX_LAGUERRE_DEGREE:
             roots = dark_eta_for_level(my, 0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fc
 from .errors import ConfigError, DomainError, ValidityError
-from .rates import (Pulse, TrapConfig, format_float, level_empty_rates,
+from .rates import (RUN_DEFAULTS, Pulse, TrapConfig, format_float, level_empty_rates,
                     level_indices)
 
 
@@ -57,18 +57,6 @@ class PresetBundle(NamedTuple):
     thermal_mean: float
 
 
-class RunDefaults(NamedTuple):
-    n_max: int
-    cycles: int
-    target: int | tuple[int, int]
-
-
-# basis depth, cycle count and target of a run, by trap dimension: the
-# presets' values, and what configs and designed protocols get unless they
-# say otherwise
-RUN_DEFAULTS = {1: RunDefaults(n_max=120, cycles=200, target=0),
-                2: RunDefaults(n_max=40, cycles=300, target=(0, 0))}
-
 # the published presets: description, eta, target and the cycle as (s, tau,
 # A) per pulse; a preset's trap has the dims of its target and gamma/omega 0.01
 _PRESETS = {
@@ -108,11 +96,9 @@ def preset(name: str) -> PresetBundle:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     _, eta, target, cycle = _PRESETS[name]
-    dims = np.size(target)
-    defaults = RUN_DEFAULTS[dims]
-    trap = TrapConfig(eta=eta, gamma_over_omega=0.01, dims=dims, n_max=defaults.n_max)
+    trap = TrapConfig(eta=eta, gamma_over_omega=0.01, dims=np.size(target))
     pulses = tuple(Pulse(s, tau, complex(a)) for s, tau, a in cycle)
-    return PresetBundle(Protocol(pulses, defaults.cycles, name, target), trap,
+    return PresetBundle(Protocol(pulses, RUN_DEFAULTS[trap.dims].cycles, name, target), trap,
                         RunSpec.thermal_mean)
 
 
@@ -467,6 +453,5 @@ def _text(conv, value) -> str:
 
 def preset_runspec(name: str) -> RunSpec:
     """RunSpec for a preset with default run options."""
-    bundle = preset(name)
-    return RunSpec(trap=bundle.trap, protocol=bundle.protocol,
-                   thermal_mean=bundle.thermal_mean)
+    protocol, trap, thermal_mean = preset(name)
+    return RunSpec(trap, protocol, thermal_mean)

@@ -33,6 +33,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,10 +65,23 @@ _RANK_TOL = 1e-14
 _FACTOR_CHUNK_BYTES = 4 << 20
 
 
+class RunDefaults(NamedTuple):
+    n_max: int
+    cycles: int
+    target: int | tuple[int, int]
+
+
+# basis depth, cycle count and target of a run by trap dimension: the presets'
+# values, and what traps, configs and designed protocols get unless told otherwise
+RUN_DEFAULTS = {1: RunDefaults(n_max=120, cycles=200, target=0),
+                2: RunDefaults(n_max=40, cycles=300, target=(0, 0))}
+
+
 @dataclass(frozen=True)
 class TrapConfig:
     """Physical and numerical parameters of one trap/laser setup.
 
+    ``n_max`` left out is the ``RUN_DEFAULTS`` depth of the trap's dims.
     ``quad_theta`` x ``quad_phi`` is the sphere rule of 2D rates only; it is
     folded by parity, so ``quad_theta`` must be even and ``quad_phi`` a
     multiple of 4.
@@ -76,7 +90,7 @@ class TrapConfig:
     eta: float
     gamma_over_omega: float
     dims: int = 1
-    n_max: int = 120
+    n_max: int | None = None
     dipole: str = "isotropic"
     quad_theta: int = DEFAULT_QUAD_THETA
     quad_phi: int = DEFAULT_QUAD_PHI
@@ -92,6 +106,8 @@ class TrapConfig:
                 "not resolved, red detuning no longer makes level 0 dark")
         if self.dims not in (1, 2):
             raise DomainError(f"dims must be 1 or 2, got {self.dims}")
+        if self.n_max is None:
+            object.__setattr__(self, "n_max", RUN_DEFAULTS[self.dims].n_max)
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
         if self.dipole not in DIPOLE_PATTERNS:
@@ -240,8 +256,9 @@ def _line_rule(dipole: str, order: int):
 
 
 class AngularTables:
-    """Per-trap folded emission rules, their signed recoil stacks and the
-    emission kernels built on them, in 1D and 2D.
+    """Per-trap recoil tables in 1D and 2D: the single-eta table ``on_axis``
+    (absorption factors, Lorentzian amplitudes), the folded emission rules,
+    their signed recoil stacks and the emission kernels built on them.
 
     ``rule(l_max)`` is the emission rule folded by parity: in 1D the u > 0 half
     of the line rule (``_line_rule``), whose order grows with l_max; in 2D the
@@ -266,13 +283,24 @@ class AngularTables:
     requested level alone: build order cannot move them.
     """
 
-    _FULL_STACK_BUDGET = 512 << 20  # cap on one stack (an axis, 1D or 2D) or 1D kernel
+    _FULL_STACK_BUDGET = 512 << 20  # cap on the on-axis table, a stack (an axis) or 1D kernel
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
+        self._on_axis = np.zeros((0, 0))
         self._rules: dict[int, tuple] = {}
         self._stacks: dict[str, tuple] = {}
         self._kernels: dict[int, np.ndarray | tuple] = {}
+
+    def on_axis(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only reduced factors R(eta)[m, n] to at least (lo, hi): the held
+        table, rebuilt larger if too small; an entry does not depend on the size."""
+        rows, cols = self._on_axis.shape
+        if lo >= rows or hi >= cols:
+            lo, hi = max(lo, rows - 1), max(hi, cols - 1)
+            _check_stack_budget((lo + 1) * (hi + 1), "the on-axis recoil table")
+            self._on_axis = fc.reduced_stack(np.array([self.trap.eta]), lo, hi)[0]
+        return self._on_axis
 
     def rule(self, l_max: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """(weights, {axis: projection}) of the folded rule to ``l_max``, built once."""
@@ -418,7 +446,7 @@ def _check_stack_budget(entries: int, what: str, remedy: str = "") -> None:
                                  f"lower n_max{remedy}")
 
 
-_TABLES: dict[tuple, AngularTables] = {}
+_TABLES: dict[tuple, AngularTables] = {}  # the last trap's tables, by its key
 
 # builds and hits of the emission-kernel cache since import
 _CACHE_COUNTS = {"emission_kernel": {"builds": 0, "hits": 0}}
@@ -432,26 +460,26 @@ def cache_counts(since: dict | None = None) -> dict:
 
 
 def angular_tables(trap: TrapConfig) -> AngularTables:
+    """The tables of ``trap`` (the key leaves out gamma/omega, which no table
+    reads): the held ones if they are its, else new ones in their place."""
     key = (trap.dims, trap.eta, trap.dipole, trap.quad_theta, trap.quad_phi, trap.n_max)
-    tab = _TABLES.get(key)
-    if tab is None:
-        tab = AngularTables(trap)
-        _TABLES[key] = tab
-    return tab
+    if key not in _TABLES:
+        _TABLES.clear()
+        _TABLES[key] = AngularTables(trap)
+    return _TABLES[key]
 
 
 def clear_caches() -> None:
-    """Drop the build-time stacks, kernels and factor table once generators or samplers exist."""
+    """Drop the held trap's tables once its generators or samplers exist."""
     _TABLES.clear()
-    fc.release_table()
 
 
-def _reduced_absorption(eta: float, s: int, levels) -> np.ndarray:
+def _reduced_absorption(trap: TrapConfig, s: int, levels) -> np.ndarray:
     """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where
-    m+s < 0: band s of the eta's reduced-factor table (``fc.reduced_table``)."""
+    m+s < 0: band s of the trap's on-axis table (``AngularTables.on_axis``)."""
     m = np.asarray(levels, dtype=int)
     top = int(m.max(initial=0))
-    table = fc.reduced_table(eta, top, top + max(s, 0))
+    table = angular_tables(trap).on_axis(top, top + max(s, 0))
     return np.where(m + s >= 0, table[m, np.maximum(m + s, 0)], 0.0)
 
 
@@ -486,7 +514,7 @@ def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
     """
     s = pulse.s_int
     grid = level_indices(trap.shape, levels)
-    f = _reduced_absorption(trap.eta, s, grid.reshape(-1)).reshape(grid.shape)
+    f = _reduced_absorption(trap, s, grid.reshape(-1)).reshape(grid.shape)
     axes = [v for axis in f.T for v in (axis * axis, axis * (s == 0))]
     return _empty_rate(*axes, a=complex(pulse.amplitude_ratio))
 
@@ -608,14 +636,14 @@ def _check_matrix_budget(side: int) -> None:
             "lower n_max")
 
 
-def _level_headroom(eta: float, top_level: int, sigmas: float = 7.0) -> int:
+def _level_headroom(eta: float, top_level: int) -> int:
     """Levels to add above ``top_level`` so recoil redistribution closes.
 
     A displaced level l spreads over ~ eta*sqrt(2l+1) levels; the headroom
-    covers the mean shift eta^2 plus ``sigmas`` standard deviations.
+    covers the mean shift eta^2 plus 7 standard deviations.
     """
     spread = abs(eta) * math.sqrt(2.0 * top_level + 1.0)
-    return int(math.ceil(eta * eta + sigmas * spread)) + 2
+    return int(math.ceil(eta * eta + 7.0 * spread)) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +676,7 @@ class _Resonant:
         tables = angular_tables(trap)
         l_max = trap.n_max + max(s, 0)
         tables.kernel_depth(l_max)  # refuses an over-budget kernel before any table
-        self.f = _reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+        self.f = _reduced_absorption(trap, s, range(trap.n_max + 1))
         self.closures = empty_rates(trap, pulse)
         self.kernel = tables.emission_kernel(l_max)
         self.cross = None
@@ -709,7 +737,7 @@ def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.nda
     phase i^((l-m) mod 2) (``_signed``)."""
     gt = trap.gamma_over_omega
     n_max = trap.n_max
-    amps = _signed(fc.reduced_table(trap.eta, n_max, l_max)[:n_max + 1, :l_max + 1].T.copy())
+    amps = _signed(angular_tables(trap).on_axis(n_max, l_max)[:n_max + 1, :l_max + 1].T.copy())
     shift = np.arange(l_max + 1)[:, None] - np.arange(n_max + 1)[None, :]
     return amps * gt / ((pulse.s - shift) + 1j * gt)
 

@@ -53,6 +53,10 @@ class TestDark:
         assert f"eta={float(eta)} exceeds 37.6403" in err
         assert "normal double range" in err
 
+    def test_non_finite_eta_exits_3(self, capsys):
+        assert run_cli("dark", "ratio", "--eta", "nan", "--target", "0,1") == 3
+        assert "must be finite, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("level, n_listed", [(100, 1), (300, 0)])
     def test_singular_ratio_names_level(self, capsys, level, n_listed):
         # eta at the smallest zero of L_level, from the 60-digit recurrence:
@@ -123,6 +127,15 @@ class TestRates:
 
     def test_out_of_range_pulse_exits_2(self, capsys):
         assert run_cli("rates", "--preset", "fig2", "--pulse", "7") == 2
+
+    def test_oversized_absorption_table_refused(self, tmp_path, capsys):
+        # three million levels: the on-axis table of the absorption factors
+        # (72 TB) is refused with its budget's message, not by numpy
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 3000000\n[[pulse]]\ns = -1\n")
+        assert run_cli("rates", "--config", str(cfg), "--pulse", "0") == 4
+        assert "the on-axis recoil table would need" in capsys.readouterr().err
 
 
 class TestRun:

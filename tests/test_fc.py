@@ -4,8 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from dyncool import fc
+from dyncool import fc, rates
 from dyncool.errors import DomainError, SingularRatioError
+from dyncool.rates import TrapConfig
 
 from oracles import fc_modulus_series, fc_reduced_series, laguerre_recurrence, recoil_phases
 
@@ -219,19 +220,20 @@ class TestReducedStack:
                 fc.fc_factor(*args)
         assert calls == []
 
-    def test_fc_reduced_memo(self, monkeypatch):
-        # fc_reduced grows one table per eta and reads each entry from it,
-        # bitwise as a table built for that entry alone; a table above the
-        # memo's size is used once and not kept
-        monkeypatch.setattr(fc, "_memo", (math.nan, np.zeros((0, 0))))
-        monkeypatch.setattr(fc, "_MEMO_ENTRIES", 200)
-        for m, n in ((0, 4), (7, 2), (3, 12), (9, 9), (5, 40)):
-            lo, hi = min(m, n), max(m, n)
+    def test_trap_on_axis_table_grows(self):
+        # a trap's on-axis table grows to each (lo, hi) it is asked for, and
+        # each entry is bitwise that of a table built for it alone and of
+        # fc_reduced, which keeps no table
+        rates.clear_caches()
+        tables = rates.angular_tables(TrapConfig(eta=2.3, gamma_over_omega=0.01, n_max=5))
+        shapes = []
+        for lo, hi in ((0, 4), (7, 2), (3, 12), (9, 9), (5, 40)):
+            table = tables.on_axis(lo, hi)
+            shapes.append(table.shape)
             alone = fc.reduced_stack(np.array([2.3]), lo, hi)[0, lo, hi]
-            assert fc.fc_reduced(2.3, m, n) == alone
-        assert fc._memo[0] == 2.3 and fc._memo[1].shape == (10, 13)
-        fc.fc_reduced(0.7, 1, 2)
-        assert fc._memo[0] == 0.7 and fc._memo[1].shape == (2, 3)
+            assert table[lo, hi] == alone == fc.fc_reduced(2.3, lo, hi)
+        rates.clear_caches()
+        assert shapes == [(1, 5), (8, 5), (8, 13), (10, 13), (10, 41)]
 
 
 class TestDarkSolvers:

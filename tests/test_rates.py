@@ -8,7 +8,7 @@ import scipy.linalg
 
 from dyncool import cli, fc, rates
 from dyncool.errors import DomainError, ResourceLimitError, SimulationError, ValidityError
-from dyncool.protocols import PRESET_NAMES, preset
+from dyncool.protocols import PRESET_NAMES, RUN_DEFAULTS, preset
 from dyncool.rates import Pulse, TrapConfig, dipole_pattern, empty_rates, rate_matrix
 from oracles import (angular_quadrature, fc_reduced_series, folded_resonant_column_2d,
                      recoil_phases, uniformization_expm)
@@ -60,6 +60,13 @@ class TestTrapConfig:
                            quad_theta=theta, quad_phi=phi)
         trap = TrapConfig(eta=1.0, gamma_over_omega=0.1, dims=2, quad_theta=6, quad_phi=12)
         assert (trap.quad_theta, trap.quad_phi) == (6, 12)
+
+    def test_default_n_max_by_dims(self):
+        # a trap that leaves n_max out gets its dims' run default: 40 in 2D
+        # (1681 states), not the 1D depth of 120 (14641)
+        for dims, n_max in ((1, 120), (2, 40)):
+            trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=dims)
+            assert trap.n_max == n_max == RUN_DEFAULTS[dims].n_max
 
     def test_eta_hat2_and_indexing(self):
         trap = trap_2d(eta=3.065, n_max=5)
@@ -316,7 +323,7 @@ class TestEmptyRates2d:
         proto, trap, _ = preset(name)
         for pulse in proto.pulses:
             s = pulse.s_int
-            f = rates._reduced_absorption(trap.eta, s, range(trap.n_max + 1))
+            f = rates._reduced_absorption(trap, s, range(trap.n_max + 1))
             norm2, diag = f * f, f * (s == 0)
             grid = rates._empty_rate(norm2) if trap.dims == 1 else rates._empty_rate(
                 norm2[:, None], diag[:, None], norm2[None, :], diag[None, :],
@@ -712,6 +719,23 @@ class TestColumnSampler:
             ref = folded_resonant_column_2d(rx, ry, weights, f[mx], f[my],
                                             -2, -1.0, mx, my)
             assert np.abs(col - ref).max() <= 1e-13 * ref.max()
+
+    def test_one_trap_held_at_a_time(self):
+        # one 2D sampler per trap over six etas: each trap's tables take the
+        # place of the last's, so the memory held after each build is flat
+        # (it grew by one trap's tables, 16.6 MiB, per trap while every
+        # trap's were kept)
+        rates.clear_caches()
+        held = []
+        tracemalloc.start()
+        try:
+            for eta in np.linspace(2.9, 3.1, 6):
+                rates.ColumnSampler(trap_2d(eta=float(eta), n_max=30), Pulse(s=-4, duration=1.0))
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            rates.clear_caches()
+        assert max(held) - held[0] < (1 << 20), held
 
 
 _EXIT_S = (-4, -3, 0, 2, 3)
