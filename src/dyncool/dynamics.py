@@ -253,6 +253,8 @@ class _CycleMap:
     given a lazy iterable, each G_j is built, exponentiated into
     P_j = ``rates.markov_expm`` (G_j, tau_j), multiplied into Z and dropped
     with P_j, so the dense working set does not grow with the pulse count K.
+    ``markov_expm`` gets the only reference to G_j, so G_j is freed before
+    its series products.
     ``inner`` stacks ``rows @ Z_j`` for j < K, so ``inner @ y`` holds the
     row values after every pulse but the last of a cycle that starts at y.
     min(Z_j) >= -1e-12 for j < K keeps every state inside a cycle above
@@ -307,12 +309,14 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     as ``basis.lump(row * share)``, share being the weight ``unlump`` gives
     each level.  The run steps one cycle at a time through ``_CycleMap``,
     which it hands the generators lazily: each is built when the map needs
-    it, and the build tables are released once the last one exists.
+    it, from the column providers built first, one per distinct pulse
+    (``_providers``), after which the trap's recoil tables are released.
+    A basis over the dense-matrix budget is refused before any of them.
     The leak is chained pulse by pulse, leak_j = leak_{j-1} +
     max(m_{j-1} - m_j, 0) with m the mass row (read after clipping at a
     cycle's end), so it never decreases; t accumulates pulse by pulse.  The
     grid state is recovered once, at the end.  An empty protocol or zero
-    cycles records the initial sample only and builds no generator.
+    cycles records the initial sample only and builds no provider or generator.
     """
     target = protocol.target_in(trap.dims)
     before = cache_counts()
@@ -338,14 +342,13 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     grid = init.grid()
     lumped = _swap_lumpable(protocol, trap, rate_mode) and np.array_equal(grid, grid.T)
     basis = StateBasis(trap, "swap" if lumped else "full")
+    rates._check_matrix_budget(basis.size)
     t0 = time.perf_counter()
-    builds = []  # wall seconds of each generator's build
+    builds = []  # wall seconds of the providers' build and of each generator's
 
-    def build(pulse):
+    def build(pulse, provider):
         start = time.perf_counter()
-        mat = rate_matrix(trap, pulse, rate_mode, basis.kind)
-        if len(builds) == len(protocol.pulses) - 1:
-            clear_caches()
+        mat = rate_matrix(trap, pulse, rate_mode, basis.kind, provider=provider)
         builds.append(time.perf_counter() - start)
         return mat
 
@@ -357,7 +360,11 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     series.samples.append(Sample(0, 0, t, _snapshot(values, leak, extra_rows)))
     cycles = protocol.cycles if protocol.pulses else 0
     if cycles:
-        cycle_map = _CycleMap(map(build, protocol.pulses), protocol.pulses, rows)
+        start = time.perf_counter()
+        providers = _providers(protocol, trap, rate_mode, rates._provider)
+        builds.append(time.perf_counter() - start)
+        cycle_map = _CycleMap(map(build, protocol.pulses, providers), protocol.pulses, rows)
+        del providers
     for cycle in range(1, cycles + 1):
         start = values
         inner = (cycle_map.inner @ state.probs).reshape(-1, len(rows)).tolist()
@@ -409,14 +416,16 @@ def check_budgets(protocol: Protocol, trap: TrapConfig, mode: str = "master") ->
     rates.angular_tables(trap).kernel_depth(trap.n_max + deepest)
 
 
-def _samplers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
-    """Per-pulse column-on-demand jump samplers, one per distinct
-    ``_pulse_cache_key``."""
+def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str, make):
+    """``make(trap, pulse, rate_mode)`` for every pulse, built once per
+    distinct ``_pulse_cache_key``: a master run's column providers
+    (``rates._provider``), a Monte Carlo run's ``ColumnSampler`` objects.
+    The trap's recoil tables are released once all of them exist."""
     shared: dict = {}
     for pulse in protocol.pulses:
         key = _pulse_cache_key(trap, pulse, rate_mode)
         if key not in shared:
-            shared[key] = ColumnSampler(trap, pulse, rate_mode)
+            shared[key] = make(trap, pulse, rate_mode)
     clear_caches()
     return [shared[_pulse_cache_key(trap, pulse, rate_mode)] for pulse in protocol.pulses]
 
@@ -430,8 +439,8 @@ def mc_trajectory(initial_level, protocol: Protocol, trap: TrapConfig,
     (time, flat level) after each jump.  Absorption into the truncation
     leak logs the level -1 and ends the trajectory.
     """
-    stepper = _JumpStepper(_samplers(protocol, trap, rate_mode), trap.n_states,
-                           np.array([trap.flat_index(initial_level)]))
+    stepper = _JumpStepper(_providers(protocol, trap, rate_mode, ColumnSampler),
+                           trap.n_states, np.array([trap.flat_index(initial_level)]))
     jumps: list[tuple[float, int]] = [(0.0, int(stepper.level[0]))]
     t = 0.0
     for _cycle in range(protocol.cycles):
@@ -519,7 +528,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     rows = np.vstack([rows, rows[1] + rows[2]])
     moments = np.concatenate([rows, rows * rows])
     t0 = time.perf_counter()
-    samplers = _samplers(protocol, trap, rate_mode) if protocol.cycles else []
+    samplers = _providers(protocol, trap, rate_mode, ColumnSampler) if protocol.cycles else []
     t1 = time.perf_counter()
     n_rec = protocol.cycles + 1
 

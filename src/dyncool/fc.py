@@ -11,12 +11,13 @@ where L is an associated Laguerre polynomial.  The reduced (phase-stripped)
 factor is real and symmetric in (n, m); all observables in this package are
 built from it.  Dark states arise exactly at the Laguerre zeros.
 
-One evaluator computes every factor: ``reduced_stack`` steps the Laguerre
+One recurrence computes every factor: ``reduced_stack`` steps the Laguerre
 degree recurrence for all bands |n - m| and projected etas at once, on the
-normalised factor, which is bounded by 1.  The module keeps no state: a
-scalar is read from a single-eta table built for its call, and a trap's
-single-eta table (absorption bands, Lorentzian amplitudes) is held by the
-trap's ``rates.AngularTables``.  The dark-state solver evaluates no
+normalised factor, which is bounded by 1, and ``reduced_bands`` steps it on
+the first few bands alone (resonant absorption).  The module keeps no
+state: a scalar is read from a single-eta table built for its call, and a
+trap's single-eta tables (absorption bands, full mode's Lorentzian
+amplitudes) are held by the trap's ``rates.AngularTables``.  The dark-state solver evaluates no
 Laguerre polynomial: the zeros are the singular values of a bidiagonal
 factor of their Jacobi matrix.
 """
@@ -81,19 +82,11 @@ def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int, *,
     """Reduced factors R[k, n, l] at many projected etas at once.
 
     Steps the degree lo = min(n, l) once for every band d = |n - l| and eta
-    together, on the normalised factor
-
-        g = e^{-x/2} eta^d sqrt(lo!/(lo+d)!) L_lo^d(x),   x = eta^2,
-
-    which is the entry itself and is bounded by 1 in modulus, so the
-    recurrence cannot overflow.  Each band carries a power-of-two exponent
-    beside its values, so a band whose first value e^{-x/2} |eta|^d / sqrt(d!)
-    is below the double range (deep bands, small eta) still grows into it:
-    an entry reads 0 only where it underflows itself.  No error is carried
-    across bands; an entry's absolute error is at the rounding level of its
-    band's largest value.  The tests check entries against the exact series
-    to 1e-10 relative up to level 1060 (eta = 0.05, 1, 3) and at levels
-    3500/4000 (eta = 3), where the band starts below the double range.
+    together (``_degrees``).  No error is carried across bands; an entry's
+    absolute error is at the rounding level of its band's largest value.
+    The tests check entries against the exact series to 1e-10 relative up
+    to level 1060 (eta = 0.05, 1, 3) and at levels 3500/4000 (eta = 3),
+    where the band starts below the double range.
 
     With ``weights`` w, one per eta, it returns sum_k w_k R[k, n, l]^2 as one
     (n_max+1, l_max+1) table instead, adding each degree's entries as they
@@ -108,7 +101,51 @@ def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int, *,
         w = np.where(zero, 0.0, weights)  # identity rows are added at the end
         out = np.zeros((n_max + 1, l_max + 1))
     top = max(n_max, l_max)
-    d = np.arange(top + 1.0)
+    degrees = _degrees(eta, top + 1, top)
+    for lo, val in zip(range(min(n_max, l_max) + 1), degrees):
+        if weights is not None:
+            val = w @ (val * val)
+        out[..., lo, lo:] = val[..., :l_max + 1 - lo]
+        out[..., lo + 1:, lo] = val[..., 1:n_max + 1 - lo]
+    if np.any(zero):
+        rows, diag = np.flatnonzero(zero), np.arange(min(n_max, l_max) + 1)
+        if weights is not None:
+            out[diag, diag] += np.sum(np.asarray(weights)[rows])
+            return out
+        out[rows] = 0.0
+        out[rows[:, None], diag, diag] = 1.0
+    return out
+
+
+def reduced_bands(eta: float, bands: int, count: int) -> np.ndarray:
+    """Bands d < ``bands`` of the single-eta table, R(eta)[lo, lo + d] at
+    [d, lo] for lo < count: ``reduced_stack``'s entries bitwise, from its
+    recurrence stepped on those bands alone, in O(bands * count)."""
+    if eta == 0.0:  # R(0) = I: band 0 is ones
+        out = np.zeros((bands, count))
+        out[0] = 1.0
+        return out
+    degrees = _degrees(np.array([eta], dtype=float), bands, count + bands - 2)
+    return np.array([val[0] for _, val in zip(range(count), degrees)]).T
+
+
+def _degrees(eta: np.ndarray, bands: int, top: int):
+    """Yield, for lo = 0 ... ``top``, the entries of degree lo of the bands
+    d < ``bands`` with lo + d <= ``top``, at every eta (none 0), as an
+    (etas, bands that remain) array.
+
+    The recurrence runs on the normalised factor
+
+        g = e^{-x/2} eta^d sqrt(lo!/(lo+d)!) L_lo^d(x),   x = eta^2,
+
+    which is the entry itself and is bounded by 1 in modulus, so it cannot
+    overflow.  Each band carries a power-of-two exponent beside its values,
+    so a band whose first value e^{-x/2} |eta|^d / sqrt(d!) is below the
+    double range (deep bands, small eta) still grows into it: an entry
+    reads 0 only where it underflows itself.  Every step is elementwise in
+    (eta, d), so an entry does not depend on ``bands`` or ``top``.
+    """
+    d = np.arange(float(bands))
     x = (eta * eta)[:, None]
     # lo = 0: g = e^{-x/2} eta^d / sqrt(d!) <= 1, held as cur * 2^expo, 1 <= |cur| < 2
     log_g = (-0.5 * x + d * np.log(np.abs(eta))[:, None]
@@ -118,8 +155,8 @@ def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int, *,
     cur[(eta < 0.0)[:, None] & (d % 2 == 1)] *= -1.0
     prev = np.zeros_like(cur)
     scale = np.ldexp(1.0, expo)
-    for lo in range(min(n_max, l_max) + 1):
-        nb = top - lo + 1  # bands d that still have an entry of degree lo
+    for lo in range(top + 1):
+        nb = min(bands, top - lo + 1)  # bands d that still have an entry of degree lo
         if lo > 0:
             dd = d[:nb]
             inv = 1.0 / np.sqrt(lo * (lo + dd))
@@ -134,19 +171,7 @@ def reduced_stack(eta_proj: np.ndarray, n_max: int, l_max: int, *,
                 cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
                 expo = expo[:, :nb] + shift
                 scale = np.ldexp(1.0, expo)
-        val = cur * scale[:, :nb]
-        if weights is not None:
-            val = w @ (val * val)
-        out[..., lo, lo:] = val[..., :l_max + 1 - lo]
-        out[..., lo + 1:, lo] = val[..., 1:n_max + 1 - lo]
-    if np.any(zero):
-        rows, diag = np.flatnonzero(zero), np.arange(min(n_max, l_max) + 1)
-        if weights is not None:
-            out[diag, diag] += np.sum(np.asarray(weights)[rows])
-            return out
-        out[rows] = 0.0
-        out[rows[:, None], diag, diag] = 1.0
-    return out
+        yield cur * scale[:, :nb]
 
 
 def dark_eta_for_level(m: int, s: int) -> list[float]:

@@ -256,7 +256,7 @@ def _line_rule(dipole: str, order: int):
 
 
 class AngularTables:
-    """Per-trap recoil tables in 1D and 2D: the single-eta table ``on_axis``
+    """Per-trap recoil tables in 1D and 2D: the single-eta bands ``bands``
     (absorption factors, Lorentzian amplitudes), the folded emission rules,
     their signed recoil stacks and the emission kernels built on them.
 
@@ -283,24 +283,27 @@ class AngularTables:
     requested level alone: build order cannot move them.
     """
 
-    _FULL_STACK_BUDGET = 512 << 20  # cap on the on-axis table, a stack (an axis) or 1D kernel
+    _FULL_STACK_BUDGET = 512 << 20  # cap on the bands, a stack (an axis) or 1D kernel
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
-        self._on_axis = np.zeros((0, 0))
+        self._bands = np.zeros((0, 0))
         self._rules: dict[int, tuple] = {}
         self._stacks: dict[str, tuple] = {}
         self._kernels: dict[int, np.ndarray | tuple] = {}
 
-    def on_axis(self, lo: int, hi: int) -> np.ndarray:
-        """Read-only reduced factors R(eta)[m, n] to at least (lo, hi): the held
-        table, rebuilt larger if too small; an entry does not depend on the size."""
-        rows, cols = self._on_axis.shape
-        if lo >= rows or hi >= cols:
-            lo, hi = max(lo, rows - 1), max(hi, cols - 1)
-            _check_stack_budget((lo + 1) * (hi + 1), "the on-axis recoil table")
-            self._on_axis = fc.reduced_stack(np.array([self.trap.eta]), lo, hi)[0]
-        return self._on_axis
+    def bands(self, d: int, count: int) -> np.ndarray:
+        """Read-only bands of the single-eta factors, R(eta)[lo, lo + d'] at
+        [d', lo] (``fc.reduced_bands``), to at least band d and ``count``
+        degrees, and at least the trap's levels: the held ones, rebuilt
+        larger if too small; an entry does not depend on the size.  One
+        build serves every resonant pulse up to |s| = d."""
+        rows, cols = self._bands.shape
+        if d >= rows or count > cols:
+            rows, cols = max(d + 1, rows), max(count, cols, self.trap.n_max + 1)
+            _check_stack_budget(rows * cols, "the single-eta recoil bands")
+            self._bands = fc.reduced_bands(self.trap.eta, rows, cols)
+        return self._bands
 
     def rule(self, l_max: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """(weights, {axis: projection}) of the folded rule to ``l_max``, built once."""
@@ -470,17 +473,20 @@ def angular_tables(trap: TrapConfig) -> AngularTables:
 
 
 def clear_caches() -> None:
-    """Drop the held trap's tables once its generators or samplers exist."""
+    """Drop the held trap's tables: runs call it once every pulse's column
+    provider exists, before the first generator is built or column drawn."""
     _TABLES.clear()
 
 
 def _reduced_absorption(trap: TrapConfig, s: int, levels) -> np.ndarray:
     """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where
-    m+s < 0: band s of the trap's on-axis table (``AngularTables.on_axis``)."""
-    m = np.asarray(levels, dtype=int)
-    top = int(m.max(initial=0))
-    table = angular_tables(trap).on_axis(top, top + max(s, 0))
-    return np.where(m + s >= 0, table[m, np.maximum(m + s, 0)], 0.0)
+    m+s < 0: the trap's band |s| (``AngularTables.bands``) at degree
+    min(m, m+s)."""
+    lo = np.asarray(levels, dtype=int) + min(s, 0)
+    if not np.any(lo >= 0):  # band |s| is not reached
+        return np.zeros(lo.shape)
+    bands = angular_tables(trap).bands(abs(s), int(lo.max()) + 1)
+    return np.where(lo >= 0, bands[abs(s), np.maximum(lo, 0)], 0.0)
 
 
 def _empty_rate(x2, dx=0.0, y2=0.0, dy=0.0, a=0.0):
@@ -581,12 +587,15 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     n 2^-106 lam in the 1-norm, and keeps subnormals out of the GEMMs.
 
     The working set is B^1 ... B^q (B scaled in place in the one copy of
-    G t), the sum and one scratch array.  Each group's terms are added in
+    G t), the sum and one scratch array.  It drops its reference to G once
+    G t is formed, so a caller that passes the only one (the streamed cycle
+    map) frees G before the series products.  Each group's terms are added in
     place from the highest order down, the identity's weight last, on the
     diagonal; added from the identity up, they lost 1.1e-13 of column sum
     on a pulse of lam = 1e3 (10 squarings).
     """
     b = generator * duration
+    del generator
     lam = float(-b.diagonal().min(initial=0.0))
     if lam == 0.0:
         return np.eye(len(b))
@@ -736,9 +745,10 @@ def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.nda
     dimensionless, for l <= l_max and every trap level m, up to the unit
     phase i^((l-m) mod 2) (``_signed``)."""
     gt = trap.gamma_over_omega
-    n_max = trap.n_max
-    amps = _signed(angular_tables(trap).on_axis(n_max, l_max)[:n_max + 1, :l_max + 1].T.copy())
-    shift = np.arange(l_max + 1)[:, None] - np.arange(n_max + 1)[None, :]
+    m = np.arange(trap.n_max + 1)
+    shift = np.arange(l_max + 1)[:, None] - m
+    bands = angular_tables(trap).bands(l_max, m.size)
+    amps = _signed(bands[np.abs(shift), m + np.minimum(shift, 0)])
     return amps * gt / ((pulse.s - shift) + 1j * gt)
 
 
@@ -856,14 +866,18 @@ class StateBasis:
 
 
 def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
-                basis: str = "full") -> RateMatrix:
+                basis: str = "full", *, provider=None) -> RateMatrix:
     """Transition-rate generator of one pulse in a 1D or 2D trap, on the
     states of ``StateBasis(trap, basis)``: the representative columns of the
-    provider, rows lumped, exits less the in-class move.  Nothing caches it:
-    a master run exponentiates each generator and drops it."""
+    provider, rows lumped, exits less the in-class move.  ``provider`` is
+    the pulse's column provider if it exists already (a master run builds
+    one per distinct pulse first), else one is built once the basis passes
+    its budget.  Nothing caches the result: a master run exponentiates each
+    generator and drops it."""
     states = StateBasis(trap, basis)
     _check_matrix_budget(states.size)
-    provider = _provider(trap, pulse, mode)
+    if provider is None:
+        provider = _provider(trap, pulse, mode)
     columns = np.zeros((states.size, states.size))
     exits = provider.exits[tuple(states.levels.T)]
     for j, level in enumerate(states.levels):
@@ -901,7 +915,7 @@ class ColumnSampler:
 
 def _pulse_cache_key(trap: TrapConfig, pulse: Pulse, mode: str):
     """What a pulse's rates depend on: pulses with equal keys have equal
-    generators, so a Monte Carlo run builds one sampler per key."""
+    generators, so a run builds one column provider per key."""
     a = complex(pulse.amplitude_ratio)
     if trap.dims == 1:
         return (mode, pulse.s)

@@ -128,14 +128,26 @@ class TestRates:
     def test_out_of_range_pulse_exits_2(self, capsys):
         assert run_cli("rates", "--preset", "fig2", "--pulse", "7") == 2
 
-    def test_oversized_absorption_table_refused(self, tmp_path, capsys):
-        # three million levels: the on-axis table of the absorption factors
-        # (72 TB) is refused with its budget's message, not by numpy
+    def test_oversized_absorption_bands_refused(self, tmp_path, capsys):
+        # s = 10^6: the absorption bands 0..s over 121 levels (923 MiB) are
+        # refused with their budget's message, not by numpy
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 1\n"
-                       "n_max = 3000000\n[[pulse]]\ns = -1\n")
+                       "n_max = 120\n[[pulse]]\ns = 1000000\n")
         assert run_cli("rates", "--config", str(cfg), "--pulse", "0") == 4
-        assert "the on-axis recoil table would need" in capsys.readouterr().err
+        assert "the single-eta recoil bands would need" in capsys.readouterr().err
+
+    def test_deep_rates_read_bands_alone(self, tmp_path):
+        # twenty thousand levels: the absorption bands are stepped alone,
+        # where the whole single-eta table (3.2 GB) is over the 512 MiB budget
+        cfg, out = tmp_path / "deep.cfg", tmp_path / "r.csv"
+        cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 20000\n[[pulse]]\ns = -1\n")
+        assert run_cli("rates", "--config", str(cfg), "--pulse", "0", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        vals = [float(v) for _, v in rows]
+        assert [int(m) for m, _ in rows] == list(range(20001))
+        assert vals[0] == 0.0 and all(0.0 <= v <= 1.0 for v in vals) and max(vals) > 0.0
 
 
 class TestRun:

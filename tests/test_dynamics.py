@@ -9,7 +9,7 @@ from dyncool import dynamics, rates
 from dyncool.dynamics import (Distribution, mc_ensemble, mc_trajectory,
                               observables, propagate_pulse, run_protocol,
                               thermal_distribution)
-from dyncool.errors import DomainError
+from dyncool.errors import DomainError, ResourceLimitError
 from dyncool.protocols import RUN_DEFAULTS, Protocol, preset
 from dyncool.rates import Pulse, RateMatrix, TrapConfig
 
@@ -556,7 +556,8 @@ class TestCycleStepping:
         def refuse(*args, **kwargs):
             raise AssertionError("a generator, sampler, propagator or cycle map was computed")
         for owner, attr in ((rates, "markov_expm"), (dynamics, "_CycleMap"),
-                            (dynamics, "rate_matrix"), (rates.ColumnSampler, "__init__")):
+                            (dynamics, "rate_matrix"), (rates.ColumnSampler, "__init__"),
+                            (rates, "_provider")):
             monkeypatch.setattr(owner, attr, refuse)
         trap_2d = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=6)
         for trap, level in ((trap_1d(n_max=20), 3), (trap_2d, (3, 3))):
@@ -642,6 +643,94 @@ class TestCycleStepping:
         assert alive_at_expm == [1] * len(proto.pulses)
         assert all(ref() is None for ref in built)
 
+    @pytest.mark.parametrize("case", ["1d", "2d_swap"])
+    def test_tables_released_before_first_propagator(self, case, monkeypatch):
+        # every pulse's provider is built first and the trap's recoil tables
+        # released, so no table is held while a propagator is formed
+        if case == "1d":
+            init, proto, trap = _fig2_run(1)
+        else:
+            init, proto, trap = preset_run("fig5_A_minus", n_max=8, cycles=1)
+        held, inner = [], rates.markov_expm
+        monkeypatch.setattr(rates, "markov_expm",
+                            lambda *args: held.append(len(rates._TABLES)) or inner(*args))
+        rates.clear_caches()
+        series = run_protocol(init, proto, trap, stop_tol=0.0)
+        assert series.diagnostics["basis"] == ("swap" if trap.dims == 2 else "full")
+        assert held == [0] * len(proto.pulses) and len(held) > 1
+
+    @pytest.mark.parametrize("dims, mode", [(1, "resonant"), (2, "resonant"), (2, "full")])
+    def test_master_run_one_provider_per_key(self, dims, mode, monkeypatch):
+        # a master run builds one provider per distinct pulse (s = -2
+        # repeated; in resonant 2D also s = -3 at A = +-1, an odd s with no
+        # cross term), and each generator is bitwise the one a lone
+        # rate_matrix call builds
+        trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=dims, n_max=5)
+        pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a) for s, a in
+                       ((-2, -1.0), (-3, 1.0), (0, -1.0), (-2, -1.0), (-3, -1.0)))
+        made, built = [], []
+        inner_provider, inner_build = rates._provider, dynamics.rate_matrix
+        monkeypatch.setattr(rates, "_provider",
+                            lambda *args: made.append(args) or inner_provider(*args))
+
+        def build(*args, **kwargs):
+            built.append((args, inner_build(*args, **kwargs)))
+            return built[-1][1]
+        monkeypatch.setattr(dynamics, "rate_matrix", build)
+        rates.clear_caches()
+        init = level_distribution(RUN_DEFAULTS[dims].target, trap)
+        series = run_protocol(init, Protocol(pulses, 1), trap, rate_mode=mode, stop_tol=0.0)
+        keys = {rates._pulse_cache_key(trap, pulse, mode) for pulse in pulses}
+        assert len(made) == len(keys) == (3 if dims == 1 or mode == "resonant" else 4)
+        assert series.diagnostics["basis"] == ("swap" if (dims, mode) == (2, "resonant")
+                                               else "full")
+        assert [args[1] for args, _ in built] == list(pulses)
+        monkeypatch.undo()
+        for (trap_, pulse, mode_, basis), mat in built:
+            alone = rates.rate_matrix(trap_, pulse, mode_, basis)
+            for attr in ("generator", "leak", "self_rates"):
+                assert np.array_equal(getattr(mat, attr), getattr(alone, attr))
+
+    def test_markov_expm_frees_its_only_input(self):
+        # given the only reference to G, markov_expm frees it once G t is
+        # formed: its peak is an n x n array below that of a call whose
+        # caller still holds G
+        n = 300
+        rng = np.random.default_rng(5)
+
+        def generator():
+            g = rng.random((n, n))
+            np.fill_diagonal(g, 0.0)
+            np.fill_diagonal(g, -g.sum(axis=0))
+            return g
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for held in (True, False):
+                box = [generator()]
+                kept = box[0] if held else None
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                rates.markov_expm(box.pop(), 0.01)
+                peaks[held] = tracemalloc.get_traced_memory()[1] - base
+                del kept
+        finally:
+            tracemalloc.stop()
+        assert peaks[True] - peaks[False] >= 0.9 * 8 * n * n
+
+    def test_over_budget_basis_refused_before_any_provider(self, monkeypatch):
+        # the swap basis of a thermal start at n_max 214 has 23 220 states,
+        # a 4.0 GiB generator: refused before any provider or table exists
+        def refuse(*args, **kwargs):
+            raise AssertionError("a provider or recoil table was built")
+        monkeypatch.setattr(rates, "_provider", refuse)
+        monkeypatch.setattr(rates, "angular_tables", refuse)
+        trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=214)
+        init = thermal_distribution(6.0, trap)
+        protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 1)
+        with pytest.raises(ResourceLimitError, match=r"\(23220 x 23220\)"):
+            run_protocol(init, protocol, trap)
+
     @pytest.mark.parametrize("dims", [1, 2])
     def test_samplers_one_per_key(self, dims, monkeypatch):
         # pulses of equal _pulse_cache_key share one sampler: in 2D s = -9
@@ -653,7 +742,8 @@ class TestCycleStepping:
         inner = rates.ColumnSampler.__init__
         monkeypatch.setattr(rates.ColumnSampler, "__init__",
                             lambda self, *args: made.append(args) or inner(self, *args))
-        samplers = dynamics._samplers(Protocol(pulses, 1), trap, "resonant")
+        samplers = dynamics._providers(Protocol(pulses, 1), trap, "resonant",
+                                       rates.ColumnSampler)
         keys = [rates._pulse_cache_key(trap, pulse, "resonant") for pulse in pulses]
         assert len(made) == len(set(keys)) == len(set(map(id, samplers))) == 3
         assert all((samplers[i] is samplers[j]) == (keys[i] == keys[j])

@@ -220,20 +220,42 @@ class TestReducedStack:
                 fc.fc_factor(*args)
         assert calls == []
 
-    def test_trap_on_axis_table_grows(self):
-        # a trap's on-axis table grows to each (lo, hi) it is asked for, and
-        # each entry is bitwise that of a table built for it alone and of
-        # fc_reduced, which keeps no table
+    @pytest.mark.parametrize("eta, n_max, s", [
+        (3.0, 480, 8), (3.0, 480, 9), (3.0, 40, 18), (3.065, 48, 4), (0.05, 200, 3),
+        (3.0, 3000, 1), (3.0, 480, -9), (0.0, 6, 2)])
+    def test_bands_equal_table_bands(self, eta, n_max, s):
+        # absorption bands are stepped alone, bitwise the bands of the
+        # single-eta table a resonant run read them from before
+        table = fc.reduced_stack(np.array([eta]), n_max, n_max + max(s, 0))[0]
+        count = n_max + 1 - max(-s, 0)
+        bands = fc.reduced_bands(eta, abs(s) + 1, count)
+        for d in range(abs(s) + 1):
+            assert bands[d].tobytes() == np.diagonal(table, d)[:count].tobytes()
+        m = np.arange(n_max + 1)
+        from_table = np.where(m + s >= 0, table[m, np.maximum(m + s, 0)], 0.0)
+        rates.clear_caches()
+        trap = TrapConfig(eta=eta, gamma_over_omega=0.01, n_max=n_max)
+        assert rates._reduced_absorption(trap, s, m).tobytes() == from_table.tobytes()
+        rates.clear_caches()
+
+    def test_trap_bands_grow(self):
+        # a trap's bands grow to each band and degree count asked for, and
+        # at least to its levels; each entry is bitwise that of bands built
+        # for it alone and of fc_reduced, which keeps no table
         rates.clear_caches()
         tables = rates.angular_tables(TrapConfig(eta=2.3, gamma_over_omega=0.01, n_max=5))
         shapes = []
-        for lo, hi in ((0, 4), (7, 2), (3, 12), (9, 9), (5, 40)):
-            table = tables.on_axis(lo, hi)
-            shapes.append(table.shape)
-            alone = fc.reduced_stack(np.array([2.3]), lo, hi)[0, lo, hi]
-            assert table[lo, hi] == alone == fc.fc_reduced(2.3, lo, hi)
+        for d, count in ((2, 3), (1, 9), (7, 4), (3, 12)):
+            bands = tables.bands(d, count)
+            shapes.append(bands.shape)
+            alone = fc.reduced_bands(2.3, d + 1, count)[d]
+            assert bands[d, :count].tobytes() == alone.tobytes()
+            assert bands[d, count - 1] == fc.fc_reduced(2.3, count - 1, count - 1 + d)
+        # a detuning below every level reads no band: 10^6 bands are not built
+        assert not rates._reduced_absorption(tables.trap, -10 ** 6, range(6)).any()
+        assert tables.bands(0, 1).shape == (8, 12)
         rates.clear_caches()
-        assert shapes == [(1, 5), (8, 5), (8, 13), (10, 13), (10, 41)]
+        assert shapes == [(3, 6), (3, 9), (8, 9), (8, 12)]
 
 
 class TestDarkSolvers:

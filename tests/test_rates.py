@@ -887,6 +887,21 @@ class TestResonantFactors:
         assert chunks > 2 and len(calls) == 1 + chunks + chunks + (y_passes - 1) * (chunks - 1)
 
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_resonant_rates_hold_bands_to_their_detuning(self, dims):
+        # resonant absorption reads band |s| of the trap's bands, which hold
+        # bands 0 ... max |s| over the levels, not a whole single-eta table
+        rates.clear_caches()
+        trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=dims, n_max=6)
+        for s in (-3, 0, 2):
+            pulse = Pulse(s=s, duration=1.0)
+            rate_matrix(trap, pulse)
+            rates.ColumnSampler(trap, pulse).jump_distribution(3)
+            rates.level_empty_rates(trap, pulse, [rates.RUN_DEFAULTS[dims].target])
+        assert rates.angular_tables(trap).bands(0, 1).shape == (4, 7)
+        rates.clear_caches()
+
+
 class TestSignedStacks:
     """Every recoil stack carries the phase of its amplitudes as the sign
     (-1)^floor(|n-l|/2) of its reduced factors."""
