@@ -5,9 +5,8 @@ harmonic traps, designs dark-state pulses, and propagates trap populations
 through pulse protocols deterministically or by quantum-jump Monte Carlo.
 """
 
-from .dynamics import (Distribution, McEnsembleResult, TimeSeries,
-                       mc_ensemble, mc_trajectory, observables,
-                       propagate_pulse, run_protocol, thermal_distribution)
+from .dynamics import (Distribution, McEnsembleResult, TimeSeries, mc_ensemble,
+                       observables, propagate_pulse, run_protocol, thermal_distribution)
 from .errors import (ConfigError, DomainError, ResourceLimitError,
                      SimulationError, SingularRatioError, ValidityError)
 from .fc import dark_eta_for_level, dark_ratio_A, fc_factor
@@ -28,7 +27,7 @@ __all__ = [
     "ValidityError", "dark_eta_for_level",
     "dark_ratio_A", "design_excited_protocol", "dipole_pattern",
     "empty_rates", "fc_factor",
-    "mc_ensemble", "mc_trajectory", "observables", "parse_config",
+    "mc_ensemble", "observables", "parse_config",
     "preset", "preset_runspec", "propagate_pulse",
     "rate_matrix", "run_protocol",
     "thermal_distribution", "validate_protocol", "write_config",

@@ -174,8 +174,8 @@ def _cmd_run(args) -> int:
     if args.final_distribution:
         fd_path = out_dir / "distribution_final.csv"
         dist = series.final_distribution  # the state behind the last sample
-        _write_grid_table(fd_path, f"# final distribution after {series.final().cycle} "
-                          f"cycles; leak = {ff(dist.leak)}", "n", "probability", dist.grid())
+        _write_grid(fd_path, f"# final distribution after {series.final().cycle} "
+                    f"cycles; leak = {ff(dist.leak)}", "n", "probability", dist.grid())
         outputs["distribution_final"] = fd_path.name
 
     if args.plot:
@@ -205,7 +205,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_grid_table(path, comment: str, letter: str, value: str, grid) -> None:
+def _write_grid(path, comment: str, letter: str, value: str, grid) -> None:
     """A CSV of one value per trap level, to ``path`` or, if it is None, to
     stdout: ``comment``, the column names, then one row per level in
     row-major order, the level's indices (columns ``letter`` and each axis
@@ -238,8 +238,8 @@ def _cmd_rates(args) -> int:
         raise ConfigError(
             f"pulse index {args.pulse} out of range (protocol has {len(pulses)})")
     dims = spec.trap.dims
-    _write_grid_table(args.out or None, f"# {dims}D empty rates; {_GRID_LAYOUT[dims][1]}", "m",
-                      "gamma_over_Gamma0", rates.empty_rates(spec.trap, pulses[args.pulse]))
+    _write_grid(args.out or None, f"# {dims}D empty rates; {_GRID_LAYOUT[dims][1]}", "m",
+                "gamma_over_Gamma0", rates.empty_rates(spec.trap, pulses[args.pulse]))
     return EXIT_OK
 
 

@@ -22,9 +22,6 @@ from .protocols import Protocol, RunSpec
 from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig, _pulse_cache_key,
                     cache_counts, clear_caches, level_indices, rate_matrix)
 
-LEAKED = "leaked"
-COMPLETED = "completed"
-
 
 @dataclass
 class Distribution:
@@ -112,15 +109,6 @@ class TimeSeries:
                          f"{ff(o.mean_nx)},{ff(o.mean_ny)},{ff(o.mean_n)},{ff(o.leak)}")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-@dataclass
-class TrajectoryResult:
-    """One quantum-jump trajectory: (time, flat level) after each jump."""
-
-    jumps: list[tuple[float, int]]
-    status: str
-    final_level: int
 
 
 @dataclass
@@ -430,28 +418,6 @@ def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str, make):
     return [shared[_pulse_cache_key(trap, pulse, rate_mode)] for pulse in protocol.pulses]
 
 
-def mc_trajectory(initial_level, protocol: Protocol, trap: TrapConfig,
-                  rng_stream: np.random.Generator,
-                  rate_mode: str = "resonant") -> TrajectoryResult:
-    """One continuous-time jump trajectory through the whole protocol.
-
-    The n = 1 case of the ensemble's stepper (``_JumpStepper``), logging
-    (time, flat level) after each jump.  Absorption into the truncation
-    leak logs the level -1 and ends the trajectory.
-    """
-    stepper = _JumpStepper(_providers(protocol, trap, rate_mode, ColumnSampler),
-                           trap.n_states, np.array([trap.flat_index(initial_level)]))
-    jumps: list[tuple[float, int]] = [(0.0, int(stepper.level[0]))]
-    t = 0.0
-    for _cycle in range(protocol.cycles):
-        for k, pulse in enumerate(protocol.pulses):
-            stepper.pulse(k, pulse.duration, rng_stream, t, jumps)
-            t += pulse.duration
-            if stepper.leaked[0]:
-                return TrajectoryResult(jumps, LEAKED, int(stepper.level[0]))
-    return TrajectoryResult(jumps, COMPLETED, int(stepper.level[0]))
-
-
 class _JumpStepper:
     """Trajectories advanced together through pulses, on numpy arrays.
 
@@ -470,16 +436,14 @@ class _JumpStepper:
         self.leaked = np.zeros(level.size, dtype=bool)
         self.jumps = np.zeros(level.size, dtype=np.int64)
 
-    def pulse(self, k: int, duration: float, rng: np.random.Generator,
-              t0: float = 0.0, log: list | None = None) -> None:
+    def pulse(self, k: int, duration: float, rng: np.random.Generator) -> None:
         """Advance every live trajectory through pulse ``k`` of ``duration``.
 
         Exit clocks are exponential, so a trajectory whose exit time falls
         beyond the time left in the pulse stays put until its end, and only
         the ones that jumped draw again.  A jump's destination is the
         right-sided search of u * exit rate in its column's cumulative rates;
-        a search past the last level is absorption into the leak.  With
-        ``log``, append (t0 + elapsed, level) for every jump.
+        a search past the last level is absorption into the leak.
         """
         sampler = self.samplers[k]
         idx = np.flatnonzero(~self.leaked)
@@ -499,9 +463,6 @@ class _JumpStepper:
                              for m, x in zip(self.level[idx].tolist(), u.tolist())],
                             dtype=np.int64)
             gone = dest == self.n_states
-            if log is not None:
-                log.extend(zip((t0 + duration - left).tolist(),
-                               np.where(gone, -1, dest).tolist()))
             self.leaked[idx[gone]] = True
             idx, left = idx[~gone], left[~gone]
             self.level[idx] = dest[~gone]
@@ -513,12 +474,13 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     """Seeded trajectory ensemble with cycle-boundary occupation estimates.
 
     One ``np.random.default_rng(seed)`` stream draws the initial levels
-    from ``init`` and then drives ``_JumpStepper`` over all trajectories at
-    once, pulse by pulse, so a result depends only on (seed, n_traj,
-    protocol, trap) and is bitwise reproducible.  At each cycle boundary
-    the live trajectories' level histogram is summed against the rows of
-    ``_obs_rows``, plus one n = n_x + n_y row, and against their squares;
-    the sums are integers, exact in floats.  The leak fraction is
+    from ``init``, its leak included (a trajectory drawn there starts
+    leaked, with no jumps), and then drives ``_JumpStepper`` over all
+    trajectories at once, pulse by pulse, so a result depends only on
+    (seed, n_traj, protocol, trap) and is bitwise reproducible.  At each
+    cycle boundary the live trajectories' level histogram is summed against
+    the rows of ``_obs_rows``, plus one n = n_x + n_y row, and against their
+    squares; the sums are integers, exact in floats.  The leak fraction is
     (n_traj - live) / n_traj.
     """
     if n_traj < 1:
@@ -534,9 +496,10 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
 
     rng = np.random.default_rng(seed)
     init_cum = np.cumsum(init.probs)
-    init_cum /= init_cum[-1]
+    init_cum /= init_cum[-1] + init.leak
     level = np.searchsorted(init_cum, rng.random(n_traj), side="right")
     stepper = _JumpStepper(samplers, trap.n_states, np.minimum(level, trap.n_states - 1))
+    stepper.leaked = level == trap.n_states  # drawn from the start's leak
     sums = np.zeros((len(moments), n_rec))
     for rec in range(n_rec):
         if rec:

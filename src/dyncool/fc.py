@@ -15,9 +15,10 @@ One recurrence computes every factor: ``reduced_stack`` steps the Laguerre
 degree recurrence for all bands |n - m| and projected etas at once, on the
 normalised factor, which is bounded by 1, and ``reduced_bands`` steps it on
 the first few bands alone (resonant absorption).  The module keeps no
-state: a scalar is read from a single-eta table built for its call, and a
-trap's single-eta tables (absorption bands, full mode's Lorentzian
-amplitudes) are held by the trap's ``rates.AngularTables``.  The dark-state solver evaluates no
+state: a scalar is read from the bands stepped for its call (to the
+entry's band and degree, or band 0 for the diagonal), and a trap's
+single-eta bands (absorption, full mode's Lorentzian amplitudes) are held
+by the trap's ``rates.AngularTables``.  The dark-state solver evaluates no
 Laguerre polynomial: the zeros are the singular values of a bidiagonal
 factor of their Jacobi matrix.
 """
@@ -51,22 +52,23 @@ def fc_reduced(eta_eff: float, m: int, n: int) -> float:
     """Real reduced recoil factor: fc_factor with the i^|n-m| phase stripped.
 
     Signed, symmetric in (n, m); may be negative (Laguerre oscillation, or
-    odd powers of a negative projected eta).  One entry of ``reduced_stack``;
-    an entry does not depend on the size of the table it is read from.
+    odd powers of a negative projected eta).  One entry of ``reduced_stack``,
+    read from ``reduced_bands`` stepped to its band and degree alone; an
+    entry does not depend on the size of the table it is read from.
     """
     if m < 0 or n < 0:
         raise DomainError(f"trap levels must be >= 0, got ({m}, {n})")
     if not math.isfinite(eta_eff):
         raise DomainError(f"eta_eff must be finite, got {eta_eff}")
     lo, hi = (m, n) if m <= n else (n, m)
-    return float(_table(eta_eff, lo, hi)[lo, hi])
+    _check_degree(hi)
+    return float(reduced_bands(eta_eff, hi - lo + 1, lo + 1)[hi - lo, lo])
 
 
-def _table(eta: float, lo: int, hi: int) -> np.ndarray:
-    """``reduced_stack`` at one eta to (lo, hi), refused above _INTERNAL_MAX_DEGREE."""
-    if hi > _INTERNAL_MAX_DEGREE:
-        raise DomainError(f"level {hi} exceeds maximum {_INTERNAL_MAX_DEGREE}")
-    return reduced_stack(np.array([eta]), lo, hi)[0]
+def _check_degree(level: int) -> None:
+    """Refuse a scalar read above _INTERNAL_MAX_DEGREE."""
+    if level > _INTERNAL_MAX_DEGREE:
+        raise DomainError(f"level {level} exceeds maximum {_INTERNAL_MAX_DEGREE}")
 
 
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -219,7 +221,8 @@ def dark_ratio_A(eta: float, target: tuple[int, int]) -> complex:
     if abs(eta) > _RATIO_MAX_ETA:
         raise DomainError(f"eta={eta} exceeds {_RATIO_MAX_ETA:.4f}, above which "
                           "e^(-eta^2/2) leaves the normal double range")
-    diagonal = _table(eta, max(target), max(target)).diagonal()
+    _check_degree(max(target))
+    diagonal = reduced_bands(eta, 1, max(target) + 1)[0]
     num, den = diagonal[mx], diagonal[my]
     # den's rounding grows with my, relative to its band's largest value (<= 1)
     tol = 1e-14 * (my + 1)

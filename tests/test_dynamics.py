@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -6,9 +7,8 @@ import numpy as np
 import pytest
 
 from dyncool import dynamics, rates
-from dyncool.dynamics import (Distribution, mc_ensemble, mc_trajectory,
-                              observables, propagate_pulse, run_protocol,
-                              thermal_distribution)
+from dyncool.dynamics import (Distribution, mc_ensemble, observables, propagate_pulse,
+                              run_protocol, thermal_distribution)
 from dyncool.errors import DomainError, ResourceLimitError
 from dyncool.protocols import RUN_DEFAULTS, Protocol, preset
 from dyncool.rates import Pulse, RateMatrix, TrapConfig
@@ -221,22 +221,61 @@ class TestRunProtocol:
         assert len(lines) == 1 + len(series.samples)
 
 
-class TestMcTrajectory:
-    def test_dark_state_never_jumps(self):
-        trap = trap_1d(n_max=30)
-        proto = Protocol((Pulse(s=8, duration=1.0),), cycles=50, target=1)
-        res = mc_trajectory(1, proto, trap, np.random.default_rng(0))
-        assert res.status == "completed"
-        assert res.jumps == [(0.0, 1)]
-        assert res.final_level == 1
+def mc_jumps(proto, trap, init, seed):
+    """``mc_ensemble(1, ...)`` and its trajectory: (time, flat level) at the
+    start and after each jump, level -1 being absorption into the leak.
 
+    Two spies record the jumps.  ``_JumpStepper.pulse`` is handed its stream
+    through a recorder and keeps the clock of pulse starts; the stepper
+    draws a jump's destination once the wait is off the time ``left`` in
+    the pulse, so the recorder reads the jump's time from the stepper's
+    frame there, as pulse start + duration - left.
+    ``ColumnSampler.jump_distribution`` logs each jump's source.  A jump
+    lands where the next one starts, the last one where the stepper ends,
+    or in the leak.
+    """
+    times, levels, clock, end = [0.0], [], [0.0], []
+    pulse, column = dynamics._JumpStepper.pulse, rates.ColumnSampler.jump_distribution
+
+    class Stream:
+        def __init__(self, rng):
+            self.rng, self.standard_exponential = rng, rng.standard_exponential
+
+        def random(self, size):
+            stepper = sys._getframe(1).f_locals
+            times.append(clock[0] + stepper["duration"] - float(stepper["left"][0]))
+            return self.rng.random(size)
+
+    def timed(stepper, k, duration, rng):
+        pulse(stepper, k, duration, Stream(rng))
+        clock[0] += duration
+        end[:] = [-1 if stepper.leaked[0] else int(stepper.level[0])]
+
+    def logged(sampler, index):
+        levels.append(index)
+        return column(sampler, index)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics._JumpStepper, "pulse", timed)
+        patch.setattr(rates.ColumnSampler, "jump_distribution", logged)
+        ens = mc_ensemble(1, proto, trap, seed, init=init)
+    return ens, list(zip(times, levels + end))
+
+
+def dense_pulses(proto, trap):
+    """(generator, leak, duration) per pulse, as ``oracles.jump_trajectory`` reads them."""
+    return [(m.generator, m.leak, p.duration)
+            for p in proto.pulses for m in [rates.rate_matrix(trap, p)]]
+
+
+class TestMcTrajectory:
     def test_pure_ladder_descends(self):
         trap = trap_1d(eta=1e-3, n_max=10)
         proto = Protocol((Pulse(s=-1, duration=1e7),), cycles=1, target=0)
-        res = mc_trajectory(3, proto, trap, np.random.default_rng(1))
-        levels = [lvl for _, lvl in res.jumps]
+        _, jumps = mc_jumps(proto, trap, level_distribution(3, trap), seed=1)
+        levels = [lvl for _, lvl in jumps]
         assert levels == [3, 2, 1, 0]
-        times = [t for t, _ in res.jumps]
+        times = [t for t, _ in jumps]
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_pulse_without_jumps_builds_no_column(self):
@@ -270,7 +309,7 @@ class TestMcTrajectory:
         assert ens.columns_built == len(set(sources)) < len(sources)
 
     def test_ensemble_single_matches_trajectory(self):
-        # one stream: the initial draw, then the same pulse-by-pulse draws
+        # one stream: the initial draw, then the per-jump loop's draws
         proto, trap, mean = preset("fig2")
         proto = Protocol(proto.pulses, 100, proto.name, proto.target)
         init = thermal_distribution(mean, trap)
@@ -279,13 +318,13 @@ class TestMcTrajectory:
         init_cum = np.cumsum(init.probs)
         init_cum /= init_cum[-1]
         level0 = int(np.searchsorted(init_cum, rng.random(), side="right"))
-        res = mc_trajectory(level0, proto, trap, rng)
-        assert len(res.jumps) > 1
-        assert ens.jump_counts[0] == len(res.jumps) - 1
-        completed = res.status == dynamics.COMPLETED
-        assert ens.p_target[-1] == (1.0 if completed and res.final_level == 0 else 0.0)
-        assert ens.mean_n[-1] == (res.final_level if completed else 0.0)
-        assert ens.leak_frac[-1] == (0.0 if completed else 1.0)
+        ref = jump_trajectory(dense_pulses(proto, trap), level0, proto.cycles, rng)
+        assert len(ref) > 1
+        assert ens.jump_counts[0] == len(ref) - 1
+        final = ref[-1][1]
+        assert ens.p_target[-1] == (1.0 if final == 0 else 0.0)
+        assert ens.mean_n[-1] == max(final, 0)
+        assert ens.leak_frac[-1] == (1.0 if final == -1 else 0.0)
 
     @pytest.mark.parametrize("case", ["1d", "2d"])
     def test_dark_start_never_jumps(self, case):
@@ -304,35 +343,64 @@ class TestMcTrajectory:
         assert np.all(ens.p_target == 1.0)
         assert not ens.leak_frac.any()
 
+    def test_start_leak_is_drawn(self):
+        # a start that has already leaked: cycle 0 records what master mode
+        # records, within 3 sigma, and a start all in the leak never jumps
+        trap = trap_1d(eta=1.0, n_max=10)
+        proto = Protocol((Pulse(s=-1, duration=1.0),), cycles=3, target=0)
+        probs = np.zeros(trap.n_states)
+        probs[0], probs[3] = 0.5, 0.25
+        init = Distribution(probs, 0.25, trap.shape)
+        master = run_protocol(init, proto, trap, stop_tol=0.0).samples[0].obs
+        ens = mc_ensemble(2000, proto, trap, seed=11, init=init)
+        for got, want in ((ens.p_target[0], master.p_target), (ens.leak_frac[0], master.leak)):
+            assert abs(got - want) < 3.0 * math.sqrt(want * (1.0 - want) / ens.n_traj)
+        gone = mc_ensemble(20, proto, trap, seed=11,
+                           init=Distribution(np.zeros(trap.n_states), 1.0, trap.shape))
+        assert np.all(gone.leak_frac == 1.0) and not gone.jump_counts.any()
+
     def test_leak_absorption_flags_trajectory(self):
         # a hot trap with a tiny basis forces ceiling absorption quickly
         trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=12)
         proto = Protocol((Pulse(s=0, duration=1.0),), cycles=4000, target=0)
         leaked = 0
-        for i in range(8):
-            res = mc_trajectory(10, proto, trap, np.random.default_rng((1, i)))
-            if res.status == dynamics.LEAKED:
+        for seed in range(8):
+            ens, jumps = mc_jumps(proto, trap, level_distribution(10, trap), seed)
+            assert ens.jump_counts[0] == len(jumps) - 1
+            if jumps[-1][1] == -1:  # the absorbing jump ends the record
                 leaked += 1
-                assert res.jumps[-1][1] == -1  # leak marker ends the record
+                assert ens.leak_frac[-1] == 1.0 and ens.mean_n[-1] == 0.0
+                assert np.all(np.diff(ens.leak_frac) >= 0.0)
+            else:
+                assert not ens.leak_frac.any()
         assert leaked > 0
 
-    def test_trajectory_matches_per_jump_loop(self):
-        # the array stepper at n = 1 draws as the plain loop over jumps does;
-        # this hot, shallow trap also leaks on some streams
-        trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=12)
-        proto = Protocol((Pulse(s=0, duration=1.0), Pulse(s=-9, duration=0.5)),
-                         cycles=300, target=0)
-        pulses = [(m.generator, m.leak, p.duration)
-                  for p in proto.pulses for m in [rates.rate_matrix(trap, p)]]
+    @pytest.mark.parametrize("case", ["1d", "2d"])
+    def test_trajectory_matches_per_jump_loop(self, case):
+        # the array stepper at n = 1 draws as the plain loop over jumps does,
+        # after the initial draw; these shallow traps also leak on some streams
+        if case == "1d":
+            trap, start = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=12), 10
+            proto = Protocol((Pulse(s=0, duration=1.0), Pulse(s=-9, duration=0.5)),
+                             cycles=300, target=0)
+        else:
+            # fig5's pulses: the even s != 0 ones with A = -1 carry the cross
+            # term; at eta 1.7 a trajectory makes several jumps before it leaks
+            trap, start = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=8), (3, 2)
+            fig5 = preset("fig5_A_minus")[0]
+            proto = Protocol(fig5.pulses, 30, fig5.name, fig5.target)
+        pulses = dense_pulses(proto, trap)
         statuses = set()
-        for i in range(6):
-            res = mc_trajectory(10, proto, trap, np.random.default_rng((2, i)))
-            ref = jump_trajectory(pulses, 10, proto.cycles, np.random.default_rng((2, i)))
-            assert [lvl for _, lvl in res.jumps] == [lvl for _, lvl in ref]
-            assert np.allclose([t for t, _ in res.jumps], [t for t, _ in ref],
+        for seed in range(6):
+            _, jumps = mc_jumps(proto, trap, level_distribution(start, trap), seed)
+            rng = np.random.default_rng(seed)
+            rng.random()  # the ensemble's initial draw
+            ref = jump_trajectory(pulses, trap.flat_index(start), proto.cycles, rng)
+            assert [lvl for _, lvl in jumps] == [lvl for _, lvl in ref]
+            assert np.allclose([t for t, _ in jumps], [t for t, _ in ref],
                                rtol=1e-12, atol=0.0)
-            statuses.add(res.status)
-        assert statuses == {dynamics.LEAKED, dynamics.COMPLETED}
+            statuses.add(jumps[-1][1] == -1)
+        assert statuses == {True, False}
 
     def test_same_seed_bitwise(self):
         proto, trap, mean = preset("fig2")

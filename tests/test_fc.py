@@ -213,11 +213,15 @@ class TestReducedStack:
 
     def test_level_checks_before_allocation(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(fc, "reduced_stack", lambda *args: calls.append(args))
-        for args in ((1.0, -1, 3), (float("nan"), 0, 1),
-                     (1.0, 0, fc._INTERNAL_MAX_DEGREE + 1)):
+        for name in ("reduced_stack", "reduced_bands"):
+            monkeypatch.setattr(fc, name, lambda *args: calls.append(args))
+        top = fc._INTERNAL_MAX_DEGREE + 1
+        for args in ((1.0, -1, 3), (float("nan"), 0, 1), (1.0, 0, top)):
             with pytest.raises(DomainError):
                 fc.fc_factor(*args)
+        for args in ((1.0, (-1, 3)), (float("nan"), (0, 1)), (1.0, (0, top))):
+            with pytest.raises(DomainError):
+                fc.dark_ratio_A(*args)
         assert calls == []
 
     @pytest.mark.parametrize("eta, n_max, s", [
