@@ -20,7 +20,7 @@ from . import rates
 from .errors import DomainError
 from .protocols import Protocol, RunSpec
 from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig, _pulse_cache_key,
-                    cache_counts, clear_caches, level_indices, rate_matrix)
+                    level_indices, rate_matrix)
 
 
 @dataclass
@@ -75,8 +75,8 @@ class TimeSeries:
     ``extra_targets``.  A master run also keeps the distribution it stopped
     at, the state behind the last sample, as ``final_distribution``.
     ``phases`` holds the wall seconds of the run's phases, named as the
-    benchmark's spans, ``cache`` the builds and hits of the emission-kernel
-    cache during the run (``rates.cache_counts``), and
+    benchmark's spans, ``cache`` the builds and hits of the run's emission
+    kernels (``AngularTables.kernel_counts``, through ``_providers``), and
     ``diagnostics`` the run's counts for the manifest: in master mode the
     state basis propagated, its state count and the clipped mass, in Monte
     Carlo mode the columns built, the jumps made and the most jumps one
@@ -121,7 +121,8 @@ class McEnsembleResult:
     the binomial sqrt(p(1-p)/n_traj) for a 0/1 row.  ``extra`` and
     ``extra_se`` hold one row per extra target.  ``jump_counts`` holds each
     trajectory's jumps, the absorbing jump into the leak included, and
-    ``columns_built`` one per distinct (sampler, level) a trajectory jumped from.
+    ``columns_built`` one per distinct (sampler, level) a trajectory jumped from;
+    ``cache`` is the run's ``TimeSeries.cache``.
     """
 
     n_traj: int
@@ -143,6 +144,7 @@ class McEnsembleResult:
     jump_counts: np.ndarray
     phases: dict[str, float]
     columns_built: int
+    cache: dict
 
 
 def thermal_distribution(mean_n: float, trap: TrapConfig) -> Distribution:
@@ -298,7 +300,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     each level.  The run steps one cycle at a time through ``_CycleMap``,
     which it hands the generators lazily: each is built when the map needs
     it, from the column providers built first, one per distinct pulse
-    (``_providers``), after which the trap's recoil tables are released.
+    (``_providers``), whose recoil tables are freed once they all exist.
     A basis over the dense-matrix budget is refused before any of them.
     The leak is chained pulse by pulse, leak_j = leak_{j-1} +
     max(m_{j-1} - m_j, 0) with m the mass row (read after clipping at a
@@ -307,7 +309,6 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     cycles records the initial sample only and builds no provider or generator.
     """
     target = protocol.target_in(trap.dims)
-    before = cache_counts()
     series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
     if mode == "mc":
         ens = mc_ensemble(trajectories, protocol, trap, seed, init=init,
@@ -318,7 +319,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
         for cycle, t, *obs, extra in records:
             series.samples.append(Sample(cycle, min(cycle, 1) * len(protocol.pulses), t,
                                          ObsSnapshot(*obs, tuple(extra))))
-        series.phases, series.cache = ens.phases, cache_counts(before)
+        series.phases, series.cache = ens.phases, ens.cache
         series.diagnostics = {"columns_built": ens.columns_built,
                               "jumps": int(ens.jump_counts.sum()),
                               "jumps_max": int(ens.jump_counts.max())}
@@ -347,10 +348,10 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     t, leak = 0.0, state.leak
     series.samples.append(Sample(0, 0, t, _snapshot(values, leak, extra_rows)))
     cycles = protocol.cycles if protocol.pulses else 0
+    start = time.perf_counter()
+    providers, series.cache = _providers(protocol, trap, rate_mode)
+    builds.append(time.perf_counter() - start)
     if cycles:
-        start = time.perf_counter()
-        providers = _providers(protocol, trap, rate_mode, rates._provider)
-        builds.append(time.perf_counter() - start)
         cycle_map = _CycleMap(map(build, protocol.pulses, providers), protocol.pulses, rows)
         del providers
     for cycle in range(1, cycles + 1):
@@ -371,7 +372,6 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
                                              trap.shape, state.clipped)
     series.phases = {"rates.rate_matrix": sum(builds),
                      "dynamics.propagate": time.perf_counter() - t0 - sum(builds)}
-    series.cache = cache_counts(before)
     series.diagnostics = {"basis": basis.kind, "states": basis.size,
                           "clipped_mass": state.clipped}
     return series
@@ -401,21 +401,26 @@ def check_budgets(protocol: Protocol, trap: TrapConfig, mode: str = "master") ->
         rates._check_matrix_budget((trap.n_states + trap.n_max + 1) // 2 if lumped
                                    else trap.n_states)
     deepest = max([0, *(pulse.s_int for pulse in protocol.pulses)])
-    rates.angular_tables(trap).kernel_depth(trap.n_max + deepest)
+    rates.AngularTables(trap).kernel_depth(trap.n_max + deepest)
 
 
-def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str, make):
-    """``make(trap, pulse, rate_mode)`` for every pulse, built once per
-    distinct ``_pulse_cache_key``: a master run's column providers
-    (``rates._provider``), a Monte Carlo run's ``ColumnSampler`` objects.
-    The trap's recoil tables are released once all of them exist."""
+def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
+    """The column provider of every pulse (none if the protocol runs no
+    cycle), built once per distinct ``_pulse_cache_key`` from one
+    ``rates.AngularTables(trap)``, and the run's ``cache`` block, the
+    tables' emission-kernel builds and hits.  The providers keep the kernels
+    and stacks they read, not the tables, so the rest of the tables (bands,
+    rules, unread kernels) is freed on return, before the first generator
+    is built or column drawn."""
+    tables = rates.AngularTables(trap)
+    pulses = protocol.pulses if protocol.cycles else ()
     shared: dict = {}
-    for pulse in protocol.pulses:
+    for pulse in pulses:
         key = _pulse_cache_key(trap, pulse, rate_mode)
         if key not in shared:
-            shared[key] = make(trap, pulse, rate_mode)
-    clear_caches()
-    return [shared[_pulse_cache_key(trap, pulse, rate_mode)] for pulse in protocol.pulses]
+            shared[key] = rates._provider(tables, pulse, rate_mode)
+    return ([shared[_pulse_cache_key(trap, pulse, rate_mode)] for pulse in pulses],
+            {"emission_kernel": tables.kernel_counts})
 
 
 class _JumpStepper:
@@ -490,7 +495,9 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     rows = np.vstack([rows, rows[1] + rows[2]])
     moments = np.concatenate([rows, rows * rows])
     t0 = time.perf_counter()
-    samplers = _providers(protocol, trap, rate_mode, ColumnSampler) if protocol.cycles else []
+    providers, cache = _providers(protocol, trap, rate_mode)
+    wrapped = {provider: ColumnSampler(provider) for provider in dict.fromkeys(providers)}
+    samplers = [wrapped[provider] for provider in providers]
     t1 = time.perf_counter()
     n_rec = protocol.cycles + 1
 
@@ -518,6 +525,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         mean_ny=mean[2], mean_ny_se=se[2], mean_n=mean[-1], mean_n_se=se[-1],
         leak_frac=(n - sums[0]) / n, leak_se=se[0],
         extra=mean[extra_rows], extra_se=se[extra_rows],
-        jump_counts=stepper.jumps, columns_built=sum(len(s._cache) for s in set(samplers)),
-        phases={"rates.column_sampler": t1 - t0, "dynamics.mc": time.perf_counter() - t1})
+        jump_counts=stepper.jumps, columns_built=sum(len(s._cache) for s in wrapped.values()),
+        phases={"rates.column_sampler": t1 - t0, "dynamics.mc": time.perf_counter() - t1},
+        cache=cache)
 

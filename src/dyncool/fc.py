@@ -26,6 +26,7 @@ factor of their Jacobi matrix.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -53,8 +54,9 @@ def fc_reduced(eta_eff: float, m: int, n: int) -> float:
 
     Signed, symmetric in (n, m); may be negative (Laguerre oscillation, or
     odd powers of a negative projected eta).  One entry of ``reduced_stack``,
-    read from ``reduced_bands`` stepped to its band and degree alone; an
-    entry does not depend on the size of the table it is read from.
+    read from the recurrence of ``reduced_bands`` stepped to its band and
+    degree alone, one degree held at a time, so it holds O(|n - m|) doubles;
+    an entry does not depend on the size of the table it is read from.
     """
     if m < 0 or n < 0:
         raise DomainError(f"trap levels must be >= 0, got ({m}, {n})")
@@ -62,7 +64,10 @@ def fc_reduced(eta_eff: float, m: int, n: int) -> float:
         raise DomainError(f"eta_eff must be finite, got {eta_eff}")
     lo, hi = (m, n) if m <= n else (n, m)
     _check_degree(hi)
-    return float(reduced_bands(eta_eff, hi - lo + 1, lo + 1)[hi - lo, lo])
+    if eta_eff == 0.0:  # R(0) = I
+        return float(lo == hi)
+    degrees = _degrees(np.array([eta_eff], dtype=float), hi - lo + 1, hi)
+    return float(next(itertools.islice(degrees, lo, None))[0, hi - lo])
 
 
 def _check_degree(level: int) -> None:

@@ -21,6 +21,8 @@ images, reached through the parity R(-x)[n, l] = (-1)^(n+l) R(x)[n, l] of
 the recoil factors.  Resonant columns are slices and scales of one recoil
 integral per trap and depth (S1 in 1D; in 2D T and the cross terms C_s, as
 low-rank node factors); full-mode ones come from the folded recoil stacks.
+These recoil tables belong to an ``AngularTables`` that its caller builds
+and drops (a run's, or a standalone call's own); the module keeps no state.
 
 One builder assembles every dense generator from a provider's columns on the
 states of a ``StateBasis``, exit rates Gamma_empty - Gamma_{m<-m} on its diagonal;
@@ -136,12 +138,6 @@ class TrapConfig:
     def recommended_n_max(self, thermal_mean: float) -> int:
         """Truncation below which thermal tails and recoil heating leak."""
         return math.ceil(2 * self.eta ** 2 + thermal_mean + 6.0 * math.sqrt(thermal_mean))
-
-    def flat_index(self, level: int | tuple[int, int]) -> int:
-        idx = level_indices(self.shape, [level])[0]
-        if not np.all((idx >= 0) & (idx <= self.n_max)):
-            raise DomainError(f"level {level} outside truncation 0..{self.n_max}")
-        return int(np.ravel_multi_index(idx, self.shape))
 
 
 def level_indices(shape: tuple[int, ...], levels) -> np.ndarray:
@@ -281,6 +277,12 @@ class AngularTables:
     node chunks, so no array of a stack's size is held beside the stacks.
     Kernels are keyed by a build depth that depends on the trap and the
     requested level alone: build order cannot move them.
+    ``kernel_counts`` holds the kernel builds and hits of these tables.
+
+    The tables belong to whoever builds them and live as long as it holds
+    them: a run (``dynamics._providers``) builds one object and every
+    pulse's provider from it, and a standalone call (``rate_matrix``,
+    ``empty_rates``) builds its own.  Nothing in the module keeps them.
     """
 
     _FULL_STACK_BUDGET = 512 << 20  # cap on the bands, a stack (an axis) or 1D kernel
@@ -291,16 +293,17 @@ class AngularTables:
         self._rules: dict[int, tuple] = {}
         self._stacks: dict[str, tuple] = {}
         self._kernels: dict[int, np.ndarray | tuple] = {}
+        self.kernel_counts = {"builds": 0, "hits": 0}
 
     def bands(self, d: int, count: int) -> np.ndarray:
         """Read-only bands of the single-eta factors, R(eta)[lo, lo + d'] at
         [d', lo] (``fc.reduced_bands``), to at least band d and ``count``
-        degrees, and at least the trap's levels: the held ones, rebuilt
-        larger if too small; an entry does not depend on the size.  One
-        build serves every resonant pulse up to |s| = d."""
+        degrees: the held ones, rebuilt larger if too small; an entry does
+        not depend on the size.  One build over the trap's levels serves
+        every resonant pulse up to |s| = d."""
         rows, cols = self._bands.shape
         if d >= rows or count > cols:
-            rows, cols = max(d + 1, rows), max(count, cols, self.trap.n_max + 1)
+            rows, cols = max(d + 1, rows), max(count, cols)
             _check_stack_budget(rows * cols, "the single-eta recoil bands")
             self._bands = fc.reduced_bands(self.trap.eta, rows, cols)
         return self._bands
@@ -415,7 +418,7 @@ class AngularTables:
         that share a line order share one build."""
         depth = self.kernel_depth(l_max)
         kernel = self._kernels.get(depth)
-        _CACHE_COUNTS["emission_kernel"]["hits" if kernel is not None else "builds"] += 1
+        self.kernel_counts["hits" if kernel is not None else "builds"] += 1
         if kernel is None:
             l1 = depth + 1
             if self.trap.dims == 2:
@@ -449,43 +452,13 @@ def _check_stack_budget(entries: int, what: str, remedy: str = "") -> None:
                                  f"lower n_max{remedy}")
 
 
-_TABLES: dict[tuple, AngularTables] = {}  # the last trap's tables, by its key
-
-# builds and hits of the emission-kernel cache since import
-_CACHE_COUNTS = {"emission_kernel": {"builds": 0, "hits": 0}}
-
-
-def cache_counts(since: dict | None = None) -> dict:
-    """Builds and hits of the emission-kernel cache since import, or since
-    ``since``, an earlier result of this function."""
-    return {name: {k: v - (since[name][k] if since else 0) for k, v in counts.items()}
-            for name, counts in _CACHE_COUNTS.items()}
-
-
-def angular_tables(trap: TrapConfig) -> AngularTables:
-    """The tables of ``trap`` (the key leaves out gamma/omega, which no table
-    reads): the held ones if they are its, else new ones in their place."""
-    key = (trap.dims, trap.eta, trap.dipole, trap.quad_theta, trap.quad_phi, trap.n_max)
-    if key not in _TABLES:
-        _TABLES.clear()
-        _TABLES[key] = AngularTables(trap)
-    return _TABLES[key]
-
-
-def clear_caches() -> None:
-    """Drop the held trap's tables: runs call it once every pulse's column
-    provider exists, before the first generator is built or column drawn."""
-    _TABLES.clear()
-
-
-def _reduced_absorption(trap: TrapConfig, s: int, levels) -> np.ndarray:
+def _reduced_absorption(tables: AngularTables, s: int, levels) -> np.ndarray:
     """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where
-    m+s < 0: the trap's band |s| (``AngularTables.bands``) at degree
-    min(m, m+s)."""
+    m+s < 0: band |s| of the trap's ``tables.bands`` at degree min(m, m+s)."""
     lo = np.asarray(levels, dtype=int) + min(s, 0)
     if not np.any(lo >= 0):  # band |s| is not reached
         return np.zeros(lo.shape)
-    bands = angular_tables(trap).bands(abs(s), int(lo.max()) + 1)
+    bands = tables.bands(abs(s), int(lo.max()) + 1)
     return np.where(lo >= 0, bands[abs(s), np.maximum(lo, 0)], 0.0)
 
 
@@ -505,6 +478,12 @@ def _empty_rate(x2, dx=0.0, y2=0.0, dy=0.0, a=0.0):
     return np.maximum(rate, 0.0)
 
 
+def _grid_empty_rates(shape: tuple[int, ...], norm2, diag, a: complex) -> np.ndarray:
+    """``_empty_rate`` of every level of a grid of ``shape``, from one axis's
+    |c|^2 (``norm2``) and c[m] (``diag``) at each level m."""
+    return _empty_rate(*(v for m in np.indices(shape) for v in (norm2[m], diag[m])), a=a)
+
+
 def empty_rates(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
     """``level_empty_rates`` of every grid level, over trap.shape."""
     levels = np.indices(trap.shape).reshape(trap.dims, -1).T
@@ -520,7 +499,7 @@ def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
     """
     s = pulse.s_int
     grid = level_indices(trap.shape, levels)
-    f = _reduced_absorption(trap, s, grid.reshape(-1)).reshape(grid.shape)
+    f = _reduced_absorption(AngularTables(trap), s, grid.reshape(-1)).reshape(grid.shape)
     axes = [v for axis in f.T for v in (axis * axis, axis * (s == 0))]
     return _empty_rate(*axes, a=complex(pulse.amplitude_ratio))
 
@@ -679,14 +658,14 @@ class _Resonant:
     T: the column is the empty rate times T[:, mx, :, my], exactly 0 if dark.
     """
 
-    def __init__(self, trap: TrapConfig, pulse: Pulse):
+    def __init__(self, tables: AngularTables, pulse: Pulse):
+        trap = tables.trap
         self.s = s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
-        tables = angular_tables(trap)
         l_max = trap.n_max + max(s, 0)
         tables.kernel_depth(l_max)  # refuses an over-budget kernel before any table
-        self.f = _reduced_absorption(trap, s, range(trap.n_max + 1))
-        self.closures = empty_rates(trap, pulse)
+        self.f = f = _reduced_absorption(tables, s, range(trap.n_max + 1))
+        self.closures = _grid_empty_rates(trap.shape, f * f, f * (s == 0), self.a)
         self.kernel = tables.emission_kernel(l_max)
         self.cross = None
         if trap.dims == 2 and s != 0 and s % 2 == 0 and self.a.real != 0.0:
@@ -740,14 +719,14 @@ def _cross_factor(stack: np.ndarray, s: int, out: np.ndarray | None = None) -> n
     return out
 
 
-def _lorentzian_amplitudes(trap: TrapConfig, pulse: Pulse, l_max: int) -> np.ndarray:
+def _lorentzian_amplitudes(tables: AngularTables, pulse: Pulse, l_max: int) -> np.ndarray:
     """c[l, m] = <l|e^{ikx}|m> * gamma / (delta - omega(l - m) + i gamma),
     dimensionless, for l <= l_max and every trap level m, up to the unit
     phase i^((l-m) mod 2) (``_signed``)."""
-    gt = trap.gamma_over_omega
-    m = np.arange(trap.n_max + 1)
+    gt = tables.trap.gamma_over_omega
+    m = np.arange(tables.trap.n_max + 1)
     shift = np.arange(l_max + 1)[:, None] - m
-    bands = angular_tables(trap).bands(l_max, m.size)
+    bands = tables.bands(l_max, m.size)
     amps = _signed(bands[np.abs(shift), m + np.minimum(shift, 0)])
     return amps * gt / ((pulse.s - shift) + 1j * gt)
 
@@ -772,17 +751,15 @@ class _Full:
     with c[:, m] split by the parity of l, and e is a slice of the stack.
     """
 
-    def __init__(self, trap: TrapConfig, pulse: Pulse):
+    def __init__(self, tables: AngularTables, pulse: Pulse):
         self.a = complex(pulse.amplitude_ratio)
-        n_max = trap.n_max
-        l_max = min(n_max + _level_headroom(trap.eta, n_max), fc._INTERNAL_MAX_DEGREE)
-        tables = angular_tables(trap)
+        trap = tables.trap
+        l_max = min(trap.n_max + _level_headroom(trap.eta, trap.n_max), fc._INTERNAL_MAX_DEGREE)
         self.w, proj = tables.rule(l_max)
         self.stacks = tuple(tables.stack(axis, l_max)[:, :, :l_max + 1] for axis in proj)
-        self.coeffs = c = _lorentzian_amplitudes(trap, pulse, l_max)  # (l, m)
+        self.coeffs = c = _lorentzian_amplitudes(tables, pulse, l_max)  # (l, m)
         norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
-        self.closures = _empty_rate(*(v for m in np.indices(trap.shape)
-                                      for v in (norm2[m], c.diagonal()[m])), a=self.a)
+        self.closures = _grid_empty_rates(trap.shape, norm2, c.diagonal(), self.a)
         self.exits = np.maximum(self.closures - self._node_sum(
             *(self._diagonal(stack) for stack in self.stacks)), 0.0)
 
@@ -820,11 +797,13 @@ class _Full:
         return out + 2.0 * cross.real
 
 
-def _provider(trap: TrapConfig, pulse: Pulse, mode: str) -> _Resonant | _Full:
+def _provider(tables: AngularTables, pulse: Pulse, mode: str) -> _Resonant | _Full:
+    """The column provider of ``pulse`` in rate ``mode``, built on the
+    trap's ``tables``: the pulses that share them share their kernels."""
     if mode == "resonant":
-        return _Resonant(trap, pulse)
+        return _Resonant(tables, pulse)
     if mode == "full":
-        return _Full(trap, pulse)
+        return _Full(tables, pulse)
     raise DomainError(f"unknown rate mode {mode!r}")
 
 
@@ -872,12 +851,12 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
     provider, rows lumped, exits less the in-class move.  ``provider`` is
     the pulse's column provider if it exists already (a master run builds
     one per distinct pulse first), else one is built once the basis passes
-    its budget.  Nothing caches the result: a master run exponentiates each
-    generator and drops it."""
+    its budget, on tables of its own.  Nothing caches the result: a master
+    run exponentiates each generator and drops it."""
     states = StateBasis(trap, basis)
     _check_matrix_budget(states.size)
     if provider is None:
-        provider = _provider(trap, pulse, mode)
+        provider = _provider(AngularTables(trap), pulse, mode)
     columns = np.zeros((states.size, states.size))
     exits = provider.exits[tuple(states.levels.T)]
     for j, level in enumerate(states.levels):
@@ -891,15 +870,15 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
 class ColumnSampler:
     """Column-on-demand jump sampler for Monte Carlo.
 
-    Serves one pulse's jumps from the provider that backs the dense matrix,
-    without assembling it: ``exit_rates`` are the provider's exits, bitwise the
-    full-basis matrix's, and ``jump_distribution`` builds and caches a column.
+    Serves one pulse's jumps from its column ``provider``, the kind that
+    backs the dense matrix, without assembling it: ``exit_rates`` are the
+    provider's exits, bitwise the full-basis matrix's, and
+    ``jump_distribution`` builds and caches a column.
     """
 
-    def __init__(self, trap: TrapConfig, pulse: Pulse, mode: str = "resonant"):
-        self.trap = trap
-        self._provider = _provider(trap, pulse, mode)
-        self.exit_rates = self._provider.exits.reshape(-1)
+    def __init__(self, provider: _Resonant | _Full):
+        self._provider = provider
+        self.exit_rates = provider.exits.reshape(-1)
         self._cache: dict[int, np.ndarray] = {}
 
     def jump_distribution(self, index: int):
@@ -907,7 +886,7 @@ class ColumnSampler:
         cum = self._cache.get(index)
         if cum is None:
             cum = np.maximum(self._provider.column(
-                *np.unravel_index(index, self.trap.shape)).reshape(-1), 0.0)
+                *np.unravel_index(index, self._provider.exits.shape)).reshape(-1), 0.0)
             cum[index] = 0.0
             self._cache[index] = cum = np.cumsum(cum, out=cum)
         return float(self.exit_rates[index]), cum

@@ -7,7 +7,8 @@ in 60-digit arithmetic, expectations from brute-force sums, and propagators from
 uniformization series.  The one exception is ``per_pulse_run``, the master
 run stepped pulse by pulse on the package's own propagators, which is the
 reference for the cycle-at-a-time stepping of ``run_protocol``.
-``level_distribution`` builds a test input: a point start on one level.
+``flat_level`` and ``level_distribution`` build test inputs: the flattened
+grid index of a level, and a point start on one level.
 """
 
 import dataclasses
@@ -187,10 +188,16 @@ def jump_trajectory(pulses, level: int, cycles: int, rng) -> list[tuple[float, i
     return log
 
 
+def flat_level(level, trap):
+    """The flattened grid index of one trap level, an int m in 1D and a pair
+    (m_x, m_y) in 2D; a level outside the grid is refused."""
+    return int(np.ravel_multi_index(np.atleast_1d(level), trap.shape))
+
+
 def level_distribution(level, trap):
     """Point distribution on one trap level."""
     probs = np.zeros(trap.n_states)
-    probs[trap.flat_index(level)] = 1.0
+    probs[flat_level(level, trap)] = 1.0
     return dynamics.Distribution(probs, 0.0, trap.shape)
 
 
@@ -209,7 +216,10 @@ def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
     grid = init.grid()
     lumped = dynamics._swap_lumpable(protocol, trap, rate_mode) and np.array_equal(grid, grid.T)
     basis = rates.StateBasis(trap, "swap" if lumped else "full")
-    mats = [rates.rate_matrix(trap, pulse, rate_mode, basis.kind) for pulse in protocol.pulses]
+    tables = rates.AngularTables(trap)  # shared by the pulses, as a run's are
+    mats = [rates.rate_matrix(trap, pulse, rate_mode, basis.kind,
+                              provider=rates._provider(tables, pulse, rate_mode))
+            for pulse in protocol.pulses]
     series = dynamics.TimeSeries(target=target, extra_targets=tuple(extra_targets))
     state = dynamics.Distribution(basis.lump(init.probs), init.leak, (basis.size,),
                                   init.clipped)
@@ -218,7 +228,7 @@ def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
 
     def record(cycle, pulse):
         obs = dynamics.observables(dist, target)
-        extra = tuple(float(dist.probs[trap.flat_index(tg)]) for tg in extra_targets)
+        extra = tuple(float(dist.probs[flat_level(tg, trap)]) for tg in extra_targets)
         series.samples.append(dynamics.Sample(cycle, pulse, t,
                                               dataclasses.replace(obs, extra=extra)))
 

@@ -53,8 +53,8 @@ def test_boundary_resolves(module, cls, attr, name):
 
 def test_column_caches_exist():
     pulse = Pulse(s=-1, duration=1.0)
-    sampler = ColumnSampler(TrapConfig(eta=1.0, gamma_over_omega=0.01, dims=2, n_max=3),
-                            pulse)
+    tables = rates.AngularTables(TrapConfig(eta=1.0, gamma_over_omega=0.01, dims=2, n_max=3))
+    sampler = ColumnSampler(rates._provider(tables, pulse, "resonant"))
     matrix = rate_matrix(TrapConfig(eta=1.0, gamma_over_omega=0.01, dims=1, n_max=3),
                          pulse)
     sampler.jump_distribution(5)
@@ -71,7 +71,6 @@ def test_1d_resonant_build_reaches_traced_layers(monkeypatch):
             calls.append(_attr)
             return _inner(*args, **kwargs)
         monkeypatch.setattr(owner, attr, spy)
-    rates.clear_caches()
     rate_matrix(TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=10),
                 Pulse(s=8, duration=1.0))
     assert {"emission_kernel", "reduced_stack"} <= set(calls)
@@ -85,7 +84,6 @@ def test_2d_resonant_build_reaches_traced_layers(monkeypatch):
             calls.append(_attr)
             return _inner(*args, **kwargs)
         monkeypatch.setattr(owner, attr, spy)
-    rates.clear_caches()
     rate_matrix(TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4),
                 Pulse(s=-2, duration=1.0))
     assert {"stack", "reduced_stack"} <= set(calls)
@@ -102,7 +100,6 @@ def test_lumped_2d_master_run_reaches_traced_layers(monkeypatch):
             calls.append(_attr)
             return _inner(*args, **kwargs)
         monkeypatch.setattr(owner, attr, spy)
-    rates.clear_caches()
     trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4)
     protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 2)
     init = level_distribution((0, 0), trap)
@@ -120,7 +117,6 @@ def test_2d_mc_run_reaches_traced_layers(monkeypatch):
             calls.append(_attr)
             return _inner(*args, **kwargs)
         monkeypatch.setattr(owner, attr, spy)
-    rates.clear_caches()
     trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4)
     protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 2)
     init = level_distribution((2, 1), trap)
@@ -136,7 +132,6 @@ def test_sampler_called_once_per_jump(monkeypatch):
     inner = ColumnSampler.jump_distribution
     monkeypatch.setattr(ColumnSampler, "jump_distribution",
                         lambda self, index: calls.append(index) or inner(self, index))
-    rates.clear_caches()
     trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=4)
     protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 3)
     ens = dynamics.mc_ensemble(40, protocol, trap, seed=3,

@@ -302,6 +302,20 @@ class TestRun:
             assert manifest["basis"] == basis and manifest["states"] == states
             assert 0.0 <= manifest["clipped_mass"] < 1e-12
 
+    @pytest.mark.parametrize("mode", ["master", "mc"])
+    @pytest.mark.parametrize("name, counts", [
+        # fig3 at n_max 120: s = 8 reaches level 128, past the 124 its first
+        # line order serves, so its four pulses build two kernels
+        ("fig3", {"builds": 2, "hits": 2}),
+        ("fig5_A_minus", {"builds": 1, "hits": 7})])
+    def test_run_shares_kernels_across_pulses(self, tmp_path, capsys, mode, name, counts):
+        # the run's pulses share one trap's tables: the manifest's cache block
+        out = tmp_path / mode
+        assert run_cli("run", "--preset", name, "--mode", mode, "--trajectories", "5",
+                       "--cycles", "1", "--out-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["cache"] == {"emission_kernel": counts}
+
     def test_target_override(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert run_cli("run", "--preset", "fig2", "--cycles", "5",

@@ -13,7 +13,7 @@ from dyncool.errors import DomainError, ResourceLimitError
 from dyncool.protocols import RUN_DEFAULTS, Protocol, preset
 from dyncool.rates import Pulse, RateMatrix, TrapConfig
 
-from oracles import (jump_trajectory, level_distribution, per_pulse_run,
+from oracles import (flat_level, jump_trajectory, level_distribution, per_pulse_run,
                      uniformization_expm)
 
 
@@ -262,10 +262,19 @@ def mc_jumps(proto, trap, init, seed):
     return ens, list(zip(times, levels + end))
 
 
+def run_generators(proto, trap, basis="full"):
+    """The pulses' generators as a master run builds them, from its providers."""
+    providers, _ = dynamics._providers(proto, trap, "resonant")
+    return [rates.rate_matrix(trap, pulse, basis=basis, provider=provider)
+            for pulse, provider in zip(proto.pulses, providers)]
+
+
 def dense_pulses(proto, trap):
-    """(generator, leak, duration) per pulse, as ``oracles.jump_trajectory`` reads them."""
-    return [(m.generator, m.leak, p.duration)
-            for p in proto.pulses for m in [rates.rate_matrix(trap, p)]]
+    """(generator, leak, duration) per pulse, as ``oracles.jump_trajectory``
+    reads them, on one trap's tables."""
+    tables = rates.AngularTables(trap)
+    return [(m.generator, m.leak, p.duration) for p in proto.pulses
+            for m in [rates.rate_matrix(trap, p, provider=rates._provider(tables, p, "resonant"))]]
 
 
 class TestMcTrajectory:
@@ -282,8 +291,10 @@ class TestMcTrajectory:
         # every (m, m) level is dark under s = 0, A = -1; exit clocks read
         # the sampler's exit rates, so standing there builds nothing
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=6)
-        sampler = rates.ColumnSampler(trap, Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
-        start = np.repeat([trap.flat_index((m, m)) for m in range(7)], 3)
+        pulse = Pulse(s=0, duration=1.0, amplitude_ratio=-1.0)
+        sampler = rates.ColumnSampler(rates._provider(rates.AngularTables(trap), pulse,
+                                                      "resonant"))
+        start = np.repeat([flat_level((m, m), trap) for m in range(7)], 3)
         stepper = dynamics._JumpStepper([sampler], trap.n_states, start.copy())
         stepper.pulse(0, 1e3, np.random.default_rng(3))
         assert np.all(sampler.exit_rates[start] == 0.0) and sampler.exit_rates.max() > 0.0
@@ -299,7 +310,6 @@ class TestMcTrajectory:
             return inner(sampler, index)
 
         monkeypatch.setattr(rates.ColumnSampler, "jump_distribution", spy)
-        rates.clear_caches()
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=8)
         proto = Protocol((Pulse(s=-2, duration=2.0, amplitude_ratio=-1.0),
                           Pulse(s=0, duration=2.0, amplitude_ratio=-1.0),
@@ -395,7 +405,7 @@ class TestMcTrajectory:
             _, jumps = mc_jumps(proto, trap, level_distribution(start, trap), seed)
             rng = np.random.default_rng(seed)
             rng.random()  # the ensemble's initial draw
-            ref = jump_trajectory(pulses, trap.flat_index(start), proto.cycles, rng)
+            ref = jump_trajectory(pulses, flat_level(start, trap), proto.cycles, rng)
             assert [lvl for _, lvl in jumps] == [lvl for _, lvl in ref]
             assert np.allclose([t for t, _ in jumps], [t for t, _ in ref],
                                rtol=1e-12, atol=0.0)
@@ -646,7 +656,7 @@ class TestCycleStepping:
         else:
             init, proto, trap = preset_run("fig5_A_minus", n_max=8, cycles=1)
         basis = "swap" if trap.dims == 2 else "full"
-        mats = [rates.rate_matrix(trap, pulse, basis=basis) for pulse in proto.pulses]
+        mats = run_generators(proto, trap, basis)
         rows = np.random.default_rng(7).random((5, mats[0].n_states))
         cycle_map = dynamics._CycleMap(mats, proto.pulses, rows)
         props = [rates.markov_expm(mat.generator, pulse.duration)
@@ -667,9 +677,8 @@ class TestCycleStepping:
         rows = dynamics._obs_rows(trap.shape, 0)[0]
 
         def added(count):
-            pulses = [Pulse(s=-9, duration=1.0 + j / 100) for j in range(count)]
-            rates.clear_caches()
-            mats = [rates.rate_matrix(trap, pulse) for pulse in pulses]
+            pulses = tuple(Pulse(s=-9, duration=1.0 + j / 100) for j in range(count))
+            mats = run_generators(Protocol(pulses, 1), trap)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -713,19 +722,38 @@ class TestCycleStepping:
 
     @pytest.mark.parametrize("case", ["1d", "2d_swap"])
     def test_tables_released_before_first_propagator(self, case, monkeypatch):
-        # every pulse's provider is built first and the trap's recoil tables
-        # released, so no table is held while a propagator is formed
+        # every pulse's provider is built first from the run's one
+        # AngularTables, which is freed once they exist: it is dead at every
+        # propagator of a master run and every column a Monte Carlo run draws
         if case == "1d":
             init, proto, trap = _fig2_run(1)
         else:
             init, proto, trap = preset_run("fig5_A_minus", n_max=8, cycles=1)
-        held, inner = [], rates.markov_expm
-        monkeypatch.setattr(rates, "markov_expm",
-                            lambda *args: held.append(len(rates._TABLES)) or inner(*args))
-        rates.clear_caches()
-        series = run_protocol(init, proto, trap, stop_tol=0.0)
-        assert series.diagnostics["basis"] == ("swap" if trap.dims == 2 else "full")
-        assert held == [0] * len(proto.pulses) and len(held) > 1
+        made, alive = [], {"master": [], "mc": []}
+        init_tables = rates.AngularTables.__init__
+
+        def track(tables, *args):
+            made.append(weakref.ref(tables))
+            init_tables(tables, *args)
+
+        def spy(owner, attr, mode):
+            inner = getattr(owner, attr)
+
+            def probe(*args):
+                alive[mode].append(sum(ref() is not None for ref in made))
+                return inner(*args)
+            monkeypatch.setattr(owner, attr, probe)
+
+        monkeypatch.setattr(rates.AngularTables, "__init__", track)
+        spy(rates, "markov_expm", "master")
+        spy(rates.ColumnSampler, "jump_distribution", "mc")
+        master = run_protocol(init, proto, trap, stop_tol=0.0)
+        mc = run_protocol(init, proto, trap, mode="mc", trajectories=50)
+        assert master.diagnostics["basis"] == ("swap" if trap.dims == 2 else "full")
+        assert len(alive["master"]) == len(proto.pulses) > 1
+        assert len(alive["mc"]) == mc.diagnostics["jumps"] > 0
+        assert len(made) == 2  # one per run
+        assert alive == {mode: [0] * len(seen) for mode, seen in alive.items()}
 
     @pytest.mark.parametrize("dims, mode", [(1, "resonant"), (2, "resonant"), (2, "full")])
     def test_master_run_one_provider_per_key(self, dims, mode, monkeypatch):
@@ -745,7 +773,6 @@ class TestCycleStepping:
             built.append((args, inner_build(*args, **kwargs)))
             return built[-1][1]
         monkeypatch.setattr(dynamics, "rate_matrix", build)
-        rates.clear_caches()
         init = level_distribution(RUN_DEFAULTS[dims].target, trap)
         series = run_protocol(init, Protocol(pulses, 1), trap, rate_mode=mode, stop_tol=0.0)
         keys = {rates._pulse_cache_key(trap, pulse, mode) for pulse in pulses}
@@ -792,7 +819,7 @@ class TestCycleStepping:
         def refuse(*args, **kwargs):
             raise AssertionError("a provider or recoil table was built")
         monkeypatch.setattr(rates, "_provider", refuse)
-        monkeypatch.setattr(rates, "angular_tables", refuse)
+        monkeypatch.setattr(rates.AngularTables, "__init__", refuse)
         trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=214)
         init = thermal_distribution(6.0, trap)
         protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 1)
@@ -801,21 +828,24 @@ class TestCycleStepping:
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_samplers_one_per_key(self, dims, monkeypatch):
-        # pulses of equal _pulse_cache_key share one sampler: in 2D s = -9
-        # at A = +-1 (odd s: the cross term vanishes), s = -2 repeated
+        # pulses of equal _pulse_cache_key share one provider, and so one
+        # sampler: in 2D s = -9 at A = +-1 (odd s: the cross term
+        # vanishes), s = -2 repeated
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=dims, n_max=6)
         pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a)
                        for s, a in ((-2, -1.0), (0, -1.0), (-2, -1.0), (-9, 1.0), (-9, -1.0)))
+        providers, _ = dynamics._providers(Protocol(pulses, 1), trap, "resonant")
+        keys = [rates._pulse_cache_key(trap, pulse, "resonant") for pulse in pulses]
+        assert len(set(keys)) == len(set(map(id, providers))) == 3
+        assert all((providers[i] is providers[j]) == (keys[i] == keys[j])
+                   for i in range(len(pulses)) for j in range(len(pulses)))
         made = []
         inner = rates.ColumnSampler.__init__
         monkeypatch.setattr(rates.ColumnSampler, "__init__",
                             lambda self, *args: made.append(args) or inner(self, *args))
-        samplers = dynamics._providers(Protocol(pulses, 1), trap, "resonant",
-                                       rates.ColumnSampler)
-        keys = [rates._pulse_cache_key(trap, pulse, "resonant") for pulse in pulses]
-        assert len(made) == len(set(keys)) == len(set(map(id, samplers))) == 3
-        assert all((samplers[i] is samplers[j]) == (keys[i] == keys[j])
-                   for i in range(len(pulses)) for j in range(len(pulses)))
+        mc_ensemble(1, Protocol(pulses, 1), trap, seed=1,
+                    init=level_distribution(RUN_DEFAULTS[dims].target, trap))
+        assert len(made) == 3
 
     def test_1d_ensemble_builds_column_samplers(self, monkeypatch):
         # a 1D ensemble samples jumps from columns built on demand, as a 2D

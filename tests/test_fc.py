@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -213,7 +214,7 @@ class TestReducedStack:
 
     def test_level_checks_before_allocation(self, monkeypatch):
         calls = []
-        for name in ("reduced_stack", "reduced_bands"):
+        for name in ("reduced_stack", "reduced_bands", "_degrees"):
             monkeypatch.setattr(fc, name, lambda *args: calls.append(args))
         top = fc._INTERNAL_MAX_DEGREE + 1
         for args in ((1.0, -1, 3), (float("nan"), 0, 1), (1.0, 0, top)):
@@ -223,6 +224,23 @@ class TestReducedStack:
             with pytest.raises(DomainError):
                 fc.dark_ratio_A(*args)
         assert calls == []
+
+    def test_scalar_holds_one_degree(self):
+        # a scalar steps the bands one degree at a time and keeps the last:
+        # bitwise the entry of the stacked bands, and (2000, 4000) peaks far
+        # below the 61.8 MiB its 2001 bands x 2001 degrees held when stacked
+        for eta in (0.0, 0.3, -1.1, 1.0, 3.065, 7.5):
+            for m, n in ((0, 0), (3, 0), (5, 9), (120, 128), (1000, 1010)):
+                lo, hi = min(m, n), max(m, n)
+                bands = fc.reduced_bands(eta, hi - lo + 1, lo + 1)
+                assert fc.fc_reduced(eta, m, n) == bands[hi - lo, lo]
+        tracemalloc.start()
+        try:
+            fc.fc_reduced(3.0, 2000, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("eta, n_max, s", [
         (3.0, 480, 8), (3.0, 480, 9), (3.0, 40, 18), (3.065, 48, 4), (0.05, 200, 3),
@@ -237,17 +255,14 @@ class TestReducedStack:
             assert bands[d].tobytes() == np.diagonal(table, d)[:count].tobytes()
         m = np.arange(n_max + 1)
         from_table = np.where(m + s >= 0, table[m, np.maximum(m + s, 0)], 0.0)
-        rates.clear_caches()
-        trap = TrapConfig(eta=eta, gamma_over_omega=0.01, n_max=n_max)
-        assert rates._reduced_absorption(trap, s, m).tobytes() == from_table.tobytes()
-        rates.clear_caches()
+        tables = rates.AngularTables(TrapConfig(eta=eta, gamma_over_omega=0.01, n_max=n_max))
+        assert rates._reduced_absorption(tables, s, m).tobytes() == from_table.tobytes()
 
     def test_trap_bands_grow(self):
-        # a trap's bands grow to each band and degree count asked for, and
-        # at least to its levels; each entry is bitwise that of bands built
-        # for it alone and of fc_reduced, which keeps no table
-        rates.clear_caches()
-        tables = rates.angular_tables(TrapConfig(eta=2.3, gamma_over_omega=0.01, n_max=5))
+        # a trap's bands grow to each band and degree count asked for; each
+        # entry is bitwise that of bands built for it alone and of
+        # fc_reduced, which keeps no table
+        tables = rates.AngularTables(TrapConfig(eta=2.3, gamma_over_omega=0.01, n_max=5))
         shapes = []
         for d, count in ((2, 3), (1, 9), (7, 4), (3, 12)):
             bands = tables.bands(d, count)
@@ -256,10 +271,9 @@ class TestReducedStack:
             assert bands[d, :count].tobytes() == alone.tobytes()
             assert bands[d, count - 1] == fc.fc_reduced(2.3, count - 1, count - 1 + d)
         # a detuning below every level reads no band: 10^6 bands are not built
-        assert not rates._reduced_absorption(tables.trap, -10 ** 6, range(6)).any()
+        assert not rates._reduced_absorption(tables, -10 ** 6, range(6)).any()
         assert tables.bands(0, 1).shape == (8, 12)
-        rates.clear_caches()
-        assert shapes == [(3, 6), (3, 9), (8, 9), (8, 12)]
+        assert shapes == [(3, 3), (3, 9), (8, 9), (8, 12)]
 
 
 class TestDarkSolvers:

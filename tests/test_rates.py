@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dyncool import cli, fc, rates
+from dyncool import cli, dynamics, fc, rates
 from dyncool.errors import DomainError, ResourceLimitError, SimulationError, ValidityError
-from dyncool.protocols import PRESET_NAMES, RUN_DEFAULTS, preset
+from dyncool.protocols import PRESET_NAMES, RUN_DEFAULTS, Protocol, preset
 from dyncool.rates import Pulse, TrapConfig, dipole_pattern, empty_rates, rate_matrix
 from oracles import (angular_quadrature, fc_reduced_series, folded_resonant_column_2d,
                      recoil_phases, uniformization_expm)
@@ -22,16 +22,37 @@ def trap_2d(eta=3.0, n_max=8, **kw):
     return TrapConfig(eta=eta, gamma_over_omega=0.01, dims=2, n_max=n_max, **kw)
 
 
+def sampler_of(trap, pulse, mode="resonant", tables=None):
+    """The ``ColumnSampler`` of ``pulse``, on ``tables`` if given (as the
+    pulses of one run share them), else on tables of its own."""
+    tables = tables or rates.AngularTables(trap)
+    return rates.ColumnSampler(rates._provider(tables, pulse, mode))
+
+
+def generators(trap, pulses, mode="resonant", basis="full"):
+    """The pulses' ``rate_matrix`` results, from providers on one
+    ``AngularTables``, as the pulses of one run share it."""
+    tables = rates.AngularTables(trap)
+    return [rate_matrix(trap, pulse, mode, basis, provider=rates._provider(tables, pulse, mode))
+            for pulse in pulses]
+
+
+def dense_and_sampler(trap, pulse, mode="resonant"):
+    """The pulse's dense generator and ``ColumnSampler``, from two providers
+    on one ``AngularTables``."""
+    tables = rates.AngularTables(trap)
+    return (rate_matrix(trap, pulse, mode, provider=rates._provider(tables, pulse, mode)),
+            sampler_of(trap, pulse, mode, tables))
+
+
 def at_doubled_line_order(monkeypatch, build):
     """``build()`` evaluated with every 1D line rule at twice its order."""
     order = rates._line_order
     monkeypatch.setattr(rates, "_line_order", lambda eta, l_max: 2 * order(eta, l_max))
-    rates.clear_caches()
     try:
         return build()
     finally:
         monkeypatch.undo()
-        rates.clear_caches()
 
 
 class TestTrapConfig:
@@ -72,21 +93,27 @@ class TestTrapConfig:
         trap = trap_2d(eta=3.065, n_max=5)
         assert trap.eta_hat2 == 9
         assert trap.n_states == 36
-        assert trap.flat_index((2, 3)) == 15
-        with pytest.raises(DomainError):
-            trap.flat_index((6, 0))
+        assert rates.level_indices(trap.shape, [(2, 3)]).tolist() == [[2, 3]]
+        # the recorded rows index the grid, and refuse a level outside it
+        rows, _ = dynamics._obs_rows(trap.shape, (2, 3))
+        assert np.flatnonzero(rows[3]).tolist() == [15]
+        for level in ((6, 0), (0, -1)):
+            with pytest.raises(DomainError, match="outside truncation"):
+                dynamics._obs_rows(trap.shape, level)
 
     def test_wrong_arity_levels_refused(self):
-        # a level is an int in 1D and a pair in 2D, in flat_index and in
-        # level_empty_rates alike
+        # a level is an int in 1D and a pair in 2D, in level_indices, the
+        # recorded rows and level_empty_rates alike
         pulse = Pulse(s=-1, duration=1.0)
         for trap, level in ((trap_1d(n_max=5), (0, 1)), (trap_2d(n_max=5), 0),
                             (trap_2d(n_max=5), (0,)), (trap_2d(n_max=5), (0, 1, 2))):
             with pytest.raises(DomainError, match=f"{trap.dims}D trap"):
-                trap.flat_index(level)
+                rates.level_indices(trap.shape, [level])
+            with pytest.raises(DomainError, match=f"{trap.dims}D trap"):
+                dynamics._obs_rows(trap.shape, level)
             with pytest.raises(DomainError, match=f"{trap.dims}D trap"):
                 rates.level_empty_rates(trap, pulse, [level])
-        assert trap_1d(n_max=5).flat_index(4) == 4
+        assert rates.level_indices((6,), [4]).tolist() == [[4]]
 
     def test_recommended_n_max(self):
         trap = trap_1d(eta=3.0)
@@ -161,7 +188,7 @@ class TestAngularQuadrature:
             sl = slice(start, start + 1024)
             chunk = fc.reduced_stack(eta_u[sl], trap.n_max, l_max)
             ref += np.tensordot(wgt[sl], chunk ** 2, axes=1)
-        kernel = rates.angular_tables(trap).emission_kernel(l_max)
+        kernel = rates.AngularTables(trap).emission_kernel(l_max)
         assert np.abs(kernel - ref).max() <= 1e-14
 
     def test_line_order_converged_deep(self, monkeypatch):
@@ -169,7 +196,7 @@ class TestAngularQuadrature:
         trap = trap_1d(n_max=480)
 
         def build():
-            return rates.angular_tables(trap).emission_kernel(480)
+            return rates.AngularTables(trap).emission_kernel(480)
 
         base = build()
         assert np.abs(base - at_doubled_line_order(monkeypatch, build)).max() <= 1e-12
@@ -181,17 +208,19 @@ class TestAngularQuadrature:
         assert rates._line_depth(1.0, 32, 32) == rates._line_depth(1.0, 32, 40)
         built = []
         for order in ((8, -9), (-9, 8)):
-            rates.clear_caches()
-            built.append({s: rate_matrix(trap, Pulse(s=s, duration=1.0))
-                          for s in order})
-        rates.clear_caches()
+            tables = rates.AngularTables(trap)
+            pulses = {s: Pulse(s=s, duration=1.0) for s in order}
+            built.append({s: rate_matrix(trap, pulse, provider=rates._provider(
+                tables, pulse, "resonant")) for s, pulse in pulses.items()})
+            assert tables.kernel_counts == {"builds": 1, "hits": 1}
         for s in (8, -9):
             assert np.array_equal(built[0][s].generator, built[1][s].generator)
             assert np.array_equal(built[0][s].leak, built[1][s].leak)
 
     def test_fig3_pulses_build_one_kernel(self, monkeypatch):
-        # the fig3 benchmark pulses reach levels 480 (s < 0) and 488 (s = 8);
-        # multi-node calls are kernel builds, single-eta ones absorption bands
+        # the fig3 benchmark pulses reach levels 480 (s < 0) and 488 (s = 8),
+        # and a run's providers share one kernel; multi-node calls are
+        # kernel builds, single-eta ones absorption bands
         calls = []
 
         def spy(eta_proj, n_max, l_max, _inner=fc.reduced_stack, **kwargs):
@@ -200,14 +229,11 @@ class TestAngularQuadrature:
             return _inner(eta_proj, n_max, l_max, **kwargs)
 
         monkeypatch.setattr(fc, "reduced_stack", spy)
-        rates.clear_caches()
-        trap = trap_1d(n_max=480)
-        before = rates.cache_counts()
-        for s in (-9, 8, -10, -3):
-            rate_matrix(trap, Pulse(s=s, duration=1.0))
-        rates.clear_caches()
+        protocol = Protocol(tuple(Pulse(s=s, duration=1.0) for s in (-9, 8, -10, -3)), 1)
+        providers, cache = dynamics._providers(protocol, trap_1d(n_max=480), "resonant")
         assert calls == [489]
-        assert rates.cache_counts(before) == {"emission_kernel": {"builds": 1, "hits": 3}}
+        assert cache == {"emission_kernel": {"builds": 1, "hits": 3}}
+        assert all(np.shares_memory(p.kernel, providers[0].kernel) for p in providers)
 
     def test_kernel_build_holds_no_stack(self):
         # the fig3 kernel at n_max 480 is summed as its stack is stepped: the
@@ -216,14 +242,12 @@ class TestAngularQuadrature:
         depth = rates._line_depth(trap.eta, 480, 480)
         stack_bytes = rates._line_order(trap.eta, depth) // 2 * 481 * (depth + 1) * 8
         assert stack_bytes > 180e6
-        rates.clear_caches()
         tracemalloc.start()
         try:
-            kernel = rates.angular_tables(trap).emission_kernel(480)
+            kernel = rates.AngularTables(trap).emission_kernel(480)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            rates.clear_caches()
         assert kernel.shape == (481, 481)
         assert peak < stack_bytes / 4
 
@@ -233,10 +257,8 @@ class TestAngularQuadrature:
         monkeypatch.setattr(fc, "reduced_stack", lambda *args: calls.append(args))
         node_bytes = 41 * (rates._line_depth(3.0, 40, 48) + 1) * 8
         monkeypatch.setattr(rates.AngularTables, "_FULL_STACK_BUDGET", node_bytes - 1)
-        rates.clear_caches()
         with pytest.raises(ResourceLimitError):
-            rates.angular_tables(trap_1d(n_max=40)).emission_kernel(48)
-        rates.clear_caches()
+            rates.AngularTables(trap_1d(n_max=40)).emission_kernel(48)
         assert calls == []
 
 
@@ -321,9 +343,10 @@ class TestEmptyRates2d:
         # empty_rates broadcasts _empty_rate over the per-axis factors as
         # below, as _Full does; level_empty_rates forms it level by level
         proto, trap, _ = preset(name)
+        tables = rates.AngularTables(trap)
         for pulse in proto.pulses:
             s = pulse.s_int
-            f = rates._reduced_absorption(trap, s, range(trap.n_max + 1))
+            f = rates._reduced_absorption(tables, s, range(trap.n_max + 1))
             norm2, diag = f * f, f * (s == 0)
             grid = rates._empty_rate(norm2) if trap.dims == 1 else rates._empty_rate(
                 norm2[:, None], diag[:, None], norm2[None, :], diag[None, :],
@@ -402,9 +425,9 @@ class TestRateMatrix1d:
         eta, top = 3.0, 40
         head = math.ceil(eta * eta + 7.0 * eta * math.sqrt(2 * (top + 8) + 1))
         trap = trap_1d(n_max=top + 8 + head)
-        for s in (-9, 0, 8):
-            mat = rate_matrix(trap, Pulse(s=s, duration=1.0))
-            target = empty_rates(trap, Pulse(s=s, duration=1.0))
+        pulses = [Pulse(s=s, duration=1.0) for s in (-9, 0, 8)]
+        for pulse, mat in zip(pulses, generators(trap, pulses)):
+            target = empty_rates(trap, pulse)
             off = mat.generator.copy()
             np.fill_diagonal(off, 0.0)
             total = off.sum(axis=0) + mat.self_rates
@@ -466,7 +489,6 @@ class TestRateMatrix1d:
             assert need > rates.AngularTables._FULL_STACK_BUDGET
         calls = []
         monkeypatch.setattr(fc, "reduced_stack", lambda *args, **kw: calls.append(args))
-        rates.clear_caches()
         with pytest.raises(ResourceLimitError, match="1D recoil stack"):
             rate_matrix(trap, Pulse(s=-9, duration=1.0), mode="full")
         assert calls == []
@@ -583,7 +605,7 @@ class TestRateMatrix2d:
                               quad_theta=4, quad_phi=4)
             for s, a in ((-2, -1.0), (0, -1.0), (0, 0.3 + 0.4j), (3, 0.125)):
                 pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
-                full = rates._provider(trap, pulse, "full").closures.reshape(-1)
+                full = rates._Full(rates.AngularTables(trap), pulse).closures.reshape(-1)
                 res = empty_rates(trap, pulse).reshape(-1)
                 mask = res > 1e-6
                 worst.append((np.abs(full - res)[mask] / res[mask]).max())
@@ -595,11 +617,9 @@ class TestRateMatrix2d:
         # the folded stacks of n_max 40 (84 MB per axis) fit the stack budget
         trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=40)
         pulse = Pulse(s=-9, duration=1.0)
-        rates.clear_caches()
-        sampler = rates.ColumnSampler(trap, pulse, "full")
+        sampler = sampler_of(trap, pulse, "full")
         total, cum = sampler.jump_distribution(9 * 41 + 1)
         closure = sampler._provider.closures[9, 1]
-        rates.clear_caches()
         assert np.all(np.diff(cum) >= 0.0)
         assert total - cum[-1] <= 1e-6 * closure  # the leak
         resonant = rates.level_empty_rates(trap, pulse, [(9, 1)])[0]
@@ -637,15 +657,13 @@ class TestRateMatrix2d:
 
     def test_independent_of_build_order(self):
         # s = 8 needs a deeper recoil tensor than s = -4; building it first
-        # must not move the s = -4 rates
+        # on the same tables must not move the s = -4 rates
         trap = trap_2d(n_max=8)
         pulse = Pulse(s=-4, duration=1.0, amplitude_ratio=-1.0)
-        rates.clear_caches()
         first = rate_matrix(trap, pulse)
-        rates.clear_caches()
-        rate_matrix(trap, Pulse(s=8, duration=1.0, amplitude_ratio=-1.0))
-        second = rate_matrix(trap, pulse)
-        rates.clear_caches()
+        tables = rates.AngularTables(trap)
+        rates._provider(tables, Pulse(s=8, duration=1.0, amplitude_ratio=-1.0), "resonant")
+        second = rate_matrix(trap, pulse, provider=rates._provider(tables, pulse, "resonant"))
         assert np.array_equal(first.generator, second.generator)
         assert np.array_equal(first.leak, second.leak)
 
@@ -654,8 +672,7 @@ class TestColumnSampler:
     def test_matches_dense_matrix(self):
         trap = trap_2d(eta=1.7, n_max=6)
         pulse = Pulse(s=-1, duration=1.0, amplitude_ratio=-1.0)
-        dense = rate_matrix(trap, pulse)
-        sampler = rates.ColumnSampler(trap, pulse)
+        dense, sampler = dense_and_sampler(trap, pulse)
         for idx in (0, 5, 17, 30, 48):
             total_d, cum_d = dense.jump_distribution(idx)
             total_s, cum_s = sampler.jump_distribution(idx)
@@ -670,8 +687,7 @@ class TestColumnSampler:
     def test_every_column_bitwise_equal_to_dense(self, s, a, mode):
         trap = trap_2d(eta=1.7, n_max=8)
         pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
-        dense = rate_matrix(trap, pulse, mode)
-        sampler = rates.ColumnSampler(trap, pulse, mode)
+        dense, sampler = dense_and_sampler(trap, pulse, mode)
         for idx in range(trap.n_states):
             total_d, cum_d = dense.jump_distribution(idx)
             total_s, cum_s = sampler.jump_distribution(idx)
@@ -684,8 +700,7 @@ class TestColumnSampler:
         # 1D Monte Carlo samples from a ColumnSampler, as 2D does
         trap = trap_1d(eta=1.7, n_max=30)
         pulse = Pulse(s=s, duration=1.0)
-        dense = rate_matrix(trap, pulse, mode)
-        sampler = rates.ColumnSampler(trap, pulse, mode)
+        dense, sampler = dense_and_sampler(trap, pulse, mode)
         for idx in range(trap.n_states):
             total_d, cum_d = dense.jump_distribution(idx)
             total_s, cum_s = sampler.jump_distribution(idx)
@@ -698,19 +713,16 @@ class TestColumnSampler:
         trap = trap_2d(eta=1.7, n_max=8)
         node_bytes = (trap.n_max + 1) * (trap.n_max + 1 + max(s, 0)) * 8
         monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 7 * node_bytes)
-        rates.clear_caches()
         self.test_every_column_bitwise_equal_to_dense(s, -1.0, "resonant")
-        rates.clear_caches()
 
     def test_deep_column_builds(self):
         # n_max 160 is past where a dense recoil tensor (5.0 GiB) fit the
         # budget; the factors need none.  The tiny sphere rule keeps it fast
-        rates.clear_caches()
         trap = trap_2d(n_max=160, quad_theta=4, quad_phi=4)
         pulse = Pulse(s=-2, duration=1.0, amplitude_ratio=-1.0)
-        sampler = rates.ColumnSampler(trap, pulse)
-        weights, proj = rates.angular_tables(trap).rule(160)
-        rates.clear_caches()
+        tables = rates.AngularTables(trap)
+        sampler = sampler_of(trap, pulse, tables=tables)
+        weights, proj = tables.rule(160)
         # unsigned stacks: the oracle applies the recoil phases itself
         rx, ry = (fc.reduced_stack(trap.eta * proj[axis], 160, 160) for axis in "xy")
         f = sampler._provider.f
@@ -721,20 +733,18 @@ class TestColumnSampler:
             assert np.abs(col - ref).max() <= 1e-13 * ref.max()
 
     def test_one_trap_held_at_a_time(self):
-        # one 2D sampler per trap over six etas: each trap's tables take the
-        # place of the last's, so the memory held after each build is flat
-        # (it grew by one trap's tables, 16.6 MiB, per trap while every
-        # trap's were kept)
-        rates.clear_caches()
+        # one 2D sampler per trap over six etas, each dropped after its
+        # build: the module keeps no trap's tables, so the memory held after
+        # each build is flat (it grew by one trap's tables, 16.6 MiB, per
+        # trap while every trap's were kept)
         held = []
         tracemalloc.start()
         try:
             for eta in np.linspace(2.9, 3.1, 6):
-                rates.ColumnSampler(trap_2d(eta=float(eta), n_max=30), Pulse(s=-4, duration=1.0))
+                sampler_of(trap_2d(eta=float(eta), n_max=30), Pulse(s=-4, duration=1.0))
                 held.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-            rates.clear_caches()
         assert max(held) - held[0] < (1 << 20), held
 
 
@@ -752,9 +762,9 @@ class TestExitRates:
     def test_exits_are_closure_less_own_entry(self, mode, tol, dims, s, a):
         trap = trap_1d(n_max=60) if dims == 1 else trap_2d(n_max=8)
         pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
-        sampler = rates.ColumnSampler(trap, pulse, mode)
+        dense, sampler = dense_and_sampler(trap, pulse, mode)
         closures, exits = sampler._provider.closures.reshape(-1), sampler.exit_rates
-        dense = rate_matrix(trap, pulse, mode)  # self_rates: each column's own entry
+        # dense.self_rates holds each column's own entry
         assert np.all(np.abs(exits - (closures - dense.self_rates)) <= tol * closures)
         assert np.all(exits[closures == 0.0] == 0.0)
         assert np.array_equal(dense.exit_rates, -dense.generator.diagonal())
@@ -763,13 +773,16 @@ class TestExitRates:
     def test_dark_levels_exit_exactly_zero(self):
         # below the band (m + s < 0) in 1D and 2D, and on the 2D diagonal
         # at s = 0, A = -1, where both lasers' amplitudes cancel
-        exits = rates._Resonant(trap_1d(n_max=60), Pulse(s=-3, duration=1.0)).exits
-        assert np.all(exits[:3] == 0.0) and np.all(exits[3:] > 0.0)
-        exits = rates._Resonant(trap_2d(), Pulse(s=-3, duration=1.0)).exits
-        assert np.all(exits[:3, :3] == 0.0) and np.all(exits[3:, :] > 0.0)
-        exits = rates._Resonant(trap_2d(), Pulse(s=0, duration=1.0, amplitude_ratio=-1.0)).exits
-        assert np.all(exits.diagonal() == 0.0)
-        assert np.all(exits[~np.eye(9, dtype=bool)] > 0.0)
+        def exits(trap, pulse):
+            return rates._Resonant(rates.AngularTables(trap), pulse).exits
+
+        one = exits(trap_1d(n_max=60), Pulse(s=-3, duration=1.0))
+        assert np.all(one[:3] == 0.0) and np.all(one[3:] > 0.0)
+        two = exits(trap_2d(), Pulse(s=-3, duration=1.0))
+        assert np.all(two[:3, :3] == 0.0) and np.all(two[3:, :] > 0.0)
+        two = exits(trap_2d(), Pulse(s=0, duration=1.0, amplitude_ratio=-1.0))
+        assert np.all(two.diagonal() == 0.0)
+        assert np.all(two[~np.eye(9, dtype=bool)] > 0.0)
 
     @pytest.mark.parametrize("s", [-3, 0, 2])
     def test_swap_exit_is_full_exit_less_in_class_move(self, s):
@@ -792,10 +805,9 @@ class TestResonantFactors:
     def test_column_matches_folded_node_sum(self, s, a):
         # every fig5 pulse, and fig6's s = 8, whose levels reach past n_max
         trap = self.FIG5
-        rates.clear_caches()
-        provider = rates._Resonant(trap, Pulse(s=s, duration=1.0, amplitude_ratio=a))
-        weights, proj = rates.angular_tables(trap).rule(trap.n_max + max(s, 0))
-        rates.clear_caches()
+        tables = rates.AngularTables(trap)
+        provider = rates._Resonant(tables, Pulse(s=s, duration=1.0, amplitude_ratio=a))
+        weights, proj = tables.rule(trap.n_max + max(s, 0))
         # unsigned stacks: the oracle applies the recoil phases itself
         rx, ry = (fc.reduced_stack(trap.eta * proj[axis], trap.n_max,
                                    trap.n_max + max(s, 0)) for axis in "xy")
@@ -815,11 +827,9 @@ class TestResonantFactors:
         # (n_max+1)^4 entries
         trap = trap_2d(n_max=12, quad_theta=16, quad_phi=32)
         n1 = trap.n_max + 1
-        rates.clear_caches()
-        providers = [rates._Resonant(trap, Pulse(s=s, duration=1.0, amplitude_ratio=a))
+        tables = rates.AngularTables(trap)
+        providers = [rates._Resonant(tables, Pulse(s=s, duration=1.0, amplitude_ratio=a))
                      for s, a in ((-4, -1.0), (8, 1.0), (0, -1.0), (-9, 0.125))]
-        tables = rates.angular_tables(trap)
-        rates.clear_caches()
 
         def arrays(obj):
             if isinstance(obj, np.ndarray):
@@ -854,9 +864,7 @@ class TestResonantFactors:
         pulse = Pulse(s=s, duration=1.0, amplitude_ratio=-1.0)
 
         def sums():
-            rates.clear_caches()
-            p = rates._Resonant(trap, pulse)
-            rates.clear_caches()
+            p = rates._Resonant(rates.AngularTables(trap), pulse)
             return [np.einsum("irn,jrm->injm", a, b)
                     for a, b in (p.kernel[1:], p.cross or p.kernel[1:])]
 
@@ -891,15 +899,13 @@ class TestResonantFactors:
     def test_resonant_rates_hold_bands_to_their_detuning(self, dims):
         # resonant absorption reads band |s| of the trap's bands, which hold
         # bands 0 ... max |s| over the levels, not a whole single-eta table
-        rates.clear_caches()
         trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=dims, n_max=6)
+        tables = rates.AngularTables(trap)
         for s in (-3, 0, 2):
             pulse = Pulse(s=s, duration=1.0)
-            rate_matrix(trap, pulse)
-            rates.ColumnSampler(trap, pulse).jump_distribution(3)
-            rates.level_empty_rates(trap, pulse, [rates.RUN_DEFAULTS[dims].target])
-        assert rates.angular_tables(trap).bands(0, 1).shape == (4, 7)
-        rates.clear_caches()
+            rate_matrix(trap, pulse, provider=rates._provider(tables, pulse, "resonant"))
+            sampler_of(trap, pulse, tables=tables).jump_distribution(3)
+        assert tables.bands(0, 1).shape == (4, 7)
 
 
 class TestSignedStacks:
@@ -928,12 +934,10 @@ class TestSignedStacks:
         # every full-mode provider and sampler of one trap reads the stacks
         # its tables hold, in 1D as in 2D
         trap = trap_1d(eta=1.7, n_max=10) if dims == 1 else trap_2d(eta=1.7, n_max=4)
-        rates.clear_caches()
-        users = [rates._Full(trap, Pulse(s=-2, duration=1.0)),
-                 rates._Full(trap, Pulse(s=0.5, duration=1.0, amplitude_ratio=0.3)),
-                 rates.ColumnSampler(trap, Pulse(s=-9, duration=1.0), "full")._provider]
-        tables = rates.angular_tables(trap)
-        rates.clear_caches()
+        tables = rates.AngularTables(trap)
+        users = [rates._Full(tables, Pulse(s=-2, duration=1.0)),
+                 rates._Full(tables, Pulse(s=0.5, duration=1.0, amplitude_ratio=0.3)),
+                 sampler_of(trap, Pulse(s=-9, duration=1.0), "full", tables)._provider]
         for k, axis in enumerate("xy"[:dims]):
             first = users[0].stacks[k]
             assert all(np.shares_memory(user.stacks[k], first) for user in users[1:])
@@ -959,8 +963,8 @@ class TestMarkovExpm:
         proto, trap, _ = preset(name)
         trap = dataclasses.replace(trap, n_max=n_max)
         basis = "swap" if trap.dims == 2 else "full"
-        for pulse in proto.pulses:
-            self.check(rate_matrix(trap, pulse, basis=basis).generator, pulse.duration)
+        for pulse, mat in zip(proto.pulses, generators(trap, proto.pulses, basis=basis)):
+            self.check(mat.generator, pulse.duration)
 
     def test_long_pulse_squares(self):
         # lam is about 1e3 here, so the series runs on 2^10 sub-steps; the
@@ -1002,7 +1006,7 @@ class TestPulseCacheKey:
         for s, shared in ((-9, True), (-3, True), (0, False)):
             pulses = [Pulse(s=s, duration=1.0, amplitude_ratio=a) for a in (-1.0, 1.0)]
             keys = [rates._pulse_cache_key(trap, p, "resonant") for p in pulses]
-            mats = [rate_matrix(trap, p) for p in pulses]
+            mats = generators(trap, pulses)
             assert (keys[0] == keys[1]) == shared
             for field in ("generator", "leak"):
                 a, b = (getattr(m, field) for m in mats)
