@@ -423,54 +423,84 @@ def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
             {"emission_kernel": tables.kernel_counts})
 
 
-class _JumpStepper:
-    """Trajectories advanced together through pulses, on numpy arrays.
+def _jump_rounds(samplers, durations, level: np.ndarray, moments: np.ndarray,
+                 cycles: int, rng: np.random.Generator):
+    """Step trajectories from jump to jump, in rounds vectorised over them.
 
-    ``level`` holds each trajectory's flat level (the last one before
-    absorption, for a leaked trajectory), ``leaked`` whether the truncation
-    leak has absorbed it, and ``jumps`` its jump count, the absorbing jump
-    included.  Exit clocks run at each sampler's ``exit_rates``, one array
-    per pulse, and ``jump_distribution`` is called once per jump, so a
-    sampler builds a column only for a level a trajectory jumps from.
+    ``level`` holds each trajectory's flat level, ``n_states`` once the
+    leak has absorbed it, and is stepped in place.  The samplers'
+    ``exit_rates`` give hazard[j, m] = sum over pulses i < j of
+    tau_i exit_i[m], level m's exit rate integrated over a cycle up to
+    pulse j; hazard[K, m] is its hazard per cycle.  A trajectory sits at a
+    cycle with hazard ``used`` on its level since that cycle began.  One
+    exponential E per jump: the jump lands floor((used + E) / hazard[K, m])
+    cycles on, in the pulse whose hazard interval holds the remainder
+    (pulses that leave m dark are plateaus, where none lands), or never if
+    that is past the run.  Its destination is the right-sided search of
+    u * exit rate in the source's cumulative column (``jump_distribution``,
+    once per jump), past the last level being the leak, and the trajectory
+    restarts there at hazard[j, dest] + delta exit_j[dest], delta being the
+    time into pulse j.
+
+    Each round draws one exponential per live trajectory whose level has a
+    positive cycle hazard, then one uniform per jumper, both in index
+    order, so there are at most (most jumps) + 1 rounds.  A stint on level
+    m from cycle boundary a up to b adds m's column of ``moments`` to row a
+    of a difference array and subtracts it from row b.  Returns its
+    cumulative sum, the (moments, cycles + 1) sums over the live
+    trajectories at each boundary as exact integers, and each trajectory's
+    jumps, the absorbing one included.
     """
+    n_states = moments.shape[1]
+    exits = np.zeros((len(samplers), n_states))
+    hazard = np.zeros((len(samplers) + 1, n_states))
+    for j, (sampler, duration) in enumerate(zip(samplers, durations)):
+        exits[j] = sampler.exit_rates
+        hazard[j + 1] = hazard[j] + duration * exits[j]
+    per_cycle = hazard[-1]
+    jumps = np.zeros(level.size, dtype=np.int64)
+    at = np.zeros(level.size, dtype=np.int64)  # the cycle whose start ``used`` counts from
+    used = np.zeros(level.size)
+    since = np.zeros(level.size, dtype=np.int64)  # the boundary the level holds from
+    diff = np.zeros((cycles + 1, len(moments)))
 
-    def __init__(self, samplers, n_states: int, level: np.ndarray):
-        self.samplers = samplers
-        self.n_states = n_states
-        self.level = level
-        self.leaked = np.zeros(level.size, dtype=bool)
-        self.jumps = np.zeros(level.size, dtype=np.int64)
+    def stint(idx, stop=None):  # to the end of the run if no stop
+        values = moments[:, level[idx]].T
+        np.add.at(diff, since[idx], values)
+        if stop is not None:
+            np.add.at(diff, stop, -values)
 
-    def pulse(self, k: int, duration: float, rng: np.random.Generator) -> None:
-        """Advance every live trajectory through pulse ``k`` of ``duration``.
-
-        Exit clocks are exponential, so a trajectory whose exit time falls
-        beyond the time left in the pulse stays put until its end, and only
-        the ones that jumped draw again.  A jump's destination is the
-        right-sided search of u * exit rate in its column's cumulative rates;
-        a search past the last level is absorption into the leak.
-        """
-        sampler = self.samplers[k]
-        idx = np.flatnonzero(~self.leaked)
-        left = np.full(idx.size, float(duration))
-        while idx.size:
-            rate = sampler.exit_rates[self.level[idx]]
-            moving = rate > 0.0  # a zero exit rate never jumps
-            idx, rate, left = idx[moving], rate[moving], left[moving]
-            dt = rng.standard_exponential(idx.size) / rate
-            hit = dt < left
-            idx, rate, left = idx[hit], rate[hit], left[hit] - dt[hit]
-            if not idx.size:
-                return
-            self.jumps[idx] += 1
-            u = rng.random(idx.size) * rate
-            dest = np.array([sampler.jump_distribution(m)[1].searchsorted(x, side="right")
-                             for m, x in zip(self.level[idx].tolist(), u.tolist())],
-                            dtype=np.int64)
-            gone = dest == self.n_states
-            self.leaked[idx[gone]] = True
-            idx, left = idx[~gone], left[~gone]
-            self.level[idx] = dest[~gone]
+    idx = np.flatnonzero(level < n_states)
+    while idx.size:
+        lit = per_cycle[level[idx]] > 0.0
+        stint(idx[~lit])
+        idx = idx[lit]
+        if not idx.size:
+            break
+        source = level[idx]
+        skip, rem = np.divmod(used[idx] + rng.standard_exponential(idx.size),
+                              per_cycle[source])
+        cycle = at[idx] + skip
+        stays = cycle >= cycles
+        stint(idx[stays])
+        idx, source, rem = idx[~stays], source[~stays], rem[~stays]
+        if not idx.size:
+            break
+        cycle = cycle[~stays].astype(np.int64)
+        j = (hazard[:, source] <= rem).sum(axis=0) - 1
+        rate = exits[j, source]
+        delta = (rem - hazard[j, source]) / rate
+        jumps[idx] += 1
+        u = rng.random(idx.size) * rate
+        dest = np.array([samplers[k].jump_distribution(m)[1].searchsorted(x, side="right")
+                         for k, m, x in zip(j.tolist(), source.tolist(), u.tolist())],
+                        dtype=np.int64)
+        stint(idx, cycle + 1)
+        since[idx], at[idx], level[idx] = cycle + 1, cycle, dest
+        live = dest < n_states
+        idx, j, delta, dest = idx[live], j[live], delta[live], dest[live]
+        used[idx] = hazard[j, dest] + delta * exits[j, dest]
+    return np.cumsum(diff, axis=0).T, jumps
 
 
 def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
@@ -480,13 +510,14 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
 
     One ``np.random.default_rng(seed)`` stream draws the initial levels
     from ``init``, its leak included (a trajectory drawn there starts
-    leaked, with no jumps), and then drives ``_JumpStepper`` over all
-    trajectories at once, pulse by pulse, so a result depends only on
-    (seed, n_traj, protocol, trap) and is bitwise reproducible.  At each
-    cycle boundary the live trajectories' level histogram is summed against
-    the rows of ``_obs_rows``, plus one n = n_x + n_y row, and against their
-    squares; the sums are integers, exact in floats.  The leak fraction is
-    (n_traj - live) / n_traj.
+    leaked, with no jumps), and then drives ``_jump_rounds`` over all
+    trajectories at once, one exponential draw per jump against each
+    level's integrated exit rate across pulses and cycles, so a result
+    depends only on (seed, n_traj, protocol, trap) and is bitwise
+    reproducible.  At each cycle boundary the live trajectories' levels
+    are summed against the rows of ``_obs_rows``, plus one n = n_x + n_y
+    row, and against their squares; the sums are integers, exact in
+    floats.  The leak fraction is (n_traj - live) / n_traj.
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
@@ -500,20 +531,12 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     samplers = [wrapped[provider] for provider in providers]
     t1 = time.perf_counter()
     n_rec = protocol.cycles + 1
-
     rng = np.random.default_rng(seed)
     init_cum = np.cumsum(init.probs)
     init_cum /= init_cum[-1] + init.leak
-    level = np.searchsorted(init_cum, rng.random(n_traj), side="right")
-    stepper = _JumpStepper(samplers, trap.n_states, np.minimum(level, trap.n_states - 1))
-    stepper.leaked = level == trap.n_states  # drawn from the start's leak
-    sums = np.zeros((len(moments), n_rec))
-    for rec in range(n_rec):
-        if rec:
-            for k, pulse in enumerate(protocol.pulses):
-                stepper.pulse(k, pulse.duration, rng)
-        counts = np.bincount(stepper.level[~stepper.leaked], minlength=trap.n_states)
-        sums[:, rec] = moments @ counts
+    level = np.searchsorted(init_cum, rng.random(n_traj), side="right")  # n_states: leaked
+    durations = [pulse.duration for pulse in protocol.pulses]
+    sums, jumps = _jump_rounds(samplers, durations, level, moments, protocol.cycles, rng)
 
     n = float(n_traj)
     mean = sums[:len(rows)] / n
@@ -525,7 +548,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         mean_ny=mean[2], mean_ny_se=se[2], mean_n=mean[-1], mean_n_se=se[-1],
         leak_frac=(n - sums[0]) / n, leak_se=se[0],
         extra=mean[extra_rows], extra_se=se[extra_rows],
-        jump_counts=stepper.jumps, columns_built=sum(len(s._cache) for s in wrapped.values()),
+        jump_counts=jumps, columns_built=sum(len(s._cache) for s in wrapped.values()),
         phases={"rates.column_sampler": t1 - t0, "dynamics.mc": time.perf_counter() - t1},
         cache=cache)
 

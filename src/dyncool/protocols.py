@@ -16,8 +16,8 @@ import numpy as np
 
 from . import fc
 from .errors import ConfigError, DomainError, ValidityError
-from .rates import (RUN_DEFAULTS, Pulse, TrapConfig, format_float, level_empty_rates,
-                    level_indices)
+from .rates import (RUN_DEFAULTS, AngularTables, Pulse, TrapConfig, _level_empty_rates,
+                    format_float, level_indices)
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,9 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
     target = protocol.target
     if target is not None:
         level_indices(trap.shape, [target])
+    # one set of bands per trap: the trap's, and at eta * 1.001 and eta * 0.999
+    tables = [AngularTables(dataclasses.replace(trap, eta=trap.eta * f))
+              for f in (1.0, 1.001, 0.999)]
     for i, pulse in enumerate(protocol.pulses):
         try:
             s = pulse.s_int
@@ -151,10 +154,9 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
                     "requires delta = s*omega with integer s"))
             continue
         # a red pulse darkens low levels trivially (m+s < 0): nothing to report
-        if target is None or s < 0 or _target_rate(trap, pulse, target) >= 1e-10:
+        if target is None or s < 0 or _target_rate(tables[0], pulse, target) >= 1e-10:
             continue
-        plus = _perturbed_rate(trap, pulse, target, 1.001)
-        minus = _perturbed_rate(trap, pulse, target, 0.999)
+        plus, minus = (_target_rate(perturbed, pulse, target) for perturbed in tables[1:])
         rep.notes.append((
             "dark-sensitivity",
             f"pulse {i + 1} (s={pulse.s:g}) darkens target "
@@ -163,12 +165,8 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
     return rep
 
 
-def _target_rate(trap: TrapConfig, pulse: Pulse, target) -> float:
-    return float(level_empty_rates(trap, pulse, [target])[0])
-
-
-def _perturbed_rate(trap: TrapConfig, pulse: Pulse, target, factor: float) -> float:
-    return _target_rate(dataclasses.replace(trap, eta=trap.eta * factor), pulse, target)
+def _target_rate(tables: AngularTables, pulse: Pulse, target) -> float:
+    return float(_level_empty_rates(tables, pulse, [target])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +192,8 @@ def design_excited_protocol(target, trap: TrapConfig,
         if tgt not in (1, 2):
             raise DomainError(
                 f"closed-form dark conditions exist for levels 1 and 2, got {tgt}")
-        dark = Pulse(s=_dark_detuning_1d(tgt, trap), duration=1.0)
+        tables = _scan_tables(trap, idx)
+        dark = Pulse(s=_dark_detuning_1d(tgt, tables), duration=1.0)
         skeleton = [Pulse(s=-trap.eta_hat2, duration=1.0), dark,
                     Pulse(s=-trap.eta_hat2 - 1, duration=1.0)]
     else:
@@ -210,7 +209,9 @@ def design_excited_protocol(target, trap: TrapConfig,
             if mx > 2:
                 raise DomainError(
                     f"closed-form dark conditions exist for levels 1 and 2, got {mx}")
-            dark = Pulse(s=_dark_detuning_1d(mx, trap), duration=1.0)
+            # the condition holds per axis
+            axis = _scan_tables(dataclasses.replace(trap, dims=1), (mx,))
+            dark = Pulse(s=_dark_detuning_1d(mx, axis), duration=1.0)
         elif style == "interference":
             ratio = fc.dark_ratio_A(trap.eta, tgt)
             dark = Pulse(s=0, duration=8.0, amplitude_ratio=ratio)
@@ -223,20 +224,36 @@ def design_excited_protocol(target, trap: TrapConfig,
                     Pulse(s=-2 * e2 - 1, duration=1.0),
                     Pulse(s=-e2 - 1, duration=1.0),
                     Pulse(s=-pseudo - 1, duration=1.0)]
+        tables = _scan_tables(trap, idx)
 
-    aux = _auxiliary_pulse(idx, trap, skeleton)
+    aux = _auxiliary_pulse(idx, tables, skeleton)
     pulses = tuple(skeleton + [aux])
     if cycles is None:
         cycles = RUN_DEFAULTS[trap.dims].cycles
     return Protocol(pulses, cycles, name=f"designed_{style}", target=tgt)
 
 
-def _dark_detuning_1d(m: int, trap: TrapConfig) -> int:
-    """Integer s whose Laguerre-zero condition is met at the trap's eta."""
-    axis = dataclasses.replace(trap, dims=1)  # the condition holds per axis
+def _window_top(trap: TrapConfig) -> int:
+    """The auxiliary pulse's window: levels up to eta_hat^2 + 2 per axis
+    (eta_hat^2 // 2 + 2 in 2D)."""
+    return min(trap.n_max, trap.eta_hat2 // trap.dims + 2)
+
+
+def _scan_tables(trap: TrapConfig, idx: tuple) -> AngularTables:
+    """``trap``'s tables, their bands built once for every rate a design
+    reads: detunings |s| <= 2 eta_hat^2 + 7 on the window's levels and
+    the target's, ``idx``."""
+    tables = AngularTables(trap)
+    tables.bands(2 * trap.eta_hat2 + 7, max(_window_top(trap), *idx) + 1)
+    return tables
+
+
+def _dark_detuning_1d(m: int, tables: AngularTables) -> int:
+    """Integer s whose Laguerre-zero condition is met at the 1D trap's eta."""
+    trap = tables.trap
     best: tuple[float, float] | None = None
     for s in range(1, 2 * trap.eta_hat2 + 8):
-        if _target_rate(axis, Pulse(s=s, duration=1.0), m) < _DARK_RATE_CAP:
+        if _target_rate(tables, Pulse(s=s, duration=1.0), m) < _DARK_RATE_CAP:
             return s
         for root in fc.dark_eta_for_level(m, s):
             gap = abs(root - trap.eta)
@@ -248,26 +265,25 @@ def _dark_detuning_1d(m: int, trap: TrapConfig) -> int:
         f"eta is {nearest:.10f}")
 
 
-def _auxiliary_pulse(idx: tuple, trap: TrapConfig, skeleton: list[Pulse]) -> Pulse:
+def _auxiliary_pulse(idx: tuple, tables: AngularTables, skeleton: list[Pulse]) -> Pulse:
     """Detuning that spares the target, at index tuple ``idx``, but empties
-    its surviving neighbors."""
+    its surviving neighbors in the window (``_window_top``)."""
+    trap = tables.trap
     e2 = trap.eta_hat2
     used = {p.s for p in skeleton}
-    # the levels up to eta_hat^2 + 2 per axis (eta_hat^2 // 2 + 2 in 2D) but the target
-    top = min(trap.n_max, e2 // trap.dims + 2)
-    window = [lvl for lvl in np.ndindex((top + 1,) * trap.dims) if lvl != idx]
+    window = [lvl for lvl in np.ndindex((_window_top(trap) + 1,) * trap.dims) if lvl != idx]
     base = np.zeros(len(window))
     for p in skeleton:
-        base += level_empty_rates(trap, p, window)
+        base += _level_empty_rates(tables, p, window)
     best_s = None
     best_score = -1.0
     for s in range(-2 * e2 - 5, 2 * e2 + 6):
         if s in used:
             continue
         cand = Pulse(s=s, duration=1.0)
-        if _target_rate(trap, cand, idx) > _AUX_RATE_CAP:
+        if _target_rate(tables, cand, idx) > _AUX_RATE_CAP:
             continue
-        rates = level_empty_rates(trap, cand, window)
+        rates = _level_empty_rates(tables, cand, window)
         score = float(np.min(base + rates)) if window else 0.0
         if score > best_score or (score == best_score and best_s is not None
                                   and abs(s) < abs(best_s)):

@@ -497,9 +497,15 @@ def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
     m + s, zero where m + s < 0, and ``_empty_rate`` combines the axes; a
     level is dark exactly where its rate vanishes.
     """
+    return _level_empty_rates(AngularTables(trap), pulse, levels)
+
+
+def _level_empty_rates(tables: AngularTables, pulse: Pulse, levels) -> np.ndarray:
+    """``level_empty_rates`` on the bands of ``tables``, which a caller
+    that scans one trap's pulses builds once."""
     s = pulse.s_int
-    grid = level_indices(trap.shape, levels)
-    f = _reduced_absorption(AngularTables(trap), s, grid.reshape(-1)).reshape(grid.shape)
+    grid = level_indices(tables.trap.shape, levels)
+    f = _reduced_absorption(tables, s, grid.reshape(-1)).reshape(grid.shape)
     axes = [v for axis in f.T for v in (axis * axis, axis * (s == 0))]
     return _empty_rate(*axes, a=complex(pulse.amplitude_ratio))
 

@@ -157,34 +157,45 @@ def uniformization_expm(gen: np.ndarray, t: float, tol: float = 1e-14) -> np.nda
 def jump_trajectory(pulses, level: int, cycles: int, rng) -> list[tuple[float, int]]:
     """One jump trajectory by the plain loop over jumps, from dense generators.
 
-    ``pulses`` holds (generator, leak, duration) per pulse of a cycle.  Each
-    jump draws an exponential exit time, then a uniform destination, from
-    ``rng``.  Returns (time, level) at the start and after each jump, with
-    level -1 for absorption into the leak, which ends the trajectory.
+    ``pulses`` holds (generator, leak, duration) per pulse of a cycle.  A
+    level's exit rate in a pulse is its column's outflow plus its leak.
+    Each jump draws one exponential from ``rng``, the integrated exit rate
+    the level spends before it jumps, and walks on from the last jump pulse
+    by pulse and cycle by cycle, spending exit rate times time, until the
+    draw is spent; a pulse that leaves the level dark spends nothing.  It
+    then draws a uniform destination.  A level that every pulse leaves dark
+    draws nothing.  Returns (time, level) at the start and after each jump,
+    with level -1 for absorption into the leak, which ends the trajectory.
     """
+    durations = [duration for *_, duration in pulses]
     log = [(0.0, level)]
-    start = 0.0
-    for _ in range(cycles):
-        for gen, leak, duration in pulses:
-            left = duration
-            while True:
-                col = gen[:, level].copy()
-                col[level] = 0.0
-                cum = np.cumsum(col)
-                total = cum[-1] + leak[level]
-                if total <= 0.0:
-                    break
-                dt = rng.standard_exponential() / total
-                if dt >= left:
-                    break
-                left -= dt
-                k = int(np.searchsorted(cum, rng.random() * total, side="right"))
-                if k == cum.size:
-                    log.append((start + duration - left, -1))
+    cycle, k, into = 0, 0, 0.0  # the cycle, the pulse and the time into it
+    while cycle < cycles:
+        columns = []
+        for gen, leak, _ in pulses:
+            col = gen[:, level].copy()
+            col[level] = 0.0
+            cum = np.cumsum(col)
+            columns.append((cum, cum[-1] + leak[level]))
+        if not any(total * duration > 0.0
+                   for (_, total), duration in zip(columns, durations)):
+            return log
+        spend = rng.standard_exponential()
+        while spend >= columns[k][1] * (durations[k] - into):
+            spend -= columns[k][1] * (durations[k] - into)
+            k, into = k + 1, 0.0
+            if k == len(pulses):
+                cycle, k = cycle + 1, 0
+                if cycle == cycles:
                     return log
-                level = k
-                log.append((start + duration - left, level))
-            start += duration
+        cum, total = columns[k]
+        into += spend / total
+        t = cycle * sum(durations) + sum(durations[:k]) + into
+        level = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        if level == cum.size:
+            log.append((t, -1))
+            return log
+        log.append((t, level))
     return log
 
 

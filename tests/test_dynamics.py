@@ -221,42 +221,69 @@ class TestRunProtocol:
         assert len(lines) == 1 + len(series.samples)
 
 
+class Stream:
+    """A seeded generator that logs what the Monte Carlo stepper draws.
+
+    It keeps the size of each exponential draw.  When ``_jump_rounds``
+    draws the uniforms of its jumpers' destinations, it logs the first
+    jumper's time into ``times``, read from the stepper's frame as
+    cycle * (cycle time) + (start of pulse j) + delta.
+    """
+
+    def __init__(self, rng, times):
+        self.rng, self.times, self.exponentials = rng, times, []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_exponential(self, size):
+        self.exponentials.append(size)
+        return self.rng.standard_exponential(size)
+
+    def random(self, size=None):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_jump_rounds":
+            local = frame.f_locals
+            durations, j = local["durations"], int(local["j"][0])
+            self.times.append(int(local["cycle"][0]) * sum(durations) + sum(durations[:j])
+                              + float(local["delta"][0]))
+        return self.rng.random(size)
+
+
+def streams(patch, times):
+    """Make every ``np.random.default_rng`` a ``Stream`` logging to ``times``;
+    returns the list they are appended to (a 2D sketch seeds its own)."""
+    made, make = [], np.random.default_rng
+    patch.setattr(np.random, "default_rng",
+                  lambda *args: made.append(Stream(make(*args), times)) or made[-1])
+    return made
+
+
 def mc_jumps(proto, trap, init, seed):
     """``mc_ensemble(1, ...)`` and its trajectory: (time, flat level) at the
     start and after each jump, level -1 being absorption into the leak.
 
-    Two spies record the jumps.  ``_JumpStepper.pulse`` is handed its stream
-    through a recorder and keeps the clock of pulse starts; the stepper
-    draws a jump's destination once the wait is off the time ``left`` in
-    the pulse, so the recorder reads the jump's time from the stepper's
-    frame there, as pulse start + duration - left.
-    ``ColumnSampler.jump_distribution`` logs each jump's source.  A jump
-    lands where the next one starts, the last one where the stepper ends,
-    or in the leak.
+    Three spies record the jumps.  The ensemble's ``Stream`` logs each
+    jump's time, ``ColumnSampler.jump_distribution`` each jump's source,
+    and ``_jump_rounds`` keeps the level array it steps in place, whose
+    entry at the end is where the last jump landed (``n_states``: the
+    leak).  A jump lands where the next one starts.
     """
-    times, levels, clock, end = [0.0], [], [0.0], []
-    pulse, column = dynamics._JumpStepper.pulse, rates.ColumnSampler.jump_distribution
-
-    class Stream:
-        def __init__(self, rng):
-            self.rng, self.standard_exponential = rng, rng.standard_exponential
-
-        def random(self, size):
-            stepper = sys._getframe(1).f_locals
-            times.append(clock[0] + stepper["duration"] - float(stepper["left"][0]))
-            return self.rng.random(size)
-
-    def timed(stepper, k, duration, rng):
-        pulse(stepper, k, duration, Stream(rng))
-        clock[0] += duration
-        end[:] = [-1 if stepper.leaked[0] else int(stepper.level[0])]
+    times, levels, end = [0.0], [], []
+    column, rounds = rates.ColumnSampler.jump_distribution, dynamics._jump_rounds
 
     def logged(sampler, index):
         levels.append(index)
         return column(sampler, index)
 
+    def kept(samplers, durations, level, *args):
+        out = rounds(samplers, durations, level, *args)
+        end.append(-1 if level[0] == trap.n_states else int(level[0]))
+        return out
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics._JumpStepper, "pulse", timed)
+        streams(patch, times)
+        patch.setattr(dynamics, "_jump_rounds", kept)
         patch.setattr(rates.ColumnSampler, "jump_distribution", logged)
         ens = mc_ensemble(1, proto, trap, seed, init=init)
     return ens, list(zip(times, levels + end))
@@ -287,19 +314,43 @@ class TestMcTrajectory:
         times = [t for t, _ in jumps]
         assert all(b > a for a, b in zip(times, times[1:]))
 
-    def test_pulse_without_jumps_builds_no_column(self):
+    def test_pulse_without_jumps_builds_no_column(self, monkeypatch):
         # every (m, m) level is dark under s = 0, A = -1; exit clocks read
-        # the sampler's exit rates, so standing there builds nothing
+        # the sampler's exit rates, so a start there draws no exponential,
+        # builds no column and never jumps
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=6)
         pulse = Pulse(s=0, duration=1.0, amplitude_ratio=-1.0)
-        sampler = rates.ColumnSampler(rates._provider(rates.AngularTables(trap), pulse,
-                                                      "resonant"))
-        start = np.repeat([flat_level((m, m), trap) for m in range(7)], 3)
-        stepper = dynamics._JumpStepper([sampler], trap.n_states, start.copy())
-        stepper.pulse(0, 1e3, np.random.default_rng(3))
-        assert np.all(sampler.exit_rates[start] == 0.0) and sampler.exit_rates.max() > 0.0
-        assert sampler._cache == {} and stepper.jumps.sum() == 0
-        assert np.array_equal(stepper.level, start)
+        exits = rates.ColumnSampler(rates._provider(rates.AngularTables(trap), pulse,
+                                                    "resonant")).exit_rates
+        dark = [flat_level((m, m), trap) for m in range(7)]
+        assert np.all(exits[dark] == 0.0) and exits.max() > 0.0
+        probs = np.zeros(trap.n_states)
+        probs[dark] = 1.0 / len(dark)
+        made = streams(monkeypatch, [])
+        ens = mc_ensemble(21, Protocol((pulse,), 1000), trap, seed=3,
+                          init=Distribution(probs, 0.0, trap.shape))
+        assert made and not any(s.exponentials for s in made)
+        assert ens.columns_built == 0 and not ens.jump_counts.any()
+        assert np.all(ens.mean_n == ens.mean_n[0]) and not ens.leak_frac.any()
+
+    @pytest.mark.parametrize("case", ["1d", "2d"])
+    def test_one_exponential_per_jump(self, case, monkeypatch):
+        # the stepper draws at most jumps + n_traj exponentials, in at most
+        # (most jumps) + 1 rounds, not one per trajectory per pulse
+        if case == "1d":
+            proto, trap, mean = preset("fig2")
+            proto = Protocol(proto.pulses, 100, proto.name, proto.target)
+            init = thermal_distribution(mean, trap)
+        else:
+            init, proto, trap = preset_run("fig5_A_minus", n_max=12, cycles=60)
+        made = streams(monkeypatch, [])
+        ens = mc_ensemble(300, proto, trap, seed=5, init=init)
+        draws = [size for stream in made for size in stream.exponentials]
+        jumps = int(ens.jump_counts.sum())
+        assert jumps > 0
+        assert sum(draws) <= jumps + ens.n_traj
+        assert len(draws) <= int(ens.jump_counts.max()) + 1
+        assert sum(draws) * 10 < ens.n_traj * len(proto.pulses) * proto.cycles
 
     def test_columns_built_only_at_jump_sources(self, monkeypatch):
         sources = []
@@ -385,13 +436,19 @@ class TestMcTrajectory:
                 assert not ens.leak_frac.any()
         assert leaked > 0
 
-    @pytest.mark.parametrize("case", ["1d", "2d"])
+    @pytest.mark.parametrize("case", ["1d", "1d_plateau", "2d"])
     def test_trajectory_matches_per_jump_loop(self, case):
         # the array stepper at n = 1 draws as the plain loop over jumps does,
         # after the initial draw; these shallow traps also leak on some streams
         if case == "1d":
             trap, start = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=12), 10
             proto = Protocol((Pulse(s=0, duration=1.0), Pulse(s=-9, duration=0.5)),
+                             cycles=300, target=0)
+        elif case == "1d_plateau":
+            # the start is dark in the first pulse (10 + s < 0), so its first
+            # draw crosses that pulse's zero-hazard plateau
+            trap, start = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=12), 10
+            proto = Protocol((Pulse(s=-11, duration=1.0), Pulse(s=0, duration=1.0)),
                              cycles=300, target=0)
         else:
             # fig5's pulses: the even s != 0 ones with A = -1 carry the cross
@@ -410,6 +467,8 @@ class TestMcTrajectory:
             assert np.allclose([t for t, _ in jumps], [t for t, _ in ref],
                                rtol=1e-12, atol=0.0)
             statuses.add(jumps[-1][1] == -1)
+            if case == "1d_plateau":
+                assert jumps[1][0] > proto.pulses[0].duration
         assert statuses == {True, False}
 
     def test_same_seed_bitwise(self):

@@ -206,6 +206,19 @@ class TestDesign:
         with pytest.raises(SingularRatioError):
             design_excited_protocol((0, 1), trap, style="interference")
 
+    @pytest.mark.parametrize("target, dims, style, builds", [
+        (1, 1, "fc", 1), (2, 1, "fc", 1),
+        ((1, 1), 2, "fc", 2),             # the trap and its 1D axis
+        ((0, 1), 2, "interference", 2)])  # the trap, and dark_ratio_A's own band
+    def test_one_band_build_per_trap(self, target, dims, style, builds, monkeypatch):
+        # a design reads its many resonant rates from one set of bands per trap
+        built, inner = [], fc.reduced_bands
+        monkeypatch.setattr(fc, "reduced_bands", lambda *args: built.append(args) or inner(*args))
+        eta = fc.dark_eta_for_level(2, 11)[0] if target == 2 else 3.0
+        trap = TrapConfig(eta=eta, gamma_over_omega=0.01, dims=dims, n_max=60 // dims)
+        design_excited_protocol(target, trap, style=style)
+        assert len(built) == builds
+
     def test_designed_protocol_validates(self):
         trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=1, n_max=60)
         proto = design_excited_protocol(1, trap)
