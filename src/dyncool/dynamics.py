@@ -74,8 +74,12 @@ class TimeSeries:
     In both run modes every sample's ``obs.extra`` holds the occupations of
     ``extra_targets``.  A master run also keeps the distribution it stopped
     at, the state behind the last sample, as ``final_distribution``.
-    ``phases`` holds the wall seconds of the run's phases, named as the
-    benchmark's spans, ``cache`` the builds and hits of the run's emission
+    ``phases`` holds the wall seconds of the run's phases, named after the
+    layer each times: in master mode the providers (``rates.providers``),
+    the generators (``rates.rate_matrix``), their exponentials
+    (``rates.markov_expm``) and the rest of the propagation
+    (``dynamics.propagate``), in Monte Carlo mode the samplers' build and
+    the stepping.  ``cache`` holds the builds and hits of the run's emission
     kernels (``AngularTables.kernel_counts``, through ``_providers``), and
     ``diagnostics`` the run's counts for the manifest: in master mode the
     state basis propagated, its state count and the clipped mass, in Monte
@@ -244,7 +248,8 @@ class _CycleMap:
     P_j = ``rates.markov_expm`` (G_j, tau_j), multiplied into Z and dropped
     with P_j, so the dense working set does not grow with the pulse count K.
     ``markov_expm`` gets the only reference to G_j, so G_j is freed before
-    its series products.
+    its series products.  ``phases`` holds the wall seconds of the
+    generator builds and of the exponentials.
     ``inner`` stacks ``rows @ Z_j`` for j < K, so ``inner @ y`` holds the
     row values after every pulse but the last of a cycle that starts at y.
     min(Z_j) >= -1e-12 for j < K keeps every state inside a cycle above
@@ -254,14 +259,21 @@ class _CycleMap:
 
     def __init__(self, mats, pulses, rows: np.ndarray):
         self.duration = sum(pulse.duration for pulse in pulses)
+        self.phases = {"rates.rate_matrix": 0.0, "rates.markov_expm": 0.0}
         z, inner, mats = None, [], iter(mats)
         for pulse in pulses:
             if z is not None:
                 if z.min() < -1e-12:
                     raise DomainError("propagation produced significantly negative occupation")
                 inner.append(rows @ z)
-            # no name holds G_j past this call, nor P_j past the product
-            prop = rates.markov_expm(next(mats).generator, pulse.duration)
+            start = time.perf_counter()
+            held = [next(mats).generator]
+            built = time.perf_counter()
+            # no name holds G_j past this call (the list hands it over), nor
+            # P_j past the product
+            prop = rates.markov_expm(held.pop(), pulse.duration)
+            self.phases["rates.rate_matrix"] += built - start
+            self.phases["rates.markov_expm"] += time.perf_counter() - built
             z = prop if z is None else prop @ z
             del prop
         self.matrix = z
@@ -333,14 +345,6 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     basis = StateBasis(trap, "swap" if lumped else "full")
     rates._check_matrix_budget(basis.size)
     t0 = time.perf_counter()
-    builds = []  # wall seconds of the providers' build and of each generator's
-
-    def build(pulse, provider):
-        start = time.perf_counter()
-        mat = rate_matrix(trap, pulse, rate_mode, basis.kind, provider=provider)
-        builds.append(time.perf_counter() - start)
-        return mat
-
     share = basis.unlump(np.ones(basis.size))
     rows = np.array([basis.lump(row) for row in grid_rows * share])
     state = Distribution(basis.lump(init.probs), init.leak, (basis.size,), init.clipped)
@@ -350,10 +354,14 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     cycles = protocol.cycles if protocol.pulses else 0
     start = time.perf_counter()
     providers, series.cache = _providers(protocol, trap, rate_mode)
-    builds.append(time.perf_counter() - start)
+    phases = {"rates.providers": time.perf_counter() - start,
+              "rates.rate_matrix": 0.0, "rates.markov_expm": 0.0}
     if cycles:
-        cycle_map = _CycleMap(map(build, protocol.pulses, providers), protocol.pulses, rows)
+        cycle_map = _CycleMap((rate_matrix(trap, pulse, rate_mode, basis.kind, provider=provider)
+                               for pulse, provider in zip(protocol.pulses, providers)),
+                              protocol.pulses, rows)
         del providers
+        phases.update(cycle_map.phases)
     for cycle in range(1, cycles + 1):
         start = values
         inner = (cycle_map.inner @ state.probs).reshape(-1, len(rows)).tolist()
@@ -370,8 +378,8 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
             break
     series.final_distribution = Distribution(basis.unlump(state.probs), state.leak,
                                              trap.shape, state.clipped)
-    series.phases = {"rates.rate_matrix": sum(builds),
-                     "dynamics.propagate": time.perf_counter() - t0 - sum(builds)}
+    series.phases = {**phases,
+                     "dynamics.propagate": time.perf_counter() - t0 - sum(phases.values())}
     series.diagnostics = {"basis": basis.kind, "states": basis.size,
                           "clipped_mass": state.clipped}
     return series
@@ -384,7 +392,9 @@ def _swap_lumpable(protocol: Protocol, trap: TrapConfig, rate_mode: str) -> bool
     Resonant 2D rates see the amplitude ratio A only through |A|^2 and
     Re(A), and are swap-symmetric when |A| = 1; both emission patterns are.
     The sphere rule maps onto itself under phi -> pi/2 - phi, since its phi
-    order is a multiple of 4.  Full mode's cross term depends on Im(A).
+    order is a multiple of 4: that node permutation is the rule's
+    ``mirror``, on which the tables read the y recoil stack from the x
+    stack.  Full mode's cross term depends on Im(A).
     """
     if trap.dims != 2 or rate_mode != "resonant":
         return False
@@ -408,12 +418,18 @@ def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
     """The column provider of every pulse (none if the protocol runs no
     cycle), built once per distinct ``_pulse_cache_key`` from one
     ``rates.AngularTables(trap)``, and the run's ``cache`` block, the
-    tables' emission-kernel builds and hits.  The providers keep the kernels
-    and stacks they read, not the tables, so the rest of the tables (bands,
+    tables' emission-kernel builds and hits.  Resonant pulses read the
+    tables' bands to the deepest |s| that reaches a level, built once
+    before the first provider.  The providers keep the kernels
+    and the stack they read, not the tables, so the rest of the tables (bands,
     rules, unread kernels) is freed on return, before the first generator
     is built or column drawn."""
     tables = rates.AngularTables(trap)
     pulses = protocol.pulses if protocol.cycles else ()
+    reached = [abs(pulse.s_int) for pulse in pulses
+               if rate_mode == "resonant" and pulse.s_int >= -trap.n_max]
+    if reached:  # one build of the bands every pulse reads; no entry depends on their size
+        tables.bands(max(reached), trap.n_max + 1)
     shared: dict = {}
     for pulse in pulses:
         key = _pulse_cache_key(trap, pulse, rate_mode)

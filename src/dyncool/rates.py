@@ -20,7 +20,8 @@ Gauss-Legendre (cos theta) x trapezoid (phi) sphere rule of orders
 images, reached through the parity R(-x)[n, l] = (-1)^(n+l) R(x)[n, l] of
 the recoil factors.  Resonant columns are slices and scales of one recoil
 integral per trap and depth (S1 in 1D; in 2D T and the cross terms C_s, as
-low-rank node factors); full-mode ones come from the folded recoil stacks.
+low-rank node factors); full-mode ones come from the folded recoil stack,
+one per trap: in 2D the y stack is the x stack on the mirrored nodes.
 These recoil tables belong to an ``AngularTables`` that its caller builds
 and drops (a run's, or a standalone call's own); the module keeps no state.
 
@@ -62,8 +63,8 @@ MATRIX_MEMORY_BUDGET = 4 << 30
 # check ||X - Q Q^T X||_F <= 10 _RANK_TOL ||X||_F (margin for the check's rounding)
 _RANK_TOL = 1e-14
 
-# 2D recoil factors form their node arrays from the stacks this many bytes of
-# stack at a time: the fig5 stacks (14 MB) are 4 chunks
+# 2D recoil factors form their node arrays from the stack this many bytes of
+# stack at a time: the fig5 stack (14 MB) is 4 chunks
 _FACTOR_CHUNK_BYTES = 4 << 20
 
 
@@ -205,12 +206,18 @@ def dipole_pattern(tag: str, theta: float | np.ndarray, phi: float | np.ndarray)
 
 def _sphere_rule(trap: TrapConfig):
     """Quarter-phi, half-theta sphere grid as (weights times W(theta, phi),
-    {axis: projection}): a node's weight counts its mirror images (+-u, +-v,
-    +-z) in the full rule.  Exact for integrands that depend on the direction
-    through u, v alone, averaged over their sign images: sin(theta) is even
-    in cos(theta), and the four phi quadrants realize every sign of (u, v),
-    given an even theta order and a phi order divisible by 4 (``TrapConfig``
-    checks both)."""
+    {axis: projection}, mirror): a node's weight counts its mirror images
+    (+-u, +-v, +-z) in the full rule.  Exact for integrands that depend on
+    the direction through u, v alone, averaged over their sign images:
+    sin(theta) is even in cos(theta), and the four phi quadrants realize
+    every sign of (u, v), given an even theta order and a phi order divisible
+    by 4 (``TrapConfig`` checks both).
+
+    The grid maps onto itself under phi -> pi/2 - phi, which swaps u and v:
+    ``mirror`` is that node permutation, phi_j -> phi_{q-j} within each theta
+    row, an involution that keeps every weight of both emission patterns.  The
+    y projection is the x projection on it, bitwise, so a y recoil stack is
+    the x stack at ``mirror``."""
     x, wx = np.polynomial.legendre.leggauss(trap.quad_theta)
     pos = x > 0
     q = trap.quad_phi // 4
@@ -219,8 +226,9 @@ def _sphere_rule(trap: TrapConfig):
     wphi[0] = wphi[-1] = 2.0 * (2.0 * math.pi / trap.quad_phi)
     th, ph = (g.ravel() for g in np.meshgrid(np.arccos(x[pos]), phi, indexing="ij"))
     w = np.outer(2.0 * wx[pos], wphi).ravel()
-    return (w * dipole_pattern(trap.dipole, th, ph),
-            {"x": np.sin(th) * np.cos(ph), "y": np.sin(th) * np.sin(ph)})
+    mirror = (np.arange(np.count_nonzero(pos))[:, None] * (q + 1) + np.arange(q, -1, -1)).ravel()
+    u = np.sin(th) * np.cos(ph)
+    return w * dipole_pattern(trap.dipole, th, ph), {"x": u, "y": u[mirror]}, mirror
 
 
 def _line_order(eta: float, l_max: int) -> int:
@@ -254,27 +262,30 @@ def _line_rule(dipole: str, order: int):
 class AngularTables:
     """Per-trap recoil tables in 1D and 2D: the single-eta bands ``bands``
     (absorption factors, Lorentzian amplitudes), the folded emission rules,
-    their signed recoil stacks and the emission kernels built on them.
+    their signed recoil stack and the emission kernels built on them.
 
     ``rule(l_max)`` is the emission rule folded by parity: in 1D the u > 0 half
     of the line rule (``_line_rule``), whose order grows with l_max; in 2D the
-    8-fold folded sphere grid (u, v >= 0, z > 0, ``_sphere_rule``).  The
-    integrands of both modes depend on the direction through the projections
-    u, v alone; where one is not even in u or v (full-mode interference
-    between intermediate levels), its consumer adds the mirror images through
-    the parity of R.  ``stack(axis, l_max)`` holds one axis's signed reduced
-    factors S[k, n, l] (``_signed``) on the nodes of ``rule(l_max)``: the
-    full-mode pulses of one trap share it, and 2D kernels grow it lazily in l.
-    A 2D axis is (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1)
-    doubles, 84 MB for full mode at the fig5 depth.  ``fc.reduced_stack`` sums
-    the 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du as it steps, so no
+    8-fold folded sphere grid (u, v >= 0, z > 0, ``_sphere_rule``), whose node
+    permutation ``mirror`` swaps u and v.  The integrands of both modes depend
+    on the direction through the projections u, v alone; where one is not
+    even in u or v (full-mode interference between intermediate levels), its
+    consumer adds the mirror images through the parity of R.
+    ``stack(l_max)`` holds the x axis's signed reduced factors S[k, n, l]
+    (``_signed``) on the nodes of ``rule(l_max)``: the full-mode pulses of
+    one trap share it, and 2D kernels grow it lazily in l.  It is the one
+    stack in 2D as well: the y stack is the x stack at ``mirror``, which
+    its consumers read in place of it.  A 2D stack is
+    (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1) doubles,
+    84 MB for full mode at the fig5 depth.  ``fc.reduced_stack`` sums the
+    1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du as it steps, so no
     stack is held for it.  The 2D kernel
     T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2 is held in the
     low-rank form of ``factors``: R[n, l]^2 is e^{-x^2} times a polynomial in
-    x^2, so the squared stack has rank 37, 50, 64 and 75 over the 1056 fig5
+    x^2, so the squared stack has rank 37, 50, 63 and 74 over the 1056 fig5
     nodes at n_max 40, 80, 120 and 160.
-    ``factors`` forms its squared or cross-term node arrays from the stacks in
-    node chunks, so no array of a stack's size is held beside the stacks.
+    ``factors`` forms its squared or cross-term node arrays from the stack in
+    node chunks, so no array of a stack's size is held beside it.
     Kernels are keyed by a build depth that depends on the trap and the
     requested level alone: build order cannot move them.
     ``kernel_counts`` holds the kernel builds and hits of these tables.
@@ -285,13 +296,14 @@ class AngularTables:
     ``empty_rates``) builds its own.  Nothing in the module keeps them.
     """
 
-    _FULL_STACK_BUDGET = 512 << 20  # cap on the bands, a stack (an axis) or 1D kernel
+    _FULL_STACK_BUDGET = 512 << 20  # cap on the bands, the stack or the 1D kernel
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
+        self.mirror = None  # the 2D rule's, once it is built
         self._bands = np.zeros((0, 0))
         self._rules: dict[int, tuple] = {}
-        self._stacks: dict[str, tuple] = {}
+        self._stack: tuple = (None, None)
         self._kernels: dict[int, np.ndarray | tuple] = {}
         self.kernel_counts = {"builds": 0, "hits": 0}
 
@@ -312,19 +324,22 @@ class AngularTables:
         """(weights, {axis: projection}) of the folded rule to ``l_max``, built once."""
         order = _line_order(self.trap.eta, l_max) if self.trap.dims == 1 else 0
         if order not in self._rules:
-            self._rules[order] = (_line_rule(self.trap.dipole, order) if order
-                                  else _sphere_rule(self.trap))
+            if order:
+                self._rules[order] = _line_rule(self.trap.dipole, order)
+            else:
+                w, proj, self.mirror = _sphere_rule(self.trap)
+                self._rules[0] = (w, proj)
         return self._rules[order]
 
-    def stack(self, axis: str, l_max: int) -> np.ndarray:
-        """The signed stack of ``axis`` on ``rule(l_max)`` to at least level
-        l_max: the held one if it was built on that rule and reaches l_max."""
-        proj = self.rule(l_max)[1][axis]
-        built_on, cached = self._stacks.get(axis, (None, None))
+    def stack(self, l_max: int) -> np.ndarray:
+        """The signed x stack on ``rule(l_max)`` to at least level l_max: the
+        held one if it was built on that rule and reaches l_max."""
+        proj = self.rule(l_max)[1]["x"]
+        built_on, cached = self._stack
         if built_on is not proj or cached.shape[2] <= l_max:
             self._check_stack(l_max)
             cached = _signed(fc.reduced_stack(self.trap.eta * proj, self.trap.n_max, l_max))
-            self._stacks[axis] = (proj, cached)
+            self._stack = (proj, cached)
         return cached
 
     def _check_stack(self, l_max: int) -> None:
@@ -342,54 +357,61 @@ class AngularTables:
         e^{-x^2} times a polynomial of degree n + l in x^2, so squared stacks
         span at most n + p - 1 node vectors.
 
-        ``form(r, out)`` writes the node arrays of a node chunk r of a stack
+        Only x is formed.  With P the permutation ``mirror``, y = P x and P
+        keeps w, so q_x = P q spans sqrt(w) x: the sketch gives q_x, and
+        a = q^T sqrt(w) x and b = q_x^T sqrt(w) x come from one product
+        against [q, q_x].  The check ||sqrt(w) y - q b|| is ||sqrt(w) x - q_x b||,
+        which a wrong ``mirror`` fails for a given q.
+
+        ``form(r, out)`` writes the node arrays of a node chunk r of the stack
         into ``out``, or into a new array if ``out`` is None.  Each pass
         (sketch, projection, residual) forms them chunk by chunk, at most
-        ``_FACTOR_CHUNK_BYTES`` of stack at a time, into one buffer per
-        axis, so beside the stacks two chunks' node arrays are held.  An
-        axis keeps its last chunk and its next pass starts from it, running
-        the other way: a stack in one chunk is formed once, and a later pass
-        over c chunks forms c - 1 of them."""
+        ``_FACTOR_CHUNK_BYTES`` of stack at a time, into one buffer, and the
+        residual of a chunk goes into a second.  The last chunk is kept and
+        the next pass starts from it, running the other way: a stack in one
+        chunk is formed once, and a later pass over c chunks forms c - 1 of
+        them."""
         weights = self.rule(l_max)[0]
-        stacks = {axis: self.stack(axis, l_max) for axis in "xy"}
+        stack = self.stack(l_max)
         k = weights.shape[0]
-        step = max(1, _FACTOR_CHUNK_BYTES // stacks["x"][0].nbytes)
+        step = max(1, _FACTOR_CHUNK_BYTES // stack[0].nbytes)
         chunks = [slice(start, start + step) for start in range(0, k, step)]
         w_root = np.sqrt(weights)[:, None]
-        n, p = form(stacks["y"][:1]).shape[1:]
-        # every chunk of an axis is formed into one buffer: fresh chunk
-        # arrays each cost their pages' first-touch faults
-        bufs = {axis: np.empty((min(step, k), n, p)) for axis in "xy"}
-        last = {}
+        n, p = form(stack[:1]).shape[1:]
+        # every chunk is formed into one buffer: fresh chunk arrays each cost
+        # their pages' first-touch faults
+        buf, spare = (np.empty((min(step, k), n, p)) for _ in range(2))
+        kept = (None, None)
 
-        def sweep(axis):
+        def sweep():
             # (chunk, rows sqrt(w_k) form(R)[k] of its nodes) for every
             # chunk, the kept one first
-            kept = last.pop(axis, (None, None))
+            nonlocal kept
             for sl in chunks[::-1] if kept[0] == chunks[-1] else chunks:
                 if sl != kept[0]:
-                    r = stacks[axis][sl]
-                    v = form(r, bufs[axis][:len(r)]).reshape(-1, n * p)
+                    r = stack[sl]
+                    v = form(r, buf[:len(r)]).reshape(-1, n * p)
                     kept = (sl, np.multiply(v, w_root[sl], out=v))
                 yield kept
-            last[axis] = kept
 
         if q is None:
             omega = np.random.default_rng(0).standard_normal((n * p, min(k, n + p + 9)))
             sketch = np.empty((k, omega.shape[1]))
-            for sl, y in sweep("y"):
-                np.matmul(y, omega, out=sketch[sl])
+            for sl, x in sweep():
+                np.matmul(x, omega, out=sketch[sl])
             u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
-            q = u[:, :np.count_nonzero(sv > _RANK_TOL * sv[0])]
-        a, b = (functools.reduce(operator.iadd, (q[sl].T @ v for sl, v in sweep(axis)))
-                for axis in "xy")
+            q_x = u[:, :np.count_nonzero(sv > _RANK_TOL * sv[0])]
+            q = q_x[self.mirror]
+        else:
+            q_x = q[self.mirror]
+        a, b = np.split(functools.reduce(operator.iadd, (
+            np.concatenate([q[sl], q_x[sl]], axis=1).T @ x for sl, x in sweep())), 2)
         resid2 = norm2 = 0.0
-        for sl, y in sweep("y"):
-            # into x's buffer, which the projection was the last to read
-            resid = np.matmul(q[sl], b, out=bufs["x"][:len(y)].reshape(y.shape))
-            resid -= y
+        for sl, x in sweep():
+            resid = np.matmul(q_x[sl], b, out=spare[:len(x)].reshape(x.shape))
+            resid -= x
             resid2 += np.vdot(resid, resid)
-            norm2 += np.vdot(y, y)
+            norm2 += np.vdot(x, x)
         if math.sqrt(resid2) > 10 * _RANK_TOL * math.sqrt(norm2):
             raise SimulationError(f"rank-{q.shape[1]} node basis misses part of a "
                                   "2D recoil integrand")
@@ -399,7 +421,7 @@ class AngularTables:
     def kernel_depth(self, l_max: int) -> int:
         """The build depth of the emission kernel to ``l_max``, refused over
         budget before anything is built: in 2D l_max, to which it builds the
-        recoil stacks; in 1D the deepest level its line order serves
+        recoil stack; in 1D the deepest level its line order serves
         (``_line_depth``), to which it sums S1."""
         if self.trap.dims == 2:
             self._check_stack(l_max)
@@ -559,6 +581,9 @@ class RateMatrix:
 # saves a squaring and adds about one series product, so the GEMM count is flat.
 _UNIFORM_STEP = 1.0
 
+# entries per band of ``_add_weighted``: a 256 KiB product, which stays in cache
+_BAND = 1 << 15
+
 
 def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     """exp(G t), t >= 0, of a Markov generator by uniformization (Jensen 1953).
@@ -567,28 +592,30 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     B = I + G t / lam, exp(G t) = sum_k Pois(k; lam) B^k has only nonnegative
     terms.  Above lam = _UNIFORM_STEP it takes 2^s sub-steps and squares s
     times; the series stops where the Poisson tail is below 2^-54 and is
-    evaluated by Paterson-Stockmeyer (1973).  Entries of G t below
-    2^-106 lam are zeroed first: that moves the result by at most
-    n 2^-106 lam in the 1-norm, and keeps subnormals out of the GEMMs.
+    evaluated by Paterson-Stockmeyer (1973).  B is G scaled by t / lam in
+    one pass, plus I; its entries below 2^-106 are then zeroed.  That moves
+    the result by at most n 2^-106 lam in the 1-norm, keeps subnormals out
+    of the GEMMs, and keeps out a diagonal entry that rounding took below 0.
 
-    The working set is B^1 ... B^q (B scaled in place in the one copy of
-    G t), the sum and one scratch array.  It drops its reference to G once
-    G t is formed, so a caller that passes the only one (the streamed cycle
-    map) frees G before the series products.  Each group's terms are added in
-    place from the highest order down, the identity's weight last, on the
-    diagonal; added from the identity up, they lost 1.1e-13 of column sum
-    on a pulse of lam = 1e3 (10 squarings).
+    The working set is B^1 ... B^q, the sum and the next Horner product, each
+    its own n x n array, so it reuses the memory of freed ones of its size.
+    It drops its reference to G once B is formed, so a caller that passes
+    the only one (the streamed cycle map) frees G before the series
+    products.  Each group starts from its highest term (the Horner product
+    below the top group) and adds the others, the highest order first, in
+    one pass per band of entries (``_add_weighted``); the identity's weight
+    is added last, on the diagonal.  Added from the identity up, the terms
+    lost 1.1e-13 of column sum on a pulse of lam = 1e3 (10 squarings).
     """
-    b = generator * duration
-    del generator
-    lam = float(-b.diagonal().min(initial=0.0))
+    lam = duration * float(-generator.diagonal().min(initial=0.0))
     if lam == 0.0:
-        return np.eye(len(b))
-    b[np.abs(b) < 2.0 ** -106 * lam] = 0.0
+        return np.eye(len(generator))
+    b = generator * (duration / lam)
+    del generator
+    b.flat[::len(b) + 1] += 1.0
+    b[b < 2.0 ** -106] = 0.0
     squarings = max(0, math.ceil(math.log2(lam / _UNIFORM_STEP)))
     mu = lam / 2.0 ** squarings
-    b /= lam
-    b.flat[::len(b) + 1] += 1.0
     w = math.exp(-mu) * np.cumprod(np.r_[1.0, mu / np.arange(1.0, 32.0)])
     # the first order whose tail P(X > order) is below 2^-54; B^2 ... B^q
     # and one Horner product in B^q per further q terms cost ~ 2 sqrt(order)
@@ -598,23 +625,37 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     for _ in range(q - 1):
         powers.append(powers[-1] @ b)
     top = (-(-order // q) - 1) * q
-    out, spare = np.zeros_like(b), np.empty_like(b)
+    out = None
     for lo in range(top, -1, -q):
-        if lo < top:
-            out, spare = np.matmul(out, powers[q], out=spare), out
-        # out += w[k] B^(k - lo) over this group's orders k, the highest first
-        for k in range(order if lo == top else lo + q - 1, lo, -1):
-            out += np.multiply(powers[k - lo], w[k], out=spare)
+        # out = sum of w[k] B^(k - lo) over this group's orders k, from its
+        # highest, hi, down; below the top, out B^q stands for w[hi] B^q
+        hi = order if lo == top else lo + q
+        out = w[hi] * powers[hi - lo] if lo == top else out @ powers[q]
+        _add_weighted(out, powers[hi - lo - 1:0:-1], w[hi - 1:lo:-1])
         out.flat[::len(b) + 1] += w[lo]
+    del powers, b
     for _ in range(squarings):
-        out, spare = np.matmul(out, out, out=spare), out
+        out = out @ out
     return out
+
+
+def _add_weighted(out: np.ndarray, terms, weights) -> None:
+    """out += sum_i weights[i] terms[i], in place, the terms in order, one
+    band of ``_BAND`` entries at a time: each term is read once and its
+    products stay in cache."""
+    acc = out.reshape(-1)
+    scratch = np.empty(min(_BAND, acc.size))
+    for lo in range(0, acc.size, _BAND):
+        band = acc[lo:lo + _BAND]
+        prod = scratch[:band.size]
+        for term, weight in zip(terms, weights):
+            band += np.multiply(term.reshape(-1)[lo:lo + _BAND], weight, out=prod)
 
 
 def _assemble(columns: np.ndarray, exits: np.ndarray, mode: str) -> RateMatrix:
     """Package raw quadrature columns (including the m<-m entry) into a
     generator with -exits on its diagonal."""
-    generator = np.maximum(columns, 0.0)
+    generator = np.maximum(columns, 0.0, order="C")
     self_rates = generator.diagonal().copy()
     np.fill_diagonal(generator, 0.0)
     leak = np.maximum(exits - generator.sum(axis=0), 0.0)
@@ -659,9 +700,11 @@ class _Resonant:
     + 2 Re(A) f_x f_y C_s[:, mx, :, my].  The cross term is odd in both
     direction projections for odd s; for even s its phases are the signs of
     the signed stacks, so C_s is a folded node sum like T, held as
-    factors on T's node basis.  A column is then one GEMM of the three scaled
-    left factor slices, stacked, against their right slices.  At s = 0 C_s is
-    T: the column is the empty rate times T[:, mx, :, my], exactly 0 if dark.
+    factors on T's node basis.  A column is then one GEMM of the three left
+    factor slices, stacked with their f_x scales, against their right slices
+    with their f_y scales, so the left operand depends on mx alone.  At s = 0
+    C_s is T: the column is the empty rate times T[:, mx, :, my], exactly 0
+    if dark.
     """
 
     def __init__(self, tables: AngularTables, pulse: Pulse):
@@ -678,6 +721,7 @@ class _Resonant:
             self.cross = tables.factors(l_max, lambda r, out=None: _cross_factor(r, s, out),
                                         self.kernel[0])[1:]
         self.exits = np.maximum(self.closures - self._self_rates(), 0.0)
+        self._left = self._right = self._left_mx = None
 
     def column(self, *level) -> np.ndarray:
         s = self.s
@@ -688,13 +732,33 @@ class _Resonant:
         _, a, b = self.kernel
         if s == 0:
             return self.closures[mx, my] * (a[mx].T @ b[my])
-        fx, fy = self.f[mx], self.f[my]
-        left = [(fx * fx) * a[max(mx + s, 0)], (abs(self.a) ** 2 * fy * fy) * a[mx]]
-        right = [b[my], b[max(my + s, 0)]]
+        if self._left is None:
+            # the stacked operands, written in place: a fresh pair per column
+            # fragmented the heap among a sampler's cached columns (fig5_mc
+            # peaked 7 MB higher)
+            rows = a.shape[1] * (2 if self.cross is None else 3)
+            self._left, self._right = np.empty((rows, a.shape[2])), np.empty((rows, b.shape[2]))
+        left, right = self._stack_left(mx), self._right
+        r, fy = b.shape[1], self.f[my]
+        right[:r] = b[my]
+        np.multiply(b[max(my + s, 0)], abs(self.a) ** 2 * fy * fy, out=right[r:2 * r])
         if self.cross is not None:
-            left.append((2.0 * self.a.real * fx * fy) * self.cross[0][mx])
-            right.append(self.cross[1][my])
-        return np.concatenate(left).T @ np.concatenate(right)
+            np.multiply(self.cross[1][my], fy, out=right[2 * r:])
+        return left.T @ right
+
+    def _stack_left(self, mx) -> np.ndarray:
+        """The left slices of the columns (mx, .), stacked with their f_x
+        scales, kept for the last mx stacked: the dense builder asks for the
+        columns of one mx in a row."""
+        if self._left_mx != mx:
+            s, fx, a = self.s, self.f[mx], self.kernel[1]
+            r, left = a.shape[1], self._left
+            np.multiply(a[max(mx + s, 0)], fx * fx, out=left[:r])
+            left[r:2 * r] = a[mx]
+            if self.cross is not None:
+                np.multiply(self.cross[0][mx], 2.0 * self.a.real * fx, out=left[2 * r:])
+            self._left_mx = mx
+        return self._left
 
     def _self_rates(self) -> np.ndarray:
         """Gamma_{m<-m} of every level from the factors' diagonals (1D: bitwise)."""
@@ -755,19 +819,23 @@ class _Full:
     |P|^2 + |Q|^2 and g e* becomes P e*: the mixed-parity terms cancel.
     On signed stacks (``_signed``) P and Q are one real product of the stack
     with c[:, m] split by the parity of l, and e is a slice of the stack.
+    The trap's one stack serves both axes: the y axis's (P, Q, e) of level m
+    are the x axis's at the rule's ``mirror`` nodes.
     """
 
     def __init__(self, tables: AngularTables, pulse: Pulse):
         self.a = complex(pulse.amplitude_ratio)
         trap = tables.trap
         l_max = min(trap.n_max + _level_headroom(trap.eta, trap.n_max), fc._INTERNAL_MAX_DEGREE)
-        self.w, proj = tables.rule(l_max)
-        self.stacks = tuple(tables.stack(axis, l_max)[:, :, :l_max + 1] for axis in proj)
+        self.w = tables.rule(l_max)[0]
+        self.stack = tables.stack(l_max)[:, :, :l_max + 1]
+        self.nodes = (slice(None), tables.mirror)  # an axis's nodes in the x stack
         self.coeffs = c = _lorentzian_amplitudes(tables, pulse, l_max)  # (l, m)
         norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
         self.closures = _grid_empty_rates(trap.shape, norm2, c.diagonal(), self.a)
+        diagonal = self._diagonal()
         self.exits = np.maximum(self.closures - self._node_sum(
-            *(self._diagonal(stack) for stack in self.stacks)), 0.0)
+            *(tuple(v[nodes] for v in diagonal) for nodes in self.nodes[:trap.dims])), 0.0)
 
     def _operand(self, m):
         """c[:, m] split by the parity of l (m's, the other) as real columns
@@ -776,19 +844,20 @@ class _Full:
         other = np.arange(c.shape[-1]) % 2 != np.asarray(m)[..., None] % 2
         return (c[..., None] * np.stack([~other, other], axis=-1)).view(float)
 
-    def _axis(self, stack: np.ndarray, m: int):
-        """(P, Q, e) of one axis for source level m, each (nodes, n)."""
-        pq = np.matmul(stack, self._operand(m)).view(complex)
-        return pq[..., 0], pq[..., 1], stack[:, :, m]
+    def _axis(self, m: int, nodes):
+        """(P, Q, e) of one axis for source level m, each (nodes, n), read at
+        the axis's ``nodes`` of the x stack."""
+        pq = np.matmul(self.stack, self._operand(m)).view(complex)
+        return pq[nodes, :, 0], pq[nodes, :, 1], self.stack[nodes, :, m]
 
-    def _diagonal(self, stack: np.ndarray):
-        """(P, Q, e) of one axis at n = m, for every source level m."""
-        m = np.arange(stack.shape[1])
-        pq = np.matmul(stack.transpose(1, 0, 2), self._operand(m)).view(complex)
-        return pq[..., 0].T, pq[..., 1].T, stack[:, m, m]
+    def _diagonal(self):
+        """(P, Q, e) of the x axis at n = m, for every source level m."""
+        m = np.arange(self.stack.shape[1])
+        pq = np.matmul(self.stack.transpose(1, 0, 2), self._operand(m)).view(complex)
+        return pq[..., 0].T, pq[..., 1].T, self.stack[:, m, m]
 
     def column(self, *level) -> np.ndarray:
-        return self._node_sum(*(self._axis(stack, m) for stack, m in zip(self.stacks, level)))
+        return self._node_sum(*(self._axis(m, nodes) for m, nodes in zip(level, self.nodes)))
 
     def _node_sum(self, x, y=None) -> np.ndarray:
         """The column's node sum on each axis's (P, Q, e)."""
@@ -863,14 +932,19 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
     _check_matrix_budget(states.size)
     if provider is None:
         provider = _provider(AngularTables(trap), pulse, mode)
-    columns = np.zeros((states.size, states.size))
-    exits = provider.exits[tuple(states.levels.T)]
+    lumped = np.empty((states.size, states.size))  # row j: column j, written whole
+    # each column's entry at its level's swap image: in the swap basis, the in-class move
+    swapped = np.ravel_multi_index(states.levels[:, ::-1].T, trap.shape)
+    moves = np.empty(states.size)
     for j, level in enumerate(states.levels):
         col = provider.column(*level).reshape(-1)
-        if basis == "swap" and level[0] != level[1]:
-            exits[j] -= max(col[np.ravel_multi_index(level[::-1], trap.shape)], 0.0)
-        columns[:, j] = states.lump(col)
-    return _assemble(columns, np.maximum(exits, 0.0), mode)
+        moves[j] = col[swapped[j]]
+        lumped[j] = states.lump(col)
+    exits = provider.exits[tuple(states.levels.T)]
+    if basis == "swap":
+        a, b = states.levels.T
+        exits -= np.maximum(moves, 0.0) * (a != b)
+    return _assemble(lumped.T, np.maximum(exits, 0.0), mode)
 
 
 class ColumnSampler:

@@ -271,7 +271,8 @@ class TestRun:
         assert "quad_theta" in manifest["config"]
 
     @pytest.mark.parametrize("mode, phases", [
-        ("master", {"rates.rate_matrix", "dynamics.propagate"}),
+        ("master", {"rates.providers", "rates.rate_matrix", "rates.markov_expm",
+                    "dynamics.propagate"}),
         ("mc", {"rates.column_sampler", "dynamics.mc"})])
     @pytest.mark.parametrize("dims, target, basis, states", [
         (2, "0,0", "swap", 66),  # |A| = 1, thermal start: the level pairs of 11 x 11

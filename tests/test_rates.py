@@ -877,12 +877,13 @@ class TestResonantFactors:
 
     @pytest.mark.parametrize("given_basis", [False, True])
     def test_each_pass_starts_on_the_kept_chunk(self, monkeypatch, given_basis):
-        # c chunks: x is formed once per chunk; y's sketch pass forms c, and
-        # its projection and residual passes c - 1 each; one call probes the shapes
+        # c chunks of the one stack: the first pass (the sketch, or the
+        # projection if the basis is given) forms c, and each later pass
+        # c - 1; one call probes the shapes
         tables = rates.AngularTables(trap_2d(n_max=6))
         q = tables.factors(6, np.square)[0] if given_basis else None
         nodes = tables.rule(6)[0].shape[0]
-        monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 100 * tables.stack("x", 6)[0].nbytes)
+        monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 100 * tables.stack(6)[0].nbytes)
         chunks = -(-nodes // 100)
         calls = []
 
@@ -891,9 +892,71 @@ class TestResonantFactors:
             return np.square(r, out)
 
         tables.factors(6, form, q)
-        y_passes = 2 if given_basis else 3
-        assert chunks > 2 and len(calls) == 1 + chunks + chunks + (y_passes - 1) * (chunks - 1)
+        passes = 2 if given_basis else 3
+        assert chunks > 2 and len(calls) == 1 + chunks + (passes - 1) * (chunks - 1)
 
+    def test_wrong_mirror_fails_the_residual_check(self):
+        # the y side of the factors is read through the rule's mirror, so a
+        # given basis checked through a wrong one is refused, not used
+        tables = rates.AngularTables(trap_2d(n_max=6))
+        q = tables.factors(6, np.square)[0]
+        tables.factors(6, np.square, q)
+        for wrong in (np.arange(q.shape[0]), np.roll(tables.mirror, 1)):
+            tables.mirror = wrong
+            with pytest.raises(SimulationError, match="node basis"):
+                tables.factors(6, np.square, q)
+
+    @pytest.mark.parametrize("pulses, depths", [((-2, 0, -3), [6]), ((-2, 2, -4), [6, 8])])
+    def test_one_stack_build_per_depth(self, monkeypatch, pulses, depths):
+        # a 2D run's resonant providers build the one x stack once per depth
+        # they reach, and a full-mode provider builds it once
+        built = []
+        stack = fc.reduced_stack
+
+        def spy(eta_proj, n_max, l_max, **kw):
+            built.append(l_max)
+            return stack(eta_proj, n_max, l_max, **kw)
+
+        monkeypatch.setattr(fc, "reduced_stack", spy)
+        trap = trap_2d(n_max=6, quad_theta=8, quad_phi=8)
+        protocol = Protocol(tuple(Pulse(s=s, duration=1.0) for s in pulses), cycles=1)
+        dynamics._providers(protocol, trap, "resonant")
+        assert built == depths
+        built.clear()
+        rates._Full(rates.AngularTables(trap), Pulse(s=-2, duration=1.0))
+        assert len(built) == 1
+
+    def test_sampler_holds_one_stack(self):
+        # a 2D sampler at n_max 30 builds one 8.1 MiB stack, not two: the
+        # build peaked at 27.6 MiB with the y stack held beside the x stack
+        # and peaks at 20.7 MiB without it
+        tracemalloc.start()
+        try:
+            sampler_of(trap_2d(n_max=30), Pulse(s=-4, duration=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20, peak / 2 ** 20
+
+    def test_providers_build_the_bands_once(self, monkeypatch):
+        # fig3's pulses (s = -9, 8, -10, -3) grew the bands three times, one
+        # pulse at a time; a run builds them once, to its deepest |s|, and
+        # every provider reads the entries it read before, bitwise
+        builds = []
+        bands = fc.reduced_bands
+
+        def spy(eta, rows, count):
+            builds.append((rows, count))
+            return bands(eta, rows, count)
+
+        monkeypatch.setattr(fc, "reduced_bands", spy)
+        protocol, trap, _ = preset("fig3")
+        trap = dataclasses.replace(trap, n_max=60)
+        providers, _ = dynamics._providers(protocol, trap, "resonant")
+        assert builds == [(11, 61)]
+        for pulse, provider in zip(protocol.pulses, providers):
+            alone = rates._reduced_absorption(rates.AngularTables(trap), pulse.s_int, range(61))
+            assert np.array_equal(provider.f, alone)
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_resonant_rates_hold_bands_to_their_detuning(self, dims):
@@ -918,30 +981,51 @@ class TestSignedStacks:
         return fc.reduced_stack(eta_proj, n_max, l_max) * (-1.0) ** (d // 2)
 
     def test_stacks_are_signed_reduced_factors(self):
+        # the one stack holds the x projections' factors; read at the 2D
+        # rule's mirror, the y projections'
         trap = trap_2d(eta=1.7, n_max=8, quad_theta=8, quad_phi=8)
         tables = rates.AngularTables(trap)
-        for axis in "xy":
-            ref = self.signed(trap.eta * tables.rule(13)[1][axis], 8, 13)
-            assert np.array_equal(tables.stack(axis, 13).view(np.int64), ref.view(np.int64))
+        proj = tables.rule(13)[1]
+        for axis, nodes in (("x", slice(None)), ("y", tables.mirror)):
+            ref = self.signed(trap.eta * proj[axis], 8, 13)
+            assert np.array_equal(tables.stack(13)[nodes].view(np.int64), ref.view(np.int64))
         trap = trap_1d(eta=1.7, n_max=10)
         tables = rates.AngularTables(trap)
         l_max = trap.n_max + rates._level_headroom(trap.eta, trap.n_max)
         ref = self.signed(trap.eta * tables.rule(l_max)[1]["x"], trap.n_max, l_max)
-        assert np.array_equal(tables.stack("x", l_max).view(np.int64), ref.view(np.int64))
+        assert np.array_equal(tables.stack(l_max).view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_full_pulses_share_one_stack(self, dims):
-        # every full-mode provider and sampler of one trap reads the stacks
-        # its tables hold, in 1D as in 2D
+        # every full-mode provider and sampler of one trap reads the one
+        # stack its tables hold, in 1D as in 2D, where the y axis reads it at
+        # the rule's mirror nodes
         trap = trap_1d(eta=1.7, n_max=10) if dims == 1 else trap_2d(eta=1.7, n_max=4)
         tables = rates.AngularTables(trap)
         users = [rates._Full(tables, Pulse(s=-2, duration=1.0)),
                  rates._Full(tables, Pulse(s=0.5, duration=1.0, amplitude_ratio=0.3)),
                  sampler_of(trap, Pulse(s=-9, duration=1.0), "full", tables)._provider]
-        for k, axis in enumerate("xy"[:dims]):
-            first = users[0].stacks[k]
-            assert all(np.shares_memory(user.stacks[k], first) for user in users[1:])
-            assert np.shares_memory(tables.stack(axis, first.shape[2] - 1), first)
+        first = users[0].stack
+        assert all(np.shares_memory(user.stack, first) for user in users[1:])
+        assert np.shares_memory(tables.stack(first.shape[2] - 1), first)
+        assert all(user.nodes[1] is tables.mirror for user in users)
+
+    @pytest.mark.parametrize("dipole", rates.DIPOLE_PATTERNS)
+    def test_y_projection_is_x_at_mirror(self, dipole):
+        # phi -> pi/2 - phi maps the folded sphere rule onto itself: mirror is
+        # an involution that keeps every weight, and y is x on it, bitwise
+        trap = trap_2d(n_max=4, quad_theta=16, quad_phi=24, dipole=dipole)
+        tables = rates.AngularTables(trap)
+        w, proj = tables.rule(4)
+        mirror = tables.mirror
+        assert np.array_equal(mirror[mirror], np.arange(w.size))
+        assert not np.array_equal(mirror, np.arange(w.size))
+        assert np.array_equal(w[mirror], w)
+        assert np.array_equal(proj["y"].view(np.int64), proj["x"][mirror].view(np.int64))
+        cos_theta = np.polynomial.legendre.leggauss(16)[0]
+        phi = np.arange(7) * (2.0 * np.pi / 24)
+        want = np.outer(np.sqrt(1.0 - cos_theta[cos_theta > 0] ** 2), np.sin(phi)).ravel()
+        assert np.abs(proj["y"] - want).max() <= 1e-15
 
 
 class TestMarkovExpm:
@@ -988,6 +1072,23 @@ class TestMarkovExpm:
         before = gen.copy()
         rates.markov_expm(gen, t)
         assert np.array_equal(gen, before)
+
+    # at this exit rate and duration the fastest level's diagonal in B,
+    # 1 - g (t / (t g)), rounds below zero
+    G_ROUNDS, T_ROUNDS = 2.224126066457955, 0.9033280256479342
+
+    @pytest.mark.parametrize("gen, t", [
+        ([[-0.7, 0.2, 1e-300], [0.0, -0.5, 0.0], [0.7, 0.3, -1e-300]], 2.0),
+        ([[-0.7, 0.2, 1e-300], [0.0, -0.5, 0.0], [0.7, 0.3, -1e-300]], 1e3),
+        ([[-G_ROUNDS, 0.2, 0.0], [G_ROUNDS, -0.5, 0.0], [0.0, 0.3, 0.0]], T_ROUNDS)],
+        ids=["tiny", "tiny-squared", "rounded-diagonal"])
+    def test_every_entry_nonnegative(self, gen, t):
+        # entries of 1e-300 fall below 2^-106 in B, and a diagonal entry that
+        # rounds below zero is zeroed with them
+        assert -self.G_ROUNDS * (self.T_ROUNDS / (self.T_ROUNDS * self.G_ROUNDS)) < -1.0
+        prop = rates.markov_expm(np.array(gen), t)
+        assert prop.min() >= 0.0
+        assert max(math.fsum(col) for col in prop.T) <= 1.0 + 1e-15
 
     def test_leak_only_column(self):
         # level 0 only leaks, level 1 also feeds 0 and 2, level 2 is absorbing
