@@ -421,9 +421,9 @@ def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
     tables' emission-kernel builds and hits.  Resonant pulses read the
     tables' bands to the deepest |s| that reaches a level, built once
     before the first provider.  The providers keep the kernels
-    and the stack they read, not the tables, so the rest of the tables (bands,
-    rules, unread kernels) is freed on return, before the first generator
-    is built or column drawn."""
+    they read (full mode: its block of rates), not the tables, so the rest
+    of the tables (bands, rules, the stack, unread kernels) is freed on
+    return, before the first generator is built or column drawn."""
     tables = rates.AngularTables(trap)
     pulses = protocol.pulses if protocol.cycles else ()
     reached = [abs(pulse.s_int) for pulse in pulses
@@ -535,6 +535,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     row, and against their squares; the sums are integers, exact in
     floats.  The leak fraction is (n_traj - live) / n_traj.
     """
+    n_traj = rates._integer(n_traj, "n_traj")
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     target = protocol.target_in(trap.dims)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import fc
 from .errors import ConfigError, DomainError, ValidityError
-from .rates import (RUN_DEFAULTS, AngularTables, Pulse, TrapConfig, _level_empty_rates,
-                    format_float, level_indices)
+from .rates import (RUN_DEFAULTS, AngularTables, Pulse, TrapConfig, _integer,
+                    _level_empty_rates, format_float, level_indices)
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class Protocol:
     target: int | tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cycles", _integer(self.cycles, "cycles"))
         if self.cycles < 0:
             raise DomainError(f"cycles must be >= 0, got {self.cycles}")
 

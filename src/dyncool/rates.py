@@ -20,8 +20,8 @@ Gauss-Legendre (cos theta) x trapezoid (phi) sphere rule of orders
 images, reached through the parity R(-x)[n, l] = (-1)^(n+l) R(x)[n, l] of
 the recoil factors.  Resonant columns are slices and scales of one recoil
 integral per trap and depth (S1 in 1D; in 2D T and the cross terms C_s, as
-low-rank node factors); full-mode ones come from the folded recoil stack,
-one per trap: in 2D the y stack is the x stack on the mirrored nodes.
+low-rank node factors); full-mode ones are rows of one block per pulse,
+summed in node chunks from the folded recoil stack, one per trap.
 These recoil tables belong to an ``AngularTables`` that its caller builds
 and drops (a run's, or a standalone call's own); the module keeps no state.
 
@@ -99,6 +99,9 @@ class TrapConfig:
     quad_phi: int = DEFAULT_QUAD_PHI
 
     def __post_init__(self) -> None:
+        for name in ("dims", "n_max", "quad_theta", "quad_phi"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not math.isfinite(self.eta) or self.eta < 0:
             raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
         if self.gamma_over_omega <= 0 or not math.isfinite(self.gamma_over_omega):
@@ -139,6 +142,15 @@ class TrapConfig:
     def recommended_n_max(self, thermal_mean: float) -> int:
         """Truncation below which thermal tails and recoil heating leak."""
         return math.ceil(2 * self.eta ** 2 + thermal_mean + 6.0 * math.sqrt(thermal_mean))
+
+
+def _integer(value, name: str) -> int:
+    """``value`` by ``operator.index`` (numpy integers pass, floats do not),
+    else ``DomainError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def level_indices(shape: tuple[int, ...], levels) -> np.ndarray:
@@ -272,14 +284,14 @@ class AngularTables:
     even in u or v (full-mode interference between intermediate levels), its
     consumer adds the mirror images through the parity of R.
     ``stack(l_max)`` holds the x axis's signed reduced factors S[k, n, l]
-    (``_signed``) on the nodes of ``rule(l_max)``: the full-mode pulses of
-    one trap share it, and 2D kernels grow it lazily in l.  It is the one
-    stack in 2D as well: the y stack is the x stack at ``mirror``, which
-    its consumers read in place of it.  A 2D stack is
-    (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1) doubles,
-    84 MB for full mode at the fig5 depth.  ``fc.reduced_stack`` sums the
-    1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du as it steps, so no
-    stack is held for it.  The 2D kernel
+    (``_signed``) on the nodes of ``rule(l_max)``: the full-mode providers of
+    one trap are built from it and keep none of it, and 2D kernels grow it
+    lazily in l.  It is the one stack in 2D as well: the y stack is the x
+    stack at ``mirror``, which its consumers read in place of it.  A 2D
+    stack is (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1)
+    doubles, 84 MB for full mode at the fig5 depth.  ``fc.reduced_stack``
+    sums the 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du as it steps,
+    so no stack is held for it.  The 2D kernel
     T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2 is held in the
     low-rank form of ``factors``: R[n, l]^2 is e^{-x^2} times a polynomial in
     x^2, so the squared stack has rank 37, 50, 63 and 74 over the 1056 fig5
@@ -507,9 +519,10 @@ def _grid_empty_rates(shape: tuple[int, ...], norm2, diag, a: complex) -> np.nda
 
 
 def empty_rates(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
-    """``level_empty_rates`` of every grid level, over trap.shape."""
-    levels = np.indices(trap.shape).reshape(trap.dims, -1).T
-    return level_empty_rates(trap, pulse, levels).reshape(trap.shape)
+    """``level_empty_rates`` of every grid level, over trap.shape, as ``_Resonant.closures``."""
+    s = pulse.s_int
+    f = _reduced_absorption(AngularTables(trap), s, range(trap.n_max + 1))
+    return _grid_empty_rates(trap.shape, f * f, f * (s == 0), complex(pulse.amplitude_ratio))
 
 
 def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
@@ -789,25 +802,10 @@ def _cross_factor(stack: np.ndarray, s: int, out: np.ndarray | None = None) -> n
     return out
 
 
-def _lorentzian_amplitudes(tables: AngularTables, pulse: Pulse, l_max: int) -> np.ndarray:
-    """c[l, m] = <l|e^{ikx}|m> * gamma / (delta - omega(l - m) + i gamma),
-    dimensionless, for l <= l_max and every trap level m, up to the unit
-    phase i^((l-m) mod 2) (``_signed``)."""
-    gt = tables.trap.gamma_over_omega
-    m = np.arange(tables.trap.n_max + 1)
-    shift = np.arange(l_max + 1)[:, None] - m
-    bands = tables.bands(l_max, m.size)
-    amps = _signed(bands[np.abs(shift), m + np.minimum(shift, 0)])
-    return amps * gt / ((pulse.s - shift) + 1j * gt)
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real ** 2 + z.imag ** 2
-
-
 class _Full:
-    """Full-mode columns on demand, every intermediate level l with its
-    Lorentzian amplitude c[l, m], on the folded emission rule.
+    """Full-mode rates, every intermediate level l with its Lorentzian
+    amplitude c[l, m], on the folded emission rule, held as one block whose
+    ``raw[level]`` is the level's column, self term included.
 
     At folded node k an axis recoils from level m into n with amplitude
     g[k, n] = sum_l R_k[n, l] i^|n-l| c[l, m] after absorbing on that axis,
@@ -817,59 +815,59 @@ class _Full:
     turns g into (-1)^(n+m) (P - Q) and e into (-1)^(n+m) e.  Averaged over
     the images, which the folded weights count, |g|^2 becomes
     |P|^2 + |Q|^2 and g e* becomes P e*: the mixed-parity terms cancel.
-    On signed stacks (``_signed``) P and Q are one real product of the stack
-    with c[:, m] split by the parity of l, and e is a slice of the stack.
-    The trap's one stack serves both axes: the y axis's (P, Q, e) of level m
-    are the x axis's at the rule's ``mirror`` nodes.
+
+    The build walks the trap's one signed stack (``_signed``) in node chunks
+    of at most ``_FACTOR_CHUNK_BYTES``, and keeps none of it: one real
+    product with c split by the parity of l gives (P, Q) of every m, and e
+    is a slice.  In 1D the block adds sum_k w_k G, G = |P|^2 + |Q|^2.  In 2D
+    column (m_x, m_y) adds sum_k w_k [G_x E_y + |A|^2 E_x G_y + 2 Re(A* H_x H_y*)],
+    E = e^2, H = P e, the y arrays being the x ones at the 2D rule's ``mirror``,
+    which maps each chunk (whole theta rows) onto itself: one GEMM per chunk.
     """
 
     def __init__(self, tables: AngularTables, pulse: Pulse):
-        self.a = complex(pulse.amplitude_ratio)
         trap = tables.trap
+        _check_matrix_budget(trap.n_states)
+        a = complex(pulse.amplitude_ratio)
         l_max = min(trap.n_max + _level_headroom(trap.eta, trap.n_max), fc._INTERNAL_MAX_DEGREE)
-        self.w = tables.rule(l_max)[0]
-        self.stack = tables.stack(l_max)[:, :, :l_max + 1]
-        self.nodes = (slice(None), tables.mirror)  # an axis's nodes in the x stack
-        self.coeffs = c = _lorentzian_amplitudes(tables, pulse, l_max)  # (l, m)
+        l1, n1, side = l_max + 1, trap.n_max + 1, trap.n_states
+        w, stack, mirror = tables.rule(l_max)[0], tables.stack(l_max), tables.mirror
+        # c[l, m] = <l|e^{ikx}|m> gamma / (delta - omega (l - m) + i gamma), ``_signed``
+        m, gt = np.arange(n1), trap.gamma_over_omega
+        shift = np.arange(l1)[:, None] - m
+        c = _signed(tables.bands(l_max, n1)[np.abs(shift), m + np.minimum(shift, 0)])
+        c = c * gt / ((pulse.s - shift) + 1j * gt)
         norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
-        self.closures = _grid_empty_rates(trap.shape, norm2, c.diagonal(), self.a)
-        diagonal = self._diagonal()
-        self.exits = np.maximum(self.closures - self._node_sum(
-            *(tuple(v[nodes] for v in diagonal) for nodes in self.nodes[:trap.dims])), 0.0)
-
-    def _operand(self, m):
-        """c[:, m] split by the parity of l (m's, the other) as real columns
-        (Re, Im) of each: (l, 4) for one level m, (levels, l, 4) for an array."""
-        c = self.coeffs.T[m]
-        other = np.arange(c.shape[-1]) % 2 != np.asarray(m)[..., None] % 2
-        return (c[..., None] * np.stack([~other, other], axis=-1)).view(float)
-
-    def _axis(self, m: int, nodes):
-        """(P, Q, e) of one axis for source level m, each (nodes, n), read at
-        the axis's ``nodes`` of the x stack."""
-        pq = np.matmul(self.stack, self._operand(m)).view(complex)
-        return pq[nodes, :, 0], pq[nodes, :, 1], self.stack[nodes, :, m]
-
-    def _diagonal(self):
-        """(P, Q, e) of the x axis at n = m, for every source level m."""
-        m = np.arange(self.stack.shape[1])
-        pq = np.matmul(self.stack.transpose(1, 0, 2), self._operand(m)).view(complex)
-        return pq[..., 0].T, pq[..., 1].T, self.stack[:, m, m]
+        self.closures = _grid_empty_rates(trap.shape, norm2, c.diagonal(), a)
+        # c split by the parity of l (m's, the other), Re and Im of each: (l, m x 4)
+        other = shift % 2 == 1
+        operand = (c[..., None] * np.stack([~other, other], axis=-1)).view(float).reshape(l1, -1)
+        # the mirror images paired with (G, E, Re H, Im H): E, |A|^2 G and H mixed by A
+        ar, ai = 2.0 * a.real, 2.0 * a.imag
+        mix = np.array([[0, 1, 0, 0], [abs(a) ** 2, 0, 0, 0], [0, 0, ar, -ai], [0, 0, ai, ar]])
+        row = 1 if mirror is None else trap.quad_phi // 4 + 1
+        step = row * max(1, _FACTOR_CHUNK_BYTES // (row * n1 * l1 * 8))
+        acc = np.zeros((side, side))  # [n, m] in 1D; [(n_x, m_x), (n_y, m_y)] in 2D
+        for start in range(0, len(w), step):
+            r, wk = stack[start:start + step, :, :l1], w[start:start + step]
+            p = (r.reshape(-1, l1) @ operand).reshape(len(r), n1, n1, 4)  # [k, n, m, .]
+            g = np.einsum("knmj,knmj->knm", p, p)
+            if mirror is None:
+                acc += (wk @ g.reshape(len(r), -1)).reshape(n1, n1)
+                continue
+            e = r[:, :, :n1]
+            x = np.stack([g, e * e, p[..., 0] * e, p[..., 1] * e]).reshape(4, len(r), -1)
+            y = np.einsum("ij,jk...->ik...", mix, x[:, mirror[start:start + len(r)] - start])
+            x *= wk[:, None]
+            acc += x.reshape(-1, side).T @ y.reshape(-1, side)
+        axes = [*range(1, 2 * trap.dims, 2), *range(0, 2 * trap.dims, 2)]  # to [m..., n...]
+        self.raw = np.ascontiguousarray(acc.reshape((n1,) * 2 * trap.dims).transpose(axes))
+        self.raw.flags.writeable = False
+        self_rates = self.raw.reshape(side, side).diagonal().reshape(trap.shape)
+        self.exits = np.maximum(self.closures - self_rates, 0.0)
 
     def column(self, *level) -> np.ndarray:
-        return self._node_sum(*(self._axis(m, nodes) for m, nodes in zip(level, self.nodes)))
-
-    def _node_sum(self, x, y=None) -> np.ndarray:
-        """The column's node sum on each axis's (P, Q, e)."""
-        px, qx, ex = x
-        if y is None:
-            return self.w @ (_abs2(px) + _abs2(qx))
-        py, qy, ey = y
-        w = self.w[:, None]
-        out = (w * (_abs2(px) + _abs2(qx))).T @ (ey * ey)
-        out += abs(self.a) ** 2 * ((w * (ex * ex)).T @ (_abs2(py) + _abs2(qy)))
-        cross = np.conj(self.a) * ((w * (px * ex)).T @ (ey * np.conj(py)))
-        return out + 2.0 * cross.real
+        return self.raw[level]
 
 
 def _provider(tables: AngularTables, pulse: Pulse, mode: str) -> _Resonant | _Full:

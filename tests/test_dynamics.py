@@ -305,6 +305,15 @@ def dense_pulses(proto, trap):
 
 
 class TestMcTrajectory:
+    @pytest.mark.parametrize("n_traj", [3.5, 4.0])
+    def test_non_integer_trajectory_count_refused(self, n_traj):
+        trap = trap_1d(n_max=10)
+        proto = Protocol((Pulse(s=-1, duration=1.0),), cycles=1, target=0)
+        with pytest.raises(DomainError, match="n_traj"):
+            mc_ensemble(n_traj, proto, trap, seed=1, init=level_distribution(3, trap))
+        ens = mc_ensemble(np.int64(4), proto, trap, seed=1, init=level_distribution(3, trap))
+        assert ens.n_traj == 4
+
     def test_pure_ladder_descends(self):
         trap = trap_1d(eta=1e-3, n_max=10)
         proto = Protocol((Pulse(s=-1, duration=1e7),), cycles=1, target=0)
@@ -977,6 +986,26 @@ class TestRecordedRun:
                 5.7992179364393194e-05]
         assert np.abs(np.array([grid[lv] for lv in levels]) - want).max() <= 1e-12
         assert abs(grid.sum() - 0.6074396901026645) <= 1e-12
+
+
+class TestFullModeEndpoints:
+    """Full mode, every intermediate level with its Lorentzian weight, is the
+    check of the resonant approximation (gamma << omega): at 2D n_max 20 it
+    moves the cycle-300 target occupation by a few 1e-4 only."""
+
+    @pytest.mark.filterwarnings("ignore:n_max=20 is below the recommended")
+    @pytest.mark.parametrize("name, full, shift", [
+        ("fig5_A_minus", 0.159850, -3.731e-4), ("fig7", 0.116413, -7.071e-4)])
+    def test_cycle_300_endpoint(self, name, full, shift):
+        proto, trap, mean = preset(name)
+        trap = TrapConfig(eta=trap.eta, gamma_over_omega=trap.gamma_over_omega, dims=2,
+                          n_max=20)
+        init = thermal_distribution(mean, trap)
+        end = {mode: run_protocol(init, proto, trap, rate_mode=mode,
+                                  stop_tol=None).final().obs.p_target
+               for mode in ("full", "resonant")}
+        assert abs(end["full"] - full) <= 1e-6
+        assert abs(end["full"] - end["resonant"] - shift) <= 1e-6
 
 
 class TestTruncationRobustness:

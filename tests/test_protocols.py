@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from dyncool import fc, protocols
@@ -66,6 +67,15 @@ class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             preset("fig99")
+
+
+class TestProtocolFields:
+    @pytest.mark.parametrize("cycles", [2.5, 2.0, "3"])
+    def test_non_integer_cycles_refused(self, cycles):
+        pulses = (Pulse(s=-1, duration=1.0),)
+        with pytest.raises(DomainError, match="cycles"):
+            Protocol(pulses, cycles=cycles)
+        assert type(Protocol(pulses, cycles=np.int32(2)).cycles) is int
 
 
 class TestValidation:

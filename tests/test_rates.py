@@ -73,6 +73,16 @@ class TestTrapConfig:
         with pytest.raises(DomainError):
             TrapConfig(eta=1.0, gamma_over_omega=0.1, quad_theta=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_max", 3.5), ("n_max", 3.0), ("dims", 1.0), ("quad_theta", 8.0), ("quad_phi", 8.5)])
+    def test_non_integer_sizes_refused(self, field, value):
+        # a float size, whole or not, is refused naming its field; numpy
+        # integers pass as ints
+        with pytest.raises(DomainError, match=field):
+            TrapConfig(eta=1.0, gamma_over_omega=0.01, **{field: value})
+        trap = TrapConfig(eta=1.0, gamma_over_omega=0.01, **{field: np.int64(int(value))})
+        assert type(getattr(trap, field)) is int
+
     def test_unfoldable_sphere_rule_refused(self):
         # the sphere rule is folded by parity: even theta order, phi order 4k
         for theta, phi in ((63, 128), (64, 126), (9, 12), (8, 10)):
@@ -355,6 +365,21 @@ class TestEmptyRates2d:
             levels = np.indices(trap.shape).reshape(trap.dims, -1).T
             by_level = rates.level_empty_rates(trap, pulse, levels)
             assert np.array_equal(by_level.reshape(trap.shape), grid)
+
+    @pytest.mark.parametrize("dims, n_max", [(1, 60), (2, 12)])
+    def test_grid_form_bitwise_level_form(self, dims, n_max):
+        # empty_rates and the resonant provider's closures are one grid form
+        # of the empty rate; level_empty_rates forms it level by level
+        trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=dims, n_max=n_max)
+        levels = np.indices(trap.shape).reshape(dims, -1).T
+        for s in (-30, -3, 0, 2):
+            for a in (-1.0, 0.125, 0.3 + 0.4j):
+                pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
+                grid = empty_rates(trap, pulse)
+                by_level = rates.level_empty_rates(trap, pulse, levels).reshape(trap.shape)
+                closures = rates._Resonant(rates.AngularTables(trap), pulse).closures
+                assert np.array_equal(grid.view(np.int64), by_level.view(np.int64))
+                assert np.array_equal(grid.view(np.int64), closures.view(np.int64))
 
 
 def brute_column_2d(trap, pulse, mx, my):
@@ -996,19 +1021,26 @@ class TestSignedStacks:
         assert np.array_equal(tables.stack(l_max).view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("dims", [1, 2])
-    def test_full_pulses_share_one_stack(self, dims):
-        # every full-mode provider and sampler of one trap reads the one
-        # stack its tables hold, in 1D as in 2D, where the y axis reads it at
-        # the rule's mirror nodes
+    def test_full_pulses_share_one_stack(self, monkeypatch, dims):
+        # every full-mode provider and sampler of one trap is built from the
+        # one stack its tables hold, in 1D as in 2D, and keeps none of it
+        built = []
+        stack = fc.reduced_stack
+
+        def spy(eta_proj, n_max, l_max, **kw):
+            built.append(l_max)
+            return stack(eta_proj, n_max, l_max, **kw)
+
+        monkeypatch.setattr(fc, "reduced_stack", spy)
         trap = trap_1d(eta=1.7, n_max=10) if dims == 1 else trap_2d(eta=1.7, n_max=4)
         tables = rates.AngularTables(trap)
         users = [rates._Full(tables, Pulse(s=-2, duration=1.0)),
                  rates._Full(tables, Pulse(s=0.5, duration=1.0, amplitude_ratio=0.3)),
                  sampler_of(trap, Pulse(s=-9, duration=1.0), "full", tables)._provider]
-        first = users[0].stack
-        assert all(np.shares_memory(user.stack, first) for user in users[1:])
-        assert np.shares_memory(tables.stack(first.shape[2] - 1), first)
-        assert all(user.nodes[1] is tables.mirror for user in users)
+        assert len(built) == 1
+        held = tables.stack(built[0])
+        assert not any(np.shares_memory(arr, held) for user in users
+                       for arr in vars(user).values() if isinstance(arr, np.ndarray))
 
     @pytest.mark.parametrize("dipole", rates.DIPOLE_PATTERNS)
     def test_y_projection_is_x_at_mirror(self, dipole):
