@@ -19,8 +19,8 @@ import numpy as np
 from . import rates
 from .errors import DomainError
 from .protocols import Protocol, RunSpec
-from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig, _pulse_cache_key,
-                    level_indices, rate_matrix)
+from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig, level_indices,
+                    rate_matrix)
 
 
 @dataclass
@@ -125,7 +125,8 @@ class McEnsembleResult:
     the binomial sqrt(p(1-p)/n_traj) for a 0/1 row.  ``extra`` and
     ``extra_se`` hold one row per extra target.  ``jump_counts`` holds each
     trajectory's jumps, the absorbing jump into the leak included, and
-    ``columns_built`` one per distinct (sampler, level) a trajectory jumped from;
+    ``columns_built`` one per distinct (sampler, level) a trajectory jumped
+    from, a sampler serving the pulses of one provider (equal s and A);
     ``cache`` is the run's ``TimeSeries.cache``.
     """
 
@@ -220,8 +221,8 @@ def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> D
     ``rates`` is anything with ``n_states`` and ``propagator(duration)``: a
     pulse's ``RateMatrix``, or the cycle map of a master run.
     """
-    if duration < 0:
-        raise DomainError(f"duration must be >= 0, got {duration}")
+    if not 0 <= duration < np.inf:
+        raise DomainError(f"duration must be finite and >= 0, got {duration}")
     if rates.n_states != dist.probs.shape[0]:
         raise DomainError(
             f"rate matrix has {rates.n_states} states, distribution "
@@ -311,9 +312,10 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     as ``basis.lump(row * share)``, share being the weight ``unlump`` gives
     each level.  The run steps one cycle at a time through ``_CycleMap``,
     which it hands the generators lazily: each is built when the map needs
-    it, from the column providers built first, one per distinct pulse
-    (``_providers``), whose recoil tables are freed once they all exist.
-    A basis over the dense-matrix budget is refused before any of them.
+    it, from the column providers built first, one per distinct s and A
+    (``_providers``), whose recoil tables are freed once they all exist.  A
+    start over another trap's levels, or a basis over the dense-matrix
+    budget, is refused before any of them.
     The leak is chained pulse by pulse, leak_j = leak_{j-1} +
     max(m_{j-1} - m_j, 0) with m the mass row (read after clipping at a
     cycle's end), so it never decreases; t accumulates pulse by pulse.  The
@@ -338,6 +340,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
         return series
     if mode != "master":
         raise DomainError(f"unknown run mode {mode!r}")
+    _check_start(init, trap)
 
     grid_rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
     grid = init.grid()
@@ -385,6 +388,13 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     return series
 
 
+def _check_start(init: Distribution, trap: TrapConfig) -> None:
+    """Refuse a start distribution over another trap's levels."""
+    if tuple(init.shape) != trap.shape:
+        raise DomainError(f"start distribution has shape {tuple(init.shape)}, "
+                          f"the trap {trap.shape}")
+
+
 def _swap_lumpable(protocol: Protocol, trap: TrapConfig, rate_mode: str) -> bool:
     """Whether every generator commutes with the x <-> y swap, so a run from
     a swap-symmetric start can propagate unordered level pairs.
@@ -416,7 +426,8 @@ def check_budgets(protocol: Protocol, trap: TrapConfig, mode: str = "master") ->
 
 def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
     """The column provider of every pulse (none if the protocol runs no
-    cycle), built once per distinct ``_pulse_cache_key`` from one
+    cycle), one per distinct s and A (none reads a duration), even where
+    rates coincide (A = +-1 at odd s in 2D, any two A in 1D), all from one
     ``rates.AngularTables(trap)``, and the run's ``cache`` block, the
     tables' emission-kernel builds and hits.  Resonant pulses read the
     tables' bands to the deepest |s| that reaches a level, built once
@@ -430,13 +441,13 @@ def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
                if rate_mode == "resonant" and pulse.s_int >= -trap.n_max]
     if reached:  # one build of the bands every pulse reads; no entry depends on their size
         tables.bands(max(reached), trap.n_max + 1)
-    shared: dict = {}
+    shared, providers = {}, []
     for pulse in pulses:
-        key = _pulse_cache_key(trap, pulse, rate_mode)
+        key = pulse.s, complex(pulse.amplitude_ratio)
         if key not in shared:
             shared[key] = rates._provider(tables, pulse, rate_mode)
-    return ([shared[_pulse_cache_key(trap, pulse, rate_mode)] for pulse in pulses],
-            {"emission_kernel": tables.kernel_counts})
+        providers.append(shared[key])
+    return providers, {"emission_kernel": tables.kernel_counts}
 
 
 def _jump_rounds(samplers, durations, level: np.ndarray, moments: np.ndarray,
@@ -533,11 +544,15 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     reproducible.  At each cycle boundary the live trajectories' levels
     are summed against the rows of ``_obs_rows``, plus one n = n_x + n_y
     row, and against their squares; the sums are integers, exact in
-    floats.  The leak fraction is (n_traj - live) / n_traj.
+    floats.  The leak fraction is (n_traj - live) / n_traj.  A negative or
+    non-integer seed, and a start over another trap's levels, are refused.
     """
-    n_traj = rates._integer(n_traj, "n_traj")
+    n_traj, seed = rates._integer(n_traj, "n_traj"), rates._integer(seed, "seed")
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    _check_start(init, trap)
     target = protocol.target_in(trap.dims)
     rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
     rows = np.vstack([rows, rows[1] + rows[2]])

@@ -599,7 +599,7 @@ _BAND = 1 << 15
 
 
 def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
-    """exp(G t), t >= 0, of a Markov generator by uniformization (Jensen 1953).
+    """exp(G t), finite t >= 0, of a Markov generator by uniformization (Jensen 1953).
 
     With lam = t * (largest exit rate, leak included) and the substochastic
     B = I + G t / lam, exp(G t) = sum_k Pois(k; lam) B^k has only nonnegative
@@ -620,6 +620,8 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     is added last, on the diagonal.  Added from the identity up, the terms
     lost 1.1e-13 of column sum on a pulse of lam = 1e3 (10 squarings).
     """
+    if not 0 <= duration < math.inf:
+        raise DomainError(f"duration must be finite and >= 0, got {duration}")
     lam = duration * float(-generator.diagonal().min(initial=0.0))
     if lam == 0.0:
         return np.eye(len(generator))
@@ -923,7 +925,7 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
     states of ``StateBasis(trap, basis)``: the representative columns of the
     provider, rows lumped, exits less the in-class move.  ``provider`` is
     the pulse's column provider if it exists already (a master run builds
-    one per distinct pulse first), else one is built once the basis passes
+    one per distinct s and A first), else one is built once the basis passes
     its budget, on tables of its own.  Nothing caches the result: a master
     run exponentiates each generator and drops it."""
     states = StateBasis(trap, basis)
@@ -968,20 +970,6 @@ class ColumnSampler:
             cum[index] = 0.0
             self._cache[index] = cum = np.cumsum(cum, out=cum)
         return float(self.exit_rates[index]), cum
-
-
-def _pulse_cache_key(trap: TrapConfig, pulse: Pulse, mode: str):
-    """What a pulse's rates depend on: pulses with equal keys have equal
-    generators, so a run builds one column provider per key."""
-    a = complex(pulse.amplitude_ratio)
-    if trap.dims == 1:
-        return (mode, pulse.s)
-    if mode == "resonant":
-        # resonant 2D rates depend on A through |A|^2 plus, for even s where
-        # the cross term survives the parity integral, Re(A)
-        cross = a.real if pulse.s % 2 == 0 else 0.0
-        return (mode, pulse.s, abs(a) ** 2, cross)
-    return (mode, pulse.s, a)
 
 
 def format_float(x: float) -> str:

@@ -186,6 +186,7 @@ def test_criterion_06_fig5_endpoint(fig5_runs):
         f"leak={final.leak:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_fig6_fig7_endpoints():
     """fig6/fig7 endpoints as stated: P(1,1)>0.8, P(2,2)>0.5, P(0,1)>0.5.
 
@@ -210,6 +211,7 @@ def test_criterion_07_fig6_fig7_endpoints():
         f"unattainable under absorbing truncation: {detail}")
 
 
+@pytest.mark.slow
 def test_criterion_08_fc_oracle_equivalence():
     """Recursion kernel vs 50-digit series over m <= 30, |s| <= 20."""
     worst = 0.0
@@ -271,6 +273,7 @@ def test_criterion_09_mc_matches_deterministic(fig5_runs):
         assert z < 3.0, name
 
 
+@pytest.mark.slow
 def test_criterion_10_conservation_and_closure():
     """Sigma probs + leak = 1 +- 1e-9 after every pulse of every preset,
     and 1D resonant row sums close onto the analytic empty rates at 1e-8."""

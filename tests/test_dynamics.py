@@ -163,6 +163,15 @@ class TestPropagatePulse:
         with pytest.raises(DomainError):
             propagate_pulse(other, mat, 1.0)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_duration_refused(self, duration):
+        trap = trap_1d(n_max=5)
+        mat = rates.rate_matrix(trap, Pulse(s=0, duration=1.0))
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            propagate_pulse(level_distribution(3, trap), mat, duration)
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            rates.markov_expm(mat.generator, duration)
+
 
 class TestRunProtocol:
     def test_empty_protocol_single_sample(self):
@@ -207,6 +216,19 @@ class TestRunProtocol:
         with pytest.raises(DomainError, match="target 999 outside truncation"):
             run_protocol(level_distribution(3, trap), proto, trap, mode=mode,
                          trajectories=5, extra_targets=(999,))
+
+    @pytest.mark.parametrize("mode", ["master", "mc"])
+    def test_start_of_another_trap_refused_before_any_provider(self, mode, monkeypatch):
+        # a 2D start (25 levels) on a 1D trap of 7 levels
+        def refuse(*args):
+            raise AssertionError("a provider was built")
+        monkeypatch.setattr(rates, "_provider", refuse)
+        trap = trap_1d(n_max=6)
+        other = level_distribution((1, 1), TrapConfig(eta=3.0, gamma_over_omega=0.01,
+                                                      dims=2, n_max=4))
+        proto = Protocol((Pulse(s=0, duration=1.0),), cycles=3, target=0)
+        with pytest.raises(DomainError, match=r"shape \(5, 5\), the trap \(7,\)"):
+            run_protocol(other, proto, trap, mode=mode, trajectories=5)
 
     def test_csv_schema(self, tmp_path):
         trap = trap_1d(n_max=20)
@@ -313,6 +335,15 @@ class TestMcTrajectory:
             mc_ensemble(n_traj, proto, trap, seed=1, init=level_distribution(3, trap))
         ens = mc_ensemble(np.int64(4), proto, trap, seed=1, init=level_distribution(3, trap))
         assert ens.n_traj == 4
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_refused(self, seed):
+        trap = trap_1d(n_max=10)
+        proto = Protocol((Pulse(s=-1, duration=1.0),), cycles=1, target=0)
+        with pytest.raises(DomainError, match="seed"):
+            mc_ensemble(4, proto, trap, seed=seed, init=level_distribution(3, trap))
+        ens = mc_ensemble(4, proto, trap, seed=np.int64(1), init=level_distribution(3, trap))
+        assert ens.seed == 1
 
     def test_pure_ladder_descends(self):
         trap = trap_1d(eta=1e-3, n_max=10)
@@ -825,10 +856,10 @@ class TestCycleStepping:
 
     @pytest.mark.parametrize("dims, mode", [(1, "resonant"), (2, "resonant"), (2, "full")])
     def test_master_run_one_provider_per_key(self, dims, mode, monkeypatch):
-        # a master run builds one provider per distinct pulse (s = -2
-        # repeated; in resonant 2D also s = -3 at A = +-1, an odd s with no
-        # cross term), and each generator is bitwise the one a lone
-        # rate_matrix call builds
+        # a master run builds one provider per distinct pulse: s = -2
+        # repeated shares one, and s = -3 at A = +-1 has two, though in 1D
+        # and resonant 2D (an odd s, no cross term) their rates coincide;
+        # each generator is bitwise the one a lone rate_matrix call builds
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=dims, n_max=5)
         pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a) for s, a in
                        ((-2, -1.0), (-3, 1.0), (0, -1.0), (-2, -1.0), (-3, -1.0)))
@@ -843,8 +874,7 @@ class TestCycleStepping:
         monkeypatch.setattr(dynamics, "rate_matrix", build)
         init = level_distribution(RUN_DEFAULTS[dims].target, trap)
         series = run_protocol(init, Protocol(pulses, 1), trap, rate_mode=mode, stop_tol=0.0)
-        keys = {rates._pulse_cache_key(trap, pulse, mode) for pulse in pulses}
-        assert len(made) == len(keys) == (3 if dims == 1 or mode == "resonant" else 4)
+        assert len(made) == 4
         assert series.diagnostics["basis"] == ("swap" if (dims, mode) == (2, "resonant")
                                                else "full")
         assert [args[1] for args, _ in built] == list(pulses)
@@ -896,15 +926,15 @@ class TestCycleStepping:
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_samplers_one_per_key(self, dims, monkeypatch):
-        # pulses of equal _pulse_cache_key share one provider, and so one
-        # sampler: in 2D s = -9 at A = +-1 (odd s: the cross term
-        # vanishes), s = -2 repeated
+        # pulses of equal s and A share one provider, and so one sampler:
+        # s = -2 repeated; s = -9 at A = +-1 has two, though their rates
+        # coincide (in 2D the odd s's cross term vanishes)
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=dims, n_max=6)
         pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a)
                        for s, a in ((-2, -1.0), (0, -1.0), (-2, -1.0), (-9, 1.0), (-9, -1.0)))
         providers, _ = dynamics._providers(Protocol(pulses, 1), trap, "resonant")
-        keys = [rates._pulse_cache_key(trap, pulse, "resonant") for pulse in pulses]
-        assert len(set(keys)) == len(set(map(id, providers))) == 3
+        keys = [(pulse.s, pulse.amplitude_ratio) for pulse in pulses]
+        assert len(set(keys)) == len(set(map(id, providers))) == 4
         assert all((providers[i] is providers[j]) == (keys[i] == keys[j])
                    for i in range(len(pulses)) for j in range(len(pulses)))
         made = []
@@ -913,14 +943,36 @@ class TestCycleStepping:
                             lambda self, *args: made.append(args) or inner(self, *args))
         mc_ensemble(1, Protocol(pulses, 1), trap, seed=1,
                     init=level_distribution(RUN_DEFAULTS[dims].target, trap))
-        assert len(made) == 3
+        assert len(made) == 4
+
+    def test_coinciding_pulses_apart_change_no_estimate(self):
+        # s = -9 at A = +1 and A = -1 build one provider each, and at odd s
+        # their columns and exits are bitwise equal, so the ensemble's
+        # estimates are bitwise those of the cycle with both at A = -1,
+        # which share one; only the count of columns built differs.  s = -9
+        # empties only levels with n_x or n_y >= 9, so the basis is 12 deep
+        trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=2, n_max=12)
+        init = thermal_distribution(6.0, trap)
+        runs = {}
+        for a in (1.0, -1.0):
+            pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=b) for s, b in
+                           ((-2, -1.0), (-9, a), (0, -1.0), (-9, -1.0)))
+            providers, _ = dynamics._providers(Protocol(pulses, 1), trap, "resonant")
+            assert len(set(map(id, providers))) == (4 if a > 0 else 3)
+            runs[a] = mc_ensemble(300, Protocol(pulses, 10), trap, seed=7, init=init)
+        apart, shared = runs.values()
+        assert apart.columns_built > shared.columns_built
+        for field in ("p_target", "mean_nx", "mean_ny", "mean_n", "leak_frac", "extra",
+                      "p_target_se", "mean_nx_se", "mean_ny_se", "mean_n_se", "leak_se",
+                      "extra_se", "jump_counts"):
+            assert np.array_equal(getattr(apart, field), getattr(shared, field)), field
 
     def test_1d_ensemble_builds_column_samplers(self, monkeypatch):
         # a 1D ensemble samples jumps from columns built on demand, as a 2D
-        # one does: one ColumnSampler per key and no dense generator
+        # one does: one ColumnSampler per distinct (s, A) and no dense generator
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=1, n_max=12)
         pulses = tuple(Pulse(s=s, duration=1.0) for s in (-2, 0, -2, -3))
-        keys = {rates._pulse_cache_key(trap, pulse, "resonant") for pulse in pulses}
+        keys = {(pulse.s, pulse.amplitude_ratio) for pulse in pulses}
         made, dense = [], []
         inner = rates.ColumnSampler.__init__
         monkeypatch.setattr(rates.ColumnSampler, "__init__",
