@@ -153,7 +153,7 @@ def _cmd_run(args) -> int:
         return EXIT_VALIDATION
     # oversized runs, bad targets and thermal means are refused before
     # anything grid-sized is built and before the output directory exists
-    dynamics.check_budgets(protocol, spec.trap, spec.mode)
+    rates.check_budgets(protocol, spec.trap, spec.mode)
     dynamics._obs_rows(spec.trap.shape, protocol.target, extra)
     init = dynamics.thermal_distribution(spec.thermal_mean, spec.trap)
 

@@ -19,8 +19,7 @@ import numpy as np
 from . import rates
 from .errors import DomainError
 from .protocols import Protocol, RunSpec
-from .rates import (ColumnSampler, RateMatrix, StateBasis, TrapConfig, level_indices,
-                    rate_matrix)
+from .rates import ColumnSampler, RateMatrix, TrapConfig, level_indices, rate_matrix
 
 
 @dataclass
@@ -35,6 +34,10 @@ class Distribution:
     leak: float
     shape: tuple[int, ...]
     clipped: float = 0.0
+
+    def __post_init__(self) -> None:
+        if np.size(self.probs) != np.prod(self.shape, dtype=int):
+            raise DomainError(f"{np.size(self.probs)} probabilities for shape {self.shape}")
 
     def copy(self) -> "Distribution":
         return Distribution(self.probs.copy(), self.leak, self.shape, self.clipped)
@@ -80,11 +83,10 @@ class TimeSeries:
     (``rates.markov_expm``) and the rest of the propagation
     (``dynamics.propagate``), in Monte Carlo mode the samplers' build and
     the stepping.  ``cache`` holds the builds and hits of the run's emission
-    kernels (``AngularTables.kernel_counts``, through ``_providers``), and
-    ``diagnostics`` the run's counts for the manifest: in master mode the
-    state basis propagated, its state count and the clipped mass, in Monte
-    Carlo mode the columns built, the jumps made and the most jumps one
-    trajectory made.
+    kernels (``rates._providers``), and ``diagnostics`` the run's counts for
+    the manifest: in master mode the state basis propagated, its state
+    count and the clipped mass, in Monte Carlo mode the columns built, the
+    jumps made and the most jumps one trajectory made.
     """
 
     samples: list[Sample] = field(default_factory=list)
@@ -124,10 +126,9 @@ class McEnsembleResult:
     the trajectories, with standard error sqrt((<x^2> - <x>^2) / n_traj),
     the binomial sqrt(p(1-p)/n_traj) for a 0/1 row.  ``extra`` and
     ``extra_se`` hold one row per extra target.  ``jump_counts`` holds each
-    trajectory's jumps, the absorbing jump into the leak included, and
+    trajectory's jumps, the absorbing jump into the leak included,
     ``columns_built`` one per distinct (sampler, level) a trajectory jumped
-    from, a sampler serving the pulses of one provider (equal s and A);
-    ``cache`` is the run's ``TimeSeries.cache``.
+    from, one sampler per provider, and ``cache`` the run's ``TimeSeries.cache``.
     """
 
     n_traj: int
@@ -247,10 +248,9 @@ class _CycleMap:
     the pulses' ``RateMatrix`` objects in order, and is read one at a time:
     given a lazy iterable, each G_j is built, exponentiated into
     P_j = ``rates.markov_expm`` (G_j, tau_j), multiplied into Z and dropped
-    with P_j, so the dense working set does not grow with the pulse count K.
-    ``markov_expm`` gets the only reference to G_j, so G_j is freed before
-    its series products.  ``phases`` holds the wall seconds of the
-    generator builds and of the exponentials.
+    with P_j, so the dense working set does not grow with the pulse count K;
+    ``markov_expm`` gets the only reference to G_j.  ``phases`` holds the
+    wall seconds of the generator builds and of the exponentials.
     ``inner`` stacks ``rows @ Z_j`` for j < K, so ``inner @ y`` holds the
     row values after every pulse but the last of a cycle that starts at y.
     min(Z_j) >= -1e-12 for j < K keeps every state inside a cycle above
@@ -304,18 +304,16 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     stop fires when the target occupation moves less than ``stop_tol`` over
     a cycle (None or 0 disables; Monte Carlo runs never stop early).
 
-    A master run propagates on the unordered level pairs (the ``swap``
-    basis of ``rates.StateBasis``) when the x <-> y swap commutes with every
-    generator and the start is swap-symmetric (``_swap_lumpable``), and on
-    the full grid otherwise.  In the swap basis p(a, b) = p(b, a) = q{a, b}/2
-    exactly, so each grid row of ``_obs_rows`` carries over to the states
-    as ``basis.lump(row * share)``, share being the weight ``unlump`` gives
+    A master run propagates on ``rates._run_basis``: the unordered level
+    pairs where its start is swap-symmetric and every pulse's rates commute
+    with the x <-> y swap, else the grid.  There p(a, b) = p(b, a) =
+    q{a, b}/2 exactly, so each grid row of ``_obs_rows`` carries over as
+    ``basis.lump(row * share)``, share being the weight ``unlump`` gives
     each level.  The run steps one cycle at a time through ``_CycleMap``,
-    which it hands the generators lazily: each is built when the map needs
-    it, from the column providers built first, one per distinct s and A
-    (``_providers``), whose recoil tables are freed once they all exist.  A
-    start over another trap's levels, or a basis over the dense-matrix
-    budget, is refused before any of them.
+    which builds each generator when it needs it, from the providers built
+    first (``rates._providers``), whose recoil tables are freed once they
+    all exist.  A start over another trap's levels, or a basis over the
+    dense-matrix budget, is refused before any of them.
     The leak is chained pulse by pulse, leak_j = leak_{j-1} +
     max(m_{j-1} - m_j, 0) with m the mass row (read after clipping at a
     cycle's end), so it never decreases; t accumulates pulse by pulse.  The
@@ -344,9 +342,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
 
     grid_rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
     grid = init.grid()
-    lumped = _swap_lumpable(protocol, trap, rate_mode) and np.array_equal(grid, grid.T)
-    basis = StateBasis(trap, "swap" if lumped else "full")
-    rates._check_matrix_budget(basis.size)
+    basis = rates._run_basis(protocol.pulses, trap, rate_mode, np.array_equal(grid, grid.T))
     t0 = time.perf_counter()
     share = basis.unlump(np.ones(basis.size))
     rows = np.array([basis.lump(row) for row in grid_rows * share])
@@ -356,7 +352,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     series.samples.append(Sample(0, 0, t, _snapshot(values, leak, extra_rows)))
     cycles = protocol.cycles if protocol.pulses else 0
     start = time.perf_counter()
-    providers, series.cache = _providers(protocol, trap, rate_mode)
+    providers, series.cache = rates._providers(protocol, trap, rate_mode)
     phases = {"rates.providers": time.perf_counter() - start,
               "rates.rate_matrix": 0.0, "rates.markov_expm": 0.0}
     if cycles:
@@ -393,61 +389,6 @@ def _check_start(init: Distribution, trap: TrapConfig) -> None:
     if tuple(init.shape) != trap.shape:
         raise DomainError(f"start distribution has shape {tuple(init.shape)}, "
                           f"the trap {trap.shape}")
-
-
-def _swap_lumpable(protocol: Protocol, trap: TrapConfig, rate_mode: str) -> bool:
-    """Whether every generator commutes with the x <-> y swap, so a run from
-    a swap-symmetric start can propagate unordered level pairs.
-
-    Resonant 2D rates see the amplitude ratio A only through |A|^2 and
-    Re(A), and are swap-symmetric when |A| = 1; both emission patterns are.
-    The sphere rule maps onto itself under phi -> pi/2 - phi, since its phi
-    order is a multiple of 4: that node permutation is the rule's
-    ``mirror``, on which the tables read the y recoil stack from the x
-    stack.  Full mode's cross term depends on Im(A).
-    """
-    if trap.dims != 2 or rate_mode != "resonant":
-        return False
-    return all(abs(complex(p.amplitude_ratio)) == 1.0 for p in protocol.pulses)
-
-
-def check_budgets(protocol: Protocol, trap: TrapConfig, mode: str = "master") -> None:
-    """Refuse a resonant run too large for its memory budgets from the trap
-    alone, before anything grid-sized exists: in master mode its dense
-    generators, on the basis a swap-symmetric (say thermal) start propagates,
-    and the emission kernel of its deepest pulse (``kernel_depth``)."""
-    if mode == "master":  # the swap basis holds the unordered level pairs
-        lumped = _swap_lumpable(protocol, trap, "resonant")
-        rates._check_matrix_budget((trap.n_states + trap.n_max + 1) // 2 if lumped
-                                   else trap.n_states)
-    deepest = max([0, *(pulse.s_int for pulse in protocol.pulses)])
-    rates.AngularTables(trap).kernel_depth(trap.n_max + deepest)
-
-
-def _providers(protocol: Protocol, trap: TrapConfig, rate_mode: str):
-    """The column provider of every pulse (none if the protocol runs no
-    cycle), one per distinct s and A (none reads a duration), even where
-    rates coincide (A = +-1 at odd s in 2D, any two A in 1D), all from one
-    ``rates.AngularTables(trap)``, and the run's ``cache`` block, the
-    tables' emission-kernel builds and hits.  Resonant pulses read the
-    tables' bands to the deepest |s| that reaches a level, built once
-    before the first provider.  The providers keep the kernels
-    they read (full mode: its block of rates), not the tables, so the rest
-    of the tables (bands, rules, the stack, unread kernels) is freed on
-    return, before the first generator is built or column drawn."""
-    tables = rates.AngularTables(trap)
-    pulses = protocol.pulses if protocol.cycles else ()
-    reached = [abs(pulse.s_int) for pulse in pulses
-               if rate_mode == "resonant" and pulse.s_int >= -trap.n_max]
-    if reached:  # one build of the bands every pulse reads; no entry depends on their size
-        tables.bands(max(reached), trap.n_max + 1)
-    shared, providers = {}, []
-    for pulse in pulses:
-        key = pulse.s, complex(pulse.amplitude_ratio)
-        if key not in shared:
-            shared[key] = rates._provider(tables, pulse, rate_mode)
-        providers.append(shared[key])
-    return providers, {"emission_kernel": tables.kernel_counts}
 
 
 def _jump_rounds(samplers, durations, level: np.ndarray, moments: np.ndarray,
@@ -558,7 +499,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     rows = np.vstack([rows, rows[1] + rows[2]])
     moments = np.concatenate([rows, rows * rows])
     t0 = time.perf_counter()
-    providers, cache = _providers(protocol, trap, rate_mode)
+    providers, cache = rates._providers(protocol, trap, rate_mode)
     wrapped = {provider: ColumnSampler(provider) for provider in dict.fromkeys(providers)}
     samplers = [wrapped[provider] for provider in providers]
     t1 = time.perf_counter()

@@ -23,7 +23,8 @@ integral per trap and depth (S1 in 1D; in 2D T and the cross terms C_s, as
 low-rank node factors); full-mode ones are rows of one block per pulse,
 summed in node chunks from the folded recoil stack, one per trap.
 These recoil tables belong to an ``AngularTables`` that its caller builds
-and drops (a run's, or a standalone call's own); the module keeps no state.
+and drops (a run's ``_providers``, or a standalone call's own); the module
+keeps no state.
 
 One builder assembles every dense generator from a provider's columns on the
 states of a ``StateBasis``, exit rates Gamma_empty - Gamma_{m<-m} on its diagonal;
@@ -301,11 +302,6 @@ class AngularTables:
     Kernels are keyed by a build depth that depends on the trap and the
     requested level alone: build order cannot move them.
     ``kernel_counts`` holds the kernel builds and hits of these tables.
-
-    The tables belong to whoever builds them and live as long as it holds
-    them: a run (``dynamics._providers``) builds one object and every
-    pulse's provider from it, and a standalone call (``rate_matrix``,
-    ``empty_rates``) builds its own.  Nothing in the module keeps them.
     """
 
     _FULL_STACK_BUDGET = 512 << 20  # cap on the bands, the stack or the 1D kernel
@@ -486,10 +482,15 @@ def _check_stack_budget(entries: int, what: str, remedy: str = "") -> None:
                                  f"lower n_max{remedy}")
 
 
+def _band_degrees(s: int, levels) -> np.ndarray:
+    """Degree min(m, m+s) of band |s| read at each level m; < 0 where m + s < 0."""
+    return np.asarray(levels, dtype=int) + min(s, 0)
+
+
 def _reduced_absorption(tables: AngularTables, s: int, levels) -> np.ndarray:
     """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where
-    m+s < 0: band |s| of the trap's ``tables.bands`` at degree min(m, m+s)."""
-    lo = np.asarray(levels, dtype=int) + min(s, 0)
+    m+s < 0: band |s| of the trap's ``tables.bands`` at ``_band_degrees``."""
+    lo = _band_degrees(s, levels)
     if not np.any(lo >= 0):  # band |s| is not reached
         return np.zeros(lo.shape)
     bands = tables.bands(abs(s), int(lo.max()) + 1)
@@ -526,12 +527,9 @@ def empty_rates(trap: TrapConfig, pulse: Pulse) -> np.ndarray:
 
 
 def level_empty_rates(trap: TrapConfig, pulse: Pulse, levels) -> np.ndarray:
-    """Resonant empty rates (units Gamma0) of the listed levels (``level_indices``).
-
-    Each axis's absorption amplitude at level m is the reduced factor F at
-    m + s, zero where m + s < 0, and ``_empty_rate`` combines the axes; a
-    level is dark exactly where its rate vanishes.
-    """
+    """Resonant empty rates (units Gamma0) of the listed levels
+    (``level_indices``), from each axis's ``_reduced_absorption`` by
+    ``_empty_rate``; a level is dark exactly where its rate vanishes."""
     return _level_empty_rates(AngularTables(trap), pulse, levels)
 
 
@@ -726,7 +724,7 @@ class _Resonant:
         trap = tables.trap
         self.s = s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
-        l_max = trap.n_max + max(s, 0)
+        l_max = self.kernel_level(trap, pulse)
         tables.kernel_depth(l_max)  # refuses an over-budget kernel before any table
         self.f = f = _reduced_absorption(tables, s, range(trap.n_max + 1))
         self.closures = _grid_empty_rates(trap.shape, f * f, f * (s == 0), self.a)
@@ -737,6 +735,17 @@ class _Resonant:
                                         self.kernel[0])[1:]
         self.exits = np.maximum(self.closures - self._self_rates(), 0.0)
         self._left = self._right = self._left_mx = None
+
+    @staticmethod
+    def kernel_level(trap: TrapConfig, pulse: Pulse) -> int:
+        """The deepest kernel level a pulse reads: m + s, for column m."""
+        return trap.n_max + max(pulse.s_int, 0)
+
+    @staticmethod
+    def swap_symmetric(pulse: Pulse) -> bool:
+        """Whether the pulse's 2D rates commute with the x <-> y swap: they
+        see A through |A|^2 and Re(A) alone, so where |A| = 1."""
+        return abs(complex(pulse.amplitude_ratio)) == 1.0
 
     def column(self, *level) -> np.ndarray:
         s = self.s
@@ -871,15 +880,46 @@ class _Full:
     def column(self, *level) -> np.ndarray:
         return self.raw[level]
 
+    @staticmethod
+    def swap_symmetric(pulse: Pulse) -> bool:
+        """Where A = +-1, as the x <-> y swap conjugates A in the cross term."""
+        return complex(pulse.amplitude_ratio) in (1.0, -1.0)
+
+
+def _provider_class(mode: str) -> type[_Resonant] | type[_Full]:
+    try:
+        return {"resonant": _Resonant, "full": _Full}[mode]
+    except KeyError:
+        raise DomainError(f"unknown rate mode {mode!r}") from None
+
 
 def _provider(tables: AngularTables, pulse: Pulse, mode: str) -> _Resonant | _Full:
     """The column provider of ``pulse`` in rate ``mode``, built on the
     trap's ``tables``: the pulses that share them share their kernels."""
-    if mode == "resonant":
-        return _Resonant(tables, pulse)
-    if mode == "full":
-        return _Full(tables, pulse)
-    raise DomainError(f"unknown rate mode {mode!r}")
+    return _provider_class(mode)(tables, pulse)
+
+
+def _providers(protocol, trap: TrapConfig, mode: str):
+    """The rate-``mode`` column provider of every pulse of ``protocol`` (none
+    if it runs no cycle), one per distinct s and A even where rates
+    coincide, all from one ``AngularTables(trap)``, and the run's ``cache``
+    block, its kernel builds and hits.  Resonant pulses read bands built
+    once, to the deepest |s| that reaches a level (``_band_degrees``).  The
+    providers keep the kernels (full mode: the block) they read, not the
+    tables, which are freed on return, before any generator or column."""
+    tables = AngularTables(trap)
+    pulses = protocol.pulses if protocol.cycles else ()
+    reached = [abs(pulse.s_int) for pulse in pulses if mode == "resonant"
+               and _band_degrees(pulse.s_int, trap.n_max) >= 0]
+    if reached:  # one build of the bands every pulse reads; no entry depends on their size
+        tables.bands(max(reached), trap.n_max + 1)
+    shared, providers = {}, []
+    for pulse in pulses:
+        key = pulse.s, complex(pulse.amplitude_ratio)
+        if key not in shared:
+            shared[key] = _provider(tables, pulse, mode)
+        providers.append(shared[key])
+    return providers, {"emission_kernel": tables.kernel_counts}
 
 
 class StateBasis:
@@ -893,21 +933,22 @@ class StateBasis:
     (c, d) and (d, c) added, and the in-class move (a, b) -> (b, a) becomes
     its diagonal self term.  A swap-symmetric state lumps to q{a, b} =
     p(a, b) + p(b, a) and is recovered exactly as p(a, b) = p(b, a) = q/2.
+    A basis over ``MATRIX_MEMORY_BUDGET`` is refused before it is built.
     """
 
     def __init__(self, trap: TrapConfig, kind: str = "full"):
-        grid = np.indices(trap.shape).reshape(trap.dims, -1).T
-        if kind == "full":
-            self.class_of, self.levels = np.arange(trap.n_states), grid
-        elif kind == "swap" and trap.dims == 2:
+        sizes = {"full": trap.n_states, "swap": (trap.n_max + 1) * (trap.n_max + 2) // 2}
+        if kind not in sizes or kind == "swap" and trap.dims != 2:
+            raise DomainError(f"no {kind!r} state basis for a {trap.dims}D trap")
+        self.kind, self.size = kind, sizes[kind]
+        _check_matrix_budget(self.size)
+        self.class_of = np.arange(self.size)
+        self.levels = np.indices(trap.shape).reshape(trap.dims, -1).T
+        if kind == "swap":
             a, b = np.triu_indices(trap.n_max + 1)
             ids = np.empty(trap.shape, dtype=int)
             ids[a, b] = ids[b, a] = np.arange(a.size)
             self.class_of, self.levels = ids.reshape(-1), np.stack([a, b], axis=1)
-        else:
-            raise DomainError(f"no {kind!r} state basis for a {trap.dims}D trap")
-        self.kind = kind
-        self.size = self.levels.shape[0]
         self._share = 1.0 / np.bincount(self.class_of)[self.class_of]
 
     def lump(self, probs: np.ndarray) -> np.ndarray:
@@ -919,17 +960,35 @@ class StateBasis:
         return state[self.class_of] * self._share
 
 
+def _run_basis(pulses, trap: TrapConfig, mode: str, symmetric: bool = True) -> StateBasis:
+    """The ``StateBasis`` a master run of ``pulses`` in rate ``mode``
+    propagates: the unordered level pairs where the start is swap-symmetric
+    and every pulse commutes with the x <-> y swap (``swap_symmetric`` of
+    the mode's provider class), the grid otherwise."""
+    swap_symmetric = _provider_class(mode).swap_symmetric
+    lumped = symmetric and trap.dims == 2 and all(map(swap_symmetric, pulses))
+    return StateBasis(trap, "swap" if lumped else "full")
+
+
+def check_budgets(protocol, trap: TrapConfig, run_mode: str = "master") -> None:
+    """Refuse a resonant run over its memory budgets from the trap alone,
+    before any rate or table is built: in master mode its dense generators,
+    on the basis of a swap-symmetric (say thermal) start (``_run_basis``),
+    and the emission kernel of its deepest pulse (``kernel_level``)."""
+    if run_mode == "master":
+        _run_basis(protocol.pulses, trap, "resonant")
+    levels = [_Resonant.kernel_level(trap, pulse) for pulse in protocol.pulses]
+    AngularTables(trap).kernel_depth(max(levels, default=trap.n_max))
+
+
 def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
                 basis: str = "full", *, provider=None) -> RateMatrix:
     """Transition-rate generator of one pulse in a 1D or 2D trap, on the
     states of ``StateBasis(trap, basis)``: the representative columns of the
     provider, rows lumped, exits less the in-class move.  ``provider`` is
-    the pulse's column provider if it exists already (a master run builds
-    one per distinct s and A first), else one is built once the basis passes
-    its budget, on tables of its own.  Nothing caches the result: a master
-    run exponentiates each generator and drops it."""
+    the pulse's column provider if it exists already (``_providers``), else
+    one is built on tables of its own.  Nothing caches the result."""
     states = StateBasis(trap, basis)
-    _check_matrix_budget(states.size)
     if provider is None:
         provider = _provider(AngularTables(trap), pulse, mode)
     lumped = np.empty((states.size, states.size))  # row j: column j, written whole

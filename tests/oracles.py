@@ -225,8 +225,7 @@ def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
     """
     target = protocol.target_in(trap.dims)
     grid = init.grid()
-    lumped = dynamics._swap_lumpable(protocol, trap, rate_mode) and np.array_equal(grid, grid.T)
-    basis = rates.StateBasis(trap, "swap" if lumped else "full")
+    basis = rates._run_basis(protocol.pulses, trap, rate_mode, np.array_equal(grid, grid.T))
     tables = rates.AngularTables(trap)  # shared by the pulses, as a run's are
     mats = [rates.rate_matrix(trap, pulse, rate_mode, basis.kind,
                               provider=rates._provider(tables, pulse, rate_mode))

@@ -29,7 +29,7 @@ import math
 import numpy as np
 import pytest
 
-from dyncool import dynamics, fc
+from dyncool import fc, rates
 from dyncool.dynamics import (mc_ensemble, propagate_pulse, run_protocol,
                               thermal_distribution)
 from dyncool.protocols import PRESET_NAMES, Protocol, preset, validate_protocol
@@ -281,7 +281,7 @@ def test_criterion_10_conservation_and_closure():
     for name in PRESET_NAMES:
         proto, trap, mean = preset(name)
         # the generators a run propagates, from its providers
-        providers, _ = dynamics._providers(proto, trap, "resonant")
+        providers, _ = rates._providers(proto, trap, "resonant")
         mats = [rate_matrix(trap, p, "resonant", provider=provider)
                 for p, provider in zip(proto.pulses, providers)]
         dist = thermal_distribution(mean, trap)

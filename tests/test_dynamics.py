@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -230,6 +231,17 @@ class TestRunProtocol:
         with pytest.raises(DomainError, match=r"shape \(5, 5\), the trap \(7,\)"):
             run_protocol(other, proto, trap, mode=mode, trajectories=5)
 
+    @pytest.mark.parametrize("mode", ["master", "mc"])
+    def test_start_of_wrong_size_refused(self, mode):
+        # 25 probabilities labelled as the 7 levels of a 1D trap: Monte
+        # Carlo counted the 18 extra levels as leaked (leak 0.71 at cycle
+        # 0), and a master run failed with a bare ValueError
+        trap = trap_1d(n_max=6)
+        proto = Protocol((Pulse(s=0, duration=1.0),), cycles=3, target=0)
+        with pytest.raises(DomainError, match=r"25 probabilities for shape \(7,\)"):
+            run_protocol(Distribution(np.ones(25) / 25, 0.0, (7,)), proto, trap,
+                         mode=mode, trajectories=5)
+
     def test_csv_schema(self, tmp_path):
         trap = trap_1d(n_max=20)
         proto = Protocol((Pulse(s=0, duration=1.0),), cycles=2, target=0)
@@ -313,7 +325,7 @@ def mc_jumps(proto, trap, init, seed):
 
 def run_generators(proto, trap, basis="full"):
     """The pulses' generators as a master run builds them, from its providers."""
-    providers, _ = dynamics._providers(proto, trap, "resonant")
+    providers, _ = rates._providers(proto, trap, "resonant")
     return [rates.rate_matrix(trap, pulse, basis=basis, provider=provider)
             for pulse, provider in zip(proto.pulses, providers)]
 
@@ -586,7 +598,7 @@ class TestLumpedBasis:
         init, proto, trap = preset_run(name)
         extra = ((0, 1), (3, 1), (2, 2))
         lumped = run_protocol(init, proto, trap, stop_tol=0.0, extra_targets=extra)
-        monkeypatch.setattr(dynamics, "_swap_lumpable", lambda *args: False)
+        monkeypatch.setattr(rates._Resonant, "swap_symmetric", staticmethod(lambda pulse: False))
         full = run_protocol(init, proto, trap, stop_tol=0.0, extra_targets=extra)
         n1 = trap.n_max + 1
         assert lumped.diagnostics["basis"] == "swap"
@@ -602,6 +614,67 @@ class TestLumpedBasis:
         assert np.abs(lumped.final_distribution.probs
                       - full.final_distribution.probs).max() <= 1e-12
 
+    @pytest.mark.parametrize("name, n_max", [("fig5_A_minus", 20), ("fig5_A_plus", 16),
+                                             ("fig6_solid", 12)])
+    def test_full_mode_matches_full_basis(self, name, n_max, monkeypatch):
+        # full-mode rates with A = +-1 commute with the swap, so a thermal
+        # start lumps in full mode too: over 300 cycles every recorded value
+        # and the final grid state stay within 1e-12 of the full grid's
+        init, proto, trap = preset_run(name, n_max=n_max, cycles=300)
+        extra = ((0, 1), (3, 1), (2, 2))
+        kw = dict(rate_mode="full", stop_tol=0.0, extra_targets=extra)
+        lumped = run_protocol(init, proto, trap, **kw)
+        monkeypatch.setattr(rates._Full, "swap_symmetric", staticmethod(lambda pulse: False))
+        full = run_protocol(init, proto, trap, **kw)
+        n1 = trap.n_max + 1
+        assert (lumped.diagnostics["basis"], full.diagnostics["basis"]) == ("swap", "full")
+        assert lumped.diagnostics["states"] == n1 * (n1 + 1) // 2
+        assert len(lumped.samples) == len(full.samples) == 1 + 300 * len(proto.pulses)
+        assert np.abs(_sample_table(lumped) - _sample_table(full)).max() <= 1e-12
+        assert np.abs(_extra_table(lumped) - _extra_table(full)).max() <= 1e-12
+        fa, fb = lumped.final_distribution, full.final_distribution
+        assert np.abs(fa.probs - fb.probs).max() <= 1e-12
+        assert abs(fa.leak - fb.leak) <= 1e-12
+
+    @pytest.mark.parametrize("mode, a, kind", [
+        ("resonant", 1.0, "swap"), ("resonant", -1.0, "swap"), ("resonant", 1j, "swap"),
+        ("full", 1.0, "swap"), ("full", -1.0, "swap"),
+        ("full", 1j, "full"), ("full", 0.125, "full")])
+    def test_basis_by_rate_mode_and_ratio(self, mode, a, kind):
+        # resonant rates see A through |A|^2 and Re(A), full-mode rates
+        # through A itself, whose swap image is its conjugate
+        init, proto, trap = preset_run("fig5_A_minus", n_max=5, cycles=1)
+        pulses = tuple(dataclasses.replace(p, amplitude_ratio=a) for p in proto.pulses)
+        series = run_protocol(init, Protocol(pulses, 1, target=(0, 0)), trap,
+                              rate_mode=mode, stop_tol=0.0)
+        assert series.diagnostics["basis"] == kind
+        assert rates._run_basis(pulses, trap, mode).kind == kind
+
+    @pytest.mark.parametrize("a, kind", [(1.0, "swap"), (-1.0, "swap"), (1j, "swap"),
+                                         (0.125, "full")])
+    def test_check_budgets_sizes_the_run_basis(self, a, kind, monkeypatch):
+        # under a budget between the swap basis (91 states, 66 kB) and the
+        # grid (169 states, 228 kB), check_budgets passes or refuses a
+        # resonant run as the run itself does, on the same state count
+        init, proto, trap = preset_run("fig5_A_minus", n_max=12, cycles=1)
+        pulses = tuple(dataclasses.replace(p, amplitude_ratio=a) for p in proto.pulses)
+        proto = Protocol(pulses, 1, target=(0, 0))
+        sides, inner = [], rates._check_matrix_budget
+        monkeypatch.setattr(rates, "_check_matrix_budget",
+                            lambda side: sides.append(side) or inner(side))
+        monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", 100_000)
+        if kind == "full":
+            with pytest.raises(ResourceLimitError, match=r"\(169 x 169\)"):
+                rates.check_budgets(proto, trap)
+            with pytest.raises(ResourceLimitError, match=r"\(169 x 169\)"):
+                run_protocol(init, proto, trap, stop_tol=0.0)
+            assert sides == [169, 169]
+            return
+        rates.check_budgets(proto, trap)
+        series = run_protocol(init, proto, trap, stop_tol=0.0)
+        assert series.diagnostics["basis"] == kind
+        assert sides[:2] == [91, 91] and set(sides) == {series.diagnostics["states"]}
+
     @pytest.mark.parametrize("case", ["fig7", "asymmetric_start", "full_rates"])
     def test_full_basis_where_not_lumpable(self, case):
         name = "fig7" if case == "fig7" else "fig5_A_minus"
@@ -609,8 +682,9 @@ class TestLumpedBasis:
         if case == "asymmetric_start":
             init = level_distribution((0, 1), trap)
         rate_mode = "resonant"
-        if case == "full_rates":
-            rate_mode, proto = "full", Protocol(proto.pulses[:1], 1, target=(0, 0))
+        if case == "full_rates":  # a complex A: full mode's cross term sees Im(A)
+            pulse = dataclasses.replace(proto.pulses[0], amplitude_ratio=1j)
+            rate_mode, proto = "full", Protocol((pulse,), 1, target=(0, 0))
         series = run_protocol(init, proto, trap, stop_tol=0.0, rate_mode=rate_mode)
         assert series.diagnostics["basis"] == "full"
         assert series.diagnostics["states"] == 36
@@ -859,7 +933,8 @@ class TestCycleStepping:
         # a master run builds one provider per distinct pulse: s = -2
         # repeated shares one, and s = -3 at A = +-1 has two, though in 1D
         # and resonant 2D (an odd s, no cross term) their rates coincide;
-        # each generator is bitwise the one a lone rate_matrix call builds
+        # each generator is bitwise the one a lone rate_matrix call builds.
+        # Every pulse has A = +-1, so a 2D run lumps in both rate modes
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=dims, n_max=5)
         pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a) for s, a in
                        ((-2, -1.0), (-3, 1.0), (0, -1.0), (-2, -1.0), (-3, -1.0)))
@@ -875,8 +950,7 @@ class TestCycleStepping:
         init = level_distribution(RUN_DEFAULTS[dims].target, trap)
         series = run_protocol(init, Protocol(pulses, 1), trap, rate_mode=mode, stop_tol=0.0)
         assert len(made) == 4
-        assert series.diagnostics["basis"] == ("swap" if (dims, mode) == (2, "resonant")
-                                               else "full")
+        assert series.diagnostics["basis"] == ("swap" if dims == 2 else "full")
         assert [args[1] for args, _ in built] == list(pulses)
         monkeypatch.undo()
         for (trap_, pulse, mode_, basis), mat in built:
@@ -932,7 +1006,7 @@ class TestCycleStepping:
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=dims, n_max=6)
         pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a)
                        for s, a in ((-2, -1.0), (0, -1.0), (-2, -1.0), (-9, 1.0), (-9, -1.0)))
-        providers, _ = dynamics._providers(Protocol(pulses, 1), trap, "resonant")
+        providers, _ = rates._providers(Protocol(pulses, 1), trap, "resonant")
         keys = [(pulse.s, pulse.amplitude_ratio) for pulse in pulses]
         assert len(set(keys)) == len(set(map(id, providers))) == 4
         assert all((providers[i] is providers[j]) == (keys[i] == keys[j])
@@ -957,7 +1031,7 @@ class TestCycleStepping:
         for a in (1.0, -1.0):
             pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=b) for s, b in
                            ((-2, -1.0), (-9, a), (0, -1.0), (-9, -1.0)))
-            providers, _ = dynamics._providers(Protocol(pulses, 1), trap, "resonant")
+            providers, _ = rates._providers(Protocol(pulses, 1), trap, "resonant")
             assert len(set(map(id, providers))) == (4 if a > 0 else 3)
             runs[a] = mc_ensemble(300, Protocol(pulses, 10), trap, seed=7, init=init)
         apart, shared = runs.values()

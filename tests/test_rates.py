@@ -240,7 +240,7 @@ class TestAngularQuadrature:
 
         monkeypatch.setattr(fc, "reduced_stack", spy)
         protocol = Protocol(tuple(Pulse(s=s, duration=1.0) for s in (-9, 8, -10, -3)), 1)
-        providers, cache = dynamics._providers(protocol, trap_1d(n_max=480), "resonant")
+        providers, cache = rates._providers(protocol, trap_1d(n_max=480), "resonant")
         assert calls == [489]
         assert cache == {"emission_kernel": {"builds": 1, "hits": 3}}
         assert all(np.shares_memory(p.kernel, providers[0].kernel) for p in providers)
@@ -945,7 +945,7 @@ class TestResonantFactors:
         monkeypatch.setattr(fc, "reduced_stack", spy)
         trap = trap_2d(n_max=6, quad_theta=8, quad_phi=8)
         protocol = Protocol(tuple(Pulse(s=s, duration=1.0) for s in pulses), cycles=1)
-        dynamics._providers(protocol, trap, "resonant")
+        rates._providers(protocol, trap, "resonant")
         assert built == depths
         built.clear()
         rates._Full(rates.AngularTables(trap), Pulse(s=-2, duration=1.0))
@@ -977,7 +977,7 @@ class TestResonantFactors:
         monkeypatch.setattr(fc, "reduced_bands", spy)
         protocol, trap, _ = preset("fig3")
         trap = dataclasses.replace(trap, n_max=60)
-        providers, _ = dynamics._providers(protocol, trap, "resonant")
+        providers, _ = rates._providers(protocol, trap, "resonant")
         assert builds == [(11, 61)]
         for pulse, provider in zip(protocol.pulses, providers):
             alone = rates._reduced_absorption(rates.AngularTables(trap), pulse.s_int, range(61))
