@@ -19,7 +19,7 @@ import numpy as np
 from . import rates
 from .errors import DomainError
 from .protocols import Protocol, RunSpec
-from .rates import ColumnSampler, RateMatrix, TrapConfig, level_indices, rate_matrix
+from .rates import ColumnSampler, RateMatrix, TrapConfig, _target_index, rate_matrix
 
 
 @dataclass
@@ -192,10 +192,7 @@ def _obs_rows(shape: tuple[int, ...], target, extra_targets=()):
     """
     flat = []
     for level in (target, *extra_targets):
-        idx = level_indices(shape, [level])[0]
-        if not np.all((idx >= 0) & (idx < shape)):
-            raise DomainError(f"target {level} outside truncation")
-        flat.append(int(np.ravel_multi_index(idx, shape)))
+        flat.append(int(np.ravel_multi_index(_target_index(shape, level), shape)))
     distinct = list(dict.fromkeys(flat))
     levels = np.indices(shape).reshape(len(shape), -1)
     rows = np.zeros((3 + len(distinct), levels.shape[1]))

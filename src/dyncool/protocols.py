@@ -17,7 +17,7 @@ import numpy as np
 from . import fc
 from .errors import ConfigError, DomainError, ValidityError
 from .rates import (RUN_DEFAULTS, AngularTables, Pulse, TrapConfig, _integer,
-                    _level_empty_rates, format_float, level_indices)
+                    _level_empty_rates, _target_index, format_float, level_indices)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
     mode, no pulses); weak confinement never gets here, as ``TrapConfig``
     refuses gamma >= omega.  Warnings flag setups that run but are expected
     to cool badly; notes carry dark-state sensitivity numbers.  A target
-    that is not a level of the trap (``rates.level_indices``) raises
+    that is not a level of the trap (``rates._target_index``) raises
     ``DomainError``.
     """
     rep = ValidationReport()
@@ -140,7 +140,7 @@ def validate_protocol(protocol: Protocol, trap: TrapConfig,
 
     target = protocol.target
     if target is not None:
-        level_indices(trap.shape, [target])
+        _target_index(trap.shape, target)
     # one set of bands per trap: the trap's, and at eta * 1.001 and eta * 0.999
     tables = [AngularTables(dataclasses.replace(trap, eta=trap.eta * f))
               for f in (1.0, 1.001, 0.999)]
@@ -185,7 +185,7 @@ def design_excited_protocol(target, trap: TrapConfig,
     2D diagonal targets); style='interference' uses the two-laser amplitude
     ratio at zero detuning (any 2D target with a nonsingular ratio).
     """
-    idx = tuple(level_indices(trap.shape, [target])[0].tolist())
+    idx = _target_index(trap.shape, target)
     if trap.dims == 1:
         if style != "fc":
             raise DomainError("1D targets support only the 'fc' style")
@@ -359,7 +359,7 @@ _SCHEMA = {
     "[init]": {"thermal_mean": float},
     "[[pulse]]": {"s": float, "duration_tau0": float, "A_re": float, "A_im": float},
     # an ensemble needs a trajectory, and np.random.default_rng no negative seed
-    "[run]": {"cycles": _to_int, "mode": _mode,
+    "[run]": {"cycles": _at_least(0, "cycles must be >= 0"), "mode": _mode,
               "trajectories": _at_least(1, "trajectories must be >= 1"),
               "seed": _at_least(0, "seed must be a non-negative integer"),
               "target": _parse_target},

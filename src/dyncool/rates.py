@@ -159,8 +159,8 @@ def level_indices(shape: tuple[int, ...], levels) -> np.ndarray:
     array: each level is an int m in 1D and a pair (m_x, m_y) in 2D.
 
     This is the one check of what a level is; any other arity, or a
-    non-integer index, is refused with ``DomainError``.  Range checks stay
-    where the grid is indexed."""
+    non-integer index, is refused with ``DomainError``; a target's range
+    check is ``_target_index``."""
     try:
         grid = np.asarray(levels)
     except ValueError:  # levels of mixed arity
@@ -172,6 +172,15 @@ def level_indices(shape: tuple[int, ...], levels) -> np.ndarray:
         raise DomainError(f"a level of a {len(shape)}D trap is "
                           f"{('an int m', 'a pair (m_x, m_y)')[len(shape) - 1]}; got {levels}")
     return grid.astype(int, copy=False)
+
+
+def _target_index(shape: tuple[int, ...], target) -> tuple[int, ...]:
+    """The indices of one target level (``level_indices``) of a grid of
+    ``shape``, refused with ``DomainError`` outside the truncation."""
+    idx = level_indices(shape, [target])[0]
+    if not np.all((idx >= 0) & (idx < shape)):
+        raise DomainError(f"target {target} outside truncation")
+    return tuple(idx.tolist())
 
 
 @dataclass(frozen=True)
@@ -219,9 +228,9 @@ def dipole_pattern(tag: str, theta: float | np.ndarray, phi: float | np.ndarray)
 
 def _sphere_rule(trap: TrapConfig):
     """Quarter-phi, half-theta sphere grid as (weights times W(theta, phi),
-    {axis: projection}, mirror): a node's weight counts its mirror images
-    (+-u, +-v, +-z) in the full rule.  Exact for integrands that depend on
-    the direction through u, v alone, averaged over their sign images:
+    x projection u, mirror, nodes per theta row): a node's weight counts its
+    images (+-u, +-v, +-z) in the full rule.  Exact for integrands that depend
+    on the direction through u, v alone, averaged over their sign images:
     sin(theta) is even in cos(theta), and the four phi quadrants realize
     every sign of (u, v), given an even theta order and a phi order divisible
     by 4 (``TrapConfig`` checks both).
@@ -229,8 +238,7 @@ def _sphere_rule(trap: TrapConfig):
     The grid maps onto itself under phi -> pi/2 - phi, which swaps u and v:
     ``mirror`` is that node permutation, phi_j -> phi_{q-j} within each theta
     row, an involution that keeps every weight of both emission patterns.  The
-    y projection is the x projection on it, bitwise, so a y recoil stack is
-    the x stack at ``mirror``."""
+    y projection is u at ``mirror``, so a y recoil stack is the x stack there."""
     x, wx = np.polynomial.legendre.leggauss(trap.quad_theta)
     pos = x > 0
     q = trap.quad_phi // 4
@@ -241,7 +249,7 @@ def _sphere_rule(trap: TrapConfig):
     w = np.outer(2.0 * wx[pos], wphi).ravel()
     mirror = (np.arange(np.count_nonzero(pos))[:, None] * (q + 1) + np.arange(q, -1, -1)).ravel()
     u = np.sin(th) * np.cos(ph)
-    return w * dipole_pattern(trap.dipole, th, ph), {"x": u, "y": u[mirror]}, mirror
+    return w * dipole_pattern(trap.dipole, th, ph), u, mirror, q + 1
 
 
 def _line_order(eta: float, l_max: int) -> int:
@@ -265,11 +273,11 @@ def _line_depth(eta: float, n_max: int, l_max: int) -> int:
 def _line_rule(dipole: str, order: int):
     """The u > 0 half of the Gauss-Legendre rule of even ``order`` in u, the
     photon direction projected on the trap axis, as (doubled weights times
-    its density W1(u), {"x": u}): W1 is 1/2 for isotropic emission
+    its density W1(u), u, None, 1): W1 is 1/2 for isotropic emission
     (Archimedes' hat-box theorem), (3/8)(1 + u^2) for a dipole along z."""
     u, w = np.polynomial.legendre.leggauss(order)
     w = w * (0.5 if dipole == "isotropic" else 0.375 * (1.0 + u * u))
-    return 2.0 * w[u > 0], {"x": u[u > 0]}
+    return 2.0 * w[u > 0], u[u > 0], None, 1
 
 
 class AngularTables:
@@ -284,11 +292,12 @@ class AngularTables:
     on the direction through the projections u, v alone; where one is not
     even in u or v (full-mode interference between intermediate levels), its
     consumer adds the mirror images through the parity of R.
-    ``stack(l_max)`` holds the x axis's signed reduced factors S[k, n, l]
-    (``_signed``) on the nodes of ``rule(l_max)``: the full-mode providers of
-    one trap are built from it and keep none of it, and 2D kernels grow it
-    lazily in l.  It is the one stack in 2D as well: the y stack is the x
-    stack at ``mirror``, which its consumers read in place of it.  A 2D
+    ``stack(l_max)`` is the x axis's signed reduced factors S[k, n, l]
+    (``_signed``) on the nodes of ``rule(l_max)``, to l_max: the full-mode
+    providers of one trap are built from it and keep none of it, and 2D
+    kernels grow the held one lazily in l.  It is the one stack in 2D as
+    well: the y stack is the x stack at ``mirror``, which its consumers read
+    in place of it.  A 2D
     stack is (quad_theta/2)(quad_phi/4 + 1) nodes x (n_max+1) x (l_max+1)
     doubles, 84 MB for full mode at the fig5 depth.  ``fc.reduced_stack``
     sums the 1D kernel S1[n, l] = int W1(u) R(eta*u)[n, l]^2 du as it steps,
@@ -299,8 +308,8 @@ class AngularTables:
     nodes at n_max 40, 80, 120 and 160.
     ``factors`` forms its squared or cross-term node arrays from the stack in
     node chunks, so no array of a stack's size is held beside it.
-    Kernels are keyed by a build depth that depends on the trap and the
-    requested level alone: build order cannot move them.
+    Every table is the one asked for, and kernels are keyed by a build depth
+    of the trap and the requested level alone: build order cannot move one.
     ``kernel_counts`` holds the kernel builds and hits of these tables.
     """
 
@@ -308,7 +317,6 @@ class AngularTables:
 
     def __init__(self, trap: TrapConfig):
         self.trap = trap
-        self.mirror = None  # the 2D rule's, once it is built
         self._bands = np.zeros((0, 0))
         self._rules: dict[int, tuple] = {}
         self._stack: tuple = (None, None)
@@ -328,27 +336,25 @@ class AngularTables:
             self._bands = fc.reduced_bands(self.trap.eta, rows, cols)
         return self._bands
 
-    def rule(self, l_max: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """(weights, {axis: projection}) of the folded rule to ``l_max``, built once."""
+    def rule(self, l_max: int) -> tuple:
+        """The folded rule to ``l_max``, built once: (weights, x projection u,
+        ``mirror``, nodes per theta row), in 1D (weights, u, None, 1)."""
         order = _line_order(self.trap.eta, l_max) if self.trap.dims == 1 else 0
         if order not in self._rules:
-            if order:
-                self._rules[order] = _line_rule(self.trap.dipole, order)
-            else:
-                w, proj, self.mirror = _sphere_rule(self.trap)
-                self._rules[0] = (w, proj)
+            self._rules[order] = (_line_rule(self.trap.dipole, order) if order
+                                  else _sphere_rule(self.trap))
         return self._rules[order]
 
     def stack(self, l_max: int) -> np.ndarray:
-        """The signed x stack on ``rule(l_max)`` to at least level l_max: the
-        held one if it was built on that rule and reaches l_max."""
-        proj = self.rule(l_max)[1]["x"]
-        built_on, cached = self._stack
-        if built_on is not proj or cached.shape[2] <= l_max:
+        """The signed x stack on ``rule(l_max)`` to level l_max, a view of the
+        held one, rebuilt where that is on another rule or shallower."""
+        u = self.rule(l_max)[1]
+        built_on, held = self._stack
+        if built_on is not u or held.shape[2] <= l_max:
             self._check_stack(l_max)
-            cached = _signed(fc.reduced_stack(self.trap.eta * proj, self.trap.n_max, l_max))
-            self._stack = (proj, cached)
-        return cached
+            held = _signed(fc.reduced_stack(self.trap.eta * u, self.trap.n_max, l_max))
+            self._stack = (u, held)
+        return held[:, :, :l_max + 1]
 
     def _check_stack(self, l_max: int) -> None:
         _check_stack_budget(len(self.rule(l_max)[0]) * (self.trap.n_max + 1) * (l_max + 1),
@@ -379,7 +385,7 @@ class AngularTables:
         the next pass starts from it, running the other way: a stack in one
         chunk is formed once, and a later pass over c chunks forms c - 1 of
         them."""
-        weights = self.rule(l_max)[0]
+        weights, _, mirror, _ = self.rule(l_max)
         stack = self.stack(l_max)
         k = weights.shape[0]
         step = max(1, _FACTOR_CHUNK_BYTES // stack[0].nbytes)
@@ -409,9 +415,9 @@ class AngularTables:
                 np.matmul(x, omega, out=sketch[sl])
             u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
             q_x = u[:, :np.count_nonzero(sv > _RANK_TOL * sv[0])]
-            q = q_x[self.mirror]
+            q = q_x[mirror]
         else:
-            q_x = q[self.mirror]
+            q_x = q[mirror]
         a, b = np.split(functools.reduce(operator.iadd, (
             np.concatenate([q[sl], q_x[sl]], axis=1).T @ x for sl, x in sweep())), 2)
         resid2 = norm2 = 0.0
@@ -430,13 +436,16 @@ class AngularTables:
         """The build depth of the emission kernel to ``l_max``, refused over
         budget before anything is built: in 2D l_max, to which it builds the
         recoil stack; in 1D the deepest level its line order serves
-        (``_line_depth``), to which it sums S1."""
+        (``_line_depth``), to which it sums S1 through recurrence arrays of
+        one entry per rule node and level, counted by ``_line_order``:
+        building the rule would itself take order^2 memory."""
         if self.trap.dims == 2:
             self._check_stack(l_max)
             return l_max
         n1 = self.trap.n_max + 1
         depth = _line_depth(self.trap.eta, n1 - 1, l_max)
-        _check_stack_budget(n1 * (depth + 1), "the 1D emission kernel")
+        nodes = _line_order(self.trap.eta, l_max) // 2
+        _check_stack_budget(max(n1, nodes) * (depth + 1), "the 1D emission kernel")
         return depth
 
     def emission_kernel(self, l_max: int) -> np.ndarray | tuple:
@@ -450,14 +459,11 @@ class AngularTables:
         kernel = self._kernels.get(depth)
         self.kernel_counts["hits" if kernel is not None else "builds"] += 1
         if kernel is None:
-            l1 = depth + 1
             if self.trap.dims == 2:
-                # a deeper stack holds the same values; the slice fixes the shapes
-                kernel = self.factors(depth, lambda r, out=None: np.square(r[:, :, :l1], out))
+                kernel = self.factors(depth, np.square)
             else:
-                w, proj = self.rule(depth)
-                kernel = fc.reduced_stack(self.trap.eta * proj["x"], self.trap.n_max, depth,
-                                          weights=w)
+                w, u = self.rule(depth)[:2]
+                kernel = fc.reduced_stack(self.trap.eta * u, self.trap.n_max, depth, weights=w)
             self._kernels[depth] = kernel
         return kernel if self.trap.dims == 2 else kernel[:, :l_max + 1]
 
@@ -482,19 +488,17 @@ def _check_stack_budget(entries: int, what: str, remedy: str = "") -> None:
                                  f"lower n_max{remedy}")
 
 
-def _band_degrees(s: int, levels) -> np.ndarray:
-    """Degree min(m, m+s) of band |s| read at each level m; < 0 where m + s < 0."""
-    return np.asarray(levels, dtype=int) + min(s, 0)
-
-
-def _reduced_absorption(tables: AngularTables, s: int, levels) -> np.ndarray:
-    """F[i] = reduced <m+s|e^{ikx}|m> at each level m = levels[i], zero where
-    m+s < 0: band |s| of the trap's ``tables.bands`` at ``_band_degrees``."""
-    lo = _band_degrees(s, levels)
-    if not np.any(lo >= 0):  # band |s| is not reached
+def _reduced_absorption(tables: AngularTables, s, levels) -> np.ndarray:
+    """R[m+s, m], the reduced <m+s|e^{ikx}|m>, at levels m and shifts s
+    broadcast together, zero where m+s < 0: band |s| of ``tables.bands`` at
+    degree min(m, m+s)."""
+    s, m = np.broadcast_arrays(s, np.asarray(levels, dtype=int))
+    lo = m + np.minimum(s, 0)
+    reached = lo >= 0
+    if not reached.any():
         return np.zeros(lo.shape)
-    bands = tables.bands(abs(s), int(lo.max()) + 1)
-    return np.where(lo >= 0, bands[abs(s), np.maximum(lo, 0)], 0.0)
+    bands = tables.bands(int(np.abs(s[reached]).max()), int(lo.max()) + 1)
+    return np.where(reached, bands[np.abs(s), np.maximum(lo, 0)], 0.0)
 
 
 def _empty_rate(x2, dx=0.0, y2=0.0, dy=0.0, a=0.0):
@@ -515,7 +519,9 @@ def _empty_rate(x2, dx=0.0, y2=0.0, dy=0.0, a=0.0):
 
 def _grid_empty_rates(shape: tuple[int, ...], norm2, diag, a: complex) -> np.ndarray:
     """``_empty_rate`` of every level of a grid of ``shape``, from one axis's
-    |c|^2 (``norm2``) and c[m] (``diag``) at each level m."""
+    |c|^2 (``norm2``) and c[m] (``diag``) at each level m; a grid whose level
+    indices alone exceed the stack budget is refused before they are built."""
+    _check_stack_budget(len(shape) * math.prod(shape), f"the {len(shape)}D level grid")
     return _empty_rate(*(v for m in np.indices(shape) for v in (norm2[m], diag[m])), a=a)
 
 
@@ -842,11 +848,11 @@ class _Full:
         a = complex(pulse.amplitude_ratio)
         l_max = min(trap.n_max + _level_headroom(trap.eta, trap.n_max), fc._INTERNAL_MAX_DEGREE)
         l1, n1, side = l_max + 1, trap.n_max + 1, trap.n_states
-        w, stack, mirror = tables.rule(l_max)[0], tables.stack(l_max), tables.mirror
+        (w, _, mirror, row), stack = tables.rule(l_max), tables.stack(l_max)
         # c[l, m] = <l|e^{ikx}|m> gamma / (delta - omega (l - m) + i gamma), ``_signed``
         m, gt = np.arange(n1), trap.gamma_over_omega
         shift = np.arange(l1)[:, None] - m
-        c = _signed(tables.bands(l_max, n1)[np.abs(shift), m + np.minimum(shift, 0)])
+        c = _signed(_reduced_absorption(tables, shift, m))
         c = c * gt / ((pulse.s - shift) + 1j * gt)
         norm2 = np.einsum("lm,lm->m", c.real, c.real) + np.einsum("lm,lm->m", c.imag, c.imag)
         self.closures = _grid_empty_rates(trap.shape, norm2, c.diagonal(), a)
@@ -856,11 +862,10 @@ class _Full:
         # the mirror images paired with (G, E, Re H, Im H): E, |A|^2 G and H mixed by A
         ar, ai = 2.0 * a.real, 2.0 * a.imag
         mix = np.array([[0, 1, 0, 0], [abs(a) ** 2, 0, 0, 0], [0, 0, ar, -ai], [0, 0, ai, ar]])
-        row = 1 if mirror is None else trap.quad_phi // 4 + 1
         step = row * max(1, _FACTOR_CHUNK_BYTES // (row * n1 * l1 * 8))
         acc = np.zeros((side, side))  # [n, m] in 1D; [(n_x, m_x), (n_y, m_y)] in 2D
         for start in range(0, len(w), step):
-            r, wk = stack[start:start + step, :, :l1], w[start:start + step]
+            r, wk = stack[start:start + step], w[start:start + step]
             p = (r.reshape(-1, l1) @ operand).reshape(len(r), n1, n1, 4)  # [k, n, m, .]
             g = np.einsum("knmj,knmj->knm", p, p)
             if mirror is None:
@@ -904,13 +909,14 @@ def _providers(protocol, trap: TrapConfig, mode: str):
     if it runs no cycle), one per distinct s and A even where rates
     coincide, all from one ``AngularTables(trap)``, and the run's ``cache``
     block, its kernel builds and hits.  Resonant pulses read bands built
-    once, to the deepest |s| that reaches a level (``_band_degrees``).  The
+    once, to the deepest |s| that reaches a level (s >= -n_max).  The
     providers keep the kernels (full mode: the block) they read, not the
     tables, which are freed on return, before any generator or column."""
+    _provider_class(mode)  # an unknown mode is refused before anything is built
     tables = AngularTables(trap)
     pulses = protocol.pulses if protocol.cycles else ()
-    reached = [abs(pulse.s_int) for pulse in pulses if mode == "resonant"
-               and _band_degrees(pulse.s_int, trap.n_max) >= 0]
+    reached = [abs(pulse.s_int) for pulse in pulses
+               if mode == "resonant" and pulse.s_int >= -trap.n_max]
     if reached:  # one build of the bands every pulse reads; no entry depends on their size
         tables.bands(max(reached), trap.n_max + 1)
     shared, providers = {}, []

@@ -137,6 +137,16 @@ class TestRates:
         assert run_cli("rates", "--config", str(cfg), "--pulse", "0") == 4
         assert "the single-eta recoil bands would need" in capsys.readouterr().err
 
+    def test_oversized_grid_refused(self, tmp_path, capsys):
+        # 2D n_max 20000: 4 * 10^8 levels, refused with the grid's budget
+        # message before any grid-sized array, and no table is written
+        cfg, out = tmp_path / "grid.cfg", tmp_path / "r.csv"
+        cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 2\n"
+                       "n_max = 20000\n[[pulse]]\ns = -18\n")
+        assert run_cli("rates", "--config", str(cfg), "--pulse", "0", "--out", str(out)) == 4
+        assert "the 2D level grid would need" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deep_rates_read_bands_alone(self, tmp_path):
         # twenty thousand levels: the absorption bands are stepped alone,
         # where the whole single-eta table (3.2 GB) is over the 512 MiB budget
@@ -378,6 +388,25 @@ class TestRun:
         assert "would need" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_1d_kernel_recurrence_over_budget_exits_4(self, tmp_path, capsys):
+        # s = 10^6 at n_max 6: the kernel is 53 MiB, but the recurrence that
+        # sums it steps arrays of 3767 rule nodes x 10^6 levels (28 GiB)
+        cfg = tmp_path / "blue.cfg"
+        cfg.write_text("[trap]\neta = 3\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 6\n[[pulse]]\ns = 1000000\n[[pulse]]\ns = -9\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 4
+        assert "the 1D emission kernel would need" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_target_outside_truncation_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for target in ("-1", "121"):
+            assert run_cli("run", "--preset", "fig2", "--cycles", "2", "--out-dir", str(out),
+                           "--target", target) == 3
+            assert f"target {target} outside truncation" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_final_distribution_refused_in_mc_mode(self, tmp_path, capsys):
         # a Monte Carlo run keeps no distribution: refuse before any work,
         # whether the mode comes from the flag or from the config
@@ -404,6 +433,20 @@ class TestRun:
                        ["--config", str(cfg)]):
             assert run_cli("run", *source, "--out-dir", str(out)) == 2
             assert "seed must be a non-negative integer" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_negative_cycles_exit_2(self, tmp_path, capsys):
+        # refused at parse time, naming the flag or the line, before the
+        # output directory is made
+        cfg = tmp_path / "cycles.cfg"
+        cfg.write_text("[trap]\neta = 0.5\ngamma_over_omega = 0.01\ndims = 1\n"
+                       "n_max = 30\n[[pulse]]\ns = -1\n[run]\ncycles = -1\n")
+        out = tmp_path / "o"
+        for source, place in ((["--preset", "fig2", "--cycles", "-1"], "--cycles"),
+                              (["--config", str(cfg)], "line 9")):
+            assert run_cli("run", *source, "--out-dir", str(out)) == 2
+            err = capsys.readouterr().err
+            assert "cycles must be >= 0, got -1" in err and place in err
             assert not out.exists()
 
     def test_trajectories_below_one_exit_2(self, tmp_path, capsys):

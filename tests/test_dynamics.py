@@ -219,6 +219,16 @@ class TestRunProtocol:
                          trajectories=5, extra_targets=(999,))
 
     @pytest.mark.parametrize("mode", ["master", "mc"])
+    def test_unknown_rate_mode_refused_at_zero_cycles(self, mode):
+        # both run modes refuse the rate mode itself, not only where a
+        # provider is built
+        trap = trap_1d(n_max=6)
+        proto = Protocol((Pulse(s=-9, duration=1.0),), cycles=0, target=0)
+        with pytest.raises(DomainError, match="unknown rate mode 'x'"):
+            run_protocol(thermal_distribution(2.0, trap), proto, trap, mode=mode,
+                         rate_mode="x", trajectories=5)
+
+    @pytest.mark.parametrize("mode", ["master", "mc"])
     def test_start_of_another_trap_refused_before_any_provider(self, mode, monkeypatch):
         # a 2D start (25 levels) on a 1D trap of 7 levels
         def refuse(*args):

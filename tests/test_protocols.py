@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,29 @@ class TestLevelArity:
             trap = TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=dims, n_max=20)
             with pytest.raises(DomainError, match=f"{dims}D trap"):
                 design_excited_protocol(level, trap)
+
+
+class TestTargetRange:
+    # a target outside the truncation is refused by validation and design
+    # alike, with the recorded rows' message
+    CASES = ((1, -1), (1, 7), (2, (7, 0)))
+
+    @staticmethod
+    def trap(dims):
+        return TrapConfig(eta=3.0, gamma_over_omega=0.01, dims=dims, n_max=6)
+
+    def test_validate_refuses_target_outside_truncation(self):
+        for dims, level in self.CASES:
+            protocol = Protocol((Pulse(s=-9, duration=1.0), Pulse(s=8, duration=1.0)), 1,
+                                target=level)
+            with pytest.raises(DomainError, match=re.escape(f"target {level} outside")):
+                validate_protocol(protocol, self.trap(dims))
+
+    def test_design_refuses_target_outside_truncation(self):
+        for dims, level in (*self.CASES, (2, (9, 9))):
+            for style in ("fc", "interference")[:dims]:
+                with pytest.raises(DomainError, match="outside truncation"):
+                    design_excited_protocol(level, self.trap(dims), style=style)
 
 
 class TestDesign:

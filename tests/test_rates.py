@@ -271,8 +271,39 @@ class TestAngularQuadrature:
             rates.AngularTables(trap_1d(n_max=40)).emission_kernel(48)
         assert calls == []
 
+    def test_kernel_recurrence_over_budget_refused(self, monkeypatch):
+        # s = 2000 at n_max 6: the kernel (7 x 2007 doubles, 110 KiB) is under
+        # a 1 MiB budget, but the recurrence that sums it steps arrays of
+        # 184 rule nodes x 2007 levels (2.8 MiB): the pulse is refused before
+        # the rule or any recoil factor is built
+        monkeypatch.setattr(rates.AngularTables, "_FULL_STACK_BUDGET", 1 << 20)
+        trap = trap_1d(n_max=6)
+        depth = rates._line_depth(trap.eta, 6, 2006)
+        assert 7 * (depth + 1) * 8 < 1 << 20 < rates._line_order(trap.eta, 2006) // 2 * (depth + 1) * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="1D emission kernel"):
+                rates._Resonant(rates.AngularTables(trap), Pulse(s=2000, duration=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestEmptyRates1d:
+    def test_grid_over_budget_refused(self, monkeypatch):
+        # 2D n_max 700 under a 1 MiB budget: the grid's level indices
+        # (2 x 491 401, 7.5 MiB) are refused before they are built
+        monkeypatch.setattr(rates.AngularTables, "_FULL_STACK_BUDGET", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="2D level grid"):
+                empty_rates(trap_2d(n_max=700), Pulse(s=-18, duration=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_dark_level_blue_pulse(self):
         assert empty_rates(trap_1d(), Pulse(s=8, duration=1.0))[1] == 0.0
 
@@ -680,17 +711,24 @@ class TestRateMatrix2d:
         with pytest.raises(DomainError):
             rates.StateBasis(trap_1d(n_max=4), "swap")
 
-    def test_independent_of_build_order(self):
-        # s = 8 needs a deeper recoil tensor than s = -4; building it first
-        # on the same tables must not move the s = -4 rates
-        trap = trap_2d(n_max=8)
-        pulse = Pulse(s=-4, duration=1.0, amplitude_ratio=-1.0)
-        first = rate_matrix(trap, pulse)
+    @pytest.mark.parametrize("n_max, s", [(8, -4), (40, -10)])
+    def test_independent_of_build_order(self, n_max, s):
+        # s = 8 needs a deeper recoil stack than s = -4 or -10; building it
+        # first on the same tables must not move the later pulse's rates.  At
+        # n_max 40 the stack spans several node chunks, whose size must come
+        # from the requested depth, not the deeper held stack
+        trap = trap_2d(n_max=n_max)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=-1.0)
+        lone = rates._provider(rates.AngularTables(trap), pulse, "resonant")
         tables = rates.AngularTables(trap)
         rates._provider(tables, Pulse(s=8, duration=1.0, amplitude_ratio=-1.0), "resonant")
-        second = rate_matrix(trap, pulse, provider=rates._provider(tables, pulse, "resonant"))
+        after = rates._provider(tables, pulse, "resonant")
+        first, second = (rate_matrix(trap, pulse, provider=p) for p in (lone, after))
         assert np.array_equal(first.generator, second.generator)
         assert np.array_equal(first.leak, second.leak)
+        assert lone.cross is not None
+        for ref, got in zip(lone.cross, after.cross):
+            assert np.array_equal(ref, got)
 
 
 class TestColumnSampler:
@@ -747,9 +785,9 @@ class TestColumnSampler:
         pulse = Pulse(s=-2, duration=1.0, amplitude_ratio=-1.0)
         tables = rates.AngularTables(trap)
         sampler = sampler_of(trap, pulse, tables=tables)
-        weights, proj = tables.rule(160)
+        weights, u, mirror, _ = tables.rule(160)
         # unsigned stacks: the oracle applies the recoil phases itself
-        rx, ry = (fc.reduced_stack(trap.eta * proj[axis], 160, 160) for axis in "xy")
+        rx, ry = (fc.reduced_stack(trap.eta * proj, 160, 160) for proj in (u, u[mirror]))
         f = sampler._provider.f
         for mx, my in ((2, 2), (3, 150), (160, 79)):
             col = sampler._provider.column(mx, my)
@@ -832,10 +870,10 @@ class TestResonantFactors:
         trap = self.FIG5
         tables = rates.AngularTables(trap)
         provider = rates._Resonant(tables, Pulse(s=s, duration=1.0, amplitude_ratio=a))
-        weights, proj = tables.rule(trap.n_max + max(s, 0))
+        weights, u, mirror, _ = tables.rule(trap.n_max + max(s, 0))
         # unsigned stacks: the oracle applies the recoil phases itself
-        rx, ry = (fc.reduced_stack(trap.eta * proj[axis], trap.n_max,
-                                   trap.n_max + max(s, 0)) for axis in "xy")
+        rx, ry = (fc.reduced_stack(trap.eta * proj, trap.n_max,
+                                   trap.n_max + max(s, 0)) for proj in (u, u[mirror]))
 
         def absorb(m):
             return fc_reduced_series(trap.eta, m, m + s) if m + s >= 0 else 0.0
@@ -926,8 +964,9 @@ class TestResonantFactors:
         tables = rates.AngularTables(trap_2d(n_max=6))
         q = tables.factors(6, np.square)[0]
         tables.factors(6, np.square, q)
-        for wrong in (np.arange(q.shape[0]), np.roll(tables.mirror, 1)):
-            tables.mirror = wrong
+        w, u, mirror, row = tables.rule(6)
+        for wrong in (np.arange(q.shape[0]), np.roll(mirror, 1)):
+            tables._rules[0] = (w, u, wrong, row)  # the held rule, given a wrong mirror
             with pytest.raises(SimulationError, match="node basis"):
                 tables.factors(6, np.square, q)
 
@@ -1010,14 +1049,14 @@ class TestSignedStacks:
         # rule's mirror, the y projections'
         trap = trap_2d(eta=1.7, n_max=8, quad_theta=8, quad_phi=8)
         tables = rates.AngularTables(trap)
-        proj = tables.rule(13)[1]
-        for axis, nodes in (("x", slice(None)), ("y", tables.mirror)):
-            ref = self.signed(trap.eta * proj[axis], 8, 13)
+        _, u, mirror, _ = tables.rule(13)
+        for nodes in (slice(None), mirror):
+            ref = self.signed(trap.eta * u[nodes], 8, 13)
             assert np.array_equal(tables.stack(13)[nodes].view(np.int64), ref.view(np.int64))
         trap = trap_1d(eta=1.7, n_max=10)
         tables = rates.AngularTables(trap)
         l_max = trap.n_max + rates._level_headroom(trap.eta, trap.n_max)
-        ref = self.signed(trap.eta * tables.rule(l_max)[1]["x"], trap.n_max, l_max)
+        ref = self.signed(trap.eta * tables.rule(l_max)[1], trap.n_max, l_max)
         assert np.array_equal(tables.stack(l_max).view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("dims", [1, 2])
@@ -1045,19 +1084,17 @@ class TestSignedStacks:
     @pytest.mark.parametrize("dipole", rates.DIPOLE_PATTERNS)
     def test_y_projection_is_x_at_mirror(self, dipole):
         # phi -> pi/2 - phi maps the folded sphere rule onto itself: mirror is
-        # an involution that keeps every weight, and y is x on it, bitwise
+        # an involution that keeps every weight, and x on it is y
         trap = trap_2d(n_max=4, quad_theta=16, quad_phi=24, dipole=dipole)
         tables = rates.AngularTables(trap)
-        w, proj = tables.rule(4)
-        mirror = tables.mirror
+        w, u, mirror, _ = tables.rule(4)
         assert np.array_equal(mirror[mirror], np.arange(w.size))
         assert not np.array_equal(mirror, np.arange(w.size))
         assert np.array_equal(w[mirror], w)
-        assert np.array_equal(proj["y"].view(np.int64), proj["x"][mirror].view(np.int64))
         cos_theta = np.polynomial.legendre.leggauss(16)[0]
         phi = np.arange(7) * (2.0 * np.pi / 24)
         want = np.outer(np.sqrt(1.0 - cos_theta[cos_theta > 0] ** 2), np.sin(phi)).ravel()
-        assert np.abs(proj["y"] - want).max() <= 1e-15
+        assert np.abs(u[mirror] - want).max() <= 1e-15
 
 
 class TestMarkovExpm:
