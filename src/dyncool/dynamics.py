@@ -84,9 +84,9 @@ class TimeSeries:
     (``dynamics.propagate``), in Monte Carlo mode the samplers' build and
     the stepping.  ``cache`` holds the builds and hits of the run's emission
     kernels (``rates._providers``), and ``diagnostics`` the run's counts for
-    the manifest: in master mode the state basis propagated, its state
-    count and the clipped mass, in Monte Carlo mode the columns built, the
-    jumps made and the most jumps one trajectory made.
+    the manifest: in both modes the state basis stepped and its state
+    count, then in master mode the clipped mass, in Monte Carlo mode the
+    columns built, the jumps made and the most jumps one trajectory made.
     """
 
     samples: list[Sample] = field(default_factory=list)
@@ -122,13 +122,18 @@ class McEnsembleResult:
     """Seeded trajectory ensemble reduced to cycle-boundary estimates.
 
     Record r is the state after r cycles.  Each estimate averages a row of
-    ``_obs_rows`` or the n = n_x + n_y row (the leak: 1 - the mass row) over
-    the trajectories, with standard error sqrt((<x^2> - <x>^2) / n_traj),
-    the binomial sqrt(p(1-p)/n_traj) for a 0/1 row.  ``extra`` and
-    ``extra_se`` hold one row per extra target.  ``jump_counts`` holds each
-    trajectory's jumps, the absorbing jump into the leak included,
-    ``columns_built`` one per distinct (sampler, level) a trajectory jumped
-    from, one sampler per provider, and ``cache`` the run's ``TimeSeries.cache``.
+    ``_obs_rows`` or the n = n_x + n_y row (the leak: 1 - the mass row),
+    carried over to the run's basis (``_run_rows``), over the trajectories,
+    with standard error sqrt((<x^2> - <x>^2) / n_traj), the binomial
+    sqrt(p(1-p)/n_traj) for a 0/1 row.  On the swap basis a trajectory on
+    {a, b} reads (a + b)/2 for n_x and n_y, and a target off the diagonal
+    reads 1/2, so there its standard error is the sample one, not the
+    binomial.  ``extra`` and ``extra_se`` hold one row per extra target.
+    ``jump_counts`` holds each trajectory's jumps, the absorbing jump into
+    the leak included, ``columns_built`` one per distinct (sampler, state
+    of the run's basis) a trajectory jumped from, one sampler per provider,
+    ``basis`` and ``states`` the basis's kind and size, and ``cache`` the
+    run's ``TimeSeries.cache``.
     """
 
     n_traj: int
@@ -150,6 +155,8 @@ class McEnsembleResult:
     jump_counts: np.ndarray
     phases: dict[str, float]
     columns_built: int
+    basis: str
+    states: int
     cache: dict
 
 
@@ -301,12 +308,10 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     stop fires when the target occupation moves less than ``stop_tol`` over
     a cycle (None or 0 disables; Monte Carlo runs never stop early).
 
-    A master run propagates on ``rates._run_basis``: the unordered level
-    pairs where its start is swap-symmetric and every pulse's rates commute
-    with the x <-> y swap, else the grid.  There p(a, b) = p(b, a) =
-    q{a, b}/2 exactly, so each grid row of ``_obs_rows`` carries over as
-    ``basis.lump(row * share)``, share being the weight ``unlump`` gives
-    each level.  The run steps one cycle at a time through ``_CycleMap``,
+    Both modes step the states of ``rates._run_basis`` (``_run_rows``): the
+    unordered level pairs where the start is swap-symmetric and every
+    pulse's rates commute with the x <-> y swap, else the grid.  A master
+    run steps one cycle at a time through ``_CycleMap``,
     which builds each generator when it needs it, from the providers built
     first (``rates._providers``), whose recoil tables are freed once they
     all exist.  A start over another trap's levels, or a basis over the
@@ -329,7 +334,8 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
             series.samples.append(Sample(cycle, min(cycle, 1) * len(protocol.pulses), t,
                                          ObsSnapshot(*obs, tuple(extra))))
         series.phases, series.cache = ens.phases, ens.cache
-        series.diagnostics = {"columns_built": ens.columns_built,
+        series.diagnostics = {"basis": ens.basis, "states": ens.states,
+                              "columns_built": ens.columns_built,
                               "jumps": int(ens.jump_counts.sum()),
                               "jumps_max": int(ens.jump_counts.max())}
         return series
@@ -338,11 +344,9 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     _check_start(init, trap)
 
     grid_rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
-    grid = init.grid()
-    basis = rates._run_basis(protocol.pulses, trap, rate_mode, np.array_equal(grid, grid.T))
+    basis, rows = _run_rows(init, protocol, trap, rate_mode, grid_rows)
+    rates._check_matrix_budget(basis.size)
     t0 = time.perf_counter()
-    share = basis.unlump(np.ones(basis.size))
-    rows = np.array([basis.lump(row) for row in grid_rows * share])
     state = Distribution(basis.lump(init.probs), init.leak, (basis.size,), init.clipped)
     values = (rows @ state.probs).tolist()
     t, leak = 0.0, state.leak
@@ -381,6 +385,20 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     return series
 
 
+def _run_rows(init: Distribution, protocol: Protocol, trap: TrapConfig, rate_mode: str,
+              grid_rows: np.ndarray):
+    """The run's ``rates._run_basis`` and ``grid_rows`` carried over to it.
+
+    On the swap basis p(a, b) = p(b, a) = q{a, b}/2 exactly, so each grid
+    row carries over as ``basis.lump(row * share)``, share being the weight
+    ``unlump`` gives each level; on the grid the rows are unchanged.
+    """
+    grid = init.grid()
+    basis = rates._run_basis(protocol.pulses, trap, rate_mode, np.array_equal(grid, grid.T))
+    share = basis.unlump(np.ones(basis.size))
+    return basis, np.array([basis.lump(row) for row in grid_rows * share])
+
+
 def _check_start(init: Distribution, trap: TrapConfig) -> None:
     """Refuse a start distribution over another trap's levels."""
     if tuple(init.shape) != trap.shape:
@@ -392,8 +410,9 @@ def _jump_rounds(samplers, durations, level: np.ndarray, moments: np.ndarray,
                  cycles: int, rng: np.random.Generator):
     """Step trajectories from jump to jump, in rounds vectorised over them.
 
-    ``level`` holds each trajectory's flat level, ``n_states`` once the
-    leak has absorbed it, and is stepped in place.  The samplers'
+    ``level`` holds each trajectory's state of the run's basis (a flat
+    level on the grid, a class {a, b} on the swap basis), ``n_states``
+    once the leak has absorbed it, and is stepped in place.  The samplers'
     ``exit_rates`` give hazard[j, m] = sum over pulses i < j of
     tau_i exit_i[m], level m's exit rate integrated over a cycle up to
     pulse j; hazard[K, m] is its hazard per cycle.  A trajectory sits at a
@@ -403,9 +422,10 @@ def _jump_rounds(samplers, durations, level: np.ndarray, moments: np.ndarray,
     (pulses that leave m dark are plateaus, where none lands), or never if
     that is past the run.  Its destination is the right-sided search of
     u * exit rate in the source's cumulative column (``jump_distribution``,
-    once per jump), past the last level being the leak, and the trajectory
-    restarts there at hazard[j, dest] + delta exit_j[dest], delta being the
-    time into pulse j.
+    once per jump), past the last state being the leak; on the swap basis
+    it may be the source itself, the in-class move (a, b) -> (b, a).  The
+    trajectory restarts there at hazard[j, dest] + delta exit_j[dest],
+    delta being the time into pulse j.
 
     Each round draws one exponential per live trajectory whose level has a
     positive cycle hazard, then one uniform per jumper, both in index
@@ -413,8 +433,9 @@ def _jump_rounds(samplers, durations, level: np.ndarray, moments: np.ndarray,
     m from cycle boundary a up to b adds m's column of ``moments`` to row a
     of a difference array and subtracts it from row b.  Returns its
     cumulative sum, the (moments, cycles + 1) sums over the live
-    trajectories at each boundary as exact integers, and each trajectory's
-    jumps, the absorbing one included.
+    trajectories at each boundary, exact in floats (the moments are
+    multiples of 1/4), and each trajectory's jumps, the absorbing one
+    included.
     """
     n_states = moments.shape[1]
     exits = np.zeros((len(samplers), n_states))
@@ -473,15 +494,18 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
                 extra_targets: tuple = ()) -> McEnsembleResult:
     """Seeded trajectory ensemble with cycle-boundary occupation estimates.
 
-    One ``np.random.default_rng(seed)`` stream draws the initial levels
-    from ``init``, its leak included (a trajectory drawn there starts
-    leaked, with no jumps), and then drives ``_jump_rounds`` over all
-    trajectories at once, one exponential draw per jump against each
-    level's integrated exit rate across pulses and cycles, so a result
+    Trajectories step the states of the run's basis (``_run_rows``), as a
+    master run does: the swap basis's chain is the grid's lumped exactly,
+    and each sampler serves its columns (``rates.ColumnSampler``).  One
+    ``np.random.default_rng(seed)`` stream draws the initial states from
+    ``basis.lump(init.probs)``, its leak included (a trajectory drawn there
+    starts leaked, with no jumps), and then drives ``_jump_rounds`` over
+    all trajectories at once, one exponential draw per jump against each
+    state's integrated exit rate across pulses and cycles, so a result
     depends only on (seed, n_traj, protocol, trap) and is bitwise
-    reproducible.  At each cycle boundary the live trajectories' levels
-    are summed against the rows of ``_obs_rows``, plus one n = n_x + n_y
-    row, and against their squares; the sums are integers, exact in
+    reproducible.  At each cycle boundary the live trajectories' states
+    are summed against the rows of ``_obs_rows`` on the basis, plus one
+    n = n_x + n_y row, and against their squares; the sums are exact in
     floats.  The leak fraction is (n_traj - live) / n_traj.  A negative or
     non-integer seed, and a start over another trap's levels, are refused.
     """
@@ -492,17 +516,18 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         raise DomainError(f"seed must be >= 0, got {seed}")
     _check_start(init, trap)
     target = protocol.target_in(trap.dims)
-    rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
-    rows = np.vstack([rows, rows[1] + rows[2]])
+    grid_rows, extra_rows = _obs_rows(trap.shape, target, extra_targets)
+    basis, rows = _run_rows(init, protocol, trap, rate_mode,
+                            np.vstack([grid_rows, grid_rows[1] + grid_rows[2]]))
     moments = np.concatenate([rows, rows * rows])
     t0 = time.perf_counter()
     providers, cache = rates._providers(protocol, trap, rate_mode)
-    wrapped = {provider: ColumnSampler(provider) for provider in dict.fromkeys(providers)}
+    wrapped = {provider: ColumnSampler(provider, basis) for provider in dict.fromkeys(providers)}
     samplers = [wrapped[provider] for provider in providers]
     t1 = time.perf_counter()
     n_rec = protocol.cycles + 1
     rng = np.random.default_rng(seed)
-    init_cum = np.cumsum(init.probs)
+    init_cum = np.cumsum(basis.lump(init.probs))
     init_cum /= init_cum[-1] + init.leak
     level = np.searchsorted(init_cum, rng.random(n_traj), side="right")  # n_states: leaked
     durations = [pulse.duration for pulse in protocol.pulses]
@@ -519,6 +544,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         leak_frac=(n - sums[0]) / n, leak_se=se[0],
         extra=mean[extra_rows], extra_se=se[extra_rows],
         jump_counts=jumps, columns_built=sum(len(s._cache) for s in wrapped.values()),
+        basis=basis.kind, states=basis.size,
         phases={"rates.column_sampler": t1 - t0, "dynamics.mc": time.perf_counter() - t1},
         cache=cache)
 

@@ -28,7 +28,8 @@ keeps no state.
 
 One builder assembles every dense generator from a provider's columns on the
 states of a ``StateBasis``, exit rates Gamma_empty - Gamma_{m<-m} on its diagonal;
-``ColumnSampler`` serves Monte Carlo jumps from the same providers.
+``ColumnSampler`` serves Monte Carlo jumps from the same providers, on the
+same states.
 """
 
 from __future__ import annotations
@@ -727,7 +728,7 @@ class _Resonant:
     """
 
     def __init__(self, tables: AngularTables, pulse: Pulse):
-        trap = tables.trap
+        self.trap = trap = tables.trap
         self.s = s = pulse.s_int
         self.a = complex(pulse.amplitude_ratio)
         l_max = self.kernel_level(trap, pulse)
@@ -843,7 +844,7 @@ class _Full:
     """
 
     def __init__(self, tables: AngularTables, pulse: Pulse):
-        trap = tables.trap
+        self.trap = trap = tables.trap
         _check_matrix_budget(trap.n_states)
         a = complex(pulse.amplitude_ratio)
         l_max = min(trap.n_max + _level_headroom(trap.eta, trap.n_max), fc._INTERNAL_MAX_DEGREE)
@@ -939,7 +940,9 @@ class StateBasis:
     (c, d) and (d, c) added, and the in-class move (a, b) -> (b, a) becomes
     its diagonal self term.  A swap-symmetric state lumps to q{a, b} =
     p(a, b) + p(b, a) and is recovered exactly as p(a, b) = p(b, a) = q/2.
-    A basis over ``MATRIX_MEMORY_BUDGET`` is refused before it is built.
+    A basis holds no matrix: ``MATRIX_MEMORY_BUDGET`` is checked where one is
+    built (``rate_matrix``, a master run and ``check_budgets``), so a Monte
+    Carlo run steps a basis of any size.
     """
 
     def __init__(self, trap: TrapConfig, kind: str = "full"):
@@ -947,7 +950,6 @@ class StateBasis:
         if kind not in sizes or kind == "swap" and trap.dims != 2:
             raise DomainError(f"no {kind!r} state basis for a {trap.dims}D trap")
         self.kind, self.size = kind, sizes[kind]
-        _check_matrix_budget(self.size)
         self.class_of = np.arange(self.size)
         self.levels = np.indices(trap.shape).reshape(trap.dims, -1).T
         if kind == "swap":
@@ -967,10 +969,10 @@ class StateBasis:
 
 
 def _run_basis(pulses, trap: TrapConfig, mode: str, symmetric: bool = True) -> StateBasis:
-    """The ``StateBasis`` a master run of ``pulses`` in rate ``mode``
-    propagates: the unordered level pairs where the start is swap-symmetric
-    and every pulse commutes with the x <-> y swap (``swap_symmetric`` of
-    the mode's provider class), the grid otherwise."""
+    """The ``StateBasis`` a run of ``pulses`` in rate ``mode`` steps, in
+    either run mode: the unordered level pairs where the start is
+    swap-symmetric and every pulse commutes with the x <-> y swap
+    (``swap_symmetric`` of the mode's provider class), the grid otherwise."""
     swap_symmetric = _provider_class(mode).swap_symmetric
     lumped = symmetric and trap.dims == 2 and all(map(swap_symmetric, pulses))
     return StateBasis(trap, "swap" if lumped else "full")
@@ -982,7 +984,7 @@ def check_budgets(protocol, trap: TrapConfig, run_mode: str = "master") -> None:
     on the basis of a swap-symmetric (say thermal) start (``_run_basis``),
     and the emission kernel of its deepest pulse (``kernel_level``)."""
     if run_mode == "master":
-        _run_basis(protocol.pulses, trap, "resonant")
+        _check_matrix_budget(_run_basis(protocol.pulses, trap, "resonant").size)
     levels = [_Resonant.kernel_level(trap, pulse) for pulse in protocol.pulses]
     AngularTables(trap).kernel_depth(max(levels, default=trap.n_max))
 
@@ -991,10 +993,12 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
                 basis: str = "full", *, provider=None) -> RateMatrix:
     """Transition-rate generator of one pulse in a 1D or 2D trap, on the
     states of ``StateBasis(trap, basis)``: the representative columns of the
-    provider, rows lumped, exits less the in-class move.  ``provider`` is
-    the pulse's column provider if it exists already (``_providers``), else
-    one is built on tables of its own.  Nothing caches the result."""
+    provider, rows lumped, exits less the in-class move; a basis over
+    ``MATRIX_MEMORY_BUDGET`` is refused.  ``provider`` is the pulse's column
+    provider if it exists already (``_providers``), else one is built on
+    tables of its own.  Nothing caches the result."""
     states = StateBasis(trap, basis)
+    _check_matrix_budget(states.size)
     if provider is None:
         provider = _provider(AngularTables(trap), pulse, mode)
     lumped = np.empty((states.size, states.size))  # row j: column j, written whole
@@ -1013,26 +1017,40 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
 
 
 class ColumnSampler:
-    """Column-on-demand jump sampler for Monte Carlo.
+    """Column-on-demand jump sampler for Monte Carlo, on the states of a
+    ``StateBasis`` (the grid if none is given).
 
     Serves one pulse's jumps from its column ``provider``, the kind that
-    backs the dense matrix, without assembling it: ``exit_rates`` are the
-    provider's exits, bitwise the full-basis matrix's, and
-    ``jump_distribution`` builds and caches a column.
+    backs the dense matrix, without assembling it.  ``exit_rates`` are the
+    provider's exits at the states' representatives, bitwise the grid's,
+    read without building a column.  ``jump_distribution(j)`` builds and
+    caches state j's cumulative column: the representative's raw column
+    with its own m <- m entry zeroed, lumped, clipped at 0 and summed.  At
+    i != j its rates are bitwise those of ``rate_matrix(..., basis)``; at j
+    it holds max(move, 0), the in-class move (a, b) -> (b, a) (0 on the
+    grid and at a = b), which the generator folds into its diagonal.  A
+    draw there is a jump to the trajectory's own class: thinning, so the
+    exit clocks stay the grid's and the jump law, jump counts included, is
+    the grid chain's.
     """
 
-    def __init__(self, provider: _Resonant | _Full):
+    def __init__(self, provider: _Resonant | _Full, basis: StateBasis | None = None):
         self._provider = provider
-        self.exit_rates = provider.exits.reshape(-1)
+        self._basis = basis = basis or StateBasis(provider.trap)
+        levels = tuple(basis.levels.T)
+        self.exit_rates = provider.exits[levels]
+        self._own = np.ravel_multi_index(levels, provider.exits.shape)
         self._cache: dict[int, np.ndarray] = {}
 
     def jump_distribution(self, index: int):
-        """``RateMatrix.jump_distribution``, bitwise: clipped and summed alike."""
+        """(exit rate, cached cumulative rates of state ``index``'s column):
+        a search of a draw below the exit rate past the last state is the
+        leak.  On the grid, ``RateMatrix.jump_distribution``, bitwise."""
         cum = self._cache.get(index)
         if cum is None:
-            cum = np.maximum(self._provider.column(
-                *np.unravel_index(index, self._provider.exits.shape)).reshape(-1), 0.0)
-            cum[index] = 0.0
+            col = self._provider.column(*self._basis.levels[index]).reshape(-1).copy()
+            col[self._own[index]] = 0.0
+            cum = np.maximum(self._basis.lump(col), 0.0)
             self._cache[index] = cum = np.cumsum(cum, out=cum)
         return float(self.exit_rates[index]), cum
 

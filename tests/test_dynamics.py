@@ -685,6 +685,66 @@ class TestLumpedBasis:
         assert series.diagnostics["basis"] == kind
         assert sides[:2] == [91, 91] and set(sides) == {series.diagnostics["states"]}
 
+    def test_mc_steps_a_basis_over_the_matrix_budget(self, monkeypatch):
+        # the budget guards dense matrices, and a Monte Carlo run builds
+        # none: under a budget below the swap basis (91 states, 66 kB) the
+        # master run is refused and the ensemble steps that basis
+        init, proto, trap = preset_run("fig5_A_minus", n_max=12, cycles=3)
+        monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", 50_000)
+        with pytest.raises(ResourceLimitError, match=r"\(91 x 91\)"):
+            rates.check_budgets(proto, trap)
+        with pytest.raises(ResourceLimitError, match=r"\(91 x 91\)"):
+            run_protocol(init, proto, trap, stop_tol=0.0)
+        rates.check_budgets(proto, trap, "mc")
+        series = run_protocol(init, proto, trap, mode="mc", trajectories=50)
+        assert (series.diagnostics["basis"], series.diagnostics["states"]) == ("swap", 91)
+        assert series.diagnostics["jumps"] > 0
+
+    def test_swap_ensemble_matches_master_and_grid_ensemble(self, monkeypatch):
+        # a swap-symmetric ensemble steps the unordered pairs {a, b}; it
+        # agrees with the lumped master run, and with an ensemble forced
+        # onto the grid, within z < 4 at every 10th cycle boundary
+        init, proto, trap = preset_run("fig5_A_minus", n_max=12, cycles=60)
+        master = run_protocol(init, proto, trap, stop_tol=0.0)
+        assert master.diagnostics["basis"] == "swap"
+        truth = master.cycle_samples()
+        swap = mc_ensemble(4000, proto, trap, seed=1, init=init)
+        run_basis = rates._run_basis
+        monkeypatch.setattr(rates, "_run_basis", lambda pulses, trap, mode, symmetric=True:
+                            run_basis(pulses, trap, mode, False))
+        grid = mc_ensemble(4000, proto, trap, seed=2, init=init)
+        assert (swap.basis, swap.states, grid.basis, grid.states) == ("swap", 91, "full", 169)
+        assert swap.columns_built < grid.columns_built
+        fields = (("p_target", "p_target", None), ("leak_frac", "leak", None),
+                  ("mean_n", "mean_n", "mean_n_se"), ("mean_nx", "mean_nx", "mean_nx_se"))
+        for rec in range(0, proto.cycles + 1, 10):
+            for name, true_name, se_name in fields:
+                want = getattr(truth[rec].obs, true_name)
+                if se_name is None:  # binomial, from the truth
+                    var_s = var_g = want * (1.0 - want) / swap.n_traj
+                else:
+                    var_s, var_g = (getattr(e, se_name)[rec] ** 2 for e in (swap, grid))
+                got_s, got_g = getattr(swap, name)[rec], getattr(grid, name)[rec]
+                for diff, var in ((got_s - want, var_s), (got_g - want, var_g),
+                                  (got_s - got_g, var_s + var_g)):
+                    if var < 1e-24:
+                        assert abs(diff) < 1e-9, (rec, name)
+                    else:
+                        assert abs(diff) < 4.0 * math.sqrt(var), (rec, name)
+
+    def test_swap_ensemble_axis_means_bitwise_equal(self):
+        # on {a, b} the n_x and n_y rows both read (a + b)/2, the exact
+        # conditional mean; a target off the diagonal reads 1/2
+        init, proto, trap = preset_run("fig5_A_minus", n_max=10, cycles=20)
+        ens = mc_ensemble(300, proto, trap, seed=3, init=init, extra_targets=((1, 2), (2, 1)))
+        assert ens.basis == "swap" and ens.jump_counts.sum() > 0
+        assert np.array_equal(ens.mean_nx, ens.mean_ny)
+        assert np.array_equal(ens.mean_nx_se, ens.mean_ny_se)
+        assert np.array_equal(ens.mean_nx + ens.mean_ny, ens.mean_n)
+        assert np.array_equal(ens.extra[0], ens.extra[1])
+        halves = ens.extra[0] * ens.n_traj * 2.0
+        assert np.array_equal(halves, np.round(halves)) and np.any(halves % 2 == 1)
+
     @pytest.mark.parametrize("case", ["fig7", "asymmetric_start", "full_rates"])
     def test_full_basis_where_not_lumpable(self, case):
         name = "fig7" if case == "fig7" else "fig5_A_minus"

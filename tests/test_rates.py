@@ -770,6 +770,36 @@ class TestColumnSampler:
             assert total_s == total_d
             assert np.array_equal(cum_d, cum_s)
 
+    @pytest.mark.parametrize("s, a, mode", [
+        *(pytest.param(s, a, "resonant", id=f"{s}-{a}")
+          for s in (0, -2, 2, -3, 4) for a in (-1.0, 1.0)),
+        *(pytest.param(-2, a, "full", id=f"-2-{a}-full") for a in (-1.0, 1.0))])
+    def test_swap_basis_columns_match_swap_generator(self, s, a, mode):
+        # off the own class every cumulative column is bitwise the swap
+        # generator's; the own class holds the in-class move (a, b) -> (b, a),
+        # clipped at 0, which the generator folds into its diagonal; the
+        # exits are the grid sampler's at each class's representative
+        trap = trap_2d(eta=1.7, n_max=8)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
+        tables = rates.AngularTables(trap)
+        provider = rates._provider(tables, pulse, mode)
+        basis = rates.StateBasis(trap, "swap")
+        swap = rates.ColumnSampler(provider, basis)
+        grid = rates.ColumnSampler(provider)
+        dense = rate_matrix(trap, pulse, mode, "swap", provider=provider)
+        own = np.ravel_multi_index(basis.levels.T, trap.shape)
+        assert np.array_equal(swap.exit_rates, grid.exit_rates[own])
+        moves = 0
+        for j, (x, y) in enumerate(basis.levels):
+            total, cum = swap.jump_distribution(j)
+            assert total == grid.exit_rates[own[j]]
+            want = dense.generator[:, j].copy()
+            move = provider.column(x, y)[y, x] if x != y else 0.0
+            want[j] = max(move, 0.0)
+            moves += want[j] > 0.0
+            assert np.array_equal(cum, np.cumsum(want))
+        assert moves > 0
+
     @pytest.mark.parametrize("s", [0, -2, 4])
     def test_chunked_columns_bitwise_equal_to_dense(self, monkeypatch, s):
         # with the factors formed in chunks of 7 of the 1056 nodes
