@@ -192,6 +192,7 @@ def _cmd_run(args) -> int:
         "outputs": outputs,
         "wall_clock_seconds": elapsed,  # unrounded: the phases sum to at most it
         "phases": series.phases,
+        "peak_rss_mb": series.peak_rss_mb,
         "cache": series.cache,
         **series.diagnostics,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

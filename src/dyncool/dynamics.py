@@ -10,6 +10,8 @@ propagator (and vice versa).
 from __future__ import annotations
 
 import functools
+import resource
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -82,7 +84,11 @@ class TimeSeries:
     the generators (``rates.rate_matrix``), their exponentials
     (``rates.markov_expm``) and the rest of the propagation
     (``dynamics.propagate``), in Monte Carlo mode the samplers' build and
-    the stepping.  ``cache`` holds the builds and hits of the run's emission
+    the stepping.  ``peak_rss_mb`` holds, under the same names, the
+    process's peak RSS in MB that each phase raised it to (``_PeakMarks``),
+    None where it never did: the largest value names the phase that set the
+    run's peak.
+    ``cache`` holds the builds and hits of the run's emission
     kernels (``rates._providers``), and ``diagnostics`` the run's counts for
     the manifest: in both modes the state basis stepped and its state
     count, then in master mode the clipped mass, in Monte Carlo mode the
@@ -95,6 +101,7 @@ class TimeSeries:
     extra_targets: tuple = ()
     final_distribution: Distribution | None = field(default=None, init=False, repr=False)
     phases: dict[str, float] = field(default_factory=dict, init=False, repr=False)
+    peak_rss_mb: dict[str, float | None] = field(default_factory=dict, init=False, repr=False)
     cache: dict = field(default_factory=dict, init=False, repr=False)
     diagnostics: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -132,8 +139,8 @@ class McEnsembleResult:
     ``jump_counts`` holds each trajectory's jumps, the absorbing jump into
     the leak included, ``columns_built`` one per distinct (sampler, state
     of the run's basis) a trajectory jumped from, one sampler per provider,
-    ``basis`` and ``states`` the basis's kind and size, and ``cache`` the
-    run's ``TimeSeries.cache``.
+    ``basis`` and ``states`` the basis's kind and size, and ``cache`` and
+    ``peak_rss_mb`` the run's ``TimeSeries`` blocks of those names.
     """
 
     n_traj: int
@@ -154,10 +161,39 @@ class McEnsembleResult:
     extra_se: np.ndarray
     jump_counts: np.ndarray
     phases: dict[str, float]
+    peak_rss_mb: dict[str, float | None]
     columns_built: int
     basis: str
     states: int
     cache: dict
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, ``ru_maxrss``, in MB
+    (MiB; the field counts KiB on Linux, bytes on macOS)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+        2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
+class _PeakMarks:
+    """Which phases of a run raised the process's peak RSS.
+
+    ``mark(name)`` ends a stretch of phase ``name`` that began at the last
+    mark (or at construction).  ``peaks[name]`` is the peak RSS in MB
+    (``_peak_rss_mb``) at the end of the last stretch of ``name`` during
+    which it rose, None if none did.  The peak never falls, so the phase
+    holding the largest value is the one that set the run's peak, however
+    its stretches interleave with others'.
+    """
+
+    def __init__(self, names):
+        self.peaks = dict.fromkeys(names)
+        self._last = _peak_rss_mb()
+
+    def mark(self, name: str) -> None:
+        now = _peak_rss_mb()
+        if now > self._last:
+            self.peaks[name] = self._last = now
 
 
 def thermal_distribution(mean_n: float, trap: TrapConfig) -> Distribution:
@@ -253,8 +289,15 @@ class _CycleMap:
     given a lazy iterable, each G_j is built, exponentiated into
     P_j = ``rates.markov_expm`` (G_j, tau_j), multiplied into Z and dropped
     with P_j, so the dense working set does not grow with the pulse count K;
-    ``markov_expm`` gets the only reference to G_j.  ``phases`` holds the
-    wall seconds of the generator builds and of the exponentials.
+    ``markov_expm`` gets the only reference to G_j.  Z is held as its
+    transpose, and Z^T <- Z^T P_j^T is formed in place, half the rows of
+    Z^T at a time (``rates._right_multiply``): beside Z and P_j the product
+    holds n/2 rows, not a third n x n array, well below the peak of
+    ``markov_expm`` beside Z (q + 2.2 n x n arrays, q >= 1).  ``phases``
+    holds the wall seconds of the generator builds and of the exponentials.
+    ``marks`` (a run's ``_PeakMarks``, or the map's own) is marked at the
+    end of each build and exponential, and before each build for the
+    products between them, which the run times as ``dynamics.propagate``.
     ``inner`` stacks ``rows @ Z_j`` for j < K, so ``inner @ y`` holds the
     row values after every pulse but the last of a cycle that starts at y.
     min(Z_j) >= -1e-12 for j < K keeps every state inside a cycle above
@@ -262,27 +305,34 @@ class _CycleMap:
     M leaves.
     """
 
-    def __init__(self, mats, pulses, rows: np.ndarray):
+    def __init__(self, mats, pulses, rows: np.ndarray, marks: _PeakMarks | None = None):
         self.duration = sum(pulse.duration for pulse in pulses)
         self.phases = {"rates.rate_matrix": 0.0, "rates.markov_expm": 0.0}
-        z, inner, mats = None, [], iter(mats)
+        marks = marks or _PeakMarks([*self.phases, "dynamics.propagate"])
+        zt, inner, mats = None, [], iter(mats)
         for pulse in pulses:
-            if z is not None:
-                if z.min() < -1e-12:
+            if zt is not None:
+                if zt.min() < -1e-12:
                     raise DomainError("propagation produced significantly negative occupation")
-                inner.append(rows @ z)
+                inner.append(rows @ zt.T)
+            marks.mark("dynamics.propagate")
             start = time.perf_counter()
             held = [next(mats).generator]
             built = time.perf_counter()
+            marks.mark("rates.rate_matrix")
             # no name holds G_j past this call (the list hands it over), nor
             # P_j past the product
             prop = rates.markov_expm(held.pop(), pulse.duration)
             self.phases["rates.rate_matrix"] += built - start
             self.phases["rates.markov_expm"] += time.perf_counter() - built
-            z = prop if z is None else prop @ z
+            marks.mark("rates.markov_expm")
+            if zt is None:
+                zt = np.ascontiguousarray(prop.T)
+            else:
+                rates._right_multiply(zt, prop.T, rates._row_scratch(zt, 2))
             del prop
-        self.matrix = z
-        self.inner = np.concatenate(inner) if inner else np.zeros((0, z.shape[0]))
+        self.matrix = zt.T
+        self.inner = np.concatenate(inner) if inner else np.zeros((0, zt.shape[0]))
 
     @property
     def n_states(self) -> int:
@@ -333,7 +383,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
         for cycle, t, *obs, extra in records:
             series.samples.append(Sample(cycle, min(cycle, 1) * len(protocol.pulses), t,
                                          ObsSnapshot(*obs, tuple(extra))))
-        series.phases, series.cache = ens.phases, ens.cache
+        series.phases, series.peak_rss_mb, series.cache = ens.phases, ens.peak_rss_mb, ens.cache
         series.diagnostics = {"basis": ens.basis, "states": ens.states,
                               "columns_built": ens.columns_built,
                               "jumps": int(ens.jump_counts.sum()),
@@ -352,14 +402,17 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     t, leak = 0.0, state.leak
     series.samples.append(Sample(0, 0, t, _snapshot(values, leak, extra_rows)))
     cycles = protocol.cycles if protocol.pulses else 0
+    marks = _PeakMarks(["rates.providers", "rates.rate_matrix", "rates.markov_expm",
+                        "dynamics.propagate"])
     start = time.perf_counter()
     providers, series.cache = rates._providers(protocol, trap, rate_mode)
     phases = {"rates.providers": time.perf_counter() - start,
               "rates.rate_matrix": 0.0, "rates.markov_expm": 0.0}
+    marks.mark("rates.providers")
     if cycles:
         cycle_map = _CycleMap((rate_matrix(trap, pulse, rate_mode, basis.kind, provider=provider)
                                for pulse, provider in zip(protocol.pulses, providers)),
-                              protocol.pulses, rows)
+                              protocol.pulses, rows, marks)
         del providers
         phases.update(cycle_map.phases)
     for cycle in range(1, cycles + 1):
@@ -380,6 +433,8 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
                                              trap.shape, state.clipped)
     series.phases = {**phases,
                      "dynamics.propagate": time.perf_counter() - t0 - sum(phases.values())}
+    marks.mark("dynamics.propagate")
+    series.peak_rss_mb = marks.peaks
     series.diagnostics = {"basis": basis.kind, "states": basis.size,
                           "clipped_mass": state.clipped}
     return series
@@ -507,7 +562,10 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     are summed against the rows of ``_obs_rows`` on the basis, plus one
     n = n_x + n_y row, and against their squares; the sums are exact in
     floats.  The leak fraction is (n_traj - live) / n_traj.  A negative or
-    non-integer seed, and a start over another trap's levels, are refused.
+    non-integer seed, and a start over another trap's levels, are refused,
+    and so is a column that would take the samplers' cached columns past
+    ``rates.MATRIX_MEMORY_BUDGET`` (``ResourceLimitError``, before it is
+    built): the caches keep every column, so none is evicted.
     """
     n_traj, seed = rates._integer(n_traj, "n_traj"), rates._integer(seed, "seed")
     if n_traj < 1:
@@ -520,11 +578,15 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     basis, rows = _run_rows(init, protocol, trap, rate_mode,
                             np.vstack([grid_rows, grid_rows[1] + grid_rows[2]]))
     moments = np.concatenate([rows, rows * rows])
+    marks = _PeakMarks(["rates.column_sampler", "dynamics.mc"])
     t0 = time.perf_counter()
     providers, cache = rates._providers(protocol, trap, rate_mode)
-    wrapped = {provider: ColumnSampler(provider, basis) for provider in dict.fromkeys(providers)}
+    budget = rates._CacheBudget(f"n_max {trap.n_max}, {n_traj} trajectories")
+    wrapped = {provider: ColumnSampler(provider, basis, budget)
+               for provider in dict.fromkeys(providers)}
     samplers = [wrapped[provider] for provider in providers]
     t1 = time.perf_counter()
+    marks.mark("rates.column_sampler")
     n_rec = protocol.cycles + 1
     rng = np.random.default_rng(seed)
     init_cum = np.cumsum(basis.lump(init.probs))
@@ -532,6 +594,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     level = np.searchsorted(init_cum, rng.random(n_traj), side="right")  # n_states: leaked
     durations = [pulse.duration for pulse in protocol.pulses]
     sums, jumps = _jump_rounds(samplers, durations, level, moments, protocol.cycles, rng)
+    marks.mark("dynamics.mc")
 
     n = float(n_traj)
     mean = sums[:len(rows)] / n
@@ -546,5 +609,6 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         jump_counts=jumps, columns_built=sum(len(s._cache) for s in wrapped.values()),
         basis=basis.kind, states=basis.size,
         phases={"rates.column_sampler": t1 - t0, "dynamics.mc": time.perf_counter() - t1},
+        peak_rss_mb=marks.peaks,
         cache=cache)
 

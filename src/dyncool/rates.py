@@ -20,8 +20,9 @@ Gauss-Legendre (cos theta) x trapezoid (phi) sphere rule of orders
 images, reached through the parity R(-x)[n, l] = (-1)^(n+l) R(x)[n, l] of
 the recoil factors.  Resonant columns are slices and scales of one recoil
 integral per trap and depth (S1 in 1D; in 2D T and the cross terms C_s, as
-low-rank node factors); full-mode ones are rows of one block per pulse,
-summed in node chunks from the folded recoil stack, one per trap.
+low-rank node factors, formed from the folded stack in node chunks of
+about 1 MiB); full-mode ones are rows of one block per pulse, summed in
+node chunks from the folded recoil stack, one per trap.
 These recoil tables belong to an ``AngularTables`` that its caller builds
 and drops (a run's ``_providers``, or a standalone call's own); the module
 keeps no state.
@@ -29,7 +30,8 @@ keeps no state.
 One builder assembles every dense generator from a provider's columns on the
 states of a ``StateBasis``, exit rates Gamma_empty - Gamma_{m<-m} on its diagonal;
 ``ColumnSampler`` serves Monte Carlo jumps from the same providers, on the
-same states.
+same states, and refuses a column that would take a run's cached ones past
+``MATRIX_MEMORY_BUDGET``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ DIPOLE_PATTERNS = ("isotropic", "dipole_z")
 DEFAULT_QUAD_THETA = 64
 DEFAULT_QUAD_PHI = 128
 
-# dense (states x states) matrices beyond this many bytes are refused
+# dense (states x states) matrices beyond this many bytes are refused, and so
+# are Monte Carlo columns that would take a run's cached ones past it
 MATRIX_MEMORY_BUDGET = 4 << 30
 
 # 2D recoil factors drop sketch directions below _RANK_TOL of the largest, and
@@ -66,8 +69,11 @@ MATRIX_MEMORY_BUDGET = 4 << 30
 _RANK_TOL = 1e-14
 
 # 2D recoil factors form their node arrays from the stack this many bytes of
-# stack at a time: the fig5 stack (14 MB) is 4 chunks
-_FACTOR_CHUNK_BYTES = 4 << 20
+# stack at a time, and at least _FACTOR_CHUNK_NODES nodes, so that deep GEMMs
+# keep their shape: the fig5 stack (14 MB) is 14 chunks of 77 nodes, a chunk
+# at n_max 160 32 nodes (6.6 MB)
+_FACTOR_CHUNK_BYTES = 1 << 20
+_FACTOR_CHUNK_NODES = 32
 
 
 class RunDefaults(NamedTuple):
@@ -305,10 +311,14 @@ class AngularTables:
     so no stack is held for it.  The 2D kernel
     T[nx, l, ny, l'] = sum_k w_k Rx_k[nx, l]^2 Ry_k[ny, l']^2 is held in the
     low-rank form of ``factors``: R[n, l]^2 is e^{-x^2} times a polynomial in
-    x^2, so the squared stack has rank 37, 50, 63 and 74 over the 1056 fig5
+    x^2, so the squared stack has rank 37, 50, 64 and 74 over the 1056 fig5
     nodes at n_max 40, 80, 120 and 160.
     ``factors`` forms its squared or cross-term node arrays from the stack in
-    node chunks, so no array of a stack's size is held beside it.
+    node chunks of about ``_FACTOR_CHUNK_BYTES``, and beside the stack and
+    the factors it returns holds one chunk, the sketch until its basis is
+    known and a product buffer of one factor's size: 1.6 MiB at n_max 24.
+    A resonant 2D sampler of s = -4 peaks at 353 MB at n_max 160 (215 MB at
+    120), 219 MB of it the stack.
     Every table is the one asked for, and kernels are keyed by a build depth
     of the trap and the requested level alone: build order cannot move one.
     ``kernel_counts`` holds the kernel builds and hits of these tables.
@@ -374,28 +384,32 @@ class AngularTables:
 
         Only x is formed.  With P the permutation ``mirror``, y = P x and P
         keeps w, so q_x = P q spans sqrt(w) x: the sketch gives q_x, and
-        a = q^T sqrt(w) x and b = q_x^T sqrt(w) x come from one product
-        against [q, q_x].  The check ||sqrt(w) y - q b|| is ||sqrt(w) x - q_x b||,
-        which a wrong ``mirror`` fails for a given q.
+        a = q^T sqrt(w) x and b = q_x^T sqrt(w) x both come from each chunk
+        of x.  The check ||sqrt(w) y - q b|| is ||sqrt(w) x - q_x b||, which
+        a wrong ``mirror`` fails for a given q.
 
         ``form(r, out)`` writes the node arrays of a node chunk r of the stack
         into ``out``, or into a new array if ``out`` is None.  Each pass
-        (sketch, projection, residual) forms them chunk by chunk, at most
-        ``_FACTOR_CHUNK_BYTES`` of stack at a time, into one buffer, and the
-        residual of a chunk goes into a second.  The last chunk is kept and
-        the next pass starts from it, running the other way: a stack in one
-        chunk is formed once, and a later pass over c chunks forms c - 1 of
-        them."""
+        (sketch, projection, residual) forms them chunk by chunk, about
+        ``_FACTOR_CHUNK_BYTES`` of stack and at least ``_FACTOR_CHUNK_NODES``
+        nodes at a time, into one buffer.  The last chunk is kept and the
+        next pass starts from it, running the other way: a stack in one chunk
+        is formed once, and a later pass over c chunks forms c - 1 of them.
+        The sketch, its Gaussian operator and its SVD are freed once q is
+        known.  a and b are summed in place, through one product buffer of a
+        factor's size, which the residual check reuses r nodes at a time;
+        they are laid out as (p, r, n) once checked, one at a time.  The
+        chunking moves a factor by rounding alone."""
         weights, _, mirror, _ = self.rule(l_max)
         stack = self.stack(l_max)
         k = weights.shape[0]
-        step = max(1, _FACTOR_CHUNK_BYTES // stack[0].nbytes)
+        step = max(_FACTOR_CHUNK_NODES, _FACTOR_CHUNK_BYTES // stack[0].nbytes)
         chunks = [slice(start, start + step) for start in range(0, k, step)]
         w_root = np.sqrt(weights)[:, None]
         n, p = form(stack[:1]).shape[1:]
         # every chunk is formed into one buffer: fresh chunk arrays each cost
         # their pages' first-touch faults
-        buf, spare = (np.empty((min(step, k), n, p)) for _ in range(2))
+        buf = np.empty((min(step, k), n, p))
         kept = (None, None)
 
         def sweep():
@@ -414,24 +428,30 @@ class AngularTables:
             sketch = np.empty((k, omega.shape[1]))
             for sl, x in sweep():
                 np.matmul(x, omega, out=sketch[sl])
+            del omega
             u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
-            q_x = u[:, :np.count_nonzero(sv > _RANK_TOL * sv[0])]
-            q = q_x[mirror]
-        else:
-            q_x = q[mirror]
-        a, b = np.split(functools.reduce(operator.iadd, (
-            np.concatenate([q[sl], q_x[sl]], axis=1).T @ x for sl, x in sweep())), 2)
+            del sketch
+            q = u[mirror, :np.count_nonzero(sv > _RANK_TOL * sv[0])]
+            del u
+        q_x, r = q[mirror], q.shape[1]
+        a, b, prod = np.zeros((r, n * p)), np.zeros((r, n * p)), np.empty((r, n * p))
+        for sl, x in sweep():
+            a += np.matmul(q[sl].T, x, out=prod)
+            b += np.matmul(q_x[sl].T, x, out=prod)
         resid2 = norm2 = 0.0
         for sl, x in sweep():
-            resid = np.matmul(q_x[sl], b, out=spare[:len(x)].reshape(x.shape))
-            resid -= x
-            resid2 += np.vdot(resid, resid)
+            for lo in range(0, len(x), r):
+                rows = x[lo:lo + r]
+                resid = np.matmul(q_x[sl][lo:lo + r], b, out=prod[:len(rows)])
+                resid -= rows
+                resid2 += np.vdot(resid, resid)
             norm2 += np.vdot(x, x)
         if math.sqrt(resid2) > 10 * _RANK_TOL * math.sqrt(norm2):
-            raise SimulationError(f"rank-{q.shape[1]} node basis misses part of a "
+            raise SimulationError(f"rank-{r} node basis misses part of a "
                                   "2D recoil integrand")
-        return q, *(np.ascontiguousarray(f.reshape(-1, n, p).transpose(2, 0, 1))
-                    for f in (a, b))
+        kept = buf = prod = None
+        a = np.ascontiguousarray(a.reshape(r, n, p).transpose(2, 0, 1))
+        return q, a, np.ascontiguousarray(b.reshape(r, n, p).transpose(2, 0, 1))
 
     def kernel_depth(self, l_max: int) -> int:
         """The build depth of the emission kernel to ``l_max``, refused over
@@ -615,15 +635,18 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     the result by at most n 2^-106 lam in the 1-norm, keeps subnormals out
     of the GEMMs, and keeps out a diagonal entry that rounding took below 0.
 
-    The working set is B^1 ... B^q, the sum and the next Horner product, each
-    its own n x n array, so it reuses the memory of freed ones of its size.
+    The working set is B^1 ... B^q and the sum, each its own n x n array,
+    and one scratch of n/5 rows: the Horner product is formed in place, a
+    fifth of its rows at a time (``_right_multiply``), and the scratch
+    also holds the bands of ``_add_weighted``.  Freed arrays of one size
+    reuse each other's memory.
     It drops its reference to G once B is formed, so a caller that passes
     the only one (the streamed cycle map) frees G before the series
     products.  Each group starts from its highest term (the Horner product
     below the top group) and adds the others, the highest order first, in
-    one pass per band of entries (``_add_weighted``); the identity's weight
-    is added last, on the diagonal.  Added from the identity up, the terms
-    lost 1.1e-13 of column sum on a pulse of lam = 1e3 (10 squarings).
+    one pass per band of entries; the identity's weight is added last, on
+    the diagonal.  Added from the identity up, the terms lost 1.1e-13 of
+    column sum on a pulse of lam = 1e3 (10 squarings).
     """
     if not 0 <= duration < math.inf:
         raise DomainError(f"duration must be finite and >= 0, got {duration}")
@@ -645,31 +668,47 @@ def markov_expm(generator: np.ndarray, duration: float) -> np.ndarray:
     for _ in range(q - 1):
         powers.append(powers[-1] @ b)
     top = (-(-order // q) - 1) * q
+    scratch = _row_scratch(b, 5)
     out = None
     for lo in range(top, -1, -q):
         # out = sum of w[k] B^(k - lo) over this group's orders k, from its
         # highest, hi, down; below the top, out B^q stands for w[hi] B^q
         hi = order if lo == top else lo + q
-        out = w[hi] * powers[hi - lo] if lo == top else out @ powers[q]
-        _add_weighted(out, powers[hi - lo - 1:0:-1], w[hi - 1:lo:-1])
+        if lo == top:
+            out = w[hi] * powers[hi - lo]
+        else:
+            _right_multiply(out, powers[q], scratch)
+        _add_weighted(out, powers[hi - lo - 1:0:-1], w[hi - 1:lo:-1], scratch)
         out.flat[::len(b) + 1] += w[lo]
-    del powers, b
+    del powers, b, scratch
     for _ in range(squarings):
         out = out @ out
     return out
 
 
-def _add_weighted(out: np.ndarray, terms, weights) -> None:
+def _row_scratch(z: np.ndarray, parts: int) -> np.ndarray:
+    """Scratch for ``_right_multiply`` of the n x n ``z``: n/parts rows
+    (rounded up)."""
+    return np.empty((-(-len(z) // parts), z.shape[1]))
+
+
+def _right_multiply(z: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> None:
+    """z = z @ m in place, one block of contiguous rows at a time through
+    ``scratch``: row i of the product reads row i of z alone."""
+    for lo in range(0, len(z), len(scratch)):
+        block = z[lo:lo + len(scratch)]
+        block[...] = np.matmul(block, m, out=scratch[:len(block)])
+
+
+def _add_weighted(out: np.ndarray, terms, weights, scratch: np.ndarray) -> None:
     """out += sum_i weights[i] terms[i], in place, the terms in order, one
-    band of ``_BAND`` entries at a time: each term is read once and its
-    products stay in cache."""
-    acc = out.reshape(-1)
-    scratch = np.empty(min(_BAND, acc.size))
-    for lo in range(0, acc.size, _BAND):
-        band = acc[lo:lo + _BAND]
-        prod = scratch[:band.size]
+    band of at most ``_BAND`` entries (and at most ``scratch``'s) at a
+    time: each term is read once and its products stay in cache."""
+    acc, prod = out.reshape(-1), scratch.reshape(-1)[:_BAND]
+    for lo in range(0, acc.size, prod.size):
+        band = acc[lo:lo + prod.size]
         for term, weight in zip(terms, weights):
-            band += np.multiply(term.reshape(-1)[lo:lo + _BAND], weight, out=prod)
+            band += np.multiply(term.reshape(-1)[lo:lo + prod.size], weight, out=prod[:band.size])
 
 
 def _assemble(columns: np.ndarray, exits: np.ndarray, mode: str) -> RateMatrix:
@@ -1025,18 +1064,24 @@ class ColumnSampler:
     provider's exits at the states' representatives, bitwise the grid's,
     read without building a column.  ``jump_distribution(j)`` builds and
     caches state j's cumulative column: the representative's raw column
-    with its own m <- m entry zeroed, lumped, clipped at 0 and summed.  At
-    i != j its rates are bitwise those of ``rate_matrix(..., basis)``; at j
-    it holds max(move, 0), the in-class move (a, b) -> (b, a) (0 on the
-    grid and at a = b), which the generator folds into its diagonal.  A
-    draw there is a jump to the trajectory's own class: thinning, so the
-    exit clocks stay the grid's and the jump law, jump counts included, is
-    the grid chain's.
+    with its own m <- m entry zeroed, lumped (on the swap basis), clipped
+    at 0 and summed.  At i != j its rates are bitwise those of
+    ``rate_matrix(..., basis)``; at j it holds max(move, 0), the in-class
+    move (a, b) -> (b, a) (0 on the grid and at a = b), which the
+    generator folds into its diagonal.  A draw there is a jump to the
+    trajectory's own class: thinning, so the exit clocks stay the grid's
+    and the jump law, jump counts included, is the grid chain's.
+
+    The samplers of one run share its ``_CacheBudget``, if given: a column
+    that would take their cached columns past it is refused before it is
+    built.  Nothing is evicted, so the cache holds every column built.
     """
 
-    def __init__(self, provider: _Resonant | _Full, basis: StateBasis | None = None):
+    def __init__(self, provider: _Resonant | _Full, basis: StateBasis | None = None,
+                 budget: _CacheBudget | None = None):
         self._provider = provider
         self._basis = basis = basis or StateBasis(provider.trap)
+        self._budget = budget
         levels = tuple(basis.levels.T)
         self.exit_rates = provider.exits[levels]
         self._own = np.ravel_multi_index(levels, provider.exits.shape)
@@ -1048,11 +1093,33 @@ class ColumnSampler:
         leak.  On the grid, ``RateMatrix.jump_distribution``, bitwise."""
         cum = self._cache.get(index)
         if cum is None:
-            col = self._provider.column(*self._basis.levels[index]).reshape(-1).copy()
-            col[self._own[index]] = 0.0
-            cum = np.maximum(self._basis.lump(col), 0.0)
+            if self._budget is not None:
+                self._budget.take(8 * self._basis.size)
+            cum = self._provider.column(*self._basis.levels[index]).reshape(-1).copy()
+            cum[self._own[index]] = 0.0
+            if self._basis.kind != "full":
+                cum = self._basis.lump(cum)
+            np.maximum(cum, 0.0, out=cum)
             self._cache[index] = cum = np.cumsum(cum, out=cum)
         return float(self.exit_rates[index]), cum
+
+
+class _CacheBudget:
+    """The bytes a Monte Carlo run's samplers may still cache, from
+    ``MATRIX_MEMORY_BUDGET``; ``run`` names the run in the refusal."""
+
+    def __init__(self, run: str):
+        self.budget = self.left = MATRIX_MEMORY_BUDGET
+        self.run = run
+
+    def take(self, nbytes: int) -> None:
+        """Count ``nbytes`` more, or refuse them with ``ResourceLimitError``
+        where they pass the budget."""
+        if nbytes > self.left:
+            raise ResourceLimitError(
+                f"the Monte Carlo column cache would pass {self.budget / 2**30:.3g} GiB "
+                f"({self.run}); lower n_max or the trajectory count")
+        self.left -= nbytes
 
 
 def format_float(x: float) -> str:

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
-from dyncool import cli
+from dyncool import cli, rates
 from dyncool.protocols import parse_config
 from oracles import laguerre_recurrence
 
@@ -301,6 +301,10 @@ class TestRun:
         assert set(manifest["phases"]) == phases
         assert all(v >= 0.0 for v in manifest["phases"].values())
         assert sum(manifest["phases"].values()) <= manifest["wall_clock_seconds"]
+        # the peak RSS each phase raised the process's to, null where none
+        peaks = manifest["peak_rss_mb"]
+        assert list(peaks) == list(manifest["phases"])
+        assert all(v is None or v > 0.0 for v in peaks.values())
         # both pulses (s <= 0) share one kernel
         assert manifest["cache"] == {"emission_kernel": {"builds": 1, "hits": 1}}
         # both modes step the same basis: the level pairs in 2D, the grid in 1D
@@ -375,6 +379,16 @@ class TestRun:
                        "n_max = 400\n[[pulse]]\ns = -9\n[run]\ncycles = 1\n")
         out = tmp_path / "o"
         assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 4
+
+    def test_mc_column_cache_over_budget_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the ensemble's cached columns are refused past the budget, not
+        # evicted; the message names the depth and the trajectory count
+        monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", 1000)
+        out = tmp_path / "o"
+        assert run_cli("run", "--preset", "fig2", "--mode", "mc", "--trajectories", "30",
+                       "--cycles", "5", "--out-dir", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Monte Carlo column cache" in err and "n_max 120, 30 trajectories" in err
 
     @pytest.mark.parametrize("mode", ["master", "mc"])
     def test_oversized_run_refused_from_the_trap(self, tmp_path, capsys, mode):

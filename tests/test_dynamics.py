@@ -29,6 +29,15 @@ def toy_matrix(gen):
     return RateMatrix(gen, leak, np.zeros(gen.shape[0]), "resonant")
 
 
+def random_generator(rng, n):
+    """A dense random n x n Markov generator with no leak, its largest exit
+    rate 1."""
+    g = rng.random((n, n))
+    np.fill_diagonal(g, 0.0)
+    np.fill_diagonal(g, -g.sum(axis=0))
+    return g / -g.diagonal().min()
+
+
 class TestThermalDistribution:
     def test_1d_geometric_head(self):
         trap = trap_1d(n_max=120)
@@ -688,7 +697,8 @@ class TestLumpedBasis:
     def test_mc_steps_a_basis_over_the_matrix_budget(self, monkeypatch):
         # the budget guards dense matrices, and a Monte Carlo run builds
         # none: under a budget below the swap basis (91 states, 66 kB) the
-        # master run is refused and the ensemble steps that basis
+        # master run is refused and the ensemble steps that basis (its 20
+        # cached columns, 15 kB, fit the budget)
         init, proto, trap = preset_run("fig5_A_minus", n_max=12, cycles=3)
         monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", 50_000)
         with pytest.raises(ResourceLimitError, match=r"\(91 x 91\)"):
@@ -699,6 +709,36 @@ class TestLumpedBasis:
         series = run_protocol(init, proto, trap, mode="mc", trajectories=50)
         assert (series.diagnostics["basis"], series.diagnostics["states"]) == ("swap", 91)
         assert series.diagnostics["jumps"] > 0
+
+    @pytest.mark.parametrize("basis", ["full", "swap"])
+    def test_column_cache_bounded_by_the_budget(self, monkeypatch, basis):
+        # the samplers' cached columns count against the budget: a run
+        # whose columns fit it exactly is bitwise the unbounded one, and
+        # under one byte less the column past it is refused before it is
+        # built, not evicted.  A start on (3, 1), or half on (1, 3) too
+        trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=6)
+        protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 3)
+        probs = np.zeros(trap.shape)
+        probs[3, 1] = 1.0
+        if basis == "swap":
+            probs = (probs + probs.T) / 2
+        init = Distribution(probs.reshape(-1), 0.0, trap.shape)
+        free = mc_ensemble(40, protocol, trap, seed=3, init=init)
+        assert free.basis == basis
+        need = 8 * free.columns_built * free.states
+        monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", need)
+        fits = mc_ensemble(40, protocol, trap, seed=3, init=init)
+        assert fits.columns_built == free.columns_built > 1
+        for name in ("p_target", "mean_n", "mean_n_se", "leak_frac", "jump_counts"):
+            assert np.array_equal(getattr(fits, name), getattr(free, name))
+        built = []
+        inner = rates._Resonant.column
+        monkeypatch.setattr(rates._Resonant, "column",
+                            lambda self, *level: built.append(level) or inner(self, *level))
+        monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceLimitError, match="n_max 6, 40 trajectories"):
+            mc_ensemble(40, protocol, trap, seed=3, init=init)
+        assert len(built) == free.columns_built - 1
 
     def test_swap_ensemble_matches_master_and_grid_ensemble(self, monkeypatch):
         # a swap-symmetric ensemble steps the unordered pairs {a, b}; it
@@ -904,12 +944,18 @@ class TestCycleStepping:
         cycle_map = dynamics._CycleMap(mats, proto.pulses, rows)
         props = [rates.markov_expm(mat.generator, pulse.duration)
                  for mat, pulse in zip(mats, proto.pulses)]
-        z, inner = props[0], []
+        # the map forms Z^T <- Z^T P^T in place, half its rows at a time:
+        # bitwise that, and within rounding of the one-GEMM product
+        z, zt, inner = props[0], props[0].T.copy(), []
         for prop in props[1:]:
-            inner.append(rows @ z)
+            inner.append(rows @ zt.T)
+            step = -(-len(zt) // 2)
+            for lo in range(0, len(zt), step):
+                zt[lo:lo + step] = zt[lo:lo + step] @ prop.T
             z = prop @ z
-        assert np.array_equal(cycle_map.matrix, z)
+        assert np.array_equal(cycle_map.matrix, zt.T)
         assert np.array_equal(cycle_map.inner, np.concatenate(inner))
+        assert np.abs(cycle_map.matrix - z).max() <= 1e-15
         assert not any(mat._propagators for mat in mats)
 
     def test_build_memory_independent_of_pulse_count(self):
@@ -1027,6 +1073,77 @@ class TestCycleStepping:
             alone = rates.rate_matrix(trap_, pulse, mode_, basis)
             for attr in ("generator", "leak", "self_rates"):
                 assert np.array_equal(getattr(mat, attr), getattr(alone, attr))
+
+    def test_markov_expm_working_set(self):
+        # B^1 ... B^q, the sum and n/5 rows of scratch: at n = 300 and
+        # lam = 1/2 (series order 14, q = 3, no squaring) the peak, the
+        # only G included, is under (q + 1.25) n x n arrays, where a Horner
+        # product formed beside the sum made it q + 2
+        n, q = 300, 3
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            box = [random_generator(rng, n)]
+            base = tracemalloc.get_traced_memory()[0] - 8 * n * n  # G counts
+            tracemalloc.reset_peak()
+            rates.markov_expm(box.pop(), 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (q + 1.25) * 8 * n * n
+
+    def test_cycle_map_working_set(self):
+        # three pulses as in test_markov_expm_working_set, each G built when
+        # the map asks for it: Z^T P^T is formed in place, so the peak is
+        # Z beside markov_expm's working set, (q + 2.25) n x n arrays, where
+        # it was q + 3
+        n, q = 300, 3
+        rng = np.random.default_rng(5)
+        random_generator(rng, 2)  # the imports of a first call are not the map's
+        mats = (RateMatrix(random_generator(rng, n), np.zeros(n), np.zeros(n), "resonant")
+                for _ in range(3))
+        pulses = (Pulse(s=0, duration=0.5),) * 3
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cycle_map = dynamics._CycleMap(mats, pulses, np.ones((1, n)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert cycle_map.inner.shape == (2, n)
+        assert peak <= (q + 2.25) * 8 * n * n
+
+    def test_peak_rss_names_the_phase_that_raised_it(self, monkeypatch):
+        # three pulses under a stand-in peak RSS that rises in the first
+        # generator build (30), the second exponential (50) and the first
+        # cycle's propagation (60), and not in the third build (40 < 50):
+        # each phase holds the peak it raised, not the peak at its last end
+        proto = Protocol(tuple(Pulse(s=s, duration=1.0) for s in (-2, -1, 0)), 2)
+        trap = trap_1d(eta=1.0, n_max=12)
+        peak = [10.0]
+
+        def raising(fn, at):
+            calls = []
+
+            def wrapped(*args, **kw):
+                out = fn(*args, **kw)
+                calls.append(None)
+                peak[0] = max(peak[0], at.get(len(calls), 0.0))
+                return out
+            return wrapped
+        monkeypatch.setattr(dynamics, "_peak_rss_mb", lambda: peak[0])
+        monkeypatch.setattr(rates, "_providers", raising(rates._providers, {1: 20.0}))
+        monkeypatch.setattr(dynamics, "rate_matrix", raising(rates.rate_matrix, {1: 30.0, 3: 40.0}))
+        monkeypatch.setattr(rates, "markov_expm", raising(rates.markov_expm, {2: 50.0}))
+        monkeypatch.setattr(dynamics, "propagate_pulse",
+                            raising(dynamics.propagate_pulse, {1: 60.0}))
+        series = run_protocol(thermal_distribution(2.0, trap), proto, trap, stop_tol=None)
+        assert series.peak_rss_mb == {"rates.providers": 20.0, "rates.rate_matrix": 30.0,
+                                      "rates.markov_expm": 50.0, "dynamics.propagate": 60.0}
+        assert list(series.peak_rss_mb) == list(series.phases)
+        # a run that raises nothing credits no phase
+        series = run_protocol(thermal_distribution(2.0, trap), proto, trap, stop_tol=None)
+        assert set(series.peak_rss_mb.values()) == {None}
 
     def test_markov_expm_frees_its_only_input(self):
         # given the only reference to G, markov_expm frees it once G t is

@@ -742,6 +742,20 @@ class TestColumnSampler:
             assert total_s == total_d
             assert np.array_equal(cum_d, cum_s)
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_grid_columns_not_lumped(self, monkeypatch, dims):
+        # on the grid a class is one level, so the sampler skips the lump
+        trap = trap_1d(eta=1.7, n_max=30) if dims == 1 else trap_2d(eta=1.7, n_max=6)
+        pulse = Pulse(s=-2, duration=1.0, amplitude_ratio=0.125)
+        dense, sampler = dense_and_sampler(trap, pulse)
+        calls = []
+        inner = rates.StateBasis.lump
+        monkeypatch.setattr(rates.StateBasis, "lump",
+                            lambda self, probs: calls.append(self.kind) or inner(self, probs))
+        for idx in range(trap.n_states):
+            assert np.array_equal(sampler.jump_distribution(idx)[1], dense.jump_distribution(idx)[1])
+        assert calls == []
+
     @pytest.mark.parametrize("s, a, mode", [
         *(pytest.param(s, a, "resonant", id=f"{s}-{a}")
           for s in (0, -2, 2, -3, 4) for a in (-1.0, 0.125, 0.3 + 0.4j, 1j)),
@@ -806,6 +820,7 @@ class TestColumnSampler:
         trap = trap_2d(eta=1.7, n_max=8)
         node_bytes = (trap.n_max + 1) * (trap.n_max + 1 + max(s, 0)) * 8
         monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 7 * node_bytes)
+        monkeypatch.setattr(rates, "_FACTOR_CHUNK_NODES", 1)
         self.test_every_column_bitwise_equal_to_dense(s, -1.0, "resonant")
 
     def test_deep_column_builds(self):
@@ -964,9 +979,28 @@ class TestResonantFactors:
         one = sums()
         node_bytes = (trap.n_max + 1) * (trap.n_max + 1 + max(s, 0)) * 8
         monkeypatch.setattr(rates, "_FACTOR_CHUNK_BYTES", 5 * node_bytes)
+        monkeypatch.setattr(rates, "_FACTOR_CHUNK_NODES", 1)
         many = sums()
         for ref, got in zip(one, many):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_kernel_build_working_set(self):
+        # beside the stack and the factors it returns, a 2D kernel build at
+        # n_max 24 on the default rule (1056 nodes, 5.3 MB of stack) holds
+        # at most 2 MiB: one formed chunk of about 1 MiB, the sketch until
+        # the basis is known, and a product buffer of a factor's size
+        tables = rates.AngularTables(trap_2d(n_max=24))
+        tracemalloc.start()
+        try:
+            kernel = tables.emission_kernel(24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        q, a, b = kernel
+        assert a.shape == b.shape == (25, q.shape[1], 25) and a.flags.c_contiguous
+        stack = tables.stack(24).nbytes
+        assert stack > 5e6
+        assert peak - stack <= (2 << 20) + q.nbytes + a.nbytes + b.nbytes
 
     @pytest.mark.parametrize("given_basis", [False, True])
     def test_each_pass_starts_on_the_kept_chunk(self, monkeypatch, given_basis):
