@@ -174,7 +174,7 @@ def _cmd_run(args) -> int:
     if args.final_distribution:
         fd_path = out_dir / "distribution_final.csv"
         dist = series.final_distribution  # the state behind the last sample
-        _write_grid(fd_path, f"# final distribution after {series.final().cycle} "
+        _write_grid(fd_path, f"# final distribution after {series.cycle[-1]} "
                     f"cycles; leak = {ff(dist.leak)}", "n", "probability", dist.grid())
         outputs["distribution_final"] = fd_path.name
 
@@ -200,9 +200,8 @@ def _cmd_run(args) -> int:
     with open(out_dir / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    final = series.final().obs
-    print(f"final p_target = {ff(final.p_target)} leak = {ff(final.leak)} "
-          f"({len(series.samples)} samples)")
+    print(f"final p_target = {ff(series.p_target[-1])} leak = {ff(series.leak[-1])} "
+          f"({len(series.cycle)} samples)")
     return EXIT_OK
 
 
@@ -213,7 +212,9 @@ def _write_grid(path, comment: str, letter: str, value: str, grid) -> None:
     suffix) and its value."""
     suffixes, _ = _GRID_LAYOUT[grid.ndim]
     lines = [comment, ",".join([*(letter + axis for axis in suffixes), value])]
-    lines += [",".join([*map(str, idx), ff(grid[idx])]) for idx in np.ndindex(grid.shape)]
+    row = "%d," * grid.ndim + rates.FLOAT_FIELD
+    levels = np.indices(grid.shape).reshape(grid.ndim, -1).tolist()
+    lines += [row % values for values in zip(*levels, grid.reshape(-1).tolist())]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -223,10 +224,10 @@ def _write_grid(path, comment: str, letter: str, value: str, grid) -> None:
 
 
 def _write_plot(path, series) -> None:
-    samples = series.cycle_samples()
-    xs = [s.cycle for s in samples]
-    curves = [(f"P{series.target}", [s.obs.p_target for s in samples])]
-    curves += [(f"P{tgt}", [s.obs.extra[j] for s in samples])
+    ends = series.cycle_ends()
+    xs = series.cycle[ends].tolist()
+    curves = [(f"P{series.target}", series.p_target[ends].tolist())]
+    curves += [(f"P{tgt}", series.extra[ends, j].tolist())
                for j, tgt in enumerate(series.extra_targets)]
     plot.line_plot(path, xs, curves, title="occupation dynamics",
                    xlabel="applied cycles", ylabel="occupation probability")

@@ -10,6 +10,7 @@ propagator (and vice versa).
 from __future__ import annotations
 
 import functools
+import math
 import resource
 import sys
 import time
@@ -38,7 +39,7 @@ class Distribution:
     clipped: float = 0.0
 
     def __post_init__(self) -> None:
-        if np.size(self.probs) != np.prod(self.shape, dtype=int):
+        if np.size(self.probs) != math.prod(self.shape):
             raise DomainError(f"{np.size(self.probs)} probabilities for shape {self.shape}")
 
     def copy(self) -> "Distribution":
@@ -72,12 +73,19 @@ class Sample:
     obs: ObsSnapshot
 
 
+_COLUMNS = ("cycle", "pulse", "t", "p_target", "mean_nx", "mean_ny", "mean_n", "leak")
+
+
 @dataclass
 class TimeSeries:
     """Observables recorded at pulse boundaries of a protocol run.
 
-    In both run modes every sample's ``obs.extra`` holds the occupations of
-    ``extra_targets``.  A master run also keeps the distribution it stopped
+    The values are held as columns, one entry per sample: ``cycle``,
+    ``pulse`` (1-based within the cycle, 0 for the initial state), the time
+    ``t``, ``p_target``, ``mean_nx``, ``mean_ny``, ``mean_n`` and ``leak``,
+    and ``extra``, one row per sample holding the occupations of
+    ``extra_targets``.  ``samples`` is built from them when first read.
+    A master run also keeps the distribution it stopped
     at, the state behind the last sample, as ``final_distribution``.
     ``phases`` holds the wall seconds of the run's phases, named after the
     layer each times: in master mode the providers (``rates.providers``),
@@ -95,7 +103,15 @@ class TimeSeries:
     columns built, the jumps made and the most jumps one trajectory made.
     """
 
-    samples: list[Sample] = field(default_factory=list)
+    cycle: np.ndarray
+    pulse: np.ndarray
+    t: np.ndarray
+    p_target: np.ndarray
+    mean_nx: np.ndarray
+    mean_ny: np.ndarray
+    mean_n: np.ndarray
+    leak: np.ndarray
+    extra: np.ndarray
     target: int | tuple[int, int] | None = None
     mode: str = "master"
     extra_targets: tuple = ()
@@ -105,21 +121,32 @@ class TimeSeries:
     cache: dict = field(default_factory=dict, init=False, repr=False)
     diagnostics: dict = field(default_factory=dict, init=False, repr=False)
 
+    @functools.cached_property
+    def samples(self) -> list[Sample]:
+        return self._samples(slice(None))
+
+    def _samples(self, which) -> list[Sample]:
+        """The samples at ``which``, an index array or slice of the columns."""
+        columns = [getattr(self, name)[which].tolist() for name in _COLUMNS]
+        return [Sample(cycle, pulse, t, ObsSnapshot(*obs, tuple(extra)))
+                for cycle, pulse, t, *obs, extra in zip(*columns, self.extra[which].tolist())]
+
     def cycle_samples(self) -> list[Sample]:
         """Initial sample plus the end-of-cycle boundary samples."""
-        last_pulse = max((s.pulse for s in self.samples), default=0)
-        return [s for s in self.samples if s.pulse in (0, last_pulse)]
+        return self._samples(self.cycle_ends())
+
+    def cycle_ends(self) -> np.ndarray:
+        """Where ``cycle_samples`` are: pulse 0 and the cycle's last pulse."""
+        return (self.pulse == 0) | (self.pulse == self.pulse.max(initial=0))
 
     def final(self) -> Sample:
-        return self.samples[-1]
+        return self._samples(slice(-1, None))[0]
 
     def to_csv(self, path) -> None:
-        from .rates import format_float as ff
+        row = "%d,%d" + f",{rates.FLOAT_FIELD}" * (len(_COLUMNS) - 2)
         lines = ["cycle,pulse,t_tau0,p_target,mean_nx,mean_ny,mean_n,leak"]
-        for s in self.samples:
-            o = s.obs
-            lines.append(f"{s.cycle},{s.pulse},{ff(s.t)},{ff(o.p_target)},"
-                         f"{ff(o.mean_nx)},{ff(o.mean_ny)},{ff(o.mean_n)},{ff(o.leak)}")
+        lines += [row % values
+                  for values in zip(*(getattr(self, name).tolist() for name in _COLUMNS))]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -245,15 +272,10 @@ def _obs_rows(shape: tuple[int, ...], target, extra_targets=()):
     return rows, [3 + distinct.index(f) for f in flat[1:]]
 
 
-def _snapshot(values, leak: float, extra_rows=()) -> ObsSnapshot:
-    """The snapshot of one row-product vector of ``_obs_rows``."""
-    return ObsSnapshot(values[3], values[1], values[2], values[1] + values[2], leak,
-                       tuple(values[i] for i in extra_rows))
-
-
 def observables(dist: Distribution, target) -> ObsSnapshot:
     """Target occupation, per-axis and total mean level, and leak."""
-    return _snapshot((_obs_rows(dist.shape, target)[0] @ dist.probs).tolist(), dist.leak)
+    _, mean_nx, mean_ny, p_target = (_obs_rows(dist.shape, target)[0] @ dist.probs).tolist()
+    return ObsSnapshot(p_target, mean_nx, mean_ny, mean_nx + mean_ny, dist.leak)
 
 
 def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> Distribution:
@@ -272,10 +294,12 @@ def propagate_pulse(dist: Distribution, rates: RateMatrix, duration: float) -> D
         return dist.copy()
     new = rates.propagator(duration) @ dist.probs
     lost = float(dist.probs.sum() - new.sum())
-    if np.any(new < -1e-12):
+    low, clipped = new.min(), 0.0
+    if low < -1e-12:
         raise DomainError("propagation produced significantly negative occupation")
-    clipped = -float(np.minimum(new, 0.0).sum())
-    np.maximum(new, 0.0, out=new)
+    if low < 0.0:
+        clipped = -float(np.minimum(new, 0.0).sum())
+        np.maximum(new, 0.0, out=new)
     return Distribution(new, dist.leak + max(lost, 0.0), dist.shape,
                         dist.clipped + clipped)
 
@@ -365,24 +389,26 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     which builds each generator when it needs it, from the providers built
     first (``rates._providers``), whose recoil tables are freed once they
     all exist.  A start over another trap's levels, or a basis over the
-    dense-matrix budget, is refused before any of them.
-    The leak is chained pulse by pulse, leak_j = leak_{j-1} +
-    max(m_{j-1} - m_j, 0) with m the mass row (read after clipping at a
-    cycle's end), so it never decreases; t accumulates pulse by pulse.  The
-    grid state is recovered once, at the end.  An empty protocol or zero
-    cycles records the initial sample only and builds no provider or generator.
+    dense-matrix budget, is refused before any of them.  Each cycle is one
+    ``propagate_pulse`` and one product of the rows stacked on the map's
+    ``inner`` rows with the state, one row of a table that holds every
+    sample's row values in order.  From them, once the run ends, the leak
+    is chained pulse by pulse, leak_j = leak_{j-1} + max(m_{j-1} - m_j, 0)
+    with m the mass row (read after clipping at a cycle's end), so it never
+    decreases, and t accumulates pulse by pulse.  The grid state is
+    recovered once, at the end.  An empty protocol or zero cycles records
+    the initial sample only and builds no provider or generator.
     """
     target = protocol.target_in(trap.dims)
-    series = TimeSeries(target=target, mode=mode, extra_targets=tuple(extra_targets))
+    labels = {"target": target, "mode": mode, "extra_targets": tuple(extra_targets)}
     if mode == "mc":
         ens = mc_ensemble(trajectories, protocol, trap, seed, init=init,
                           rate_mode=rate_mode, extra_targets=extra_targets)
-        records = zip(ens.cycles.tolist(), ens.times.tolist(), ens.p_target.tolist(),
-                      ens.mean_nx.tolist(), ens.mean_ny.tolist(), ens.mean_n.tolist(),
-                      ens.leak_frac.tolist(), ens.extra.T.tolist())
-        for cycle, t, *obs, extra in records:
-            series.samples.append(Sample(cycle, min(cycle, 1) * len(protocol.pulses), t,
-                                         ObsSnapshot(*obs, tuple(extra))))
+        series = TimeSeries(**labels, cycle=ens.cycles,
+                            pulse=np.minimum(ens.cycles, 1) * len(protocol.pulses),
+                            t=ens.times, p_target=ens.p_target, mean_nx=ens.mean_nx,
+                            mean_ny=ens.mean_ny, mean_n=ens.mean_n, leak=ens.leak_frac,
+                            extra=ens.extra.T)
         series.phases, series.peak_rss_mb, series.cache = ens.phases, ens.peak_rss_mb, ens.cache
         series.diagnostics = {"basis": ens.basis, "states": ens.states,
                               "columns_built": ens.columns_built,
@@ -398,43 +424,54 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
     rates._check_matrix_budget(basis.size)
     t0 = time.perf_counter()
     state = Distribution(basis.lump(init.probs), init.leak, (basis.size,), init.clipped)
-    values = (rows @ state.probs).tolist()
-    t, leak = 0.0, state.leak
-    series.samples.append(Sample(0, 0, t, _snapshot(values, leak, extra_rows)))
-    cycles = protocol.cycles if protocol.pulses else 0
+    pulses = len(protocol.pulses)
+    cycles = protocol.cycles if pulses else 0
     marks = _PeakMarks(["rates.providers", "rates.rate_matrix", "rates.markov_expm",
                         "dynamics.propagate"])
     start = time.perf_counter()
-    providers, series.cache = rates._providers(protocol, trap, rate_mode)
+    providers, cache = rates._providers(protocol, trap, rate_mode)
     phases = {"rates.providers": time.perf_counter() - start,
               "rates.rate_matrix": 0.0, "rates.markov_expm": 0.0}
     marks.mark("rates.providers")
+    readout = rows
     if cycles:
         cycle_map = _CycleMap((rate_matrix(trap, pulse, rate_mode, basis.kind, provider=provider)
                                for pulse, provider in zip(protocol.pulses, providers)),
                               protocol.pulses, rows, marks)
         del providers
         phases.update(cycle_map.phases)
-    for cycle in range(1, cycles + 1):
-        start = values
-        inner = (cycle_map.inner @ state.probs).reshape(-1, len(rows)).tolist()
+        readout = np.concatenate([rows, cycle_map.inner])
+    # row c: the row values at the end of cycle c, then after each pulse but
+    # the last of cycle c + 1, so in order the table's rows of values are
+    # the samples; grown by doubling, so a run that stops early holds no
+    # table sized to its cycle budget
+    table = np.empty((min(cycles, 1023) + 1, len(readout)))
+    np.matmul(readout, state.probs, out=table[0])
+    done = 0
+    for done in range(1, cycles + 1):
+        if done == len(table):
+            table = np.concatenate([table, np.empty_like(table)])
         state = propagate_pulse(state, cycle_map, cycle_map.duration)
-        values = (rows @ state.probs).tolist()
-        mass = start[0]
-        for j, (pulse, vals) in enumerate(zip(protocol.pulses, [*inner, values]), start=1):
-            leak += max(mass - vals[0], 0.0)
-            mass = vals[0]
-            t += pulse.duration
-            series.samples.append(Sample(cycle, j, t, _snapshot(vals, leak, extra_rows)))
-        state.leak = leak
-        if stop_tol and abs(values[3] - start[3]) < stop_tol:
+        np.matmul(readout, state.probs, out=table[done])
+        if stop_tol and abs(table[done, 3] - table[done - 1, 3]) < stop_tol:
             break
-    series.final_distribution = Distribution(basis.unlump(state.probs), state.leak,
+    values = table.reshape(-1, len(rows))[:1 + done * pulses]
+    mass = values[:, 0]
+    # cumsum adds in order: bitwise the sums chained pulse by pulse
+    leak = np.cumsum(np.r_[init.leak, np.maximum(mass[:-1] - mass[1:], 0.0)])
+    durations = [pulse.duration for pulse in protocol.pulses]
+    series = TimeSeries(**labels, cycle=np.r_[0, np.repeat(np.arange(1, done + 1), pulses)],
+                        pulse=np.r_[0, np.tile(np.arange(1, pulses + 1), done)],
+                        t=np.cumsum(np.r_[0.0, durations * done]), p_target=values[:, 3],
+                        mean_nx=values[:, 1], mean_ny=values[:, 2],
+                        mean_n=values[:, 1] + values[:, 2], leak=leak,
+                        extra=values[:, extra_rows])
+    series.final_distribution = Distribution(basis.unlump(state.probs), float(leak[-1]),
                                              trap.shape, state.clipped)
     series.phases = {**phases,
                      "dynamics.propagate": time.perf_counter() - t0 - sum(phases.values())}
     marks.mark("dynamics.propagate")
-    series.peak_rss_mb = marks.peaks
+    series.peak_rss_mb, series.cache = marks.peaks, cache
     series.diagnostics = {"basis": basis.kind, "states": basis.size,
                           "clipped_mass": state.clipped}
     return series

@@ -794,10 +794,12 @@ class _Resonant:
         return abs(complex(pulse.amplitude_ratio)) == 1.0
 
     def column(self, *level) -> np.ndarray:
+        """The column of ``level``; in 1D, given an array of levels, their
+        columns side by side, in one broadcast."""
         s = self.s
         # every scale is zero where m + s < 0, so its slice there is immaterial
         if len(level) == 1:
-            return self.closures[level[0]] * self.kernel[:, max(level[0] + s, 0)]
+            return self.closures[level[0]] * self.kernel[:, np.maximum(level[0] + s, 0)]
         mx, my = level
         _, a, b = self.kernel
         if s == 0:
@@ -1035,11 +1037,17 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
     provider, rows lumped, exits less the in-class move; a basis over
     ``MATRIX_MEMORY_BUDGET`` is refused.  ``provider`` is the pulse's column
     provider if it exists already (``_providers``), else one is built on
-    tables of its own.  Nothing caches the result."""
+    tables of its own.  A 1D resonant provider gives every column in one
+    broadcast; a 2D column is one GEMM, which a block of columns would not
+    reproduce bitwise (``ColumnSampler`` serves the same columns).  Nothing
+    caches the result."""
     states = StateBasis(trap, basis)
     _check_matrix_budget(states.size)
     if provider is None:
         provider = _provider(AngularTables(trap), pulse, mode)
+    exits = provider.exits[tuple(states.levels.T)]
+    if trap.dims == 1 and isinstance(provider, _Resonant):  # bitwise the loop's columns
+        return _assemble(provider.column(np.arange(states.size)), np.maximum(exits, 0.0), mode)
     lumped = np.empty((states.size, states.size))  # row j: column j, written whole
     # each column's entry at its level's swap image: in the swap basis, the in-class move
     swapped = np.ravel_multi_index(states.levels[:, ::-1].T, trap.shape)
@@ -1048,7 +1056,6 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
         col = provider.column(*level).reshape(-1)
         moves[j] = col[swapped[j]]
         lumped[j] = states.lump(col)
-    exits = provider.exits[tuple(states.levels.T)]
     if basis == "swap":
         a, b = states.levels.T
         exits -= np.maximum(moves, 0.0) * (a != b)
@@ -1122,6 +1129,11 @@ class _CacheBudget:
         self.left -= nbytes
 
 
+# round-trip decimal formatting of every CSV/CLI emitter, as a printf field,
+# so a writer formats each row with one ``%``
+FLOAT_FIELD = "%.17g"
+
+
 def format_float(x: float) -> str:
-    """Round-trip decimal formatting used by every CSV/CLI emitter."""
-    return format(float(x), ".17g")
+    """One value in ``FLOAT_FIELD``."""
+    return FLOAT_FIELD % float(x)

@@ -11,7 +11,6 @@ reference for the cycle-at-a-time stepping of ``run_protocol``.
 grid index of a level, and a point start on one level.
 """
 
-import dataclasses
 import math
 
 import mpmath as mp
@@ -230,20 +229,20 @@ def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
     mats = [rates.rate_matrix(trap, pulse, rate_mode, basis.kind,
                               provider=rates._provider(tables, pulse, rate_mode))
             for pulse in protocol.pulses]
-    series = dynamics.TimeSeries(target=target, extra_targets=tuple(extra_targets))
     state = dynamics.Distribution(basis.lump(init.probs), init.leak, (basis.size,),
                                   init.clipped)
     dist = init.copy()
     t = 0.0
+    records, extras = [], []  # a row of the series' columns, and its extra row, per sample
 
     def record(cycle, pulse):
         obs = dynamics.observables(dist, target)
-        extra = tuple(float(dist.probs[flat_level(tg, trap)]) for tg in extra_targets)
-        series.samples.append(dynamics.Sample(cycle, pulse, t,
-                                              dataclasses.replace(obs, extra=extra)))
+        records.append((cycle, pulse, t, obs.p_target, obs.mean_nx, obs.mean_ny,
+                        obs.mean_n, obs.leak))
+        extras.append([float(dist.probs[flat_level(tg, trap)]) for tg in extra_targets])
 
     record(0, 0)
-    prev_p = series.samples[0].obs.p_target
+    prev_p = records[0][3]
     for cycle in range(1, protocol.cycles + 1):
         for j, (pulse, mat) in enumerate(zip(protocol.pulses, mats), start=1):
             state = dynamics.propagate_pulse(state, mat, pulse.duration)
@@ -251,10 +250,13 @@ def per_pulse_run(init, protocol, trap, *, rate_mode="resonant", stop_tol=1e-6,
                                          trap.shape, state.clipped)
             t += pulse.duration
             record(cycle, j)
-        p_now = series.samples[-1].obs.p_target
+        p_now = records[-1][3]
         if stop_tol and abs(p_now - prev_p) < stop_tol:
             break
         prev_p = p_now
+    columns = dict(zip(dynamics._COLUMNS, map(np.array, zip(*records))))
+    series = dynamics.TimeSeries(target=target, extra_targets=tuple(extra_targets), **columns,
+                                 extra=np.array(extras).reshape(len(records), -1))
     series.final_distribution = dist
     series.diagnostics = {"basis": basis.kind, "clipped_mass": state.clipped}
     return series

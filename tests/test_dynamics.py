@@ -209,6 +209,14 @@ class TestRunProtocol:
                               stop_tol=1e-6)
         assert series.samples[-1].cycle < 500
 
+    def test_early_stop_holds_no_budget_sized_table(self):
+        # a table of 10^12 cycles would fail to allocate
+        trap = trap_1d(eta=1e-3, n_max=10)
+        proto = Protocol((Pulse(s=-1, duration=1.0),), cycles=10 ** 12, target=0)
+        series = run_protocol(level_distribution(2, trap), proto, trap,
+                              stop_tol=1e-6)
+        assert series.final().cycle < 500
+
     def test_extra_targets_recorded(self):
         trap = trap_1d(n_max=20)
         proto = Protocol((Pulse(s=0, duration=1.0),), cycles=3, target=0)
@@ -1245,6 +1253,82 @@ class TestCycleStepping:
         assert dense == []
         assert ens.jump_counts.sum() > 0 and set(ens.phases) == {"rates.column_sampler",
                                                                  "dynamics.mc"}
+
+
+def _csv_by_samples(series):
+    """The time series as written one sample at a time, each value in
+    ``format(x, ".17g")``."""
+    lines = ["cycle,pulse,t_tau0,p_target,mean_nx,mean_ny,mean_n,leak"]
+    for s in series.samples:
+        o = s.obs
+        values = (s.t, o.p_target, o.mean_nx, o.mean_ny, o.mean_n, o.leak)
+        lines.append(",".join([str(s.cycle), str(s.pulse),
+                               *(format(x, ".17g") for x in values)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestTimeSeriesColumns:
+    """A run's values are held as columns; ``samples`` is read from them."""
+
+    @pytest.mark.parametrize("case", ["extra_targets", "early_stop", "one_pulse", "mc"])
+    def test_csv_bytes_equal_the_per_sample_writer(self, case, tmp_path):
+        kwargs = {"stop_tol": 0.0}
+        if case == "extra_targets":
+            (init, proto, trap), kwargs["extra_targets"] = _fig2_run(10), (1, 2, 7)
+        elif case == "early_stop":
+            (init, proto, trap), kwargs["stop_tol"] = _fig2_run(40), 4e-3
+        elif case == "one_pulse":
+            trap = trap_1d(n_max=20)
+            proto = Protocol((Pulse(s=-1, duration=0.3),), 7, target=0)
+            init = level_distribution(3, trap)
+        else:
+            init, proto, trap = preset_run("fig5_A_minus", n_max=6, cycles=5)
+            kwargs = {"mode": "mc", "trajectories": 200, "extra_targets": ((0, 1),)}
+        series = run_protocol(init, proto, trap, **kwargs)
+        if case == "early_stop":
+            assert series.final().cycle == 14
+        path = tmp_path / "ts.csv"
+        series.to_csv(path)
+        assert path.read_bytes() == _csv_by_samples(series)
+
+    def test_samples_built_on_first_read(self, tmp_path):
+        init, proto, trap = _fig2_run(5)
+        series = run_protocol(init, proto, trap, stop_tol=0.0, extra_targets=(3,))
+        series.to_csv(tmp_path / "ts.csv")
+        final, ends = series.final(), series.cycle_samples()
+        assert "samples" not in vars(series)
+        samples = series.samples
+        assert series.samples is samples
+        assert final == samples[-1]
+        assert ends == [s for s in samples if s.pulse in (0, len(proto.pulses))]
+        assert [s.obs.extra for s in samples] == [(x,) for x in series.extra[:, 0].tolist()]
+
+    def test_oracle_samples_rebuilt_from_columns(self, monkeypatch):
+        # per_pulse_run records into columns; the samples read back from
+        # them are the snapshots it took, value for value and type for type
+        init, proto, trap = preset_run("fig5_A_minus", n_max=6, cycles=4)
+        extra = ((0, 1), (2, 3))
+        seen, observe = [], dynamics.observables
+
+        def spy(dist, target):
+            obs = observe(dist, target)
+            seen.append(dataclasses.replace(
+                obs, extra=tuple(float(dist.grid()[level]) for level in extra)))
+            return obs
+
+        monkeypatch.setattr(dynamics, "observables", spy)
+        samples = per_pulse_run(init, proto, trap, stop_tol=0.0, extra_targets=extra).samples
+        assert [s.obs for s in samples] == seen
+        t, times = 0.0, [0.0]
+        for pulse in proto.pulses * 4:
+            t += pulse.duration
+            times.append(t)
+        assert [s.t for s in samples] == times
+        assert [(s.cycle, s.pulse) for s in samples] == [(0, 0)] + [
+            (c, j) for c in range(1, 5) for j in range(1, len(proto.pulses) + 1)]
+        assert all(type(s.cycle) is type(s.pulse) is int for s in samples)
+        assert all(type(x) is float for s in samples
+                   for x in (s.t, *dataclasses.astuple(s.obs)[:5], *s.obs.extra))
 
 
 class TestLevelArity:

@@ -465,6 +465,20 @@ class TestRateMatrix1d:
         assert np.all(mat.generator[:, 1] == 0.0)
         assert mat.leak[1] == 0.0
 
+    @pytest.mark.parametrize("s", [-10, -1, 0, 3, 8])
+    def test_broadcast_generator_bitwise_the_columns(self, s):
+        # the generator takes every column in one broadcast: bitwise the
+        # provider's columns one level at a time, zero where m + s < 0
+        trap, pulse = trap_1d(n_max=30), Pulse(s=s, duration=1.0)
+        provider = rates._provider(rates.AngularTables(trap), pulse, "resonant")
+        columns = np.stack([provider.column(m) for m in range(trap.n_states)], axis=1)
+        assert np.array_equal(provider.column(np.arange(trap.n_states)), columns)
+        assert not columns[:, :max(-s, 0)].any()
+        want = rates._assemble(columns, provider.exits, "resonant")
+        got = rate_matrix(trap, pulse, provider=provider)
+        for name in ("generator", "leak", "self_rates"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_nonnegative_off_diagonal(self):
         mat = rate_matrix(trap_1d(n_max=30), Pulse(s=-9, duration=1.0))
         off = mat.generator.copy()
