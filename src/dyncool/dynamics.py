@@ -100,7 +100,8 @@ class TimeSeries:
     kernels (``rates._providers``), and ``diagnostics`` the run's counts for
     the manifest: in both modes the state basis stepped and its state
     count, then in master mode the clipped mass, in Monte Carlo mode the
-    columns built, the jumps made and the most jumps one trajectory made.
+    columns (or draw tables) built, the jumps made, the proposals drawn
+    and the most jumps one trajectory made.
     """
 
     cycle: np.ndarray
@@ -165,9 +166,12 @@ class McEnsembleResult:
     binomial.  ``extra`` and ``extra_se`` hold one row per extra target.
     ``jump_counts`` holds each trajectory's jumps, the absorbing jump into
     the leak included, ``columns_built`` one per distinct (sampler, state
-    of the run's basis) a trajectory jumped from, one sampler per provider,
-    ``basis`` and ``states`` the basis's kind and size, and ``cache`` and
-    ``peak_rss_mb`` the run's ``TimeSeries`` blocks of those names.
+    of the run's basis) a trajectory jumped from, one sampler per provider
+    (a draw table in a 2D resonant run, a column otherwise),
+    ``proposals`` the samplers' second-stage draws, rejections included (0
+    where jumps are drawn from columns), ``basis`` and ``states`` the
+    basis's kind and size, and ``cache`` and ``peak_rss_mb`` the run's
+    ``TimeSeries`` blocks of those names.
     """
 
     n_traj: int
@@ -190,6 +194,7 @@ class McEnsembleResult:
     phases: dict[str, float]
     peak_rss_mb: dict[str, float | None]
     columns_built: int
+    proposals: int
     basis: str
     states: int
     cache: dict
@@ -413,6 +418,7 @@ def run_protocol(init: Distribution, protocol: Protocol, trap: TrapConfig,
         series.diagnostics = {"basis": ens.basis, "states": ens.states,
                               "columns_built": ens.columns_built,
                               "jumps": int(ens.jump_counts.sum()),
+                              "proposals": ens.proposals,
                               "jumps_max": int(ens.jump_counts.max())}
         return series
     if mode != "master":
@@ -512,16 +518,21 @@ def _jump_rounds(samplers, durations, level: np.ndarray, moments: np.ndarray,
     exponential E per jump: the jump lands floor((used + E) / hazard[K, m])
     cycles on, in the pulse whose hazard interval holds the remainder
     (pulses that leave m dark are plateaus, where none lands), or never if
-    that is past the run.  Its destination is the right-sided search of
-    u * exit rate in the source's cumulative column (``jump_distribution``,
-    once per jump), past the last state being the leak; on the swap basis
-    it may be the source itself, the in-class move (a, b) -> (b, a).  The
-    trajectory restarts there at hazard[j, dest] + delta exit_j[dest],
-    delta being the time into pulse j.
+    that is past the run.  Its destination comes from one uniform u: the
+    right-sided search of u * exit rate in the source's cumulative rates
+    (``jump_distribution``, once per jump), past the last entry being the
+    leak, which ``ColumnSampler.destinations`` turns into the states of
+    the round's jumps at once: on columns the search is the state, on a
+    2D resonant run's draw tables a cell where the samplers finish the
+    draw as an emission, with their own uniforms.  On the swap basis the
+    destination may be the source itself, the in-class move
+    (a, b) -> (b, a).  The trajectory restarts there at
+    hazard[j, dest] + delta exit_j[dest], delta being the time into pulse j.
 
     Each round draws one exponential per live trajectory whose level has a
     positive cycle hazard, then one uniform per jumper, both in index
-    order, so there are at most (most jumps) + 1 rounds.  A stint on level
+    order, and then the samplers' draws, so there are at most
+    (most jumps) + 1 rounds.  A stint on level
     m from cycle boundary a up to b adds m's column of ``moments`` to row a
     of a difference array and subtracts it from row b.  Returns its
     cumulative sum, the (moments, cycles + 1) sums over the live
@@ -570,9 +581,8 @@ def _jump_rounds(samplers, durations, level: np.ndarray, moments: np.ndarray,
         delta = (rem - hazard[j, source]) / rate
         jumps[idx] += 1
         u = rng.random(idx.size) * rate
-        dest = np.array([samplers[k].jump_distribution(m)[1].searchsorted(x, side="right")
-                         for k, m, x in zip(j.tolist(), source.tolist(), u.tolist())],
-                        dtype=np.int64)
+        tables = [samplers[k].jump_distribution(m)[1] for k, m in zip(j.tolist(), source.tolist())]
+        dest = ColumnSampler.destinations(samplers, j, source, u, tables, rng)
         stint(idx, cycle + 1)
         since[idx], at[idx], level[idx] = cycle + 1, cycle, dest
         live = dest < n_states
@@ -588,7 +598,10 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
 
     Trajectories step the states of the run's basis (``_run_rows``), as a
     master run does: the swap basis's chain is the grid's lumped exactly,
-    and each sampler serves its columns (``rates.ColumnSampler``).  One
+    and each pulse's ``rates.ColumnSampler`` serves its jumps: from
+    columns in 1D and in full mode, and as emissions on the run's one
+    recoil stack in a 2D resonant run (``rates._Draws``), which the
+    samplers hold until this returns, with no kernel or column.  One
     ``np.random.default_rng(seed)`` stream draws the initial states from
     ``basis.lump(init.probs)``, its leak included (a trajectory drawn there
     starts leaked, with no jumps), and then drives ``_jump_rounds`` over
@@ -600,9 +613,11 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     n = n_x + n_y row, and against their squares; the sums are exact in
     floats.  The leak fraction is (n_traj - live) / n_traj.  A negative or
     non-integer seed, and a start over another trap's levels, are refused,
-    and so is a column that would take the samplers' cached columns past
+    and so are a record of the cycle budget over its memory budget
+    (``rates._check_record_budget``, before any provider) and a column or
+    draw table that would take the samplers' cached ones past
     ``rates.MATRIX_MEMORY_BUDGET`` (``ResourceLimitError``, before it is
-    built): the caches keep every column, so none is evicted.
+    built): the caches keep every one, so none is evicted.
     """
     n_traj, seed = rates._integer(n_traj, "n_traj"), rates._integer(seed, "seed")
     if n_traj < 1:
@@ -615,9 +630,10 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
     basis, rows = _run_rows(init, protocol, trap, rate_mode,
                             np.vstack([grid_rows, grid_rows[1] + grid_rows[2]]))
     moments = np.concatenate([rows, rows * rows])
+    rates._check_record_budget(protocol.cycles, len(moments))
     marks = _PeakMarks(["rates.column_sampler", "dynamics.mc"])
     t0 = time.perf_counter()
-    providers, cache = rates._providers(protocol, trap, rate_mode)
+    providers, cache = rates._providers(protocol, trap, rate_mode, basis)
     budget = rates._CacheBudget(f"n_max {trap.n_max}, {n_traj} trajectories")
     wrapped = {provider: ColumnSampler(provider, basis, budget)
                for provider in dict.fromkeys(providers)}
@@ -644,6 +660,7 @@ def mc_ensemble(n_traj: int, protocol: Protocol, trap: TrapConfig, seed: int,
         leak_frac=(n - sums[0]) / n, leak_se=se[0],
         extra=mean[extra_rows], extra_se=se[extra_rows],
         jump_counts=jumps, columns_built=sum(len(s._cache) for s in wrapped.values()),
+        proposals=sum(s.proposals for s in wrapped.values()),
         basis=basis.kind, states=basis.size,
         phases={"rates.column_sampler": t1 - t0, "dynamics.mc": time.perf_counter() - t1},
         peak_rss_mb=marks.peaks,

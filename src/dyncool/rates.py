@@ -29,8 +29,11 @@ keeps no state.
 
 One builder assembles every dense generator from a provider's columns on the
 states of a ``StateBasis``, exit rates Gamma_empty - Gamma_{m<-m} on its diagonal;
-``ColumnSampler`` serves Monte Carlo jumps from the same providers, on the
-same states, and refuses a column that would take a run's cached ones past
+``ColumnSampler`` serves Monte Carlo jumps on the same states from the same
+providers, except in a 2D resonant ensemble, whose pulses draw each jump as
+the photon is emitted (``_Draws``): laser, theta row, node and the two
+levels, on the run's one recoil stack, with no kernel and no column.  It
+refuses a column or draw table that would take a run's cached ones past
 ``MATRIX_MEMORY_BUDGET``.
 """
 
@@ -722,6 +725,16 @@ def _assemble(columns: np.ndarray, exits: np.ndarray, mode: str) -> RateMatrix:
     return RateMatrix(generator, leak, self_rates, mode)
 
 
+def _check_record_budget(cycles: int, rows: int) -> None:
+    """Refuse a Monte Carlo run whose record, (cycles + 1) x ``rows``
+    doubles summed over the trajectories at every cycle boundary, exceeds
+    ``_FULL_STACK_BUDGET``, before it is allocated."""
+    need = 8 * (cycles + 1) * rows
+    if need > AngularTables._FULL_STACK_BUDGET:
+        raise ResourceLimitError(f"the Monte Carlo record of {cycles} cycles would need "
+                                 f"{need / 2**20:.0f} MiB; lower the cycle count")
+
+
 def _check_matrix_budget(side: int) -> None:
     need = side * side * 8
     if need > MATRIX_MEMORY_BUDGET:
@@ -933,6 +946,232 @@ class _Full:
         return complex(pulse.amplitude_ratio) in (1.0, -1.0)
 
 
+class _Emission:
+    """The run's one signed 2D recoil stack, as emission draws read it.
+
+    ``stack`` is ``AngularTables.stack`` to the run's deepest kernel level
+    on the folded sphere rule (weights ``w``, ``mirror``, ``row`` nodes per
+    theta row, which ``mirror`` reverses); the y axis's rows are the x
+    stack's at ``mirror``.  Node sums read it through node rows, one per
+    level: ``mass[l, k]`` is sum_{n <= n_max} S_k[n, l]^2, the in-basis
+    mass of level l's emission row at node k, whose shortfall below 1 is
+    the truncation leak (sum_n |<n|D|l>|^2 = 1 over all n).
+    """
+
+    def __init__(self, tables: AngularTables, l_max: int):
+        self.w, _, self.mirror, self.row = tables.rule(l_max)
+        self.stack = stack = tables.stack(l_max)
+        self.mass = np.einsum("knl,knl->lk", stack, stack)
+
+    def row_sums(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """sum_k w_k x[i, k] y[j, k~] over each theta row r's nodes k, k~ the
+        mirror of k, for node rows x and y of the x stack, as (i, j, r): one
+        batched GEMM of row-sized products.  (One GEMM over all nodes took
+        30 ms at fig5's 41 x 1056 x 41 where OpenBLAS ran it on two threads
+        of a 2-core VM, and 0.1 ms on one.)"""
+        shape = (-1, len(self.w) // self.row, self.row)
+        return np.matmul((x * self.w).reshape(shape).transpose(1, 0, 2),
+                         y[:, self.mirror].reshape(shape).transpose(1, 2, 0)).transpose(1, 2, 0)
+
+
+class _Draws:
+    """A 2D resonant pulse's Monte Carlo jumps, drawn the way the photon is
+    emitted, on the run's ``_Emission``: no column, no kernel.
+
+    Laser x (weight f_x^2; at s = 0 the empty rate, the one laser term)
+    takes level (m_x, m_y) to (m_x + s, m_y), laser y (|A|^2 f_y^2) to
+    (m_x, m_y + s); the photon's folded node k is drawn with weight w_k
+    times the in-basis mass of that pair's rows, then n_x and n_y from the
+    x row S_k[:, l_x]^2 and the y row, read at the node's mirror.  The
+    source level is left out of that product.  An even s != 0 with
+    Re(A) != 0 adds the cross term 2 Re(A) a b of the two amplitudes
+    a = f_x Sx[n_x, m_x + s] Sy[n_y, m_y] and b = f_y Sx[n_x, m_x]
+    Sy[n_y, m_y + s] (``cross``): the pair of lasers is then proposed at
+    its direct weight and accepted with probability
+    |a + A b|^2 / (2 (a^2 + |A|^2 b^2)) <= 1.
+
+    ``exits``, ``leaks`` and ``self_rates`` hold every level's exit rate
+    (Gamma_empty - Gamma_{m<-m}), truncation leak and self term as node
+    sums on the stack.  ``cells[j]`` holds the proposal mass per laser and
+    theta row of state j of the run's ``basis`` (its representative level),
+    summed in that order; ``table(j)`` scales it to the in-basis rate
+    exit - leak and appends the leak's cell, so a draw u * exit past the
+    last row is the leak.  One batched GEMM per term builds the cells of
+    every level: 2 x (theta rows) doubles per state, 3.5 MB over fig5's
+    eight pulses on its 861 level pairs at n_max 40.
+    """
+
+    def __init__(self, emission: _Emission, tables: AngularTables, pulse: Pulse,
+                 basis: StateBasis):
+        self.trap, self.emission, self.basis, e = tables.trap, emission, basis, emission
+        self.s = s = pulse.s_int
+        a = complex(pulse.amplitude_ratio)
+        m = np.arange(self.trap.n_max + 1)
+        up, reached = np.maximum(m + s, 0), m + s >= 0
+        self.f = f = _reduced_absorption(tables, s, m)
+        self.closures = _grid_empty_rates(self.trap.shape, f * f, f * (s == 0), a)
+        self.a2, self.ar = abs(a) ** 2, 2.0 * a.real
+        self.cross = s != 0 and s % 2 == 0 and a.real != 0.0
+        # each laser's weight at every level; at s = 0 one term, the empty rate
+        f2 = np.broadcast_to(f * f, (len(m), len(m)))
+        lasers = [self.closures] if s == 0 else [f2.T, self.a2 * f2]
+        hit = e.stack[:, m, up].T * reached[:, None]  # S_k[m, m+s]
+        hit2, diag = np.square(hit), np.square(e.stack[:, m, m]).T
+        # per laser: the in-basis rows (x, y) and the source's own entries
+        terms = [(e.mass[up], e.mass[m], hit2, diag), (e.mass[m], e.mass[up], diag, hit2)]
+        mx, my = basis.levels.T
+        cells = np.zeros((basis.size, 2, len(e.w) // e.row))
+        self_rates = inside = 0.0
+        for laser, (x, y, x_own, y_own) in enumerate(terms[:len(lasers)]):
+            total, own = e.row_sums(x, y), e.row_sums(x_own, y_own)
+            self_rates = self_rates + lasers[laser] * own.sum(axis=2)
+            inside = inside + lasers[laser] * total.sum(axis=2)
+            np.multiply(np.maximum(total[mx, my] - own[mx, my], 0.0),
+                        lasers[laser][mx, my, None], out=cells[:, laser])
+        if self.cross:
+            # in-basis overlaps sum_n S[n, m+s] S[n, m], and the self terms
+            lo = min(-s, len(m)) if s < 0 else 0
+            over = np.zeros_like(hit)
+            over[lo:] = np.einsum("knm,knm->mk", e.stack[:, :, lo + s:len(m) + s],
+                                  e.stack[:, :, lo:len(m)])
+            own = hit * e.stack[:, m, m].T  # signed
+            scale = self.ar * np.outer(f, f)
+            self_rates = self_rates + scale * e.row_sums(own, own).sum(axis=2)
+            inside = inside + scale * e.row_sums(over, over).sum(axis=2)
+        self.self_rates = self_rates
+        self.exits = np.maximum(self.closures - self_rates, 0.0)
+        self.leaks = np.maximum(self.exits - (inside - self_rates), 0.0)
+        self.cells = np.cumsum(cells.reshape(basis.size, -1), axis=1)
+        total, self.leak_cells = self.cells[:, -1], self.leaks[mx, my]
+        self.scale = np.divide(self.exits[mx, my] - self.leak_cells, total,
+                               out=np.zeros_like(total), where=total > 0.0)
+
+    def table(self, state: int) -> np.ndarray:
+        """The draw table of ``state``: 2 x (theta rows) + 1 doubles."""
+        out = np.empty(self.cells.shape[1] + 1)
+        np.multiply(self.cells[state], self.scale[state], out=out[:-1])
+        out[-1] = out[-2] + self.leak_cells[state]
+        return out
+
+
+def _emit(samplers, which: np.ndarray, index: np.ndarray, cells: np.ndarray,
+          tables: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The destinations of one round's jumps on ``_Draws`` samplers: the
+    jump of sampler ``which[i]`` from state ``index[i]`` landed in cell
+    ``cells[i]`` of its draw table ``tables[i]`` (past the last row: the
+    leak, state ``size``).  The rest of each draw is vectorised across the
+    jumpers and their pulses, ``_DRAW_CHUNK`` jumpers at a time, with the
+    samplers' own uniforms, four per proposal (``_PulseArrays.propose``).
+    A jumper whose proposal is rejected proposes again from a new row of
+    its table's in-basis part, one uniform each, in batches: while T
+    jumpers wait, each draws max(2, 32 // T) proposals in a row, uniforms
+    jumper by jumper, and keeps the first accepted one, which is
+    sequential rejection sampling in fewer passes.  The drawn level is
+    mapped to its state of the basis (its class on the swap basis, the
+    in-class move included).  Each sampler counts its proposals up to
+    each acceptance."""
+    basis, pulses = samplers[0]._basis, _PulseArrays([s._provider for s in samplers])
+    n1, rows = pulses.n1, pulses.rows
+    dest = np.full(cells.size, basis.size, dtype=np.int64)
+    inside = np.flatnonzero(cells < 2 * rows)
+    proposals = np.zeros(len(samplers), dtype=np.int64)
+    for lo in range(0, inside.size, _DRAW_CHUNK):
+        go = inside[lo:lo + _DRAW_CHUNK]
+        mx, my = basis.levels[index[go]].T
+        todo, batch, cell = np.arange(go.size), 1, cells[go]
+        while todo.size:
+            # candidates, ``batch`` per waiting jumper, jumper-major
+            at = np.repeat(todo, batch)
+            if cell is None:  # a retry: new rows
+                cell = _pick(tables[go[at], :2 * rows], rng.random(at.size))
+            nx, ny, accept = pulses.propose(which[go[at]], mx[at], my[at], cell, rng)
+            accept = accept.reshape(-1, batch)
+            first, done = accept.argmax(axis=1), accept.any(axis=1)
+            proposals += np.bincount(which[go[todo]], np.where(done, first + 1, batch),
+                                     minlength=len(samplers)).astype(np.int64)
+            pick = np.flatnonzero(done) * batch + first[done]
+            dest[go[todo[done]]] = basis.class_of[nx[pick] * n1 + ny[pick]]
+            todo, cell = todo[~done], None
+            batch = max(2, 32 // max(todo.size, 1))
+    for sampler, count in zip(samplers, proposals.tolist()):
+        sampler.proposals += count
+    return dest
+
+
+class _PulseArrays:
+    """The ``_Draws`` of one run's pulses as arrays indexed by pulse, on
+    their one ``_Emission``, for proposals vectorised across pulses."""
+
+    def __init__(self, provs):
+        self.e = e = provs[0].emission
+        k1, self.n1, self.l1 = e.stack.shape
+        self.rows = k1 // e.row
+        # the stack by theta row: ``mirror`` reverses each row
+        self.by_row = e.stack.reshape(self.rows, e.row, self.n1, self.l1)
+        self.w = e.w.reshape(self.rows, e.row)
+        self.mass = e.mass.reshape(-1, self.rows, e.row)
+        self.s, self.f = np.array([p.s for p in provs]), np.array([p.f for p in provs])
+        self.a2, self.ar = np.array([p.a2 for p in provs]), np.array([p.ar for p in provs])
+        self.cross = np.array([p.cross for p in provs])
+
+    def squared_rows(self, node: np.ndarray, level: np.ndarray) -> np.ndarray:
+        """S_k[:, l]^2 over n <= n_max at each (node k, level l): the stack
+        is symmetric in (n, l) up to n_max, bitwise (``fc.reduced_stack``
+        writes both triangles from one value), so a row of a level up to
+        n_max is read as the contiguous S_k[l, :n_max + 1]."""
+        out = self.e.stack[node, np.minimum(level, self.n1 - 1), :self.n1]
+        deep = level >= self.n1
+        if deep.any():
+            out[deep] = self.e.stack[node[deep], :, level[deep]]
+        return np.square(out, out=out)
+
+    def propose(self, k, mx, my, cell, rng):
+        """One proposal per entry, of pulse k from level (mx, my) in row cell
+        ``cell`` of its table, with four uniforms each: the node within the
+        row, n_x and n_y (each the right-sided search of its weights'
+        running sum, the source level left out of the product of the two
+        rows), and, where the pulse has a cross term, its acceptance.
+        Returns (n_x, n_y, accepted)."""
+        e, at, s = self.e, np.arange(k.size), self.s[k]
+        u = rng.random((k.size, 4))
+        row, laser_y = cell % self.rows, cell >= self.rows
+        lx, ly = mx + s * ~laser_y, my + s * laser_y
+        own = self.by_row[row, :, mx, lx] * self.by_row[row, :, my, ly][:, ::-1]
+        weights = self.w[row] * (self.mass[lx, row] * self.mass[ly, row][:, ::-1] - own * own)
+        node = row * e.row + _pick(np.cumsum(np.maximum(weights, 0.0), axis=1), u[:, 0])
+        y_node = e.mirror[node]
+        x_row, y_row = np.split(self.squared_rows(np.r_[node, y_node], np.r_[lx, ly]), 2)
+        y_in = e.mass[ly, y_node]
+        x_weights = x_row * y_in[:, None]
+        x_weights[at, mx] = x_row[at, mx] * np.maximum(y_in - y_row[at, my], 0.0)
+        nx = _pick(np.cumsum(x_weights, axis=1), u[:, 1])
+        y_row[at[nx == mx], my[nx == mx]] = 0.0
+        ny = _pick(np.cumsum(y_row, axis=1), u[:, 2])
+        accept = ~self.cross[k]
+        if not accept.all():
+            c = ~accept
+            kc, xc, yc, sc, kx, ky = k[c], mx[c], my[c], s[c], node[c], y_node[c]
+            a = (self.f[kc, xc] * e.stack[kx, nx[c], np.maximum(xc + sc, 0)]
+                 * e.stack[ky, ny[c], yc])
+            b = (self.f[kc, yc] * e.stack[kx, nx[c], xc]
+                 * e.stack[ky, ny[c], np.maximum(yc + sc, 0)])
+            direct = a * a + self.a2[kc] * b * b
+            accept[c] = 2.0 * direct * u[c, 3] < direct + self.ar[kc] * a * b
+        return nx, ny, accept
+
+
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of running sums ``cum``, the right-sided search of u times
+    the row's total: an index drawn with probability proportional to its
+    weight, never one of weight 0."""
+    return np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), cum.shape[1] - 1)
+
+
+# jumpers whose draws ``_emit`` finishes at a time: its (jumpers x levels)
+# arrays stay near 1.3 MB at n_max 40, 5 MB at 160
+_DRAW_CHUNK = 4096
+
+
 def _provider_class(mode: str) -> type[_Resonant] | type[_Full]:
     try:
         return {"resonant": _Resonant, "full": _Full}[mode]
@@ -946,14 +1185,19 @@ def _provider(tables: AngularTables, pulse: Pulse, mode: str) -> _Resonant | _Fu
     return _provider_class(mode)(tables, pulse)
 
 
-def _providers(protocol, trap: TrapConfig, mode: str):
+def _providers(protocol, trap: TrapConfig, mode: str, mc_basis: StateBasis | None = None):
     """The rate-``mode`` column provider of every pulse of ``protocol`` (none
     if it runs no cycle), one per distinct s and A even where rates
     coincide, all from one ``AngularTables(trap)``, and the run's ``cache``
     block, its kernel builds and hits.  Resonant pulses read bands built
     once, to the deepest |s| that reaches a level (s >= -n_max).  The
     providers keep the kernels (full mode: the block) they read, not the
-    tables, which are freed on return, before any generator or column."""
+    tables, which are freed on return, before any generator or column.
+
+    A 2D resonant Monte Carlo run, which gives the basis it steps as
+    ``mc_basis``, gets ``_Draws`` on that basis in their place, all on one
+    ``_Emission`` of the stack to the deepest kernel level, which they
+    keep: it builds no kernel."""
     _provider_class(mode)  # an unknown mode is refused before anything is built
     tables = AngularTables(trap)
     pulses = protocol.pulses if protocol.cycles else ()
@@ -961,11 +1205,15 @@ def _providers(protocol, trap: TrapConfig, mode: str):
                if mode == "resonant" and pulse.s_int >= -trap.n_max]
     if reached:  # one build of the bands every pulse reads; no entry depends on their size
         tables.bands(max(reached), trap.n_max + 1)
+    emission = None
+    if pulses and mc_basis is not None and mode == "resonant" and trap.dims == 2:
+        emission = _Emission(tables, max(_Resonant.kernel_level(trap, p) for p in pulses))
     shared, providers = {}, []
     for pulse in pulses:
         key = pulse.s, complex(pulse.amplitude_ratio)
         if key not in shared:
-            shared[key] = _provider(tables, pulse, mode)
+            shared[key] = (_provider(tables, pulse, mode) if emission is None
+                           else _Draws(emission, tables, pulse, mc_basis))
         providers.append(shared[key])
     return providers, {"emission_kernel": tables.kernel_counts}
 
@@ -1019,13 +1267,18 @@ def _run_basis(pulses, trap: TrapConfig, mode: str, symmetric: bool = True) -> S
     return StateBasis(trap, "swap" if lumped else "full")
 
 
-def check_budgets(protocol, trap: TrapConfig, run_mode: str = "master") -> None:
+def check_budgets(protocol, trap: TrapConfig, run_mode: str = "master",
+                  extra_targets=()) -> None:
     """Refuse a resonant run over its memory budgets from the trap alone,
     before any rate or table is built: in master mode its dense generators,
     on the basis of a swap-symmetric (say thermal) start (``_run_basis``),
-    and the emission kernel of its deepest pulse (``kernel_level``)."""
+    in Monte Carlo mode its record (``_check_record_budget``, with every
+    extra target counted as distinct), and the emission kernel, or in 2D
+    the stack, of its deepest pulse (``kernel_level``)."""
     if run_mode == "master":
         _check_matrix_budget(_run_basis(protocol.pulses, trap, "resonant").size)
+    else:
+        _check_record_budget(protocol.cycles, 2 * (5 + len(extra_targets)))
     levels = [_Resonant.kernel_level(trap, pulse) for pulse in protocol.pulses]
     AngularTables(trap).kernel_depth(max(levels, default=trap.n_max))
 
@@ -1063,28 +1316,38 @@ def rate_matrix(trap: TrapConfig, pulse: Pulse, mode: str = "resonant",
 
 
 class ColumnSampler:
-    """Column-on-demand jump sampler for Monte Carlo, on the states of a
-    ``StateBasis`` (the grid if none is given).
+    """Jump sampler for Monte Carlo, on the states of a ``StateBasis`` (the
+    grid if none is given), one per pulse provider of a run.
 
-    Serves one pulse's jumps from its column ``provider``, the kind that
-    backs the dense matrix, without assembling it.  ``exit_rates`` are the
-    provider's exits at the states' representatives, bitwise the grid's,
-    read without building a column.  ``jump_distribution(j)`` builds and
-    caches state j's cumulative column: the representative's raw column
-    with its own m <- m entry zeroed, lumped (on the swap basis), clipped
-    at 0 and summed.  At i != j its rates are bitwise those of
+    ``exit_rates`` are the provider's exits at the states'
+    representatives, bitwise the grid's, read without building a column.
+    ``jump_distribution(j)``, called once per jump, builds and caches
+    state j's cumulative rates, and the stepper's uniform u * exit rate,
+    searched in them from the right, lands in one cell, past the last
+    being the leak; ``destinations`` turns the cells of a round's jumps
+    into states.
+
+    On a column provider (``_Resonant``, ``_Full``) the rates are state j's
+    column: the representative's raw column with its own m <- m entry
+    zeroed, lumped (on the swap basis), clipped at 0 and summed, and a
+    cell is a state.  At i != j its rates are bitwise those of
     ``rate_matrix(..., basis)``; at j it holds max(move, 0), the in-class
     move (a, b) -> (b, a) (0 on the grid and at a = b), which the
     generator folds into its diagonal.  A draw there is a jump to the
     trajectory's own class: thinning, so the exit clocks stay the grid's
-    and the jump law, jump counts included, is the grid chain's.
+    and the jump law, jump counts included, is the grid chain's.  On
+    ``_Draws`` (2D resonant runs) they are the representative's draw
+    table, 2 x (theta rows) + 1 doubles in place of a column, and
+    ``destinations`` finishes the draws as emissions (``_emit``), the
+    in-class move included; ``proposals`` counts the sampler's second-stage
+    draws, rejections included.
 
-    The samplers of one run share its ``_CacheBudget``, if given: a column
-    that would take their cached columns past it is refused before it is
-    built.  Nothing is evicted, so the cache holds every column built.
+    The samplers of one run share its ``_CacheBudget``, if given: a table
+    that would take their cached ones past it is refused before it is
+    built.  Nothing is evicted, so the cache holds every table built.
     """
 
-    def __init__(self, provider: _Resonant | _Full, basis: StateBasis | None = None,
+    def __init__(self, provider: _Resonant | _Full | _Draws, basis: StateBasis | None = None,
                  budget: _CacheBudget | None = None):
         self._provider = provider
         self._basis = basis = basis or StateBasis(provider.trap)
@@ -1092,23 +1355,45 @@ class ColumnSampler:
         levels = tuple(basis.levels.T)
         self.exit_rates = provider.exits[levels]
         self._own = np.ravel_multi_index(levels, provider.exits.shape)
+        self._draws = isinstance(provider, _Draws)
+        self._entries = provider.cells.shape[1] + 1 if self._draws else basis.size
         self._cache: dict[int, np.ndarray] = {}
+        self.proposals = 0
 
     def jump_distribution(self, index: int):
-        """(exit rate, cached cumulative rates of state ``index``'s column):
-        a search of a draw below the exit rate past the last state is the
-        leak.  On the grid, ``RateMatrix.jump_distribution``, bitwise."""
+        """(exit rate, cached cumulative rates of state ``index``): on the
+        grid, ``RateMatrix.jump_distribution``, bitwise, for a column
+        provider; a draw table for ``_Draws``."""
         cum = self._cache.get(index)
         if cum is None:
             if self._budget is not None:
-                self._budget.take(8 * self._basis.size)
-            cum = self._provider.column(*self._basis.levels[index]).reshape(-1).copy()
-            cum[self._own[index]] = 0.0
-            if self._basis.kind != "full":
-                cum = self._basis.lump(cum)
-            np.maximum(cum, 0.0, out=cum)
-            self._cache[index] = cum = np.cumsum(cum, out=cum)
+                self._budget.take(8 * self._entries)
+            if self._draws:
+                cum = self._provider.table(index)
+            else:
+                cum = self._provider.column(*self._basis.levels[index]).reshape(-1).copy()
+                cum[self._own[index]] = 0.0
+                if self._basis.kind != "full":
+                    cum = self._basis.lump(cum)
+                np.maximum(cum, 0.0, out=cum)
+                cum = np.cumsum(cum, out=cum)
+            self._cache[index] = cum
         return float(self.exit_rates[index]), cum
+
+    @staticmethod
+    def destinations(samplers, which: np.ndarray, index: np.ndarray, u: np.ndarray,
+                     tables, rng: np.random.Generator) -> np.ndarray:
+        """The states one round's jumps land on (``size``: the leak), the
+        jump i of ``samplers[which[i]]`` from state ``index[i]`` drawing
+        ``u[i]`` below its exit rate: the right-sided search of ``u[i]`` in
+        ``tables[i]``, its ``jump_distribution``, which on column samplers
+        is the state, and on ``_Draws`` the cell where ``_emit`` finishes
+        the draw (one sampler kind per run)."""
+        if not samplers[0]._draws:
+            return np.array([cum.searchsorted(x, side="right") for cum, x in
+                             zip(tables, u.tolist())], dtype=np.int64)
+        cum = np.array(tables)
+        return _emit(samplers, which, index, np.count_nonzero(cum <= u[:, None], axis=1), cum, rng)
 
 
 class _CacheBudget:

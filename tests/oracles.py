@@ -153,7 +153,8 @@ def uniformization_expm(gen: np.ndarray, t: float, tol: float = 1e-14) -> np.nda
     return np.exp(-c * t) * out
 
 
-def jump_trajectory(pulses, level: int, cycles: int, rng) -> list[tuple[float, int]]:
+def jump_trajectory(pulses, level: int, cycles: int, rng,
+                    destination=None) -> list[tuple[float, int]]:
     """One jump trajectory by the plain loop over jumps, from dense generators.
 
     ``pulses`` holds (generator, leak, duration) per pulse of a cycle.  A
@@ -162,9 +163,12 @@ def jump_trajectory(pulses, level: int, cycles: int, rng) -> list[tuple[float, i
     the level spends before it jumps, and walks on from the last jump pulse
     by pulse and cycle by cycle, spending exit rate times time, until the
     draw is spent; a pulse that leaves the level dark spends nothing.  It
-    then draws a uniform destination.  A level that every pulse leaves dark
-    draws nothing.  Returns (time, level) at the start and after each jump,
-    with level -1 for absorption into the leak, which ends the trajectory.
+    then draws a uniform u below the exit rate and lands where u falls in
+    the level's column, past its last entry being the leak, or, given
+    ``destination``, on ``destination(pulse, level, u, rng)``.  A level
+    that every pulse leaves dark draws nothing.  Returns (time, level) at
+    the start and after each jump, with level -1 for absorption into the
+    leak, which ends the trajectory.
     """
     durations = [duration for *_, duration in pulses]
     log = [(0.0, level)]
@@ -190,12 +194,115 @@ def jump_trajectory(pulses, level: int, cycles: int, rng) -> list[tuple[float, i
         cum, total = columns[k]
         into += spend / total
         t = cycle * sum(durations) + sum(durations[:k]) + into
-        level = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        if destination is None:
+            level = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        else:
+            level = destination(k, level, rng.random() * total, rng)
         if level == cum.size:
             log.append((t, -1))
             return log
         log.append((t, level))
     return log
+
+
+def emission_destination(trap, pulses, dense):
+    """The 2D resonant jump drawn as an emission, one jump at a time, as
+    ``jump_trajectory``'s ``destination``, on the grid levels of ``trap``.
+
+    ``pulses`` are the cycle's pulses and ``dense`` their (generator, leak,
+    duration).  The recoil factors are the trap's signed stack
+    (``AngularTables.stack``) on the folded sphere rule, the y row the x
+    row at the node's mirror.  A draw u below the exit rate E is the leak
+    where u >= E - leak; else it picks a (laser, theta row) cell by the
+    cells' in-basis masses, its own level left out, rescaled to E - leak.
+    Then, with four uniforms per proposal: the node within the row, n_x
+    and n_y from the product of the two rows without the source level,
+    and, for an even s != 0 with Re(A) != 0, acceptance with probability
+    |a + A b|^2 / (2 (a^2 + |A|^2 b^2)).  A rejected proposal draws a new
+    cell from the in-basis cells and proposes again, 32 at a time (a lone
+    jumper's batch), each with its own cell uniform, all cell uniforms
+    before the proposals', and keeps the first accepted.
+    """
+    tables = rates.AngularTables(trap)
+    n1 = trap.n_max + 1
+    l_max = trap.n_max + max(max(pulse.s_int for pulse in pulses), 0)
+    w, _, mirror, row = tables.rule(l_max)
+    stack = tables.stack(l_max)
+    rows = len(w) // row
+
+    def masses(k, lx, ly):
+        return float(np.sum(stack[k, :, lx] ** 2)), float(np.sum(stack[mirror[k], :, ly] ** 2))
+
+    def cell_levels(pulse, mx, my, cell):
+        laser, r = divmod(cell, rows)
+        s = pulse.s_int
+        return r, (mx + s, my) if laser == 0 else (mx, my + s)
+
+    def propose(pulse, f, mx, my, cell, u):
+        r, (lx, ly) = cell_levels(pulse, mx, my, cell)
+        nodes = range(r * row, (r + 1) * row)
+        weights = []
+        for k in nodes:
+            x_in, y_in = masses(k, lx, ly)
+            own = stack[k, mx, lx] * stack[mirror[k], my, ly]
+            weights.append(max(w[k] * (x_in * y_in - own * own), 0.0))
+        cum = np.cumsum(weights)
+        k = nodes[min(int(np.searchsorted(cum, u[0] * cum[-1], side="right")), row - 1)]
+        x_row, y_row = stack[k, :, lx] ** 2, stack[mirror[k], :, ly] ** 2
+        y_in = masses(k, lx, ly)[1]
+        x_weights = x_row * y_in
+        x_weights[mx] = x_row[mx] * max(y_in - y_row[my], 0.0)
+        cum = np.cumsum(x_weights)
+        nx = min(int(np.searchsorted(cum, u[1] * cum[-1], side="right")), n1 - 1)
+        if nx == mx:
+            y_row[my] = 0.0
+        cum = np.cumsum(y_row)
+        ny = min(int(np.searchsorted(cum, u[2] * cum[-1], side="right")), n1 - 1)
+        s, a = pulse.s_int, complex(pulse.amplitude_ratio)
+        if s == 0 or s % 2 or a.real == 0.0:
+            return nx, ny, True
+        amp_x = f[mx] * stack[k, nx, max(mx + s, 0)] * stack[mirror[k], ny, my]
+        amp_y = f[my] * stack[k, nx, mx] * stack[mirror[k], ny, max(my + s, 0)]
+        direct = amp_x ** 2 + abs(a) ** 2 * amp_y ** 2
+        return nx, ny, 2.0 * direct * u[3] < direct + 2.0 * a.real * amp_x * amp_y
+
+    def destination(j, level, u, rng):
+        pulse, (gen, leak, _) = pulses[j], dense[j]
+        exit_rate = -gen[level, level]
+        if u >= exit_rate - leak[level]:
+            return n1 * n1
+        mx, my = divmod(level, n1)
+        s, a = pulse.s_int, complex(pulse.amplitude_ratio)
+        f = rates._reduced_absorption(tables, s, range(n1))
+        lasers = ((abs(f[mx] + a * f[my]) ** 2, 0.0) if s == 0
+                  else (f[mx] ** 2, abs(a) ** 2 * f[my] ** 2))
+        cells = []
+        for cell in range(2 * rows):
+            r, (lx, ly) = cell_levels(pulse, mx, my, cell)
+            total = own = 0.0
+            for k in range(r * row, (r + 1) * row):
+                if lasers[cell // rows] == 0.0:
+                    break
+                x_in, y_in = masses(k, lx, ly)
+                total += w[k] * x_in * y_in
+                own += w[k] * (stack[k, mx, lx] * stack[mirror[k], my, ly]) ** 2
+            cells.append(lasers[cell // rows] * max(total - own, 0.0))
+        cum = np.cumsum(cells)
+        cell = int(np.searchsorted(cum * ((exit_rate - leak[level]) / cum[-1]), u, side="right"))
+        batch = 1
+        while True:
+            if batch > 1:
+                picks = [int(np.searchsorted(cum, v * cum[-1], side="right"))
+                         for v in rng.random(batch)]
+            else:
+                picks = [cell]
+            for cell, u4 in zip(picks, rng.random((batch, 4))):
+                nx, ny, accepted = propose(pulse, f, mx, my, cell, u4)
+                if accepted:
+                    return nx * n1 + ny
+            batch = 32
+
+    return destination
 
 
 def flat_level(level, trap):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -305,14 +306,19 @@ class TestRun:
         peaks = manifest["peak_rss_mb"]
         assert list(peaks) == list(manifest["phases"])
         assert all(v is None or v > 0.0 for v in peaks.values())
-        # both pulses (s <= 0) share one kernel
-        assert manifest["cache"] == {"emission_kernel": {"builds": 1, "hits": 1}}
+        # both pulses (s <= 0) share one kernel; a 2D resonant Monte Carlo
+        # run draws its jumps as emissions on the recoil stack and builds none
+        kernels = {"builds": 0, "hits": 0} if (dims, mode) == (2, "mc") else {"builds": 1,
+                                                                           "hits": 1}
+        assert manifest["cache"] == {"emission_kernel": kernels}
         # both modes step the same basis: the level pairs in 2D, the grid in 1D
         assert manifest["basis"] == basis and manifest["states"] == states
         if mode == "mc":
             assert 0 < manifest["columns_built"] <= 2 * states
             # 20 trajectories: the total jumps and the most one made
             assert 0 < manifest["jumps_max"] <= manifest["jumps"] <= 20 * manifest["jumps_max"]
+            # second-stage draws: emissions in 2D, none from columns in 1D
+            assert (manifest["proposals"] > 0) == (dims == 2)
             assert "clipped_mass" not in manifest
         else:
             assert "columns_built" not in manifest
@@ -325,11 +331,15 @@ class TestRun:
         ("fig3", {"builds": 2, "hits": 2}),
         ("fig5_A_minus", {"builds": 1, "hits": 7})])
     def test_run_shares_kernels_across_pulses(self, tmp_path, capsys, mode, name, counts):
-        # the run's pulses share one trap's tables: the manifest's cache block
+        # the run's pulses share one trap's tables: the manifest's cache
+        # block.  A 2D resonant Monte Carlo run reads the recoil stack
+        # alone and builds no kernel
         out = tmp_path / mode
         assert run_cli("run", "--preset", name, "--mode", mode, "--trajectories", "5",
                        "--cycles", "1", "--out-dir", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        if (name, mode) == ("fig5_A_minus", "mc"):
+            counts = {"builds": 0, "hits": 0}
         assert manifest["cache"] == {"emission_kernel": counts}
 
     def test_target_override(self, tmp_path, capsys):
@@ -379,6 +389,23 @@ class TestRun:
                        "n_max = 400\n[[pulse]]\ns = -9\n[run]\ncycles = 1\n")
         out = tmp_path / "o"
         assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 4
+
+    def test_mc_cycle_budget_refused_up_front(self, tmp_path, capsys):
+        # a Monte Carlo record of 10^9 cycles would need 74.5 GiB: refused
+        # with exit code 4 before the output directory or any array exists
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = run_cli("run", "--preset", "fig2", "--mode", "mc", "--trajectories", "5",
+                           "--cycles", str(10 ** 9), "--out-dir", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Monte Carlo record of 1000000000 cycles" in err and "cycle count" in err
+        assert not out.exists()
+        assert peak < 1 << 20, peak
 
     def test_mc_column_cache_over_budget_exits_4(self, tmp_path, capsys, monkeypatch):
         # the ensemble's cached columns are refused past the budget, not

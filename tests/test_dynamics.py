@@ -14,8 +14,8 @@ from dyncool.errors import DomainError, ResourceLimitError
 from dyncool.protocols import RUN_DEFAULTS, Protocol, preset
 from dyncool.rates import Pulse, RateMatrix, TrapConfig
 
-from oracles import (flat_level, jump_trajectory, level_distribution, per_pulse_run,
-                     uniformization_expm)
+from oracles import (emission_destination, flat_level, jump_trajectory, level_distribution,
+                     per_pulse_run, uniformization_expm)
 
 
 def trap_1d(eta=3.0, n_max=60, **kw):
@@ -216,6 +216,23 @@ class TestRunProtocol:
         series = run_protocol(level_distribution(2, trap), proto, trap,
                               stop_tol=1e-6)
         assert series.final().cycle < 500
+
+    @pytest.mark.parametrize("extra", [(), (1, 2)])
+    def test_mc_cycle_budget_refused_before_any_provider(self, extra, monkeypatch):
+        # a Monte Carlo ensemble records every cycle boundary: 10^9 cycles
+        # are refused, naming the count, before any provider is built, and
+        # check_budgets refuses them alike
+        def refuse(*args, **kwargs):
+            raise AssertionError("a provider was built")
+        monkeypatch.setattr(rates, "_providers", refuse)
+        trap = trap_1d(eta=1.0, n_max=6)
+        proto = Protocol((Pulse(s=-1, duration=1.0),), cycles=10 ** 9, target=0)
+        with pytest.raises(ResourceLimitError, match="of 1000000000 cycles"):
+            mc_ensemble(5, proto, trap, seed=1, init=level_distribution(2, trap),
+                        extra_targets=extra)
+        with pytest.raises(ResourceLimitError, match="of 1000000000 cycles"):
+            rates.check_budgets(proto, trap, "mc", extra)
+        rates.check_budgets(proto, trap)  # a master run stops early with a small table
 
     def test_extra_targets_recorded(self):
         trap = trap_1d(n_max=20)
@@ -531,17 +548,20 @@ class TestMcTrajectory:
                              cycles=300, target=0)
         else:
             # fig5's pulses: the even s != 0 ones with A = -1 carry the cross
-            # term; at eta 1.7 a trajectory makes several jumps before it leaks
+            # term; at eta 1.7 a trajectory makes several jumps before it
+            # leaks.  A 2D resonant ensemble draws each jump as an emission:
+            # the oracle draws the same two stages one jump at a time
             trap, start = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=8), (3, 2)
             fig5 = preset("fig5_A_minus")[0]
             proto = Protocol(fig5.pulses, 30, fig5.name, fig5.target)
         pulses = dense_pulses(proto, trap)
+        draw = emission_destination(trap, proto.pulses, pulses) if case == "2d" else None
         statuses = set()
         for seed in range(6):
             _, jumps = mc_jumps(proto, trap, level_distribution(start, trap), seed)
             rng = np.random.default_rng(seed)
             rng.random()  # the ensemble's initial draw
-            ref = jump_trajectory(pulses, flat_level(start, trap), proto.cycles, rng)
+            ref = jump_trajectory(pulses, flat_level(start, trap), proto.cycles, rng, draw)
             assert [lvl for _, lvl in jumps] == [lvl for _, lvl in ref]
             assert np.allclose([t for t, _ in jumps], [t for t, _ in ref],
                                rtol=1e-12, atol=0.0)
@@ -705,8 +725,8 @@ class TestLumpedBasis:
     def test_mc_steps_a_basis_over_the_matrix_budget(self, monkeypatch):
         # the budget guards dense matrices, and a Monte Carlo run builds
         # none: under a budget below the swap basis (91 states, 66 kB) the
-        # master run is refused and the ensemble steps that basis (its 20
-        # cached columns, 15 kB, fit the budget)
+        # master run is refused and the ensemble steps that basis (its
+        # cached draw tables fit the budget)
         init, proto, trap = preset_run("fig5_A_minus", n_max=12, cycles=3)
         monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", 50_000)
         with pytest.raises(ResourceLimitError, match=r"\(91 x 91\)"):
@@ -720,10 +740,11 @@ class TestLumpedBasis:
 
     @pytest.mark.parametrize("basis", ["full", "swap"])
     def test_column_cache_bounded_by_the_budget(self, monkeypatch, basis):
-        # the samplers' cached columns count against the budget: a run
-        # whose columns fit it exactly is bitwise the unbounded one, and
-        # under one byte less the column past it is refused before it is
-        # built, not evicted.  A start on (3, 1), or half on (1, 3) too
+        # the samplers' cached draw tables count against the budget: a run
+        # whose tables fit it exactly is bitwise the unbounded one, and
+        # under one byte less the table past it is refused before it is
+        # built, not evicted.  A table holds a cell per laser and theta row
+        # of the rule, and the leak's.  A start on (3, 1), or half on (1, 3) too
         trap = TrapConfig(eta=1.7, gamma_over_omega=0.01, dims=2, n_max=6)
         protocol = Protocol((Pulse(s=-2, duration=1.0), Pulse(s=0, duration=1.0)), 3)
         probs = np.zeros(trap.shape)
@@ -733,15 +754,15 @@ class TestLumpedBasis:
         init = Distribution(probs.reshape(-1), 0.0, trap.shape)
         free = mc_ensemble(40, protocol, trap, seed=3, init=init)
         assert free.basis == basis
-        need = 8 * free.columns_built * free.states
+        need = 8 * free.columns_built * (2 * (trap.quad_theta // 2) + 1)
         monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", need)
         fits = mc_ensemble(40, protocol, trap, seed=3, init=init)
         assert fits.columns_built == free.columns_built > 1
         for name in ("p_target", "mean_n", "mean_n_se", "leak_frac", "jump_counts"):
             assert np.array_equal(getattr(fits, name), getattr(free, name))
         built = []
-        inner = rates._Resonant.column
-        monkeypatch.setattr(rates._Resonant, "column",
+        inner = rates._Draws.table
+        monkeypatch.setattr(rates._Draws, "table",
                             lambda self, *level: built.append(level) or inner(self, *level))
         monkeypatch.setattr(rates, "MATRIX_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError, match="n_max 6, 40 trajectories"):

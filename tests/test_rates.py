@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from dyncool import cli, dynamics, fc, rates
 from dyncool.errors import DomainError, ResourceLimitError, SimulationError, ValidityError
@@ -917,6 +918,111 @@ class TestExitRates:
         want = full.exit_rates[a * 7 + b] - move
         assert np.abs(swap.exit_rates - want).max() <= 1e-15 * full.exit_rates.max()
         assert np.array_equal(swap.exit_rates, -swap.generator.diagonal())
+
+
+def draws_of(trap, pulses, basis="full"):
+    """The ``_Draws`` of ``pulses`` as a 2D resonant Monte Carlo run on
+    ``basis`` builds them, on one ``_Emission`` of the run's stack."""
+    return rates._providers(Protocol(tuple(pulses), 1), trap, "resonant",
+                            rates.StateBasis(trap, basis))[0]
+
+
+def emission_counts(trap, pulse, level, basis_kind, n=100_000, seed=11):
+    """Where ``n`` jumps of ``pulse`` from ``level`` land, drawn as a 2D
+    resonant ensemble draws them, counted over the states of the basis and
+    the leak (the last entry), with the sampler's proposals."""
+    provider = draws_of(trap, [pulse], basis_kind)[0]
+    basis = provider.basis
+    sampler = rates.ColumnSampler(provider, basis)
+    state = int(basis.class_of[np.ravel_multi_index(level, trap.shape)])
+    rate, table = sampler.jump_distribution(state)
+    rng = np.random.default_rng(seed)
+    u = rng.random(n) * rate
+    dest = np.concatenate([rates.ColumnSampler.destinations(
+        [sampler], np.zeros(part.size, dtype=int), np.full(part.size, state), part,
+        [table] * part.size, rng) for part in np.array_split(u, 10)])
+    return np.bincount(dest, minlength=basis.size + 1), sampler.proposals
+
+
+class TestEmissionDraws:
+    """A 2D resonant ensemble draws each jump as the photon is emitted, on
+    the run's recoil stack, with no column: its law is the dense column's."""
+
+    @pytest.mark.parametrize("s, a, level, basis, cross", [
+        pytest.param(-2, -1.0, (3, 2), "full", True, id="even_s_cross"),
+        pytest.param(-3, -1.0, (4, 2), "full", False, id="odd_s"),
+        pytest.param(0, -1.0, (3, 1), "swap", False, id="s0_A_minus"),
+        pytest.param(0, 0.125, (3, 1), "full", False, id="s0_A_eighth"),
+        pytest.param(2, -1.0, (7, 6), "full", True, id="s_positive_past_n_max"),
+        pytest.param(-2, -1.0, (3, 2), "swap", True, id="swap_in_class_move"),
+        pytest.param(-4, -1.0, (6, 6), "swap", True, id="leak_cell")])
+    def test_jump_law_matches_dense_column(self, s, a, level, basis, cross):
+        # 10^5 draws from one source against the dense column of rate_matrix
+        # on the run's basis, its leak and, on the swap basis, the in-class
+        # move (the grid exit less the swap exit): chi-square at a fixed seed
+        trap = trap_2d(eta=3.0 if s == -4 else 1.7, n_max=6 if s == -4 else 8)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
+        assert draws_of(trap, [pulse])[0].cross == cross
+        counts, _ = emission_counts(trap, pulse, level, basis)
+        dense = rate_matrix(trap, pulse, basis=basis)
+        state = int(rates.StateBasis(trap, basis).class_of[np.ravel_multi_index(level,
+                                                                                trap.shape)])
+        want = np.append(dense.generator[:, state], dense.leak[state])
+        grid_exit = rate_matrix(trap, pulse).exit_rates[np.ravel_multi_index(level, trap.shape)]
+        want[state] = grid_exit - dense.exit_rates[state]
+        if basis == "swap" and level[0] != level[1]:  # the in-class move is drawn
+            assert want[state] > 1e-3 * grid_exit and counts[state] > 0
+        assert want[-1] > 0.0 and counts[-1] > 0
+        assert np.all(counts[want <= 0.0] == 0)
+        expect = want / want.sum() * counts.sum()
+        big = expect >= 5.0
+        stat = np.sum((counts[big] - expect[big]) ** 2 / expect[big])
+        pooled = expect[~big].sum()  # the bins expected below 5, as one
+        if pooled > 0.0:
+            stat += (counts[~big].sum() - pooled) ** 2 / pooled
+        dof = np.count_nonzero(big) - (pooled == 0.0)
+        assert scipy.stats.chi2.sf(stat, dof) > 1e-3, stat
+
+    @pytest.mark.parametrize("s", _EXIT_S)
+    @pytest.mark.parametrize("a", [-1.0, 0.125, 0.3 + 0.4j, 1j])
+    def test_exits_match_the_resonant_provider(self, s, a):
+        # node sums on the stack against the low-rank factors' diagonals;
+        # the leaks against the dense generator's
+        trap = trap_2d(n_max=8)
+        pulse = Pulse(s=s, duration=1.0, amplitude_ratio=a)
+        draws = draws_of(trap, [pulse])[0]
+        resonant = rates._Resonant(rates.AngularTables(trap), pulse)
+        top = resonant.exits.max()
+        assert np.abs(draws.exits - resonant.exits).max() <= 1e-13 * top
+        assert np.all(draws.exits[resonant.exits == 0.0] == 0.0)
+        leak = rate_matrix(trap, pulse).leak.reshape(trap.shape)
+        assert np.abs(draws.leaks - leak).max() <= 1e-13 * top
+
+    def test_few_proposals_per_jump_at_small_eta(self):
+        # near the Lamb-Dicke limit the two lasers' amplitudes hardly
+        # overlap, so a cross-term proposal is accepted about half the time
+        trap = TrapConfig(eta=0.05, gamma_over_omega=0.01, dims=2, n_max=10)
+        pulses = tuple(Pulse(s=s, duration=2.0e3, amplitude_ratio=-1.0) for s in (-2, -1, 0))
+        init = dynamics.thermal_distribution(3.0, trap)
+        ens = dynamics.mc_ensemble(400, Protocol(pulses, 20, target=(0, 0)), trap, seed=2,
+                                   init=init)
+        jumps = int(ens.jump_counts.sum())
+        assert jumps > 1000
+        assert jumps <= ens.proposals < 3 * jumps
+
+    def test_2d_resonant_ensemble_builds_no_kernel(self, monkeypatch):
+        # no recoil factors and no emission kernel: the stack alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 2D kernel or its factors was built")
+        monkeypatch.setattr(rates.AngularTables, "factors", refuse)
+        monkeypatch.setattr(rates.AngularTables, "emission_kernel", refuse)
+        trap = trap_2d(eta=1.7, n_max=8)
+        pulses = tuple(Pulse(s=s, duration=1.0, amplitude_ratio=a)
+                       for s, a in ((-2, -1.0), (0, -1.0), (2, 0.125)))
+        ens = dynamics.mc_ensemble(50, Protocol(pulses, 5, target=(0, 0)), trap, seed=1,
+                                   init=dynamics.thermal_distribution(2.0, trap))
+        assert ens.jump_counts.sum() > 0 and ens.cache == {
+            "emission_kernel": {"builds": 0, "hits": 0}}
 
 
 class TestResonantFactors:
